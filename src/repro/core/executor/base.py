@@ -132,7 +132,7 @@ class RunSummary:
         Each payload is the dict a worker harvests after its slice of the
         run: ``finish_times`` / ``context_attrs`` / ``context_stats``
         keyed by context slot, ``channel_stats`` keyed by channel id,
-        per-context ``trace`` event lists, and scheduler ``counters``.
+        per-context ``trace`` row lists, and scheduler ``counters``.
         The caller (any multi-runtime executor) completes the summary
         with ``executor`` / ``policy`` / ``real_seconds`` / ``metrics``.
 
@@ -171,10 +171,8 @@ class RunSummary:
                 if log and channel.profile_log is not None:
                     channel.profile_log.extend(log)
             if trace is not None:
-                for name, events in payload.get("trace", {}).items():
-                    buf = trace.buffer(name)
-                    buf.events.extend(events)
-                    buf._seq = len(buf.events)
+                for name, rows in payload.get("trace", {}).items():
+                    trace.buffer(name).extend(rows)
             counters = payload.get("counters", {})
             summary.context_switches += counters.get("context_switches", 0)
             summary.wakeups += counters.get("wakeups", 0)

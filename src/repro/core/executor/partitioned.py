@@ -928,18 +928,17 @@ class _WorkerExecutor(SequentialExecutor):
 # ----------------------------------------------------------------------
 
 
-def _shippable_events(events: list) -> list:
-    """Trace events, with payloads stripped if they refuse to pickle."""
-    try:
-        pickle.dumps(events)
-        return events
-    except Exception:  # noqa: BLE001
-        from ...obs.events import TraceEvent
-
-        return [
-            TraceEvent(e.context, e.kind, e.channel, e.time, None, e.seq)
-            for e in events
-        ]
+def _shippable_rows(buf) -> list:
+    """A buffer's trace rows, with payloads stripped if they refuse to
+    pickle.  Without payload capture a row is strings and numbers, so
+    only a capturing buffer needs the probe."""
+    rows = buf.rows
+    if buf.capture_payloads:
+        try:
+            pickle.dumps(rows)
+        except Exception:  # noqa: BLE001 - any payload may refuse
+            return [(kind, channel, time, None) for kind, channel, time, _ in rows]
+    return rows
 
 
 def _harvest(executor: _WorkerExecutor, obs) -> dict:
@@ -1027,18 +1026,18 @@ def _harvest(executor: _WorkerExecutor, obs) -> dict:
     for proxy in recv_proxies:
         ship(proxy.id, proxy.stats, proxy.profile_log)
 
-    trace_events: dict[str, list] = {}
+    trace_rows: dict[str, list] = {}
     if obs is not None and obs.trace is not None:
         for name, buf in obs.trace.buffers().items():
-            if buf.events:
-                trace_events[name] = _shippable_events(buf.events)
+            if buf.rows:
+                trace_rows[name] = _shippable_rows(buf)
 
     return {
         "finish_times": finish_times,
         "context_attrs": context_attrs,
         "context_stats": context_stats,
         "channel_stats": channel_stats,
-        "trace": trace_events,
+        "trace": trace_rows,
         "migrations": executor.migrations,
         "counters": {
             "context_switches": executor.context_switches,
@@ -1488,7 +1487,6 @@ class ProcessExecutor(Executor):
         workers: int = 2,
         policy: str | SchedulingPolicy = "fifo",
         max_ops: Optional[int] = None,
-        tracer=None,
         obs: Optional[Observability] = None,
         weights: Optional[dict[str, float]] = None,
         pins: Optional[dict[int, int]] = None,
@@ -1518,10 +1516,7 @@ class ProcessExecutor(Executor):
         self.policy_spec = policy
         self.policy = make_policy(policy)
         self.max_ops = max_ops
-        if obs is None and tracer is not None:
-            obs = Observability.from_trace(tracer)
         self.obs = obs
-        self.tracer = obs.trace if obs is not None else None
         self.weights = weights
         self.pins = pins
         self.balance = balance

@@ -22,8 +22,7 @@ parked on, and both endpoint clocks — the debugging story behind the
 paper's undersized-channel observations.
 
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
-record per-context trace buffers and fold run metrics; the legacy
-``tracer=`` keyword still accepts a :class:`repro.core.trace.Tracer`.
+record per-context trace buffers and fold run metrics.
 
 Dispatch is a ``type(op) → bound handler`` table plus an *inline fast
 path* (DESIGN.md §11): when tracing is off, no ``WaitUntil`` waiter is
@@ -224,9 +223,6 @@ class SequentialExecutor(Executor):
         Optional safety valve: abort with :class:`SimulationError` after
         this many operations (guards against runaway non-terminating
         programs in tests).
-    tracer:
-        Legacy: a :class:`repro.core.trace.Tracer` (now an alias of
-        :class:`repro.obs.TraceCollector`); wrapped into ``obs``.
     obs:
         A :class:`repro.obs.Observability` collecting the run's trace
         and/or metrics.
@@ -251,7 +247,6 @@ class SequentialExecutor(Executor):
         self,
         policy: str | SchedulingPolicy = "fifo",
         max_ops: Optional[int] = None,
-        tracer=None,
         obs: Optional[Observability] = None,
         fast_path: bool = True,
         deadline_s: Optional[float] = None,
@@ -288,8 +283,6 @@ class SequentialExecutor(Executor):
         #: and observe the cross-process abort flag (a never-blocking
         #: context would otherwise spin one endless slice, deaf to both).
         self._always_bounded = False
-        if obs is None and tracer is not None:
-            obs = Observability.from_trace(tracer)
         self.obs = obs
         #: The active trace collector (None when tracing is off).
         self.tracer = obs.trace if obs is not None else None

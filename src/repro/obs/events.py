@@ -1,12 +1,14 @@
 """Trace events and per-context event buffers.
 
 The observability pipeline's first invariant is that *recording must not
-distort the run being observed*.  Each context therefore appends events to
-its own :class:`ContextTraceBuffer` — a plain Python list touched only by
-the thread of control driving that context — so the threaded executor can
-trace without any per-event locking (the append is the lock-free fast
-path; CPython list appends are atomic under the GIL, and no other thread
-reads the list until the run has ended).
+distort the run being observed*.  Each context therefore appends one
+plain tuple per op to its own :class:`ContextTraceBuffer` — a Python list
+touched only by the thread of control driving that context — so the
+threaded executor can trace without any per-event locking (the append is
+the lock-free fast path; CPython list appends are atomic under the GIL,
+and no other thread reads the list until the run has ended).  The rows
+are the stored form; :class:`TraceEvent` objects are built only for
+whoever reads ``events``.
 
 The second invariant is *determinism of the merged view*: an event is
 keyed by ``(time, context, seq)`` where ``seq`` is the context's own op
@@ -20,7 +22,7 @@ runs (asserted by the obs test suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable, Optional, Tuple
 
 from ..core.time import Time
 
@@ -40,25 +42,30 @@ class TraceEvent:
     payload: Any = None  # data moved, when applicable
     seq: int = 0         # per-context event index
 
-    def sort_key(self) -> tuple:
-        return (self.time, self.context, self.seq)
+
+#: The stored form of one event: ``(kind, channel, time, payload)``.  The
+#: event's ``seq`` is its index in the owning buffer's ``rows`` and its
+#: ``context`` is the buffer's, so neither is stored per event.
+Row = Tuple[str, Optional[str], Time, Any]
 
 
 class ContextTraceBuffer:
-    """Append-only event list owned by exactly one context.
+    """Append-only row list owned by exactly one context.
 
     Executors obtain one buffer per context *before* starting the run and
     append from the context's own thread of control only; this is what
     makes tracing executor-agnostic without distorting the schedule.
+
+    Recording stores plain :data:`Row` tuples; :class:`TraceEvent`
+    objects exist only once somebody reads :attr:`events`.
     """
 
-    __slots__ = ("context", "events", "capture_payloads", "_seq")
+    __slots__ = ("context", "rows", "capture_payloads")
 
     def __init__(self, context: str, capture_payloads: bool = False):
         self.context = context
-        self.events: list[TraceEvent] = []
+        self.rows: list[Row] = []
         self.capture_payloads = capture_payloads
-        self._seq = 0
 
     def append(
         self,
@@ -67,21 +74,27 @@ class ContextTraceBuffer:
         time: Time,
         payload: Any = None,
     ) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        self.events.append(
-            TraceEvent(
-                self.context,
-                kind,
-                channel,
-                time,
-                payload if self.capture_payloads else None,
-                seq,
-            )
+        self.rows.append(
+            (kind, channel, time, payload if self.capture_payloads else None)
         )
 
+    def extend(self, rows: Iterable[Row]) -> None:
+        """Append rows recorded elsewhere (a worker process's harvest);
+        their ``seq`` continues this buffer's count."""
+        self.rows.extend(rows)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        """The rows materialised as :class:`TraceEvent` objects (a fresh
+        list per read; ``events[i].seq == i``)."""
+        context = self.context
+        return [
+            TraceEvent(context, kind, channel, time, payload, seq)
+            for seq, (kind, channel, time, payload) in enumerate(self.rows)
+        ]
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"ContextTraceBuffer({self.context}, {len(self.events)} events)"
+        return f"ContextTraceBuffer({self.context}, {len(self.rows)} events)"

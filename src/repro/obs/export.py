@@ -87,36 +87,27 @@ def to_chrome_trace(
         buf = buffers[name]
         tid = tids[name]
         prev_time = 0
-        for event in buf.events:
-            ts = prev_time
-            dur = event.time - prev_time
-            args: dict[str, Any] = {"seq": event.seq}
-            if event.channel is not None:
-                args["channel"] = event.channel
-            if event.payload is not None:
-                args["payload"] = _payload_str(event.payload)
-            label = (
-                f"{event.kind} {event.channel}"
-                if event.channel is not None
-                else event.kind
-            )
+        for seq, (kind, channel, time, payload) in enumerate(buf.rows):
+            args: dict[str, Any] = {"seq": seq}
+            if channel is not None:
+                args["channel"] = channel
+            if payload is not None:
+                args["payload"] = _payload_str(payload)
             events.append(
                 {
-                    "name": label,
-                    "cat": "channel" if event.channel is not None else "time",
+                    "name": f"{kind} {channel}" if channel is not None else kind,
+                    "cat": "channel" if channel is not None else "time",
                     "ph": "X",
                     "pid": _PID,
                     "tid": tid,
-                    "ts": ts,
-                    "dur": dur,
+                    "ts": prev_time,
+                    "dur": time - prev_time,
                     "args": args,
                 }
             )
-            prev_time = event.time
-            if event.channel is not None and event.kind in ("enqueue", "dequeue"):
-                flow_points.setdefault(event.channel, []).append(
-                    (event.kind, event.time, tid)
-                )
+            prev_time = time
+            if channel is not None and kind in ("enqueue", "dequeue"):
+                flow_points.setdefault(channel, []).append((kind, time, tid))
 
     # Channel transfers as flow arrows: FIFO order pairs the k-th enqueue
     # with the k-th dequeue.
@@ -186,16 +177,9 @@ def to_csv(trace: TraceCollector) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["time", "context", "seq", "kind", "channel", "payload"])
-    for event in trace.events:
+    for time, context, seq, (kind, channel, _, payload) in trace.merged_rows():
         writer.writerow(
-            [
-                event.time,
-                event.context,
-                event.seq,
-                event.kind,
-                event.channel or "",
-                _payload_str(event.payload),
-            ]
+            [time, context, seq, kind, channel or "", _payload_str(payload)]
         )
     return out.getvalue()
 

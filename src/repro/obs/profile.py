@@ -42,12 +42,12 @@ op's span (usually compute), not as a blocked category of its own.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
 from ..core.time import INFINITY, Time
-from .events import TraceEvent
+from .events import Row, TraceEvent
 from .metrics import Histogram
 from .trace import TraceCollector
 
@@ -236,66 +236,96 @@ class ProfileReport:
 # Trace indexing.
 # ----------------------------------------------------------------------
 
+#: Positions of kind and time in a stored :data:`~repro.obs.events.Row`.
+_KIND, _TIME = 0, 2
+
+
+def _row_streams(
+    trace: "TraceCollector | Iterable[TraceEvent]",
+) -> dict[str, list[Row]]:
+    """The trace as per-context row streams in ``seq`` order.
+
+    A collector's buffers already are exactly that; a bare event
+    iterable (a re-imported Chrome trace) is grouped into the same form.
+    """
+    if isinstance(trace, TraceCollector):
+        return {name: buf.rows for name, buf in trace.buffers().items()}
+    grouped: dict[str, list[TraceEvent]] = {}
+    for event in trace:
+        grouped.setdefault(event.context, []).append(event)
+    return {
+        name: [
+            (e.kind, e.channel, e.time, e.payload)
+            for e in sorted(events, key=lambda e: e.seq)
+        ]
+        for name, events in grouped.items()
+    }
+
 
 class _Index:
-    """Per-context streams plus per-channel FIFO op orders."""
+    """Per-context row streams plus per-channel FIFO op positions.
 
-    def __init__(self, events: Iterable[TraceEvent]):
-        streams: dict[str, list[TraceEvent]] = {}
-        for event in events:
-            if event.kind not in _KINDS or event.time == INFINITY:
-                continue
-            streams.setdefault(event.context, []).append(event)
-        for stream in streams.values():
-            stream.sort(key=lambda e: e.seq)
-        self.streams = streams
-        # FIFO order per channel: channels have one sender and one
-        # receiver, so each side's stream order *is* the channel order.
-        self.chan_enq: dict[str, list[tuple[str, int]]] = {}
-        self.chan_deq: dict[str, list[tuple[str, int]]] = {}
-        self.enq_times: dict[str, list[Time]] = {}
-        self.deq_times: dict[str, list[Time]] = {}
-        #: (context, idx) of an op -> its FIFO ordinal on its channel.
-        self.enq_ord: dict[tuple[str, int], int] = {}
-        self.deq_ord: dict[tuple[str, int], int] = {}
-        #: (context, idx) of a peek -> ordinal of the dequeue that will
-        #: consume the peeked element (= dequeues issued so far).
-        self.peek_ord: dict[tuple[str, int], int] = {}
+    An op is addressed by its *global position*: its index in the
+    concatenation of the streams in context-name order.  A channel keeps
+    only the (ascending) global positions and times of its enqueues and
+    of its dequeues — channels have one sender and one receiver, so each
+    side's stream order *is* the channel order — and an op's FIFO
+    ordinal is found by bisection when the critical-path walk asks for
+    it, which it does for a small fraction of the events.
+    """
+
+    def __init__(self, streams: Mapping[str, list[Row]]):
+        self.streams: dict[str, list[Row]] = {}
+        #: Context names in order, and the global position each stream
+        #: starts at (``starts`` is parallel to ``names``).
+        self.names: list[str] = []
+        self.starts: list[int] = []
+        #: channel -> (global positions, times) of its enqueues/dequeues.
+        self.enq: dict[str, tuple[list[int], list[Time]]] = {}
+        self.deq: dict[str, tuple[list[int], list[Time]]] = {}
+        total = 0
         for name in sorted(streams):
-            deq_seen: dict[str, int] = {}
-            for idx, event in enumerate(streams[name]):
-                if event.channel is None:
+            # Pseudo-buffers (``<worker-N>`` migrate, ``<supervisor>``)
+            # and INFINITY finishes carry no simulated time to attribute.
+            stream = [
+                row
+                for row in streams[name]
+                if row[_KIND] in _KINDS and row[_TIME] != INFINITY
+            ]
+            if not stream:
+                continue
+            self.streams[name] = stream
+            self.names.append(name)
+            self.starts.append(total)
+            for pos, (kind, channel, time, _) in enumerate(stream, total):
+                if channel is None or kind not in ("enqueue", "dequeue"):
                     continue
-                key = (name, idx)
-                if event.kind == "enqueue":
-                    order = self.chan_enq.setdefault(event.channel, [])
-                    self.enq_ord[key] = len(order)
-                    order.append(key)
-                    self.enq_times.setdefault(event.channel, []).append(
-                        event.time
-                    )
-                elif event.kind == "dequeue":
-                    order = self.chan_deq.setdefault(event.channel, [])
-                    self.deq_ord[key] = len(order)
-                    order.append(key)
-                    self.deq_times.setdefault(event.channel, []).append(
-                        event.time
-                    )
-                    deq_seen[event.channel] = deq_seen.get(event.channel, 0) + 1
-                elif event.kind == "peek":
-                    self.peek_ord[key] = deq_seen.get(event.channel, 0)
+                side = self.enq if kind == "enqueue" else self.deq
+                ops = side.get(channel)
+                if ops is None:
+                    ops = side[channel] = ([], [])
+                ops[0].append(pos)
+                ops[1].append(time)
+            total += len(stream)
+        self.total_events = total
+        self.start_of = dict(zip(self.names, self.starts))
 
-    def total_events(self) -> int:
-        return sum(len(s) for s in self.streams.values())
+    def locate(self, pos: int) -> tuple[str, int]:
+        """(context, stream index) of the op at global position ``pos``."""
+        slot = bisect_right(self.starts, pos) - 1
+        return self.names[slot], pos - self.starts[slot]
+
+    def dequeues_before(self, channel: str, pos: int) -> int:
+        """Dequeues on ``channel`` at global positions below ``pos``."""
+        ops = self.deq.get(channel)
+        return bisect_left(ops[0], pos) if ops is not None else 0
 
     def makespan_start(self) -> tuple[str, int, Time] | None:
         """(context, last index, finish time) of the makespan context."""
         best: tuple[str, int, Time] | None = None
-        for name in sorted(self.streams):
+        for name in self.names:
             stream = self.streams[name]
-            if not stream:
-                continue
-            last = stream[-1].time
+            last = stream[-1][_TIME]
             if best is None or last > best[2]:
                 best = (name, len(stream) - 1, last)
         return best
@@ -306,74 +336,81 @@ class _Index:
 # ----------------------------------------------------------------------
 
 
-def _category_of(event: TraceEvent) -> str:
-    if event.channel is None:
-        return COMPUTE
-    if event.kind in ("dequeue", "peek"):
-        return BLOCKED_ON_DEQUEUE
-    if event.kind == "enqueue":
-        return BLOCKED_ON_ENQUEUE
-    return COMPUTE
+#: What time spent completing an op *on a channel* is charged to, by
+#: kind (every kind in ``_KINDS``); an op without a channel is compute.
+_CHANNEL_CATEGORY = {
+    "enqueue": BLOCKED_ON_ENQUEUE,
+    "dequeue": BLOCKED_ON_DEQUEUE,
+    "peek": BLOCKED_ON_DEQUEUE,
+    "advance": COMPUTE,
+    "finish": COMPUTE,
+}
+
+
+def _category_of(kind: str, channel: str | None) -> str:
+    return COMPUTE if channel is None else _CHANNEL_CATEGORY[kind]
 
 
 def _producer_of(
     index: _Index,
-    event: TraceEvent,
-    key: tuple[str, int],
+    row: Row,
+    context: str,
+    pos: int,
     channel_meta: Mapping[str, Mapping[str, Any]],
-) -> tuple[str, int] | None:
-    """The enqueue whose value this dequeue/peek consumed."""
-    channel = event.channel
-    enqueues = index.chan_enq.get(channel)
-    if not enqueues:
+) -> int | None:
+    """Global position of the enqueue whose value the dequeue/peek
+    ``row`` (at ``pos``, on ``context``) consumed."""
+    kind, channel, time, _ = row
+    ops = index.enq.get(channel)
+    if ops is None:
         return None
-    times = index.enq_times[channel]
+    enqueues, times = ops
     latency = (channel_meta.get(channel) or {}).get("latency")
     if latency is not None:
         # stamp = sender_time + latency; exact match wins (rightmost, so
         # zero-latency self-loops resolve deterministically).
-        target = event.time - latency
-        pos = bisect_right(times, target) - 1
-        if pos >= 0 and times[pos] == target:
-            return enqueues[pos]
-    ordinal = (
-        index.deq_ord.get(key)
-        if event.kind == "dequeue"
-        else index.peek_ord.get(key)
-    )
-    if ordinal is not None and ordinal < len(enqueues):
+        target = time - latency
+        at = bisect_right(times, target) - 1
+        if at >= 0 and times[at] == target:
+            return enqueues[at]
+    # FIFO: the k-th dequeue takes the k-th enqueue; a peek sees what
+    # the context's next dequeue will take.
+    ordinal = index.dequeues_before(channel, pos)
+    if kind == "peek":
+        ordinal -= index.dequeues_before(channel, index.start_of[context])
+    if ordinal < len(enqueues):
         return enqueues[ordinal]
-    pos = bisect_right(times, event.time) - 1
-    return enqueues[pos] if pos >= 0 else None
+    at = bisect_right(times, time) - 1
+    return enqueues[at] if at >= 0 else None
 
 
 def _unblocker_of(
     index: _Index,
-    event: TraceEvent,
-    key: tuple[str, int],
+    row: Row,
+    pos: int,
     channel_meta: Mapping[str, Mapping[str, Any]],
-) -> tuple[str, int] | None:
-    """The dequeue whose response freed the slot this enqueue waited on."""
-    channel = event.channel
-    dequeues = index.chan_deq.get(channel)
-    if not dequeues:
+) -> int | None:
+    """Global position of the dequeue whose response freed the slot the
+    enqueue ``row`` (at ``pos``) waited on."""
+    _, channel, time, _ = row
+    ops = index.deq.get(channel)
+    if ops is None:
         return None
-    times = index.deq_times[channel]
+    dequeues, times = ops
     meta = channel_meta.get(channel) or {}
     resp_latency = meta.get("resp_latency")
     if resp_latency is not None:
-        target = event.time - resp_latency
-        pos = bisect_right(times, target) - 1
-        if pos >= 0 and times[pos] == target:
-            return dequeues[pos]
+        target = time - resp_latency
+        at = bisect_right(times, target) - 1
+        if at >= 0 and times[at] == target:
+            return dequeues[at]
     capacity = meta.get("capacity")
-    ordinal = index.enq_ord.get(key)
-    if capacity is not None and ordinal is not None:
-        pos = ordinal - capacity
-        if 0 <= pos < len(dequeues):
-            return dequeues[pos]
-    pos = bisect_right(times, event.time) - 1
-    return dequeues[pos] if pos >= 0 else None
+    if capacity is not None:
+        at = bisect_left(index.enq[channel][0], pos) - capacity
+        if 0 <= at < len(dequeues):
+            return dequeues[at]
+    at = bisect_right(times, time) - 1
+    return dequeues[at] if at >= 0 else None
 
 
 def _critical_path(
@@ -390,47 +427,54 @@ def _critical_path(
     makespan.
     """
     segments: list[PathSegment] = []
-    visited: set[tuple[str, int]] = set()
+    visited: set[int] = set()
     ctx, idx = start
+    stream = index.streams[ctx]
+    base = index.start_of[ctx]
     cursor = finish_time
-    limit = 4 * index.total_events() + 16
-
-    def emit(category: str, context: str, channel: str | None, lo: Time) -> None:
-        if cursor > lo:
-            segments.append(PathSegment(category, context, channel, lo, cursor))
+    limit = 4 * index.total_events + 16
 
     steps = 0
     while cursor > 0 and idx >= 0 and steps < limit:
         steps += 1
-        stream = index.streams[ctx]
-        event = stream[idx]
-        prev_time = stream[idx - 1].time if idx > 0 else 0
-        key = (ctx, idx)
+        row = stream[idx]
+        kind, channel, _, _ = row
+        prev_time = stream[idx - 1][_TIME] if idx > 0 else 0
+        pos = base + idx
         waited = cursor > prev_time
-        first_visit = key not in visited
-        visited.add(key)
-        target: tuple[str, int] | None = None
-        if waited and first_visit and event.channel is not None:
-            if event.kind in ("dequeue", "peek"):
-                target = _producer_of(index, event, key, channel_meta)
-            elif event.kind == "enqueue":
-                target = _unblocker_of(index, event, key, channel_meta)
-        if target is not None:
-            t_ctx, t_idx = target
-            t_time = index.streams[t_ctx][t_idx].time
-            # Only jump when it makes progress toward t=0; a malformed
+        first_visit = pos not in visited
+        visited.add(pos)
+        target: int | None = None
+        if waited and first_visit and channel is not None:
+            if kind in ("dequeue", "peek"):
+                target = _producer_of(index, row, ctx, pos, channel_meta)
+            elif kind == "enqueue":
+                target = _unblocker_of(index, row, pos, channel_meta)
+        if target is not None and target not in visited:
+            t_ctx, t_idx = index.locate(target)
+            t_stream = index.streams[t_ctx]
+            t_time = t_stream[t_idx][_TIME]
+            # Only jump when it makes progress toward t=0 (a zero-latency
+            # edge is followed without emitting a segment); a malformed
             # or already-walked target degrades to a step-back instead.
-            if t_time < cursor and (t_ctx, t_idx) not in visited:
-                emit(_category_of(event), ctx, event.channel, t_time)
+            if t_time <= cursor:
+                if t_time < cursor:
+                    segments.append(
+                        PathSegment(
+                            _category_of(kind, channel),
+                            ctx, channel, t_time, cursor,
+                        )
+                    )
                 ctx, idx, cursor = t_ctx, t_idx, t_time
-                continue
-            if t_time == cursor and (t_ctx, t_idx) not in visited:
-                # Zero-latency edge: follow it without emitting a segment.
-                ctx, idx = t_ctx, t_idx
+                stream, base = t_stream, index.start_of[t_ctx]
                 continue
         # Step back within this context.
         if waited:
-            emit(_category_of(event), ctx, event.channel, prev_time)
+            segments.append(
+                PathSegment(
+                    _category_of(kind, channel), ctx, channel, prev_time, cursor
+                )
+            )
         cursor = min(cursor, prev_time)
         idx -= 1
     if cursor > 0:
@@ -451,52 +495,66 @@ def _attribute(
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     per_context: dict[str, dict[str, Any]] = {}
     per_channel: dict[str, dict[str, Time]] = {}
-    n_contexts = len(index.streams)
     width = finish_time / epochs if finish_time > 0 and epochs > 0 else 0
-    bins = [[0.0, 0.0] for _ in range(epochs)] if width else []
+    #: Simulated time spent computing / blocked, per epoch.
+    active = [0.0] * epochs if width else []
+    blocked = [0.0] * epochs if width else []
+    last_epoch = epochs - 1
+    edges = [pos * width for pos in range(epochs + 1)] if width else []
 
-    def bin_interval(lo: Time, hi: Time, slot: int) -> None:
-        if not width or hi <= lo:
-            return
-        first = min(int(lo / width), epochs - 1)
-        last = min(int(hi / width), epochs - 1)
-        for pos in range(first, last + 1):
-            left = max(lo, pos * width)
-            right = min(hi, (pos + 1) * width)
-            if right > left:
-                bins[pos][slot] += right - left
-
-    for name in sorted(index.streams):
+    for name in index.names:
         totals = {cat: 0 for cat in CATEGORIES}
         prev = 0
-        for event in index.streams[name]:
-            delta = event.time - prev
-            if delta > 0:
-                category = _category_of(event)
+        for kind, channel, time, _ in index.streams[name]:
+            if time > prev:
+                delta = time - prev
+                category = (
+                    COMPUTE if channel is None else _CHANNEL_CATEGORY[kind]
+                )
                 totals[category] += delta
-                if event.channel is not None and category != COMPUTE:
-                    chan = per_channel.setdefault(
-                        event.channel,
-                        {BLOCKED_ON_DEQUEUE: 0, BLOCKED_ON_ENQUEUE: 0},
-                    )
-                    chan[category] = chan.get(category, 0) + delta
-                bin_interval(prev, event.time, 0 if category == COMPUTE else 1)
-            prev = event.time
+                if category == COMPUTE:
+                    bins = active
+                else:
+                    bins = blocked
+                    chan = per_channel.get(channel)
+                    if chan is None:
+                        chan = per_channel[channel] = {
+                            BLOCKED_ON_DEQUEUE: 0, BLOCKED_ON_ENQUEUE: 0
+                        }
+                    chan[category] += delta
+                if width:
+                    first = min(int(prev / width), last_epoch)
+                    last = min(int(time / width), last_epoch)
+                    if (
+                        first == last
+                        and edges[first] <= prev
+                        and time <= edges[first + 1]
+                    ):
+                        # Inside one epoch (nearly every interval): the
+                        # clamps below would select prev and time.
+                        bins[first] += delta
+                    else:
+                        for pos in range(first, last + 1):
+                            left = max(prev, edges[pos])
+                            right = min(time, edges[pos + 1])
+                            if right > left:
+                                bins[pos] += right - left
+            prev = time
         totals["finish_time"] = prev
         totals["idle"] = finish_time - prev
         per_context[name] = totals
 
     timeline: dict[str, Any] = {"epoch_width": width, "epochs": []}
     if width:
-        denominator = width * max(n_contexts, 1)
+        denominator = width * max(len(index.names), 1)
         timeline["epochs"] = [
             {
                 "start": pos * width,
-                "active": active,
-                "blocked": blocked,
-                "utilization": round(active / denominator, 6),
+                "active": active[pos],
+                "blocked": blocked[pos],
+                "utilization": round(active[pos] / denominator, 6),
             }
-            for pos, (active, blocked) in enumerate(bins)
+            for pos in range(epochs)
         ]
     attribution = {
         "per_context": per_context,
@@ -519,10 +577,7 @@ def profile_trace(
 ) -> ProfileReport:
     """Analyze a trace (collector or bare event iterable) into a
     :class:`ProfileReport`."""
-    events = (
-        trace.events if isinstance(trace, TraceCollector) else list(trace)
-    )
-    index = _Index(events)
+    index = _Index(_row_streams(trace))
     meta = channel_meta or {}
     start = index.makespan_start()
     if start is None:

@@ -1,20 +1,18 @@
 """Executor-agnostic trace collection.
 
 A :class:`TraceCollector` hands each context its own
-:class:`~repro.obs.events.ContextTraceBuffer` and merges the buffers into
-one deterministic timeline at query time.  It supersedes the old
-sequential-only ``repro.core.trace.Tracer`` (which survives as a thin
-compatibility subclass) and is the substrate for the exporters in
-:mod:`repro.obs.export`.
+:class:`~repro.obs.events.ContextTraceBuffer`.  The per-context row
+streams are what runs record and what the profiler and the Chrome
+exporter read; the single ``(time, context, seq)`` timeline is a derived
+view, sorted only when somebody asks for it.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Iterator
 
 from ..core.time import Time
-from .events import ContextTraceBuffer, TraceEvent
+from .events import ContextTraceBuffer, Row, TraceEvent
 
 
 class TraceCollector:
@@ -76,19 +74,33 @@ class TraceCollector:
     # The merged view.
     # ------------------------------------------------------------------
 
+    def merged_rows(self) -> list[tuple[Time, str, int, Row]]:
+        """Every row as ``(time, context, seq, row)``, in the
+        deterministic ``(time, context, seq)`` order.
+
+        Each buffer is already in key order (a context's clock is
+        monotone and seq is the row index), so the concatenation is a
+        handful of pre-sorted runs, which ``sorted`` merges cheaply; the
+        key is unique, so the rows themselves are never compared.
+        """
+        decorated: list[tuple[Time, str, int, Row]] = []
+        for name in sorted(self._buffers):
+            decorated.extend(
+                (row[2], name, seq, row)
+                for seq, row in enumerate(self._buffers[name].rows)
+            )
+        decorated.sort()
+        return decorated
+
     @property
     def events(self) -> list[TraceEvent]:
-        """All events merged into the deterministic ``(time, context,
-        seq)`` order.  Cached; recomputed when new events have arrived."""
-        total = sum(len(buf.events) for buf in self._buffers.values())
-        if self._merged is None or len(self._merged) != total:
-            # Each buffer is already sorted by the key (a context's clock
-            # is monotone and seq increments), so an n-way merge suffices.
-            streams = [
-                buf.events
-                for _, buf in sorted(self._buffers.items())
+        """All events in the merged order.  Cached; rebuilt when new
+        rows have arrived."""
+        if self._merged is None or len(self._merged) != len(self):
+            self._merged = [
+                TraceEvent(context, row[0], row[1], time, row[3], seq)
+                for time, context, seq, row in self.merged_rows()
             ]
-            self._merged = list(heapq.merge(*streams, key=TraceEvent.sort_key))
         return self._merged
 
     def buffers(self) -> dict[str, ContextTraceBuffer]:
@@ -101,7 +113,7 @@ class TraceCollector:
 
     def for_context(self, name: str) -> list[TraceEvent]:
         buf = self._buffers.get(name)
-        return list(buf.events) if buf is not None else []
+        return buf.events if buf is not None else []
 
     def for_channel(self, name: str) -> list[TraceEvent]:
         return [event for event in self.events if event.channel == name]
@@ -119,7 +131,7 @@ class TraceCollector:
         ]
 
     def __len__(self) -> int:
-        return sum(len(buf.events) for buf in self._buffers.values())
+        return sum(len(buf.rows) for buf in self._buffers.values())
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)

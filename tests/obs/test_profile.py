@@ -21,9 +21,10 @@ from repro.contexts import (
     RampSource,
     UnaryFunction,
 )
-from repro.core import RunConfig
-from repro.obs import diff_profiles, profile_trace
+from repro.core import INFINITY, RunConfig
+from repro.obs import TraceCollector, diff_profiles, profile_trace
 from repro.obs.__main__ import main as obs_main
+from repro.obs.export import to_chrome_trace
 from repro.obs.profile import (
     BLOCKED_ON_DEQUEUE,
     BLOCKED_ON_ENQUEUE,
@@ -94,6 +95,34 @@ def build_diamond():
         BinaryFunction(fast_out_r, slow_out_r, join_s, lambda a, b: a + b, name="join")
     )
     builder.add(Collector(join_r, name="sink"))
+    return builder.build()
+
+
+def build_spmspm():
+    from repro.sam import CsfTensor
+    from repro.sam.graphs import build_spmspm as build
+    from repro.sam.tensor import random_dense
+
+    b = random_dense(6, 6, density=0.3, seed=23)
+    ct = random_dense(6, 6, density=0.3, seed=24)
+    return build(
+        CsfTensor.from_dense(b, "cc"), CsfTensor.from_dense(ct, "cc"), depth=4
+    ).program
+
+
+def build_skewed_pipelines(pipelines=8, items=300):
+    """Independent pipelines, the first tiny and the rest long: with the
+    first pinned to worker 0 and the rest to worker 1, worker 0 runs dry
+    and steals (the recipe of ``tests/sam``'s forced-steal test)."""
+    builder = ProgramBuilder()
+    for i in range(pipelines):
+        snd, rcv = builder.bounded(2, name=f"raw{i}")
+        out_s, out_r = builder.bounded(2, name=f"out{i}")
+        builder.add(RampSource(snd, 5 if i == 0 else items, name=f"src{i}"))
+        builder.add(
+            UnaryFunction(rcv, out_s, lambda x: x + 1, ii=1 + i, name=f"inc{i}")
+        )
+        builder.add(Collector(out_r, name=f"sink{i}"))
     return builder.build()
 
 
@@ -199,6 +228,52 @@ class TestCriticalPath:
         assert total_active == pytest.approx(6 + 12)
         assert all(0.0 <= e["utilization"] <= 1.0 for e in epochs)
 
+    @staticmethod
+    def _reference_timeline(trace, finish_time, epochs):
+        """The epoch binning with no single-epoch shortcut: every interval
+        goes through the clamped per-epoch loop."""
+        width = finish_time / epochs
+        bins = [[0.0, 0.0] for _ in range(epochs)]
+        for name in sorted(trace.buffers()):
+            prev = 0
+            for _, channel, time, _ in trace.buffers()[name].rows:
+                slot = 0 if channel is None else 1  # computing / blocked
+                first = min(int(prev / width), epochs - 1)
+                last = min(int(time / width), epochs - 1)
+                for pos in range(first, last + 1):
+                    left = max(prev, pos * width)
+                    right = min(time, (pos + 1) * width)
+                    if right > left:
+                        bins[pos][slot] += right - left
+                prev = time
+        return [
+            {"start": pos * width, "active": active, "blocked": blocked}
+            for pos, (active, blocked) in enumerate(bins)
+        ]
+
+    @pytest.mark.parametrize("epochs", [1, 7, 32])
+    def test_timeline_matches_unshortcut_binning(self, epochs):
+        """Bit-identical floats, including intervals that end on an epoch
+        edge, span several epochs, or fall in the clamped last epoch."""
+        obs = Observability()
+        build_spmspm().run(config=RunConfig(obs=obs))
+        edges = TraceCollector()
+        # finish_time 100 over 7 epochs: a width with no exact float.
+        for time in (14, 15, 28, 29, 43, 57, 58, 71, 72, 85, 86, 99):
+            edges.record("a", "advance", None, time)
+        edges.record("a", "finish", None, 100)
+        for time in (1, 50, 50, 100):
+            edges.record("b", "dequeue", "c", time)
+        for trace in (obs.trace, edges):
+            report = profile_trace(trace, epochs=epochs)
+            got = [
+                {key: epoch[key] for key in ("start", "active", "blocked")}
+                for epoch in report.timeline["epochs"]
+            ]
+            assert got == self._reference_timeline(
+                trace, report.finish_time, epochs
+            )
+
     def test_segment_quantiles_present(self):
         report, _ = run_with_profile(build_starved_pipeline)
         quant = report.segment_quantiles
@@ -219,6 +294,64 @@ class TestRoundTrips:
         events, channels = events_from_chrome_trace(json.loads(path.read_text()))
         rebuilt = profile_trace(events, channel_meta=channels)
         assert rebuilt.to_dict() == obs.profile_report.to_dict()
+
+    @staticmethod
+    def _three_ways(trace, channel_meta):
+        """The profile from the collector's row buffers, from its merged
+        ``TraceEvent`` list, and from a re-imported Chrome export."""
+        events, channels = events_from_chrome_trace(
+            to_chrome_trace(trace, channels=channel_meta)
+        )
+        return (
+            profile_trace(trace, channel_meta=channel_meta).to_dict(),
+            profile_trace(trace.events, channel_meta=channel_meta).to_dict(),
+            profile_trace(events, channel_meta=channels).to_dict(),
+        )
+
+    @pytest.mark.parametrize("build", [build_diamond, build_spmspm])
+    def test_entry_points_agree(self, build):
+        obs = Observability()
+        summary = build().run(config=RunConfig(obs=obs))
+        from_rows, from_events, from_chrome = self._three_ways(
+            obs.trace, obs.channel_meta
+        )
+        assert from_rows == from_events == from_chrome == summary.profile
+
+    def test_entry_points_agree_on_process_run_with_steals(self):
+        obs = Observability()
+        program = build_skewed_pipelines()
+        pins = {
+            id(ctx): 0 if ctx.name.endswith("0") else 1
+            for ctx in program.contexts
+        }
+        summary = program.run(
+            "process", config=RunConfig(obs=obs, workers=2, pins=pins)
+        )
+        assert summary.steals >= 1, "skewed partition did not force a steal"
+        # The steals sit in a worker pseudo-buffer every entry point skips.
+        assert any(name.startswith("<worker-") for name in obs.trace.buffers())
+        from_rows, from_events, from_chrome = self._three_ways(
+            obs.trace, obs.channel_meta
+        )
+        assert from_rows == from_events == from_chrome == summary.profile
+        reference = Observability()
+        build_skewed_pipelines().run(config=RunConfig(obs=reference))
+        assert from_rows == reference.profile_report.to_dict()
+
+    def test_entry_points_agree_with_an_infinity_finish(self):
+        trace = TraceCollector()
+        trace.record("src", "advance", None, 3)
+        trace.record("src", "enqueue", "c", 3)
+        trace.record("src", "finish", None, INFINITY)
+        trace.record("sink", "dequeue", "c", 4)
+        trace.record("sink", "advance", None, 9)
+        trace.record("sink", "finish", None, 9)
+        meta = {"c": {"capacity": 2, "latency": 1, "resp_latency": 1}}
+        from_rows, from_events, from_chrome = self._three_ways(trace, meta)
+        assert from_rows == from_events == from_chrome
+        # The INFINITY row is dropped, not treated as the makespan.
+        assert from_rows["finish_time"] == 9
+        assert from_rows["attribution"]["per_context"]["src"]["finish_time"] == 3
 
     def test_report_dict_round_trip(self):
         report, _ = run_with_profile(build_backpressured_pipeline)
@@ -285,19 +418,8 @@ class TestCli:
     def test_report_on_spmspm_sums_to_finish_time(self, tmp_path, capsys):
         """The acceptance criterion: on the spmspm SAM kernel the printed
         critical path's segment durations sum to ``finish_time``."""
-        from repro.sam import CsfTensor
-        from repro.sam.graphs import build_spmspm
-        from repro.sam.tensor import random_dense
-
-        b = random_dense(6, 6, density=0.3, seed=23)
-        ct = random_dense(6, 6, density=0.3, seed=24)
-        kernel = build_spmspm(
-            CsfTensor.from_dense(b, "cc"),
-            CsfTensor.from_dense(ct, "cc"),
-            depth=4,
-        )
         obs = Observability()
-        summary = kernel.run(config=RunConfig(obs=obs))
+        summary = build_spmspm().run(config=RunConfig(obs=obs))
         path = obs.write_chrome_trace(tmp_path / "spmspm.json")
         assert obs_main(["report", str(path)]) == 0
         out = capsys.readouterr().out

@@ -6,9 +6,18 @@ the same simulated times under any executor, so the per-context buffers
 merge into an identical total order for sequential and threaded runs.
 """
 
+import pickle
+
+import pytest
+
 from repro import Observability, ProgramBuilder
 from repro.bench import TreeConfig, fib, run_dam_forest
 from repro.contexts import Collector, RampSource, UnaryFunction
+from repro.core.executor.base import RunSummary
+from repro.core.executor.partitioned import _shippable_rows
+from repro.obs import ContextTraceBuffer, TraceEvent
+
+EXECUTORS = ["sequential", "threaded", "process"]
 
 
 def event_key(event):
@@ -17,7 +26,13 @@ def event_key(event):
 
 
 def merged_keys(obs):
-    return [event_key(event) for event in obs.trace.events]
+    """The merged order of the contexts' events (a process run may add
+    ``<worker-N>`` steal markers, whose placement is a scheduling artifact)."""
+    return [
+        event_key(event)
+        for event in obs.trace.events
+        if not event.context.startswith("<")
+    ]
 
 
 def run_fib_pipeline(executor):
@@ -34,12 +49,13 @@ def run_fib_pipeline(executor):
 
 
 class TestFibPipelineMerge:
-    def test_threaded_merged_order_matches_sequential(self):
+    @pytest.mark.parametrize("executor", EXECUTORS[1:])
+    def test_merged_order_matches_sequential(self, executor):
         obs_seq, sum_seq, out_seq = run_fib_pipeline("sequential")
-        obs_thr, sum_thr, out_thr = run_fib_pipeline("threaded")
-        assert out_seq == out_thr == [fib(n) for n in range(8)]
-        assert sum_seq.elapsed_cycles == sum_thr.elapsed_cycles
-        assert merged_keys(obs_seq) == merged_keys(obs_thr)
+        obs_par, sum_par, out_par = run_fib_pipeline(executor)
+        assert out_seq == out_par == [fib(n) for n in range(8)]
+        assert sum_seq.elapsed_cycles == sum_par.elapsed_cycles
+        assert merged_keys(obs_seq) == merged_keys(obs_par)
 
     def test_sequential_runs_are_reproducible(self):
         first = merged_keys(run_fib_pipeline("sequential")[0])
@@ -51,12 +67,16 @@ class TestFibPipelineMerge:
         times = [event.time for event in obs.trace.events]
         assert times == sorted(times)
 
-    def test_per_context_seq_is_dense(self):
-        obs, _, _ = run_fib_pipeline("threaded")
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_per_context_seq_is_dense(self, executor):
+        obs, _, _ = run_fib_pipeline(executor)
         for name, buf in obs.trace.buffers().items():
             assert [event.seq for event in buf.events] == list(
-                range(len(buf.events))
+                range(len(buf))
             ), name
+        assert len(obs.trace) == len(obs.trace.events) == sum(
+            len(buf) for buf in obs.trace.buffers().values()
+        )
 
 
 class TestReductionTreeMerge:
@@ -99,3 +119,70 @@ class TestCompletionTimes:
         assert obs_seq.trace.completion_times("fibs") == (
             obs_thr.trace.completion_times("fibs")
         )
+
+
+class TestRowBuffers:
+    """Rows are the stored form; ``TraceEvent`` is a read-side product."""
+
+    def test_traced_run_builds_no_events_until_read(self, monkeypatch):
+        built = 0
+        real_init = TraceEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TraceEvent, "__init__", counting_init)
+        obs, summary, _ = run_fib_pipeline("sequential")
+        assert summary.profile, "the run path profiled the trace"
+        obs.chrome_trace()
+        obs.csv()
+        assert built == 0
+        events = obs.trace.events
+        assert built == len(events) == len(obs.trace) > 0
+
+    def test_worker_payload_ships_rows(self):
+        """What a worker pickles to the parent is the row list itself;
+        payloads that refuse to pickle are dropped, the rows kept."""
+        buf = ContextTraceBuffer("ctx", capture_payloads=True)
+        buf.append("enqueue", "c", 1, 41)
+        buf.append("enqueue", "c", 2, lambda: None)
+        shipped = pickle.loads(pickle.dumps(_shippable_rows(buf)))
+        assert shipped == [("enqueue", "c", 1, None), ("enqueue", "c", 2, None)]
+        plain = ContextTraceBuffer("ctx")
+        plain.append("advance", None, 3, object())
+        assert _shippable_rows(plain) is plain.rows
+
+    def test_process_workers_ship_rows(self, monkeypatch):
+        shipped = []
+        real_merge = RunSummary.merge.__func__
+
+        def spying_merge(cls, program, payloads, trace=None):
+            shipped.extend(payloads)
+            return real_merge(cls, program, payloads, trace=trace)
+
+        monkeypatch.setattr(RunSummary, "merge", classmethod(spying_merge))
+        obs, _, _ = run_fib_pipeline("process")
+        rows = [row for p in shipped for rows in p["trace"].values() for row in rows]
+        assert len(rows) == len(obs.trace) > 0
+        assert all(type(row) is tuple and len(row) == 4 for row in rows)
+
+    def test_merge_extends_buffers_with_shipped_rows(self):
+        """Two workers' payloads for one context name continue one seq."""
+        obs = Observability()
+        builder = ProgramBuilder()
+        snd, rcv = builder.bounded(2, name="c")
+        builder.add(RampSource(snd, 1, name="src"))
+        builder.add(Collector(rcv, name="sink"))
+        payloads = [
+            {"trace": {"ctx": [("advance", None, 1, None)]}},
+            {"trace": {"ctx": [("advance", None, 2, None),
+                               ("finish", None, 2, None)]}},
+        ]
+        RunSummary.merge(builder.build(), payloads, trace=obs.trace)
+        events = obs.trace.buffers()["ctx"].events
+        assert [(e.seq, e.kind, e.time) for e in events] == [
+            (0, "advance", 1), (1, "advance", 2), (2, "finish", 2)
+        ]
+        assert all(e.context == "ctx" for e in events)
