@@ -30,9 +30,11 @@ responses generated after the sender finished are never drained (in
 process, ``close_sender`` clears them), and data enqueued after the
 receiver finished is discarded (void channel) — so the lag of the done
 sentinels cannot change any simulated outcome.  ``ViewTime``/``WaitUntil``
-reads of a remote clock go through a shared float64 mirror
-(:class:`~repro.core.executor.shm.SharedTimeCell`) that is always a lower
-bound, the same contract SVA gives the threaded executor.
+reads of a remote clock go through a shared float64 slot
+(:class:`~repro.core.executor.shm.SharedTimeView`) that the owning worker
+refreshes from its plain local cell at every slice boundary — at most one
+timeslice stale and always a lower bound, the same contract SVA gives the
+threaded executor.
 
 Work stealing
 -------------
@@ -46,14 +48,14 @@ queue drains it claims its next own cold cluster from a shared
 steals another worker's cold cluster (largest first).  Because every
 channel leaving a cluster is a planned-cut channel already bridged by a
 shuttle, activation by *any* worker creates no new communication paths:
-the adopter installs the same shuttle proxies and shared time cells the
-planned owner would have, and since a cluster is claimed exactly once
-(one inherited lock guards the board) the SPSC property of every shuttle
-lane is preserved.  Simulated results cannot change — cluster activation
-moves *where* the same pure state transitions execute, never what they
-compute.  ``steal=False`` restores strict planned placement (pins keep
-their separation guarantee); with stealing on, pins bind the *initial*
-plan only.
+the adopter installs the same shuttle proxies and publishes into the same
+clock slots the planned owner would have, and since a cluster is claimed
+exactly once (one inherited lock guards the board) the SPSC property of
+every shuttle lane is preserved.  Simulated results cannot change —
+cluster activation moves *where* the same pure state transitions execute,
+never what they compute.  ``steal=False`` restores strict planned
+placement (pins keep their separation guarantee); with stealing on, pins
+bind the *initial* plan only.
 
 Deadlock detection is two-level: a worker whose blocked contexts all wait
 on *local* resources reports a local deadlock immediately (no remote
@@ -97,6 +99,7 @@ from ..errors import (
 from ..faults import StalledLane
 from ..ops import Dequeue, Enqueue, Peek, WaitUntil
 from ..program import Program
+from ..time import INFINITY, TimeCell
 from .affinity import pin_current_process, plan_affinity
 from .base import Executor, RunSummary
 from .partition import ClusterSpec, PartitionPlan, plan_clusters, plan_partition
@@ -121,7 +124,6 @@ from .shm import (
     PipeLane,
     SharedArena,
     SharedClockArray,
-    SharedTimeCell,
     SharedTimeView,
     ShmRing,
     StatusBoard,
@@ -415,12 +417,13 @@ class _WorkerExecutor(SequentialExecutor):
     * the worker starts with an *empty* program and pulls work from the
       shared claim board: its own cold clusters first, then — when
       ``steal`` is on — other workers' (largest first).  Activating a
-      cluster installs shared time cells on its contexts, swaps every
+      cluster gives its contexts plain local time cells, swaps every
       cut-channel handle for a shuttle proxy, and pushes the fresh
       context states onto the ready queue;
     * a finite timeslice is forced even under run-to-block policies, so
-      shuttles are serviced (outbound flushed, inbound drained, parked
-      endpoints woken) at bounded intervals;
+      at bounded intervals the owned clocks are published to their
+      shared slots and the shuttles are serviced (outbound flushed,
+      inbound drained, parked endpoints woken);
     * :meth:`_idle` — reached when the local ready queue empties — polls
       shuttles and remote-clock waiters, claims more work when the board
       has any, publishes the worker's state on the status board, and
@@ -493,6 +496,10 @@ class _WorkerExecutor(SequentialExecutor):
         self._recv_proxies: list[_ShuttleReceiver] = []
         #: Contexts this worker activated (own or stolen), in claim order.
         self._activated: list = []
+        #: ``id(ctx) -> (cell, slot)`` for every activated context: the
+        #: plain clocks this worker owns and the shared slots it
+        #: publishes them to at each slice boundary.
+        self._owned_clocks: dict[int, tuple[TimeCell, int]] = {}
         #: Cluster-internal Channel objects of the activated clusters.
         self._active_channels: list[Channel] = []
         self.steal_count = 0
@@ -516,20 +523,21 @@ class _WorkerExecutor(SequentialExecutor):
     def _activate_cluster(
         self, spec: ClusterSpec, stolen_from: Optional[int] = None
     ) -> None:
-        """Materialize ``spec`` in this worker: shared time cells on its
-        contexts, shuttle proxies on its cut-channel handles, fresh
-        context states on the ready queue.  The caller has already won
-        the claim, so exactly one worker ever runs this for a given
-        cluster — which is what keeps every shuttle lane single-producer
-        single-consumer (a fresh adopter's cached ring counters start at
-        the same zeros the planned owner's would)."""
+        """Materialize ``spec`` in this worker: plain time cells on its
+        contexts (their slots hold the start times the parent pre-wrote
+        until the first slice boundary refreshes them), shuttle proxies
+        on its cut-channel handles, fresh context states on the ready
+        queue.  The caller has already won the claim, so exactly one
+        worker ever runs this for a given cluster — which is what keeps
+        every shuttle lane single-producer single-consumer (a fresh
+        adopter's cached ring counters start at the same zeros the
+        planned owner's would)."""
         contexts = self._program.contexts
         channels = self._program.channels
         for slot in spec.contexts:
             ctx = contexts[slot]
-            ctx.time = SharedTimeCell(
-                self._clocks, slot, start=self._starts[slot]
-            )
+            ctx.time = cell = TimeCell(self._starts[slot])
+            self._owned_clocks[id(ctx)] = (cell, slot)
             for handle in ctx.senders:
                 shuttle = self._shuttles.get(handle.channel.id)
                 if shuttle is not None:
@@ -579,12 +587,11 @@ class _WorkerExecutor(SequentialExecutor):
             and not self._ckpt_on
             and self._ckpt_resume is None
         ):
-            # Recompile the cluster as a superblock *on the adopter*: a
-            # stolen cluster's members already carry this worker's shared
-            # time slots, so the driver batches against its new clocks.
-            # The same gates as _compile_superblocks apply (the turn loop
-            # is the fast loop; faults are slice-granular; "auto" declines
-            # under per-context wall-clock metrics).
+            # Compile the cluster as a superblock *on the adopter*, over
+            # the member states it just created.  The same gates as
+            # _compile_superblocks apply (the turn loop is the fast loop;
+            # faults are slice-granular; "auto" declines under
+            # per-context wall-clock metrics).
             from .superblock import Superblock, attach, normalize_mode
 
             mode = normalize_mode(self.superblocks)
@@ -683,7 +690,15 @@ class _WorkerExecutor(SequentialExecutor):
         # crunching local work always shows RUNNING with rising progress.
         self._publish(WORKER_RUNNING)
         super()._run_slice(state, timeslice)
+        self._clocks.publish(self._owned_clocks.values())
         self._service_shuttles()
+
+    def _finish(self, state) -> None:
+        super()._finish(state)
+        # INFINITY is the one value a peer may be waiting on for good,
+        # so it is published at once instead of at the slice boundary.
+        _cell, slot = self._owned_clocks[id(state.context)]
+        self._clocks.write(slot, INFINITY)
 
     def _service_shuttles(self) -> int:
         moved = 0
@@ -870,6 +885,10 @@ class _WorkerExecutor(SequentialExecutor):
                 self._ckpt_participate()
                 spins = 0
                 continue  # activation during the round may have queued work
+            # Every slice already published on its way out; repeating it
+            # here makes "a parked or retiring worker has shown its peers
+            # everything" hold without that argument.
+            self._clocks.publish(self._owned_clocks.values())
             progress = self._service_shuttles()
             if self._poll_remote_waiters():
                 progress = True
@@ -1073,9 +1092,9 @@ def _worker_main(
 
         # Every context starts as a read-only view of its published clock
         # slot (the parent pre-wrote the start times); activating a
-        # cluster promotes its contexts to mirroring cells.  Until then
-        # ViewTime/WaitUntil/stall reads of *any* context — cold, local,
-        # or remote — go through the shared slot.
+        # cluster gives its contexts plain cells this worker publishes.
+        # Until then ViewTime/WaitUntil/stall reads of *any* context —
+        # cold, local, or remote — go through the shared slot.
         starts = [ctx.time.now() for ctx in program.contexts]
         for slot, ctx in enumerate(program.contexts):
             ctx.time = SharedTimeView(clocks, slot)
@@ -1535,8 +1554,8 @@ class ProcessExecutor(Executor):
         self.metrics_sink = metrics_sink
         #: Superblock compilation mode for the worker-side schedulers
         #: ("on"/"off"/"auto"; DESIGN.md §15).  Workers compile each
-        #: cluster at activation time, so stolen clusters recompile
-        #: against their adopter's shared clock slots.
+        #: cluster at activation time, so a stolen cluster is compiled
+        #: by its adopter.
         self.superblocks = superblocks
         #: Checkpointing (DESIGN.md §17): when ``checkpoint_path`` is
         #: set, the parent coordinates quiescent cuts — workers pause,

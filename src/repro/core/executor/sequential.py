@@ -65,7 +65,6 @@ from ..ops import (
     WaitUntil,
 )
 from ..program import Program
-from ..time import TimeCell
 from .base import Executor, RunSummary
 from .registry import register_executor
 from .policies import FifoPolicy, SchedulingPolicy, make_policy
@@ -171,7 +170,6 @@ class _ContextState:
         "fused_plan",
         "superblock",
         "sb_ready",
-        "sb_cell",
         "sb_send",
     )
 
@@ -200,12 +198,9 @@ class _ContextState:
         # resume runner can stay plan-based.
         self.fused_plan: Any = None
         # Superblock membership (DESIGN.md §15): the compiled cluster
-        # driver, the local-ready-deque flag, and the scratch time cell
-        # member turns run against (the real clock when it is a plain
-        # TimeCell, a shadow cell published per turn otherwise).
+        # driver and the local-ready-deque flag.
         self.superblock: Any = None
         self.sb_ready = False
-        self.sb_cell: Any = None
         self.sb_send: Any = None  # cached gen.send, bound at attach
 
 
@@ -848,10 +843,8 @@ class SequentialExecutor(Executor):
             return True
         state.pending_value = None
         if self._fast and entries is not None:
-            clock = state.context.time
-            plain = clock.__class__ is TimeCell and clock.on_advance is None
             outcome = self._fuse_fast(
-                state, clock, plain, ops_seq, entries, index + 1, results
+                state, ops_seq, entries, index + 1, results
             )
             if outcome is _PARKED:
                 return False
@@ -953,29 +946,24 @@ class SequentialExecutor(Executor):
         WaitUntil waiter is registered — which is what lets the hot ops
         (enqueue/dequeue/IncrCycles and FusedOps batches of them) run
         against the channels' flavor-specialized transitions with zero
-        per-op bookkeeping conditionals.  This body is additionally
-        specialized for the common clock shape — a plain
-        :class:`TimeCell` with no ``on_advance`` hook (always, under the
-        purely local executor): the common channel flavors — keyed by
-        the channels' ``_enq_code`` / ``_deq_code`` mirrors — are
-        open-coded, and the simulated time lives in the local ``now``
-        for the whole slice, written back to ``clock._time`` wherever
-        the world can observe it (generator resumes, method-path
-        fallbacks, slice exits) and reloaded after any call that may
-        advance it.  Process-executor workers carry ``SharedTimeCell``
-        clocks and take :meth:`_run_slice_fast_shared`, the method-path
-        twin whose flavors perform the identical transitions.  Results
-        flow through locals; ``state.pending_*`` is written back only
-        when the slice ends non-terminally.  Rare ops fall through to
-        the generic handlers, which keep the invariant: a WaitUntil
-        that registers a waiter blocks, ending the slice, so a fast
-        slice never runs with a waiter present.
+        per-op bookkeeping conditionals.  Every context this executor
+        (or a subclass) hosts owns a plain :class:`TimeCell` with no
+        ``on_advance`` hook — hosts that must publish clocks do so at
+        the slice boundary, never per advance — so the common channel
+        flavors, keyed by the channels' ``_enq_code`` / ``_deq_code``
+        mirrors, are open-coded, and the simulated time lives in the
+        local ``now`` for the whole slice, written back to
+        ``clock._time`` wherever the world can observe it (generator
+        resumes, method-path fallbacks, slice exits) and reloaded after
+        any call that may advance it.  Results flow through locals;
+        ``state.pending_*`` is written back only when the slice ends
+        non-terminally.  Rare ops fall through to the generic handlers,
+        which keep the invariant: a WaitUntil that registers a waiter
+        blocks, ending the slice, so a fast slice never runs with a
+        waiter present.
         """
         ctx = state.context
         clock = ctx.time
-        if clock.__class__ is not TimeCell or clock.on_advance is not None:
-            self._run_slice_fast_shared(state, remaining)
-            return
         gen_send = state.gen.send
         gen_throw = state.gen.throw
         wake_sender = self._wake_send_deliver
@@ -1273,176 +1261,9 @@ class SequentialExecutor(Executor):
             self.ops_executed += executed
             state.ops += executed
 
-    def _run_slice_fast_shared(
-        self, state: _ContextState, remaining: int
-    ) -> None:
-        """Method-path twin of :meth:`_run_slice_fast` for worker clocks
-        (``SharedTimeCell`` / ``on_advance`` hooks): the same inline
-        loop, handler fallbacks, and fused-batch plans, with every
-        time-touching transition going through the channel flavor
-        methods and ``clock.incr`` so shared time cells publish each
-        advance.  Kept separate so the plain-clock body can hold the
-        simulated time in a local.
-        """
-        gen_send = state.gen.send
-        gen_throw = state.gen.throw
-        ctx = state.context
-        clock = ctx.time
-        wake_sender = self._wake_send_deliver
-        wake_receiver = self._wake_recv_deliver
-        value = state.pending_value
-        exc = state.pending_exc
-        state.pending_value = None
-        state.pending_exc = None
-        executed = 0
-        try:
-            while remaining != 0:
-                remaining -= 1
-                try:
-                    if exc is not None:
-                        op = gen_throw(exc)
-                        exc = None
-                    else:
-                        op = gen_send(value)
-                        value = None
-                except StopIteration:
-                    self._finish(state)
-                    return
-                except ChannelClosed:
-                    self._finish(state)
-                    return
-                except DeadlockError:
-                    raise
-                except BaseException as failure:  # noqa: BLE001
-                    self._finish(state)
-                    raise SimulationError(ctx.name, failure) from failure
-
-                kind = op.__class__
-                if kind is tuple or kind is list:
-                    op = FusedOps(*op)
-                    kind = FusedOps
-                if kind is FusedOps:
-                    plan = op.plan
-                    if plan is None:
-                        plan = op.plan = _compile_plan(op.ops)
-                    entries, buf = plan
-                    index = 0
-                    parked = False
-                    for scode, sub, channel, data_q, resps, stats in (
-                        entries
-                    ):
-                        if scode == 0:  # Dequeue
-                            result = channel.fast_dequeue(clock)
-                            if result is not _EMPTY:
-                                waiter = channel.waiting_sender
-                                if waiter is not None:
-                                    channel.waiting_sender = None
-                                    wake_sender(channel, waiter)
-                                buf[index] = result
-                            elif channel.closed_for_receiver:
-                                exc = ChannelClosed(channel.name)
-                                break  # abandon the batch
-                            else:
-                                self._block(
-                                    state, sub, channel._park_deq_msg
-                                )
-                                channel.waiting_receiver = state
-                                parked = True
-                                break
-                        elif scode == 1:  # Enqueue
-                            if channel.try_enqueue(clock, sub.data):
-                                waiter = channel.waiting_receiver
-                                if waiter is not None:
-                                    channel.waiting_receiver = None
-                                    wake_receiver(channel, waiter)
-                            else:
-                                self._block(
-                                    state, sub, channel._park_enq_msg
-                                )
-                                channel.waiting_sender = state
-                                parked = True
-                                break
-                        elif scode == 2:
-                            # IncrCycles: latched count rides in the
-                            # channel slot.
-                            clock.incr(channel)
-                        else:
-                            if not self._dispatch(state, sub):
-                                parked = True
-                                break
-                            if state.pending_exc is not None:
-                                exc = state.pending_exc
-                                state.pending_exc = None
-                                break
-                            buf[index] = state.pending_value
-                            state.pending_value = None
-                        index += 1
-                    else:
-                        executed += index
-                        value = buf
-                        continue
-                    if parked:
-                        executed += index + 1
-                        state.fused_ops = op.ops
-                        state.fused_index = index
-                        state.fused_results = buf
-                        state.fused_plan = entries
-                        return
-                    executed += index + 1
-                    continue
-
-                executed += 1
-                if kind is Dequeue:
-                    channel = op.receiver.channel
-                    result = channel.fast_dequeue(clock)
-                    if result is not _EMPTY:
-                        value = result
-                        waiter = channel.waiting_sender
-                        if waiter is not None:
-                            channel.waiting_sender = None
-                            wake_sender(channel, waiter)
-                        continue
-                    if channel.closed_for_receiver:
-                        exc = ChannelClosed(channel.name)
-                        continue
-                    self._block(state, op, channel._park_deq_msg)
-                    channel.waiting_receiver = state
-                    return
-
-                if kind is Enqueue:
-                    channel = op.sender.channel
-                    if channel.try_enqueue(clock, op.data):
-                        waiter = channel.waiting_receiver
-                        if waiter is not None:
-                            channel.waiting_receiver = None
-                            wake_receiver(channel, waiter)
-                        continue
-                    self._block(state, op, channel._park_enq_msg)
-                    channel.waiting_sender = state
-                    return
-
-                if kind is IncrCycles:
-                    clock.incr(op.cycles)
-                    continue
-
-                if not self._dispatch(state, op):
-                    return  # blocked
-                value = state.pending_value
-                state.pending_value = None
-                if state.pending_exc is not None:
-                    exc = state.pending_exc
-                    state.pending_exc = None
-            state.pending_value = value
-            state.pending_exc = exc
-        finally:
-            self.ops_executed += executed
-            state.ops += executed
-
     def _fuse_fast(
         self,
         state: _ContextState,
-        clock,
-        plain: bool,
         ops_seq,
         entries,
         index: int,
@@ -1458,6 +1279,7 @@ class SequentialExecutor(Executor):
         one that parked or raised (retries after a park do not
         re-count).
         """
+        clock = state.context.time
         wake_sender = self._wake_send_deliver
         wake_receiver = self._wake_recv_deliver
         total = len(entries)
@@ -1466,7 +1288,7 @@ class SequentialExecutor(Executor):
         while index < total:
             scode, sub, channel, data_q, resps, stats = entries[index]
             if scode == 0:  # Dequeue
-                if plain and channel._deq_code != 2:
+                if channel._deq_code != 2:
                     if data_q:
                         stamp, result = data_q.popleft()
                         if stamp > clock._time:
@@ -1501,7 +1323,7 @@ class SequentialExecutor(Executor):
                     state.ops += attempted
                     return _PARKED
             elif scode == 1:  # Enqueue
-                code = channel._enq_code if plain else 2
+                code = channel._enq_code
                 if code == 1:
                     delta = channel._delta
                     capacity = channel.capacity
@@ -1552,11 +1374,8 @@ class SequentialExecutor(Executor):
                     wake_receiver(channel, waiter)
             elif scode == 2:
                 # IncrCycles: latched count rides in the channel slot.
-                if plain:
-                    if channel:
-                        clock._time += channel
-                else:
-                    clock.incr(channel)
+                if channel:
+                    clock._time += channel
             else:
                 # Rare constituent: generic handler (raises on a nested
                 # FusedOps/tuple/list).
@@ -1722,42 +1541,41 @@ class SequentialExecutor(Executor):
     # loop with ``pending_value`` set, skipping the retry dispatch.
     # Generic-mode wake sites keep the plain wake + retry protocol, and
     # anything not open-codeable here (shuttle proxies, profiled or
-    # void flavors, hooked clocks, a parked Peek) falls back to it too.
+    # void flavors, a parked Peek) falls back to it too.
 
     def _wake_send_deliver(self, channel, waiter: "_ContextState") -> None:
         """A dequeue freed bounded capacity: complete the parked sender's
         Enqueue in place, then wake it."""
         op = waiter.retry_op
-        if op is not None and op.__class__ is Enqueue:
+        if (
+            op is not None
+            and op.__class__ is Enqueue
+            and channel._enq_code == 1
+        ):
             wclock = waiter.context.time
-            if (
-                wclock.__class__ is TimeCell
-                and wclock.on_advance is None
-                and channel._enq_code == 1
-            ):
-                delta = channel._delta
-                capacity = channel.capacity
-                if delta >= capacity:
-                    resps = channel._resps
-                    stamp = wclock._time
-                    while delta >= capacity and resps:
-                        release = resps.popleft()
-                        if release > stamp:
-                            stamp = release
-                        delta -= 1
-                    wclock._time = stamp
-                    channel._delta = delta
-                if delta < capacity:
-                    stats = channel.stats
-                    stats.enqueues += 1
-                    data_q = channel._data
-                    data_q.append((wclock._time + channel.latency, op.data))
-                    channel._delta = delta + 1
-                    occ = len(data_q)
-                    if occ > stats.max_real_occupancy:
-                        stats.max_real_occupancy = occ
-                    waiter.retry_op = None
-                    waiter.pending_value = None
+            delta = channel._delta
+            capacity = channel.capacity
+            if delta >= capacity:
+                resps = channel._resps
+                stamp = wclock._time
+                while delta >= capacity and resps:
+                    release = resps.popleft()
+                    if release > stamp:
+                        stamp = release
+                    delta -= 1
+                wclock._time = stamp
+                channel._delta = delta
+            if delta < capacity:
+                stats = channel.stats
+                stats.enqueues += 1
+                data_q = channel._data
+                data_q.append((wclock._time + channel.latency, op.data))
+                channel._delta = delta + 1
+                occ = len(data_q)
+                if occ > stats.max_real_occupancy:
+                    stats.max_real_occupancy = occ
+                waiter.retry_op = None
+                waiter.pending_value = None
         self._wake(waiter)
 
     def _wake_recv_deliver(self, channel, waiter: "_ContextState") -> None:
@@ -1770,19 +1588,18 @@ class SequentialExecutor(Executor):
             and channel._deq_code != 2
         ):
             wclock = waiter.context.time
-            if wclock.__class__ is TimeCell and wclock.on_advance is None:
-                data_q = channel._data
-                if data_q:
-                    stamp, result = data_q.popleft()
-                    if stamp > wclock._time:
-                        wclock._time = stamp
-                    channel.stats.dequeues += 1
-                    if channel._deq_code == 1:
-                        channel._resps.append(
-                            wclock._time + channel.resp_latency
-                        )
-                    waiter.retry_op = None
-                    waiter.pending_value = result
+            data_q = channel._data
+            if data_q:
+                stamp, result = data_q.popleft()
+                if stamp > wclock._time:
+                    wclock._time = stamp
+                channel.stats.dequeues += 1
+                if channel._deq_code == 1:
+                    channel._resps.append(
+                        wclock._time + channel.resp_latency
+                    )
+                waiter.retry_op = None
+                waiter.pending_value = result
         self._wake(waiter)
 
     def _block(self, state: _ContextState, op: Op, detail: str) -> None:

@@ -7,11 +7,12 @@ carved out of **one** ``multiprocessing.shared_memory`` block, the
 inherits the same mapping:
 
 * :class:`SharedClockArray` — one float64 slot per context.  A context's
-  owning worker mirrors every local-clock advance into its slot
-  (:class:`SharedTimeCell`); other workers read the slot optimistically
-  (:class:`SharedTimeView`).  This keeps the paper's SVA mechanism a plain
-  load across process boundaries: an 8-byte aligned read of a monotone
-  value, never an overestimate.
+  owning worker keeps the clock in a plain local cell and copies it into
+  its slot at every slice boundary (:meth:`SharedClockArray.publish`);
+  other workers read the slot optimistically (:class:`SharedTimeView`).
+  This keeps the paper's SVA mechanism a plain load across process
+  boundaries: an 8-byte aligned read of a monotone value, never an
+  overestimate.
 
 * :class:`ShmRing` — a single-producer/single-consumer byte ring carrying
   pickled records.  Each *cut* channel (sender and receiver in different
@@ -42,7 +43,7 @@ import struct
 from multiprocessing import shared_memory
 from typing import Any
 
-from ..time import INFINITY, Time, TimeCell
+from ..time import INFINITY, Time
 
 _U32 = struct.Struct("<I")
 
@@ -148,58 +149,23 @@ class SharedClockArray:
     def write(self, slot: int, value: float) -> None:
         self._doubles[slot] = value
 
+    def publish(self, cells) -> None:
+        """Copy every ``(cell, slot)`` clock that moved since its last
+        publication into its slot.  The owner's cell only moves forward
+        and is read after the advance it reflects, so the slot stays a
+        monotone lower bound of the owner's clock."""
+        doubles = self._doubles
+        for cell, slot in cells:
+            now = cell._time
+            if doubles[slot] != now:
+                doubles[slot] = now
+
     def release(self) -> None:
         self._doubles.release()
 
     @staticmethod
     def size_for(slots: int) -> int:
         return 8 * max(slots, 1)
-
-
-class SharedTimeCell(TimeCell):
-    """A :class:`TimeCell` that mirrors every advance into a shared slot.
-
-    Installed (post-fork) on the contexts a worker *owns*: the worker's
-    cooperative scheduler keeps mutating the local integer clock exactly
-    as before, and peers in other processes read the float mirror — a
-    lower bound by construction, since the mirror is written after the
-    local value it reflects.
-    """
-
-    __slots__ = ("_clocks", "_slot")
-
-    def __init__(self, clocks: SharedClockArray, slot: int, start: Time = 0):
-        super().__init__(start)
-        self._clocks = clocks
-        self._slot = slot
-        clocks.write(slot, float(start))
-
-    def advance(self, target: Time) -> Time:
-        if target > self._time:
-            self._time = target
-            self._clocks.write(self._slot, float(target))
-            hook = self.on_advance
-            if hook is not None:
-                hook(target)
-        return self._time
-
-    def incr(self, cycles: Time) -> Time:
-        if cycles < 0:
-            raise ValueError(f"cannot step backwards in time by {cycles}")
-        if cycles > 0:
-            self._time += cycles
-            self._clocks.write(self._slot, float(self._time))
-            hook = self.on_advance
-            if hook is not None:
-                hook(self._time)
-        return self._time
-
-    def finish(self) -> None:
-        self._time = INFINITY
-        self._clocks.write(self._slot, INFINITY)
-        hook = self.on_advance
-        if hook is not None:
-            hook(INFINITY)
 
 
 class SharedTimeView:
@@ -210,12 +176,11 @@ class SharedTimeView:
     ``ctx.time`` transparently read the owner's published clock.
     """
 
-    __slots__ = ("_clocks", "_slot", "on_advance")
+    __slots__ = ("_clocks", "_slot")
 
     def __init__(self, clocks: SharedClockArray, slot: int):
         self._clocks = clocks
         self._slot = slot
-        self.on_advance = None
 
     def now(self) -> float:
         return self._clocks.read(self._slot)

@@ -20,19 +20,18 @@ A :class:`Superblock` is that partial evaluation, as a local driver loop:
   consumer's plan buffer / pending slot, exactly the §11
   wake-with-delivery transition) and appends the member to the
   superblock's *local* ready deque instead of the executor policy.
-* **Vectorized clock leap** — each member's simulated time lives in a
-  plain scratch :class:`~repro.core.time.TimeCell` for the whole turn;
-  shared/hooked real clocks (worker ``SharedTimeCell``s, threaded
-  ``on_advance`` hooks) are published once per turn boundary via
-  ``advance()`` — one monotone leap covering the turn's whole op batch —
-  instead of once per op.  Published values remain monotone lower
-  bounds, so cross-worker SVA reads stay sound.
+* **Clock in a local** — as in §11, each member's simulated time lives
+  in a local for the whole turn and is written back to the member's
+  plain :class:`~repro.core.time.TimeCell` wherever the world can
+  observe it.  Hosts that must show clocks to other threads or
+  processes publish them at the slice boundary (§10), so a turn's whole
+  op batch surfaces as one monotone leap.
 * **Bail-out** — the driver falls back to the generic scheduler at the
   first park it cannot serve locally, the first registered ``WaitUntil``
   waiter (``executor._fast`` drops, §11), the first non-inlinable flavor
-  (rare ops and code-2 channels take the method/handler path against the
-  scratch cell or the real clock), and at budget exhaustion — flushing
-  its local ready deque back to the executor policy so nothing is lost.
+  (rare ops and code-2 channels take the method/handler path), and at
+  budget exhaustion — flushing its local ready deque back to the
+  executor policy so nothing is lost.
   Because ``policy.push`` is idempotent (``in_ready``) and every pop
   re-checks ``status``, a member may sit in both queues at once; any
   pop of a READY state is a legal schedule, and channel transitions are
@@ -57,8 +56,8 @@ from typing import Any, Optional
 from ..channel import _EMPTY
 from ..errors import ChannelClosed, DeadlockError, SimulationError
 from ..ops import Dequeue, Enqueue, FusedOps, IncrCycles
-from ..time import TimeCell
 from .partition import ClusterSpec, channel_weights, plan_clusters
+from .sequential import _compile_plan
 
 _READY = 0
 _BLOCKED = 1
@@ -90,9 +89,8 @@ def select_clusters(
     them).  Under ``"auto"``, once the program carries observed traffic
     (``channel_weights`` from live stats — which survive a previous run
     of the same program object), clusters whose channels never moved a
-    value are skipped: compiling them buys nothing and the scratch cells
-    are pure overhead.  A fresh program has no observations, so every
-    multi-member cluster is compiled.
+    value are skipped: compiling them buys nothing.  A fresh program has
+    no observations, so every multi-member cluster is compiled.
     """
     selected = [spec for spec in clusters if spec.size >= 2]
     if mode != "auto" or not selected:
@@ -132,16 +130,9 @@ def compile_superblocks(executor, program, states, mode: Any) -> int:
 
 
 def attach(superblock: "Superblock", members: list) -> "Superblock":
-    """Bind member states to ``superblock``, giving each a plain scratch
-    cell when its real clock is shared/hooked (the shadow path)."""
+    """Bind member states to ``superblock``."""
     for state in members:
-        clock = state.context.time
-        if clock.__class__ is TimeCell and clock.on_advance is None:
-            cell = clock
-        else:
-            cell = TimeCell(clock._time)
         state.superblock = superblock
-        state.sb_cell = cell
         state.sb_ready = False
         state.sb_send = state.gen.send
     superblock.members = members
@@ -205,21 +196,17 @@ class Superblock:
     # ------------------------------------------------------------------
 
     def _turn(self, ex, st, remaining: int) -> int:
-        """One member turn: the §11 plain fast loop against the member's
-        scratch cell, with parks breaking back to the driver loop and
-        local wake-with-delivery.  Returns the remaining op budget."""
+        """One member turn: the §11 fast loop against the member's
+        clock, with parks breaking back to the driver loop and local
+        wake-with-delivery.  Returns the remaining op budget."""
         ctx = st.context
-        real = ctx.time
-        cell = st.sb_cell
-        shadow = cell is not real
+        cell = ctx.time
 
         # A member woken from a blocking op completes it first.  The
         # overwhelmingly common shape — parked on the *last* constituent
         # of a fused batch with the result already delivered by a local
         # waker — finalizes inline; everything else goes through the
-        # executor's resume machinery (against the real clock — the rare
-        # tail of a parked batch may publish per-op; exactness is what
-        # matters there, not batching).
+        # executor's resume machinery.
         if st.retry_op is not None or st.fused_ops is not None:
             fo = st.fused_ops
             if (
@@ -240,8 +227,6 @@ class Superblock:
                 if st.status == _DONE:
                     return remaining
 
-        if shadow:
-            cell._time = real._time
         gen_send = st.sb_send
         lready = self.ready
         now = cell._time
@@ -254,8 +239,6 @@ class Superblock:
             while remaining != 0:
                 remaining -= 1
                 cell._time = now  # visible to the context body
-                if shadow:
-                    real.advance(now)  # one leap per resume, not per op
                 try:
                     if exc is not None:
                         op = st.gen.throw(exc)
@@ -275,8 +258,6 @@ class Superblock:
                     ex._finish(st)
                     raise SimulationError(ctx.name, failure) from failure
                 now = cell._time
-                if shadow and real._time > now:
-                    now = real._time
 
                 kind = op.__class__
                 if kind is tuple or kind is list:
@@ -285,8 +266,6 @@ class Superblock:
                 if kind is FusedOps:
                     plan = op.plan
                     if plan is None:
-                        from .sequential import _compile_plan
-
                         plan = op.plan = _compile_plan(op.ops)
                     entries, buf = plan
                     index = 0
@@ -321,12 +300,10 @@ class Superblock:
                                         and wop.__class__ is Enqueue
                                         and channel._enq_code == 1
                                         and waiter.superblock is self
-                                        and waiter.sb_cell
-                                        is waiter.context.time
                                     ):
                                         # Peer-to-peer release: land the
                                         # parked sender's item in place.
-                                        wcell = waiter.sb_cell
+                                        wcell = waiter.context.time
                                         delta = channel._delta
                                         capacity = channel.capacity
                                         if delta >= capacity:
@@ -433,13 +410,11 @@ class Superblock:
                                     and wop.__class__ is Dequeue
                                     and channel._deq_code != 2
                                     and waiter.superblock is self
-                                    and waiter.sb_cell
-                                    is waiter.context.time
                                 ):
                                     # Peer-to-peer delivery: the item
                                     # just enqueued lands straight in
                                     # the parked receiver's result slot.
-                                    wcell = waiter.sb_cell
+                                    wcell = waiter.context.time
                                     stamp, result = data_q.popleft()
                                     wnow = wcell._time
                                     if stamp > wnow:
@@ -467,15 +442,10 @@ class Superblock:
                             if channel:
                                 now += channel
                         else:
-                            # Rare constituent: generic handler against
-                            # the real clock.
+                            # Rare constituent: generic handler.
                             cell._time = now
-                            if shadow:
-                                real.advance(now)
                             dispatched = ex._dispatch(st, sub)
-                            now = real._time if shadow else cell._time
-                            if shadow:
-                                cell._time = now
+                            now = cell._time
                             if not dispatched:
                                 parked = True
                                 break
@@ -492,8 +462,6 @@ class Superblock:
                         continue
                     if parked:
                         cell._time = now
-                        if shadow:
-                            real.advance(now)
                         executed += index + 1
                         st.fused_ops = op.ops
                         st.fused_index = index
@@ -538,8 +506,6 @@ class Superblock:
                         exc = ChannelClosed(channel.name)
                         continue
                     cell._time = now
-                    if shadow:
-                        real.advance(now)
                     ex._block(st, op, channel._park_deq_msg)
                     channel.waiting_receiver = st
                     return remaining
@@ -585,8 +551,6 @@ class Superblock:
                         now = cell._time
                     if not ok:
                         cell._time = now
-                        if shadow:
-                            real.advance(now)
                         ex._block(st, op, channel._park_enq_msg)
                         channel.waiting_sender = st
                         return remaining
@@ -600,10 +564,9 @@ class Superblock:
                             and wop.__class__ is Dequeue
                             and channel._deq_code != 2
                             and waiter.superblock is self
-                            and waiter.sb_cell is waiter.context.time
                         ):
                             # Peer-to-peer delivery, as in the fused path.
-                            wcell = waiter.sb_cell
+                            wcell = waiter.context.time
                             stamp, result = channel._data.popleft()
                             wnow = wcell._time
                             if stamp > wnow:
@@ -636,16 +599,11 @@ class Superblock:
                         now = cell._time
                     continue
 
-                # Rare op: generic handler against the real clock.
+                # Rare op: generic handler.
                 cell._time = now
-                if shadow:
-                    real.advance(now)
-                dispatched = ex._dispatch(st, op)
-                now = real._time if shadow else cell._time
-                if shadow:
-                    cell._time = now
-                if not dispatched:
+                if not ex._dispatch(st, op):
                     return remaining  # blocked (or WaitUntil registered)
+                now = cell._time
                 value = st.pending_value
                 st.pending_value = None
                 if st.pending_exc is not None:
@@ -653,8 +611,6 @@ class Superblock:
                     st.pending_exc = None
             # Budget exhausted: hand the in-flight result back to state.
             cell._time = now
-            if shadow:
-                real.advance(now)
             st.pending_value = value
             st.pending_exc = exc
             return 0
@@ -664,7 +620,7 @@ class Superblock:
 
     # ------------------------------------------------------------------
     # Local wake-with-delivery: the §11 waker transitions, against the
-    # waiter's scratch cell, landing the waiter on the *local* deque.
+    # waiter's clock, landing the waiter on the *local* deque.
     # Any waiter on a cluster-internal channel is a member (connected
     # component); anything else — or a flavor the inline transition does
     # not cover — falls back to the executor's own wake path, which is
@@ -680,10 +636,7 @@ class Superblock:
             and op.__class__ is Enqueue
             and channel._enq_code == 1
         ):
-            wreal = waiter.context.time
-            wcell = waiter.sb_cell
-            if wcell is not wreal:
-                wcell._time = wreal._time
+            wcell = waiter.context.time
             delta = channel._delta
             capacity = channel.capacity
             if delta >= capacity:
@@ -707,10 +660,6 @@ class Superblock:
                     stats.max_real_occupancy = occ
                 waiter.retry_op = None
                 waiter.pending_value = None
-                if wcell is not wreal:
-                    # Publish immediately: the waiter's next turn re-syncs
-                    # its cell from the real clock.
-                    wreal.advance(wcell._time)
         self._wake_local(ex, waiter)
 
     def _wake_recv_local(self, ex, channel, waiter) -> None:
@@ -723,10 +672,7 @@ class Superblock:
             and op.__class__ is Dequeue
             and channel._deq_code != 2
         ):
-            wreal = waiter.context.time
-            wcell = waiter.sb_cell
-            if wcell is not wreal:
-                wcell._time = wreal._time
+            wcell = waiter.context.time
             data_q = channel._data
             if data_q:
                 stamp, result = data_q.popleft()
@@ -739,8 +685,6 @@ class Superblock:
                     )
                 waiter.retry_op = None
                 waiter.pending_value = result
-                if wcell is not wreal:
-                    wreal.advance(wcell._time)
         self._wake_local(ex, waiter)
 
     def _wake_local(self, ex, waiter) -> None:

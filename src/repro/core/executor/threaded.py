@@ -118,10 +118,10 @@ class ThreadedExecutor(Executor):
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
         #: Superblock mode (DESIGN.md §15): eligible cold clusters run on
-        #: one thread each via an embedded sequential cluster driver with
-        #: shared-clock shadow cells; every other context keeps its own
-        #: thread.  Scheduling-independent results are identical either
-        #: way (the determinism invariant).
+        #: one thread each via an embedded sequential cluster driver;
+        #: every other context keeps its own thread.  Scheduling-
+        #: independent results are identical either way (the determinism
+        #: invariant).
         self.superblocks = superblocks
         self.deadline_s = deadline_s
         self.faults = faults
@@ -130,7 +130,10 @@ class ThreadedExecutor(Executor):
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._abort = threading.Event()
-        self._progress = 0  # monotone op counter (heuristic, GIL-atomic)
+        #: Watchdog heartbeat and live op count.  Every thread bumps it
+        #: unlocked, so without the GIL it may lose updates: approximate
+        #: by design.  The exact count is the sum of ``_ctx_ops``.
+        self._progress = 0
         self._blocked_count = 0
         self._blocked_lock = threading.Lock()
         self._errors: list[BaseException] = []
@@ -138,7 +141,6 @@ class ThreadedExecutor(Executor):
         # Structured park sites for stall reports: name -> (detail,
         # channel, peer context).  Written under _blocked_lock.
         self._blocked_sites: dict[str, tuple[str, Optional[Channel], Optional[Context]]] = {}
-        self._ops_executed = 0
         # -- checkpoint pause protocol (DESIGN.md §17) -----------------
         # The controller raises ``_ckpt_request``; every live thread
         # acknowledges at its next safe point — the top of its op loop
@@ -225,18 +227,23 @@ class ThreadedExecutor(Executor):
         )
         collect_metrics = obs is not None and obs.metrics is not None
         self._collect_metrics = collect_metrics
-        self._ctx_ops = {ctx.name: 0 for ctx in program.contexts}
+        # Per-context op tallies, by slot (names may repeat across
+        # replicated pipelines).  Each is written once, by the thread
+        # that drove the context, and summed after the joins.
+        self._ctx_ops = [0] * len(program.contexts)
         self._ctx_parks = {ctx.name: 0 for ctx in program.contexts}
         self._ctx_spins = {ctx.name: 0 for ctx in program.contexts}
         self._ctx_wall = {ctx.name: 0.0 for ctx in program.contexts}
-
-        for ctx in program.contexts:
-            self._install_advance_hook(ctx)
 
         cluster_groups = self._plan_superblocks(program)
         clustered = {
             id(ctx) for contexts, _ in cluster_groups for ctx in contexts
         }
+        # Cluster members keep unhooked clocks: their driver notifies
+        # parked WaitUntil observers at the slice boundary instead.
+        for ctx in program.contexts:
+            if id(ctx) not in clustered:
+                self._install_advance_hook(ctx)
         threads = [
             threading.Thread(
                 target=self._drive, args=(ctx,), name=f"dam-{ctx.name}", daemon=True
@@ -303,7 +310,7 @@ class ThreadedExecutor(Executor):
             context_times={ctx.name: ctx.finish_time for ctx in program.contexts},
             executor=self.name,
             policy="os",
-            ops_executed=self._ops_executed,
+            ops_executed=sum(self._ctx_ops),
             metrics=self._fold_metrics(program),
         )
         self._attach_profile(summary, program, obs)
@@ -311,7 +318,8 @@ class ThreadedExecutor(Executor):
 
     def _sampler_probe(self, program: Program):
         """Read-only closure for the live metrics sampler: each context's
-        published clock, the op counter, and the registry when enabled."""
+        clock, the (approximate) live op count, and the registry when
+        enabled."""
         obs = self.obs
         registry = obs.metrics if obs is not None else None
         contexts = list(program.contexts)
@@ -319,7 +327,7 @@ class ThreadedExecutor(Executor):
         def probe() -> dict:
             sample: dict = {
                 "contexts": {ctx.name: ctx.time.now() for ctx in contexts},
-                "ops_executed": self._ops_executed,
+                "ops_executed": self._progress,
             }
             if registry is not None:
                 sample["metrics"] = registry.snapshot()
@@ -347,17 +355,17 @@ class ThreadedExecutor(Executor):
             return None
         registry = self.obs.metrics
         fold_channel_metrics(registry, program.channels)
-        for ctx in program.contexts:
+        for slot, ctx in enumerate(program.contexts):
             fold_context_metrics(
                 registry,
                 ctx.name,
-                ops=self._ctx_ops[ctx.name],
+                ops=self._ctx_ops[slot],
                 finish_time=ctx.finish_time,
                 wall_seconds=self._ctx_wall[ctx.name],
                 parks=self._ctx_parks[ctx.name],
                 spin_reads=self._ctx_spins[ctx.name],
             )
-        registry.counter("executor_ops").inc(self._ops_executed)
+        registry.counter("executor_ops").inc(sum(self._ctx_ops))
         return registry.snapshot()
 
     # ------------------------------------------------------------------
@@ -374,12 +382,10 @@ class ThreadedExecutor(Executor):
         ctx.time.on_advance = notify
 
     # ------------------------------------------------------------------
-    # Superblocks (DESIGN.md §15): shared-clock twins of the sequential
-    # cluster driver.  Each eligible cold cluster runs on ONE thread via
-    # an embedded SequentialExecutor whose superblock turns run against
-    # shadow cells and publish one clock leap per turn through the
-    # parent-installed advance hooks — preserving the SVA lower-bound
-    # contract for every non-member observer.
+    # Superblocks (DESIGN.md §15): each eligible cold cluster runs on ONE
+    # thread via an embedded SequentialExecutor.  Member clocks are plain
+    # unhooked cells that non-member observers read directly (SVA); the
+    # driver wakes parked observers at its slice boundaries.
 
     def _plan_superblocks(
         self, program: Program
@@ -418,7 +424,9 @@ class ThreadedExecutor(Executor):
     ) -> None:
         """Thread body: drive one cold cluster to completion through an
         embedded sequential engine (superblocks included)."""
-        driver = _ClusterDriver(self)
+        driver = _ClusterDriver(
+            self, [self._time_sync[id(ctx)] for ctx in contexts]
+        )
         try:
             driver.execute(Program(contexts, channels))
         except _Aborted:
@@ -441,7 +449,7 @@ class ThreadedExecutor(Executor):
                 self._finish(ctx)
                 state = states.get(id(ctx))
                 if state is not None:
-                    self._ctx_ops[ctx.name] = state.ops
+                    self._ctx_ops[self._slots[id(ctx)]] = state.ops
 
     def _drive(self, ctx: Context) -> None:
         """Thread body: interpret one context's generator to completion."""
@@ -591,7 +599,6 @@ class ThreadedExecutor(Executor):
                         ctx.name, TypeError(f"non-op yielded: {op!r}")
                     )
                 self._progress += 1
-                self._ops_executed += 1
                 ops += 1
         except _Aborted:
             return
@@ -607,7 +614,7 @@ class ThreadedExecutor(Executor):
             self._finish(ctx)
             if buf is not None and ctx.finish_time is not None:
                 buf.append("finish", None, ctx.finish_time)
-            self._ctx_ops[ctx.name] = ops
+            self._ctx_ops[self._slots[id(ctx)]] = ops
             self._ctx_spins[ctx.name] += spins
             if self._collect_metrics:
                 self._ctx_wall[ctx.name] = (
@@ -643,7 +650,6 @@ class ThreadedExecutor(Executor):
                 # executor: the batch itself is not an op, and a closing
                 # dequeue is still counted.
                 self._progress += 1
-                self._ops_executed += 1
                 count += 1
                 skind = type(sub)
                 if skind is Enqueue:
@@ -979,7 +985,7 @@ class ThreadedExecutor(Executor):
             },
             executor=self.name,
             policy="os",
-            ops_executed=self._ops_executed,
+            ops_executed=self._progress,
         )
         return RunTimeoutError(
             self.deadline_s,
@@ -1036,22 +1042,24 @@ class ThreadedExecutor(Executor):
 class _ClusterDriver(SequentialExecutor):
     """One cold cluster on one thread, embedded in a threaded run.
 
-    A shared-clock twin of the sequential superblock driver: member
-    clocks carry the parent's advance hooks, so superblock turns run
-    against scratch shadow cells and publish a single vectorized leap
-    per turn — a monotone lower bound, exactly the SVA contract foreign
-    ``ViewTime``/``WaitUntil`` observers rely on.  Bounded slices keep
-    the parent's abort flag and progress counter live, and idling polls
-    foreign clocks (the one external dependency a cold cluster can
-    have) instead of declaring deadlock — the parent watchdog owns that
-    verdict.
+    Member clocks are plain unhooked cells: foreign ``ViewTime`` /
+    ``WaitUntil`` observers read them directly — a monotone lower
+    bound, exactly the SVA contract — and the driver wakes the parked
+    ones after every slice (they also re-check on their own
+    ``poll_interval`` timeout, so liveness never rests on the notify).
+    Bounded slices keep that wake-up, the parent's abort flag and its
+    progress counter live, and idling polls foreign clocks (the one
+    external dependency a cold cluster can have) instead of declaring
+    deadlock — the parent watchdog owns that verdict.
     """
 
     name = "threaded-cluster"
 
-    def __init__(self, parent: ThreadedExecutor):
+    def __init__(self, parent: ThreadedExecutor, member_syncs: list):
         super().__init__(superblocks=parent.superblocks)
         self._parent = parent
+        #: The members' ``_TimeSync`` records, for the slice-boundary wake.
+        self._member_syncs = member_syncs
         self._always_bounded = True
         # WaitUntil targets seen so far (possibly foreign contexts), so
         # idling can drain their waiters by object, not just by id.
@@ -1063,10 +1071,11 @@ class _ClusterDriver(SequentialExecutor):
             raise _Aborted
         before = self.ops_executed
         super()._run_slice(state, remaining)
-        delta = self.ops_executed - before
-        if delta:
-            parent._progress += delta
-            parent._ops_executed += delta
+        parent._progress += self.ops_executed - before
+        for sync in self._member_syncs:
+            if sync.waiter_count:
+                with sync.cond:
+                    sync.cond.notify_all()
 
     def _h_wait_until(self, state, op):
         self._wu_targets[id(op.context)] = op.context

@@ -16,10 +16,10 @@ CPython the GIL makes those reads atomic, which is the documented analog of
 x86 acquire loads.
 
 The process executor extends the same contract across address spaces:
-:class:`~repro.core.executor.shm.SharedTimeCell` subclasses this cell to
-mirror every advance into a float64 slot in shared memory (written after
-the local update, so remote reads are always a lower bound), and peers in
-other worker processes read it through
+the owning worker copies this cell into a float64 slot in shared memory
+at every slice boundary (after the local update, so remote reads are
+always a lower bound, at most one timeslice stale), and peers in other
+worker processes read it through
 :class:`~repro.core.executor.shm.SharedTimeView` — SVA as one aligned
 8-byte load, unchanged in spirit.
 """
@@ -40,9 +40,11 @@ class TimeCell:
     """A context's local clock: monotonic simulated time.
 
     The cell supports an optional ``on_advance`` hook, installed by the
-    threaded executor to implement Synchronization-via-Parking (waking
-    parked peers when this clock passes their threshold).  The sequential
-    executor leaves it unset and polls instead.
+    threaded executor on the contexts it drives one thread each, to
+    implement Synchronization-via-Parking (waking parked peers when this
+    clock passes their threshold).  The sequential executor and the
+    schedulers built on it leave it unset: they poll, and publish or
+    notify at the slice boundary.
     """
 
     __slots__ = ("_time", "on_advance")

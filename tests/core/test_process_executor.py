@@ -23,12 +23,11 @@ from repro.core.executor.shm import (
     RecordTooLarge,
     SharedArena,
     SharedClockArray,
-    SharedTimeCell,
     SharedTimeView,
     ShmRing,
 )
 from repro.core.ops import Peek, WaitUntil
-from repro.core.time import INFINITY
+from repro.core.time import INFINITY, TimeCell
 
 
 # ----------------------------------------------------------------------
@@ -105,23 +104,28 @@ class TestShmRing:
 
 
 class TestSharedClocks:
-    def test_cell_mirrors_and_view_reads(self):
+    def test_publish_mirrors_and_view_reads(self):
         arena = SharedArena(SharedClockArray.size_for(2))
         try:
             clocks = arena.adopt(
                 SharedClockArray(arena.view(0, SharedClockArray.size_for(2)), 2)
             )
-            cell = SharedTimeCell(clocks, 0)
+            cell = TimeCell()
+            owned = [(cell, 0)]
             view = SharedTimeView(clocks, 0)
             assert view.now() == 0.0
             cell.incr(5)
+            assert view.now() == 0.0  # stale until the owner publishes
+            clocks.publish(owned)
             assert view.now() == 5.0
             cell.advance(42)
-            assert view.now() == 42.0
             cell.advance(3)  # backwards advance is a no-op
+            clocks.publish(owned)
             assert view.now() == 42.0
+            assert clocks.read(1) == 0.0  # the other slot is untouched
             assert not view.finished
             cell.finish()
+            clocks.publish(owned)
             assert view.now() == INFINITY
             assert view.finished
             with pytest.raises(RuntimeError):

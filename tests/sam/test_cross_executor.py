@@ -437,3 +437,64 @@ class TestSuperblockModes:
                 assert outcome == reference, (
                     f"{executor} superblocks={mode}: trace/profile diverged"
                 )
+
+
+# ----------------------------------------------------------------------
+# Body-visible clocks: a context body may read ``self.time.now()``
+# between yields, so whatever the runtime does with clocks (a local in
+# the fast loop, a plain cell published at slice boundaries) the body
+# must see exactly the value the reference interpreter shows it.
+# ----------------------------------------------------------------------
+
+
+def _build_batching_pipeline():
+    """requests -> batcher -> inference -> sink(timestamps=True): the
+    batcher, the inference context and the sink each record their own
+    clock between yields."""
+    from repro.contexts import Collector
+    from repro.core import ProgramBuilder
+    from repro.multiplex.batching import (
+        BatchingContext,
+        InferenceContext,
+        RequestSource,
+        poisson_arrivals,
+    )
+
+    builder = ProgramBuilder()
+    req_snd, req_rcv = builder.bounded(4, name="requests_out")
+    rec_snd, rec_rcv = builder.bounded(2, name="records")
+    done_snd, done_rcv = builder.bounded(2, name="completions")
+    builder.add(RequestSource(req_snd, poisson_arrivals(60, 5.0, seed=7)))
+    builder.add(BatchingContext(req_rcv, rec_snd, max_batch=4, timeout=12))
+    inference = builder.add(
+        InferenceContext(rec_rcv, done_snd, cycles_per_batch=20, cycles_per_item=3)
+    )
+    sink = builder.add(Collector(done_rcv, ii=2, timestamps=True, name="sink"))
+    return builder.build(), inference, sink
+
+
+class TestBodyVisibleClock:
+    def test_recorded_clock_reads_identical_everywhere(self):
+        from repro.core import RunConfig
+
+        def run(executor, **kwargs):
+            program, inference, sink = _build_batching_pipeline()
+            summary = program.run(executor=executor, config=RunConfig(**kwargs))
+            return (
+                summary.elapsed_cycles,
+                summary.context_times,
+                inference.completions,
+                sink.values,
+            )
+
+        reference = run("sequential", fast_path=False, superblocks="off")
+        assert len(reference[3]) > 10
+        legs = [("sequential", {}), ("threaded", {})]
+        legs += [("process", {"workers": n}) for n in (1, 2, 3)]
+        for executor, kwargs in legs:
+            for mode in ("off", "on", "auto"):
+                outcome = run(executor, superblocks=mode, **kwargs)
+                assert outcome == reference, (
+                    f"{executor} {kwargs} superblocks={mode}: a body saw a "
+                    "different clock than the reference interpreter showed it"
+                )

@@ -1,5 +1,8 @@
 """Tests for the Fig. 7 LoC accounting tool."""
 
+from pathlib import Path
+
+import repro.core.executor
 from repro.tools import count_loc, loc_comparison
 
 
@@ -40,3 +43,22 @@ class TestLocComparison:
     def test_total_reduction_positive(self):
         rows = loc_comparison()
         assert rows[-1]["reduction_pct"] > 0
+
+
+#: Effective lines (``count_loc``: no blanks, comments or docstrings) in
+#: ``src/repro/core/executor/`` after the last PR that touched it.  A
+#: ratchet: lower it whenever a PR deletes code there, never raise it to
+#: make room — ROADMAP wants this directory materially smaller.
+EXECUTOR_LOC_LIMIT = 5394
+
+
+class TestExecutorSizeRatchet:
+    def test_core_executor_does_not_grow(self):
+        directory = Path(repro.core.executor.__file__).parent
+        total = sum(
+            count_loc(path.read_text()) for path in directory.glob("*.py")
+        )
+        assert total <= EXECUTOR_LOC_LIMIT, (
+            f"core/executor/ grew to {total} effective lines "
+            f"(limit {EXECUTOR_LOC_LIMIT}): delete before you add"
+        )
