@@ -16,16 +16,10 @@ Four workloads, chosen to stress distinct parts of the core loop:
 * ``tiny_ring`` — one token circulating a ring of capacity-1 channels;
   almost every dequeue blocks first, stressing the park/wake machinery.
 * ``wide_diamond`` — fan-out/fan-in over capacity-1 arms; the
-  multi-endpoint broadcast/join steps are the adversarial case for
-  superblock peer-to-peer inlining (DESIGN.md §15), bailing out far
-  more often than a ring or pipeline.
+  multi-endpoint broadcast/join steps park and wake mid-batch far more
+  often than a ring or pipeline.
 * ``spmspm`` — the Gustavson SpMSpM SAM kernel: the end-to-end mix of
   primitive contexts a real workload produces.
-
-The full run and the smoke gate additionally measure each workload as an
-interleaved ``superblocks`` on/off pair (same tree, alternating modes),
-recording the pairwise speedup; CI asserts superblocks-on stays within
-tolerance of superblocks-off.
 
 Usage (from ``benchmarks/``)::
 
@@ -60,11 +54,6 @@ try:  # the inline fast path (this PR); absent on the pre-PR baseline tree
     from repro.core.ops import FusedOps
 except ImportError:  # pragma: no cover - baseline-capture path
     FusedOps = None
-
-try:  # superblock compilation; absent on pre-superblock trees
-    from repro.core.executor.superblock import cold_cluster_count
-except ImportError:  # pragma: no cover - baseline-capture path
-    cold_cluster_count = None
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +188,9 @@ def build_wide_diamond(width: int = 4, depth: int = 2, tokens: int = 600):
 
     A source broadcasts each token across ``width`` parallel arms of
     ``depth`` forwarding stages, all over capacity-1 channels, and a
-    sink joins them back.  The whole diamond is one cold cluster, but
-    the multi-endpoint fan-out/fan-in steps stress the superblock
-    driver's bail-out path far harder than a ring or pipeline does —
-    this is the adversarial leg of the paired superblock comparison,
-    expected to sit near 1.0x rather than show the ring's speedup."""
+    sink joins them back: the multi-endpoint fan-out/fan-in batches
+    park on a middle constituent, the resume path a ring or pipeline
+    rarely takes."""
     builder = ProgramBuilder()
     entries = [builder.bounded(1, name=f"fan{w}") for w in range(width)]
     exits = [builder.bounded(1, name=f"join{w}") for w in range(width)]
@@ -354,51 +341,6 @@ def run_workloads(workloads: dict, repeats: int = 3) -> dict:
     }
 
 
-def measure_superblock_pair(build, repeats: int = 3) -> dict:
-    """Best-of-N ops/sec with superblocks off vs on, *interleaved*: each
-    repetition runs one off leg then one on leg back to back, so both
-    modes see the same machine state (frequency, cache, background
-    noise) and the pairwise speedup is meaningful."""
-    best = {"off": None, "on": None}
-    for _ in range(repeats):
-        for mode in ("off", "on"):
-            program = build()
-            executor = SequentialExecutor(superblocks=mode)
-            start = time.perf_counter()
-            summary = executor.execute(program)
-            seconds = time.perf_counter() - start
-            rate = summary.ops_executed / seconds
-            if best[mode] is None or rate > best[mode]:
-                best[mode] = rate
-    return {
-        "off_ops_per_sec": best["off"],
-        "on_ops_per_sec": best["on"],
-        "speedup": best["on"] / best["off"],
-    }
-
-
-def run_superblock_pairs(workloads: dict, repeats: int = 3) -> dict:
-    return {
-        name: measure_superblock_pair(build, repeats=repeats)
-        for name, build in workloads.items()
-    }
-
-
-def render_superblock_table(pairs: dict) -> str:
-    table = TextTable(
-        ["workload", "off_ops_per_sec", "on_ops_per_sec", "speedup"],
-        title="Superblock compilation, paired off/on legs (sequential)",
-    )
-    for name, row in sorted(pairs.items()):
-        table.add_row(
-            name,
-            round(row["off_ops_per_sec"]),
-            round(row["on_ops_per_sec"]),
-            f"{row['speedup']:.3f}x",
-        )
-    return table.render()
-
-
 def profile_workloads(workloads: dict) -> dict:
     """Critical-path profiles for every workload (simulated time only).
 
@@ -470,31 +412,13 @@ def env_info() -> dict:
             rev += "+dirty"
     except Exception:  # noqa: BLE001 - not a git checkout / git missing
         rev = "unknown"
-    info = {
+    return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "git_rev": rev,
         "fused_ops_available": FusedOps is not None,
-        "superblocks": cold_cluster_count is not None,
     }
-    if cold_cluster_count is not None:
-        info["cold_clusters"] = _cold_clusters()
-    return info
-
-
-_COLD_CLUSTERS: dict | None = None
-
-
-def _cold_clusters() -> dict:
-    """Multi-member cold-cluster count per full workload (cached: the
-    env block appears several times per payload)."""
-    global _COLD_CLUSTERS
-    if _COLD_CLUSTERS is None:
-        _COLD_CLUSTERS = {
-            name: cold_cluster_count(build()) for name, build in _FULL.items()
-        }
-    return _COLD_CLUSTERS
 
 
 def render_table(current: dict, baseline: dict | None) -> str:
@@ -553,21 +477,6 @@ def smoke(repeats: int = 2, tolerance: float = 3.0,
         )
         if row["ops_per_sec"] < floor:
             failures.append(name)
-    if cold_cluster_count is not None:
-        # Paired superblock legs: on must stay within tolerance of off.
-        # A small deficit on stream-dominated shapes is machine noise /
-        # scratch-cell overhead, not a regression — the win is asserted
-        # on the park-heavy workloads by the committed full run.
-        pairs = run_superblock_pairs(_SMOKE, repeats=max(2, repeats))
-        print(render_superblock_table(pairs))
-        sb_floor = 1.0 / tolerance
-        for name, row in pairs.items():
-            if row["speedup"] < sb_floor:
-                print(
-                    f"{name}: superblocks-on is {row['speedup']:.2f}x of "
-                    f"off (floor {sb_floor:.2f}x) -> REGRESSION"
-                )
-                failures.append(f"{name}(superblocks)")
     profiles = profile_workloads(_SMOKE)
     print(render_profiles(profiles))
     if profile_out:
@@ -580,11 +489,6 @@ def smoke(repeats: int = 2, tolerance: float = 3.0,
 
 def full_run(repeats: int, baseline_file: str | None) -> dict:
     current = run_workloads(_FULL, repeats=repeats)
-    superblock_pairs = (
-        run_superblock_pairs(_FULL, repeats=repeats)
-        if cold_cluster_count is not None
-        else None
-    )
     if baseline_file:
         baseline_payload = json.loads(Path(baseline_file).read_text())
         baseline = baseline_payload["workloads"]
@@ -608,11 +512,7 @@ def full_run(repeats: int, baseline_file: str | None) -> dict:
             if name in baseline
         },
     }
-    if superblock_pairs is not None:
-        payload["superblocks"] = superblock_pairs
     print(render_table(current, baseline))
-    if superblock_pairs is not None:
-        print(render_superblock_table(superblock_pairs))
     print(render_profiles(profile_workloads(_FULL)))
     return payload
 

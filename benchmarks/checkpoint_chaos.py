@@ -111,6 +111,9 @@ def check_hygiene(ckdir, shm_before, label, failures):
 #: The kill fires only if the victim is still live at its Nth dump, so
 #: any single try may legitimately finish clean; a scenario gets this
 #: many tries to land its crash before we call the injection broken.
+#: The crashing attempts run with ``steal=False``: worker 0 is forked
+#: first and, left to steal, often adopts worker 1's one cluster before
+#: worker 1 claims it — the victim then retires without ever dumping.
 MAX_TRIES = 6
 
 
@@ -132,6 +135,7 @@ def ladder_round(rng, reference, shm_before, failures):
                 config=RunConfig(
                     workers=2,
                     timeslice=7,
+                    steal=False,
                     faults=plan,
                     fallback="sequential",
                     checkpoint_interval_s=interval,
@@ -176,6 +180,7 @@ def elastic_round(rng, reference, shm_before, failures):
                     config=RunConfig(
                         workers=2,
                         timeslice=7,
+                        steal=False,
                         faults=plan,
                         checkpoint_interval_s=0.0,
                         checkpoint_path=ckdir,

@@ -33,10 +33,9 @@ The stable surface, by layer:
   :class:`AdmissionError`, :class:`TenantBudgetError`, ...).
 
 Everything else — module paths under ``repro.core.executor.*``, channel
-internals, partition planners, shared-memory rings, the superblock
-compiler — is **internal**: importable for experimentation, liable to
-move without notice.  If an internal helper earns real external use,
-promote it here first.
+internals, partition planners, shared-memory rings — is **internal**:
+importable for experimentation, liable to move without notice.  If an
+internal helper earns real external use, promote it here first.
 """
 
 from __future__ import annotations

@@ -45,9 +45,9 @@ class RunSummary:
     #: worker index where the context *actually* ran — planned owners
     #: overridden by recorded migrations.  Feed it back through
     #: :func:`~repro.core.executor.partition.pins_from_placement` so the
-    #: next plan (and ``superblocks="auto"``) sees real locality instead
-    #: of crediting a stolen cluster to its original owner.  ``None`` for
-    #: single-runtime executors.
+    #: next plan sees real locality instead of crediting a stolen
+    #: cluster to its original owner.  ``None`` for single-runtime
+    #: executors.
     placement: Optional[dict[str, int]] = None
     metrics: Optional[dict[str, Any]] = None
     #: The run's performance-attribution report

@@ -24,6 +24,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .partition import normalize_mode
+
 #: RunConfig fields that are configuration, not payload (``extra`` is
 #: special-cased everywhere).
 _CONFIG_FIELDS: Optional[frozenset] = None
@@ -133,13 +135,14 @@ class RunConfig:
         path appended to as JSON lines.  Samples are always also kept on
         ``obs.metrics_samples`` when an ``obs`` is attached.
     superblocks:
-        Superblock compilation of cold clusters (DESIGN.md §15):
-        ``"on"``/``True`` compiles every multi-context cold cluster into
-        a straight-line driver, ``"off"``/``False`` disables it, and
-        ``"auto"`` (executor default) compiles clusters the planner
-        considers worth it (``plan_clusters`` + observed channel
-        weights).  Results, traces, and profiles are bit-identical in
-        every mode.
+        Cluster hosting on the threaded executor (DESIGN.md §15):
+        ``"on"``/``True`` runs every multi-context cold cluster on one
+        driver thread, ``"off"``/``False`` keeps the paper's one thread
+        per context, and ``"auto"`` (executor default) clusters what
+        the planner considers worth it (``plan_clusters`` + observed
+        channel weights).  The other executors ignore it; any other
+        value is a :class:`ValueError` here, whichever executor runs.
+        Results, traces, and profiles are bit-identical in every mode.
     checkpoint_interval_s:
         Enable checkpointing (DESIGN.md §17): at each quiescent cut at
         least this many wall-clock seconds after the previous capture,
@@ -191,6 +194,12 @@ class RunConfig:
     checkpoint_path: Optional[str] = None
     tag: Optional[str] = None
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # Validated here, not in a constructor: only the threaded
+        # executors declare the keyword, and a bad value must not be
+        # dropped silently by kwargs_for on the others.
+        normalize_mode(self.superblocks)
 
     def replace(self, **changes: Any) -> "RunConfig":
         """A copy with ``changes`` applied; unknown keys land in ``extra``."""

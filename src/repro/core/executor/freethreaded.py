@@ -129,7 +129,6 @@ class FreeThreadedExecutor(ThreadedExecutor):
                 faults=self.faults,
                 metrics_interval_s=self.metrics_interval_s,
                 metrics_sink=self.metrics_sink,
-                superblocks=self.superblocks,
                 checkpoint_interval_s=self.checkpoint_interval_s,
                 checkpoint_path=self.checkpoint_path,
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import GraphConstructionError
 
@@ -187,6 +187,54 @@ def plan_clusters(
             )
         )
     return specs
+
+
+_CLUSTER_MODES = ("off", "on", "auto")
+
+
+def normalize_mode(mode: Any) -> str:
+    """Normalize a ``RunConfig(superblocks=...)`` value to off/on/auto."""
+    if mode is None or mode is False or mode == "off":
+        return "off"
+    if mode is True or mode == "on":
+        return "on"
+    if mode == "auto":
+        return "auto"
+    raise ValueError(
+        f"superblocks must be one of {_CLUSTER_MODES} (or True/False/None), "
+        f"got {mode!r}"
+    )
+
+
+def select_clusters(
+    program: "Program", clusters: list["ClusterSpec"], mode: str
+) -> list["ClusterSpec"]:
+    """Pick the cold clusters worth hosting on one driver thread
+    (:class:`~repro.core.executor.threaded.ThreadedExecutor`,
+    DESIGN.md §15).
+
+    Single-member clusters gain nothing.  Under ``"auto"``, once the
+    program carries observed traffic (:func:`channel_weights` from live
+    stats — which survive a previous run of the same program object),
+    clusters whose channels never moved a value are skipped.  A fresh
+    program has no observations, so every multi-member cluster is
+    selected.
+    """
+    selected = [spec for spec in clusters if spec.size >= 2]
+    if mode != "auto" or not selected:
+        return selected
+    weights = channel_weights(program)
+    if not any(weights.values()):
+        return selected
+    channels = program.channels
+    return [
+        spec
+        for spec in selected
+        if any(
+            weights.get(channels[index].name, 0) > 0
+            for index in spec.channels
+        )
+    ]
 
 
 class _UnionFind:

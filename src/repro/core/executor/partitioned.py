@@ -455,7 +455,6 @@ class _WorkerExecutor(SequentialExecutor):
         timeslice: int = 1024,
         faults=None,
         kill=None,
-        superblocks="auto",
         ckpt_board=None,
         checkpoint_dir: Optional[str] = None,
         resume_records: Optional[dict] = None,
@@ -465,7 +464,6 @@ class _WorkerExecutor(SequentialExecutor):
             max_ops=max_ops,
             obs=obs,
             faults=faults,
-            superblocks=superblocks,
         )
         #: Chaos hook: a WorkerKill aimed at *this* worker — the process
         #: SIGKILLs itself the first time its published progress counter
@@ -582,36 +580,6 @@ class _WorkerExecutor(SequentialExecutor):
             if state.status != _DONE:
                 self.policy.push(state, woken=False)
             self._activated.append(ctx)
-        if (
-            len(spec.contexts) >= 2
-            and not self._ckpt_on
-            and self._ckpt_resume is None
-        ):
-            # Compile the cluster as a superblock *on the adopter*, over
-            # the member states it just created.  The same gates as
-            # _compile_superblocks apply (the turn loop is the fast loop;
-            # faults are slice-granular; "auto" declines under
-            # per-context wall-clock metrics).
-            from .superblock import Superblock, attach, normalize_mode
-
-            mode = normalize_mode(self.superblocks)
-            if (
-                mode != "off"
-                and self._fast_capable
-                and not self._fault_map
-                and not (
-                    mode == "auto"
-                    and self.obs is not None
-                    and self.obs.metrics is not None
-                )
-            ):
-                attach(
-                    Superblock(spec.index),
-                    [
-                        self._states[id(contexts[slot])]
-                        for slot in spec.contexts
-                    ],
-                )
         if stolen_from is not None:
             self.steal_count += 1
             record = {
@@ -1140,7 +1108,6 @@ def _worker_main(
             poll_interval=options["poll_interval"],
             timeslice=options["timeslice"],
             faults=faults, kill=kill,
-            superblocks=options.get("superblocks", "auto"),
             ckpt_board=ckpt["board"] if ckpt is not None else None,
             checkpoint_dir=ckpt["dir"] if ckpt is not None else None,
             resume_records=options.get("resume_records"),
@@ -1523,7 +1490,6 @@ class ProcessExecutor(Executor):
         faults=None,
         metrics_interval_s: Optional[float] = None,
         metrics_sink=None,
-        superblocks: Any = "auto",
         checkpoint_interval_s: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
     ):
@@ -1552,11 +1518,6 @@ class ProcessExecutor(Executor):
         self.faults = faults
         self.metrics_interval_s = metrics_interval_s
         self.metrics_sink = metrics_sink
-        #: Superblock compilation mode for the worker-side schedulers
-        #: ("on"/"off"/"auto"; DESIGN.md §15).  Workers compile each
-        #: cluster at activation time, so a stolen cluster is compiled
-        #: by its adopter.
-        self.superblocks = superblocks
         #: Checkpointing (DESIGN.md §17): when ``checkpoint_path`` is
         #: set, the parent coordinates quiescent cuts — workers pause,
         #: drain the shuttle lanes, dump partitions, and the parent
@@ -1761,7 +1722,6 @@ class ProcessExecutor(Executor):
                     else False
                 ),
                 "faults": faults,
-                "superblocks": self.superblocks,
                 "checkpoint": (
                     {"board": ckpt_board, "dir": self.checkpoint_path}
                     if ckpt_board is not None

@@ -168,14 +168,14 @@ class _ContextState:
         "fused_index",
         "fused_results",
         "fused_plan",
-        "superblock",
-        "sb_ready",
-        "sb_send",
+        "send",
     )
 
     def __init__(self, context: Context):
         self.context = context
         self.gen = context.run()
+        #: ``gen.send``, bound once: the fast loop resumes through it.
+        self.send = self.gen.send
         self.status = _READY
         self.in_ready = False
         self.pending_value: Any = None
@@ -197,11 +197,6 @@ class _ContextState:
         # The batch's compiled plan entries (fast path only), so the
         # resume runner can stay plan-based.
         self.fused_plan: Any = None
-        # Superblock membership (DESIGN.md §15): the compiled cluster
-        # driver and the local-ready-deque flag.
-        self.superblock: Any = None
-        self.sb_ready = False
-        self.sb_send: Any = None  # cached gen.send, bound at attach
 
 
 @register_executor("sequential")
@@ -228,12 +223,6 @@ class SequentialExecutor(Executor):
         :class:`FusedOps` constituent — through the generic handler
         table one at a time; the simulated results are identical by
         construction, which is what the equivalence tests assert.
-    superblocks:
-        Cluster compilation (DESIGN.md §15): ``"auto"`` (default)
-        compiles the cold clusters observed traffic marks as live,
-        ``"on"``/``True`` compiles every multi-member cluster,
-        ``"off"``/``False``/``None`` disables.  Requires the fast path;
-        simulated results are identical either way.
     """
 
     name = "sequential"
@@ -248,12 +237,18 @@ class SequentialExecutor(Executor):
         faults=None,
         metrics_interval_s: Optional[float] = None,
         metrics_sink=None,
-        superblocks: Any = "auto",
         checkpoint_interval_s: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
     ):
         self.policy = make_policy(policy)
-        self.superblocks = superblocks
+        #: The FIFO policy's raw deque (None under any other policy):
+        #: the run-to-block schedule loop and the fast loop's inline
+        #: wakes append to it directly, skipping the push/pop calls.
+        self._fifo_queue = (
+            self.policy._queue
+            if self.policy.__class__ is FifoPolicy
+            else None
+        )
         self.max_ops = max_ops
         self.deadline_s = deadline_s
         self.faults = faults
@@ -264,9 +259,6 @@ class SequentialExecutor(Executor):
         #: Live capture cadence (a CheckpointTimer) while a checkpointed
         #: run is executing; None otherwise.
         self._ckpt_timer: Any = None
-        #: True while this run was restored from a checkpoint (suppresses
-        #: superblock compilation, whose sb_* state is not capturable).
-        self._resuming = False
         #: Context-fault triggers still pending, keyed by context name
         #: (populated per run from ``faults.context_faults``).
         self._fault_map: dict = {}
@@ -324,7 +316,6 @@ class SequentialExecutor(Executor):
                 start_epoch=getattr(program, "_resume_epoch", 0),
             )
         resume_records = self._take_resume_records(program)
-        self._resuming = resume_records is not None
         states = {id(ctx): _ContextState(ctx) for ctx in program.contexts}
         # Waiters on another context's clock: target id -> [(threshold, state)].
         self._time_waiters: dict[int, list[tuple[Any, _ContextState]]] = {}
@@ -373,8 +364,6 @@ class SequentialExecutor(Executor):
 
         if resume_records is not None:
             self._apply_resume_records(program, states, resume_records)
-
-        self._compile_superblocks(program, states, collect_wall)
 
         policy = self.policy
         for ctx in program.contexts:
@@ -451,35 +440,6 @@ class SequentialExecutor(Executor):
 
         return probe
 
-    def _compile_superblocks(
-        self, program: Program, states: dict, collect_wall: bool
-    ) -> int:
-        """Attach cluster drivers (DESIGN.md §15) when this run can use
-        them: the fast path must be available (superblock turns are the
-        fast loop, across contexts) and no fault plan may target a
-        context (fault triggers are checked at slice granularity by the
-        generic scheduler).  ``"auto"`` additionally declines when
-        per-context wall-clock metrics are being collected, since a
-        whole superblock step would be attributed to its entry member;
-        ``"on"`` forces compilation regardless.
-        """
-        from .superblock import compile_superblocks, normalize_mode
-
-        mode = normalize_mode(self.superblocks)
-        if mode == "off":
-            return 0
-        if not self._fast_capable or self._fault_map:
-            return 0
-        # Superblock sb_* scheduling state is not part of any context's
-        # declared checkpoint attributes, so checkpointed (and resumed)
-        # runs stay on the generic/fast per-context paths — results are
-        # bit-identical either way by the §15 equivalence guarantee.
-        if self._ckpt_timer is not None or self._resuming:
-            return 0
-        if mode == "auto" and collect_wall:
-            return 0
-        return compile_superblocks(self, program, states, mode)
-
     def _schedule_loop(self, collect_wall: bool) -> None:
         """Drain the ready queue; ask :meth:`_idle` for more work when it
         empties (subclass hook — the process executor's workers poll their
@@ -488,16 +448,17 @@ class SequentialExecutor(Executor):
         previous: _ContextState | None = None
         deadline_at = self._deadline_at
         ckpt_timer = self._ckpt_timer
-        if (
-            policy.__class__ is FifoPolicy
-            and not collect_wall
-            and not self._bounded
-        ):
+        queue = self._fifo_queue
+        if queue is not None and not collect_wall and not self._bounded:
             # Run-to-block FIFO (the default): drive the raw deque
             # directly, skipping the per-slice __bool__/pop method calls
-            # and the timeslice attribute load.
-            queue = policy._queue
+            # and the timeslice attribute load.  No fault plan reaches
+            # this branch (faults force bounded slices), so an eligible
+            # slice enters the fast loop without the _run_slice hop;
+            # eligibility is re-read per slice because a WaitUntil
+            # registration drops it mid-run.
             run_slice = self._run_slice
+            run_fast = self._run_slice_fast
             while True:
                 while queue:
                     state = queue.popleft()
@@ -507,7 +468,10 @@ class SequentialExecutor(Executor):
                     if previous is not None and state is not previous:
                         self.context_switches += 1
                     previous = state
-                    run_slice(state, None)
+                    if self._fast:
+                        run_fast(state, -1)
+                    else:
+                        run_slice(state, None)
                     if state.status == _READY:
                         self.preemptions += 1
                         policy.push(state, woken=False)
@@ -788,12 +752,8 @@ class SequentialExecutor(Executor):
                 state.pending_value = None
                 state.pending_exc = fault.make()
 
-        # Superblock member: hand the whole slice to the cluster driver
-        # (which performs its own resume handling and budget accounting).
-        # Falls through to the generic path whenever the fast path is
-        # unavailable — e.g. while a WaitUntil waiter is registered.
-        if state.superblock is not None and self._fast:
-            state.superblock.drive(self, state, remaining)
+        if self._fast:
+            self._run_slice_fast(state, remaining)
             return
 
         # A context woken from a blocking op must first complete that op
@@ -805,11 +765,7 @@ class SequentialExecutor(Executor):
                 return  # blocked again
             if state.status == _DONE:
                 return
-
-        if self._fast:
-            self._run_slice_fast(state, remaining)
-        else:
-            self._run_slice_generic(state, remaining)
+        self._run_slice_generic(state, remaining)
 
     def _resume_pending(self, state: _ContextState) -> bool:
         """Complete the op a woken context was parked on; return False if
@@ -961,13 +917,40 @@ class SequentialExecutor(Executor):
         which keep the invariant: a WaitUntil that registers a waiter
         blocks, ending the slice, so a fast slice never runs with a
         waiter present.
+
+        A capacity-1 hop is park → wake → resume, and what it costs is
+        the Python calls in between, so the three are open-coded where
+        a benchmark workload shows them: parks store what
+        :meth:`_block` stores, the wake a fused enqueue gives a parked
+        receiver is :meth:`_wake_recv_deliver` + :meth:`_wake` in place
+        (every other wake site calls the helpers), and the prologue
+        finalizes a batch that parked on its last constituent.
         """
+        # A context woken from a blocking op completes it first.  The
+        # common shape — parked on the *last* constituent of a fused
+        # batch, result already delivered by the waker — finalizes
+        # inline; every other shape takes the resume machinery.
+        if state.retry_op is not None or state.fused_ops is not None:
+            ops_seq = state.fused_ops
+            if (
+                ops_seq is not None
+                and state.retry_op is None
+                and state.pending_exc is None
+                and state.fused_index + 1 == len(ops_seq)
+            ):
+                buf = state.fused_results
+                buf[state.fused_index] = state.pending_value
+                state.pending_value = buf
+                state.fused_ops = None
+                state.fused_results = None
+                state.fused_plan = None
+            elif not self._resume_pending(state):
+                return  # blocked again
+
         ctx = state.context
         clock = ctx.time
-        gen_send = state.gen.send
-        gen_throw = state.gen.throw
-        wake_sender = self._wake_send_deliver
-        wake_receiver = self._wake_recv_deliver
+        gen_send = state.send
+        fifo = self._fifo_queue
         now = clock._time
         value = state.pending_value
         exc = state.pending_exc
@@ -980,7 +963,7 @@ class SequentialExecutor(Executor):
                 clock._time = now  # visible to the context body
                 try:
                     if exc is not None:
-                        op = gen_throw(exc)
+                        op = state.gen.throw(exc)
                         exc = None
                     else:
                         op = gen_send(value)
@@ -1039,15 +1022,15 @@ class SequentialExecutor(Executor):
                                 waiter = channel.waiting_sender
                                 if waiter is not None:
                                     channel.waiting_sender = None
-                                    wake_sender(channel, waiter)
+                                    self._wake_send_deliver(channel, waiter)
                                 buf[index] = result
                             elif channel.closed_for_receiver:
                                 exc = ChannelClosed(channel.name)
                                 break  # abandon the batch
                             else:
-                                self._block(
-                                    state, sub, channel._park_deq_msg
-                                )
+                                state.status = _BLOCKED
+                                state.retry_op = sub
+                                state.blocked_detail = channel._park_deq_msg
                                 channel.waiting_receiver = state
                                 parked = True
                                 break
@@ -1092,16 +1075,50 @@ class SequentialExecutor(Executor):
                                 ok = channel.try_enqueue(clock, sub.data)
                                 now = clock._time
                             if not ok:
-                                self._block(
-                                    state, sub, channel._park_enq_msg
-                                )
+                                state.status = _BLOCKED
+                                state.retry_op = sub
+                                state.blocked_detail = channel._park_enq_msg
                                 channel.waiting_sender = state
                                 parked = True
                                 break
                             waiter = channel.waiting_receiver
                             if waiter is not None:
                                 channel.waiting_receiver = None
-                                wake_receiver(channel, waiter)
+                                wop = waiter.retry_op
+                                if (
+                                    code != 2
+                                    and wop is not None
+                                    and wop.__class__ is Dequeue
+                                    and channel._deq_code != 2
+                                ):
+                                    # The hot wake (a fused kit's
+                                    # enqueue feeding a parked peer),
+                                    # open-coded: _wake_recv_deliver's
+                                    # transition on the item appended
+                                    # just above, then _wake.
+                                    wclock = waiter.context.time
+                                    stamp, result = data_q.popleft()
+                                    wnow = wclock._time
+                                    if stamp > wnow:
+                                        wclock._time = wnow = stamp
+                                    stats.dequeues += 1
+                                    if channel._deq_code == 1:
+                                        resps.append(
+                                            wnow + channel.resp_latency
+                                        )
+                                    waiter.retry_op = None
+                                    waiter.pending_value = result
+                                    if waiter.status == _BLOCKED:
+                                        waiter.status = _READY
+                                        waiter.blocked_detail = ""
+                                        self.wakeups += 1
+                                        if fifo is None:
+                                            self.policy.push(waiter, woken=True)
+                                        elif not waiter.in_ready:
+                                            waiter.in_ready = True
+                                            fifo.append(waiter)
+                                else:
+                                    self._wake_recv_deliver(channel, waiter)
                         elif scode == 2:
                             # IncrCycles: latched count rides in the
                             # channel slot.
@@ -1160,7 +1177,7 @@ class SequentialExecutor(Executor):
                             waiter = channel.waiting_sender
                             if waiter is not None:
                                 channel.waiting_sender = None
-                                wake_sender(channel, waiter)
+                                self._wake_send_deliver(channel, waiter)
                             continue
                         value = None
                     else:
@@ -1172,13 +1189,15 @@ class SequentialExecutor(Executor):
                             waiter = channel.waiting_sender
                             if waiter is not None:
                                 channel.waiting_sender = None
-                                wake_sender(channel, waiter)
+                                self._wake_send_deliver(channel, waiter)
                             continue
                     if channel.closed_for_receiver:
                         exc = ChannelClosed(channel.name)
                         continue
                     clock._time = now
-                    self._block(state, op, channel._park_deq_msg)
+                    state.status = _BLOCKED
+                    state.retry_op = op
+                    state.blocked_detail = channel._park_deq_msg
                     channel.waiting_receiver = state
                     return
 
@@ -1223,13 +1242,15 @@ class SequentialExecutor(Executor):
                         now = clock._time
                     if not ok:
                         clock._time = now
-                        self._block(state, op, channel._park_enq_msg)
+                        state.status = _BLOCKED
+                        state.retry_op = op
+                        state.blocked_detail = channel._park_enq_msg
                         channel.waiting_sender = state
                         return
                     waiter = channel.waiting_receiver
                     if waiter is not None:
                         channel.waiting_receiver = None
-                        wake_receiver(channel, waiter)
+                        self._wake_recv_deliver(channel, waiter)
                     continue
 
                 if kind is IncrCycles:

@@ -117,7 +117,7 @@ class ThreadedExecutor(Executor):
         self.obs = obs
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
-        #: Superblock mode (DESIGN.md §15): eligible cold clusters run on
+        #: Cluster hosting (DESIGN.md §15): eligible cold clusters run on
         #: one thread each via an embedded sequential cluster driver;
         #: every other context keeps its own thread.  Scheduling-
         #: independent results are identical either way (the determinism
@@ -382,8 +382,8 @@ class ThreadedExecutor(Executor):
         ctx.time.on_advance = notify
 
     # ------------------------------------------------------------------
-    # Superblocks (DESIGN.md §15): each eligible cold cluster runs on ONE
-    # thread via an embedded SequentialExecutor.  Member clocks are plain
+    # Cluster hosting (DESIGN.md §15): each eligible cold cluster runs on
+    # ONE thread via an embedded SequentialExecutor.  Member clocks are plain
     # unhooked cells that non-member observers read directly (SVA); the
     # driver wakes parked observers at its slice boundaries.
 
@@ -396,15 +396,13 @@ class ThreadedExecutor(Executor):
         the per-context thread structure (tracing buffers and fault
         triggers are wired to ``_drive``).
         """
-        from .partition import plan_clusters
-        from .superblock import normalize_mode, select_clusters
+        from .partition import normalize_mode, plan_clusters, select_clusters
 
         mode = normalize_mode(self.superblocks)
         if mode == "off" or self.obs is not None or self._fault_map:
             return []
         # Checkpointed (and resumed) runs need one thread per context:
-        # the pause protocol's safe points live in _drive, and cluster-
-        # driver sb_* state is not part of any capturable record.
+        # the pause protocol's safe points live in _drive.
         if self._ckpt_timer is not None or self._resuming:
             return []
         clusters = plan_clusters(
@@ -423,7 +421,7 @@ class ThreadedExecutor(Executor):
         self, contexts: list[Context], channels: list[Any]
     ) -> None:
         """Thread body: drive one cold cluster to completion through an
-        embedded sequential engine (superblocks included)."""
+        embedded sequential engine."""
         driver = _ClusterDriver(
             self, [self._time_sync[id(ctx)] for ctx in contexts]
         )
@@ -1056,7 +1054,7 @@ class _ClusterDriver(SequentialExecutor):
     name = "threaded-cluster"
 
     def __init__(self, parent: ThreadedExecutor, member_syncs: list):
-        super().__init__(superblocks=parent.superblocks)
+        super().__init__()
         self._parent = parent
         #: The members' ``_TimeSync`` records, for the slice-boundary wake.
         self._member_syncs = member_syncs

@@ -1,9 +1,8 @@
 """Compiled-plan cache: repeat requests skip graph planning.
 
 Planning work in this runtime is *shape*-determined: the greedy
-edge-weighted partitioner, the cold-cluster plan, and the superblock
-worth-it decision all depend on the graph's topology and observed
-channel traffic, never on tensor values.  A request's
+edge-weighted partitioner and the cold-cluster plan depend on the
+graph's topology and observed channel traffic, never on tensor values.  A request's
 :meth:`~repro.sam.spec.ProgramSpec.shape_key` captures exactly that
 topology, so the serve layer can learn a plan from the first run of a
 shape and replay it for every later request of the same shape:
@@ -12,7 +11,7 @@ shape and replay it for every later request of the same shape:
   becomes full ``pins`` for the next run via
   :func:`~repro.core.executor.partition.pins_from_placement` — with
   every context pinned, ``plan_partition`` does no greedy agglomeration
-  at all, and the §15 ``superblocks="auto"`` planner sees real locality;
+  at all;
 * the observed **channel weights** feed the partitioner and the
   cold-cluster planner for worker counts the placement doesn't cover.
 

@@ -108,6 +108,51 @@ class TestRunConfigWire:
             program.run("sequential", workers=2)
 
 
+class TestSuperblocksField:
+    """``superblocks`` picks the threaded executor's cluster hosting
+    (DESIGN.md §15).  No other executor declares the keyword, so the
+    value is validated on the config itself."""
+
+    @pytest.mark.parametrize(
+        "alias, mode",
+        [
+            (None, "off"), (False, "off"), ("off", "off"),
+            (True, "on"), ("on", "on"),
+            ("auto", "auto"),
+        ],
+    )
+    def test_aliases(self, alias, mode):
+        from repro.core.executor.partition import normalize_mode
+
+        assert normalize_mode(alias) == mode
+        assert RunConfig(superblocks=alias).superblocks == alias
+
+    @pytest.mark.parametrize("bad", ["always", 1, 0.5])
+    def test_unknown_value_is_refused_at_construction(self, bad):
+        with pytest.raises(ValueError, match="superblocks"):
+            RunConfig(superblocks=bad)
+        with pytest.raises(ValueError, match="superblocks"):
+            RunConfig.from_dict({"superblocks": bad})
+        with pytest.raises(ValueError, match="superblocks"):
+            RunConfig().replace(superblocks=bad)
+
+    def test_bad_mode_surfaces_through_run(self):
+        program = tiny_program()
+        with pytest.raises(ValueError, match="superblocks"):
+            program.run(config=RunConfig(superblocks="bogus"))
+
+    def test_only_the_threaded_executors_take_the_keyword(self):
+        from repro import ProcessExecutor, SequentialExecutor, ThreadedExecutor
+
+        for executor_cls in (SequentialExecutor, ProcessExecutor):
+            with pytest.raises(TypeError, match="superblocks"):
+                executor_cls(superblocks="on")
+            assert RunConfig(superblocks="on").kwargs_for(executor_cls) == {}
+        assert RunConfig(superblocks="on").kwargs_for(ThreadedExecutor) == {
+            "superblocks": "on"
+        }
+
+
 class TestRunSummaryWire:
     def test_round_trip(self):
         program = tiny_program()

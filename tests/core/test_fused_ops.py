@@ -10,18 +10,35 @@ surfacing at the yield point; and nested batches rejected.
 
 Every behavioural test runs under both the inline fast path and the
 generic dispatch path (``fast_path=False``) — the two implementations must
-be indistinguishable.
+be indistinguishable.  The last section drives the fast loop's park/wake
+machinery (inline peer delivery, last-constituent resume, mid-batch
+resume, rare ops, slice expiry) against the generic interpreter.
 """
 
 import pytest
 
-from repro.contexts import Collector
+from repro.contexts import (
+    BinaryFunction,
+    Broadcast,
+    Collector,
+    IterableSource,
+    NullSink,
+    RampSource,
+    UnaryFunction,
+)
 from repro.core import (
+    AdvanceTo,
+    Context,
+    DeadlockError,
+    FairPolicy,
     FunctionContext,
     FusedOps,
     IncrCycles,
     ProgramBuilder,
     SequentialExecutor,
+    SimulationError,
+    ViewTime,
+    WaitUntil,
 )
 from repro.core.errors import ChannelClosed
 from repro.obs import Observability
@@ -422,3 +439,329 @@ def summary2_expected(sink):
     builder.add(FunctionContext(producer, handles=[snd], name="src"))
     builder.add(Collector(rcv, ii=3, name="sink"))
     return SequentialExecutor().execute(builder.build()).ops_executed
+
+
+# ----------------------------------------------------------------------
+# Park/wake shapes: fast loop vs generic interpreter, bit for bit.
+# ----------------------------------------------------------------------
+# Each builder returns ``(program, observe)``; ``observe()`` reads what
+# the contexts saw.  Contexts and channels are compared by program
+# position (auto-generated names carry a global counter).
+
+
+def _library_pipeline():
+    """Stock contexts over capacity-2 channels: parks on both sides."""
+    builder = ProgramBuilder()
+    s1, r1 = builder.bounded(2)
+    s2, r2 = builder.bounded(2)
+    builder.add(RampSource(s1, 25))
+    builder.add(UnaryFunction(r1, s2, lambda x: 2 * x))
+    collector = builder.add(Collector(r2))
+    return builder.build(), lambda: list(collector.values)
+
+
+def _capacity_one_ping_pong():
+    """Every hop parks: capacity-1 channels with response latency."""
+    builder = ProgramBuilder()
+    s1, r1 = builder.bounded(1, latency=1, resp_latency=1)
+    s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
+    builder.add(RampSource(s1, 30, ii=1))
+    builder.add(UnaryFunction(r1, s2, lambda x: x + 1, ii=1))
+    collector = builder.add(Collector(r2, ii=2))
+    return builder.build(), lambda: list(collector.values)
+
+
+def _diamond():
+    builder = ProgramBuilder()
+    s_in, r_in = builder.bounded(2)
+    s_a, r_a = builder.bounded(2)
+    s_b, r_b = builder.bounded(2)
+    s_out, r_out = builder.bounded(2)
+    builder.add(RampSource(s_in, 12))
+    builder.add(Broadcast(r_in, [s_a, s_b]))
+    builder.add(BinaryFunction(r_a, r_b, s_out, lambda a, b: a + b))
+    collector = builder.add(Collector(r_out))
+    return builder.build(), lambda: list(collector.values)
+
+
+def _unbounded():
+    builder = ProgramBuilder()
+    snd, rcv = builder.unbounded()
+    builder.add(RampSource(snd, 40, ii=1))
+    collector = builder.add(Collector(rcv, ii=3))
+    return builder.build(), lambda: list(collector.values)
+
+
+def _fused_parks_both_positions():
+    """Tuple batches against capacity-1 channels: the stage parks on a
+    non-last constituent (the dequeue and the enqueue each lead their
+    batch) and is woken with the result delivered mid-batch."""
+
+    class FusedStage(Context):
+        def __init__(self, inp, out):
+            super().__init__()
+            self.inp, self.out = inp, out
+            self.register(inp, out)
+
+        def run(self):
+            while True:
+                value = yield (self.inp.dequeue(), IncrCycles(2))
+                yield (self.out.enqueue(value[0] * 3), IncrCycles(1))
+
+    builder = ProgramBuilder()
+    s1, r1 = builder.bounded(1, latency=1, resp_latency=1)
+    s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
+    builder.add(IterableSource(s1, list(range(20)), ii=1))
+    builder.add(FusedStage(r1, s2))
+    collector = builder.add(Collector(r2, ii=3))
+    return builder.build(), lambda: list(collector.values)
+
+
+def _fused_batch_ending_in_dequeue():
+    """Last-constituent park: the batch's final op is the dequeue, so
+    the waker's delivery completes the batch and the woken slice
+    finalizes it inline."""
+
+    class DeqLast(Context):
+        def __init__(self, inp, out):
+            super().__init__()
+            self.inp, self.out = inp, out
+            self.register(inp, out)
+
+        def run(self):
+            total = 0
+            while True:
+                results = yield (IncrCycles(1), self.inp.dequeue())
+                total += results[1]
+                yield self.out.enqueue(total)
+
+    builder = ProgramBuilder()
+    s1, r1 = builder.bounded(1)
+    s2, r2 = builder.bounded(4)
+    builder.add(RampSource(s1, 15, ii=2))
+    builder.add(DeqLast(r1, s2))
+    collector = builder.add(Collector(r2))
+    return builder.build(), lambda: list(collector.values)
+
+
+def _early_receiver_close():
+    """A receiver that stops early voids the channel under a producer
+    that is parked on it."""
+
+    class TakeTwo(Context):
+        def __init__(self, inp):
+            super().__init__()
+            self.inp = inp
+            self.register(inp)
+
+        def run(self):
+            yield self.inp.dequeue()
+            yield self.inp.dequeue()
+
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(1)
+    source = builder.add(RampSource(snd, 50, ii=1))
+    builder.add(TakeTwo(rcv))
+    return builder.build(), lambda: source.finish_time
+
+
+def _view_time():
+    observed = []
+
+    class Observer(Context):
+        def __init__(self, peer, inp):
+            super().__init__()
+            self.peer, self.inp = peer, inp
+            self.register(inp)
+
+        def run(self):
+            yield self.inp.dequeue()
+            observed.append((yield ViewTime(self.peer)))
+
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(1)
+    source = builder.add(IterableSource(snd, ["x"], initial_delay=42))
+    builder.add(Observer(source, rcv))
+    return builder.build(), lambda: list(observed)
+
+
+def _advance_to():
+    class Jumper(Context):
+        def __init__(self, out):
+            super().__init__()
+            self.out = out
+            self.register(out)
+
+        def run(self):
+            yield AdvanceTo(500)
+            yield self.out.enqueue("late")
+
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(1)
+    jumper = builder.add(Jumper(snd))
+    builder.add(NullSink(rcv))
+    return builder.build(), lambda: jumper.finish_time
+
+
+def _peek():
+    peeked = []
+
+    class Peeker(Context):
+        def __init__(self, inp):
+            super().__init__()
+            self.inp = inp
+            self.register(inp)
+
+        def run(self):
+            peeked.append((yield self.inp.peek()))
+            peeked.append((yield self.inp.dequeue()))
+
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(1)
+    builder.add(IterableSource(snd, [7], initial_delay=5))
+    builder.add(Peeker(rcv))
+    return builder.build(), lambda: list(peeked)
+
+
+def _wait_until():
+    """A registered WaitUntil waiter drops the fast path mid-run (every
+    clock advance must drain it) and restores it once woken."""
+    results = []
+
+    class Waiter(Context):
+        def __init__(self, peer):
+            super().__init__()
+            self.peer = peer
+
+        def run(self):
+            results.append((yield WaitUntil(self.peer, 100)))
+
+    class Mover(Context):
+        def __init__(self, out):
+            super().__init__()
+            self.out = out
+            self.register(out)
+
+        def run(self):
+            for _ in range(20):
+                yield IncrCycles(10)
+                yield self.out.enqueue(0)
+
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(2)
+    mover = builder.add(Mover(snd))
+    builder.add(NullSink(rcv))
+    builder.add(Waiter(mover))
+    return builder.build(), lambda: list(results)
+
+
+_SHAPES = {
+    "pipeline": _library_pipeline,
+    "ping_pong": _capacity_one_ping_pong,
+    "diamond": _diamond,
+    "unbounded": _unbounded,
+    "fused_both_positions": _fused_parks_both_positions,
+    "fused_ends_in_dequeue": _fused_batch_ending_in_dequeue,
+    "early_receiver_close": _early_receiver_close,
+    "view_time": _view_time,
+    "advance_to": _advance_to,
+    "peek": _peek,
+    "wait_until": _wait_until,
+}
+
+#: Run-to-block, and a two-resumption slice that expires between (and,
+#: once a batch has parked, in the middle of) fused batches.
+_POLICIES = {"fifo": lambda: "fifo", "slice2": lambda: FairPolicy(timeslice=2)}
+
+
+def _outcome(build, **executor_kwargs):
+    """``(simulated, summary)`` of one sequential run: everything
+    simulated about it, and the summary for its scheduling counters.
+    (Not simulated: ``max_real_occupancy``, real queue depth, and the
+    counters — a waker that completes the parked op in place (§11)
+    saves the wake-retry-park round the generic handlers take, so
+    switches and wakeups differ between the loops by design.)"""
+    program, observe = build()
+    summary = SequentialExecutor(**executor_kwargs).execute(program)
+    simulated = {
+        "elapsed": summary.elapsed_cycles,
+        "context_times": tuple(
+            summary.context_times[ctx.name] for ctx in program.contexts
+        ),
+        "ops": summary.ops_executed,
+        "channels": tuple(
+            (ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
+            for ch in program.channels
+        ),
+        "observed": observe(),
+    }
+    return simulated, summary
+
+
+class TestParkWakeShapes:
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_fast_matches_generic(self, shape, policy):
+        build = _SHAPES[shape]
+        fast, fast_summary = _outcome(
+            build, policy=_POLICIES[policy](), fast_path=True
+        )
+        generic, generic_summary = _outcome(
+            build, policy=_POLICIES[policy](), fast_path=False
+        )
+        assert fast == generic
+        assert fast["ops"] > 0
+        if policy == "fifo":
+            # Run-to-block never preempts, whichever loop drives.
+            assert fast_summary.preemptions == 0
+            assert generic_summary.preemptions == 0
+
+    def test_delivered_values(self):
+        def observed(build):
+            return _outcome(build)[0]["observed"]
+
+        assert observed(_capacity_one_ping_pong) == [i + 1 for i in range(30)]
+        assert observed(_fused_parks_both_positions) == [
+            3 * i for i in range(20)
+        ]
+        totals = [sum(range(i + 1)) for i in range(15)]
+        assert observed(_fused_batch_ending_in_dequeue) == totals
+        assert observed(_peek) == [7, 7]
+
+    @BOTH_PATHS
+    def test_wait_until_returns_the_threshold_crossing(self, fast):
+        """The deterministic host wakes the waiter at the advance that
+        crosses the threshold, so it reads exactly 100 — not a later
+        bound — whichever loop ran the mover."""
+        simulated, _ = _outcome(_wait_until, fast_path=fast)
+        assert simulated["observed"] == [100]
+
+    @BOTH_PATHS
+    def test_deadlock_reported(self, fast):
+        class Hold(Context):
+            def __init__(self, inp, out):
+                super().__init__()
+                self.inp, self.out = inp, out
+                self.register(inp, out)
+
+            def run(self):
+                value = yield self.inp.dequeue()
+                yield self.out.enqueue(value)
+
+        builder = ProgramBuilder()
+        s1, r1 = builder.bounded(1)
+        s2, r2 = builder.bounded(1)
+        builder.add(Hold(r1, s2))
+        builder.add(Hold(r2, s1))
+        with pytest.raises(DeadlockError, match="dequeue on empty"):
+            run(builder, fast)
+
+    @BOTH_PATHS
+    def test_max_ops_abort(self, fast):
+        """``max_ops`` retreats to the generic loop whatever ``fast_path``
+        asks for; the valve fires at the same op either way."""
+        program, _ = _capacity_one_ping_pong()
+        executor = SequentialExecutor(max_ops=50, fast_path=fast)
+        with pytest.raises(SimulationError, match="max_ops=50"):
+            executor.execute(program)
+        assert executor.ops_executed == 51

@@ -1,4 +1,5 @@
-"""Threaded-executor-specific behaviour: watchdog, error propagation."""
+"""Threaded-executor-specific behaviour: watchdog, error propagation,
+cluster hosting (DESIGN.md §15)."""
 
 import pytest
 
@@ -7,10 +8,13 @@ from repro import (
     DeadlockError,
     IncrCycles,
     ProgramBuilder,
+    RunConfig,
     SimulationError,
     ThreadedExecutor,
 )
-from repro.contexts import Collector, RampSource
+from repro.contexts import Collector, NullSink, RampSource, UnaryFunction
+from repro.core import plan_clusters
+from repro.core.executor.partition import select_clusters
 
 
 class Exploder(Context):
@@ -123,3 +127,79 @@ class TestThreadedErrors:
             poll_interval=0.01, deadlock_grace=0.05
         ).execute(builder.build())
         assert sink.values == [sum(range(600_000))]
+
+
+def _two_pipelines():
+    """Two disconnected source→sink pipelines: two cold clusters."""
+    builder = ProgramBuilder()
+    for _ in range(2):
+        snd, rcv = builder.bounded(2)
+        builder.add(RampSource(snd, 5))
+        builder.add(NullSink(rcv))
+    return builder.build()
+
+
+def _cold_clusters(program):
+    return plan_clusters(program, {id(ctx): 0 for ctx in program.contexts})
+
+
+class TestClusterHosting:
+    """``superblocks`` picks which cold clusters share one driver thread."""
+
+    def test_single_member_clusters_never_selected(self):
+        class Loner(Context):
+            def run(self):
+                yield IncrCycles(3)
+
+        builder = ProgramBuilder()
+        snd, rcv = builder.bounded(2)
+        builder.add(RampSource(snd, 3))
+        builder.add(NullSink(rcv))
+        builder.add(Loner())  # channel-less: a 1-member cluster
+        program = builder.build()
+        clusters = _cold_clusters(program)
+        assert len(clusters) == 2
+        selected = select_clusters(program, clusters, "on")
+        assert [spec.size for spec in selected] == [2]
+
+    def test_fresh_program_auto_selects_everything(self):
+        program = _two_pipelines()
+        assert len(select_clusters(program, _cold_clusters(program), "auto")) == 2
+
+    def test_auto_skips_zero_traffic_clusters_once_observed(self):
+        program = _two_pipelines()
+        clusters = _cold_clusters(program)
+        # Traffic observed on the first pipeline's channel only.
+        program.channels[0].stats.enqueues = 5
+        program.channels[0].stats.dequeues = 5
+        assert len(select_clusters(program, clusters, "auto")) == 1
+        # "on" still selects both regardless of observations.
+        assert len(select_clusters(program, clusters, "on")) == 2
+
+    def test_every_mode_matches_sequential(self):
+        """Capacity-1 ping-pong (every hop parks) on one driver thread or
+        on three context threads: same simulated run as sequential."""
+
+        def run(executor, mode=None):
+            builder = ProgramBuilder()
+            s1, r1 = builder.bounded(1, latency=1, resp_latency=1)
+            s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
+            builder.add(RampSource(s1, 12, ii=1))
+            builder.add(UnaryFunction(r1, s2, lambda x: x + 1, ii=1))
+            collector = builder.add(Collector(r2, ii=2))
+            program = builder.build()
+            summary = program.run(executor, config=RunConfig(superblocks=mode))
+            return (
+                summary.elapsed_cycles,
+                tuple(summary.context_times[ctx.name] for ctx in program.contexts),
+                summary.ops_executed,
+                tuple(
+                    (ch.stats.enqueues, ch.stats.dequeues)
+                    for ch in program.channels
+                ),
+                list(collector.values),
+            )
+
+        reference = run("sequential")
+        for mode in ("off", "on", "auto"):
+            assert run("threaded", mode) == reference, f"superblocks={mode}"

@@ -374,46 +374,71 @@ class TestWorkStealing:
 
 
 # ----------------------------------------------------------------------
-# Superblock compilation (DESIGN.md §15): the same kernels with cold
-# clusters compiled to straight-line drivers must remain bit-identical
-# to the un-superblocked reference on every runtime.
+# Cluster hosting (DESIGN.md §15): the threaded executor may drive each
+# cold cluster on one thread instead of one thread per context; the
+# results must not move.  No other executor reads the field.
 # ----------------------------------------------------------------------
 
 
-class TestSuperblockModes:
+class TestClusterHostingModes:
     @pytest.mark.parametrize("kernel_name", sorted(_KERNELS))
-    def test_results_identical_across_executors_and_modes(self, kernel_name):
+    def test_threaded_results_identical_across_modes(self, kernel_name):
         from repro.core import RunConfig
 
         build = _KERNELS[kernel_name]
         reference_kernel = build()
-        reference = _signature(
-            reference_kernel,
-            reference_kernel.run(config=RunConfig(superblocks="off")),
+        reference = _signature(reference_kernel, reference_kernel.run())
+        for mode in ("off", "on"):
+            kernel = build()
+            summary = kernel.run(
+                executor="threaded", config=RunConfig(superblocks=mode)
+            )
+            assert _signature(kernel, summary) == reference, (
+                f"{kernel_name} on threaded with superblocks={mode} "
+                "diverged from the sequential reference"
+            )
+
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
+    def test_field_is_inert_off_the_threaded_executor(self, executor):
+        """Summaries — cycles, ops and the scheduling counters — do not
+        depend on the field where nothing reads it.  The process leg
+        runs a zero-cut graph (one pipeline per worker, no stealing) on
+        short slices: its counters are then deterministic, and busy."""
+        from repro.core import RunConfig
+
+        kwargs = (
+            {}
+            if executor == "sequential"
+            else {"workers": 2, "steal": False, "timeslice": 4}
         )
-        legs = [
-            ("sequential", {}),
-            ("threaded", {}),
-            ("process", {"workers": 2}),
-            ("free-threaded", {"workers": 2}),
-        ]
-        for executor, kwargs in legs:
-            for mode in ("off", "on"):
-                kernel = build()
-                summary = kernel.run(
-                    executor=executor,
-                    config=RunConfig(superblocks=mode, **kwargs),
+        outcomes = []
+        for mode in (None, "off", "on", "auto"):
+            kernel = (
+                _build_spmspm_kernel()
+                if executor == "sequential"
+                else _build_parallel_mha_kernel(parallelism=2)
+            )
+            summary = kernel.run(
+                executor=executor,
+                config=RunConfig(superblocks=mode, **kwargs),
+            )
+            outcomes.append(
+                (
+                    _signature(kernel, summary),
+                    summary.ops_executed,
+                    summary.context_switches,
+                    summary.wakeups,
+                    summary.preemptions,
                 )
-                assert _signature(kernel, summary) == reference, (
-                    f"{kernel_name} on {executor} with superblocks={mode} "
-                    "diverged from the un-superblocked reference"
-                )
+            )
+        assert outcomes[0][3] > 0  # the run does park and wake
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
     def test_trace_and_profile_identical_across_modes(self):
-        """Traced runs retreat to the generic dispatch path (tracing
-        disables the fast loop the superblock turns run on), so the
-        merged event stream and the derived profile must be identical
-        whatever superblock mode was requested."""
+        """Tracing needs the per-context thread structure, so a traced
+        threaded run hosts no cluster whatever mode was requested: the
+        merged event stream and the derived profile must match the
+        sequential ones."""
         from repro.core import RunConfig
         from repro.obs import Observability
 
@@ -430,13 +455,52 @@ class TestSuperblockModes:
             ]
             return _signature(kernel, summary), events, summary.profile
 
-        reference = run("sequential", "off")
-        for executor in ("sequential", "threaded"):
-            for mode in ("on", "auto"):
-                outcome = run(executor, mode)
-                assert outcome == reference, (
-                    f"{executor} superblocks={mode}: trace/profile diverged"
+        reference = run("sequential", None)
+        for mode in ("on", "auto"):
+            assert run("threaded", mode) == reference, (
+                f"threaded superblocks={mode}: trace/profile diverged"
+            )
+
+
+# ----------------------------------------------------------------------
+# Table I quantities (context switches, wakeups, preemptions) come from
+# the scheduling policy, never from who drives the loop.
+# ----------------------------------------------------------------------
+
+
+class TestSchedulingCounters:
+    def test_fifo_never_preempts(self):
+        kernel = _build_spmspm_kernel()
+        summary = SequentialExecutor(policy="fifo").execute(kernel.program)
+        assert summary.wakeups > 0  # the graph does park and wake
+        assert summary.preemptions == 0
+
+    def test_fair_counters_ignore_the_hosting_field(self):
+        """The Table I graph (``benchmarks/bench_table1_scheduling.py``)
+        under its CFS-like policy."""
+        from repro.core import RunConfig
+        from repro.sam.graphs import build_parallel_mha
+
+        rng = np.random.default_rng(0)
+        heads, seq_len, d = 4, 10, 4
+        mask = (rng.random((heads, seq_len, seq_len)) < 0.4).astype(float)
+        for h in range(heads):
+            np.fill_diagonal(mask[h], 1.0)
+        q, k, v = (rng.standard_normal((heads, seq_len, d)) for _ in range(3))
+
+        counters = set()
+        for mode in (None, "off", "on", "auto"):
+            mha = build_parallel_mha(mask, q, k, v, parallelism=4)
+            summary = mha.program.run(
+                config=RunConfig(
+                    policy=FairPolicy(timeslice=16), superblocks=mode
                 )
+            )
+            counters.add(
+                (summary.context_switches, summary.wakeups, summary.preemptions)
+            )
+        assert len(counters) == 1
+        assert min(counters.pop()) > 0
 
 
 # ----------------------------------------------------------------------
@@ -487,14 +551,15 @@ class TestBodyVisibleClock:
                 sink.values,
             )
 
-        reference = run("sequential", fast_path=False, superblocks="off")
+        reference = run("sequential", fast_path=False)
         assert len(reference[3]) > 10
-        legs = [("sequential", {}), ("threaded", {})]
+        legs = [("sequential", {})]
+        legs += [
+            ("threaded", {"superblocks": mode}) for mode in ("off", "on", "auto")
+        ]
         legs += [("process", {"workers": n}) for n in (1, 2, 3)]
         for executor, kwargs in legs:
-            for mode in ("off", "on", "auto"):
-                outcome = run(executor, superblocks=mode, **kwargs)
-                assert outcome == reference, (
-                    f"{executor} {kwargs} superblocks={mode}: a body saw a "
-                    "different clock than the reference interpreter showed it"
-                )
+            assert run(executor, **kwargs) == reference, (
+                f"{executor} {kwargs}: a body saw a different clock than "
+                "the reference interpreter showed it"
+            )
