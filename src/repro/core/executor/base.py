@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time as _wallclock
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -231,9 +232,43 @@ class Executor:
         ]
         return max(times, default=0)
 
+    def _summary(
+        self, program: "Program", start: float, policy: str, **counters
+    ) -> RunSummary:
+        """The run's summary as of now, for a run that began at wall
+        clock ``start``: finish times where a context completed, current
+        (lower-bound) clocks elsewhere — none after a run that finished,
+        best effort for one being aborted."""
+        return RunSummary(
+            elapsed_cycles=self._makespan(program),
+            real_seconds=_wallclock.perf_counter() - start,
+            context_times={
+                ctx.name: (
+                    ctx.finish_time
+                    if ctx.finish_time is not None
+                    else ctx.time.now()
+                )
+                for ctx in program.contexts
+            },
+            executor=self.name,
+            policy=policy,
+            **counters,
+        )
+
     # ------------------------------------------------------------------
     # Shared observability hooks.
     # ------------------------------------------------------------------
+
+    def _publish_stalls(self, stalls: list):
+        """Wrap ``stalls`` in a :class:`~repro.obs.stall.StallReport`
+        and leave it on the run's obs bundle, where a caller that catches
+        the deadlock or timeout reads it."""
+        from ...obs.stall import StallReport
+
+        report = StallReport(stalls)
+        if self.obs is not None:
+            self.obs.stall_report = report
+        return report
 
     def _attach_profile(self, summary: RunSummary, program: "Program", obs) -> None:
         """Compute the performance-attribution report from the run's trace

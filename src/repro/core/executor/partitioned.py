@@ -106,6 +106,7 @@ from .partition import ClusterSpec, PartitionPlan, plan_clusters, plan_partition
 from .policies import SchedulingPolicy, make_policy
 from .registry import register_executor
 from .sequential import _BLOCKED, _DONE, SequentialExecutor, _ContextState
+from .sequential import traced_fast_loop
 from .shm import (
     CKPT_DUMP,
     CKPT_PAUSE,
@@ -1588,6 +1589,10 @@ class ProcessExecutor(Executor):
         )
         if self.checkpoint_path is not None:
             _ckpt.validate_checkpointable(program)
+        if self.obs is not None and self.obs.trace is not None:
+            # Build the traced slice loop once, here, so every forked
+            # worker inherits it instead of compiling its own.
+            traced_fast_loop()
 
         contexts = program.contexts
         layout = ArenaLayout()
@@ -2058,9 +2063,7 @@ class ProcessExecutor(Executor):
             for payload in payloads.values():
                 if payload.get("stalls"):
                     stalls.extend(payload["stalls"])
-            report = StallReport(stalls)
-            if self.obs is not None:
-                self.obs.stall_report = report
+            report = self._publish_stalls(stalls)
             if self._deadline_hit:
                 error = self._timeout_failure(payloads, program, clocks,
                                               report, start)

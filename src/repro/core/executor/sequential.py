@@ -25,19 +25,22 @@ Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 record per-context trace buffers and fold run metrics.
 
 Dispatch is a ``type(op) → bound handler`` table plus an *inline fast
-path* (DESIGN.md §11): when tracing is off, no ``WaitUntil`` waiter is
-registered, and no ``max_ops`` valve is set, the slice loop executes
+path* (DESIGN.md §11): when no ``WaitUntil`` waiter is registered and no
+``max_ops`` valve is set, the slice loop executes
 enqueue/dequeue/IncrCycles — and :class:`~repro.core.ops.FusedOps`
 batches of them — inline against the channels' flavor-specialized
-methods, paying zero per-op tracing/waiter conditionals.  Every other
-configuration (and every rare op) goes through the generic handlers,
-which perform the identical semantic transitions with the bookkeeping
-checks in place.
+methods, paying zero per-op tracing/waiter conditionals: a traced run
+binds :func:`traced_fast_loop`, the same loop compiled with its
+``#T``-marked row appends live.  Every other configuration (and every
+rare op) goes through the generic handlers, which perform the identical
+semantic transitions with the bookkeeping checks in place.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect as _inspect
+import re
 import time as _wallclock
 from typing import Any, Optional
 
@@ -88,10 +91,6 @@ class _DeadlineExpired(BaseException):
     :class:`~repro.core.errors.RunTimeoutError` (with a partial summary
     attached) in :meth:`SequentialExecutor.execute`.
     """
-
-#: Sentinel returned by :meth:`SequentialExecutor._fuse_fast` when the
-#: batch parked mid-way (fused state saved on the context).
-_PARKED = object()
 
 #: Constituent kind codes in a compiled :class:`FusedOps` plan.
 _K_DEQ = 0
@@ -147,6 +146,34 @@ def _compile_plan(subs):
             # proper error.
             entries.append((_K_OTHER, sub, None, None, None, None))
     return tuple(entries), [None] * len(entries)
+
+
+@functools.cache
+def traced_fast_loop():
+    """:meth:`SequentialExecutor._run_slice_fast` with tracing compiled
+    in: the method's own source lines with the marker stripped from
+    every ``#T``-marked statement (comments to the method Python
+    compiles from this file, so an untraced run pays nothing for them).
+
+    Built on first traced use and kept for the life of the process — the
+    process executor resolves it before forking so workers inherit it.
+    The source is padded to the method's place in this file and compiled
+    under this file's name: tracebacks, coverage and breakpoints land on
+    the real lines.
+    """
+    method = SequentialExecutor._run_slice_fast
+    lines, first = _inspect.getsourcelines(method)
+    source = re.sub(r"(?m)^(\s*)#T ", r"\1", "".join(lines))
+    # ``if 1:`` stands in for the class statement the method is indented
+    # under.
+    code = compile(
+        "\n" * (first - 2) + "if 1:\n" + source,
+        method.__code__.co_filename,
+        "exec",
+    )
+    namespace: dict = {}
+    exec(code, globals(), namespace)
+    return namespace["_run_slice_fast"]
 
 
 class _ContextState:
@@ -217,9 +244,10 @@ class SequentialExecutor(Executor):
         A :class:`repro.obs.Observability` collecting the run's trace
         and/or metrics.
     fast_path:
-        When True (default) and the run is eligible (no tracing, no
-        ``max_ops``, no registered ``WaitUntil`` waiter), slices run the
-        inline fast loop.  Set False to force every op — including each
+        When True (default) and the run is eligible (no ``max_ops``, no
+        registered ``WaitUntil`` waiter), slices run the inline fast
+        loop — its traced variant when ``obs`` records a trace.  Set
+        False to force every op — including each
         :class:`FusedOps` constituent — through the generic handler
         table one at a time; the simulated results are identical by
         construction, which is what the equivalence tests assert.
@@ -333,11 +361,16 @@ class SequentialExecutor(Executor):
 
         # Inline fast path eligibility is computed once; it only drops
         # (and later recovers) around registered WaitUntil waiters, so
-        # the fast loop itself carries no tracing/waiter/max_ops checks.
-        self._fast_capable = (
-            self.fast_path and trace is None and self.max_ops is None
-        )
+        # the fast loop itself carries no waiter/max_ops checks — and no
+        # tracing checks either: a traced run binds the variant of the
+        # loop whose marked statements are live.
+        self._fast_capable = self.fast_path and self.max_ops is None
         self._fast = self._fast_capable
+        self._fast_loop = (
+            self._run_slice_fast
+            if trace is None
+            else traced_fast_loop().__get__(self)
+        )
 
         # Deadlines and context faults both need the loop to come up for
         # air: force bounded slices (run-to-block would otherwise let one
@@ -376,19 +409,14 @@ class SequentialExecutor(Executor):
             self._schedule_loop(collect_wall)
             unfinished = [st for st in states.values() if st.status != _DONE]
             if unfinished:
-                report = self._stall_report(unfinished)
-                if obs is not None:
-                    obs.stall_report = report
-                raise DeadlockError(report.lines())
+                raise DeadlockError(self._stall_report(unfinished).lines())
         except _DeadlineExpired:
             blocked = [st for st in states.values() if st.status == _BLOCKED]
             report = self._stall_report(blocked)
-            if obs is not None:
-                obs.stall_report = report
             raise RunTimeoutError(
                 self.deadline_s,
                 executor=self.name,
-                summary=self._partial_summary(program, start),
+                summary=self._run_summary(program, start),
                 stall_report=report,
             ) from None
         finally:
@@ -401,21 +429,8 @@ class SequentialExecutor(Executor):
             self._close_generators(states)
             self._stop_sampler(sampler, obs)
 
-        elapsed = self._makespan(program)
-        summary = RunSummary(
-            elapsed_cycles=elapsed,
-            real_seconds=_wallclock.perf_counter() - start,
-            context_times={
-                ctx.name: ctx.finish_time for ctx in program.contexts
-            },
-            executor=self.name,
-            policy=self.policy.name,
-            context_switches=self.context_switches,
-            wakeups=self.wakeups,
-            preemptions=self.preemptions,
-            ops_executed=self.ops_executed,
-            metrics=self._fold_metrics(program, states),
-        )
+        summary = self._run_summary(program, start)
+        summary.metrics = self._fold_metrics(program, states)
         self._attach_profile(summary, program, obs)
         return summary
 
@@ -458,7 +473,7 @@ class SequentialExecutor(Executor):
             # eligibility is re-read per slice because a WaitUntil
             # registration drops it mid-run.
             run_slice = self._run_slice
-            run_fast = self._run_slice_fast
+            run_fast = self._fast_loop
             while True:
                 while queue:
                     state = queue.popleft()
@@ -547,24 +562,17 @@ class SequentialExecutor(Executor):
             # a delivered Enqueue result is None, indistinguishable from
             # "never primed" by pending_value alone.
             return _ckpt.record_fresh(ctx)
-        if state.fused_ops is not None:
-            index = state.fused_index
-            executed = state.retry_op is None
-            return _ckpt.record_suspended(
-                ctx,
-                executed=executed,
-                pending_value=state.pending_value if executed else None,
-                pending_exc=state.pending_exc,
-                fused_index=index,
-                fused_prefix=list(state.fused_results[:index]),
-                fused_len=len(state.fused_ops),
-            )
         executed = state.retry_op is None
+        fused = state.fused_ops is not None
+        index = state.fused_index
         return _ckpt.record_suspended(
             ctx,
             executed=executed,
             pending_value=state.pending_value if executed else None,
             pending_exc=state.pending_exc,
+            fused_index=index if fused else None,
+            fused_prefix=list(state.fused_results[:index]) if fused else None,
+            fused_len=len(state.fused_ops) if fused else None,
         )
 
     def _capture_checkpoint(self) -> None:
@@ -663,22 +671,11 @@ class SequentialExecutor(Executor):
 
     # ------------------------------------------------------------------
 
-    def _partial_summary(self, program: Program, start: float) -> RunSummary:
-        """Best-effort summary for an aborted run: finish times where a
-        context completed, current (lower-bound) clocks elsewhere."""
-        return RunSummary(
-            elapsed_cycles=self._makespan(program),
-            real_seconds=_wallclock.perf_counter() - start,
-            context_times={
-                ctx.name: (
-                    ctx.finish_time
-                    if ctx.finish_time is not None
-                    else ctx.time.now()
-                )
-                for ctx in program.contexts
-            },
-            executor=self.name,
-            policy=self.policy.name,
+    def _run_summary(self, program: Program, start: float) -> RunSummary:
+        return self._summary(
+            program,
+            start,
+            self.policy.name,
             context_switches=self.context_switches,
             wakeups=self.wakeups,
             preemptions=self.preemptions,
@@ -706,7 +703,7 @@ class SequentialExecutor(Executor):
                     peer=peer,
                 )
             )
-        return StallReport(stalls)
+        return self._publish_stalls(stalls)
 
     def _fold_metrics(
         self, program: Program, states: dict[int, _ContextState]
@@ -753,7 +750,7 @@ class SequentialExecutor(Executor):
                 state.pending_exc = fault.make()
 
         if self._fast:
-            self._run_slice_fast(state, remaining)
+            self._fast_loop(state, remaining)
             return
 
         # A context woken from a blocking op must first complete that op
@@ -799,16 +796,7 @@ class SequentialExecutor(Executor):
             return True
         state.pending_value = None
         if self._fast and entries is not None:
-            outcome = self._fuse_fast(
-                state, ops_seq, entries, index + 1, results
-            )
-            if outcome is _PARKED:
-                return False
-            if outcome.__class__ is list:
-                state.pending_value = outcome
-            else:
-                state.pending_exc = outcome
-            return True
+            return self._fuse_fast(state, ops_seq, entries, index + 1, results)
         return self._run_fusion(state, ops_seq, index + 1, results)
 
     def _run_fusion(self, state, ops_seq, index: int, results: list) -> bool:
@@ -874,14 +862,10 @@ class SequentialExecutor(Executor):
 
             kind = op.__class__
             if kind is FusedOps:
-                if not self._run_fusion(
-                    state, op.ops, 0, [None] * len(op.ops)
-                ):
-                    return  # blocked mid-batch
-                continue
+                op, kind = op.ops, tuple  # a batch is its tuple of ops here
             if kind is tuple or kind is list:
                 if not self._run_fusion(state, op, 0, [None] * len(op)):
-                    return
+                    return  # blocked mid-batch
                 continue
             self.ops_executed += 1
             state.ops += 1
@@ -898,11 +882,19 @@ class SequentialExecutor(Executor):
     def _run_slice_fast(self, state: _ContextState, remaining: int) -> None:
         """Inline fast loop (DESIGN.md §11).
 
-        Eligible only when tracing is off, ``max_ops`` is unset, and no
-        WaitUntil waiter is registered — which is what lets the hot ops
+        Eligible only when ``max_ops`` is unset and no WaitUntil waiter
+        is registered — which is what lets the hot ops
         (enqueue/dequeue/IncrCycles and FusedOps batches of them) run
         against the channels' flavor-specialized transitions with zero
-        per-op bookkeeping conditionals.  Every context this executor
+        per-op bookkeeping conditionals.  Tracing is not a conditional
+        either: a statement behind the ``#T`` marker is a comment here
+        and live in :func:`traced_fast_loop`, which a traced run binds
+        instead.  There is one per completion site — it appends the
+        ``(kind, channel, time, payload)`` row the generic handler would,
+        to the buffer of the context whose op completed (the waiter's,
+        at the waiter's clock, where the loop completes a parked peer's
+        op in place) — and nothing else may differ between the two, so
+        a change to this loop changes both.  Every context this executor
         (or a subclass) hosts owns a plain :class:`TimeCell` with no
         ``on_advance`` hook — hosts that must publish clocks do so at
         the slice boundary, never per advance — so the common channel
@@ -951,6 +943,8 @@ class SequentialExecutor(Executor):
         clock = ctx.time
         gen_send = state.send
         fifo = self._fifo_queue
+        #T record = state.buffer.rows.append
+        #T keep = state.buffer.capture_payloads
         now = clock._time
         value = state.pending_value
         exc = state.pending_exc
@@ -1024,6 +1018,10 @@ class SequentialExecutor(Executor):
                                     channel.waiting_sender = None
                                     self._wake_send_deliver(channel, waiter)
                                 buf[index] = result
+                                #T record((
+                                #T     "dequeue", channel.name, now,
+                                #T     result if keep else None,
+                                #T ))
                             elif channel.closed_for_receiver:
                                 exc = ChannelClosed(channel.name)
                                 break  # abandon the batch
@@ -1081,6 +1079,10 @@ class SequentialExecutor(Executor):
                                 channel.waiting_sender = state
                                 parked = True
                                 break
+                            #T record((
+                            #T     "enqueue", channel.name, now,
+                            #T     sub.data if keep else None,
+                            #T ))
                             waiter = channel.waiting_receiver
                             if waiter is not None:
                                 channel.waiting_receiver = None
@@ -1106,6 +1108,10 @@ class SequentialExecutor(Executor):
                                         resps.append(
                                             wnow + channel.resp_latency
                                         )
+                                    #T waiter.buffer.rows.append((
+                                    #T     "dequeue", channel.name, wnow,
+                                    #T     result if keep else None,
+                                    #T ))
                                     waiter.retry_op = None
                                     waiter.pending_value = result
                                     if waiter.status == _BLOCKED:
@@ -1124,6 +1130,7 @@ class SequentialExecutor(Executor):
                             # channel slot.
                             if channel:
                                 now += channel
+                            #T record(("advance", None, now, None))
                         else:
                             # Rare constituent: generic handler (raises
                             # on a nested batch).
@@ -1178,6 +1185,10 @@ class SequentialExecutor(Executor):
                             if waiter is not None:
                                 channel.waiting_sender = None
                                 self._wake_send_deliver(channel, waiter)
+                            #T record((
+                            #T     "dequeue", channel.name, now,
+                            #T     value if keep else None,
+                            #T ))
                             continue
                         value = None
                     else:
@@ -1190,6 +1201,10 @@ class SequentialExecutor(Executor):
                             if waiter is not None:
                                 channel.waiting_sender = None
                                 self._wake_send_deliver(channel, waiter)
+                            #T record((
+                            #T     "dequeue", channel.name, now,
+                            #T     value if keep else None,
+                            #T ))
                             continue
                     if channel.closed_for_receiver:
                         exc = ChannelClosed(channel.name)
@@ -1247,6 +1262,10 @@ class SequentialExecutor(Executor):
                         state.blocked_detail = channel._park_enq_msg
                         channel.waiting_sender = state
                         return
+                    #T record((
+                    #T     "enqueue", channel.name, now,
+                    #T     op.data if keep else None,
+                    #T ))
                     waiter = channel.waiting_receiver
                     if waiter is not None:
                         channel.waiting_receiver = None
@@ -1261,6 +1280,7 @@ class SequentialExecutor(Executor):
                         clock._time = now
                         clock.incr(cycles)
                         now = clock._time
+                    #T record(("advance", None, now, None))
                     continue
 
                 # Rare op: Peek/AdvanceTo/ViewTime/WaitUntil (or a junk
@@ -1290,22 +1310,25 @@ class SequentialExecutor(Executor):
         index: int,
         results: list,
     ):
-        """Plan-based fused-batch runner for the post-park resume path.
-        Executes the compiled ``entries[index:]``, writing each
-        constituent's result into the pre-sized ``results`` list, and
-        returns the completed results list, an exception to throw at the
-        yield (abandoning the batch), or :data:`_PARKED` after saving
-        the fused state on ``state``.  Op accounting matches the generic
-        path: every *attempted* constituent counts once, including the
-        one that parked or raised (retries after a park do not
-        re-count).
+        """Plan-based fused-batch runner for the post-park resume path:
+        :meth:`_run_fusion` over the compiled ``entries[index:]``, with
+        the same outcome protocol — the completed ``results`` list in
+        ``pending_value``, or an exception to throw at the yield
+        (abandoning the batch) in ``pending_exc``, or False after
+        parking with the fused state saved on ``state``.  Op accounting
+        matches too: every *attempted* constituent counts once,
+        including the one that parked or raised (retries after a park
+        do not re-count).  Off the hot path (the batch already parked
+        once), so tracing is a plain ``buffer is not None`` check per
+        completion.
         """
         clock = state.context.time
+        buffer = state.buffer
         wake_sender = self._wake_send_deliver
         wake_receiver = self._wake_recv_deliver
         total = len(entries)
         start = index
-        exc = None
+        parked = False
         while index < total:
             scode, sub, channel, data_q, resps, stats = entries[index]
             if scode == 0:  # Dequeue
@@ -1329,20 +1352,18 @@ class SequentialExecutor(Executor):
                         channel.waiting_sender = None
                         wake_sender(channel, waiter)
                     results[index] = result
+                    if buffer is not None:
+                        buffer.append(
+                            "dequeue", channel.name, clock._time, result
+                        )
                 elif channel.closed_for_receiver:
-                    exc = ChannelClosed(channel.name)
+                    state.pending_exc = ChannelClosed(channel.name)
                     break  # abandon the batch
                 else:
                     self._block(state, sub, channel._park_deq_msg)
                     channel.waiting_receiver = state
-                    state.fused_ops = ops_seq
-                    state.fused_index = index
-                    state.fused_results = results
-                    state.fused_plan = entries
-                    attempted = index - start + 1
-                    self.ops_executed += attempted
-                    state.ops += attempted
-                    return _PARKED
+                    parked = True
+                    break
             elif scode == 1:  # Enqueue
                 code = channel._enq_code
                 if code == 1:
@@ -1381,14 +1402,12 @@ class SequentialExecutor(Executor):
                 if not ok:
                     self._block(state, sub, channel._park_enq_msg)
                     channel.waiting_sender = state
-                    state.fused_ops = ops_seq
-                    state.fused_index = index
-                    state.fused_results = results
-                    state.fused_plan = entries
-                    attempted = index - start + 1
-                    self.ops_executed += attempted
-                    state.ops += attempted
-                    return _PARKED
+                    parked = True
+                    break
+                if buffer is not None:
+                    buffer.append(
+                        "enqueue", channel.name, clock._time, sub.data
+                    )
                 waiter = channel.waiting_receiver
                 if waiter is not None:
                     channel.waiting_receiver = None
@@ -1397,34 +1416,33 @@ class SequentialExecutor(Executor):
                 # IncrCycles: latched count rides in the channel slot.
                 if channel:
                     clock._time += channel
+                if buffer is not None:
+                    buffer.append("advance", None, clock._time)
             else:
                 # Rare constituent: generic handler (raises on a nested
                 # FusedOps/tuple/list).
                 if not self._dispatch(state, sub):
-                    state.fused_ops = ops_seq
-                    state.fused_index = index
-                    state.fused_results = results
-                    state.fused_plan = entries
-                    attempted = index - start + 1
-                    self.ops_executed += attempted
-                    state.ops += attempted
-                    return _PARKED
+                    parked = True
+                    break
                 if state.pending_exc is not None:
-                    exc = state.pending_exc
-                    state.pending_exc = None
                     break
                 results[index] = state.pending_value
                 state.pending_value = None
             index += 1
-        if exc is None:
-            attempted = total - start
-            self.ops_executed += attempted
-            state.ops += attempted
-            return results
-        attempted = index - start + 1
+        # ``index`` stopped on the constituent that parked or raised,
+        # or ran off the end.
+        attempted = min(index + 1, total) - start
         self.ops_executed += attempted
         state.ops += attempted
-        return exc
+        if parked:
+            state.fused_ops = ops_seq
+            state.fused_index = index
+            state.fused_results = results
+            state.fused_plan = entries
+            return False
+        if state.pending_exc is None:
+            state.pending_value = results
+        return True
 
     def _dispatch(self, state: _ContextState, op: Op) -> bool:
         """Attempt ``op`` via its handler; return False (and park the
@@ -1597,6 +1615,10 @@ class SequentialExecutor(Executor):
                     stats.max_real_occupancy = occ
                 waiter.retry_op = None
                 waiter.pending_value = None
+                if waiter.buffer is not None:
+                    waiter.buffer.append(
+                        "enqueue", channel.name, wclock._time, op.data
+                    )
         self._wake(waiter)
 
     def _wake_recv_deliver(self, channel, waiter: "_ContextState") -> None:
@@ -1621,6 +1643,10 @@ class SequentialExecutor(Executor):
                     )
                 waiter.retry_op = None
                 waiter.pending_value = result
+                if waiter.buffer is not None:
+                    waiter.buffer.append(
+                        "dequeue", channel.name, wclock._time, result
+                    )
         self._wake(waiter)
 
     def _block(self, state: _ContextState, op: Op, detail: str) -> None:

@@ -299,20 +299,12 @@ class ThreadedExecutor(Executor):
                 raise error
             raise SimulationError("<threaded>", error) from error
         if any(ctx.finish_time is None for ctx in program.contexts):
-            report = self._stall_report()
-            if obs is not None:
-                obs.stall_report = report
-            raise DeadlockError(report.lines())
+            raise DeadlockError(self._stall_report().lines())
 
-        summary = RunSummary(
-            elapsed_cycles=self._makespan(program),
-            real_seconds=_wallclock.perf_counter() - start,
-            context_times={ctx.name: ctx.finish_time for ctx in program.contexts},
-            executor=self.name,
-            policy="os",
-            ops_executed=sum(self._ctx_ops),
-            metrics=self._fold_metrics(program),
+        summary = self._summary(
+            program, start, "os", ops_executed=sum(self._ctx_ops)
         )
+        summary.metrics = self._fold_metrics(program)
         self._attach_profile(summary, program, obs)
         return summary
 
@@ -348,7 +340,7 @@ class ThreadedExecutor(Executor):
                 continue
             detail, channel, peer = sites.get(name, ("not started", None, None))
             stalls.append(stall_for(ctx, detail, channel=channel, peer=peer))
-        return StallReport(stalls)
+        return self._publish_stalls(stalls)
 
     def _fold_metrics(self, program: Program) -> Optional[dict]:
         if not self._collect_metrics:
@@ -967,29 +959,13 @@ class ThreadedExecutor(Executor):
         """Build the deadline abort: stall report + partial summary, with
         clocks snapshotted *now*, before thread wind-down freezes them at
         infinity."""
-        report = self._stall_report()
-        if self.obs is not None:
-            self.obs.stall_report = report
-        summary = RunSummary(
-            elapsed_cycles=self._makespan(program),
-            real_seconds=_wallclock.perf_counter() - self._start,
-            context_times={
-                ctx.name: (
-                    ctx.finish_time
-                    if ctx.finish_time is not None
-                    else ctx.time.now()
-                )
-                for ctx in program.contexts
-            },
-            executor=self.name,
-            policy="os",
-            ops_executed=self._progress,
-        )
         return RunTimeoutError(
             self.deadline_s,
             executor=self.name,
-            summary=summary,
-            stall_report=report,
+            stall_report=self._stall_report(),
+            summary=self._summary(
+                program, self._start, "os", ops_executed=self._progress
+            ),
         )
 
     def _watch(self, threads: list[threading.Thread]) -> None:
@@ -1027,8 +1003,6 @@ class ThreadedExecutor(Executor):
                     # state, the parked-on channel, and both endpoint
                     # simulated clocks.
                     report = self._stall_report()
-                    if self.obs is not None:
-                        self.obs.stall_report = report
                     self._errors.append(DeadlockError(report.lines()))
                     self._abort.set()
                     return

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from ..core.time import INFINITY, Time
@@ -236,8 +237,10 @@ class ProfileReport:
 # Trace indexing.
 # ----------------------------------------------------------------------
 
-#: Positions of kind and time in a stored :data:`~repro.obs.events.Row`.
-_KIND, _TIME = 0, 2
+#: Positions of kind, channel and time in a stored
+#: :data:`~repro.obs.events.Row`.
+_KIND, _CHANNEL, _TIME = 0, 1, 2
+_kind_of, _time_of = itemgetter(_KIND), itemgetter(_TIME)
 
 
 def _row_streams(
@@ -285,27 +288,45 @@ class _Index:
         self.deq: dict[str, tuple[list[int], list[Time]]] = {}
         total = 0
         for name in sorted(streams):
+            stream = streams[name]
             # Pseudo-buffers (``<worker-N>`` migrate, ``<supervisor>``)
             # and INFINITY finishes carry no simulated time to attribute.
-            stream = [
-                row
-                for row in streams[name]
-                if row[_KIND] in _KINDS and row[_TIME] != INFINITY
-            ]
+            # A context's own stream has neither and is indexed in place;
+            # only a stream that has one pays for a filtered copy.  (Every
+            # time is looked at, not just the last: a buffer shared by
+            # replicated context names is not monotone.)
             if not stream:
                 continue
+            if (
+                not _KINDS.issuperset(map(_kind_of, stream))
+                or INFINITY in map(_time_of, stream)
+            ):
+                stream = [
+                    row
+                    for row in stream
+                    if row[_KIND] in _KINDS and row[_TIME] != INFINITY
+                ]
+                if not stream:
+                    continue
             self.streams[name] = stream
             self.names.append(name)
             self.starts.append(total)
-            for pos, (kind, channel, time, _) in enumerate(stream, total):
-                if channel is None or kind not in ("enqueue", "dequeue"):
+            for pos, row in enumerate(stream, total):
+                channel = row[_CHANNEL]
+                if channel is None:
                     continue
-                side = self.enq if kind == "enqueue" else self.deq
+                kind = row[_KIND]
+                if kind == "enqueue":
+                    side = self.enq
+                elif kind == "dequeue":
+                    side = self.deq
+                else:
+                    continue
                 ops = side.get(channel)
                 if ops is None:
                     ops = side[channel] = ([], [])
                 ops[0].append(pos)
-                ops[1].append(time)
+                ops[1].append(row[_TIME])
             total += len(stream)
         self.total_events = total
         self.start_of = dict(zip(self.names, self.starts))
@@ -437,15 +458,23 @@ def _critical_path(
     steps = 0
     while cursor > 0 and idx >= 0 and steps < limit:
         steps += 1
-        row = stream[idx]
-        kind, channel, _, _ = row
         prev_time = stream[idx - 1][_TIME] if idx > 0 else 0
         pos = base + idx
-        waited = cursor > prev_time
+        if not cursor > prev_time:
+            # The op took no time (more than half of all steps): nothing
+            # to attribute and no edge to follow, so step back without
+            # looking at the row.  It still counts as walked.  (``not >``
+            # rather than ``<=``: a re-imported malformed trace can hold
+            # a NaN time, which must keep stepping back.)
+            visited.add(pos)
+            idx -= 1
+            continue
         first_visit = pos not in visited
         visited.add(pos)
+        row = stream[idx]
+        kind, channel = row[_KIND], row[_CHANNEL]
         target: int | None = None
-        if waited and first_visit and channel is not None:
+        if first_visit and channel is not None:
             if kind in ("dequeue", "peek"):
                 target = _producer_of(index, row, ctx, pos, channel_meta)
             elif kind == "enqueue":
@@ -468,14 +497,13 @@ def _critical_path(
                 ctx, idx, cursor = t_ctx, t_idx, t_time
                 stream, base = t_stream, index.start_of[t_ctx]
                 continue
-        # Step back within this context.
-        if waited:
-            segments.append(
-                PathSegment(
-                    _category_of(kind, channel), ctx, channel, prev_time, cursor
-                )
+        # Step back within this context, charging the wait to it.
+        segments.append(
+            PathSegment(
+                _category_of(kind, channel), ctx, channel, prev_time, cursor
             )
-        cursor = min(cursor, prev_time)
+        )
+        cursor = prev_time
         idx -= 1
     if cursor > 0:
         # Residual the walk could not attribute (malformed trace or the
@@ -503,18 +531,26 @@ def _attribute(
     edges = [pos * width for pos in range(epochs + 1)] if width else []
 
     for name in index.names:
-        totals = {cat: 0 for cat in CATEGORIES}
+        compute = on_dequeue = on_enqueue = 0
         prev = 0
-        for kind, channel, time, _ in index.streams[name]:
+        for row in index.streams[name]:
+            time = row[_TIME]
             if time > prev:
                 delta = time - prev
+                channel = row[_CHANNEL]
                 category = (
-                    COMPUTE if channel is None else _CHANNEL_CATEGORY[kind]
+                    COMPUTE
+                    if channel is None
+                    else _CHANNEL_CATEGORY[row[_KIND]]
                 )
-                totals[category] += delta
                 if category == COMPUTE:
+                    compute += delta
                     bins = active
                 else:
+                    if category == BLOCKED_ON_DEQUEUE:
+                        on_dequeue += delta
+                    else:
+                        on_enqueue += delta
                     bins = blocked
                     chan = per_channel.get(channel)
                     if chan is None:
@@ -523,8 +559,12 @@ def _attribute(
                         }
                     chan[category] += delta
                 if width:
-                    first = min(int(prev / width), last_epoch)
-                    last = min(int(time / width), last_epoch)
+                    first = int(prev / width)
+                    if first > last_epoch:
+                        first = last_epoch
+                    last = int(time / width)
+                    if last > last_epoch:
+                        last = last_epoch
                     if (
                         first == last
                         and edges[first] <= prev
@@ -539,10 +579,17 @@ def _attribute(
                             right = min(time, edges[pos + 1])
                             if right > left:
                                 bins[pos] += right - left
+            # Unconditional: a buffer shared by replicated context
+            # names is not monotone, and the next interval starts here.
             prev = time
-        totals["finish_time"] = prev
-        totals["idle"] = finish_time - prev
-        per_context[name] = totals
+        per_context[name] = {
+            COMPUTE: compute,
+            BLOCKED_ON_DEQUEUE: on_dequeue,
+            BLOCKED_ON_ENQUEUE: on_enqueue,
+            OVERHEAD: 0,
+            "finish_time": prev,
+            "idle": finish_time - prev,
+        }
 
     timeline: dict[str, Any] = {"epoch_width": width, "epochs": []}
     if width:

@@ -12,7 +12,10 @@ Every behavioural test runs under both the inline fast path and the
 generic dispatch path (``fast_path=False``) — the two implementations must
 be indistinguishable.  The last section drives the fast loop's park/wake
 machinery (inline peer delivery, last-constituent resume, mid-batch
-resume, rare ops, slice expiry) against the generic interpreter.
+resume, rare ops, slice expiry) against the generic interpreter, untraced
+and traced: a traced run takes the fast loop's traced variant, and which
+loop (or which context, on a wake-with-delivery) appends a row must not
+show in any context's row sequence or in the profile.
 """
 
 import pytest
@@ -35,6 +38,7 @@ from repro.core import (
     FusedOps,
     IncrCycles,
     ProgramBuilder,
+    RunConfig,
     SequentialExecutor,
     SimulationError,
     ViewTime,
@@ -674,16 +678,50 @@ _SHAPES = {
 _POLICIES = {"fifo": lambda: "fifo", "slice2": lambda: FairPolicy(timeslice=2)}
 
 
-def _outcome(build, **executor_kwargs):
+#: The tracing input: no trace, rows without payloads, rows with them.
+_TRACING = {"untraced": None, "rows": False, "payloads": True}
+
+
+def _build_named(build):
+    """``build()`` with contexts and channels renamed by program
+    position, so the trace rows and profiles of two builds compare."""
+    program, observe = build()
+    for slot, ctx in enumerate(program.contexts):
+        ctx.name = f"ctx{slot}"
+    for slot, channel in enumerate(program.channels):
+        channel.name = f"ch{slot}"
+    return program, observe
+
+
+def _rows(obs):
+    """Per-context rows of simulated ops (a process run also records
+    where a steal happened, in a pseudo-buffer no context owns)."""
+    return {
+        name: list(buffer.rows)
+        for name, buffer in obs.trace.buffers().items()
+        if not name.startswith("<")
+    }
+
+
+def _outcome(build, payloads=None, **executor_kwargs):
     """``(simulated, summary)`` of one sequential run: everything
-    simulated about it, and the summary for its scheduling counters.
+    simulated about it — with ``payloads`` not None also every context's
+    trace rows (payloads captured or not) and the profile — and the
+    summary for its scheduling counters.
     (Not simulated: ``max_real_occupancy``, real queue depth, and the
     counters — a waker that completes the parked op in place (§11)
     saves the wake-retry-park round the generic handlers take, so
     switches and wakeups differ between the loops by design.)"""
-    program, observe = build()
-    summary = SequentialExecutor(**executor_kwargs).execute(program)
+    program, observe = _build_named(build)
+    obs = (
+        None
+        if payloads is None
+        else Observability(metrics=False, capture_payloads=payloads)
+    )
+    summary = SequentialExecutor(obs=obs, **executor_kwargs).execute(program)
     simulated = {
+        "rows": None if obs is None else _rows(obs),
+        "profile": summary.profile,
         "elapsed": summary.elapsed_cycles,
         "context_times": tuple(
             summary.context_times[ctx.name] for ctx in program.contexts
@@ -699,18 +737,27 @@ def _outcome(build, **executor_kwargs):
 
 
 class TestParkWakeShapes:
+    @pytest.mark.parametrize("tracing", sorted(_TRACING))
     @pytest.mark.parametrize("policy", sorted(_POLICIES))
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
-    def test_fast_matches_generic(self, shape, policy):
+    def test_fast_matches_generic(self, shape, policy, tracing):
         build = _SHAPES[shape]
+        payloads = _TRACING[tracing]
         fast, fast_summary = _outcome(
-            build, policy=_POLICIES[policy](), fast_path=True
+            build, payloads, policy=_POLICIES[policy](), fast_path=True
         )
         generic, generic_summary = _outcome(
-            build, policy=_POLICIES[policy](), fast_path=False
+            build, payloads, policy=_POLICIES[policy](), fast_path=False
         )
         assert fast == generic
         assert fast["ops"] > 0
+        if payloads is not None:
+            # One row per completed op that records (ViewTime/WaitUntil
+            # do not) plus one finish row per context that finished.
+            assert 0 < sum(map(len, fast["rows"].values())) <= (
+                fast["ops"] + len(fast["rows"])
+            )
+            assert fast["profile"]["finish_time"] == fast["elapsed"]
         if policy == "fifo":
             # Run-to-block never preempts, whichever loop drives.
             assert fast_summary.preemptions == 0
@@ -756,12 +803,32 @@ class TestParkWakeShapes:
         with pytest.raises(DeadlockError, match="dequeue on empty"):
             run(builder, fast)
 
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @BOTH_PATHS
-    def test_max_ops_abort(self, fast):
+    def test_max_ops_abort(self, fast, traced):
         """``max_ops`` retreats to the generic loop whatever ``fast_path``
-        asks for; the valve fires at the same op either way."""
+        asks for, traced or not; the valve fires at the same op either
+        way."""
         program, _ = _capacity_one_ping_pong()
-        executor = SequentialExecutor(max_ops=50, fast_path=fast)
+        executor = SequentialExecutor(
+            max_ops=50, fast_path=fast, obs=Observability() if traced else None
+        )
         with pytest.raises(SimulationError, match="max_ops=50"):
             executor.execute(program)
         assert executor.ops_executed == 51
+
+    @pytest.mark.parametrize("payloads", [False, True], ids=["rows", "payloads"])
+    def test_traced_process_run_matches_sequential(self, payloads):
+        """Two forked workers run the traced loop against shuttle
+        proxies (every channel of this pipeline is cut); merged back,
+        each context's rows are the sequential run's."""
+        reference, _ = _outcome(_capacity_one_ping_pong, payloads, fast_path=False)
+        program, observe = _build_named(_capacity_one_ping_pong)
+        pins = {id(ctx): slot % 2 for slot, ctx in enumerate(program.contexts)}
+        obs = Observability(metrics=False, capture_payloads=payloads)
+        summary = program.run(
+            "process", config=RunConfig(workers=2, pins=pins, obs=obs)
+        )
+        assert _rows(obs) == reference["rows"]
+        assert summary.profile == reference["profile"]
+        assert summary.elapsed_cycles == reference["elapsed"]

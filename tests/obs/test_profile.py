@@ -10,6 +10,8 @@ resp_latency``).
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,76 @@ def build_skewed_pipelines(pipelines=8, items=300):
         )
         builder.add(Collector(out_r, name=f"sink{i}"))
     return builder.build()
+
+
+def build_replicated_mha():
+    """Parallel MHA at the benchmark's smoke size: two head pipelines
+    built from the same primitives, so every context name occurs twice
+    and each trace buffer holds two contexts' rows interleaved — a
+    stream whose times go backwards (ROADMAP debt 3(a))."""
+    import numpy as np
+
+    from repro.sam.graphs import build_parallel_mha
+
+    heads, seq_len, head_dim = 4, 6, 3
+    position = np.arange(seq_len)
+    mask = np.stack(
+        [
+            ((position[:, None] + head * position[None, :]) % 3 != 1).astype(float)
+            for head in range(heads)
+        ]
+    )
+    for head in range(heads):
+        np.fill_diagonal(mask[head], 1.0)
+    grid = np.arange(heads * seq_len * head_dim, dtype=float).reshape(
+        heads, seq_len, head_dim
+    )
+    q, k, v = np.sin(grid), np.cos(grid), np.sin(2.0 * grid)
+    return build_parallel_mha(mask, q, k, v, parallelism=2).program
+
+
+def malformed_trace():
+    """Rows the indexer must drop, in the places a shortcut would miss
+    them: an unknown kind mid-stream, an ``INFINITY`` finish that is
+    *not* the stream's last row (a second context shares the name and
+    restarts the clock), an ``INFINITY`` finish that is, and a
+    pseudo-buffer of unknown kinds only."""
+    trace = TraceCollector()
+    trace.record("src", "advance", None, 3)
+    trace.record("src", "enqueue", "c", 3)
+    trace.record("src", "migrate", None, 0, {"cluster": 1})
+    trace.record("src", "enqueue", "c", 5)
+    trace.record("src", "finish", None, INFINITY)
+    trace.record("src", "advance", None, 1)
+    trace.record("src", "enqueue", "d", 2)
+    trace.record("src", "finish", None, 2)
+    trace.record("sink", "dequeue", "c", 4)
+    trace.record("sink", "advance", None, 9)
+    trace.record("sink", "dequeue", "c", 9)
+    trace.record("sink", "dequeue", "d", 11)
+    trace.record("sink", "crash", None, 11)
+    trace.record("sink", "finish", None, INFINITY)
+    trace.record("<worker-0>", "migrate", None, 0, {"cluster": 1})
+    meta = {
+        "c": {"capacity": 2, "latency": 1, "resp_latency": 1},
+        "d": {"capacity": 2, "latency": 1, "resp_latency": 1},
+    }
+    return trace, meta
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def check_profile_golden(name: str, profile: dict):
+    """Compare with the committed profile, which the profiler of the
+    commit *before* the in-place indexing shortcuts produced (regenerate
+    there, or with ``REFRESH_OBS_GOLDENS=1`` after a deliberate change
+    of the profile itself)."""
+    golden = GOLDEN_DIR / name
+    rendered = json.dumps(profile, indent=1, sort_keys=True) + "\n"
+    if os.environ.get("REFRESH_OBS_GOLDENS"):
+        golden.write_text(rendered)
+    assert rendered == golden.read_text()
 
 
 ALL_EXECUTOR_LEGS = [
@@ -352,6 +424,34 @@ class TestRoundTrips:
         # The INFINITY row is dropped, not treated as the makespan.
         assert from_rows["finish_time"] == 9
         assert from_rows["attribution"]["per_context"]["src"]["finish_time"] == 3
+
+    def test_replicated_name_trace_matches_golden(self):
+        """Shared buffers are not monotone; neither the indexer nor the
+        attribution loop may assume they are."""
+        obs = Observability(metrics=False)
+        summary = build_replicated_mha().run(config=RunConfig(obs=obs))
+        streams = [buf.rows for buf in obs.trace.buffers().values()]
+        assert any(
+            later[2] < earlier[2]
+            for rows in streams
+            for earlier, later in zip(rows, rows[1:])
+        ), "no buffer is shared: the input lost its point"
+        assert summary.profile == obs.profile_report.to_dict()
+        check_profile_golden("replicated_mha.profile.json", summary.profile)
+
+    def test_malformed_trace_matches_golden(self):
+        trace, meta = malformed_trace()
+        from_rows, from_events, from_chrome = self._three_ways(trace, meta)
+        assert from_rows == from_events
+        check_profile_golden("malformed_trace.profile.json", from_rows)
+        assert from_rows["finish_time"] == 11
+        assert "<worker-0>" not in from_rows["attribution"]["per_context"]
+        # Re-imported from Chrome JSON, the row after the mid-stream
+        # INFINITY has a NaN time (ts = inf, dur = -inf); the walk steps
+        # back over it as over any op that took no time.
+        assert from_chrome["critical_path"]["by_category"] == {
+            COMPUTE: 2, BLOCKED_ON_DEQUEUE: 9, BLOCKED_ON_ENQUEUE: 0, "overhead": 0,
+        }
 
     def test_report_dict_round_trip(self):
         report, _ = run_with_profile(build_backpressured_pipeline)

@@ -464,8 +464,22 @@ class TestClusterHostingModes:
 
 # ----------------------------------------------------------------------
 # Table I quantities (context switches, wakeups, preemptions) come from
-# the scheduling policy, never from who drives the loop.
+# the scheduling policy, never from who drives the loop or from whether
+# the run is traced.
 # ----------------------------------------------------------------------
+
+
+def _build_table1_graph():
+    """The Table I graph (``benchmarks/bench_table1_scheduling.py``)."""
+    from repro.sam.graphs import build_parallel_mha
+
+    rng = np.random.default_rng(0)
+    heads, seq_len, d = 4, 10, 4
+    mask = (rng.random((heads, seq_len, seq_len)) < 0.4).astype(float)
+    for h in range(heads):
+        np.fill_diagonal(mask[h], 1.0)
+    q, k, v = (rng.standard_normal((heads, seq_len, d)) for _ in range(3))
+    return build_parallel_mha(mask, q, k, v, parallelism=4)
 
 
 class TestSchedulingCounters:
@@ -476,22 +490,12 @@ class TestSchedulingCounters:
         assert summary.preemptions == 0
 
     def test_fair_counters_ignore_the_hosting_field(self):
-        """The Table I graph (``benchmarks/bench_table1_scheduling.py``)
-        under its CFS-like policy."""
+        """The Table I graph under its CFS-like policy."""
         from repro.core import RunConfig
-        from repro.sam.graphs import build_parallel_mha
-
-        rng = np.random.default_rng(0)
-        heads, seq_len, d = 4, 10, 4
-        mask = (rng.random((heads, seq_len, seq_len)) < 0.4).astype(float)
-        for h in range(heads):
-            np.fill_diagonal(mask[h], 1.0)
-        q, k, v = (rng.standard_normal((heads, seq_len, d)) for _ in range(3))
 
         counters = set()
         for mode in (None, "off", "on", "auto"):
-            mha = build_parallel_mha(mask, q, k, v, parallelism=4)
-            summary = mha.program.run(
+            summary = _build_table1_graph().program.run(
                 config=RunConfig(
                     policy=FairPolicy(timeslice=16), superblocks=mode
                 )
@@ -501,6 +505,37 @@ class TestSchedulingCounters:
             )
         assert len(counters) == 1
         assert min(counters.pop()) > 0
+
+    @pytest.mark.parametrize("policy", ["fifo", "fair16"])
+    @pytest.mark.parametrize("graph", ["table1", "spmspm"])
+    def test_counters_ignore_tracing(self, graph, policy):
+        """A traced run schedules exactly as the untraced one does: it
+        takes the same slice loop (its traced variant), so the counters
+        a user reads off a run they are debugging are the ones the
+        untraced program reports.  The Table I graph's deep channels
+        hardly park; the shallow SpMSpM kernel wakes by delivery all the
+        time, which the generic loop a traced run used to take never
+        does."""
+        from repro.core import RunConfig
+        from repro.obs import Observability
+
+        build = _build_table1_graph if graph == "table1" else _build_spmspm_kernel
+
+        def counters(obs):
+            summary = build().program.run(
+                config=RunConfig(
+                    policy="fifo" if policy == "fifo" else FairPolicy(timeslice=16),
+                    obs=obs,
+                )
+            )
+            return (
+                summary.context_switches, summary.wakeups, summary.preemptions
+            )
+
+        untraced = counters(None)
+        assert untraced[0] > 0
+        assert counters(Observability()) == untraced
+        assert counters(Observability(capture_payloads=True)) == untraced
 
 
 # ----------------------------------------------------------------------

@@ -54,9 +54,13 @@ EXECUTOR_LOC_LIMIT = 4842
 
 class TestExecutorSizeRatchet:
     def test_core_executor_does_not_grow(self):
+        """Statements behind the fast loop's ``#T `` marker are code to
+        the traced variant (``sequential.traced_fast_loop``) and count
+        as code here, though ``count_loc`` alone would see comments."""
         directory = Path(repro.core.executor.__file__).parent
         total = sum(
-            count_loc(path.read_text()) for path in directory.glob("*.py")
+            count_loc(path.read_text().replace("#T ", ""))
+            for path in directory.glob("*.py")
         )
         assert total <= EXECUTOR_LOC_LIMIT, (
             f"core/executor/ grew to {total} effective lines "
