@@ -97,7 +97,9 @@ def metrics_demo():
     parks = sum(
         value for key, value in counters.items() if key.startswith("context_parks")
     )
-    print(f"  total parks (SVP waits): {parks}")
+    # Only the one-thread-per-context hosting (superblocks="off") parks
+    # on channels; the default cluster drivers schedule cooperatively.
+    print(f"  total parks (SVP waits; 0 under cluster hosting): {parks}")
     print(
         "  wall-clock per context (histogram): "
         f"{metrics['histograms']['context_wall_seconds_dist']['count']} contexts, "

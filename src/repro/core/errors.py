@@ -36,7 +36,7 @@ unpicklable to its ``repr``.
 from __future__ import annotations
 
 import pickle
-from typing import Any
+from typing import Any, Optional
 
 
 class DamError(Exception):
@@ -151,14 +151,17 @@ class NotCheckpointable(DamError):
     :class:`~repro.core.context.FunctionContext`, or a subclass that never
     opted in — refuse with this typed error *before* the run starts, so a
     long run never discovers at its first cut point that its state cannot
-    be captured.
+    be captured.  The threaded executor raises it with a ``reason`` (and
+    no names) for the one hosting that has no safe points:
+    ``superblocks="off"`` with checkpointing or a restored program.
     """
 
-    def __init__(self, context_names: list[str]):
+    def __init__(self, context_names: list[str], reason: Optional[str] = None):
         self.context_names = list(context_names)
         names = ", ".join(repr(name) for name in self.context_names)
         super().__init__(
-            f"checkpointing requested but these contexts keep opaque "
+            reason
+            or "checkpointing requested but these contexts keep opaque "
             f"generator state (no checkpoint_attrs/snapshot): {names}"
         )
 

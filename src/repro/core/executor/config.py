@@ -135,14 +135,13 @@ class RunConfig:
         path appended to as JSON lines.  Samples are always also kept on
         ``obs.metrics_samples`` when an ``obs`` is attached.
     superblocks:
-        Cluster hosting on the threaded executor (DESIGN.md §15):
-        ``"on"``/``True`` runs every multi-context cold cluster on one
-        driver thread, ``"off"``/``False`` keeps the paper's one thread
-        per context, and ``"auto"`` (executor default) clusters what
-        the planner considers worth it (``plan_clusters`` + observed
-        channel weights).  The other executors ignore it; any other
-        value is a :class:`ValueError` here, whichever executor runs.
-        Results, traces, and profiles are bit-identical in every mode.
+        The threaded executor's hosting, decided by this alone (DESIGN.md
+        §15): ``"off"``/``False`` is one thread per context (and refuses
+        ``checkpoint_path`` or a restored program with
+        ``NotCheckpointable``); ``"on"``/``True``/``"auto"`` (default) is
+        one driver thread per connected component.  Other executors
+        ignore it; any other value is a :class:`ValueError` here.
+        Results, traces and profiles are bit-identical either way.
     checkpoint_interval_s:
         Enable checkpointing (DESIGN.md §17): at each quiescent cut at
         least this many wall-clock seconds after the previous capture,

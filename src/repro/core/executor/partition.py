@@ -206,37 +206,6 @@ def normalize_mode(mode: Any) -> str:
     )
 
 
-def select_clusters(
-    program: "Program", clusters: list["ClusterSpec"], mode: str
-) -> list["ClusterSpec"]:
-    """Pick the cold clusters worth hosting on one driver thread
-    (:class:`~repro.core.executor.threaded.ThreadedExecutor`,
-    DESIGN.md §15).
-
-    Single-member clusters gain nothing.  Under ``"auto"``, once the
-    program carries observed traffic (:func:`channel_weights` from live
-    stats — which survive a previous run of the same program object),
-    clusters whose channels never moved a value are skipped.  A fresh
-    program has no observations, so every multi-member cluster is
-    selected.
-    """
-    selected = [spec for spec in clusters if spec.size >= 2]
-    if mode != "auto" or not selected:
-        return selected
-    weights = channel_weights(program)
-    if not any(weights.values()):
-        return selected
-    channels = program.channels
-    return [
-        spec
-        for spec in selected
-        if any(
-            weights.get(channels[index].name, 0) > 0
-            for index in spec.channels
-        )
-    ]
-
-
 class _UnionFind:
     __slots__ = ("parent", "size", "pin")
 

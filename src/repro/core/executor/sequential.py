@@ -176,6 +176,19 @@ def traced_fast_loop():
     return namespace["_run_slice_fast"]
 
 
+def blocked_on(op) -> tuple:
+    """``(channel, peer context)`` a parked op waits on, for stall
+    reports: a channel for the queue ops, the watched context for a
+    ``WaitUntil``, neither for ``None`` (not started)."""
+    if isinstance(op, Enqueue):
+        return op.sender.channel, None
+    if isinstance(op, (Dequeue, Peek)):
+        return op.receiver.channel, None
+    if isinstance(op, WaitUntil):
+        return None, op.context
+    return None, None
+
+
 class _ContextState:
     """Executor-side bookkeeping for one context."""
 
@@ -687,14 +700,7 @@ class SequentialExecutor(Executor):
         at what simulated time each endpoint sits."""
         stalls = []
         for state in unfinished:
-            op = state.retry_op
-            channel = peer = None
-            if isinstance(op, Enqueue):
-                channel = op.sender.channel
-            elif isinstance(op, (Dequeue, Peek)):
-                channel = op.receiver.channel
-            elif isinstance(op, WaitUntil):
-                peer = op.context
+            channel, peer = blocked_on(state.retry_op)
             stalls.append(
                 stall_for(
                     state.context,

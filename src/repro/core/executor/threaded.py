@@ -1,8 +1,10 @@
 """One-thread-per-context executor with SVA/SVP-style synchronization.
 
 This is the Python analog of the DAM-RS runtime (paper Section IV): every
-context runs on its own OS thread, there is no global clock and no event
-queue, and synchronization is strictly pairwise:
+context runs on its own OS thread (``superblocks="off"``; by default each
+connected component of the graph shares one cluster-driver thread
+instead, DESIGN.md §15), there is no global clock and no event queue, and
+synchronization is strictly pairwise:
 
 * **SVA (Synchronization via Atomics)** — reading a peer's
   :class:`~repro.core.time.TimeCell` is a plain attribute load; under
@@ -26,10 +28,10 @@ report — each blocked context, the channel it is parked on, and the
 simulated clocks of both of that channel's endpoints.
 
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
-trace the run.  Each context appends to its own lock-free buffer from its
-own thread, so tracing does not perturb the synchronization schedule;
-buffers are merged deterministically at query time, yielding the same
-event order the sequential executor produces.
+trace the run.  Each context appends to its own lock-free buffer from the
+thread that hosts it, so tracing does not perturb the synchronization
+schedule; buffers are merged deterministically at query time, yielding
+the same event order the sequential executor produces.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from ..errors import (
     ChannelClosed,
     DamError,
     DeadlockError,
+    NotCheckpointable,
     RunTimeoutError,
     SimulationError,
-    unpack_exception,
 )
 from ..ops import (
     AdvanceTo,
@@ -63,8 +65,9 @@ from ..ops import (
 )
 from ..program import Program
 from .base import Executor, RunSummary
+from .partition import normalize_mode, plan_clusters
 from .registry import register_executor
-from .sequential import SequentialExecutor
+from .sequential import SequentialExecutor, blocked_on
 
 
 class _Aborted(Exception):
@@ -83,7 +86,8 @@ class _TimeSync:
 
 @register_executor("threaded")
 class ThreadedExecutor(Executor):
-    """Executes each context on a dedicated OS thread.
+    """Executes contexts on OS threads: one per context, or one per
+    connected component (``superblocks``, DESIGN.md §15).
 
     Parameters
     ----------
@@ -117,10 +121,10 @@ class ThreadedExecutor(Executor):
         self.obs = obs
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
-        #: Cluster hosting (DESIGN.md §15): eligible cold clusters run on
-        #: one thread each via an embedded sequential cluster driver;
-        #: every other context keeps its own thread.  Scheduling-
-        #: independent results are identical either way (the determinism
+        #: Hosting (DESIGN.md §15), and nothing else decides it: "off"
+        #: runs every context on its own thread (the paper's runtime),
+        #: anything else runs every connected component on one cluster
+        #: driver.  Results are identical either way (the determinism
         #: invariant).
         self.superblocks = superblocks
         self.deadline_s = deadline_s
@@ -142,35 +146,46 @@ class ThreadedExecutor(Executor):
         # channel, peer context).  Written under _blocked_lock.
         self._blocked_sites: dict[str, tuple[str, Optional[Channel], Optional[Context]]] = {}
         # -- checkpoint pause protocol (DESIGN.md §17) -----------------
-        # The controller raises ``_ckpt_request``; every live thread
-        # acknowledges at its next safe point — the top of its op loop
-        # (executed record) or between bounded parks on an un-executed
-        # op — then waits on ``_ckpt_cv`` without executing anything.
-        # When every live thread has acknowledged, nothing can mutate a
-        # channel or clock: a quiescent cut by construction.
+        # The controller raises ``_ckpt_request``; every live cluster
+        # driver acknowledges at its next slice boundary with its
+        # members' records, then waits on ``_ckpt_cv`` without executing
+        # anything.  When every live driver has acknowledged, nothing
+        # can mutate a channel or clock: a quiescent cut by construction.
         self._ckpt_timer: Any = None
         self._ckpt_request = False
         self._ckpt_cv = threading.Condition()
-        # Round counter: an acknowledging thread waits for the *round it
+        # Round counter: an acknowledging driver waits for the *round it
         # acked in* to end, not for a boolean to flip — back-to-back
         # rounds (interval <= 0) would otherwise swallow the flip and
-        # strand every thread in a stale wait.
+        # strand every driver in a stale wait.
         self._ckpt_round = 0
         self._ckpt_acked = 0
         self._ckpt_records: dict[int, dict] = {}
-        # Mid-batch bookkeeping per context, maintained only while
-        # checkpointing is on: [fused_index, live results list, batch
-        # length] — None index means "not inside a fused batch".
-        self._ckpt_cells: dict[int, list] = {}
         self._resume_records: Optional[dict[int, dict]] = None
-        self._resuming = False
         self._slots: dict[int, int] = {}
+        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
 
     def execute(self, program: Program) -> RunSummary:
         start = _wallclock.perf_counter()
         self._start = start
+        per_context = normalize_mode(self.superblocks) == "off"
+        if per_context and (
+            self.checkpoint_path is not None
+            or getattr(program, "_resume_records", None) is not None
+        ):
+            # Safe points are slice boundaries, and only a cluster
+            # driver has them.
+            raise NotCheckpointable(
+                [],
+                reason=(
+                    'superblocks="off" runs one thread per context, which '
+                    "has no checkpoint safe points: it can neither capture "
+                    "(checkpoint_path) nor resume a restored program; use "
+                    'superblocks="on"/"auto" or another executor'
+                ),
+            )
         self._deadline_at = (
             start + self.deadline_s if self.deadline_s is not None else None
         )
@@ -192,27 +207,13 @@ class ThreadedExecutor(Executor):
                 0.0 if interval is None else interval,
                 start_epoch=getattr(program, "_resume_epoch", 0),
             )
-            self._ckpt_cells = {
-                id(ctx): [None, None, None] for ctx in program.contexts
-            }
-        resume = program.__dict__.pop("_resume_records", None)
-        self._resuming = resume is not None
-        self._resume_records = resume
-        # Contexts restored as done never get a thread: their finish
-        # times and their channels' closure flags came back with the
-        # checkpoint, so there is nothing left to drive (and _finish must
-        # not run — it would re-close and re-stamp).
-        done_ids = (
-            {
-                id(ctx)
-                for slot, ctx in enumerate(program.contexts)
-                if resume.get(slot, {}).get("kind") == "done"
-            }
-            if resume
-            else set()
+        # Handed to the drivers slot by slot (_ClusterDriver.
+        # _take_resume_records).
+        self._resume_records = program.__dict__.pop("_resume_records", None)
+        # Contexts restored as done came back with their finish times.
+        self._unfinished = sum(
+            1 for ctx in program.contexts if ctx.finish_time is None
         )
-        self._time_sync = {id(ctx): _TimeSync() for ctx in program.contexts}
-        self._unfinished = len(program.contexts) - len(done_ids)
         self._unfinished_lock = threading.Lock()
 
         obs = self.obs
@@ -235,36 +236,34 @@ class ThreadedExecutor(Executor):
         self._ctx_spins = {ctx.name: 0 for ctx in program.contexts}
         self._ctx_wall = {ctx.name: 0.0 for ctx in program.contexts}
 
-        cluster_groups = self._plan_superblocks(program)
-        clustered = {
-            id(ctx) for contexts, _ in cluster_groups for ctx in contexts
-        }
-        # Cluster members keep unhooked clocks: their driver notifies
-        # parked WaitUntil observers at the slice boundary instead.
-        for ctx in program.contexts:
-            if id(ctx) not in clustered:
+        if per_context:
+            self._time_sync = {id(ctx): _TimeSync() for ctx in program.contexts}
+            for ctx in program.contexts:
                 self._install_advance_hook(ctx)
-        threads = [
-            threading.Thread(
-                target=self._drive, args=(ctx,), name=f"dam-{ctx.name}", daemon=True
-            )
-            for ctx in program.contexts
-            if id(ctx) not in clustered and id(ctx) not in done_ids
-        ]
-        threads.extend(
-            threading.Thread(
-                target=self._drive_cluster,
-                args=(contexts, channels),
-                name=f"dam-cluster-{contexts[0].name}",
-                daemon=True,
-            )
-            for contexts, channels in cluster_groups
-        )
+            threads = [
+                threading.Thread(
+                    target=self._drive, args=(ctx,), name=f"dam-{ctx.name}", daemon=True
+                )
+                for ctx in program.contexts
+            ]
+        else:
+            # Cluster members keep unhooked clocks: foreign observers
+            # poll them from their own driver's idle loop.
+            threads = [
+                threading.Thread(
+                    target=self._drive_cluster,
+                    args=(contexts, channels),
+                    name=f"dam-cluster-{contexts[0].name}",
+                    daemon=True,
+                )
+                for contexts, channels in self._plan_drivers(program)
+            ]
+        self._threads = threads
         for thread in threads:
             thread.start()
 
         watchdog = threading.Thread(
-            target=self._watch, args=(threads,), name="dam-watchdog", daemon=True
+            target=self._watch, name="dam-watchdog", daemon=True
         )
         watchdog.start()
         controller = None
@@ -374,49 +373,39 @@ class ThreadedExecutor(Executor):
         ctx.time.on_advance = notify
 
     # ------------------------------------------------------------------
-    # Cluster hosting (DESIGN.md §15): each eligible cold cluster runs on
-    # ONE thread via an embedded SequentialExecutor.  Member clocks are plain
-    # unhooked cells that non-member observers read directly (SVA); the
-    # driver wakes parked observers at its slice boundaries.
+    # Cluster hosting (DESIGN.md §15): every connected component runs on
+    # ONE thread via an embedded SequentialExecutor.  Member clocks are
+    # plain unhooked cells that observers on other drivers read directly
+    # (SVA).
 
-    def _plan_superblocks(
-        self, program: Program
+    @staticmethod
+    def _plan_drivers(
+        program: Program,
     ) -> list[tuple[list[Context], list[Any]]]:
-        """Resolve which cold clusters get a single cluster-driver thread.
-
-        Declines whenever per-op observability or fault injection needs
-        the per-context thread structure (tracing buffers and fault
-        triggers are wired to ``_drive``).
-        """
-        from .partition import normalize_mode, plan_clusters, select_clusters
-
-        mode = normalize_mode(self.superblocks)
-        if mode == "off" or self.obs is not None or self._fault_map:
-            return []
-        # Checkpointed (and resumed) runs need one thread per context:
-        # the pause protocol's safe points live in _drive.
-        if self._ckpt_timer is not None or self._resuming:
-            return []
-        clusters = plan_clusters(
+        """One ``(contexts, channels)`` group per driver thread: each
+        multi-context connected component, plus one pool of all the
+        single-context ones (a union of components is still closed under
+        channels)."""
+        groups: list[tuple[list[Context], list[Any]]] = []
+        pool: tuple[list[Context], list[Any]] = ([], [])
+        for spec in plan_clusters(
             program, {id(ctx): 0 for ctx in program.contexts}
-        )
-        specs = select_clusters(program, clusters, mode)
-        return [
-            (
-                [program.contexts[slot] for slot in spec.contexts],
-                [program.channels[slot] for slot in spec.channels],
-            )
-            for spec in specs
-        ]
+        ):
+            group = pool if spec.size == 1 else ([], [])
+            group[0].extend(program.contexts[slot] for slot in spec.contexts)
+            group[1].extend(program.channels[slot] for slot in spec.channels)
+            if group is not pool:
+                groups.append(group)
+        if pool[0]:
+            groups.append(pool)
+        return groups
 
     def _drive_cluster(
         self, contexts: list[Context], channels: list[Any]
     ) -> None:
-        """Thread body: drive one cold cluster to completion through an
+        """Thread body: drive one group to completion through an
         embedded sequential engine."""
-        driver = _ClusterDriver(
-            self, [self._time_sync[id(ctx)] for ctx in contexts]
-        )
+        driver = _ClusterDriver(self)
         try:
             driver.execute(Program(contexts, channels))
         except _Aborted:
@@ -429,25 +418,18 @@ class ThreadedExecutor(Executor):
             )
             self._abort.set()
         finally:
-            states = getattr(driver, "_states", None) or {}
-            for ctx in contexts:
-                # Parent-side wind-down per member: close channels under
-                # their conditions (waking any foreign parked threads)
-                # and decrement the unfinished count — mirroring the tail
-                # of ``_drive``.  The embedded driver already stamped
-                # finish times for members that completed.
-                self._finish(ctx)
-                state = states.get(id(ctx))
-                if state is not None:
-                    self._ctx_ops[self._slots[id(ctx)]] = state.ops
+            # The driver finished its members as they completed
+            # (_ClusterDriver._finish); what is left is the tallies.
+            for state in getattr(driver, "_states", {}).values():
+                ctx = state.context
+                self._ctx_ops[self._slots[id(ctx)]] = state.ops
+                self._ctx_wall[ctx.name] = state.wall_seconds
 
     def _drive(self, ctx: Context) -> None:
         """Thread body: interpret one context's generator to completion."""
         gen = ctx.run()
         value: Any = None
         exc: BaseException | None = None
-        started = False  # the generator has been primed (first send done)
-        resume_batch: Optional[tuple] = None
         # The buffer is this thread's own: appends need no locking and,
         # unlike a shared event log, cannot perturb peer scheduling.
         buf = self._buffers.get(ctx.name)
@@ -456,72 +438,13 @@ class ThreadedExecutor(Executor):
         wall_start = _wallclock.perf_counter() if self._collect_metrics else 0.0
         abort_is_set = self._abort.is_set
         fault = self._fault_map.pop(ctx.name, None)
-        cell = self._ckpt_cells.get(id(ctx))
-        record = (
-            self._resume_records.pop(self._slots[id(ctx)], None)
-            if self._resume_records
-            else None
-        )
         try:
-            if record is not None and record["kind"] == "suspended":
-                # Resume prologue (DESIGN.md §17): prime the fresh
-                # generator so it re-derives the suspended yield from the
-                # restored attributes, then route the recorded outcome
-                # back in instead of re-executing the op.  Un-executed
-                # simple suspensions skip all of this — the loop below
-                # re-derives and re-attempts them naturally.
-                packed = record.get("pending_exc")
-                pending_exc = (
-                    unpack_exception(packed) if packed is not None else None
-                )
-                fused_index = record.get("fused_index")
-                if fused_index is not None:
-                    op0 = self._resume_prime(ctx, gen)
-                    started = True
-                    subs0 = op0.ops if type(op0) is FusedOps else op0
-                    if not isinstance(subs0, (tuple, list)):
-                        raise SimulationError(
-                            ctx.name,
-                            RuntimeError(
-                                "resumed context yielded a non-fused op "
-                                "where the checkpoint recorded a fused "
-                                f"batch: {op0!r}"
-                            ),
-                        )
-                    results0 = list(record.get("fused_prefix") or [])
-                    start_at = fused_index
-                    if record["executed"]:
-                        results0.append(record["pending_value"])
-                        start_at = fused_index + 1
-                    resume_batch = (subs0, start_at, results0, pending_exc)
-                elif record["executed"] or pending_exc is not None:
-                    self._resume_prime(ctx, gen)
-                    started = True
-                    value, exc = record["pending_value"], pending_exc
             while True:
                 # Per-op abort check: without it a context that never
                 # blocks (pure IncrCycles loops) would ignore deadline and
                 # peer-failure aborts until it happened to park.
                 if abort_is_set():
                     raise _Aborted
-                if resume_batch is not None:
-                    # Finish the checkpointed mid-batch suspension before
-                    # the first checkpoint gate: the pending prefix is
-                    # thread-local state no record could describe twice.
-                    subs, start_at, results, exc = resume_batch
-                    resume_batch = None
-                    if exc is None:
-                        value, exc, count = self._run_batch(
-                            ctx, subs, buf, results, start_at, cell
-                        )
-                        ops += count
-                        continue
-                    # The recorded batch outcome was an exception (a
-                    # closing dequeue): fall through and deliver it.
-                if self._ckpt_request:
-                    self._ckpt_ack(
-                        ctx, self._ready_record(ctx, started, value, exc)
-                    )
                 if fault is not None and ops >= fault.after_ops:
                     exc, fault = fault.make(), None
                 try:
@@ -534,14 +457,11 @@ class ThreadedExecutor(Executor):
                     break
                 except ChannelClosed:
                     break
-                started = True
                 value, exc = None, None
                 kind = type(op)
                 if kind is FusedOps or kind is tuple or kind is list:
                     subs = op.ops if kind is FusedOps else op
-                    value, exc, count = self._run_batch(
-                        ctx, subs, buf, [], 0, cell
-                    )
+                    value, exc, count = self._run_batch(ctx, subs, buf)
                     ops += count
                     continue
                 if kind is Enqueue:
@@ -611,170 +531,108 @@ class ThreadedExecutor(Executor):
                     _wallclock.perf_counter() - wall_start
                 )
 
-    def _run_batch(
-        self,
-        ctx: Context,
-        subs,
-        buf,
-        results: list,
-        start: int,
-        cell: Optional[list],
-    ) -> tuple:
-        """Execute constituents ``[start:]`` of a fused batch.
+    def _run_batch(self, ctx: Context, subs, buf) -> tuple:
+        """Execute a fused batch, constituent by constituent.
 
         Returns ``(value, exc, count)``: the delivery for the generator
         (the results list, or ``None`` paired with the closing exception)
-        and the number of constituents executed here.  ``cell`` — present
-        only while checkpointing is on — tracks the in-progress position
-        so a pause while blocked on a constituent records the exact
-        mid-batch suspension.
+        and the number of constituents executed.
         """
+        results: list = []
         exc: BaseException | None = None
         count = 0
-        try:
-            for index in range(start, len(subs)):
-                sub = subs[index]
-                if cell is not None:
-                    cell[0], cell[1], cell[2] = index, results, len(subs)
-                # Accounting is per constituent, matching the sequential
-                # executor: the batch itself is not an op, and a closing
-                # dequeue is still counted.
-                self._progress += 1
-                count += 1
-                skind = type(sub)
-                if skind is Enqueue:
-                    self._do_enqueue(ctx, sub)
-                    if buf is not None:
-                        buf.append(
-                            "enqueue", sub.sender.channel.name,
-                            ctx.time.now(), sub.data,
-                        )
-                    results.append(None)
-                elif skind is Dequeue or skind is Peek:
-                    try:
-                        result = self._do_dequeue(
-                            ctx, sub, remove=skind is Dequeue
-                        )
-                    except ChannelClosed as closed:
-                        exc = closed
-                        break  # abandon the rest of the batch
-                    if buf is not None:
-                        buf.append(
-                            "dequeue" if skind is Dequeue else "peek",
-                            sub.receiver.channel.name,
-                            ctx.time.now(), result,
-                        )
-                    results.append(result)
-                elif skind is IncrCycles:
-                    ctx.time.incr(sub.cycles)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                    results.append(None)
-                elif skind is AdvanceTo:
-                    ctx.time.advance(sub.time)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                    results.append(None)
-                elif skind is ViewTime:
-                    results.append(sub.context.time.now())
-                    self._ctx_spins[ctx.name] += 1
-                elif skind is WaitUntil:
-                    results.append(self._wait_until(ctx, sub))
-                else:
-                    raise SimulationError(
-                        ctx.name,
-                        TypeError(
-                            "FusedOps constituent must be a "
-                            f"non-fused op: {sub!r}"
-                        ),
+        for sub in subs:
+            # Accounting is per constituent, matching the sequential
+            # executor: the batch itself is not an op, and a closing
+            # dequeue is still counted.
+            self._progress += 1
+            count += 1
+            skind = type(sub)
+            if skind is Enqueue:
+                self._do_enqueue(ctx, sub)
+                if buf is not None:
+                    buf.append(
+                        "enqueue", sub.sender.channel.name,
+                        ctx.time.now(), sub.data,
                     )
-        finally:
-            if cell is not None:
-                cell[0] = None
+                results.append(None)
+            elif skind is Dequeue or skind is Peek:
+                try:
+                    result = self._do_dequeue(
+                        ctx, sub, remove=skind is Dequeue
+                    )
+                except ChannelClosed as closed:
+                    exc = closed
+                    break  # abandon the rest of the batch
+                if buf is not None:
+                    buf.append(
+                        "dequeue" if skind is Dequeue else "peek",
+                        sub.receiver.channel.name,
+                        ctx.time.now(), result,
+                    )
+                results.append(result)
+            elif skind is IncrCycles:
+                ctx.time.incr(sub.cycles)
+                if buf is not None:
+                    buf.append("advance", None, ctx.time.now())
+                results.append(None)
+            elif skind is AdvanceTo:
+                ctx.time.advance(sub.time)
+                if buf is not None:
+                    buf.append("advance", None, ctx.time.now())
+                results.append(None)
+            elif skind is ViewTime:
+                results.append(sub.context.time.now())
+                self._ctx_spins[ctx.name] += 1
+            elif skind is WaitUntil:
+                results.append(self._wait_until(ctx, sub))
+            else:
+                raise SimulationError(
+                    ctx.name,
+                    TypeError(
+                        "FusedOps constituent must be a "
+                        f"non-fused op: {sub!r}"
+                    ),
+                )
         # A list, matching the sequential fast path's reused plan buffer
         # (same type either way).
         return (results if exc is None else None, exc, count)
 
     # ------------------------------------------------------------------
-    # Checkpoint pause protocol (DESIGN.md §17).
+    # Checkpoint pause protocol (DESIGN.md §17): one controller; the
+    # cluster drivers join its rounds at their slice boundaries.
     # ------------------------------------------------------------------
 
-    def _resume_prime(self, ctx: Context, gen):
-        """Prime a resumed generator; its first yield re-derives the
-        suspended op (discarded — the recorded outcome replaces it)."""
-        try:
-            return gen.send(None)
-        except BaseException as failure:  # noqa: BLE001 - contract breach
-            raise SimulationError(
-                ctx.name,
-                RuntimeError(
-                    "context did not re-derive its suspended yield on "
-                    f"resume (resumable-state contract breach): {failure!r}"
-                ),
-            ) from failure
-
-    def _ready_record(self, ctx: Context, started: bool, value, exc) -> dict:
-        """The resume record for a thread paused at the top of its op
-        loop: the last op executed fully and its outcome awaits delivery
-        (or the generator never started)."""
-        if not started:
-            return _ckpt.record_fresh(ctx)
-        return _ckpt.record_suspended(
-            ctx, executed=True, pending_value=value, pending_exc=exc
-        )
-
-    def _ckpt_gate_blocked(self, ctx: Context) -> None:
-        """Safe point between bounded parks on an un-executed op.
-
-        Called with no channel condition held (the park's ``with`` block
-        has exited), so acknowledging here can never stop a peer from
-        reaching its own gate.
-        """
-        if not self._ckpt_request:
-            return
-        cell = self._ckpt_cells.get(id(ctx))
-        if cell is not None and cell[0] is not None:
-            record = _ckpt.record_suspended(
-                ctx,
-                executed=False,
-                fused_index=cell[0],
-                fused_prefix=list(cell[1][: cell[0]]),
-                fused_len=cell[2],
-            )
-        else:
-            record = _ckpt.record_suspended(ctx, executed=False)
-        self._ckpt_ack(ctx, record)
-
-    def _ckpt_ack(self, ctx: Context, record: dict) -> None:
-        """Publish this context's record, then stay parked — executing
-        nothing — until the controller finishes the capture."""
-        slot = self._slots[id(ctx)]
+    def _ckpt_ack(self, records: dict[int, dict]) -> None:
+        """Publish one driver's member records (by program slot), then
+        stay parked — executing nothing — until the controller finishes
+        the capture."""
         with self._ckpt_cv:
             if not self._ckpt_request:
                 # The round ended between the lock-free gate check and
                 # acquiring the condition; nothing to acknowledge.
                 return
             round_id = self._ckpt_round
-            self._ckpt_records[slot] = record
+            self._ckpt_records.update(records)
             self._ckpt_acked += 1
             self._ckpt_cv.notify_all()
             # Wait for *this* round to end.  The controller may begin the
             # next round immediately (interval <= 0), so waiting on the
-            # request boolean alone would strand this thread in a stale
+            # request boolean alone would strand this driver in a stale
             # wait while the new round counts acks it never re-sent.
             while self._ckpt_round == round_id and not self._abort.is_set():
                 self._ckpt_cv.wait(self.poll_interval)
         if self._abort.is_set():
             raise _Aborted
 
+    def _live_drivers(self) -> int:
+        return sum(1 for thread in self._threads if thread.is_alive())
+
     def _ckpt_loop(self) -> None:
         """Controller thread: pause, capture, resume at the configured
         cadence until the run finishes or aborts."""
         timer = self._ckpt_timer
-        while not self._abort.is_set():
-            with self._unfinished_lock:
-                if self._unfinished <= 0:
-                    return
+        while not self._abort.is_set() and self._live_drivers():
             if timer.due():
                 try:
                     self._ckpt_pause_and_capture()
@@ -792,11 +650,12 @@ class ThreadedExecutor(Executor):
     def _ckpt_pause_and_capture(self) -> None:
         """One pause/capture/resume round.
 
-        Raising the request flag makes every live thread acknowledge at
-        its next safe point; a thread that instead *finishes* mid-round
-        leaves the live count, so the wait below converges either way.
-        Threads resumed by the final notify re-check their own state —
-        blocked ops simply re-attempt against the (unchanged) channels.
+        Raising the request flag makes every live driver acknowledge at
+        its next slice boundary (or from its idle loop); a driver that
+        instead *finishes* mid-round leaves the live count, so the wait
+        below converges either way.  An acknowledged driver stays alive
+        in :meth:`_ckpt_ack`, so ``acked >= live`` means every live one
+        is paused.
         """
         with self._ckpt_cv:
             self._ckpt_records = {}
@@ -804,9 +663,8 @@ class ThreadedExecutor(Executor):
             self._ckpt_request = True
             try:
                 while not self._abort.is_set():
-                    with self._unfinished_lock:
-                        live = self._unfinished
-                    if live <= 0 or self._ckpt_acked >= live:
+                    live = self._live_drivers()
+                    if live == 0 or self._ckpt_acked >= live:
                         break
                     self._ckpt_cv.wait(self.poll_interval)
                 if not self._abort.is_set():
@@ -817,9 +675,10 @@ class ThreadedExecutor(Executor):
                 self._ckpt_cv.notify_all()
 
     def _capture_checkpoint(self) -> None:
-        """All live threads acknowledged: assemble and write the cut.
-        Contexts with no published record finished earlier (their threads
-        exited) and are captured as done."""
+        """All live drivers acknowledged: assemble and write the cut.
+        Contexts with no published record belong to a driver that
+        already exited — all its members finished — and are captured as
+        done."""
         program = self._program
         records = dict(self._ckpt_records)
         for slot, ctx in enumerate(program.contexts):
@@ -856,7 +715,6 @@ class ThreadedExecutor(Executor):
                     ctx, channel.cond, f"enqueue on full {channel.name}",
                     channel=channel,
                 )
-            self._ckpt_gate_blocked(ctx)
 
     def _do_dequeue(self, ctx: Context, op: Any, remove: bool) -> Any:
         channel = op.receiver.channel
@@ -876,7 +734,6 @@ class ThreadedExecutor(Executor):
                     ctx, channel.cond, f"dequeue on empty {channel.name}",
                     channel=channel,
                 )
-            self._ckpt_gate_blocked(ctx)
 
     def _wait_until(self, ctx: Context, op: WaitUntil) -> Any:
         target = op.context
@@ -898,7 +755,6 @@ class ThreadedExecutor(Executor):
                     )
                 finally:
                     sync.waiter_count -= 1
-            self._ckpt_gate_blocked(ctx)
         return target.time.now()
 
     def _park(
@@ -968,7 +824,7 @@ class ThreadedExecutor(Executor):
             ),
         )
 
-    def _watch(self, threads: list[threading.Thread]) -> None:
+    def _watch(self) -> None:
         """Abort the run when all unfinished threads are parked, stalled."""
         stall_start: Optional[float] = None
         last_progress = -1
@@ -1012,42 +868,72 @@ class ThreadedExecutor(Executor):
 
 
 class _ClusterDriver(SequentialExecutor):
-    """One cold cluster on one thread, embedded in a threaded run.
+    """One group of connected components on one thread, embedded in a
+    threaded run.
 
-    Member clocks are plain unhooked cells: foreign ``ViewTime`` /
-    ``WaitUntil`` observers read them directly — a monotone lower
-    bound, exactly the SVA contract — and the driver wakes the parked
-    ones after every slice (they also re-check on their own
-    ``poll_interval`` timeout, so liveness never rests on the notify).
-    Bounded slices keep that wake-up, the parent's abort flag and its
-    progress counter live, and idling polls foreign clocks (the one
-    external dependency a cold cluster can have) instead of declaring
-    deadlock — the parent watchdog owns that verdict.
+    Everything per-op — tracing, fault triggers, resume — is the
+    sequential executor's own; the parent's ``obs`` and fault plan are
+    simply handed down.  Member clocks are plain unhooked cells:
+    ``ViewTime`` / ``WaitUntil`` observers on other drivers read them
+    directly — a monotone lower bound, exactly the SVA contract.
+    Bounded slices keep the parent's abort flag, progress counter and
+    checkpoint rounds serviced, and idling polls foreign clocks (the one
+    external dependency a group can have) instead of declaring deadlock
+    — the parent watchdog owns that verdict.
     """
 
     name = "threaded-cluster"
 
-    def __init__(self, parent: ThreadedExecutor, member_syncs: list):
-        super().__init__()
+    def __init__(self, parent: ThreadedExecutor):
+        super().__init__(obs=parent.obs, faults=parent.faults)
         self._parent = parent
-        #: The members' ``_TimeSync`` records, for the slice-boundary wake.
-        self._member_syncs = member_syncs
         self._always_bounded = True
         # WaitUntil targets seen so far (possibly foreign contexts), so
         # idling can drain their waiters by object, not just by id.
         self._wu_targets: dict[int, Context] = {}
 
+    def _take_resume_records(self, program: Program):
+        """The members' share of the parent's records, re-keyed from
+        program slot to this sub-program's slot."""
+        records = self._parent._resume_records
+        if records is None:
+            return None
+        slots = self._parent._slots
+        return {
+            index: records[slots[id(ctx)]]
+            for index, ctx in enumerate(program.contexts)
+            if slots[id(ctx)] in records
+        }
+
+    def _ckpt_join(self) -> None:
+        """Slice-boundary safe point: every member is between ops, so
+        its state record describes it exactly (as in a sequential
+        capture).  Hands them to the parent's controller and waits the
+        round out."""
+        parent = self._parent
+        if parent._ckpt_request:
+            slots = parent._slots
+            parent._ckpt_ack(
+                {
+                    slots[key]: self._context_record(state)
+                    for key, state in self._states.items()
+                }
+            )
+
     def _run_slice(self, state, remaining) -> None:
         parent = self._parent
         if parent._abort.is_set():
             raise _Aborted
+        self._ckpt_join()
         before = self.ops_executed
         super()._run_slice(state, remaining)
         parent._progress += self.ops_executed - before
-        for sync in self._member_syncs:
-            if sync.waiter_count:
-                with sync.cond:
-                    sync.cond.notify_all()
+
+    def _finish(self, state) -> None:
+        super()._finish(state)
+        parent = self._parent
+        with parent._unfinished_lock:
+            parent._unfinished -= 1
 
     def _h_wait_until(self, state, op):
         self._wu_targets[id(op.context)] = op.context
@@ -1057,6 +943,7 @@ class _ClusterDriver(SequentialExecutor):
         parent = self._parent
         if parent._abort.is_set():
             raise _Aborted
+        self._ckpt_join()
         blocked = [
             st for st in self._states.values() if st.status == 1  # _BLOCKED
         ]
@@ -1068,20 +955,13 @@ class _ClusterDriver(SequentialExecutor):
                 self._drain_time_waiters(target)
             if self.policy:
                 return True
-        # Genuinely idle: park the whole cluster for one poll interval,
+        # Genuinely idle: park the whole group for one poll interval,
         # with each member's site registered so the stall report and the
         # watchdog's stasis detector see the real blocking structure.
-        sites: dict[str, tuple] = {}
-        for st in blocked:
-            op = st.retry_op
-            channel = None
-            if op is not None:
-                port = getattr(op, "sender", None) or getattr(
-                    op, "receiver", None
-                )
-                if port is not None:
-                    channel = port.channel
-            sites[st.context.name] = (st.blocked_detail, channel, None)
+        sites = {
+            st.context.name: (st.blocked_detail, *blocked_on(st.retry_op))
+            for st in blocked
+        }
         with parent._blocked_lock:
             parent._blocked_count += len(sites)
             for name, site in sites.items():
@@ -1103,3 +983,9 @@ class _ClusterDriver(SequentialExecutor):
                     parent._blocked_sites[name] = site
             raise _Aborted
         return True
+
+    def _fold_metrics(self, program, states):
+        return None  # the parent folds the whole run
+
+    def _attach_profile(self, summary, program, obs):
+        return None  # the parent profiles the whole run

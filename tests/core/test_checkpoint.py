@@ -215,6 +215,232 @@ class TestElasticResume:
 
 
 # ----------------------------------------------------------------------
+# Capture *on* the threaded executor: the cluster drivers join the
+# parent's controller at their slice boundaries (DESIGN.md §17).
+# ----------------------------------------------------------------------
+
+
+def _parallel_mha():
+    import numpy as np
+
+    from repro.sam.graphs import build_parallel_mha
+
+    rng = np.random.default_rng(5)
+    heads, seq_len, d = 2, 6, 4
+    mask = (rng.random((heads, seq_len, seq_len)) < 0.5).astype(float)
+    for h in range(heads):
+        np.fill_diagonal(mask[h], 1.0)
+    q, k, v = (rng.standard_normal((heads, seq_len, d)) for _ in range(3))
+    return build_parallel_mha(mask, q, k, v, parallelism=2)
+
+
+def _hold_drivers_for_controller(monkeypatch, first_boundary_only):
+    """Make cluster drivers wait at a slice boundary (bounded) until the
+    controller has raised its next round.  Left to race from the start,
+    programs this small run to completion inside one interpreter switch
+    interval, before the controller thread is ever scheduled."""
+    import time
+
+    from repro.core.executor.threaded import _ClusterDriver
+
+    join = _ClusterDriver._ckpt_join
+    seen = set()
+
+    def held(self):
+        parent = self._parent
+        if parent._ckpt_timer is not None and not (
+            first_boundary_only and id(self) in seen
+        ):
+            seen.add(id(self))
+            give_up = time.monotonic() + 5.0
+            while not parent._ckpt_request and time.monotonic() < give_up:
+                time.sleep(0)
+        join(self)
+
+    monkeypatch.setattr(_ClusterDriver, "_ckpt_join", held)
+
+
+@pytest.fixture
+def cut_at_every_slice(monkeypatch):
+    """``checkpoint_interval_s=0`` means "every quiescent opportunity"
+    here, as it does on the sequential executor."""
+    _hold_drivers_for_controller(monkeypatch, first_boundary_only=False)
+
+
+@pytest.fixture
+def controller_up_first(monkeypatch):
+    """The first round includes every driver; after it they race."""
+    _hold_drivers_for_controller(monkeypatch, first_boundary_only=True)
+
+
+@pytest.mark.usefixtures("cut_at_every_slice")
+class TestThreadedCapture:
+    CONFIG = {"executor": "threaded", "poll_interval": 0.005}
+
+    def test_two_drivers_agree_on_every_cut(self, tmp_path):
+        """Parallel MHA p=2 is two connected components, so two drivers:
+        any epoch — first, middle, last — resumes bit-identically on
+        every executor."""
+        reference = _parallel_mha()
+        expected = _fingerprint(reference, reference.run())
+        got, epochs = _capture(_parallel_mha, tmp_path, **self.CONFIG)
+        assert got == expected
+        assert len(epochs) >= 3 and epochs == list(range(1, len(epochs) + 1))
+        legs = [("sequential", {}), ("threaded", {})]
+        if fork_available:
+            legs.append(("process", {"workers": 2}))
+        for epoch in (epochs[0], epochs[len(epochs) // 2], epochs[-1]):
+            path = tmp_path / ckpt.checkpoint_filename(epoch)
+            kinds = {
+                record["kind"] for record in ckpt.load(str(path)).contexts.values()
+            }
+            assert kinds <= {"fresh", "suspended", "done"}
+            for executor, config in legs:
+                assert _resume(_parallel_mha, path, executor, **config) == expected, (
+                    f"epoch {epoch} of {len(epochs)} resumed on {executor}"
+                )
+
+    def test_round_completes_beside_idle_and_finished_drivers(self, tmp_path):
+        """Three drivers: a long pipeline, a short one that exits early,
+        and a pooled watcher that idles on the long pipeline's clock.
+        Rounds that begin while one is gone and one is asleep in its
+        idle loop still complete, and resume from them."""
+        from repro import Context, WaitUntil
+        from repro.contexts import Collector, RampSource
+
+        class Watcher(Context):
+            checkpoint_attrs = ("woke",)
+
+            def __init__(self, target, threshold):
+                super().__init__(name="watcher")
+                self.target, self.threshold = target, threshold
+                self.woke = False
+
+            def run(self):
+                if not self.woke:
+                    yield WaitUntil(self.target, self.threshold)
+                    self.woke = True
+                yield IncrCycles(1)
+
+        def build():
+            builder = ProgramBuilder()
+            s1, r1 = builder.bounded(2, name="long")
+            s2, r2 = builder.bounded(2, name="short")
+            builder.add(RampSource(s1, 300, ii=1, name="long_src"))
+            long_sink = builder.add(Collector(r1, ii=2, name="long_sink"))
+            builder.add(RampSource(s2, 2, ii=1, name="short_src"))
+            builder.add(Collector(r2, name="short_sink"))
+            builder.add(Watcher(long_sink, 400))
+            return builder.build()
+
+        def fingerprint(program, summary):
+            return (
+                summary.elapsed_cycles,
+                tuple(
+                    (ch.name, ch.stats.enqueues, ch.stats.dequeues)
+                    for ch in program.channels
+                ),
+                # The watcher reads a foreign clock: when it wakes is a
+                # schedule-dependent lower bound (DESIGN.md §15).
+                tuple(
+                    (ctx.name, ctx.finish_time, getattr(ctx, "values", None))
+                    for ctx in program.contexts
+                    if ctx.name != "watcher"
+                ),
+            )
+
+        reference = build()
+        expected = fingerprint(reference, reference.run())
+        program = build()
+        summary = program.run(
+            "threaded",
+            config=RunConfig(
+                checkpoint_interval_s=0.0,
+                checkpoint_path=str(tmp_path),
+                poll_interval=0.005,
+            ),
+        )
+        assert fingerprint(program, summary) == expected
+        epochs = _epochs(tmp_path)
+        assert len(epochs) >= 3
+        states = set()
+        for epoch in (epochs[len(epochs) // 2], epochs[-1]):
+            path = str(tmp_path / ckpt.checkpoint_filename(epoch))
+            records = ckpt.load(path).contexts
+            states.add((records[2]["kind"], records[4]["kind"]))
+            for executor in ("sequential", "threaded"):
+                program = build()
+                ckpt.load(path, program).restore_into(program)
+                assert fingerprint(program, program.run(executor)) == expected
+        # Some captured round saw the short pipeline's driver gone and
+        # the watcher parked on its un-executed WaitUntil.
+        assert ("done", "suspended") in states
+
+
+@pytest.mark.usefixtures("controller_up_first")
+class TestThreadedCaptureRaces:
+    def test_six_drivers_race_the_controller(self, tmp_path):
+        """No lockstep past the first round: six drivers with a 10 µs
+        switch interval, rounds back to back.  Every cut the controller
+        managed to take must hold all twelve contexts' records and
+        resume to the uninterrupted result."""
+        import sys
+
+        from repro.contexts import Collector, RampSource
+
+        def build():
+            builder = ProgramBuilder()
+            for lane in range(6):
+                snd, rcv = builder.bounded(1, latency=1, name=f"lane{lane}")
+                builder.add(RampSource(snd, 300 + lane, ii=1, name=f"src{lane}"))
+                builder.add(Collector(rcv, ii=1, name=f"sink{lane}"))
+            return builder.build()
+
+        def fingerprint(program, summary):
+            return (
+                summary.elapsed_cycles,
+                tuple(sorted(summary.context_times.items())),
+                tuple(
+                    (ch.stats.enqueues, ch.stats.dequeues)
+                    for ch in program.channels
+                ),
+                tuple(
+                    tuple(ctx.values)
+                    for ctx in program.contexts
+                    if hasattr(ctx, "values")
+                ),
+            )
+
+        reference = build()
+        expected = fingerprint(reference, reference.run())
+        program = build()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            summary = program.run(
+                "threaded",
+                config=RunConfig(
+                    checkpoint_interval_s=0.0,
+                    checkpoint_path=str(tmp_path),
+                    poll_interval=0.002,
+                    deadline_s=60.0,
+                ),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert fingerprint(program, summary) == expected
+        epochs = _epochs(tmp_path)
+        assert epochs and epochs == list(range(1, len(epochs) + 1))
+        for epoch in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
+            path = str(tmp_path / ckpt.checkpoint_filename(epoch))
+            program = build()
+            restored = ckpt.load(path, program)
+            assert sorted(restored.contexts) == list(range(12))
+            restored.restore_into(program)
+            assert fingerprint(program, program.run()) == expected
+
+
+# ----------------------------------------------------------------------
 # Refusal, corruption, discovery hygiene.
 # ----------------------------------------------------------------------
 

@@ -14,7 +14,14 @@ from repro import (
 )
 from repro.contexts import Collector, NullSink, RampSource, UnaryFunction
 from repro.core import plan_clusters
-from repro.core.executor.partition import select_clusters
+
+
+def _never(*_args, **_kwargs):
+    raise AssertionError("the other hosting's thread body was entered")
+
+
+def _components(program):
+    return plan_clusters(program, {id(ctx): 0 for ctx in program.contexts})
 
 
 class Exploder(Context):
@@ -129,52 +136,61 @@ class TestThreadedErrors:
         assert sink.values == [sum(range(600_000))]
 
 
-def _two_pipelines():
-    """Two disconnected source→sink pipelines: two cold clusters."""
-    builder = ProgramBuilder()
-    for _ in range(2):
-        snd, rcv = builder.bounded(2)
-        builder.add(RampSource(snd, 5))
-        builder.add(NullSink(rcv))
-    return builder.build()
-
-
-def _cold_clusters(program):
-    return plan_clusters(program, {id(ctx): 0 for ctx in program.contexts})
+class Loner(Context):
+    def run(self):
+        yield IncrCycles(3)
 
 
 class TestClusterHosting:
-    """``superblocks`` picks which cold clusters share one driver thread."""
+    """``superblocks`` alone picks the hosting: one thread per context
+    (``"off"``) or one cluster driver per connected component, the
+    single-context components pooled onto one more."""
 
-    def test_single_member_clusters_never_selected(self):
-        class Loner(Context):
-            def run(self):
-                yield IncrCycles(3)
-
+    @staticmethod
+    def _program():
+        """Four channel-less contexts plus two source→sink pipelines."""
         builder = ProgramBuilder()
-        snd, rcv = builder.bounded(2)
-        builder.add(RampSource(snd, 3))
-        builder.add(NullSink(rcv))
-        builder.add(Loner())  # channel-less: a 1-member cluster
-        program = builder.build()
-        clusters = _cold_clusters(program)
-        assert len(clusters) == 2
-        selected = select_clusters(program, clusters, "on")
-        assert [spec.size for spec in selected] == [2]
+        for _ in range(4):
+            builder.add(Loner())
+        for _ in range(2):
+            snd, rcv = builder.bounded(2)
+            builder.add(RampSource(snd, 5))
+            builder.add(NullSink(rcv))
+        return builder.build()
 
-    def test_fresh_program_auto_selects_everything(self):
-        program = _two_pipelines()
-        assert len(select_clusters(program, _cold_clusters(program), "auto")) == 2
+    @pytest.mark.parametrize("mode", ["on", "auto", True])
+    def test_singletons_pool_onto_one_driver(self, mode, monkeypatch):
+        groups = []
+        drive_cluster = ThreadedExecutor._drive_cluster
 
-    def test_auto_skips_zero_traffic_clusters_once_observed(self):
-        program = _two_pipelines()
-        clusters = _cold_clusters(program)
-        # Traffic observed on the first pipeline's channel only.
-        program.channels[0].stats.enqueues = 5
-        program.channels[0].stats.dequeues = 5
-        assert len(select_clusters(program, clusters, "auto")) == 1
-        # "on" still selects both regardless of observations.
-        assert len(select_clusters(program, clusters, "on")) == 2
+        def spy(self, contexts, channels):
+            groups.append(len(contexts))
+            drive_cluster(self, contexts, channels)
+
+        monkeypatch.setattr(ThreadedExecutor, "_drive_cluster", spy)
+        monkeypatch.setattr(ThreadedExecutor, "_drive", _never)
+        program = self._program()
+        assert len(_components(program)) == 6
+        summary = program.run("threaded", config=RunConfig(superblocks=mode))
+        assert sorted(groups) == [2, 2, 4]  # three driver threads
+        reference = self._program().run("sequential")
+        assert summary.ops_executed == reference.ops_executed
+        assert summary.elapsed_cycles == reference.elapsed_cycles
+
+    @pytest.mark.parametrize("mode", ["off", False])
+    def test_off_is_one_thread_per_context(self, mode, monkeypatch):
+        driven = []
+        drive = ThreadedExecutor._drive
+
+        def spy(self, ctx):
+            driven.append(ctx)
+            drive(self, ctx)
+
+        monkeypatch.setattr(ThreadedExecutor, "_drive", spy)
+        monkeypatch.setattr(ThreadedExecutor, "_drive_cluster", _never)
+        program = self._program()
+        program.run("threaded", config=RunConfig(superblocks=mode))
+        assert len(driven) == len(program.contexts) == 8
 
     def test_every_mode_matches_sequential(self):
         """Capacity-1 ping-pong (every hop parks) on one driver thread or
@@ -203,3 +219,170 @@ class TestClusterHosting:
         reference = run("sequential")
         for mode in ("off", "on", "auto"):
             assert run("threaded", mode) == reference, f"superblocks={mode}"
+
+
+def _two_stage(tokens=40):
+    """source → +1 → collector over shallow channels (every context
+    honours the resumable-state contract); returns (program, collector)."""
+    builder = ProgramBuilder()
+    s1, r1 = builder.bounded(2, latency=1, resp_latency=1, name="raw")
+    s2, r2 = builder.bounded(2, latency=1, resp_latency=1, name="cooked")
+    builder.add(RampSource(s1, tokens, ii=1, name="src"))
+    builder.add(UnaryFunction(r1, s2, _plus_one, ii=1, name="fn"))
+    collector = builder.add(Collector(r2, ii=2, name="sink"))
+    return builder.build(), collector
+
+
+def _plus_one(x):
+    return x + 1
+
+
+def _run_signature(program, collector, executor, **config):
+    summary = program.run(executor, config=RunConfig(**config))
+    return (
+        summary.elapsed_cycles,
+        tuple(sorted(summary.context_times.items())),
+        summary.ops_executed,
+        tuple((ch.stats.enqueues, ch.stats.dequeues) for ch in program.channels),
+        list(collector.values),
+    )
+
+
+def _restored(tmp_path):
+    """A fresh program restored from a mid-run sequential checkpoint."""
+    from repro.core import checkpoint as ckpt
+
+    program, _ = _two_stage()
+    program.run(
+        config=RunConfig(
+            timeslice=5, checkpoint_interval_s=0.0, checkpoint_path=str(tmp_path)
+        )
+    )
+    paths = ckpt.list_checkpoints(str(tmp_path))
+    program, collector = _two_stage()
+    ckpt.load(paths[len(paths) // 2], program).restore_into(program)
+    return program, collector
+
+
+class TestHostingRule:
+    """What is attached to a run never picks its hosting: the default
+    mode stays on the cluster drivers, and ``"off"`` refuses — typed,
+    before any thread starts — the one combination it has no safe points
+    for."""
+
+    @pytest.fixture
+    def reference(self):
+        program, collector = _two_stage()
+        return _run_signature(program, collector, "sequential")
+
+    @pytest.fixture
+    def no_context_threads(self, monkeypatch):
+        monkeypatch.setattr(ThreadedExecutor, "_drive", _never)
+
+    @pytest.fixture
+    def no_threads(self, monkeypatch):
+        import threading
+
+        monkeypatch.setattr(threading.Thread, "start", _never)
+
+    def test_obs_rides_the_driver(self, reference, no_context_threads):
+        from repro import Observability
+
+        def traced(executor):
+            program, collector = _two_stage()
+            obs = Observability()
+            signature = _run_signature(program, collector, executor, obs=obs)
+            return signature, [
+                (e.context, e.kind, e.channel, e.time, e.seq)
+                for e in obs.trace.events
+            ]
+
+        assert traced("threaded") == traced("sequential")
+        assert traced("threaded")[0] == reference
+
+    def test_fault_plan_rides_the_driver(self, reference, no_context_threads):
+        from repro import FaultInjected, FaultPlan
+
+        program, collector = _two_stage()
+        dormant = FaultPlan().raise_in("fn", after_ops=10**9)
+        assert (
+            _run_signature(program, collector, "threaded", faults=dormant)
+            == reference
+        )
+        program, _ = _two_stage()
+        with pytest.raises(SimulationError) as info:
+            program.run(
+                "threaded",
+                config=RunConfig(faults=FaultPlan().raise_in("fn", after_ops=9)),
+            )
+        assert isinstance(info.value.original, FaultInjected)
+        assert info.value.context_name == "fn"
+
+    def test_checkpointing_rides_the_driver(
+        self, reference, no_context_threads, tmp_path
+    ):
+        program, collector = _two_stage()
+        got = _run_signature(
+            program, collector, "threaded",
+            checkpoint_interval_s=0.0, checkpoint_path=str(tmp_path),
+        )
+        assert got == reference
+
+    def test_resume_rides_the_driver(
+        self, reference, no_context_threads, tmp_path
+    ):
+        program, collector = _restored(tmp_path)
+        got = _run_signature(program, collector, "threaded")
+        # Ops before the cut were executed by the captured run.
+        assert got[:2] + got[3:] == reference[:2] + reference[3:]
+
+    def test_off_refuses_checkpointing(self, no_threads, tmp_path):
+        from repro import NotCheckpointable
+
+        program, _ = _two_stage()
+        with pytest.raises(NotCheckpointable, match="superblocks"):
+            program.run(
+                "threaded",
+                config=RunConfig(
+                    superblocks="off",
+                    checkpoint_interval_s=0.0,
+                    checkpoint_path=str(tmp_path / "out"),
+                ),
+            )
+        assert not (tmp_path / "out").exists()
+
+    def test_off_refuses_a_restored_program(self, reference, monkeypatch, tmp_path):
+        import threading
+
+        from repro import NotCheckpointable
+
+        program, collector = _restored(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", _never)
+            with pytest.raises(NotCheckpointable, match="superblocks"):
+                program.run("threaded", config=RunConfig(superblocks="off"))
+        # The refusal consumed nothing: the same program still resumes.
+        got = _run_signature(program, collector, "threaded")
+        assert got[:2] + got[3:] == reference[:2] + reference[3:]
+
+    def test_off_keeps_obs_and_faults(self, reference, monkeypatch):
+        from repro import FaultInjected, FaultPlan, Observability
+
+        monkeypatch.setattr(ThreadedExecutor, "_drive_cluster", _never)
+        program, collector = _two_stage()
+        obs = Observability()
+        got = _run_signature(
+            program, collector, "threaded", superblocks="off", obs=obs
+        )
+        assert got == reference
+        assert len(obs.trace.events) > reference[2]  # ops + finishes
+        program, _ = _two_stage()
+        with pytest.raises(SimulationError) as info:
+            program.run(
+                "threaded",
+                config=RunConfig(
+                    superblocks="off",
+                    faults=FaultPlan().raise_in("fn", after_ops=9),
+                ),
+            )
+        assert isinstance(info.value.original, FaultInjected)

@@ -1,6 +1,6 @@
 """Metrics registry semantics and the executor folding discipline."""
 
-from repro import Observability, ProgramBuilder
+from repro import Observability, ProgramBuilder, RunConfig
 from repro.core.channel import Channel
 from repro.core.time import TimeCell
 from repro.contexts import Collector, RampSource, UnaryFunction
@@ -112,7 +112,7 @@ class TestAlwaysOnOccupancy:
         assert ch.real_occupancy() == 0
 
 
-def run_pipeline(executor, n=6):
+def run_pipeline(executor, n=6, **config):
     builder = ProgramBuilder()
     s1, r1 = builder.bounded(3, name="raw")
     s2, r2 = builder.bounded(3, name="doubled")
@@ -120,7 +120,9 @@ def run_pipeline(executor, n=6):
     builder.add(UnaryFunction(r1, s2, lambda x: 2 * x, name="double"))
     builder.add(Collector(r2, name="sink"))
     obs = Observability(trace=False)
-    summary = builder.build().run(executor=executor, obs=obs)
+    summary = builder.build().run(
+        executor=executor, obs=obs, config=RunConfig(**config)
+    )
     return obs, summary
 
 
@@ -163,7 +165,8 @@ class TestRunMetrics:
         assert wall_dist["count"] == 3
 
     def test_threaded_records_parks(self):
-        obs, summary = run_pipeline("threaded")
+        # Park counters are the per-context-thread (SVP) runtime's.
+        obs, summary = run_pipeline("threaded", superblocks="off")
         counters = summary.metrics["counters"]
         parks = sum(
             value

@@ -163,3 +163,79 @@ class TestFullChannelStall:
         assert "occupancy 2/2" in message
         # The WaitUntil stall names the peer clock dependency.
         assert "wait-until 10000 on stuffer" in message
+
+
+class TestClusterHostedWaitUntil:
+    """Threaded cluster hosting (DESIGN.md §15): the driver's idle loop
+    registers the same park sites a per-context thread would."""
+
+    # The deadline turns a missed deadlock into a failure, not a hang.
+    CONFIG = RunConfig(poll_interval=0.01, deadlock_grace=0.2, deadline_s=10.0)
+
+    def test_foreign_wait_until_keeps_its_peer(self):
+        """A context parked on the clock of a context hosted by another
+        driver reports that peer and the peer's clock."""
+        from repro import WaitUntil
+
+        class Watcher(Context):
+            def __init__(self, out, target):
+                super().__init__(name="watcher")
+                self.out, self.target = out, target
+                self.register(out)
+
+            def run(self):
+                yield WaitUntil(self.target, 100)
+                yield self.out.enqueue(0)
+
+        class Mate(Context):
+            def __init__(self, inp):
+                super().__init__(name="mate")
+                self.inp = inp
+                self.register(inp)
+
+            def run(self):
+                yield self.inp.dequeue()
+
+        builder = ProgramBuilder()
+        s1, r1 = builder.bounded(1, name="a2b")
+        s2, r2 = builder.bounded(1, name="b2a")
+        ctx_a = builder.add(Hold(r1, s2, "ctx_a", 5))
+        builder.add(Hold(r2, s1, "ctx_b", 3))
+        # A second component: the watcher waits on ctx_a's clock, its
+        # mate on the watcher.
+        snd, rcv = builder.bounded(1, name="w2m")
+        builder.add(Watcher(snd, ctx_a))
+        builder.add(Mate(rcv))
+        with pytest.raises(DeadlockError) as excinfo:
+            builder.build().run("threaded", config=self.CONFIG)
+        line = next(
+            line for line in excinfo.value.blocked if line.startswith("watcher:")
+        )
+        assert "wait-until 100 on ctx_a" in line
+        assert "peer ctx_a @ t=5" in line
+
+    def test_deadlock_is_found_beside_a_finished_member(self):
+        """A driver that hosts a finished context next to the blocked
+        ones must not hide the stall from the watchdog."""
+        from repro.contexts import RampSource
+
+        class Fed(Hold):
+            def __init__(self, feed, inp, out, name):
+                super().__init__(inp, out, name, 0)
+                self.feed = feed
+                self.register(feed)
+
+            def run(self):
+                yield self.feed.dequeue()
+                yield from super().run()
+
+        builder = ProgramBuilder()
+        s1, r1 = builder.bounded(1, name="a2b")
+        s2, r2 = builder.bounded(1, name="b2a")
+        snd, rcv = builder.bounded(4, name="feed")
+        builder.add(RampSource(snd, 1, name="feeder"))  # finishes at once
+        builder.add(Fed(rcv, r1, s2, "ctx_a"))
+        builder.add(Hold(r2, s1, "ctx_b", 3))
+        with pytest.raises(DeadlockError) as excinfo:
+            builder.build().run("threaded", config=self.CONFIG)
+        assert "ctx_a" in str(excinfo.value) and "ctx_b" in str(excinfo.value)

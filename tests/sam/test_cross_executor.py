@@ -374,9 +374,9 @@ class TestWorkStealing:
 
 
 # ----------------------------------------------------------------------
-# Cluster hosting (DESIGN.md §15): the threaded executor may drive each
-# cold cluster on one thread instead of one thread per context; the
-# results must not move.  No other executor reads the field.
+# Cluster hosting (DESIGN.md §15): the threaded executor drives each
+# connected component on one thread, or ("off") each context on its own;
+# the results must not move.  No other executor reads the field.
 # ----------------------------------------------------------------------
 
 
@@ -388,7 +388,7 @@ class TestClusterHostingModes:
         build = _KERNELS[kernel_name]
         reference_kernel = build()
         reference = _signature(reference_kernel, reference_kernel.run())
-        for mode in ("off", "on"):
+        for mode in ("off", "on", "auto"):
             kernel = build()
             summary = kernel.run(
                 executor="threaded", config=RunConfig(superblocks=mode)
@@ -435,10 +435,10 @@ class TestClusterHostingModes:
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
     def test_trace_and_profile_identical_across_modes(self):
-        """Tracing needs the per-context thread structure, so a traced
-        threaded run hosts no cluster whatever mode was requested: the
-        merged event stream and the derived profile must match the
-        sequential ones."""
+        """An attached ``Observability`` rides whichever hosting the mode
+        picked — per-context threads or cluster drivers: the merged
+        event stream, the derived profile and the channel metrics must
+        match the sequential ones."""
         from repro.core import RunConfig
         from repro.obs import Observability
 
@@ -453,12 +453,25 @@ class TestClusterHostingModes:
                 (e.context, e.kind, e.channel, e.time, e.seq)
                 for e in obs.trace.events
             ]
-            return _signature(kernel, summary), events, summary.profile
+            # Counters only: the occupancy gauges are *real* (schedule-
+            # dependent) high-water marks.
+            channel_metrics = {
+                key: value
+                for key, value in summary.metrics["counters"].items()
+                if key.startswith("channel_")
+            }
+            return (
+                _signature(kernel, summary),
+                events,
+                summary.profile,
+                channel_metrics,
+            )
 
         reference = run("sequential", None)
-        for mode in ("on", "auto"):
+        assert reference[3]
+        for mode in ("off", "on", "auto"):
             assert run("threaded", mode) == reference, (
-                f"threaded superblocks={mode}: trace/profile diverged"
+                f"threaded superblocks={mode}: trace/profile/metrics diverged"
             )
 
 
