@@ -7,6 +7,7 @@ import time as _wallclock
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from .. import checkpoint as _ckpt
 from ..time import Time
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -254,6 +255,55 @@ class Executor:
             policy=policy,
             **counters,
         )
+
+    # ------------------------------------------------------------------
+    # Shared run lifecycle.  The executors that use these carry
+    # ``deadline_s`` / ``faults`` / ``checkpoint_path`` /
+    # ``checkpoint_interval_s`` (RunConfig fields) and ``_ckpt_timer``.
+    # ------------------------------------------------------------------
+
+    def _arm_deadline_and_faults(self, start: float) -> None:
+        """Per-run preamble: the wall-clock deadline, and the context
+        faults still pending, keyed by context name.  A trigger is
+        consumed with ``pop``, so it fires once however many threads
+        share the map."""
+        self._deadline_at = (
+            start + self.deadline_s if self.deadline_s is not None else None
+        )
+        faults = self.faults
+        self._fault_map = (
+            dict(faults.context_faults)
+            if faults is not None and faults.context_faults
+            else {}
+        )
+
+    def _arm_checkpoints(self, program: "Program", start_epoch: int):
+        """The capture cadence of a checkpointed run (``None`` when
+        ``checkpoint_path`` is unset): refuses a program that cannot be
+        captured and sweeps what a killed run left in the directory."""
+        if self.checkpoint_path is None:
+            return None
+        _ckpt.validate_checkpointable(program)
+        _ckpt.clean_stale_temps(self.checkpoint_path)
+        interval = self.checkpoint_interval_s
+        return _ckpt.CheckpointTimer(
+            0.0 if interval is None else interval, start_epoch=start_epoch
+        )
+
+    def _save_checkpoint(self, program: "Program", records: dict) -> None:
+        """Write the quiescent cut ``records`` describes (one resume
+        record per context slot) as the next epoch."""
+        obs = self.obs
+        registry = obs.metrics if obs is not None else None
+        checkpoint = _ckpt.Checkpoint.capture(
+            program,
+            self._ckpt_timer.epoch + 1,
+            records,
+            metrics=registry.dump_state() if registry is not None else None,
+            executor=self.name,
+        )
+        checkpoint.save(self.checkpoint_path)
+        self._ckpt_timer.mark()
 
     # ------------------------------------------------------------------
     # Shared observability hooks.

@@ -809,23 +809,6 @@ class _WorkerExecutor(SequentialExecutor):
             {"records": records, "channels": channels},
         )
 
-    def _poll_remote_waiters(self) -> bool:
-        """Wake WaitUntil waiters on remote clocks (shared-slot reads)."""
-        if not self._any_time_waiters:
-            return False
-        woke = self.wakeups
-        for target_id in list(self._time_waiters):
-            if target_id in self._states:
-                continue  # local target: woken by local advances
-            waiters = self._time_waiters.get(target_id)
-            if not waiters:
-                continue
-            op = waiters[0][1].retry_op
-            if op is None:
-                continue
-            self._drain_time_waiters(op.context)
-        return self.wakeups != woke
-
     def _remote_dependence(self, blocked) -> bool:
         """True if any blocked context could be unblocked by remote
         activity (a shuttle record or a remote clock advance)."""
@@ -859,7 +842,7 @@ class _WorkerExecutor(SequentialExecutor):
             # everything" hold without that argument.
             self._clocks.publish(self._owned_clocks.values())
             progress = self._service_shuttles()
-            if self._poll_remote_waiters():
+            if self._poll_foreign_waiters():
                 progress = True
             if self.policy:
                 self._publish(WORKER_RUNNING)
@@ -1587,8 +1570,7 @@ class ProcessExecutor(Executor):
             if resume_records is not None
             else 0
         )
-        if self.checkpoint_path is not None:
-            _ckpt.validate_checkpointable(program)
+        ckpt_timer = self._arm_checkpoints(program, resume_epoch)
         if self.obs is not None and self.obs.trace is not None:
             # Build the traced slice loop once, here, so every forked
             # worker inherits it instead of compiling its own.
@@ -1646,20 +1628,15 @@ class ProcessExecutor(Executor):
                 claim.set_owner(spec.index, spec.owner)
             ckpt_board = None
             coordinator = None
-            if self.checkpoint_path is not None:
-                _ckpt.clean_stale_temps(self.checkpoint_path)
+            if ckpt_timer is not None:
                 ckpt_board = arena.adopt(
                     CheckpointBoard(
                         arena.view(ckpt_off, ckpt_len), len(groups)
                     )
                 )
-                interval = self.checkpoint_interval_s
                 coordinator = _CkptCoordinator(
                     board=ckpt_board,
-                    timer=_ckpt.CheckpointTimer(
-                        0.0 if interval is None else interval,
-                        start_epoch=resume_epoch,
-                    ),
+                    timer=ckpt_timer,
                     path=self.checkpoint_path,
                     program=program,
                     clusters=clusters,

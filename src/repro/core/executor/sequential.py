@@ -207,7 +207,7 @@ class _ContextState:
         "fused_ops",
         "fused_index",
         "fused_results",
-        "fused_plan",
+        "fused_batch",
         "send",
     )
 
@@ -234,9 +234,11 @@ class _ContextState:
         self.fused_ops: Any = None
         self.fused_index = 0
         self.fused_results: Any = None
-        # The batch's compiled plan entries (fast path only), so the
-        # resume runner can stay plan-based.
-        self.fused_plan: Any = None
+        # The parked :class:`FusedOps` itself when the fast loop parked
+        # it: its compiled plan is what lets that loop re-enter the batch
+        # (None for a batch parked by the generic runner or restored
+        # from a checkpoint — those resume through :meth:`_run_fusion`).
+        self.fused_batch: Any = None
 
 
 @register_executor("sequential")
@@ -347,15 +349,9 @@ class SequentialExecutor(Executor):
         # ``_program`` for the full shipped program while calling
         # ``execute`` with an empty one (they claim work lazily).
         self._run_program = program
-        self._ckpt_timer = None
-        if self.checkpoint_path is not None:
-            _ckpt.validate_checkpointable(program)
-            _ckpt.clean_stale_temps(self.checkpoint_path)
-            interval = self.checkpoint_interval_s
-            self._ckpt_timer = _ckpt.CheckpointTimer(
-                0.0 if interval is None else interval,
-                start_epoch=getattr(program, "_resume_epoch", 0),
-            )
+        self._ckpt_timer = self._arm_checkpoints(
+            program, getattr(program, "_resume_epoch", 0)
+        )
         resume_records = self._take_resume_records(program)
         states = {id(ctx): _ContextState(ctx) for ctx in program.contexts}
         # Waiters on another context's clock: target id -> [(threshold, state)].
@@ -388,14 +384,7 @@ class SequentialExecutor(Executor):
         # Deadlines and context faults both need the loop to come up for
         # air: force bounded slices (run-to-block would otherwise let one
         # busy context starve the wall-clock check and the fault trigger).
-        self._fault_map = (
-            dict(self.faults.context_faults)
-            if self.faults is not None and self.faults.context_faults
-            else {}
-        )
-        self._deadline_at = (
-            start + self.deadline_s if self.deadline_s is not None else None
-        )
+        self._arm_deadline_and_faults(start)
         self._bounded = (
             self._always_bounded
             or self._deadline_at is not None
@@ -596,17 +585,7 @@ class SequentialExecutor(Executor):
             slot: self._context_record(states[id(ctx)])
             for slot, ctx in enumerate(program.contexts)
         }
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-        checkpoint = _ckpt.Checkpoint.capture(
-            program,
-            self._ckpt_timer.epoch + 1,
-            records,
-            metrics=registry.dump_state() if registry is not None else None,
-            executor=self.name,
-        )
-        checkpoint.save(self.checkpoint_path)
-        self._ckpt_timer.mark()
+        self._save_checkpoint(program, records)
 
     def _apply_resume_records(
         self, program: Program, states: dict, records: dict
@@ -621,7 +600,7 @@ class SequentialExecutor(Executor):
         discard the re-derived first yield, and inject the recorded
         result; fused suspensions additionally rebuild the mid-batch
         bookkeeping that :meth:`_resume_pending` already knows how to
-        finish (``fused_plan=None`` routes it through the generic
+        finish (``fused_batch=None`` routes it through the generic
         :meth:`_run_fusion`).
         """
         for slot, ctx in enumerate(program.contexts):
@@ -675,7 +654,7 @@ class SequentialExecutor(Executor):
         state.fused_ops = ops_seq
         state.fused_index = fused_index
         state.fused_results = results
-        state.fused_plan = None  # forces the generic _run_fusion path
+        state.fused_batch = None  # forces the generic _run_fusion path
         if executed:
             state.pending_value = record["pending_value"]
             state.pending_exc = pending_exc
@@ -745,13 +724,19 @@ class SequentialExecutor(Executor):
         # trigger is evaluated at slice granularity — bounded slices are
         # forced whenever a fault plan is present, so it fires promptly.
         if self._fault_map:
-            fault = self._fault_map.get(state.context.name)
-            if fault is not None and state.ops >= fault.after_ops:
-                del self._fault_map[state.context.name]
+            name = state.context.name
+            fault = self._fault_map.get(name)
+            if (
+                fault is not None
+                and state.ops >= fault.after_ops
+                # Cluster drivers share their parent's map: the pop
+                # decides which of them fires.
+                and self._fault_map.pop(name, None) is not None
+            ):
                 state.retry_op = None
                 state.fused_ops = None
                 state.fused_results = None
-                state.fused_plan = None
+                state.fused_batch = None
                 state.pending_value = None
                 state.pending_exc = fault.make()
 
@@ -786,23 +771,19 @@ class SequentialExecutor(Executor):
         ops_seq = state.fused_ops
         index = state.fused_index
         results = state.fused_results
-        entries = state.fused_plan
         state.fused_ops = None
         state.fused_results = None
-        state.fused_plan = None
+        state.fused_batch = None
         if state.pending_exc is not None:
             return True  # batch abandoned; exception thrown at the yield
         results[index] = state.pending_value
         if index + 1 == len(ops_seq):
-            # Parked on the *last* constituent — the common case for the
-            # canonical (enqueue..., tick, dequeue) kits: the batch is
-            # already complete, deliver the results without re-entering
-            # a fusion runner.
+            # Parked on the *last* constituent: the batch is already
+            # complete, deliver the results without re-entering the
+            # fusion runner.
             state.pending_value = results
             return True
         state.pending_value = None
-        if self._fast and entries is not None:
-            return self._fuse_fast(state, ops_seq, entries, index + 1, results)
         return self._run_fusion(state, ops_seq, index + 1, results)
 
     def _run_fusion(self, state, ops_seq, index: int, results: list) -> bool:
@@ -917,31 +898,48 @@ class SequentialExecutor(Executor):
         waiter present.
 
         A capacity-1 hop is park → wake → resume, and what it costs is
-        the Python calls in between, so the three are open-coded where
-        a benchmark workload shows them: parks store what
-        :meth:`_block` stores, the wake a fused enqueue gives a parked
-        receiver is :meth:`_wake_recv_deliver` + :meth:`_wake` in place
-        (every other wake site calls the helpers), and the prologue
-        finalizes a batch that parked on its last constituent.
+        the Python calls in between, so park and wake are open-coded
+        where a benchmark workload shows them: parks store what
+        :meth:`_block` stores, and the wake a fused enqueue gives a
+        parked receiver is :meth:`_wake_recv_deliver` + :meth:`_wake`
+        in place (every other wake site calls the helpers).  The resume
+        has no code of its own: the prologue hands a batch this loop
+        parked back to the fused branch below, at the constituent after
+        the one it parked on.
         """
-        # A context woken from a blocking op completes it first.  The
-        # common shape — parked on the *last* constituent of a fused
-        # batch, result already delivered by the waker — finalizes
-        # inline; every other shape takes the resume machinery.
+        # A context woken from a blocking op completes it first: the
+        # parked op is re-attempted unless the waker delivered its
+        # result.  ``index`` is 0 whenever the loop is between batches;
+        # non-zero, it is where the first iteration re-enters the batch
+        # this loop parked (the generator is not resumed — it is still
+        # suspended at that batch's yield).
+        index = 0
         if state.retry_op is not None or state.fused_ops is not None:
-            ops_seq = state.fused_ops
-            if (
-                ops_seq is not None
-                and state.retry_op is None
-                and state.pending_exc is None
-                and state.fused_index + 1 == len(ops_seq)
-            ):
-                buf = state.fused_results
-                buf[state.fused_index] = state.pending_value
-                state.pending_value = buf
+            op = state.retry_op
+            if op is not None:
+                state.retry_op = None
+                if not self._dispatch(state, op):
+                    return  # blocked again; fused state (if any) kept
+            # A batch this loop parked is re-entered below.  One without
+            # a plan (parked by the generic runner, or restored from a
+            # checkpoint) or abandoned while parked takes the reference
+            # path, as does a bare op (nothing left to do).
+            op = state.fused_batch
+            if op is not None and state.pending_exc is None:
+                entries, buf = op.plan
+                index = state.fused_index
+                buf[index] = state.pending_value
+                index += 1
                 state.fused_ops = None
                 state.fused_results = None
-                state.fused_plan = None
+                state.fused_batch = None
+                if index == len(entries):
+                    # Parked on its last constituent: already complete.
+                    state.pending_value = buf
+                    index = 0
+                else:
+                    state.pending_value = None
+                    kind = FusedOps
             elif not self._resume_pending(state):
                 return  # blocked again
 
@@ -956,50 +954,55 @@ class SequentialExecutor(Executor):
         exc = state.pending_exc
         state.pending_value = None
         state.pending_exc = None
-        executed = 0
+        # A re-entered batch counted its first ``index`` constituents
+        # (the parked one included) in the slice that parked it.
+        executed = -index
         try:
             while remaining != 0:
-                remaining -= 1
-                clock._time = now  # visible to the context body
-                try:
-                    if exc is not None:
-                        op = state.gen.throw(exc)
-                        exc = None
-                    else:
-                        op = gen_send(value)
-                        value = None
-                except StopIteration:
-                    self._finish(state)
-                    return
-                except ChannelClosed:
-                    self._finish(state)
-                    return
-                except DeadlockError:
-                    raise
-                except BaseException as failure:  # noqa: BLE001
-                    self._finish(state)
-                    raise SimulationError(ctx.name, failure) from failure
-                now = clock._time
+                if not index:
+                    remaining -= 1
+                    clock._time = now  # visible to the context body
+                    try:
+                        if exc is not None:
+                            op = state.gen.throw(exc)
+                            exc = None
+                        else:
+                            op = gen_send(value)
+                            value = None
+                    except StopIteration:
+                        self._finish(state)
+                        return
+                    except ChannelClosed:
+                        self._finish(state)
+                        return
+                    except DeadlockError:
+                        raise
+                    except BaseException as failure:  # noqa: BLE001
+                        self._finish(state)
+                        raise SimulationError(ctx.name, failure) from failure
+                    now = clock._time
 
-                kind = op.__class__
-                if kind is tuple or kind is list:
-                    # Cold: ad-hoc batches are normalized so the hot
-                    # branch below compiles and caches a plan per batch
-                    # object (throwaway here, latched for FusedOps).
-                    op = FusedOps(*op)
-                    kind = FusedOps
+                    kind = op.__class__
+                    if kind is tuple or kind is list:
+                        # Cold: ad-hoc batches are normalized so the hot
+                        # branch below compiles and caches a plan per
+                        # batch object (throwaway here, latched for
+                        # FusedOps).
+                        op = FusedOps(*op)
+                        kind = FusedOps
+                    if kind is FusedOps:
+                        plan = op.plan
+                        if plan is None:
+                            plan = op.plan = _compile_plan(op.ops)
+                        entries, buf = plan
                 if kind is FusedOps:
-                    # Mirrors _fuse_fast (the resume-path copy); kept
-                    # inline here because this is the hottest loop in the
-                    # simulator and a per-yield method call is measurable.
-                    plan = op.plan
-                    if plan is None:
-                        plan = op.plan = _compile_plan(op.ops)
-                    entries, buf = plan
-                    index = 0
+                    # The one fused-batch interpreter of the fast tier,
+                    # inline because this is the hottest loop in the
+                    # simulator and a per-yield method call is
+                    # measurable.
                     parked = False
                     for scode, sub, channel, data_q, resps, stats in (
-                        entries
+                        entries[index:] if index else entries
                     ):
                         if scode == 0:  # Dequeue
                             if channel._deq_code != 2:
@@ -1160,6 +1163,7 @@ class SequentialExecutor(Executor):
                         # slots are permanently None.
                         executed += index
                         value = buf
+                        index = 0
                         continue
                     if parked:
                         # The parked constituent counts (first attempt).
@@ -1168,9 +1172,10 @@ class SequentialExecutor(Executor):
                         state.fused_ops = op.ops
                         state.fused_index = index
                         state.fused_results = buf
-                        state.fused_plan = entries
+                        state.fused_batch = op
                         return
                     executed += index + 1
+                    index = 0
                     continue
 
                 executed += 1
@@ -1308,148 +1313,6 @@ class SequentialExecutor(Executor):
             self.ops_executed += executed
             state.ops += executed
 
-    def _fuse_fast(
-        self,
-        state: _ContextState,
-        ops_seq,
-        entries,
-        index: int,
-        results: list,
-    ):
-        """Plan-based fused-batch runner for the post-park resume path:
-        :meth:`_run_fusion` over the compiled ``entries[index:]``, with
-        the same outcome protocol — the completed ``results`` list in
-        ``pending_value``, or an exception to throw at the yield
-        (abandoning the batch) in ``pending_exc``, or False after
-        parking with the fused state saved on ``state``.  Op accounting
-        matches too: every *attempted* constituent counts once,
-        including the one that parked or raised (retries after a park
-        do not re-count).  Off the hot path (the batch already parked
-        once), so tracing is a plain ``buffer is not None`` check per
-        completion.
-        """
-        clock = state.context.time
-        buffer = state.buffer
-        wake_sender = self._wake_send_deliver
-        wake_receiver = self._wake_recv_deliver
-        total = len(entries)
-        start = index
-        parked = False
-        while index < total:
-            scode, sub, channel, data_q, resps, stats = entries[index]
-            if scode == 0:  # Dequeue
-                if channel._deq_code != 2:
-                    if data_q:
-                        stamp, result = data_q.popleft()
-                        if stamp > clock._time:
-                            clock._time = stamp
-                        stats.dequeues += 1
-                        if channel._deq_code == 1:
-                            resps.append(
-                                clock._time + channel.resp_latency
-                            )
-                    else:
-                        result = _EMPTY
-                else:
-                    result = channel.fast_dequeue(clock)
-                if result is not _EMPTY:
-                    waiter = channel.waiting_sender
-                    if waiter is not None:
-                        channel.waiting_sender = None
-                        wake_sender(channel, waiter)
-                    results[index] = result
-                    if buffer is not None:
-                        buffer.append(
-                            "dequeue", channel.name, clock._time, result
-                        )
-                elif channel.closed_for_receiver:
-                    state.pending_exc = ChannelClosed(channel.name)
-                    break  # abandon the batch
-                else:
-                    self._block(state, sub, channel._park_deq_msg)
-                    channel.waiting_receiver = state
-                    parked = True
-                    break
-            elif scode == 1:  # Enqueue
-                code = channel._enq_code
-                if code == 1:
-                    delta = channel._delta
-                    capacity = channel.capacity
-                    if delta >= capacity:
-                        stamp = clock._time
-                        while delta >= capacity and resps:
-                            release = resps.popleft()
-                            if release > stamp:
-                                stamp = release
-                            delta -= 1
-                        clock._time = stamp
-                        channel._delta = delta
-                    if delta < capacity:
-                        stats.enqueues += 1
-                        data_q.append(
-                            (clock._time + channel.latency, sub.data)
-                        )
-                        channel._delta = delta + 1
-                        occ = len(data_q)
-                        if occ > stats.max_real_occupancy:
-                            stats.max_real_occupancy = occ
-                        ok = True
-                    else:
-                        ok = False
-                elif code == 0:
-                    stats.enqueues += 1
-                    data_q.append((clock._time + channel.latency, sub.data))
-                    occ = len(data_q)
-                    if occ > stats.max_real_occupancy:
-                        stats.max_real_occupancy = occ
-                    ok = True
-                else:
-                    ok = channel.try_enqueue(clock, sub.data)
-                if not ok:
-                    self._block(state, sub, channel._park_enq_msg)
-                    channel.waiting_sender = state
-                    parked = True
-                    break
-                if buffer is not None:
-                    buffer.append(
-                        "enqueue", channel.name, clock._time, sub.data
-                    )
-                waiter = channel.waiting_receiver
-                if waiter is not None:
-                    channel.waiting_receiver = None
-                    wake_receiver(channel, waiter)
-            elif scode == 2:
-                # IncrCycles: latched count rides in the channel slot.
-                if channel:
-                    clock._time += channel
-                if buffer is not None:
-                    buffer.append("advance", None, clock._time)
-            else:
-                # Rare constituent: generic handler (raises on a nested
-                # FusedOps/tuple/list).
-                if not self._dispatch(state, sub):
-                    parked = True
-                    break
-                if state.pending_exc is not None:
-                    break
-                results[index] = state.pending_value
-                state.pending_value = None
-            index += 1
-        # ``index`` stopped on the constituent that parked or raised,
-        # or ran off the end.
-        attempted = min(index + 1, total) - start
-        self.ops_executed += attempted
-        state.ops += attempted
-        if parked:
-            state.fused_ops = ops_seq
-            state.fused_index = index
-            state.fused_results = results
-            state.fused_plan = entries
-            return False
-        if state.pending_exc is None:
-            state.pending_value = results
-        return True
-
     def _dispatch(self, state: _ContextState, op: Op) -> bool:
         """Attempt ``op`` via its handler; return False (and park the
         context) if it blocks."""
@@ -1584,9 +1447,10 @@ class SequentialExecutor(Executor):
     # on the waiter's behalf (against the *waiter's* clock) and clears
     # ``retry_op`` — the woken slice then starts straight in the fast
     # loop with ``pending_value`` set, skipping the retry dispatch.
-    # Generic-mode wake sites keep the plain wake + retry protocol, and
-    # anything not open-codeable here (shuttle proxies, profiled or
-    # void flavors, a parked Peek) falls back to it too.
+    # The transition itself is the channel's flavor method, called with
+    # the waiter's clock.  Generic-mode wake sites keep the plain wake +
+    # retry protocol, and so does everything the guards below exclude
+    # (shuttle proxies, profiled or void flavors, a parked Peek).
 
     def _wake_send_deliver(self, channel, waiter: "_ContextState") -> None:
         """A dequeue freed bounded capacity: complete the parked sender's
@@ -1598,27 +1462,7 @@ class SequentialExecutor(Executor):
             and channel._enq_code == 1
         ):
             wclock = waiter.context.time
-            delta = channel._delta
-            capacity = channel.capacity
-            if delta >= capacity:
-                resps = channel._resps
-                stamp = wclock._time
-                while delta >= capacity and resps:
-                    release = resps.popleft()
-                    if release > stamp:
-                        stamp = release
-                    delta -= 1
-                wclock._time = stamp
-                channel._delta = delta
-            if delta < capacity:
-                stats = channel.stats
-                stats.enqueues += 1
-                data_q = channel._data
-                data_q.append((wclock._time + channel.latency, op.data))
-                channel._delta = delta + 1
-                occ = len(data_q)
-                if occ > stats.max_real_occupancy:
-                    stats.max_real_occupancy = occ
+            if channel.try_enqueue(wclock, op.data):
                 waiter.retry_op = None
                 waiter.pending_value = None
                 if waiter.buffer is not None:
@@ -1637,16 +1481,8 @@ class SequentialExecutor(Executor):
             and channel._deq_code != 2
         ):
             wclock = waiter.context.time
-            data_q = channel._data
-            if data_q:
-                stamp, result = data_q.popleft()
-                if stamp > wclock._time:
-                    wclock._time = stamp
-                channel.stats.dequeues += 1
-                if channel._deq_code == 1:
-                    channel._resps.append(
-                        wclock._time + channel.resp_latency
-                    )
+            result = channel.fast_dequeue(wclock)
+            if result is not _EMPTY:
                 waiter.retry_op = None
                 waiter.pending_value = result
                 if waiter.buffer is not None:
@@ -1689,6 +1525,20 @@ class SequentialExecutor(Executor):
             if not self._time_waiters:
                 self._any_time_waiters = False
                 self._fast = self._fast_capable
+
+    def _poll_foreign_waiters(self) -> bool:
+        """Wake WaitUntil waiters on clocks this executor does not host
+        (another worker's or driver's: no local advance drains them);
+        True if one woke.  For the ``_idle`` of an embedded host."""
+        if not self._any_time_waiters:
+            return False
+        woke = self.wakeups
+        for target_id, waiters in list(self._time_waiters.items()):
+            if target_id in self._states:
+                continue  # local target: woken by local advances
+            # The parked WaitUntil names its target.
+            self._drain_time_waiters(waiters[0][1].retry_op.context)
+        return self.wakeups != woke
 
     def _finish(self, state: _ContextState) -> None:
         """Mark a context finished and propagate closure to its channels."""

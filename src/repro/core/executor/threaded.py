@@ -186,27 +186,15 @@ class ThreadedExecutor(Executor):
                     'superblocks="on"/"auto" or another executor'
                 ),
             )
-        self._deadline_at = (
-            start + self.deadline_s if self.deadline_s is not None else None
-        )
-        # Each thread only ever reads/deletes its own context's entry, so
-        # plain dict operations suffice (GIL- and per-object-lock safe).
-        self._fault_map = (
-            dict(self.faults.context_faults)
-            if self.faults is not None and self.faults.context_faults
-            else {}
-        )
+        # One fault map for the run, shared by every thread: whoever
+        # pops a context's trigger fires it (a dict pop is GIL- and
+        # per-object-lock safe).
+        self._arm_deadline_and_faults(start)
         self._program = program
         self._slots = {id(ctx): slot for slot, ctx in enumerate(program.contexts)}
-        self._ckpt_timer = None
-        if self.checkpoint_path is not None:
-            _ckpt.validate_checkpointable(program)
-            _ckpt.clean_stale_temps(self.checkpoint_path)
-            interval = self.checkpoint_interval_s
-            self._ckpt_timer = _ckpt.CheckpointTimer(
-                0.0 if interval is None else interval,
-                start_epoch=getattr(program, "_resume_epoch", 0),
-            )
+        self._ckpt_timer = self._arm_checkpoints(
+            program, getattr(program, "_resume_epoch", 0)
+        )
         # Handed to the drivers slot by slot (_ClusterDriver.
         # _take_resume_records).
         self._resume_records = program.__dict__.pop("_resume_records", None)
@@ -434,7 +422,6 @@ class ThreadedExecutor(Executor):
         # unlike a shared event log, cannot perturb peer scheduling.
         buf = self._buffers.get(ctx.name)
         ops = 0
-        spins = 0
         wall_start = _wallclock.perf_counter() if self._collect_metrics else 0.0
         abort_is_set = self._abort.is_set
         fault = self._fault_map.pop(ctx.name, None)
@@ -459,57 +446,24 @@ class ThreadedExecutor(Executor):
                     break
                 value, exc = None, None
                 kind = type(op)
-                if kind is FusedOps or kind is tuple or kind is list:
-                    subs = op.ops if kind is FusedOps else op
-                    value, exc, count = self._run_batch(ctx, subs, buf)
-                    ops += count
-                    continue
-                if kind is Enqueue:
-                    self._do_enqueue(ctx, op)
-                    if buf is not None:
-                        buf.append(
-                            "enqueue", op.sender.channel.name,
-                            ctx.time.now(), op.data,
-                        )
-                elif kind is Dequeue:
-                    try:
-                        value = self._do_dequeue(ctx, op, remove=True)
-                        if buf is not None:
-                            buf.append(
-                                "dequeue", op.receiver.channel.name,
-                                ctx.time.now(), value,
-                            )
-                    except ChannelClosed as closed:
-                        exc = closed
-                elif kind is Peek:
-                    try:
-                        value = self._do_dequeue(ctx, op, remove=False)
-                        if buf is not None:
-                            buf.append(
-                                "peek", op.receiver.channel.name,
-                                ctx.time.now(), value,
-                            )
-                    except ChannelClosed as closed:
-                        exc = closed
-                elif kind is IncrCycles:
-                    ctx.time.incr(op.cycles)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                elif kind is AdvanceTo:
-                    ctx.time.advance(op.time)
-                    if buf is not None:
-                        buf.append("advance", None, ctx.time.now())
-                elif kind is ViewTime:
-                    value = op.context.time.now()  # SVA: plain atomic load
-                    spins += 1
-                elif kind is WaitUntil:
-                    value = self._wait_until(ctx, op)
-                else:
-                    raise SimulationError(
-                        ctx.name, TypeError(f"non-op yielded: {op!r}")
-                    )
-                self._progress += 1
-                ops += 1
+                # Accounting is per constituent, matching the sequential
+                # executor: the batch itself is not an op, and a closing
+                # dequeue is still counted.
+                try:
+                    if kind is FusedOps or kind is tuple or kind is list:
+                        # A list, matching the sequential fast path's
+                        # reused plan buffer (same type either way).
+                        value = []
+                        for sub in op.ops if kind is FusedOps else op:
+                            ops += 1
+                            value.append(self._step(ctx, sub, buf))
+                    else:
+                        ops += 1
+                        value = self._step(ctx, op, buf)
+                except ChannelClosed as closed:
+                    # Thrown at the yield; the rest of a batch is
+                    # abandoned.
+                    value, exc = None, closed
         except _Aborted:
             return
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
@@ -525,78 +479,56 @@ class ThreadedExecutor(Executor):
             if buf is not None and ctx.finish_time is not None:
                 buf.append("finish", None, ctx.finish_time)
             self._ctx_ops[self._slots[id(ctx)]] = ops
-            self._ctx_spins[ctx.name] += spins
             if self._collect_metrics:
                 self._ctx_wall[ctx.name] = (
                     _wallclock.perf_counter() - wall_start
                 )
 
-    def _run_batch(self, ctx: Context, subs, buf) -> tuple:
-        """Execute a fused batch, constituent by constituent.
-
-        Returns ``(value, exc, count)``: the delivery for the generator
-        (the results list, or ``None`` paired with the closing exception)
-        and the number of constituents executed.
-        """
-        results: list = []
-        exc: BaseException | None = None
-        count = 0
-        for sub in subs:
-            # Accounting is per constituent, matching the sequential
-            # executor: the batch itself is not an op, and a closing
-            # dequeue is still counted.
-            self._progress += 1
-            count += 1
-            skind = type(sub)
-            if skind is Enqueue:
-                self._do_enqueue(ctx, sub)
-                if buf is not None:
-                    buf.append(
-                        "enqueue", sub.sender.channel.name,
-                        ctx.time.now(), sub.data,
-                    )
-                results.append(None)
-            elif skind is Dequeue or skind is Peek:
-                try:
-                    result = self._do_dequeue(
-                        ctx, sub, remove=skind is Dequeue
-                    )
-                except ChannelClosed as closed:
-                    exc = closed
-                    break  # abandon the rest of the batch
-                if buf is not None:
-                    buf.append(
-                        "dequeue" if skind is Dequeue else "peek",
-                        sub.receiver.channel.name,
-                        ctx.time.now(), result,
-                    )
-                results.append(result)
-            elif skind is IncrCycles:
-                ctx.time.incr(sub.cycles)
-                if buf is not None:
-                    buf.append("advance", None, ctx.time.now())
-                results.append(None)
-            elif skind is AdvanceTo:
-                ctx.time.advance(sub.time)
-                if buf is not None:
-                    buf.append("advance", None, ctx.time.now())
-                results.append(None)
-            elif skind is ViewTime:
-                results.append(sub.context.time.now())
-                self._ctx_spins[ctx.name] += 1
-            elif skind is WaitUntil:
-                results.append(self._wait_until(ctx, sub))
-            else:
-                raise SimulationError(
-                    ctx.name,
-                    TypeError(
-                        "FusedOps constituent must be a "
-                        f"non-fused op: {sub!r}"
-                    ),
+    def _step(self, ctx: Context, op: Any, buf) -> Any:
+        """Execute one non-fused op to completion — parking on its
+        channel or its peer's clock as needed — and return its result.
+        :class:`ChannelClosed` from a dequeue or peek propagates."""
+        self._progress += 1
+        kind = type(op)
+        clock = ctx.time
+        value = None
+        if kind is Enqueue:
+            self._do_enqueue(ctx, op)
+            if buf is not None:
+                buf.append(
+                    "enqueue", op.sender.channel.name, clock.now(), op.data
                 )
-        # A list, matching the sequential fast path's reused plan buffer
-        # (same type either way).
-        return (results if exc is None else None, exc, count)
+        elif kind is Dequeue or kind is Peek:
+            value = self._do_dequeue(ctx, op, remove=kind is Dequeue)
+            if buf is not None:
+                buf.append(
+                    "dequeue" if kind is Dequeue else "peek",
+                    op.receiver.channel.name, clock.now(), value,
+                )
+        elif kind is IncrCycles or kind is AdvanceTo:
+            if kind is IncrCycles:
+                clock.incr(op.cycles)
+            else:
+                clock.advance(op.time)
+            if buf is not None:
+                buf.append("advance", None, clock.now())
+        elif kind is ViewTime:
+            value = op.context.time.now()  # SVA: plain atomic load
+            self._ctx_spins[ctx.name] += 1
+        elif kind is WaitUntil:
+            value = self._wait_until(ctx, op)
+        elif kind is FusedOps or kind is tuple or kind is list:
+            raise SimulationError(
+                ctx.name,
+                TypeError(
+                    f"FusedOps constituent must be a non-fused op: {op!r}"
+                ),
+            )
+        else:
+            raise SimulationError(
+                ctx.name, TypeError(f"non-op yielded: {op!r}")
+            )
+        return value
 
     # ------------------------------------------------------------------
     # Checkpoint pause protocol (DESIGN.md §17): one controller; the
@@ -645,7 +577,7 @@ class ThreadedExecutor(Executor):
                     self._abort.set()
                     return
             else:
-                _wallclock.sleep(self.poll_interval)
+                self._abort.wait(self.poll_interval)
 
     def _ckpt_pause_and_capture(self) -> None:
         """One pause/capture/resume round.
@@ -684,17 +616,7 @@ class ThreadedExecutor(Executor):
         for slot, ctx in enumerate(program.contexts):
             if slot not in records:
                 records[slot] = _ckpt.record_done(ctx)
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-        checkpoint = _ckpt.Checkpoint.capture(
-            program,
-            self._ckpt_timer.epoch + 1,
-            records,
-            metrics=registry.dump_state() if registry is not None else None,
-            executor=self.name,
-        )
-        checkpoint.save(self.checkpoint_path)
-        self._ckpt_timer.mark()
+        self._save_checkpoint(program, records)
 
     # ------------------------------------------------------------------
     # Blocking channel operations (the SVP paths).
@@ -829,8 +751,7 @@ class ThreadedExecutor(Executor):
         stall_start: Optional[float] = None
         last_progress = -1
         deadline_at = self._deadline_at
-        while not self._abort.is_set():
-            _wallclock.sleep(self.poll_interval)
+        while not self._abort.wait(self.poll_interval):
             with self._unfinished_lock:
                 unfinished = self._unfinished
             if unfinished == 0:
@@ -888,9 +809,13 @@ class _ClusterDriver(SequentialExecutor):
         super().__init__(obs=parent.obs, faults=parent.faults)
         self._parent = parent
         self._always_bounded = True
-        # WaitUntil targets seen so far (possibly foreign contexts), so
-        # idling can drain their waiters by object, not just by id.
-        self._wu_targets: dict[int, Context] = {}
+
+    def _arm_deadline_and_faults(self, start: float) -> None:
+        self._deadline_at = None  # the parent's watchdog owns the deadline
+        # The parent's one map, not a copy: a context name that repeats
+        # across drivers still fires once (the first to cross the
+        # trigger pops it).
+        self._fault_map = self._parent._fault_map
 
     def _take_resume_records(self, program: Program):
         """The members' share of the parent's records, re-keyed from
@@ -935,10 +860,6 @@ class _ClusterDriver(SequentialExecutor):
         with parent._unfinished_lock:
             parent._unfinished -= 1
 
-    def _h_wait_until(self, state, op):
-        self._wu_targets[id(op.context)] = op.context
-        return super()._h_wait_until(state, op)
-
     def _idle(self) -> bool:
         parent = self._parent
         if parent._abort.is_set():
@@ -950,11 +871,8 @@ class _ClusterDriver(SequentialExecutor):
         if not blocked:
             return False  # every member ran to completion
         # A foreign clock may have passed a member's WaitUntil threshold.
-        if self._any_time_waiters:
-            for target in list(self._wu_targets.values()):
-                self._drain_time_waiters(target)
-            if self.policy:
-                return True
+        if self._poll_foreign_waiters():
+            return True
         # Genuinely idle: park the whole group for one poll interval,
         # with each member's site registered so the stall report and the
         # watchdog's stasis detector see the real blocking structure.

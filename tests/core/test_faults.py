@@ -300,6 +300,42 @@ class TestContextFault:
             program.run("process", config=_process_config(faults=plan))
         assert isinstance(info.value.original, FaultInjected)
 
+    @pytest.mark.parametrize("hosting", ["sequential", "off", "on", "auto"])
+    def test_name_repeated_across_components_fires_once(self, hosting):
+        """One plan entry is one fault: three components each hold a
+        context named ``prod``, and exactly one of them is hit, whichever
+        way the threaded executor hosts them (DESIGN.md §13: the first to
+        cross the trigger)."""
+        builder = ProgramBuilder()
+        hit = []
+        for lane in range(3):
+            snd, rcv = builder.bounded(8, name=f"ch{lane}")
+
+            def producer(snd=snd, lane=lane):
+                try:
+                    for value in range(200):
+                        yield snd.enqueue(value)
+                        yield IncrCycles(1)
+                except FaultInjected:
+                    hit.append(lane)
+
+            def consumer(rcv=rcv):
+                while True:
+                    yield rcv.dequeue()
+
+            builder.add(FunctionContext(producer, handles=[snd], name="prod"))
+            builder.add(
+                FunctionContext(consumer, handles=[rcv], name=f"cons{lane}")
+            )
+        plan = FaultPlan().raise_in("prod", after_ops=10, message="chaos")
+        if hosting == "sequential":
+            builder.build().run("sequential", config=RunConfig(faults=plan))
+        else:
+            builder.build().run(
+                "threaded", config=RunConfig(faults=plan, superblocks=hosting)
+            )
+        assert len(hit) == 1
+
 
 # ----------------------------------------------------------------------
 # Run deadlines.

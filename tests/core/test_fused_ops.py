@@ -10,13 +10,18 @@ surfacing at the yield point; and nested batches rejected.
 
 Every behavioural test runs under both the inline fast path and the
 generic dispatch path (``fast_path=False``) — the two implementations must
-be indistinguishable.  The last section drives the fast loop's park/wake
+be indistinguishable.  The park/wake section drives the fast loop's
 machinery (inline peer delivery, last-constituent resume, mid-batch
 resume, rare ops, slice expiry) against the generic interpreter, untraced
 and traced: a traced run takes the fast loop's traced variant, and which
 loop (or which context, on a wake-with-delivery) appends a row must not
-show in any context's row sequence or in the profile.
+show in any context's row sequence or in the profile.  The last section
+parks one five-constituent batch on each of its positions and checks that
+re-entering it — with its plan, without one after a checkpoint restore,
+on the one-thread-per-context runtime — is invisible.
 """
+
+import os
 
 import pytest
 
@@ -44,6 +49,7 @@ from repro.core import (
     ViewTime,
     WaitUntil,
 )
+from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
 from repro.obs import Observability
 
@@ -832,3 +838,285 @@ class TestParkWakeShapes:
         assert _rows(obs) == reference["rows"]
         assert summary.profile == reference["profile"]
         assert summary.elapsed_cycles == reference["elapsed"]
+
+
+# ----------------------------------------------------------------------
+# Re-entering a parked batch.
+# ----------------------------------------------------------------------
+# A five-constituent batch against three capacity-1 lanes.  A scripted
+# peer feeds (or drains) one lane per bare op; under ``FairPolicy(1)``
+# it runs one op per slice and the woken stage runs next, so the script
+# says where the batch parks.  The contexts keep the resumable-state
+# contract (DESIGN.md §17): a checkpoint restore re-derives their yields.
+
+
+class _Feeder(Context):
+    checkpoint_attrs = ("_step",)
+
+    def __init__(self, outs, script):
+        super().__init__()
+        self.outs, self.script = outs, script
+        self._step = 0
+        self.register(*outs)
+
+    def run(self):
+        while self._step < len(self.script):
+            lane = self.script[self._step]
+            yield self.outs[lane].enqueue(10 * self._step + lane)
+            self._step += 1
+
+
+class _Drainer(Context):
+    checkpoint_attrs = ("_step", "got")
+
+    def __init__(self, inps, script):
+        super().__init__()
+        self.inps, self.script = inps, script
+        self._step = 0
+        self.got = []
+        self.register(*inps)
+
+    def run(self):
+        while self._step < len(self.script):
+            value = yield self.inps[self.script[self._step]].dequeue()
+            self.got.append(value)
+            self._step += 1
+
+
+class _Gather(Context):
+    """``(dequeue, tick, dequeue, tick, dequeue)`` per round."""
+
+    checkpoint_attrs = ("_round", "rows")
+
+    def __init__(self, inps, rounds):
+        super().__init__()
+        self.inps, self.rounds = inps, rounds
+        self._round = 0
+        self.rows = []
+        self.register(*inps)
+
+    def run(self):
+        a, b, c = self.inps
+        step = FusedOps(
+            a.dequeue(), IncrCycles(1), b.dequeue(), IncrCycles(2), c.dequeue()
+        )
+        try:
+            while self._round < self.rounds:
+                got = yield step
+                self.rows.append((got[0], got[2], got[4]))
+                self._round += 1
+        except ChannelClosed:
+            self.rows.append("closed")
+
+
+class _Scatter(Context):
+    """``(enqueue, tick, enqueue, tick, enqueue)`` per round."""
+
+    checkpoint_attrs = ("_round",)
+
+    def __init__(self, outs, rounds):
+        super().__init__()
+        self.outs, self.rounds = outs, rounds
+        self._round = 0
+        self.register(*outs)
+
+    def run(self):
+        enqs = [out.enqueue(None) for out in self.outs]
+        step = FusedOps(enqs[0], IncrCycles(1), enqs[1], IncrCycles(2), enqs[2])
+        while self._round < self.rounds:
+            for lane, enq in enumerate(enqs):
+                enq.data = 10 * self._round + lane
+            yield step
+            self._round += 1
+
+
+def _gather(script, rounds, profiled=()):
+    def build():
+        builder = ProgramBuilder()
+        lanes = [builder.bounded(1) for _ in range(3)]
+        for lane in profiled:  # the waker cannot deliver: retry, re-enter
+            lanes[lane][0].channel.enable_profiling()
+        stage = builder.add(_Gather([rcv for _, rcv in lanes], rounds))
+        builder.add(_Feeder([snd for snd, _ in lanes], script))
+        return builder.build(), lambda: list(stage.rows)
+
+    return build
+
+
+def _scatter(script, rounds):
+    def build():
+        builder = ProgramBuilder()
+        lanes = [builder.bounded(1) for _ in range(3)]
+        builder.add(_Scatter([snd for snd, _ in lanes], rounds))
+        drainer = builder.add(_Drainer([rcv for _, rcv in lanes], script))
+        return builder.build(), lambda: list(drainer.got)
+
+    return build
+
+
+#: In lane order (first, middle, last park of every round, each later
+#: park inside the batch the earlier one re-entered), then out of order
+#: (one park, the re-entry runs the rest of the batch through).
+_SCRIPT = [0, 1, 2, 0, 1, 2, 2, 1, 0, 1, 2, 0, 0, 2, 1]
+
+_REENTRY = {
+    "gather": _gather(_SCRIPT, 5),
+    "gather_profiled": _gather(_SCRIPT, 5, profiled=(1,)),
+    # The feeder finishes with the stage parked mid-batch: abandoned.
+    "gather_closed": _gather(_SCRIPT[:5], 3),
+    "scatter": _scatter(_SCRIPT, 5),
+    # The drainer finishes with the stage parked on a full lane, which
+    # turns void: the retried enqueue succeeds and the batch goes on.
+    "scatter_voided": _scatter(_SCRIPT[:4], 3),
+}
+
+_REENTRY_POLICIES = {
+    "fifo": lambda: "fifo",
+    "slice1": lambda: FairPolicy(timeslice=1),
+    "slice4": lambda: FairPolicy(timeslice=4),
+}
+
+#: ``(context_switches, wakeups, preemptions)`` of the fast loop at the
+#: commit before the resume twin was folded into it.
+_REENTRY_COUNTERS = {
+    ('gather', 'fifo'): (8, 7, 0),
+    ('gather', 'slice1'): (21, 10, 15),
+    ('gather', 'slice4'): (10, 8, 1),
+    ('gather_closed', 'fifo'): (4, 3, 0),
+    ('gather_closed', 'slice1'): (12, 6, 5),
+    ('gather_closed', 'slice4'): (4, 2, 1),
+    ('gather_profiled', 'fifo'): (8, 7, 0),
+    ('gather_profiled', 'slice1'): (21, 10, 15),
+    ('gather_profiled', 'slice4'): (10, 8, 1),
+    ('scatter', 'fifo'): (7, 6, 0),
+    ('scatter', 'slice1'): (17, 7, 16),
+    ('scatter', 'slice4'): (9, 7, 1),
+    ('scatter_voided', 'fifo'): (2, 1, 0),
+    ('scatter_voided', 'slice1'): (10, 4, 5),
+    ('scatter_voided', 'slice4'): (4, 2, 1),
+}
+
+
+class _ResumeSpy(SequentialExecutor):
+    """Records ``(fused_index, result delivered by the waker?)`` of every
+    slice that starts on a parked batch."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.resumed = set()
+
+    def _run_slice_fast(self, state, remaining):
+        if state.fused_ops is not None:
+            assert state.fused_batch is not None  # parked by this loop
+            self.resumed.add((state.fused_index, state.retry_op is None))
+        return super()._run_slice_fast(state, remaining)
+
+
+class TestBatchReentry:
+    @pytest.mark.parametrize("policy", sorted(_REENTRY_POLICIES))
+    @pytest.mark.parametrize("scenario", sorted(_REENTRY))
+    def test_matches_generic_and_the_recorded_schedule(self, scenario, policy):
+        build = _REENTRY[scenario]
+        make_policy = _REENTRY_POLICIES[policy]
+        generic, _ = _outcome(build, True, policy=make_policy(), fast_path=False)
+        traced, traced_summary = _outcome(build, True, policy=make_policy())
+        untraced, untraced_summary = _outcome(build, policy=make_policy())
+        assert traced == generic
+        assert untraced == dict(traced, rows=None, profile=None)
+        counters = [
+            (s.context_switches, s.wakeups, s.preemptions)
+            for s in (traced_summary, untraced_summary)
+        ]
+        assert counters == [_REENTRY_COUNTERS[scenario, policy]] * 2
+
+    def test_every_position_parks_and_resumes(self):
+        """The scripts do what their comments say (else the matrix above
+        silently stops covering the re-entry)."""
+
+        def resumed(scenario):
+            program, _ = _REENTRY[scenario]()
+            spy = _ResumeSpy(policy=FairPolicy(timeslice=1))
+            spy.execute(program)
+            return spy.resumed
+
+        delivered = {(0, True), (2, True), (4, True)}
+        assert resumed("gather") == delivered
+        assert resumed("scatter") == delivered
+        assert (2, False) in resumed("gather_profiled")
+        assert (4, False) in resumed("gather_closed")
+        assert (2, False) in resumed("scatter_voided")
+
+    @pytest.mark.parametrize("scenario", ["gather", "gather_profiled", "scatter"])
+    def test_restored_batch_resumes_without_its_plan(self, scenario, tmp_path):
+        """A checkpoint keeps a mid-batch suspension as data; restored,
+        it has no plan, and the fast loop hands it to the generic
+        runner.  From every epoch, fast and generic finish alike and
+        deliver what the uninterrupted run delivered."""
+        build = _REENTRY[scenario]
+        whole, _ = _outcome(build, policy=FairPolicy(timeslice=1))
+        program, _ = _build_named(build)
+        SequentialExecutor(
+            policy=FairPolicy(timeslice=1),
+            checkpoint_interval_s=0.0,
+            checkpoint_path=str(tmp_path),
+        ).execute(program)
+        mid_batch = 0
+        for path in ckpt.list_checkpoints(str(tmp_path)):
+
+            def restored():
+                program, observe = _build_named(build)
+                ckpt.load(path, program).restore_into(program)
+                return program, observe
+
+            records = ckpt.load(path).contexts.values()
+            mid_batch += any(r.get("fused_index") is not None for r in records)
+            fast, _ = _outcome(restored, True, policy=FairPolicy(timeslice=1))
+            generic, _ = _outcome(
+                restored, True, policy=FairPolicy(timeslice=1), fast_path=False
+            )
+            assert fast == generic, os.path.basename(path)
+            for key in ("elapsed", "context_times", "channels", "observed"):
+                assert fast[key] == whole[key], (os.path.basename(path), key)
+        assert mid_batch >= 3
+
+    @pytest.mark.parametrize("scenario", sorted(_REENTRY))
+    def test_one_thread_per_context_matches(self, scenario):
+        """The paper's runtime steps bare ops and batch constituents
+        through one ``_step``: same rows, results and counts."""
+        reference, _ = _outcome(_REENTRY[scenario], True, fast_path=False)
+        program, observe = _build_named(_REENTRY[scenario])
+        obs = Observability(metrics=False, capture_payloads=True)
+        summary = program.run(
+            "threaded", config=RunConfig(superblocks="off", obs=obs)
+        )
+        assert _rows(obs) == reference["rows"]
+        assert summary.profile == reference["profile"]
+        assert summary.elapsed_cycles == reference["elapsed"]
+        assert summary.ops_executed == reference["ops"]
+        assert observe() == reference["observed"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda snd: (IncrCycles(1), (snd.enqueue(1),)),
+            lambda snd: FusedOps(IncrCycles(1), FusedOps(snd.enqueue(1))),
+            lambda snd: (IncrCycles(1), "junk"),
+            lambda snd: "junk",
+        ],
+        ids=["nested-tuple", "nested-fused", "junk-in-batch", "junk"],
+    )
+    def test_one_thread_per_context_rejects_what_sequential_rejects(self, bad):
+        def build():
+            builder = ProgramBuilder()
+            snd, rcv = builder.bounded(4)
+            builder.add(FunctionContext(lambda: (yield bad(snd)), handles=[snd]))
+            builder.add(Collector(rcv))
+            return builder.build()
+
+        for executor, config in [
+            ("threaded", RunConfig(superblocks="off")),
+            ("sequential", None),
+        ]:
+            with pytest.raises(SimulationError) as caught:
+                build().run(executor, config=config)
+            assert isinstance(caught.value.original, TypeError)

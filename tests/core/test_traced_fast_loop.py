@@ -9,6 +9,7 @@ pin the derivation itself; ``test_fused_ops.py::TestParkWakeShapes`` pins
 what the variant records.
 """
 
+import ast
 import inspect
 import re
 import traceback
@@ -119,6 +120,37 @@ class TestDerivation:
         executor = SequentialExecutor()
         executor.execute(_pipeline())
         assert executor._fast_loop.__func__ is SequentialExecutor._run_slice_fast
+
+
+class TestOneDefinitionPerTier:
+    """The fast tier open-codes a transition only inside the loop; what
+    runs beside it calls the channel's flavor methods."""
+
+    def test_one_loop_over_plan_entries(self):
+        """A parked batch re-enters the loop's fused branch: there is no
+        second interpreter of compiled plans for the resume path."""
+        tree = ast.parse(inspect.getsource(sequential))
+        owners = [
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for loop in ast.walk(function)
+            if isinstance(loop, ast.For)
+            and any(
+                isinstance(node, ast.Name) and node.id == "entries"
+                for node in ast.walk(loop.iter)
+            )
+        ]
+        assert owners == ["_run_slice_fast"]
+
+    @pytest.mark.parametrize(
+        "helper, transition",
+        [("_wake_send_deliver", "try_enqueue"), ("_wake_recv_deliver", "fast_dequeue")],
+    )
+    def test_wake_helpers_go_through_the_flavor_methods(self, helper, transition):
+        names = set(getattr(SequentialExecutor, helper).__code__.co_names)
+        assert transition in names
+        assert not {"_data", "_resps", "_delta", "stats"} & names
 
 
 class TestTracebacks:
