@@ -74,10 +74,10 @@ def main():
     assert summary2.elapsed_cycles == summary.elapsed_cycles
     print("threaded executor agrees cycle-exactly:", summary2.elapsed_cycles)
 
-    # "auto" asks the registry for the best runtime this host supports
-    # (free-threaded > process > threaded > sequential) — a no-GIL build
-    # gets the free-threaded runtime, a multi-core GIL build gets the
-    # work-stealing process executor, a one-core box stays sequential.
+    # "auto" asks the registry for the best of the three runtimes this
+    # host supports (process > threaded > sequential): a multi-core host
+    # with fork gets the work-stealing process executor, a no-GIL build
+    # without it gets threads, a one-core GIL box stays sequential.
     program3, sink3 = build()
     summary3 = program3.run(executor="auto", config=RunConfig(workers=2))
     assert sink3.values == sink.values

@@ -11,7 +11,7 @@ executors:
    (one track per context, channel ops as slices, transfers as flow
    arrows).  Load the written file at https://ui.perfetto.dev.
 3. **Metrics registry** — channel traffic and peak occupancy, per-context
-   ops, parks, and wall-clock, folded into ``RunSummary.metrics``.
+   ops, scheduler counters and wall-clock, folded into ``RunSummary.metrics``.
 4. **Stall reports** — on deadlock, the error names every blocked
    context, the channel it is parked on, and the simulated clocks of
    both endpoints: the blocked set *is* the dependency cycle.
@@ -94,12 +94,11 @@ def metrics_demo():
     print(f"  simulated makespan: {result['cycles']} cycles")
     print(f"  total ops: {counters['executor_ops']}")
     print(f"  deepest channel: {busiest} = {gauges[busiest]}")
-    parks = sum(
-        value for key, value in counters.items() if key.startswith("context_parks")
+    print(
+        f"  context switches / wakeups: "
+        f"{counters['executor_context_switches']} / "
+        f"{counters['executor_wakeups']}"
     )
-    # Only the one-thread-per-context hosting (superblocks="off") parks
-    # on channels; the default cluster drivers schedule cooperatively.
-    print(f"  total parks (SVP waits; 0 under cluster hosting): {parks}")
     print(
         "  wall-clock per context (histogram): "
         f"{metrics['histograms']['context_wall_seconds_dist']['count']} contexts, "

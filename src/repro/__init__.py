@@ -91,7 +91,6 @@ _LAZY_EXECUTOR = {
     "FifoPolicy",
     "SequentialExecutor",
     "ThreadedExecutor",
-    "FreeThreadedExecutor",
     "ProcessExecutor",
     "PartitionPlan",
     "ClusterSpec",
@@ -154,7 +153,6 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FifoPolicy",
-    "FreeThreadedExecutor",
     "FunctionContext",
     "GraphConstructionError",
     "IncrCycles",

@@ -14,9 +14,10 @@ The stable surface, by layer:
   :class:`IncrCycles`, ...), and :func:`make_channel`.
 * **Execution** — :class:`RunConfig` (with its strict
   ``to_dict``/``from_dict`` wire format), :class:`RunSummary` (idem),
-  ``Program.run(executor, config=...)``, and the executor registry
-  (:func:`register_executor`, :func:`registered_names`,
-  :func:`resolve_executor`).
+  ``Program.run(executor, config=...)`` over three runtimes
+  (``"sequential"``, ``"threaded"``, ``"process"``, or ``"auto"``), and
+  the executor registry (:func:`register_executor`,
+  :func:`registered_names`, :func:`resolve_executor`).
 * **Specs** — :class:`ProgramSpec` / :func:`build_spec` /
   :func:`register_graph`: declarative, JSON-serializable run requests
   over the named kernel-graph registry, plus

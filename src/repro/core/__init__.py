@@ -64,7 +64,6 @@ _LAZY_EXECUTOR = {
     "make_policy",
     "SequentialExecutor",
     "ThreadedExecutor",
-    "FreeThreadedExecutor",
     "ProcessExecutor",
     "PartitionPlan",
     "ClusterSpec",
@@ -82,7 +81,6 @@ _LAZY_CHECKPOINT = {
     "latest_checkpoint",
     "list_checkpoints",
     "load_checkpoint",
-    "elastic_pins",
 }
 
 
@@ -134,7 +132,6 @@ __all__ = [
     "RunConfig",
     "SequentialExecutor",
     "ThreadedExecutor",
-    "FreeThreadedExecutor",
     "ProcessExecutor",
     "register_executor",
     "registered_names",
@@ -165,5 +162,4 @@ __all__ = [
     "latest_checkpoint",
     "list_checkpoints",
     "load_checkpoint",
-    "elastic_pins",
 ]

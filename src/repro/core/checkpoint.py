@@ -207,7 +207,8 @@ class Checkpoint:
         self.metrics = metrics
         #: Observed post-steal placement (context name → worker index)
         #: at capture time; None for non-process executors.  Elastic
-        #: restore replans partitions from this (see :func:`elastic_pins`).
+        #: restore replans partitions from this (see
+        #: :func:`~repro.core.executor.partition.pins_from_placement`).
         self.placement = placement
         self.executor = executor
         #: Set by :func:`load` / :func:`latest_checkpoint`: where this
@@ -476,34 +477,6 @@ def remove_parts(directory: str, epoch: int) -> None:
                 os.unlink(os.path.join(directory, name))
             except OSError:
                 pass
-
-
-# ----------------------------------------------------------------------
-# Elastic repartitioning.
-# ----------------------------------------------------------------------
-
-
-def elastic_pins(
-    program: "Program", checkpoint: Checkpoint, workers: int
-) -> dict[int, int]:
-    """Planner pins replaying a checkpoint's observed placement onto a
-    (possibly different) worker count.
-
-    The checkpoint records where each context *actually* ran —
-    post-steal, so the locality the previous run converged to — and a
-    restore onto ``workers`` processes folds those indices modulo the new
-    count: same-worker groups stay together when shrinking, and a grown
-    pool receives the old workers' groups unchanged (the partitioner's
-    balance cap still applies through :func:`plan_partition`).  Non-
-    process checkpoints carry no placement and pin nothing.
-    """
-    if not checkpoint.placement or workers < 1:
-        return {}
-    return {
-        id(ctx): checkpoint.placement[ctx.name] % workers
-        for ctx in program.contexts
-        if ctx.name in checkpoint.placement
-    }
 
 
 # ----------------------------------------------------------------------

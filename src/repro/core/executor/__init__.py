@@ -1,14 +1,12 @@
 """Execution runtimes for DAM programs.
 
-Four executors share identical simulated semantics:
+Three executors share identical simulated semantics:
 
 * :class:`SequentialExecutor` — deterministic cooperative scheduler,
   single-threaded, with pluggable scheduling policies (Table I study).
 * :class:`ThreadedExecutor` — one OS thread per context, SVA/SVP-style
-  pairwise synchronization (the paper's runtime).
-* :class:`FreeThreadedExecutor` — the threaded runtime with the GIL off
-  (CPython 3.13 free-threaded builds); falls back to the process
-  executor on GIL builds.
+  pairwise synchronization (the paper's runtime); truly parallel on a
+  free-threaded CPython build, where ``"free-threaded"`` names it too.
 * :class:`ProcessExecutor` — graph partitions across forked worker
   processes, cut channels bridged by shared-memory shuttles and
   rebalanced by work stealing; the route around the GIL to the paper's
@@ -35,7 +33,6 @@ _LAZY = {
     "make_policy": ".policies",
     "SequentialExecutor": ".sequential",
     "ThreadedExecutor": ".threaded",
-    "FreeThreadedExecutor": ".freethreaded",
     "ProcessExecutor": ".partitioned",
     "PartitionPlan": ".partition",
     "ClusterSpec": ".partition",

@@ -1,4 +1,4 @@
-"""Best-effort CPU pinning for worker processes and threads.
+"""Best-effort CPU pinning for worker processes.
 
 Shuttle traffic between two workers is shared-memory ring traffic; its
 cost is dominated by cache-line transfer latency, which roughly doubles

@@ -11,24 +11,20 @@ handed to ``Program.run(executor="auto")`` without knowing which runtime
 will win.
 
 Fields default to ``None`` (= "use the executor's own default"), so a
-config only ever *overrides* what the caller explicitly set.  Unknown or
-experimental knobs travel in ``extra`` and are passed through verbatim —
-those are validated by the target constructor, exactly like the old
-kwargs form.
+config only ever *overrides* what the caller explicitly set.  There is no
+untyped side door: a knob that is not a field here is a constructor
+keyword, set by building the executor and handing the instance to
+``Program.run`` (DESIGN.md §12 lists every field and who reads it).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .partition import normalize_mode
-
-#: RunConfig fields that are configuration, not payload (``extra`` is
-#: special-cased everywhere).
-_CONFIG_FIELDS: Optional[frozenset] = None
 
 #: Fields interpreted by :meth:`Program.run` itself, never forwarded to an
 #: executor constructor (the retry ladder re-runs whole executions and the
@@ -43,15 +39,6 @@ _RUN_ONLY_FIELDS = frozenset({"fallback", "tag"})
 #: name-keyed placement via
 #: :func:`~repro.core.executor.partition.pins_from_placement`.
 _LOCAL_ONLY_FIELDS = frozenset({"obs", "pins", "faults", "metrics_sink"})
-
-
-def _config_fields() -> frozenset:
-    global _CONFIG_FIELDS
-    if _CONFIG_FIELDS is None:
-        _CONFIG_FIELDS = frozenset(
-            f.name for f in dataclasses.fields(RunConfig) if f.name != "extra"
-        )
-    return _CONFIG_FIELDS
 
 
 def _check_wire(name: str, value: Any) -> Any:
@@ -86,8 +73,7 @@ class RunConfig:
     Parameters
     ----------
     workers:
-        Worker processes (process executor) or a hint for future
-        runtimes.
+        Worker processes (process executor).
     policy:
         Scheduling policy name or instance for cooperative schedulers.
     fast_path:
@@ -100,7 +86,7 @@ class RunConfig:
         Allow idle workers to claim (steal) cold clusters planned for
         other workers (process executor; default on).
     pin_workers:
-        Pin workers/threads to CPUs via ``os.sched_setaffinity``,
+        Pin worker processes to CPUs via ``os.sched_setaffinity``,
         keeping shuttle peers on the same package (default off).
     deadlock_grace:
         Seconds of global stillness before the deadlock watchdog fires.
@@ -108,9 +94,7 @@ class RunConfig:
         Polling cadence for parked workers/threads.
     timeslice:
         Forced timeslice for worker-side cooperative scheduling.
-    shuttle:
-        ``"shm"`` or ``"pipe"`` cut-channel transport.
-    weights / pins / balance:
+    weights / pins:
         Partitioner inputs (see :func:`~repro.core.executor.partition.plan_partition`).
     deadline_s:
         Wall-clock budget for the run.  Every executor aborts cleanly into
@@ -164,9 +148,6 @@ class RunConfig:
         executor — it exists so a caller multiplexing many runs (the
         ``repro.serve`` front end tags ``tenant/request_id``) can
         attribute summaries in logs and metrics.
-    extra:
-        Anything else, passed through to the executor constructor
-        verbatim (and validated there).
     """
 
     workers: Optional[int] = None
@@ -179,10 +160,8 @@ class RunConfig:
     deadlock_grace: Optional[float] = None
     poll_interval: Optional[float] = None
     timeslice: Optional[int] = None
-    shuttle: Optional[str] = None
     weights: Optional[dict] = None
     pins: Optional[dict] = None
-    balance: Optional[float] = None
     deadline_s: Optional[float] = None
     fallback: Any = None
     faults: Any = None
@@ -192,7 +171,6 @@ class RunConfig:
     checkpoint_interval_s: Optional[float] = None
     checkpoint_path: Optional[str] = None
     tag: Optional[str] = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # Validated here, not in a constructor: only the threaded
@@ -201,15 +179,9 @@ class RunConfig:
         normalize_mode(self.superblocks)
 
     def replace(self, **changes: Any) -> "RunConfig":
-        """A copy with ``changes`` applied; unknown keys land in ``extra``."""
-        known = {k: v for k, v in changes.items() if k in _config_fields()}
-        unknown = {k: v for k, v in changes.items() if k not in _config_fields()}
-        config = dataclasses.replace(self, **known) if known else self
-        if unknown:
-            merged = dict(config.extra)
-            merged.update(unknown)
-            config = dataclasses.replace(config, extra=merged)
-        return config
+        """A copy with ``changes`` applied; an unknown key is a
+        :class:`TypeError`."""
+        return dataclasses.replace(self, **changes)
 
     # ------------------------------------------------------------------
     # Wire format.
@@ -229,7 +201,7 @@ class RunConfig:
         receiving side.
         """
         out: dict[str, Any] = {}
-        for name in sorted(_config_fields()):
+        for name in sorted(_CONFIG_FIELDS):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -240,8 +212,6 @@ class RunConfig:
                     "from_dict() on the receiving side"
                 )
             out[name] = _check_wire(name, value)
-        if self.extra:
-            out["extra"] = _check_wire("extra", dict(self.extra))
         return out
 
     @classmethod
@@ -250,24 +220,28 @@ class RunConfig:
 
         Unknown keys raise :class:`ValueError` listing every valid field
         (mirroring the executor registry's unknown-name error) — a typo
-        in a serialized request must fail loudly at the API boundary,
-        not vanish into ``extra`` to explode inside some constructor.
-        Experimental knobs belong under an explicit ``"extra"`` dict.
+        in a serialized request must fail loudly at the API boundary.
+        So do the process-local fields :meth:`to_dict` refuses to emit:
+        a wire dict is outside input, and ``metrics_sink`` may name a
+        file to append to.
         """
         if not isinstance(data, dict):
             raise TypeError(f"RunConfig.from_dict wants a dict, got {data!r}")
-        valid = _config_fields() | {"extra"}
-        unknown = sorted(set(data) - valid)
+        valid = _CONFIG_FIELDS - _LOCAL_ONLY_FIELDS
+        unknown = sorted(set(data) - _CONFIG_FIELDS)
         if unknown:
             raise ValueError(
                 f"unknown RunConfig field(s) {', '.join(map(repr, unknown))}; "
                 f"valid fields: {', '.join(sorted(valid))}"
             )
-        extra = data.get("extra", {})
-        if not isinstance(extra, dict):
-            raise TypeError(f"RunConfig 'extra' must be a dict, got {extra!r}")
-        fields = {k: v for k, v in data.items() if k != "extra"}
-        return cls(**fields, extra=dict(extra))
+        local = sorted(set(data) & _LOCAL_ONLY_FIELDS)
+        if local:
+            raise ValueError(
+                f"RunConfig field(s) {', '.join(map(repr, local))} are "
+                "process-local and never travel on the wire; attach them "
+                "after from_dict() on the receiving side"
+            )
+        return cls(**data)
 
     def kwargs_for(self, executor_cls: type) -> dict[str, Any]:
         """The constructor kwargs of this config that ``executor_cls``
@@ -275,22 +249,20 @@ class RunConfig:
 
         Fields left at ``None`` are omitted (the executor default wins);
         set fields the constructor does not declare are dropped — that is
-        the portability contract.  ``extra`` entries are never dropped:
-        they are passed through so a typo fails loudly in the
-        constructor, matching the legacy kwargs behavior.
+        the portability contract.
         """
         params = inspect.signature(executor_cls.__init__).parameters
         accepts_any = any(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
         )
         kwargs: dict[str, Any] = {}
-        for name in _config_fields():
-            if name in _RUN_ONLY_FIELDS:
-                continue
+        for name in _CONFIG_FIELDS - _RUN_ONLY_FIELDS:
             value = getattr(self, name)
             if value is None:
                 continue
             if accepts_any or name in params:
                 kwargs[name] = value
-        kwargs.update(self.extra)
         return kwargs
+
+
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))

@@ -56,7 +56,9 @@ def channel_weights(program: "Program") -> dict[str, float]:
 
 
 def pins_from_placement(
-    program: "Program", placement: Optional[dict[str, int]]
+    program: "Program",
+    placement: Optional[dict[str, int]],
+    workers: Optional[int] = None,
 ) -> dict[int, int]:
     """Convert an observed run placement back into planner pins.
 
@@ -68,15 +70,25 @@ def pins_from_placement(
     identically-built program) starts from the locality the previous run
     converged to instead of re-planning the same skew and re-stealing.
 
+    With ``workers`` the placement is replayed onto that (possibly
+    different) worker count — a checkpoint restored elastically
+    (DESIGN.md §17) — by folding each index modulo ``workers``:
+    same-worker groups stay together when shrinking, and a grown pool
+    receives the old groups unchanged (the partitioner's balance cap
+    still applies).
+
     Contexts absent from ``placement`` (e.g. a scaled-up build with new
-    pipelines) are simply left unpinned.  Same-named contexts consume
-    placement entries in program order, mirroring how
-    :func:`channel_weights` averages same-named channels.
+    pipelines) are simply left unpinned; contexts sharing a name share
+    its entry.
     """
     if not placement:
         return {}
     return {
-        id(ctx): placement[ctx.name]
+        id(ctx): (
+            placement[ctx.name]
+            if workers is None
+            else placement[ctx.name] % workers
+        )
         for ctx in program.contexts
         if ctx.name in placement
     }

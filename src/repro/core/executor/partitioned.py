@@ -79,6 +79,7 @@ import os
 import pickle
 import time as _wallclock
 from collections import deque
+from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 from typing import Any, Optional
 
@@ -122,7 +123,6 @@ from .shm import (
     ChannelShuttle,
     CheckpointBoard,
     ClaimBoard,
-    PipeLane,
     SharedArena,
     SharedClockArray,
     SharedTimeView,
@@ -135,6 +135,39 @@ class _WorkerAborted(BaseException):
     """Internal: the parent pulled the abort switch (peer failure or the
     global deadlock watchdog fired).  BaseException so user-level handlers
     inside context generators cannot swallow it."""
+
+
+#: How long the parent waits for aborted workers to hand in a payload,
+#: and for each process to exit, before force-recording / killing it.
+_JOIN_TIMEOUT = 5.0
+
+
+@dataclass
+class _RunShared:
+    """What one run's parent and its workers share, built once before
+    the fork: a worker reads run *settings* off the forked-in
+    :class:`ProcessExecutor` and everything else off this record, and
+    recomputes neither."""
+
+    program: Program
+    clusters: list[ClusterSpec]
+    #: Context start times by slot, as the parent pre-published them.
+    starts: list
+    arena: SharedArena
+    clocks: SharedClockArray
+    status: StatusBoard
+    claim: ClaimBoard
+    claim_lock: Any
+    shuttles: dict[int, ChannelShuttle]
+    abort: Any
+    #: None unless the run checkpoints (``checkpoint_path`` set).
+    ckpt_board: Optional[CheckpointBoard]
+    #: The fault plan with every victim resolved (None without one).
+    faults: Any
+    #: Per-worker CPU sets under ``pin_workers``, else None.
+    cpu_sets: Optional[list]
+    #: Slot-keyed resume records of a restored program, else None.
+    resume_records: Optional[dict]
 
 
 #: Context attributes that are framework state, never harvested results.
@@ -436,60 +469,45 @@ class _WorkerExecutor(SequentialExecutor):
 
     name = "process-worker"
 
-    def __init__(
-        self,
-        worker: int,
-        program: Program,
-        clusters: list[ClusterSpec],
-        claim: ClaimBoard,
-        claim_lock,
-        shuttles: dict[int, ChannelShuttle],
-        clocks: SharedClockArray,
-        starts: list,
-        status: StatusBoard,
-        abort,
-        steal: bool = True,
-        policy: str | SchedulingPolicy = "fifo",
-        max_ops: Optional[int] = None,
-        obs: Optional[Observability] = None,
-        poll_interval: float = 0.0005,
-        timeslice: int = 1024,
-        faults=None,
-        kill=None,
-        ckpt_board=None,
-        checkpoint_dir: Optional[str] = None,
-        resume_records: Optional[dict] = None,
-    ):
+    def __init__(self, parent: "ProcessExecutor", run: _RunShared, worker: int):
+        obs = None
+        if parent.obs is not None:
+            # Fresh collectors of the parent's kinds: the parent merges
+            # what this worker ships back.
+            trace = parent.obs.trace
+            obs = Observability(
+                trace=trace is not None,
+                metrics=parent.obs.metrics is not None,
+                capture_payloads=trace is not None and trace.capture_payloads,
+            )
+        # ``parent.policy`` is this process's forked copy; the parent
+        # itself never queues on it.
         super().__init__(
-            policy=policy,
-            max_ops=max_ops,
+            policy=parent.policy,
+            max_ops=parent.max_ops,
             obs=obs,
-            faults=faults,
+            faults=run.faults,
         )
+        #: Run settings (``steal``, ``poll_interval``, ``timeslice``,
+        #: ``checkpoint_path``) are read off the parent, shared objects
+        #: off the run record — one hop each.
+        self._parent = parent
+        self._run = run
+        self._worker = worker
         #: Chaos hook: a WorkerKill aimed at *this* worker — the process
         #: SIGKILLs itself the first time its published progress counter
         #: reaches the trigger (see :meth:`_publish`).
-        self._kill = kill
+        self._kill = (
+            run.faults.kill_for(worker) if run.faults is not None else None
+        )
         if self.policy.timeslice is None:
             # Run-to-block would starve the shuttles on long-running
             # contexts; preemption changes only real order, never
             # simulated results (the determinism invariant).
-            self.policy.timeslice = timeslice
+            self.policy.timeslice = parent.timeslice
         # ... and the run-to-block FIFO branch would additionally make the
         # worker deaf to the parent's abort flag: bounded slices, always.
         self._always_bounded = True
-        self._worker = worker
-        self._program = program
-        self._clusters = clusters
-        self._claim = claim
-        self._claim_lock = claim_lock
-        self._shuttles = shuttles
-        self._clocks = clocks
-        self._starts = starts
-        self._status = status
-        self._abort = abort
-        self._steal = steal
-        self._poll_interval = poll_interval
         self._shuttle_moves = 0
         self._send_proxies: list[_ShuttleSender] = []
         self._recv_proxies: list[_ShuttleReceiver] = []
@@ -504,14 +522,8 @@ class _WorkerExecutor(SequentialExecutor):
         self.steal_count = 0
         self.migrations: list[dict] = []
         #: Checkpoint coordination (parent-driven quiescent cuts).
-        self._ckpt_board = ckpt_board
-        self._ckpt_dir = checkpoint_dir
-        self._ckpt_on = ckpt_board is not None
         self._ckpt_seen = 0  # last epoch this worker acknowledged
         self._ckpt_rounds_done = 0
-        #: Resume records (slot-keyed) applied lazily at cluster
-        #: activation; the parent popped them off the program pre-fork.
-        self._ckpt_resume = resume_records or None
         #: Stats already on an internal channel at activation time of a
         #: *resumed* run: harvest ships deltas past these so the parent's
         #: merge (which adds onto the restored base) never double-counts.
@@ -531,25 +543,28 @@ class _WorkerExecutor(SequentialExecutor):
         every shuttle lane single-producer single-consumer (a fresh
         adopter's cached ring counters start at the same zeros the
         planned owner's would)."""
-        contexts = self._program.contexts
-        channels = self._program.channels
+        run = self._run
+        contexts = run.program.contexts
+        channels = run.program.channels
+        shuttles = run.shuttles
+        resume = run.resume_records
         for slot in spec.contexts:
             ctx = contexts[slot]
-            ctx.time = cell = TimeCell(self._starts[slot])
+            ctx.time = cell = TimeCell(run.starts[slot])
             self._owned_clocks[id(ctx)] = (cell, slot)
             for handle in ctx.senders:
-                shuttle = self._shuttles.get(handle.channel.id)
+                shuttle = shuttles.get(handle.channel.id)
                 if shuttle is not None:
                     proxy = _ShuttleSender(handle.channel, shuttle)
                     handle.channel = proxy
                     self._send_proxies.append(proxy)
             for handle in ctx.receivers:
-                shuttle = self._shuttles.get(handle.channel.id)
+                shuttle = shuttles.get(handle.channel.id)
                 if shuttle is not None:
                     proxy = _ShuttleReceiver(handle.channel, shuttle)
                     handle.channel = proxy
                     self._recv_proxies.append(proxy)
-        if self._ckpt_resume is not None:
+        if resume is not None:
             for index in spec.channels:
                 channel = channels[index]
                 stats = channel.stats
@@ -571,11 +586,7 @@ class _WorkerExecutor(SequentialExecutor):
             if tracer is not None:
                 state.buffer = tracer.buffer(ctx.name)
             self._states[id(ctx)] = state
-            record = (
-                self._ckpt_resume.get(slot)
-                if self._ckpt_resume is not None
-                else None
-            )
+            record = resume.get(slot) if resume is not None else None
             if record is not None:
                 self._apply_one_resume_record(ctx, state, record)
             if state.status != _DONE:
@@ -602,22 +613,23 @@ class _WorkerExecutor(SequentialExecutor):
         """Claim and activate one cold cluster; False when none is
         claimable by this worker (own clusters exhausted and stealing is
         off or nothing foreign is cold)."""
-        claim = self._claim
+        run = self._run
+        claim = run.claim
         if claim.cold_count() == 0:
             return False
         pick: Optional[ClusterSpec] = None
         stolen_from: Optional[int] = None
-        with self._claim_lock:
+        with run.claim_lock:
             if claim.cold_count() != 0:
                 own = [
-                    spec for spec in self._clusters
+                    spec for spec in run.clusters
                     if spec.owner == self._worker and claim.is_cold(spec.index)
                 ]
                 if own:
                     pick = own[0]
-                elif self._steal:
+                elif self._parent.steal:
                     foreign = [
-                        spec for spec in self._clusters
+                        spec for spec in run.clusters
                         if spec.owner != self._worker
                         and claim.is_cold(spec.index)
                     ]
@@ -640,7 +652,7 @@ class _WorkerExecutor(SequentialExecutor):
 
     def _publish(self, state: int) -> None:
         progress = self.ops_executed + self._shuttle_moves
-        self._status.publish(self._worker, progress, state)
+        self._run.status.publish(self._worker, progress, state)
         if (
             self._kill is not None
             and self._kill.after_ops is not None
@@ -651,15 +663,16 @@ class _WorkerExecutor(SequentialExecutor):
             os.kill(os.getpid(), self._kill.signal)
 
     def _run_slice(self, state, timeslice) -> None:
-        if self._abort.is_set():
+        run = self._run
+        if run.abort.is_set():
             raise _WorkerAborted()
-        if self._ckpt_on and self._ckpt_board.epoch() > self._ckpt_seen:
+        if self._ckpt_pending():
             self._ckpt_participate()
         # Publishing at every slice keeps the watchdog honest: a worker
         # crunching local work always shows RUNNING with rising progress.
         self._publish(WORKER_RUNNING)
         super()._run_slice(state, timeslice)
-        self._clocks.publish(self._owned_clocks.values())
+        run.clocks.publish(self._owned_clocks.values())
         self._service_shuttles()
 
     def _finish(self, state) -> None:
@@ -667,7 +680,7 @@ class _WorkerExecutor(SequentialExecutor):
         # INFINITY is the one value a peer may be waiting on for good,
         # so it is published at once instead of at the slice boundary.
         _cell, slot = self._owned_clocks[id(state.context)]
-        self._clocks.write(slot, INFINITY)
+        self._run.clocks.write(slot, INFINITY)
 
     def _service_shuttles(self) -> int:
         moved = 0
@@ -689,6 +702,12 @@ class _WorkerExecutor(SequentialExecutor):
 
     # -- checkpoint participation (parent-driven quiescent cuts) -------
 
+    def _ckpt_pending(self) -> bool:
+        """Has the parent opened a pause round this worker has not
+        joined yet?"""
+        board = self._run.ckpt_board
+        return board is not None and board.epoch() > self._ckpt_seen
+
     def _claim_own_cold(self) -> None:
         """Claim and activate every cold cluster this worker owns.
 
@@ -697,11 +716,12 @@ class _WorkerExecutor(SequentialExecutor):
         drain.  Claiming through the board keeps the
         claimed-exactly-once invariant even against a concurrent steal.
         """
-        claim = self._claim
+        run = self._run
+        claim = run.claim
         while True:
             pick: Optional[ClusterSpec] = None
-            with self._claim_lock:
-                for spec in self._clusters:
+            with run.claim_lock:
+                for spec in run.clusters:
                     if spec.owner == self._worker and claim.is_cold(spec.index):
                         pick = spec
                         claim.claim(spec.index, self._worker)
@@ -721,7 +741,8 @@ class _WorkerExecutor(SequentialExecutor):
         quiescence, dumps the partition when told to, and returns to
         normal scheduling when the parent ends the round.
         """
-        board = self._ckpt_board
+        board = self._run.ckpt_board
+        abort = self._run.abort
         epoch = board.epoch()
         if epoch <= self._ckpt_seen:
             return
@@ -732,7 +753,7 @@ class _WorkerExecutor(SequentialExecutor):
         moves = 0
         dumped = False
         board.ack(worker, epoch)
-        while not self._abort.is_set():
+        while not abort.is_set():
             moves += self._service_shuttles()
             rounds += 1
             pending = sum(len(p._pending) for p in self._send_proxies)
@@ -757,8 +778,10 @@ class _WorkerExecutor(SequentialExecutor):
                     # Chaos hook: die right after publishing the dump —
                     # the worst moment for the parent's stitch.
                     os.kill(os.getpid(), kill.signal)
-            _wallclock.sleep(0 if rounds <= 3 else self._poll_interval)
-        if self._abort.is_set():
+            _wallclock.sleep(
+                0 if rounds <= 3 else self._parent.poll_interval
+            )
+        if abort.is_set():
             raise _WorkerAborted()
 
     def _dump_partition(self, epoch: int) -> None:
@@ -772,7 +795,7 @@ class _WorkerExecutor(SequentialExecutor):
         """
         slot_of = {
             id(ctx): slot
-            for slot, ctx in enumerate(self._program.contexts)
+            for slot, ctx in enumerate(self._run.program.contexts)
         }
         records = {
             slot_of[id(ctx)]: self._context_record(self._states[id(ctx)])
@@ -805,7 +828,7 @@ class _WorkerExecutor(SequentialExecutor):
                 ),
             }
         _ckpt.save_part(
-            self._ckpt_dir, epoch, self._worker,
+            self._parent.checkpoint_path, epoch, self._worker,
             {"records": records, "channels": channels},
         )
 
@@ -829,18 +852,19 @@ class _WorkerExecutor(SequentialExecutor):
         return False
 
     def _idle(self) -> bool:
+        run = self._run
         spins = 0
         while True:
-            if self._abort.is_set():
+            if run.abort.is_set():
                 raise _WorkerAborted()
-            if self._ckpt_on and self._ckpt_board.epoch() > self._ckpt_seen:
+            if self._ckpt_pending():
                 self._ckpt_participate()
                 spins = 0
                 continue  # activation during the round may have queued work
             # Every slice already published on its way out; repeating it
             # here makes "a parked or retiring worker has shown its peers
             # everything" hold without that argument.
-            self._clocks.publish(self._owned_clocks.values())
+            run.clocks.publish(self._owned_clocks.values())
             progress = self._service_shuttles()
             if self._poll_foreign_waiters():
                 progress = True
@@ -861,10 +885,7 @@ class _WorkerExecutor(SequentialExecutor):
                 # done sentinels) has been flushed.
                 if not any(p.outstanding() for p in self._send_proxies) and \
                         not any(p.outstanding() for p in self._recv_proxies):
-                    if (
-                        self._ckpt_on
-                        and self._ckpt_board.epoch() > self._ckpt_seen
-                    ):
+                    if self._ckpt_pending():
                         # A pause round began while we were deciding to
                         # retire: participate first (the parent counts
                         # this worker as live until its payload lands).
@@ -884,7 +905,7 @@ class _WorkerExecutor(SequentialExecutor):
             if spins <= 3:
                 _wallclock.sleep(0)
             else:
-                _wallclock.sleep(self._poll_interval)
+                _wallclock.sleep(self._parent.poll_interval)
 
     def _fold_metrics(self, program, states):
         return None  # the parent folds the merged run
@@ -912,7 +933,7 @@ def _shippable_rows(buf) -> list:
     return rows
 
 
-def _harvest(executor: _WorkerExecutor, obs) -> dict:
+def _harvest(executor: _WorkerExecutor) -> dict:
     """Everything the parent merges back onto the original program.
 
     Per-context results are keyed by the context's *slot* (its index in
@@ -927,7 +948,8 @@ def _harvest(executor: _WorkerExecutor, obs) -> dict:
     send_proxies = executor._send_proxies
     recv_proxies = executor._recv_proxies
     slot_of = {
-        id(ctx): slot for slot, ctx in enumerate(executor._program.contexts)
+        id(ctx): slot
+        for slot, ctx in enumerate(executor._run.program.contexts)
     }
     finish_times: dict[int, Any] = {}
     context_attrs: dict[int, dict] = {}
@@ -998,8 +1020,8 @@ def _harvest(executor: _WorkerExecutor, obs) -> dict:
         ship(proxy.id, proxy.stats, proxy.profile_log)
 
     trace_rows: dict[str, list] = {}
-    if obs is not None and obs.trace is not None:
-        for name, buf in obs.trace.buffers().items():
+    if executor.tracer is not None:
+        for name, buf in executor.tracer.buffers().items():
             if buf.rows:
                 trace_rows[name] = _shippable_rows(buf)
 
@@ -1021,81 +1043,25 @@ def _harvest(executor: _WorkerExecutor, obs) -> dict:
 
 
 def _worker_main(
-    worker_index: int,
-    program: Program,
-    clusters: list[ClusterSpec],
-    claim: ClaimBoard,
-    claim_lock,
-    shuttles: dict[int, ChannelShuttle],
-    arena: SharedArena,
-    clocks: SharedClockArray,
-    status: StatusBoard,
-    abort,
-    conn,
-    options: dict,
+    parent: "ProcessExecutor", run: _RunShared, worker_index: int, conn
 ) -> None:
     payload: dict[str, Any] = {
         "worker": worker_index, "status": "ok", "error": None, "stalls": None,
     }
     try:
-        cpus = options.get("cpus")
-        if cpus is not None:
-            pin_current_process(cpus[worker_index])
+        if run.cpu_sets is not None:
+            pin_current_process(run.cpu_sets[worker_index])
 
         # Every context starts as a read-only view of its published clock
         # slot (the parent pre-wrote the start times); activating a
         # cluster gives its contexts plain cells this worker publishes.
         # Until then ViewTime/WaitUntil/stall reads of *any* context —
         # cold, local, or remote — go through the shared slot.
-        starts = [ctx.time.now() for ctx in program.contexts]
-        for slot, ctx in enumerate(program.contexts):
-            ctx.time = SharedTimeView(clocks, slot)
+        for slot, ctx in enumerate(run.program.contexts):
+            ctx.time = SharedTimeView(run.clocks, slot)
 
-        obs = None
-        if options["trace"] or options["metrics"]:
-            obs = Observability(
-                trace=options["trace"],
-                metrics=options["metrics"],
-                capture_payloads=options["capture_payloads"],
-            )
-
-        # Fault-injection hooks (chaos testing).  Shuttle stalls wrap the
-        # named channels' data lanes *before* any proxy captures them;
-        # only the receiving side ever pops a data lane, so wrapping the
-        # per-process copy in every worker stalls exactly the delivery
-        # path.  The kill targets this worker only if the resolved plan
-        # says so; context faults ride the inherited sequential machinery.
-        faults = options.get("faults")
-        kill = None
-        if faults is not None:
-            kill = faults.kill_for(worker_index)
-            if faults.stalls:
-                by_name = {ch.name: ch.id for ch in program.channels}
-                for stall in faults.stalls:
-                    channel_id = by_name.get(stall.channel)
-                    shuttle = (
-                        shuttles.get(channel_id)
-                        if channel_id is not None
-                        else None
-                    )
-                    if shuttle is not None:
-                        shuttle.data = StalledLane(
-                            shuttle.data, stall.after_records
-                        )
-
-        ckpt = options.get("checkpoint")
-        executor = _WorkerExecutor(
-            worker_index, program, clusters, claim, claim_lock,
-            shuttles, clocks, starts, status, abort,
-            steal=options["steal"],
-            policy=options["policy"], max_ops=options["max_ops"], obs=obs,
-            poll_interval=options["poll_interval"],
-            timeslice=options["timeslice"],
-            faults=faults, kill=kill,
-            ckpt_board=ckpt["board"] if ckpt is not None else None,
-            checkpoint_dir=ckpt["dir"] if ckpt is not None else None,
-            resume_records=options.get("resume_records"),
-        )
+        executor = _WorkerExecutor(parent, run, worker_index)
+        obs = executor.obs
         try:
             # The worker starts empty; its first _idle() claims work.
             executor.execute(Program([], []))
@@ -1118,7 +1084,7 @@ def _worker_main(
         except SimulationError as exc:
             payload["status"] = "error"
             payload["error"] = pack_exception(exc)
-        payload.update(_harvest(executor, obs))
+        payload.update(_harvest(executor))
     except BaseException as exc:  # noqa: BLE001 - everything must be reported
         payload["status"] = "error"
         if payload.get("error") is None:
@@ -1132,8 +1098,10 @@ def _worker_main(
             conn.close()
         except Exception:  # noqa: BLE001
             pass
-        status.publish(worker_index, status.progress(worker_index), WORKER_DONE)
-        arena.close()  # release inherited views so the mapping unmaps cleanly
+        run.status.publish(
+            worker_index, run.status.progress(worker_index), WORKER_DONE
+        )
+        run.arena.close()  # release inherited views so the mapping unmaps cleanly
 
 
 # ----------------------------------------------------------------------
@@ -1174,16 +1142,11 @@ class _CkptCoordinator:
     loudly, not silently stop protecting the user).
     """
 
-    def __init__(
-        self, board: CheckpointBoard, timer, path: str, program: Program,
-        clusters: list[ClusterSpec], claim: ClaimBoard, executor_name: str,
-    ):
-        self._board = board
+    def __init__(self, run: _RunShared, timer, path: str, executor_name: str):
+        self._run = run
+        self._board = run.ckpt_board
         self._timer = timer
         self._path = path
-        self._program = program
-        self._clusters = clusters
-        self._claim = claim
         self._executor = executor_name
         self._phase = "idle"
         self._epoch = timer.epoch
@@ -1259,7 +1222,7 @@ class _CkptCoordinator:
     def _stitch(self, live: set, payloads: dict) -> "_ckpt.Checkpoint":
         """Merge live workers' partition dumps and retired workers'
         harvested payloads into one partition-independent checkpoint."""
-        program = self._program
+        program = self._run.program
         parts = {
             worker: _ckpt.load_part(self._path, self._epoch, worker)
             for worker in sorted(live)
@@ -1379,8 +1342,8 @@ class _CkptCoordinator:
             channels[slot] = state
 
         placement: dict[str, int] = {}
-        for spec in self._clusters:
-            owner = self._claim.claimant(spec.index)
+        for spec in self._run.clusters:
+            owner = self._run.claim.claimant(spec.index)
             if owner < 0:
                 owner = spec.owner
             for slot in spec.contexts:
@@ -1436,12 +1399,15 @@ class ProcessExecutor(Executor):
         Pin each worker process to a CPU set via ``os.sched_setaffinity``
         (default off).  Workers bridged by shuttles are kept on the same
         package (see :func:`~repro.core.executor.affinity.plan_affinity`).
-    shuttle:
-        ``"shm"`` (default) bridges cut channels with shared-memory SPSC
-        rings; ``"pipe"`` uses ``multiprocessing.Pipe`` lanes (arbitrary
-        record sizes, higher latency).
-    ring_capacity / resp_ring_capacity:
-        Bytes per cut channel's data / response ring in shm mode.
+    ring_capacity:
+        Bytes per cut channel's data ring (a shared-memory SPSC ring); a
+        record that cannot fit raises
+        :class:`~repro.core.executor.shm.RecordTooLarge`.  The response
+        ring carries one float per record and is sized
+        ``min(ring_capacity, 64 KiB)``.
+    timeslice:
+        Ops per slice forced on a run-to-block policy, so shuttles are
+        serviced and clocks published at bounded intervals.
     deadlock_grace:
         Seconds every live worker must stay parked with frozen progress
         (and no cold cluster left) before the watchdog declares a global
@@ -1460,16 +1426,12 @@ class ProcessExecutor(Executor):
         obs: Optional[Observability] = None,
         weights: Optional[dict[str, float]] = None,
         pins: Optional[dict[int, int]] = None,
-        balance: float = 1.2,
         steal: bool = True,
         pin_workers: bool = False,
-        shuttle: str = "shm",
         ring_capacity: int = 1 << 20,
-        resp_ring_capacity: int = 1 << 16,
         poll_interval: float = 0.0005,
         deadlock_grace: float = 0.5,
         timeslice: int = 1024,
-        join_timeout: float = 5.0,
         deadline_s: Optional[float] = None,
         faults=None,
         metrics_interval_s: Optional[float] = None,
@@ -1479,25 +1441,18 @@ class ProcessExecutor(Executor):
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shuttle not in ("shm", "pipe"):
-            raise ValueError(f"shuttle must be 'shm' or 'pipe', got {shuttle!r}")
         self.workers = workers
-        self.policy_spec = policy
         self.policy = make_policy(policy)
         self.max_ops = max_ops
         self.obs = obs
         self.weights = weights
         self.pins = pins
-        self.balance = balance
         self.steal = steal
         self.pin_workers = pin_workers
-        self.shuttle = shuttle
         self.ring_capacity = ring_capacity
-        self.resp_ring_capacity = resp_ring_capacity
         self.poll_interval = poll_interval
         self.deadlock_grace = deadlock_grace
         self.timeslice = timeslice
-        self.join_timeout = join_timeout
         self.deadline_s = deadline_s
         self.faults = faults
         self.metrics_interval_s = metrics_interval_s
@@ -1543,8 +1498,7 @@ class ProcessExecutor(Executor):
         if self.pins:
             pins.update(self.pins)
         plan = plan_partition(
-            program, self.workers, weights=self.weights,
-            pins=pins or None, balance=self.balance,
+            program, self.workers, weights=self.weights, pins=pins or None
         )
         self.plan = plan
         # Empty groups (fewer components than workers) spawn no process;
@@ -1562,8 +1516,8 @@ class ProcessExecutor(Executor):
         self.clusters = clusters
 
         # Resume bookkeeping: pop the records *before* forking so the
-        # workers inherit them via options (never through the program
-        # object, which a later fresh run would then misread).
+        # workers inherit them via the run record (never through the
+        # program object, which a later fresh run would then misread).
         resume_records = program.__dict__.pop("_resume_records", None)
         resume_epoch = (
             getattr(program, "_resume_epoch", 0)
@@ -1577,6 +1531,8 @@ class ProcessExecutor(Executor):
             traced_fast_loop()
 
         contexts = program.contexts
+        # A response record is one float; its ring never needs more.
+        resp_capacity = min(self.ring_capacity, 1 << 16)
         layout = ArenaLayout()
         clocks_len = SharedClockArray.size_for(len(contexts))
         clocks_off = layout.reserve(clocks_len)
@@ -1585,19 +1541,23 @@ class ProcessExecutor(Executor):
         claim_len = ClaimBoard.size_for(len(clusters))
         claim_off = layout.reserve(claim_len)
         ckpt_len = ckpt_off = 0
-        if self.checkpoint_path is not None:
+        if ckpt_timer is not None:
             ckpt_len = CheckpointBoard.size_for(len(groups))
             ckpt_off = layout.reserve(ckpt_len)
-        ring_offsets: list[tuple[int, int]] = []
-        if self.shuttle == "shm":
-            for _ in plan.cut:
-                data_off = layout.reserve(ShmRing.size_for(self.ring_capacity))
-                resp_off = layout.reserve(
-                    ShmRing.size_for(self.resp_ring_capacity)
-                )
-                ring_offsets.append((data_off, resp_off))
+        ring_offsets = [
+            (
+                layout.reserve(ShmRing.size_for(self.ring_capacity)),
+                layout.reserve(ShmRing.size_for(resp_capacity)),
+            )
+            for _ in plan.cut
+        ]
 
         arena = SharedArena(layout.size)
+
+        def ring(offset: int, capacity: int) -> ShmRing:
+            view = arena.view(offset, ShmRing.size_for(capacity))
+            return arena.adopt(ShmRing(view, capacity))
+
         # Declared before the try so the wind-down in ``finally`` sees
         # whatever was spawned, on *every* exit path: a KeyboardInterrupt
         # (or any parent-side failure) must still terminate-then-join the
@@ -1616,8 +1576,9 @@ class ProcessExecutor(Executor):
             )
             # Pre-publish every context's start time so cold contexts
             # read correctly through SharedTimeView before activation.
-            for slot, ctx in enumerate(contexts):
-                clocks.write(slot, float(ctx.time.now()))
+            starts = [ctx.time.now() for ctx in contexts]
+            for slot, start_time in enumerate(starts):
+                clocks.write(slot, float(start_time))
             status = arena.adopt(
                 StatusBoard(arena.view(status_off, status_len), len(groups))
             )
@@ -1627,57 +1588,33 @@ class ProcessExecutor(Executor):
             for spec in clusters:
                 claim.set_owner(spec.index, spec.owner)
             ckpt_board = None
-            coordinator = None
             if ckpt_timer is not None:
                 ckpt_board = arena.adopt(
                     CheckpointBoard(
                         arena.view(ckpt_off, ckpt_len), len(groups)
                     )
                 )
-                coordinator = _CkptCoordinator(
-                    board=ckpt_board,
-                    timer=ckpt_timer,
-                    path=self.checkpoint_path,
-                    program=program,
-                    clusters=clusters,
-                    claim=claim,
-                    executor_name=self.name,
-                )
-            claim_lock = mp_ctx.Lock()
-            shuttles: dict[int, ChannelShuttle] = {}
-            for index, channel in enumerate(plan.cut):
-                if self.shuttle == "shm":
-                    data_off, resp_off = ring_offsets[index]
-                    data_lane = arena.adopt(
-                        ShmRing(
-                            arena.view(
-                                data_off, ShmRing.size_for(self.ring_capacity)
-                            ),
-                            self.ring_capacity,
-                        )
-                    )
-                    resp_lane = arena.adopt(
-                        ShmRing(
-                            arena.view(
-                                resp_off,
-                                ShmRing.size_for(self.resp_ring_capacity),
-                            ),
-                            self.resp_ring_capacity,
-                        )
-                    )
-                else:
-                    data_lane = PipeLane(mp_ctx)
-                    resp_lane = PipeLane(mp_ctx)
-                shuttles[channel.id] = ChannelShuttle(
-                    channel.id, data_lane, resp_lane
-                )
-
-            abort = mp_ctx.Event()
             faults = (
                 self.faults.resolve(len(groups))
                 if self.faults is not None
                 else None
             )
+            shuttles: dict[int, ChannelShuttle] = {}
+            for channel, (data_off, resp_off) in zip(plan.cut, ring_offsets):
+                data_lane = ring(data_off, self.ring_capacity)
+                stall = (
+                    faults.stall_for(channel.name)
+                    if faults is not None
+                    else None
+                )
+                if stall is not None:
+                    # Chaos hook: every worker forks its own copy of
+                    # the wrapper, and only the receiving side ever pops
+                    # a data lane — exactly the delivery path stalls.
+                    data_lane = StalledLane(data_lane, stall.after_records)
+                shuttles[channel.id] = ChannelShuttle(
+                    channel.id, data_lane, ring(resp_off, resp_capacity)
+                )
             cpu_sets = None
             if self.pin_workers:
                 peer_pairs = [
@@ -1688,29 +1625,30 @@ class ProcessExecutor(Executor):
                     for channel in plan.cut
                 ]
                 cpu_sets = plan_affinity(len(groups), peer_pairs)
-            options = {
-                "policy": self.policy_spec,
-                "max_ops": self.max_ops,
-                "steal": self.steal,
-                "cpus": cpu_sets,
-                "poll_interval": self.poll_interval,
-                "timeslice": self.timeslice,
-                "trace": self.obs is not None and self.obs.trace is not None,
-                "metrics": self.obs is not None
-                and self.obs.metrics is not None,
-                "capture_payloads": (
-                    self.obs.trace.capture_payloads
-                    if self.obs is not None and self.obs.trace is not None
-                    else False
-                ),
-                "faults": faults,
-                "checkpoint": (
-                    {"board": ckpt_board, "dir": self.checkpoint_path}
-                    if ckpt_board is not None
-                    else None
-                ),
-                "resume_records": resume_records,
-            }
+            abort = mp_ctx.Event()
+            run = _RunShared(
+                program=program,
+                clusters=clusters,
+                starts=starts,
+                arena=arena,
+                clocks=clocks,
+                status=status,
+                claim=claim,
+                claim_lock=mp_ctx.Lock(),
+                shuttles=shuttles,
+                abort=abort,
+                ckpt_board=ckpt_board,
+                faults=faults,
+                cpu_sets=cpu_sets,
+                resume_records=resume_records,
+            )
+            coordinator = (
+                _CkptCoordinator(
+                    run, ckpt_timer, self.checkpoint_path, self.name
+                )
+                if ckpt_timer is not None
+                else None
+            )
 
             # Live metric streaming samples the *shared* clock slots from
             # the parent: workers publish their contexts' times to the
@@ -1725,11 +1663,7 @@ class ProcessExecutor(Executor):
                 parent_conn, child_conn = mp_ctx.Pipe(duplex=False)
                 proc = mp_ctx.Process(
                     target=_worker_main,
-                    args=(
-                        worker, program, clusters, claim, claim_lock,
-                        shuttles, arena, clocks, status, abort, child_conn,
-                        options,
-                    ),
+                    args=(self, run, worker, child_conn),
                     name=f"dam-worker-{worker}",
                     daemon=True,
                 )
@@ -1738,11 +1672,8 @@ class ProcessExecutor(Executor):
                 procs.append(proc)
                 conns[parent_conn] = worker
 
-            payloads = self._collect(
-                conns, status, abort, procs, claim, clusters, program, clocks,
-                start, coordinator=coordinator,
-            )
-            self._resolve_failures(payloads, program, clocks, start)
+            payloads = self._collect(run, conns, procs, start, coordinator)
+            self._resolve_failures(run, payloads, start)
             trace = self.obs.trace if self.obs is not None else None
             summary = RunSummary.merge(
                 program,
@@ -1820,10 +1751,8 @@ class ProcessExecutor(Executor):
     # ------------------------------------------------------------------
 
     def _collect(
-        self, conns: dict, status: StatusBoard, abort, procs,
-        claim: ClaimBoard, clusters: list[ClusterSpec], program: Program,
-        clocks: SharedClockArray, start: float,
-        coordinator: Optional[_CkptCoordinator] = None,
+        self, run: _RunShared, conns: dict, procs, start: float,
+        coordinator: Optional[_CkptCoordinator],
     ) -> dict:
         """Receive worker payloads; double as the crash supervisor, the
         deadline enforcer, and the global deadlock watchdog.
@@ -1836,6 +1765,7 @@ class ProcessExecutor(Executor):
         its exit code, claimed contexts, and last-published clocks
         snapshotted off the shared boards while they are still mapped.
         """
+        abort = run.abort
         payloads: dict[int, dict] = {}
         pending = dict(conns)
         tick = max(self.poll_interval * 4, 0.01)
@@ -1872,7 +1802,7 @@ class ProcessExecutor(Executor):
                     payloads[worker] = conn.recv()
                 except (EOFError, OSError):
                     payloads[worker] = self._crash_payload(
-                        worker, procs, claim, clusters, program, clocks
+                        run, worker, procs[worker]
                     )
                 conn.close()
                 collected = True
@@ -1906,14 +1836,14 @@ class ProcessExecutor(Executor):
                 abort_since = now
                 continue
             if abort_since is not None and (
-                now - abort_since > self.join_timeout
+                now - abort_since > _JOIN_TIMEOUT
             ):
-                # Workers ignored the abort for a whole join_timeout
+                # Workers ignored the abort for a whole _JOIN_TIMEOUT
                 # (wedged in uninterruptible state): stop waiting and
                 # record them as crashed; _wind_down terminates them.
                 for conn, worker in list(pending.items()):
                     payloads[worker] = self._crash_payload(
-                        worker, procs, claim, clusters, program, clocks
+                        run, worker, procs[worker]
                     )
                     pending.pop(conn)
                     conn.close()
@@ -1921,7 +1851,7 @@ class ProcessExecutor(Executor):
             # Nothing arrived this tick: check for a global deadlock.  A
             # run with cold (claimable) clusters left is never deadlocked
             # — some worker will claim one, and claiming bumps progress.
-            total, states = status.snapshot()
+            total, states = run.status.snapshot()
             if coordinator is not None and coordinator.active:
                 # Draining workers legitimately park with frozen
                 # status-board progress; the watchdog must not read a
@@ -1931,7 +1861,7 @@ class ProcessExecutor(Executor):
                 continue
             live = [states[w] for w in pending.values()]
             if live and all(s == WORKER_BLOCKED for s in live) \
-                    and total == last_total and claim.cold_count() == 0:
+                    and total == last_total and run.claim.cold_count() == 0:
                 if stable_since is None:
                     stable_since = _wallclock.perf_counter()
                 elif (
@@ -1943,31 +1873,27 @@ class ProcessExecutor(Executor):
                 stable_since = None
             last_total = total
         for proc in procs:
-            proc.join(timeout=self.join_timeout)
+            proc.join(timeout=_JOIN_TIMEOUT)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.terminate()
                 proc.join(timeout=1.0)
         return payloads
 
-    def _crash_payload(
-        self, worker: int, procs, claim: ClaimBoard,
-        clusters: list[ClusterSpec], program: Program,
-        clocks: SharedClockArray,
-    ) -> dict:
+    @staticmethod
+    def _crash_payload(run: _RunShared, worker: int, proc) -> dict:
         """Post-mortem for a dead worker: exit code, the contexts it had
         claimed, and their last-published clocks (read off the shared
         boards before the arena is unlinked)."""
-        proc = procs[worker]
         proc.join(timeout=0.2)  # give the exit code a beat to land
         contexts: list[str] = []
         clock_map: dict[str, float] = {}
-        for spec in clusters:
-            if claim.claimant(spec.index) != worker:
+        for spec in run.clusters:
+            if run.claim.claimant(spec.index) != worker:
                 continue
             for slot in spec.contexts:
-                name = program.contexts[slot].name
+                name = run.program.contexts[slot].name
                 contexts.append(name)
-                clock_map[name] = clocks.read(slot)
+                clock_map[name] = run.clocks.read(slot)
         return {
             "worker": worker, "status": "crashed", "error": None,
             "stalls": None, "exitcode": proc.exitcode,
@@ -1988,7 +1914,7 @@ class ProcessExecutor(Executor):
             if proc.is_alive():
                 proc.terminate()
         for proc in procs:
-            proc.join(timeout=self.join_timeout)
+            proc.join(timeout=_JOIN_TIMEOUT)
             if proc.is_alive():  # pragma: no cover - defensive
                 proc.kill()
                 proc.join(timeout=1.0)
@@ -1999,8 +1925,7 @@ class ProcessExecutor(Executor):
                 pass
 
     def _resolve_failures(
-        self, payloads: dict, program: Program, clocks: SharedClockArray,
-        start: float,
+        self, run: _RunShared, payloads: dict, start: float
     ) -> None:
         """Raise the run's failure, if any: error > crash > timeout >
         deadlock."""
@@ -2021,7 +1946,7 @@ class ProcessExecutor(Executor):
             if self._deadline_hit and payload.get("exitcode") is None:
                 # Not a real death: the deadline abort's escape hatch
                 # force-recorded a worker that ignored the abort flag for a
-                # whole join_timeout (it was still alive — no exit code).
+                # whole _JOIN_TIMEOUT (it was still alive — no exit code).
                 # That is the *timeout's* collateral, not a crash.
                 continue
             error = WorkerCrashError(
@@ -2042,8 +1967,7 @@ class ProcessExecutor(Executor):
                     stalls.extend(payload["stalls"])
             report = self._publish_stalls(stalls)
             if self._deadline_hit:
-                error = self._timeout_failure(payloads, program, clocks,
-                                              report, start)
+                error = self._timeout_failure(run, payloads, report, start)
                 self._report_supervisor_event("timeout", error)
                 raise error
             raise DeadlockError(report.lines())
@@ -2051,14 +1975,14 @@ class ProcessExecutor(Executor):
             # Reached when every worker either raced to completion as the
             # deadline fired or was force-recorded by the escape hatch.
             error = self._timeout_failure(
-                payloads, program, clocks, StallReport([]), start
+                run, payloads, StallReport([]), start
             )
             self._report_supervisor_event("timeout", error)
             raise error
 
     def _timeout_failure(
-        self, payloads: dict, program: Program, clocks: SharedClockArray,
-        report: StallReport, start: float,
+        self, run: _RunShared, payloads: dict, report: StallReport,
+        start: float,
     ) -> RunTimeoutError:
         """Build the deadline abort without mutating ``program``: finish
         times come from the aborted workers' harvests, everything else
@@ -2071,8 +1995,8 @@ class ProcessExecutor(Executor):
                     finish[slot] = t
             ops += payload.get("counters", {}).get("ops_executed", 0)
         context_times = {
-            ctx.name: finish.get(slot, clocks.read(slot))
-            for slot, ctx in enumerate(program.contexts)
+            ctx.name: finish.get(slot, run.clocks.read(slot))
+            for slot, ctx in enumerate(run.program.contexts)
         }
         summary = RunSummary(
             elapsed_cycles=max(finish.values(), default=0),

@@ -13,7 +13,7 @@ raise "unknown executor".  The registry fixes both:
   decorator (optionally with an ``available`` predicate consulted by
   ``"auto"``);
 * ``"auto"`` picks the best runtime the host can actually use, in the
-  order free-threaded > process > threaded > sequential.
+  order process > threaded > sequential.
 
 The availability predicates are deliberately import-free: GIL state via
 ``sys._is_gil_enabled`` (absent before CPython 3.13 → GIL assumed on),
@@ -34,7 +34,9 @@ _BUILTIN: dict[str, tuple[str, str]] = {
     "sequential": (".sequential", "SequentialExecutor"),
     "threaded": (".threaded", "ThreadedExecutor"),
     "process": (".partitioned", "ProcessExecutor"),
-    "free-threaded": (".freethreaded", "FreeThreadedExecutor"),
+    # An alias: with the GIL off the threaded runtime *is* the
+    # free-threaded one (summaries report ``executor == "threaded"``).
+    "free-threaded": (".threaded", "ThreadedExecutor"),
 }
 
 #: Classes registered via :func:`register_executor` (builtins self-register
@@ -46,7 +48,7 @@ _REGISTRY: dict[str, type] = {}
 _AVAILABILITY: dict[str, Callable[[], bool]] = {}
 
 #: Preference order for ``executor="auto"``.
-AUTO_ORDER = ("free-threaded", "process", "threaded", "sequential")
+AUTO_ORDER = ("process", "threaded", "sequential")
 
 
 def gil_disabled() -> bool:
@@ -83,7 +85,6 @@ def _process_available() -> bool:
 
 _AVAILABILITY.update(
     {
-        "free-threaded": gil_disabled,
         # Under the GIL, threads add synchronization cost with no
         # parallelism — "auto" prefers process or sequential instead.
         "threaded": gil_disabled,

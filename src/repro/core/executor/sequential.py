@@ -345,9 +345,8 @@ class SequentialExecutor(Executor):
 
     def execute(self, program: Program) -> RunSummary:
         start = _wallclock.perf_counter()
-        # Kept under a dedicated name: worker subclasses already use
-        # ``_program`` for the full shipped program while calling
-        # ``execute`` with an empty one (they claim work lazily).
+        # The program *this* scheduler was handed: a process worker
+        # executes an empty one and claims work lazily off its run record.
         self._run_program = program
         self._ckpt_timer = self._arm_checkpoints(
             program, getattr(program, "_resume_epoch", 0)

@@ -418,10 +418,15 @@ class RecordTooLarge(ValueError):
     """A single pickled record exceeds the ring's capacity."""
 
     def __init__(self, need: int, capacity: int):
-        super().__init__(
+        # The constructor arguments are the exception's ``args``, so it
+        # survives the pickle round trip of a worker's result pipe.
+        super().__init__(need, capacity)
+
+    def __str__(self) -> str:
+        need, capacity = self.args
+        return (
             f"shuttle record of {need} bytes exceeds ring capacity "
-            f"{capacity}; raise ProcessExecutor(ring_capacity=...) or use "
-            "shuttle='pipe'"
+            f"{capacity}; raise ProcessExecutor(ring_capacity=...)"
         )
 
 
@@ -506,10 +511,10 @@ class ShmRing:
         )
 
 
+# Only importer: the frozen benchmark probe ``shm.pipe_roundtrip_ns``.
 class PipeLane:
     """``multiprocessing.Pipe``-backed lane with the same try-push/pop
-    surface as :class:`ShmRing` — the fallback when arbitrary record
-    sizes must flow (or shared memory is unavailable).
+    surface as :class:`ShmRing`, for arbitrary record sizes.
 
     ``try_push`` may block briefly once the OS pipe buffer fills; the
     receiving worker drains its lanes unconditionally into local mirrors,

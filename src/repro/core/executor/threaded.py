@@ -16,8 +16,10 @@ synchronization is strictly pairwise:
   ``threading.Condition``, the portable analog of a futex park/unpark
   pair, and is woken by the peer's releasing operation.
 
-The GIL means this executor does not deliver the paper's wall-clock
-*speedups* (documented substitution in DESIGN.md), but the synchronization
+Under the GIL this executor does not deliver the paper's wall-clock
+*speedups* (documented substitution in DESIGN.md); on a free-threaded
+CPython build, where the registry also knows it as ``"free-threaded"``,
+the same threads run in parallel.  Either way the synchronization
 algorithm, blocking structure, and — critically — the simulated results are
 those of the paper's runtime.  Cross-executor tests assert cycle-exact
 agreement with :class:`~repro.core.executor.sequential.SequentialExecutor`.
@@ -223,6 +225,9 @@ class ThreadedExecutor(Executor):
         self._ctx_parks = {ctx.name: 0 for ctx in program.contexts}
         self._ctx_spins = {ctx.name: 0 for ctx in program.contexts}
         self._ctx_wall = {ctx.name: 0.0 for ctx in program.contexts}
+        # One (context_switches, wakeups, preemptions) row per retired
+        # cluster driver; empty under "off", where the OS schedules.
+        self._driver_counts: list[tuple[int, int, int]] = []
 
         if per_context:
             self._time_sync = {id(ctx): _TimeSync() for ctx in program.contexts}
@@ -288,10 +293,15 @@ class ThreadedExecutor(Executor):
         if any(ctx.finish_time is None for ctx in program.contexts):
             raise DeadlockError(self._stall_report().lines())
 
+        counts = self._driver_counts
         summary = self._summary(
-            program, start, "os", ops_executed=sum(self._ctx_ops)
+            program, start, "os",
+            context_switches=sum(row[0] for row in counts),
+            wakeups=sum(row[1] for row in counts),
+            preemptions=sum(row[2] for row in counts),
+            ops_executed=sum(self._ctx_ops),
         )
-        summary.metrics = self._fold_metrics(program)
+        summary.metrics = self._fold_metrics(program, summary)
         self._attach_profile(summary, program, obs)
         return summary
 
@@ -329,7 +339,9 @@ class ThreadedExecutor(Executor):
             stalls.append(stall_for(ctx, detail, channel=channel, peer=peer))
         return self._publish_stalls(stalls)
 
-    def _fold_metrics(self, program: Program) -> Optional[dict]:
+    def _fold_metrics(
+        self, program: Program, summary: RunSummary
+    ) -> Optional[dict]:
         if not self._collect_metrics:
             return None
         registry = self.obs.metrics
@@ -344,7 +356,12 @@ class ThreadedExecutor(Executor):
                 parks=self._ctx_parks[ctx.name],
                 spin_reads=self._ctx_spins[ctx.name],
             )
-        registry.counter("executor_ops").inc(sum(self._ctx_ops))
+        registry.counter("executor_context_switches").inc(
+            summary.context_switches
+        )
+        registry.counter("executor_wakeups").inc(summary.wakeups)
+        registry.counter("executor_preemptions").inc(summary.preemptions)
+        registry.counter("executor_ops").inc(summary.ops_executed)
         return registry.snapshot()
 
     # ------------------------------------------------------------------
@@ -407,11 +424,15 @@ class ThreadedExecutor(Executor):
             self._abort.set()
         finally:
             # The driver finished its members as they completed
-            # (_ClusterDriver._finish); what is left is the tallies.
+            # (_ClusterDriver._finish); what is left is the tallies, and
+            # the cooperative scheduler's own counters.
             for state in getattr(driver, "_states", {}).values():
                 ctx = state.context
                 self._ctx_ops[self._slots[id(ctx)]] = state.ops
                 self._ctx_wall[ctx.name] = state.wall_seconds
+            self._driver_counts.append(
+                (driver.context_switches, driver.wakeups, driver.preemptions)
+            )
 
     def _drive(self, ctx: Context) -> None:
         """Thread body: interpret one context's generator to completion."""

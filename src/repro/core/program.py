@@ -60,9 +60,9 @@ class Program:
 
         ``executor`` selects the runtime by registered name —
         ``"sequential"`` (deterministic cooperative scheduler; default),
-        ``"threaded"``, ``"free-threaded"``, ``"process"`` — or
-        ``"auto"``, which picks the best runtime the host supports
-        (free-threaded > process > threaded > sequential).  An
+        ``"threaded"`` (``"free-threaded"`` is an alias), ``"process"``
+        — or ``"auto"``, which picks the best of the three runtimes the
+        host supports (process > threaded > sequential).  An
         :class:`~repro.core.executor.base.Executor` instance or subclass
         is also accepted.  Resolution goes through the registry
         (:mod:`repro.core.executor.registry`), so an unknown name raises
@@ -142,8 +142,8 @@ class Program:
         ``resumed_from`` (``{"path", "epoch"}``, or ``None`` for a
         from-scratch attempt), and when the next executor is the process
         executor the checkpoint's observed post-steal placement seeds
-        the partitioner via elastic pins (correct on any worker count;
-        see :func:`repro.core.checkpoint.elastic_pins`).
+        the partitioner via pins folded onto the new worker count (see
+        :func:`~repro.core.executor.partition.pins_from_placement`).
         """
         from time import perf_counter
 
@@ -241,7 +241,8 @@ class Program:
         explicit worker count the observed placement is folded into
         ``config.pins`` for elastic repartitioning.
         """
-        from .checkpoint import elastic_pins, latest_checkpoint
+        from .checkpoint import latest_checkpoint
+        from .executor.partition import pins_from_placement
 
         checkpoint = latest_checkpoint(config.checkpoint_path, self)
         if checkpoint is None:
@@ -254,7 +255,9 @@ class Program:
         ):
             obs.metrics.load_state(checkpoint.metrics)
         if checkpoint.placement and config.workers:
-            pins = elastic_pins(self, checkpoint, config.workers)
+            pins = pins_from_placement(
+                self, checkpoint.placement, config.workers
+            )
             if pins:
                 config = config.replace(pins=pins)
         return {"path": checkpoint.path, "epoch": checkpoint.epoch}, config

@@ -240,7 +240,7 @@ class SimServer:
             spec = ProgramSpec.from_dict(envelope["spec"])
             # Validate the config at the boundary: strict unknown-field
             # errors belong in the 400, not in a pool thread's traceback.
-            spec.run_config()
+            _check_request_config(spec.run_config())
         except (SpecError, ValueError, TypeError, json.JSONDecodeError) as exc:
             self.metrics.counter("requests_rejected").inc()
             wire = exc.to_wire() if isinstance(exc, ServeError) else {
@@ -465,6 +465,24 @@ class _RunJob:
         if self.return_result and hasattr(built, "result_dense"):
             outcome["result"] = encode_tensor(built.result_dense())
         return outcome
+
+
+def _check_request_config(config) -> None:
+    """Refuse the wire config fields that spend the *server's* resources
+    beyond a run slot: ``checkpoint_path`` makes the server create a
+    directory and write epoch files wherever the client says, and
+    ``workers`` forks one process per non-empty partition group."""
+    if config.checkpoint_path is not None:
+        raise SpecError(
+            "config.checkpoint_path is not accepted from the wire: a "
+            "served run may not write to a client-chosen directory"
+        )
+    cpus = os.cpu_count() or 1
+    if config.workers is not None and config.workers > cpus:
+        raise SpecError(
+            f"config.workers={config.workers} exceeds this server's "
+            f"{cpus} CPU(s)"
+        )
 
 
 def _error_wire(exc: BaseException) -> dict[str, Any]:

@@ -55,7 +55,6 @@ class TestRunConfigWire:
             fallback=["threaded", "sequential"],
             steal=False,
             tag="tenant/req-1",
-            extra={"ring_capacity": 64},
         )
         wire = config.to_dict()
         json.dumps(wire)  # must be JSON-clean
@@ -66,7 +65,6 @@ class TestRunConfigWire:
         assert list(rebuilt.fallback) == list(config.fallback)
         assert rebuilt.steal is False
         assert rebuilt.tag == config.tag
-        assert rebuilt.extra == config.extra
         assert rebuilt.to_dict() == wire
 
     def test_none_fields_are_omitted(self):
@@ -80,9 +78,29 @@ class TestRunConfigWire:
             # The error must list the valid fields so the typo is obvious.
             RunConfig.from_dict({"wrokers": 2})
 
-    def test_extra_must_be_dict(self):
-        with pytest.raises(TypeError, match="extra"):
-            RunConfig.from_dict({"extra": [1, 2]})
+    def test_constructor_keywords_are_not_wire_fields(self):
+        """``ring_capacity`` is a ``ProcessExecutor`` keyword; no wire
+        request can reach it, directly or through the deleted ``extra``
+        side door."""
+        for wire in ({"ring_capacity": 64}, {"extra": {"ring_capacity": 64}}):
+            with pytest.raises(ValueError, match="unknown RunConfig field"):
+                RunConfig.from_dict(wire)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("obs", {"trace": True}),
+            ("pins", {"123": 0}),
+            ("faults", "junk"),
+            ("metrics_sink", "/tmp/appended-by-the-server.jsonl"),
+        ],
+    )
+    def test_local_only_fields_refused_from_the_wire(self, field, value):
+        """The strict inverse of ``to_dict``: what it refuses to emit,
+        ``from_dict`` refuses to accept (``metrics_sink`` may be a path
+        the run appends JSON lines to)."""
+        with pytest.raises(ValueError, match=f"'{field}' are process-local"):
+            RunConfig.from_dict({"workers": 2, field: value})
 
     def test_local_only_fields_refuse_to_serialize(self):
         from repro.obs import Observability
@@ -97,8 +115,8 @@ class TestRunConfigWire:
     def test_non_wire_values_refuse_to_serialize(self):
         with pytest.raises(TypeError, match="policy"):
             RunConfig(policy=object()).to_dict()
-        with pytest.raises(TypeError, match="extra"):
-            RunConfig(extra={"callback": print}).to_dict()
+        with pytest.raises(TypeError, match="weights"):
+            RunConfig(weights={"bus": print}).to_dict()
 
     def test_legacy_kwargs_shim_is_gone(self):
         """PR 4's deprecated bare-kwargs form was removed outright: the

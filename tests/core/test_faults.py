@@ -761,7 +761,7 @@ class TestRegistryDegradation:
         def explodes():
             raise OSError("host probing broke")
 
-        for name in ("free-threaded", "process", "threaded"):
+        for name in registry.AUTO_ORDER[:-1]:
             monkeypatch.setitem(registry._AVAILABILITY, name, explodes)
         cls = registry.resolve_executor("auto")
         assert cls.name == "sequential"
@@ -772,7 +772,7 @@ class TestRegistryDegradation:
         def explodes():
             raise OSError("host probing broke")
 
-        for name in ("free-threaded", "process", "threaded"):
+        for name in registry.AUTO_ORDER[:-1]:
             monkeypatch.setitem(registry._AVAILABILITY, name, explodes)
         program = _stream_program(n=50)
         summary = program.run("auto")

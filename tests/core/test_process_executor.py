@@ -319,28 +319,45 @@ class TestProcessEquivalence:
             )
             assert _fingerprint(program, summary) == reference
 
-    def test_pipe_shuttle_matches_shm(self):
-        program = _pipeline_program(pin=(0, 1, 1))
-        summary = program.run(
-            executor="process", config=RunConfig(workers=2, shuttle="pipe")
-        )
+    def test_tiny_ring_still_exact(self):
+        # A 96-byte data ring (and response ring: it is sized
+        # min(ring_capacity, 64 KiB)) forces constant backlog-and-flush
+        # cycles.  ``ring_capacity`` is a constructor keyword, not a
+        # RunConfig field: build the executor and hand over the instance.
+        program = _pipeline_program(pin=(0, 1, 2))
+        summary = program.run(ProcessExecutor(workers=3, ring_capacity=96))
         reference_program = _pipeline_program()
         reference = _fingerprint(reference_program, reference_program.run())
         assert _fingerprint(program, summary) == reference
 
-    def test_tiny_ring_still_exact(self):
-        # A 96-byte data ring forces constant backlog-and-flush cycles.
-        program = _pipeline_program(pin=(0, 1, 2))
-        summary = program.run(
-            executor="process",
-            config=RunConfig(
-                workers=3,
-                extra={"ring_capacity": 96, "resp_ring_capacity": 96},
-            ),
-        )
-        reference_program = _pipeline_program()
-        reference = _fingerprint(reference_program, reference_program.run())
-        assert _fingerprint(program, summary) == reference
+    def test_record_larger_than_the_ring_fails_typed(self):
+        """Backlog-and-flush only helps records that fit: one that never
+        can fails the run with the typed error, across the worker's
+        result pipe."""
+
+        def build():
+            builder = ProgramBuilder()
+            snd, rcv = builder.bounded(2, name="bus")
+
+            def produce():
+                yield snd.enqueue("y" * 1024)
+
+            def consume():
+                yield rcv.dequeue()
+
+            builder.pin(
+                builder.add(FunctionContext(produce, handles=[snd], name="p")), 0
+            )
+            builder.pin(
+                builder.add(FunctionContext(consume, handles=[rcv], name="c")), 1
+            )
+            return builder.build()
+
+        with pytest.raises(SimulationError) as info:
+            build().run(ProcessExecutor(workers=2, ring_capacity=96))
+        assert isinstance(info.value.original, RecordTooLarge)
+        assert "ring_capacity" in str(info.value.original)
+        assert build().run(ProcessExecutor(workers=2)).ops_executed == 2
 
     def test_trace_merge_identical_to_sequential(self):
         obs_seq = Observability(capture_payloads=True)

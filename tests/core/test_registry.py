@@ -51,6 +51,20 @@ class TestResolution:
         for name in ("sequential", "threaded", "process", "free-threaded"):
             assert name in names
 
+    def test_free_threaded_is_an_alias_of_threaded(self):
+        """With the GIL off the threaded runtime *is* the free-threaded
+        one; the name stays resolvable, the class and its label do not
+        fork."""
+        assert resolve_executor("free-threaded") is ThreadedExecutor
+        assert "free-threaded" not in AUTO_ORDER
+        program, collector = pipeline()
+        summary = program.run(executor="free-threaded")
+        assert summary.executor == "threaded"
+        assert collector.values == [i + 1 for i in range(10)]
+
+    def test_auto_order(self):
+        assert AUTO_ORDER == ("process", "threaded", "sequential")
+
     def test_executor_class_passes_through(self):
         assert resolve_executor(SequentialExecutor) is SequentialExecutor
 
@@ -108,8 +122,7 @@ class TestLaziness:
                 raise AssertionError("expected ValueError")
             heavy = [
                 m for m in sys.modules
-                if m.endswith((".partitioned", ".threaded", ".freethreaded",
-                               ".sequential"))
+                if m.endswith((".partitioned", ".threaded", ".sequential"))
             ]
             print(sorted(heavy))
             """
@@ -124,7 +137,7 @@ class TestLaziness:
             resolve_executor("threaded")
             heavy = [
                 m.rsplit(".", 1)[-1] for m in sys.modules
-                if m.endswith((".partitioned", ".freethreaded"))
+                if m.endswith(".partitioned")
             ]
             print(sorted(heavy))
             """
@@ -182,20 +195,24 @@ class TestRunConfig:
             "steal": False,
         }
 
-    def test_extra_always_passed_through(self):
-        config = RunConfig(extra={"bogus_knob": 1})
-        assert config.kwargs_for(SequentialExecutor) == {"bogus_knob": 1}
-        with pytest.raises(TypeError):
-            SequentialExecutor.from_config(config)
+    def test_a_typo_fails_loudly(self):
+        """No untyped side door: a keyword that is neither a RunConfig
+        field nor a constructor keyword is a TypeError wherever it is
+        spelled."""
+        with pytest.raises(TypeError, match="bogus_knob"):
+            RunConfig(bogus_knob=1)
+        with pytest.raises(TypeError, match="bogus_knob"):
+            SequentialExecutor(bogus_knob=1)
+        with pytest.raises(TypeError, match="bogus_knob"):
+            SequentialExecutor.from_config(RunConfig(), bogus_knob=1)
 
     def test_replace_known_field(self):
         config = RunConfig(workers=2).replace(workers=5)
         assert config.workers == 5
-        assert config.extra == {}
 
-    def test_replace_unknown_key_lands_in_extra(self):
-        config = RunConfig().replace(mystery=7)
-        assert config.extra == {"mystery": 7}
+    def test_replace_unknown_key_is_a_type_error(self):
+        with pytest.raises(TypeError, match="mystery"):
+            RunConfig().replace(mystery=7)
 
     def test_from_config(self):
         executor = ProcessExecutor.from_config(RunConfig(workers=2, steal=False))
@@ -254,11 +271,4 @@ class TestProgramRunApi:
         program, collector = pipeline()
         summary = program.run(executor="auto")
         assert collector.values == [i + 1 for i in range(10)]
-        assert summary.executor in (
-            "sequential",
-            "threaded",
-            "process",
-            "free-threaded",
-            "free-threaded(process)",
-            "free-threaded(threaded)",
-        )
+        assert summary.executor in ("sequential", "threaded", "process")

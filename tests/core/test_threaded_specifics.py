@@ -221,6 +221,72 @@ class TestClusterHosting:
             assert run("threaded", mode) == reference, f"superblocks={mode}"
 
 
+class TestClusterCounters:
+    """Cluster drivers are cooperative schedulers; the threaded summary
+    and ``executor_*`` metrics carry the sum of their counters
+    (DESIGN.md §15).  ``superblocks="off"`` reports 0: the OS schedules."""
+
+    @staticmethod
+    def _add_component(builder, tokens):
+        """source → (unbounded) → +1 → (capacity 1) → collector: the
+        source outruns a 2048-op slice (preemptions), the last hop parks
+        on every token (wakeups)."""
+        s1, r1 = builder.unbounded()
+        s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
+        builder.add(RampSource(s1, tokens, ii=1))
+        builder.add(UnaryFunction(r1, s2, _plus_one, ii=1))
+        builder.add(Collector(r2, ii=2))
+
+    @staticmethod
+    def _counters(summary):
+        row = (summary.context_switches, summary.wakeups, summary.preemptions)
+        if summary.metrics is not None:
+            counters = summary.metrics["counters"]
+            assert row == (
+                counters["executor_context_switches"],
+                counters["executor_wakeups"],
+                counters["executor_preemptions"],
+            )
+        return row
+
+    def _threaded(self, mode):
+        from repro import Observability
+
+        builder = ProgramBuilder()
+        for tokens in (1500, 2500):
+            self._add_component(builder, tokens)
+        program = builder.build()
+        assert len(_components(program)) == 2
+        return self._counters(
+            program.run(
+                "threaded",
+                config=RunConfig(
+                    superblocks=mode, obs=Observability(trace=False)
+                ),
+            )
+        )
+
+    def _alone(self, tokens):
+        builder = ProgramBuilder()
+        self._add_component(builder, tokens)
+        # A deadline forces the bounded slices a cluster driver always
+        # runs (same 2048-op timeslice).
+        return self._counters(
+            builder.build().run(config=RunConfig(deadline_s=3600.0))
+        )
+
+    def test_summary_sums_the_drivers(self):
+        first = self._threaded("on")
+        assert all(count > 0 for count in first)
+        assert self._threaded("auto") == first
+        assert first == tuple(
+            map(sum, zip(self._alone(1500), self._alone(2500)))
+        )
+
+    def test_off_reports_zero(self):
+        assert self._threaded("off") == (0, 0, 0)
+
+
 def _two_stage(tokens=40):
     """source → +1 → collector over shallow channels (every context
     honours the resumable-state contract); returns (program, collector)."""

@@ -88,7 +88,6 @@ class TestExecutorWiring:
             ("sequential", {}),
             ("threaded", {}),
             ("process", {"workers": 2}),
-            ("free-threaded", {"workers": 2}),
         ],
     )
     def test_samples_land_on_obs(self, executor, kwargs):

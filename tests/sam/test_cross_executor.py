@@ -187,10 +187,6 @@ class TestExecutorMatrix:
             ("threaded", RunConfig()),
         ]
         runs += [("process", RunConfig(workers=n)) for n in (1, 2, 3, 4)]
-        # On a GIL build this leg exercises the fallback chain (process
-        # when fork exists, threaded otherwise) — the simulated results
-        # must be identical whichever runtime actually executes.
-        runs += [("free-threaded", RunConfig(workers=2))]
         for executor, config in runs:
             kernel = build()
             summary = kernel.run(executor=executor, config=config)

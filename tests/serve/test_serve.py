@@ -13,6 +13,7 @@ no mocked transports.  The core claims under test:
 """
 
 import json
+import os
 import threading
 
 import pytest
@@ -220,6 +221,48 @@ class TestAdmission:
         wire["config"] = {"wrokers": 2}
         with pytest.raises(Exception, match="unknown RunConfig field"):
             client.submit(wire)
+
+
+class TestRequestConfigBoundary:
+    """Config fields that would spend the server's disk or process table
+    are a typed 400 before admission (``TenantPolicy.clamp`` touches only
+    ``deadline_s`` and ``fallback``)."""
+
+    def _refused(self, client, spec, match):
+        wire = spec.to_dict()
+        with pytest.raises(SpecError, match=match):
+            client.submit(wire, tenant="probe")
+        status, body = client._request(
+            "POST", "/run", {"spec": wire, "tenant": "probe"}
+        )
+        error = json.loads(b"".join(body))["error"]
+        assert (status, error["type"]) == (400, "SpecError")
+        # Refused before admission: the tenant ledger never saw it.
+        assert "probe" not in client.metrics()["tenants"]
+
+    def test_wire_checkpoint_path_is_refused(self, client, tmp_path):
+        target = tmp_path / "epochs"
+        spec = _spmspm_spec(
+            config=RunConfig(
+                checkpoint_interval_s=0.0, checkpoint_path=str(target)
+            )
+        )
+        self._refused(client, spec, "checkpoint_path")
+        assert not target.exists()
+
+    def test_workers_above_the_cpu_count_are_refused(self, client):
+        spec = _spmspm_spec(
+            executor="process",
+            config=RunConfig(workers=(os.cpu_count() or 1) + 1),
+        )
+        self._refused(client, spec, "workers")
+
+    def test_workers_within_the_cpu_count_still_run(self, client):
+        spec = _spmspm_spec(
+            executor="process", config=RunConfig(workers=os.cpu_count() or 1)
+        )
+        _, local = spec.run()
+        assert client.submit(spec).summary.elapsed_cycles == local.elapsed_cycles
 
 
 class TestMultiTenantConcurrency:

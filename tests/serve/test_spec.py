@@ -109,7 +109,6 @@ _EXECUTOR_CONFIGS = [
     ("sequential", RunConfig()),
     ("threaded", RunConfig()),
     pytest.param("process", RunConfig(workers=2), marks=needs_fork),
-    ("free-threaded", RunConfig(workers=2)),
 ]
 
 
