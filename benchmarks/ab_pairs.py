@@ -14,7 +14,9 @@ PRs 12-14 each rewrote by hand to resolve a few percent:
   interpreter and one discarded warm-up each, then ``N`` pairs of single
   operations, alternating which side goes first, so both sides sample the
   same minutes of host noise;
-* ``RunCase.check`` on every operation (a failed one ends the session);
+* ``RunCase.check`` and the suite's leak post-conditions (no child
+  process, ``/dev/shm/psm_*`` segment or scratch file left) on every
+  operation (a failed one ends the session);
 * per side the fastest-quarter mean (the suite's statistic: interference
   only adds time), median and minimum of the ``Program.run`` seconds; per
   pair who won; and the ratio of the fastest-quarter means.
@@ -62,19 +64,29 @@ def child(checkout: str, workload: str, seed: int, size: str) -> int:
     ]
     import catalog
     import workloads
+    from child import postconditions, shm_segments  # the suite's leak checks
 
     if workload in catalog.ONE_CPU:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     scratch = tempfile.mkdtemp(prefix="ab_pairs-")
+    shm_before = shm_segments()
     try:
         case = workloads.RunCase(workload, catalog.WORKLOADS[workload][size], seed, scratch)
         case.prepare()
+
+        def check(built, summary, expect) -> list[str]:
+            """The workload's own check, then what the operation left behind
+            (a forked worker, a ``/dev/shm/psm_*`` segment, a scratch file)."""
+            failures = case.check(built, summary, expect)  # sweeps its own files
+            left = postconditions(shm_before, scratch)
+            return failures + [f"{what}: {found}" for what, found in left.items() if found]
+
         built = case.build()
         reference = case.run_reference(built)
         expect = {"cycles": reference.elapsed_cycles, "ops": reference.ops_executed}
-        failures = case.check(built, reference, None)
+        failures = check(built, reference, None)
         built = case.build()
-        failures += case.check(built, case.run(built), expect)  # warm-up
+        failures += check(built, case.run(built), expect)  # warm-up
         hello = {
             "python": platform.python_version(),
             "nproc": os.cpu_count(),
@@ -88,7 +100,7 @@ def child(checkout: str, workload: str, seed: int, size: str) -> int:
             begin = time.perf_counter()
             summary = case.run(built)
             seconds = time.perf_counter() - begin
-            reply = {"seconds": seconds, "failures": case.check(built, summary, expect)}
+            reply = {"seconds": seconds, "failures": check(built, summary, expect)}
             print(json.dumps(reply), flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, NoReturn, Optional
 
 from .errors import GraphConstructionError
 from .time import Time, TimeCell
@@ -58,6 +58,24 @@ _channel_ids = itertools.count()
 #: Sentinel returned by ``fast_dequeue`` when no element is ready.  A
 #: private object so it can never collide with queued payloads.
 _EMPTY = object()
+
+
+def _refuse_pickle(endpoint: Any) -> NoReturn:
+    """``__reduce__`` of :class:`Sender` and :class:`Receiver`: an
+    endpoint is wiring, not data.
+
+    Refusing *here* — before the pickler walks handle -> channel ->
+    queues -> owning context -> its handles ... only to die on the
+    channel's ``threading.Condition`` — is what keeps "ship whatever
+    pickles" (the process executor's harvest, a cut-channel record, a
+    checkpointed attribute) proportional to the data: a handle nested
+    anywhere in a list, dict or object fails in microseconds, with a
+    sentence instead of ``cannot pickle '_thread.RLock' object``.
+    """
+    raise TypeError(
+        f"{endpoint!r} is a channel endpoint and does not pickle: "
+        "endpoints stay in the process that built the program"
+    )
 
 
 class ChannelStats:
@@ -567,6 +585,8 @@ class Sender:
         """Build an enqueue op for ``yield``-ing."""
         return _ops.Enqueue(self, data)
 
+    __reduce__ = _refuse_pickle
+
     def __repr__(self) -> str:
         return f"Sender({self.channel.name})"
 
@@ -596,6 +616,8 @@ class Receiver:
     def peek(self) -> "_ops.Peek":
         """Build a peek op for ``yield``-ing."""
         return _ops.Peek(self)
+
+    __reduce__ = _refuse_pickle
 
     def __repr__(self) -> str:
         return f"Receiver({self.channel.name})"

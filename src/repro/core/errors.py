@@ -182,34 +182,41 @@ class CheckpointError(DamError):
 # ----------------------------------------------------------------------
 
 
+def _survives_pickle(exc: BaseException) -> bool:
+    """Does ``exc`` make the round trip?  ``dumps`` alone is not the
+    question: an exception class whose ``__init__`` takes more than
+    ``args`` pickles fine and then raises ``TypeError`` out of the
+    *parent's* ``conn.recv()``."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any hook of a user class may refuse
+        return False
+    return True
+
+
 def pack_exception(exc: BaseException) -> dict[str, Any]:
     """Encode ``exc`` as a picklable dict for the worker result pipe.
 
     DAM exceptions with custom constructor signatures are encoded
     field-by-field so :func:`unpack_exception` can rebuild them exactly.
-    Arbitrary exceptions are shipped as-is when picklable and demoted to
-    their ``repr`` otherwise (a user context can raise an exception holding
-    an open file handle, a generator, a lock — anything).
+    Arbitrary exceptions are shipped as-is when they survive a pickle
+    round trip and demoted to their ``repr`` otherwise (a user context
+    can raise an exception holding an open file handle, a generator, a
+    lock, or one whose constructor takes two arguments — anything).
     """
     if isinstance(exc, ChannelClosed):
         return {"kind": "channel_closed", "channel": exc.channel_name}
     if isinstance(exc, DeadlockError):
         return {"kind": "deadlock", "blocked": list(exc.blocked)}
     if isinstance(exc, SimulationError):
-        original: BaseException | None = exc.original
-        try:
-            pickle.dumps(original)
-        except Exception:
-            original = None
+        original = exc.original
         return {
             "kind": "simulation",
             "context": exc.context_name,
-            "original": original,
-            "repr": repr(exc.original),
+            "original": original if _survives_pickle(original) else None,
+            "repr": repr(original),
         }
-    try:
-        pickle.dumps(exc)
-    except Exception:
+    if not _survives_pickle(exc):
         return {"kind": "opaque", "type": type(exc).__name__, "repr": repr(exc)}
     return {"kind": "pickled", "exception": exc, "repr": repr(exc)}
 

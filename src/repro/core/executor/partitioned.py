@@ -74,6 +74,7 @@ registry.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import pickle
@@ -963,16 +964,14 @@ def _harvest(executor: _WorkerExecutor) -> dict:
                 continue
             try:
                 pickle.dumps(value)
-            except Exception:  # noqa: BLE001 - handles/locks/closures stay put
+            except Exception:  # noqa: BLE001 - the one rule: ship what pickles
                 continue
             attrs[key] = value
         if attrs:
             context_attrs[slot] = attrs
-        state = executor._states.get(id(ctx)) if executor._states else None
-        if state is not None:
-            context_stats[slot] = {
-                "ops": state.ops, "wall": state.wall_seconds
-            }
+        # Activation registers the state before it lists the context.
+        state = executor._states[id(ctx)]
+        context_stats[slot] = {"ops": state.ops, "wall": state.wall_seconds}
 
     channel_stats: dict[int, dict] = {}
 
@@ -1045,6 +1044,14 @@ def _harvest(executor: _WorkerExecutor) -> dict:
 def _worker_main(
     parent: "ProcessExecutor", run: _RunShared, worker_index: int, conn
 ) -> None:
+    # The inherited heap (program graph, inputs, numpy, modules) moves to
+    # the permanent generation: a full collection would otherwise write
+    # ``gc_refs`` into every inherited object's header, copy-on-writing
+    # those pages, to find nothing.  Never unfrozen — the worker exits
+    # after this one run — and fork-only: freezing zeroes the generation
+    # counters, so a long-lived process that froze per run would never
+    # reach a full pass (DESIGN.md §10).
+    gc.freeze()
     payload: dict[str, Any] = {
         "worker": worker_index, "status": "ok", "error": None, "stalls": None,
     }
@@ -1933,9 +1940,7 @@ class ProcessExecutor(Executor):
             if payload["status"] == "error":
                 info = payload.get("error") or {}
                 exc = unpack_exception(info)
-                if isinstance(exc, SimulationError):
-                    raise exc
-                if isinstance(exc, DamError):
+                if isinstance(exc, DamError):  # SimulationError included
                     raise exc
                 raise SimulationError(
                     f"<worker {payload['worker']}>", exc

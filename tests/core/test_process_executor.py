@@ -1,11 +1,19 @@
 """Process executor: shm primitives, partitioning, and cross-process
 equivalence with the in-process executors."""
 
+import gc
+import glob
+import multiprocessing
 import os
+import pickle
+import time
+import types
 
+import numpy as np
 import pytest
 
 from repro import (
+    Context,
     DeadlockError,
     FunctionContext,
     GraphConstructionError,
@@ -18,6 +26,8 @@ from repro import (
     channel_weights,
     plan_partition,
 )
+from repro.core.channel import Channel
+from repro.core.executor import partitioned
 from repro.core.executor.shm import (
     ArenaLayout,
     RecordTooLarge,
@@ -645,3 +655,241 @@ class TestGeneratorCleanupOnAbort:
         with pytest.raises(SimulationError):
             program.run()
         assert cleaned == ["blocked"]
+
+
+# ----------------------------------------------------------------------
+# The worker's result path: what a forked worker does between fork and
+# exit (freeze, claim, run, harvest, send — DESIGN.md §10).
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_leaked_workers():
+    """The run under test leaves no child process and no shm segment."""
+    before = set(glob.glob("/dev/shm/psm_*"))
+    yield
+    deadline = time.monotonic() + 5.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not multiprocessing.active_children(), "worker processes leaked"
+    assert set(glob.glob("/dev/shm/psm_*")) <= before, "shared memory leaked"
+
+
+class Boom(Exception):
+    """Pickles, but does not unpickle: ``Exception.__reduce__`` replays
+    ``args`` (one string) into a two-argument constructor.  Module-level
+    on purpose — a test-local class would refuse ``dumps`` and take the
+    demotion that always worked."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
+class TestExceptionThatDoesNotSurviveThePipe:
+    def _program(self):
+        builder = ProgramBuilder()
+        snd, rcv = builder.bounded(2, name="z")
+
+        def bad():
+            yield snd.enqueue(1)
+            raise Boom("left", "right")
+
+        def consumer():
+            while True:
+                yield rcv.dequeue()
+
+        builder.pin(builder.add(FunctionContext(bad, handles=[snd], name="bad")), 0)
+        builder.pin(
+            builder.add(FunctionContext(consumer, handles=[rcv], name="cons")), 1
+        )
+        return builder.build()
+
+    def test_premise_dumps_succeeds_and_loads_is_what_fails(self):
+        blob = pickle.dumps(Boom("a", "b"))
+        with pytest.raises(TypeError, match="required positional argument"):
+            pickle.loads(blob)
+
+    @pytest.mark.parametrize("executor", ["sequential", "threaded", "process"])
+    def test_every_executor_names_the_context(self, executor, no_leaked_workers):
+        with pytest.raises(SimulationError) as info:
+            self._program().run(
+                executor, config=RunConfig(workers=2, deadlock_grace=0.5)
+            )
+        assert info.value.context_name == "bad"
+        assert repr(Boom("left", "right")) in str(info.value)
+        if executor == "process":
+            # Demoted to its repr on the worker's side of the pipe.
+            assert isinstance(info.value.original, RuntimeError)
+            assert str(info.value.original) == repr(Boom("left", "right"))
+        else:
+            assert isinstance(info.value.original, Boom)
+
+
+class _Untouchable:
+    """Stands in for ``Channel._data``: any walk into it fails the test
+    with something that is *not* the typed refusal."""
+
+    def _touched(self, *args):
+        raise AssertionError("the pickler walked into the channel")
+
+    __iter__ = __len__ = __reduce_ex__ = _touched
+
+
+class TestEndpointsRefuseToPickle:
+    def test_typed_refusal_names_the_channel_and_walks_nothing(self):
+        builder = ProgramBuilder()
+        snd, rcv = builder.bounded(2, name="bus")
+        snd.channel._data = _Untouchable()
+        for value, label in [
+            (snd, r"Sender\(bus\)"),
+            (rcv, r"Receiver\(bus\)"),
+            ([snd], r"Sender\(bus\)"),
+            ({"k": [rcv]}, r"Receiver\(bus\)"),
+        ]:
+            with pytest.raises(
+                TypeError,
+                match=label + " is a channel endpoint and does not pickle",
+            ):
+                pickle.dumps(value)
+
+
+class _Keeper(Context):
+    """Leaves behind one attribute of every kind the harvest meets."""
+
+    def __init__(self, snd, name):
+        super().__init__(name=name)
+        self.register(snd)
+        self.handle = snd
+        self.handles = [snd]
+        self.table = {"out": snd}
+        self.fn = lambda value: value + 1
+        self.items = []
+        self.nested = {}
+        self.array = np.zeros(3)
+
+    def run(self):
+        for value in range(5):
+            yield self.handle.enqueue(value)
+            self.items.append(value * value)
+            self.nested.setdefault("seen", {})[value] = [value, str(value)]
+        self.array = np.arange(5.0) * 0.5
+        self.frozen = gc.get_freeze_count()
+        yield IncrCycles(1)
+
+
+def _keeper_program():
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(2, name="bus")
+
+    def drain():
+        while True:
+            yield rcv.dequeue()
+
+    keeper = builder.add(_Keeper(snd, name="keeper"))
+    builder.pin(keeper, 0)
+    builder.pin(builder.add(FunctionContext(drain, handles=[rcv], name="drain")), 1)
+    return builder.build(), keeper
+
+
+def _smoke_parallel_mha():
+    """The benchmark's smoke-size Fig. 9 graph (78 contexts)."""
+    from repro.sam.graphs import build_parallel_mha
+
+    rng = np.random.default_rng(11)
+    heads, seq_len, head_dim = 4, 6, 3
+    mask = (rng.random((heads, seq_len, seq_len)) < 0.5).astype(float)
+    for head in range(heads):
+        np.fill_diagonal(mask[head], 1.0)
+    q, k, v = (rng.standard_normal((heads, seq_len, head_dim)) for _ in range(3))
+    return build_parallel_mha(mask, q, k, v, parallelism=2).program
+
+
+def _picklable_attrs(ctx):
+    out = {}
+    for key, value in vars(ctx).items():
+        if key in partitioned._FRAMEWORK_ATTRS:
+            continue
+        try:
+            out[key] = pickle.dumps(value)
+        except Exception:  # noqa: BLE001 - the harvest's own rule
+            continue
+    return out
+
+
+class TestHarvestContract:
+    """Anything in ``vars(ctx)`` that pickles comes home; endpoints (and
+    whatever else refuses) stay the parent's own objects."""
+
+    def test_results_ship_and_handles_stay_put(self, no_leaked_workers):
+        reference_program, reference = _keeper_program()
+        reference_program.run()
+        program, keeper = _keeper_program()
+        untouched = {
+            key: getattr(keeper, key)
+            for key in ("handle", "handles", "table", "fn")
+        }
+        program.run("process", config=RunConfig(workers=2))
+        assert keeper.items == reference.items == [0, 1, 4, 9, 16]
+        assert keeper.nested == reference.nested
+        assert np.array_equal(keeper.array, reference.array)
+        for key, original in untouched.items():
+            assert getattr(keeper, key) is original, key
+        assert keeper.handles == [keeper.handle]
+        assert keeper.table == {"out": keeper.handle}
+        assert keeper.handle.channel is program.channels[0]
+
+    def test_only_the_worker_freezes(self, no_leaked_workers):
+        program, keeper = _keeper_program()
+        frozen_before = gc.get_freeze_count()
+        enabled_before = gc.isenabled()
+        program.run("process", config=RunConfig(workers=2))
+        assert keeper.frozen > 0  # read inside the forked worker
+        assert gc.get_freeze_count() == frozen_before == 0
+        assert gc.isenabled() == enabled_before
+        sequential, in_process = _keeper_program()
+        sequential.run()
+        assert in_process.frozen == 0
+
+    def test_nothing_that_used_to_ship_is_dropped(self, no_leaked_workers):
+        reference = _smoke_parallel_mha()
+        reference.run()
+        program = _smoke_parallel_mha()
+        program.run("process", config=RunConfig(workers=2))
+        shipped = 0
+        for ours, theirs in zip(program.contexts, reference.contexts):
+            expected = _picklable_attrs(theirs)
+            assert _picklable_attrs(ours) == expected, ours.name
+            shipped += len(expected)
+        assert shipped > 0
+
+    def test_one_probe_per_attribute_and_none_walks_a_channel(
+        self, monkeypatch, no_leaked_workers
+    ):
+        reference = _smoke_parallel_mha()
+        reference.run()
+        candidates = sum(
+            len(vars(ctx).keys() - partitioned._FRAMEWORK_ATTRS)
+            for ctx in reference.contexts
+        )
+        mp = multiprocessing.get_context("fork")
+        probes, channel_walks = mp.Value("i", 0), mp.Value("i", 0)
+
+        def counting_dumps(value, *args, **kwargs):
+            with probes.get_lock():
+                probes.value += 1
+            return pickle.dumps(value, *args, **kwargs)
+
+        def walked(self, protocol):
+            with channel_walks.get_lock():
+                channel_walks.value += 1
+            return object.__reduce_ex__(self, protocol)
+
+        # Patched before the fork, so both workers inherit the counters.
+        monkeypatch.setattr(
+            partitioned, "pickle", types.SimpleNamespace(dumps=counting_dumps)
+        )
+        monkeypatch.setattr(Channel, "__reduce_ex__", walked, raising=False)
+        program = _smoke_parallel_mha()
+        program.run("process", config=RunConfig(workers=2))
+        assert 0 < probes.value <= candidates
+        assert channel_walks.value == 0

@@ -163,6 +163,31 @@ class TestCustomRegistration:
         finally:
             registry_mod._REGISTRY.pop("instrumented-sequential", None)
 
+    def test_reregistered_name_is_filtered_by_the_new_signature(self):
+        """``kwargs_for`` caches the declared keywords per *class*: a new
+        class under a name already served must not get the old entry."""
+        config = RunConfig(workers=3, fast_path=False)
+        try:
+            @register_executor("shape-shifter")
+            class TakesWorkers(SequentialExecutor):
+                def __init__(self, workers=1):
+                    super().__init__()
+
+            first = resolve_executor("shape-shifter")
+            assert config.kwargs_for(first) == {"workers": 3}
+            assert config.kwargs_for(first) == {"workers": 3}  # cached
+
+            @register_executor("shape-shifter")
+            class TakesFastPath(SequentialExecutor):
+                def __init__(self, fast_path=True):
+                    super().__init__(fast_path=fast_path)
+
+            second = resolve_executor("shape-shifter")
+            assert second is TakesFastPath
+            assert config.kwargs_for(second) == {"fast_path": False}
+        finally:
+            registry_mod._REGISTRY.pop("shape-shifter", None)
+
     def test_available_predicate_registered(self):
         @register_executor("always-on", available=lambda: True)
         class AlwaysOn(SequentialExecutor):

@@ -12,6 +12,7 @@ no mocked transports.  The core claims under test:
 * identical in-flight payloads coalesce onto one execution.
 """
 
+import gc
 import json
 import os
 import threading
@@ -101,6 +102,18 @@ class TestEquivalence:
                 result.result_dense().tobytes()
                 == built.result_dense().tobytes()
             )
+
+    def test_the_server_process_never_freezes_its_heap(self, client):
+        """``gc.freeze()`` belongs to forked process-executor workers
+        alone: it zeroes the generation counters, so a server that froze
+        per request would never reach a full collection and would leak
+        every request's cyclic ``Program`` (DESIGN.md §10)."""
+        assert gc.get_freeze_count() == 0
+        config = RunConfig(workers=os.cpu_count() or 1)
+        for executor in ("sequential", "threaded", "process", "sequential"):
+            client.submit(_spmspm_spec(executor=executor, config=config))
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled()
 
     def test_streamed_samples_arrive(self, client):
         # A sampling interval far below the run time guarantees at least
