@@ -9,7 +9,8 @@ Seeded end-to-end kill/resume rounds on top of the unit suites:
    record ``resumed_from``.
 2. A crash-only run, then a manual resume from ``latest_checkpoint``
    onto a *different* worker count (elastic repartitioning) — again
-   bit-identical.
+   bit-identical.  Once per run the same with 96-byte rings, so the
+   cuts hold records that had not fit in a lane (DESIGN.md §17).
 3. Post-conditions after every round: no stale temp/part files in the
    checkpoint directory, no orphaned child processes (multiprocessing's
    ``resource_tracker`` legitimately lives until interpreter exit), and
@@ -19,6 +20,7 @@ Exit code 0 = all rounds passed.
 """
 
 import argparse
+import functools
 import os
 import random
 import subprocess
@@ -29,15 +31,16 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.core import RunConfig, checkpoint as ckpt  # noqa: E402
 from repro.core.errors import WorkerCrashError  # noqa: E402
+from repro.core.executor.partitioned import ProcessExecutor  # noqa: E402
 from repro.core.faults import FaultPlan  # noqa: E402
 from repro.sam import CsfTensor  # noqa: E402
 from repro.sam.graphs import build_spmspm  # noqa: E402
 from repro.sam.tensor import random_dense  # noqa: E402
 
 
-def build_kernel():
-    b = random_dense(8, 8, density=0.4, seed=23)
-    ct = random_dense(8, 8, density=0.4, seed=24)
+def build_kernel(n=12):
+    b = random_dense(n, n, density=0.4, seed=23)
+    ct = random_dense(n, n, density=0.4, seed=24)
     return build_spmspm(
         CsfTensor.from_dense(b, "cc"), CsfTensor.from_dense(ct, "cc"), depth=4
     )
@@ -164,10 +167,13 @@ def ladder_round(rng, reference, shm_before, failures):
         failures.append(f"{label}: kill never fired in {MAX_TRIES} tries")
 
 
-def elastic_round(rng, reference, shm_before, failures):
+def elastic_round(
+    rng, reference, shm_before, failures,
+    build_kernel=build_kernel, ring_capacity=1 << 20,
+):
     """Crash, then manually resume onto a different worker count."""
     resume_workers = rng.choice([1, 3, 4])
-    label = f"elastic(resume_workers={resume_workers})"
+    label = f"elastic(resume_workers={resume_workers}, ring={ring_capacity})"
     for attempt in range(MAX_TRIES):
         with tempfile.TemporaryDirectory() as ckdir:
             kernel = build_kernel()
@@ -175,16 +181,17 @@ def elastic_round(rng, reference, shm_before, failures):
                 worker=1, after_checkpoints=2
             )
             try:
+                # ``ring_capacity`` is constructor-only: an instance.
                 kernel.run(
-                    executor="process",
-                    config=RunConfig(
+                    ProcessExecutor(
                         workers=2,
                         timeslice=7,
                         steal=False,
                         faults=plan,
+                        ring_capacity=ring_capacity,
                         checkpoint_interval_s=0.0,
                         checkpoint_path=ckdir,
-                    ),
+                    )
                 )
                 continue  # run finished before the 2nd dump; try again
             except WorkerCrashError:
@@ -212,6 +219,14 @@ def elastic_round(rng, reference, shm_before, failures):
     failures.append(f"{label}: kill never fired in {MAX_TRIES} tries")
 
 
+def clean_reference(build):
+    base = build()
+    return fingerprint(
+        base,
+        base.run(executor="process", config=RunConfig(workers=2, timeslice=7)),
+    )
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2024)
@@ -220,17 +235,21 @@ def main(argv=None):
 
     rng = random.Random(args.seed)
     shm_before = shm_segments()
-    base = build_kernel()
-    reference = fingerprint(
-        base,
-        base.run(executor="process", config=RunConfig(workers=2, timeslice=7)),
-    )
+    reference = clean_reference(build_kernel)
 
     failures: list[str] = []
     for round_no in range(args.rounds):
         print(f"round {round_no + 1}/{args.rounds}")
         ladder_round(rng, reference, shm_before, failures)
         elastic_round(rng, reference, shm_before, failures)
+    print("tiny rings")
+    # A larger kernel: when both workers get a core each, the 8x8 run
+    # is over before the victim's second dump.
+    larger = functools.partial(build_kernel, 16)
+    elastic_round(
+        rng, clean_reference(larger), shm_before, failures,
+        build_kernel=larger, ring_capacity=96,
+    )
 
     if failures:
         print(f"\n{len(failures)} FAILURES")

@@ -71,7 +71,6 @@ _LAZY_EXECUTOR = {
     "pins_from_placement",
     "plan_partition",
     "plan_clusters",
-    "plan_affinity",
 }
 
 # Checkpoint machinery is likewise lazy: most programs never snapshot.

@@ -290,7 +290,7 @@ class Channel:
         return True
 
     def _try_enqueue_bounded(self, clock: TimeCell, data: Any) -> bool:
-        # Reserve (draining responses advances the sender clock — the
+        # Reserve (consuming responses advances the sender clock — the
         # backpressure timeline), then enqueue.  False = would block.
         resps = self._resps
         while self._delta >= self.capacity and resps:

@@ -8,13 +8,16 @@ full queue/flag/stats state; plus the metrics registry and (for the
 process executor) the observed post-steal placement.
 
 The consistency argument is the communication-closed-rounds one: every
-executor captures only at a **quiescent cut** — a point where no record
-is in flight between two mutators (the sequential executor between
-slices, the threaded executor with every thread acknowledged at a safe
-point, the process executor with all cross-worker lanes drained and every
-worker paused).  At such a cut the program state *is* the pair (context
-attributes, channel queues); no schedule information needs to be saved,
-because simulated results are pure functions of simulated state.
+executor captures only at a **quiescent cut** — a barrier of its hosts,
+each stopped at a slice boundary, so nobody is mid-operation (the
+sequential executor between slices, the threaded executor with every
+live driver joined, the process executor with every live worker paused).
+Channels are FIFO with one sender and one receiver, so a record still in
+flight at such a cut — one a process worker had not yet delivered — is
+captured where it is, behind what the receiver already holds.  The
+program state *is* the pair (context attributes, channel queues); no
+schedule information needs to be saved, because simulated results are
+pure functions of simulated state.
 
 Generators themselves are never serialized.  A checkpointable context
 keeps all inter-yield state in instance attributes mutated only *after*

@@ -40,7 +40,6 @@ _LAZY = {
     "pins_from_placement": ".partition",
     "plan_partition": ".partition",
     "plan_clusters": ".partition",
-    "plan_affinity": ".affinity",
 }
 
 __all__ = sorted(_LAZY)

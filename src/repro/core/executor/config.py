@@ -86,9 +86,6 @@ class RunConfig:
     steal:
         Allow idle workers to claim (steal) cold clusters planned for
         other workers (process executor; default on).
-    pin_workers:
-        Pin worker processes to CPUs via ``os.sched_setaffinity``,
-        keeping shuttle peers on the same package (default off).
     deadlock_grace:
         Seconds of global stillness before the deadlock watchdog fires.
     poll_interval:
@@ -157,7 +154,6 @@ class RunConfig:
     max_ops: Optional[int] = None
     obs: Any = None
     steal: Optional[bool] = None
-    pin_workers: Optional[bool] = None
     deadlock_grace: Optional[float] = None
     poll_interval: Optional[float] = None
     timeslice: Optional[int] = None

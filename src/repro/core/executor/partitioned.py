@@ -102,7 +102,6 @@ from ..faults import StalledLane
 from ..ops import Dequeue, Enqueue, Peek, WaitUntil
 from ..program import Program
 from ..time import INFINITY, TimeCell
-from .affinity import pin_current_process, plan_affinity
 from .base import Executor, RunSummary
 from .partition import ClusterSpec, PartitionPlan, plan_clusters, plan_partition
 from .policies import SchedulingPolicy, make_policy
@@ -165,8 +164,6 @@ class _RunShared:
     ckpt_board: Optional[CheckpointBoard]
     #: The fault plan with every victim resolved (None without one).
     faults: Any
-    #: Per-worker CPU sets under ``pin_workers``, else None.
-    cpu_sets: Optional[list]
     #: Slot-keyed resume records of a restored program, else None.
     resume_records: Optional[dict]
 
@@ -282,11 +279,17 @@ class _ShuttleSender:
         if self._pending or not self._lane_out.try_push(record):
             self._pending.append(record)
 
-    def poll(self) -> int:
-        """Flush the outbound backlog and drain the response lane;
-        returns the number of records moved (truthy iff progress)."""
+    def poll(self, flush: bool = True) -> int:
+        """Flush the outbound backlog (unless ``flush`` is off: a
+        checkpoint dump takes what is inbound and pushes nothing) and
+        drain the response lane; returns the number of records moved
+        (truthy iff progress)."""
         moved = 0
-        while self._pending and self._lane_out.try_push(self._pending[0]):
+        while (
+            self._pending
+            and flush
+            and self._lane_out.try_push(self._pending[0])
+        ):
             self._pending.popleft()
             moved += 1
         while True:
@@ -405,11 +408,16 @@ class _ShuttleReceiver:
         if self._pending or not self._lane_out.try_push(record):
             self._pending.append(record)
 
-    def poll(self) -> int:
-        """Flush pending responses and drain the data lane; returns the
-        number of records moved (truthy iff progress)."""
+    def poll(self, flush: bool = True) -> int:
+        """Flush pending responses (unless ``flush`` is off, see
+        :meth:`_ShuttleSender.poll`) and drain the data lane; returns
+        the number of records moved (truthy iff progress)."""
         moved = 0
-        while self._pending and self._lane_out.try_push(self._pending[0]):
+        while (
+            self._pending
+            and flush
+            and self._lane_out.try_push(self._pending[0])
+        ):
             self._pending.popleft()
             moved += 1
         while True:
@@ -522,7 +530,7 @@ class _WorkerExecutor(SequentialExecutor):
         self._active_channels: list[Channel] = []
         self.steal_count = 0
         self.migrations: list[dict] = []
-        #: Checkpoint coordination (parent-driven quiescent cuts).
+        #: Checkpoint coordination (parent-driven rounds).
         self._ckpt_seen = 0  # last epoch this worker acknowledged
         self._ckpt_rounds_done = 0
         #: Stats already on an internal channel at activation time of a
@@ -701,7 +709,7 @@ class _WorkerExecutor(SequentialExecutor):
             self._shuttle_moves += 1
         return moved
 
-    # -- checkpoint participation (parent-driven quiescent cuts) -------
+    # -- checkpoint participation (parent-driven rounds) ---------------
 
     def _ckpt_pending(self) -> bool:
         """Has the parent opened a pause round this worker has not
@@ -713,8 +721,9 @@ class _WorkerExecutor(SequentialExecutor):
         """Claim and activate every cold cluster this worker owns.
 
         Called at the start of a pause round: a lane whose receiving
-        cluster nobody activated has no consumer, so it could never
-        drain.  Claiming through the board keeps the
+        cluster nobody activated has no consumer to take it at the
+        dump, and a cold context has no record.  Claiming through the
+        board keeps the
         claimed-exactly-once invariant even against a concurrent steal.
         """
         run = self._run
@@ -733,14 +742,15 @@ class _WorkerExecutor(SequentialExecutor):
             self._shuttle_moves += 1
 
     def _ckpt_participate(self) -> None:
-        """One worker's side of a pause/drain/dump round.
+        """One worker's side of a pause/dump round.
 
         Entered only at safe points (between slices or in the idle
-        loop), so every local context is between ops — the worker's
-        slice of the cut is quiescent by construction.  The drain loop
-        keeps shuttles moving until the parent observes global lane
-        quiescence, dumps the partition when told to, and returns to
-        normal scheduling when the parent ends the round.
+        loop), so every local context is between ops.  From the ack on
+        this worker moves nothing — no context runs, no lane is pushed
+        or popped — until the parent ends the round; ``CKPT_DUMP``
+        arrives once every live worker has acked, so what the inbound
+        lanes hold then is final and is taken exactly once before the
+        dump.
         """
         board = self._run.ckpt_board
         abort = self._run.abort
@@ -750,22 +760,18 @@ class _WorkerExecutor(SequentialExecutor):
         self._ckpt_seen = epoch
         self._claim_own_cold()
         worker = self._worker
-        rounds = 0
-        moves = 0
+        spins = 0
         dumped = False
         board.ack(worker, epoch)
         while not abort.is_set():
-            moves += self._service_shuttles()
-            rounds += 1
-            pending = sum(len(p._pending) for p in self._send_proxies)
-            pending += sum(len(p._pending) for p in self._recv_proxies)
-            board.publish_drain(worker, rounds, moves, pending)
             if board.epoch() != epoch:
                 break  # the parent moved on (round abandoned)
             command = board.command()
             if command == CKPT_RUN:
                 break
             if command == CKPT_DUMP and not dumped:
+                for proxy in self._send_proxies + self._recv_proxies:
+                    proxy.poll(flush=False)
                 self._dump_partition(epoch)
                 board.mark_dumped(worker, epoch)
                 dumped = True
@@ -779,8 +785,9 @@ class _WorkerExecutor(SequentialExecutor):
                     # Chaos hook: die right after publishing the dump —
                     # the worst moment for the parent's stitch.
                     os.kill(os.getpid(), kill.signal)
+            spins += 1
             _wallclock.sleep(
-                0 if rounds <= 3 else self._parent.poll_interval
+                0 if spins <= 3 else self._parent.poll_interval
             )
         if abort.is_set():
             raise _WorkerAborted()
@@ -791,8 +798,9 @@ class _WorkerExecutor(SequentialExecutor):
         Context records cover exactly what this worker activated;
         channel entries carry internal channels whole and cut channels
         by side (the parent stitches ``send``/``recv`` halves — queued
-        data lives receiver-side, credits sender-side — into one
-        partition-independent state).
+        data lives receiver-side, credits sender-side, and each side's
+        ``pending`` is what it produced that had not fit in its lane —
+        into one partition-independent state).
         """
         slot_of = {
             id(ctx): slot
@@ -813,6 +821,11 @@ class _WorkerExecutor(SequentialExecutor):
                 "sender_finished": proxy._sender_finished,
                 "receiver_finished": proxy._receiver_finished,
                 "enqueues": proxy.stats.enqueues,
+                "pending": [
+                    (record[1], record[2])
+                    for record in proxy._pending
+                    if record[0] == DATA
+                ],
             }
         for proxy in self._recv_proxies:
             entry = channels.setdefault(proxy.id, {})
@@ -827,6 +840,11 @@ class _WorkerExecutor(SequentialExecutor):
                     None if proxy.profile_log is None
                     else list(proxy.profile_log)
                 ),
+                "pending": [
+                    record[1]
+                    for record in proxy._pending
+                    if record[0] == RESPONSE
+                ],
             }
         _ckpt.save_part(
             self._parent.checkpoint_path, epoch, self._worker,
@@ -1056,9 +1074,6 @@ def _worker_main(
         "worker": worker_index, "status": "ok", "error": None, "stalls": None,
     }
     try:
-        if run.cpu_sets is not None:
-            pin_current_process(run.cpu_sets[worker_index])
-
         # Every context starts as a read-only view of its published clock
         # slot (the parent pre-wrote the start times); activating a
         # cluster gives its contexts plain cells this worker publishes.
@@ -1117,7 +1132,7 @@ def _worker_main(
 
 
 class _CkptCoordinator:
-    """The parent's side of the quiescent-cut protocol (DESIGN.md §17).
+    """The parent's side of a checkpoint round (DESIGN.md §17).
 
     A tiny state machine folded into ``_collect``'s supervision ticks:
 
@@ -1125,25 +1140,22 @@ class _CkptCoordinator:
         Nothing in flight.  When the timer says a capture is due, write
         the next epoch + ``CKPT_PAUSE`` to the board and move on.
     ``pausing``
-        Wait until every live worker has acknowledged the epoch (each
-        does so at a slice boundary, so its local contexts are all
-        between operations — locally quiescent by construction).
-    ``draining``
-        Dijkstra-style double sweep over the workers' published drain
-        telemetry.  The cut is globally quiescent when two consecutive
-        sweeps observe the same live set, zero pending outbound records
-        on both, frozen cumulative lane moves, and a strictly advanced
-        round counter for every worker (proof each one completed a full
-        service loop between the sweeps without moving anything).
+        Wait until every live worker has acknowledged the epoch.  Each
+        does so at a slice boundary — its contexts all between
+        operations — and from then on pushes and pops nothing, so once
+        the last one has, the program is frozen: every record is in a
+        proxy's queue, a proxy's unflushed backlog, or a lane, and
+        stays there.
     ``dumping``
-        Workers write their partition dumps (tmp + rename, then publish
-        ``dumped_epoch``).  When every live worker has published, stitch
-        the parts with the retired workers' payloads into one
+        Workers take what their inbound lanes hold and write their
+        partition dumps (tmp + rename, then publish ``dumped_epoch``).
+        When every live worker has published, stitch the parts with the
+        retired workers' payloads into one
         :class:`~repro.core.checkpoint.Checkpoint`, save it, delete the
         parts, and return to ``idle``.
 
     Any abort (peer crash, deadline, user) cancels the round: the
-    command word flips back to ``CKPT_RUN`` and draining workers resume.
+    command word flips back to ``CKPT_RUN`` and paused workers resume.
     A stitch/save failure raises ``SimulationError`` — the caller aborts
     the run (a checkpointing run that cannot checkpoint should fail
     loudly, not silently stop protecting the user).
@@ -1157,7 +1169,6 @@ class _CkptCoordinator:
         self._executor = executor_name
         self._phase = "idle"
         self._epoch = timer.epoch
-        self._prev: Optional[dict[int, tuple]] = None
 
     @property
     def active(self) -> bool:
@@ -1167,7 +1178,6 @@ class _CkptCoordinator:
         if self._phase != "idle":
             self._board.set_command(CKPT_RUN)
             self._phase = "idle"
-            self._prev = None
 
     def tick(self, live: set, payloads: dict) -> None:
         """One supervision tick.  ``live`` is the set of workers whose
@@ -1180,38 +1190,16 @@ class _CkptCoordinator:
         if self._phase == "idle":
             if self._timer.due():
                 self._epoch = self._timer.epoch + 1
-                self._prev = None
                 self._board.request(self._epoch, CKPT_PAUSE)
                 self._phase = "pausing"
             return
-        rows = {worker: self._board.row(worker) for worker in live}
+        rows = [self._board.row(worker) for worker in live]
         if self._phase == "pausing":
-            if all(rows[w][0] == self._epoch for w in live):
-                self._phase = "draining"
-                self._prev = None
-            return
-        if self._phase == "draining":
-            sweep = {
-                w: (rows[w][1], rows[w][2], rows[w][3]) for w in live
-            }  # (rounds, moves, pending)
-            prev = self._prev
-            if prev is not None and set(prev) == set(sweep):
-                quiet = all(
-                    sweep[w][2] == 0 and prev[w][2] == 0
-                    and sweep[w][1] == prev[w][1]
-                    and sweep[w][0] > prev[w][0]
-                    for w in live
-                )
-                if quiet:
-                    self._board.set_command(CKPT_DUMP)
-                    self._phase = "dumping"
-                    self._prev = None
-                    return
-            self._prev = sweep
-            return
-        if self._phase == "dumping":
-            if all(rows[w][4] == self._epoch for w in live):
-                self._finish(live, payloads)
+            if all(ack == self._epoch for ack, _ in rows):
+                self._board.set_command(CKPT_DUMP)
+                self._phase = "dumping"
+        elif all(dumped == self._epoch for _, dumped in rows):
+            self._finish(live, payloads)
 
     def _finish(self, live: set, payloads: dict) -> None:
         try:
@@ -1323,9 +1311,9 @@ class _CkptCoordinator:
                 if recv["profile_log"]:
                     log = (log or []) + list(recv["profile_log"])
             # Finished flags: each side is authoritative for its own
-            # endpoint; with the lanes drained both proxies agree, and a
-            # missing side means that endpoint's cluster retired — i.e.
-            # the endpoint finished.
+            # endpoint (the other may not have seen the done sentinel
+            # yet), and a missing side means that endpoint's cluster
+            # retired — i.e. the endpoint finished.
             if send is not None:
                 state["sender_finished"] = send["sender_finished"]
             elif recv is not None:
@@ -1338,6 +1326,15 @@ class _CkptCoordinator:
                 state["receiver_finished"] = send["receiver_finished"]
             elif entries or retired:
                 state["receiver_finished"] = True
+            if send is not None and recv is not None:
+                # In flight at the cut: what a side produced that had
+                # not fit in its lane goes behind what the other side
+                # holds, which is where the FIFO lane would have put it
+                # — unless that endpoint finished (dead letters).
+                if not state["receiver_finished"]:
+                    state["data"] += send["pending"]
+                if not state["sender_finished"]:
+                    state["resps"] += recv["pending"]
             if send is None and recv is None and retired:
                 # Both endpoints retired: the queue is semantically
                 # empty (whatever physically remains is dead letters of
@@ -1402,10 +1399,6 @@ class ProcessExecutor(Executor):
         other workers (default on).  Migration happens before a cluster
         starts running, so simulated results are unchanged;
         ``steal=False`` restores strict planned placement.
-    pin_workers:
-        Pin each worker process to a CPU set via ``os.sched_setaffinity``
-        (default off).  Workers bridged by shuttles are kept on the same
-        package (see :func:`~repro.core.executor.affinity.plan_affinity`).
     ring_capacity:
         Bytes per cut channel's data ring (a shared-memory SPSC ring); a
         record that cannot fit raises
@@ -1434,7 +1427,6 @@ class ProcessExecutor(Executor):
         weights: Optional[dict[str, float]] = None,
         pins: Optional[dict[int, int]] = None,
         steal: bool = True,
-        pin_workers: bool = False,
         ring_capacity: int = 1 << 20,
         poll_interval: float = 0.0005,
         deadlock_grace: float = 0.5,
@@ -1455,7 +1447,6 @@ class ProcessExecutor(Executor):
         self.weights = weights
         self.pins = pins
         self.steal = steal
-        self.pin_workers = pin_workers
         self.ring_capacity = ring_capacity
         self.poll_interval = poll_interval
         self.deadlock_grace = deadlock_grace
@@ -1465,9 +1456,9 @@ class ProcessExecutor(Executor):
         self.metrics_interval_s = metrics_interval_s
         self.metrics_sink = metrics_sink
         #: Checkpointing (DESIGN.md §17): when ``checkpoint_path`` is
-        #: set, the parent coordinates quiescent cuts — workers pause,
-        #: drain the shuttle lanes, dump partitions, and the parent
-        #: stitches them into one on-disk checkpoint.
+        #: set, the parent coordinates the rounds — workers pause at a
+        #: slice boundary, dump partitions, and the parent stitches
+        #: them into one on-disk checkpoint.
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
         #: Set by _collect when the run was aborted for its deadline, so
@@ -1622,16 +1613,6 @@ class ProcessExecutor(Executor):
                 shuttles[channel.id] = ChannelShuttle(
                     channel.id, data_lane, ring(resp_off, resp_capacity)
                 )
-            cpu_sets = None
-            if self.pin_workers:
-                peer_pairs = [
-                    (
-                        assignment[id(channel.sender_owner)],
-                        assignment[id(channel.receiver_owner)],
-                    )
-                    for channel in plan.cut
-                ]
-                cpu_sets = plan_affinity(len(groups), peer_pairs)
             abort = mp_ctx.Event()
             run = _RunShared(
                 program=program,
@@ -1646,7 +1627,6 @@ class ProcessExecutor(Executor):
                 abort=abort,
                 ckpt_board=ckpt_board,
                 faults=faults,
-                cpu_sets=cpu_sets,
                 resume_records=resume_records,
             )
             coordinator = (
@@ -1860,7 +1840,7 @@ class ProcessExecutor(Executor):
             # — some worker will claim one, and claiming bumps progress.
             total, states = run.status.snapshot()
             if coordinator is not None and coordinator.active:
-                # Draining workers legitimately park with frozen
+                # Paused workers legitimately sit with frozen
                 # status-board progress; the watchdog must not read a
                 # checkpoint round as a deadlock.
                 stable_since = None

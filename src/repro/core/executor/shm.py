@@ -262,34 +262,28 @@ class StatusBoard:
 
 #: Commands the parent publishes on the checkpoint board.
 CKPT_RUN = 0    # no round active: execute normally
-CKPT_PAUSE = 1  # stop executing contexts; drain shuttles; publish counters
-CKPT_DUMP = 2   # lanes are globally quiet: dump your partition slice
+CKPT_PAUSE = 1  # stop at the next slice boundary: run, push and pop nothing
+CKPT_DUMP = 2   # every live worker has stopped: dump your partition slice
 
 
 class CheckpointBoard:
-    """Parent/worker rendezvous for quiescent-cut checkpoints.
+    """Parent/worker rendezvous for checkpoint rounds.
 
     The parent owns the header — a monotone request epoch plus a command
-    word — and each worker owns one row of counters:
+    word — and each worker owns one row:
 
-    * ``ack`` — the epoch this worker last acknowledged (it has stopped
-      executing contexts and entered its drain loop);
-    * ``rounds`` — drain-loop iterations (monotone); the parent requires
-      every worker to complete at least one full poll between its two
-      quiescence sweeps;
-    * ``moves`` — cumulative shuttle records moved while draining; any
-      in-flight record shows up here as a delta between sweeps;
-    * ``pending`` — records queued locally that have not fit in a lane
-      yet; global quiescence requires zero everywhere;
+    * ``ack`` — the epoch this worker last acknowledged: it has stopped
+      at a slice boundary and neither runs a context nor pushes or pops
+      a lane until the round ends;
     * ``dumped`` — the epoch whose partition dump this worker has
       written (tmp + rename) to the checkpoint directory.
 
-    Word layout: ``[0]`` request epoch, ``[1]`` command, then five words
+    Word layout: ``[0]`` request epoch, ``[1]`` command, then two words
     per worker.  All fields are single aligned 8-byte items (see the
     module-level memory-ordering note).
     """
 
-    _ROW = 5
+    _ROW = 2
 
     def __init__(self, view: memoryview, workers: int):
         self._words = view.cast("Q")
@@ -315,13 +309,10 @@ class CheckpointBoard:
     def set_command(self, command: int) -> None:
         self._words[1] = command
 
-    def row(self, worker: int) -> tuple[int, int, int, int, int]:
+    def row(self, worker: int) -> tuple[int, int]:
+        """``(ack, dumped)`` epochs of one worker."""
         base = 2 + self._ROW * worker
-        words = self._words
-        return (
-            words[base], words[base + 1], words[base + 2],
-            words[base + 3], words[base + 4],
-        )
+        return self._words[base], self._words[base + 1]
 
     # -- worker side ---------------------------------------------------
 
@@ -334,16 +325,8 @@ class CheckpointBoard:
     def ack(self, worker: int, epoch: int) -> None:
         self._words[2 + self._ROW * worker] = epoch
 
-    def publish_drain(
-        self, worker: int, rounds: int, moves: int, pending: int
-    ) -> None:
-        base = 2 + self._ROW * worker
-        self._words[base + 1] = rounds
-        self._words[base + 2] = moves
-        self._words[base + 3] = pending
-
     def mark_dumped(self, worker: int, epoch: int) -> None:
-        self._words[2 + self._ROW * worker + 4] = epoch
+        self._words[2 + self._ROW * worker + 1] = epoch
 
 
 # ----------------------------------------------------------------------

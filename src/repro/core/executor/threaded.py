@@ -143,29 +143,32 @@ class ThreadedExecutor(Executor):
         self._blocked_count = 0
         self._blocked_lock = threading.Lock()
         self._errors: list[BaseException] = []
-        self._blocked_details: dict[str, str] = {}
-        # Structured park sites for stall reports: name -> (detail,
-        # channel, peer context).  Written under _blocked_lock.
-        self._blocked_sites: dict[str, tuple[str, Optional[Channel], Optional[Context]]] = {}
-        # -- checkpoint pause protocol (DESIGN.md §17) -----------------
-        # The controller raises ``_ckpt_request``; every live cluster
-        # driver acknowledges at its next slice boundary with its
-        # members' records, then waits on ``_ckpt_cv`` without executing
-        # anything.  When every live driver has acknowledged, nothing
-        # can mutate a channel or clock: a quiescent cut by construction.
+        # Structured park sites for stall reports: program slot ->
+        # (detail, channel, peer context); names repeat across
+        # replicated pipelines.  Written under _blocked_lock.
+        self._blocked_sites: dict[int, tuple[str, Optional[Channel], Optional[Context]]] = {}
+        # -- checkpoint rounds (DESIGN.md §17) -------------------------
+        # A round is a barrier of the live cluster drivers at their
+        # slice boundaries, all under ``_ckpt_cv``: a driver about to
+        # run a slice opens one when the timer is due, every other
+        # driver joins at its next boundary with its members' records
+        # and waits, and whoever makes ``acked == live`` — the last to
+        # join, or a driver leaving — captures and ends the round.  With
+        # every live driver waiting, nothing can mutate a channel or
+        # clock.
         self._ckpt_timer: Any = None
-        self._ckpt_request = False
+        self._ckpt_open = False
         self._ckpt_cv = threading.Condition()
-        # Round counter: an acknowledging driver waits for the *round it
-        # acked in* to end, not for a boolean to flip — back-to-back
-        # rounds (interval <= 0) would otherwise swallow the flip and
-        # strand every driver in a stale wait.
+        # Round counter: a joined driver waits for the *round it joined*
+        # to end, not for a boolean to flip — back-to-back rounds
+        # (interval <= 0) would otherwise swallow the flip and strand it
+        # in a stale wait.
         self._ckpt_round = 0
         self._ckpt_acked = 0
+        self._ckpt_live = 0
         self._ckpt_records: dict[int, dict] = {}
         self._resume_records: Optional[dict[int, dict]] = None
         self._slots: dict[int, int] = {}
-        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------
 
@@ -218,13 +221,13 @@ class ThreadedExecutor(Executor):
         )
         collect_metrics = obs is not None and obs.metrics is not None
         self._collect_metrics = collect_metrics
-        # Per-context op tallies, by slot (names may repeat across
-        # replicated pipelines).  Each is written once, by the thread
-        # that drove the context, and summed after the joins.
+        # Per-context tallies, by slot (names may repeat across
+        # replicated pipelines).  Each entry is written only by the
+        # thread that drives the context, and read after the joins.
         self._ctx_ops = [0] * len(program.contexts)
-        self._ctx_parks = {ctx.name: 0 for ctx in program.contexts}
-        self._ctx_spins = {ctx.name: 0 for ctx in program.contexts}
-        self._ctx_wall = {ctx.name: 0.0 for ctx in program.contexts}
+        self._ctx_parks = [0] * len(program.contexts)
+        self._ctx_spins = [0] * len(program.contexts)
+        self._ctx_wall = [0.0] * len(program.contexts)
         # One (context_switches, wakeups, preemptions) row per retired
         # cluster driver; empty under "off", where the OS schedules.
         self._driver_counts: list[tuple[int, int, int]] = []
@@ -251,7 +254,7 @@ class ThreadedExecutor(Executor):
                 )
                 for contexts, channels in self._plan_drivers(program)
             ]
-        self._threads = threads
+        self._ckpt_live = len(threads)
         for thread in threads:
             thread.start()
 
@@ -259,12 +262,6 @@ class ThreadedExecutor(Executor):
             target=self._watch, name="dam-watchdog", daemon=True
         )
         watchdog.start()
-        controller = None
-        if self._ckpt_timer is not None:
-            controller = threading.Thread(
-                target=self._ckpt_loop, name="dam-checkpointer", daemon=True
-            )
-            controller.start()
         sampler = self._start_sampler(
             self.metrics_interval_s, self._sampler_probe(program), self.metrics_sink
         )
@@ -274,10 +271,6 @@ class ThreadedExecutor(Executor):
         finally:
             self._abort.set()  # stop the watchdog
             watchdog.join()
-            if controller is not None:
-                with self._ckpt_cv:
-                    self._ckpt_cv.notify_all()
-                controller.join()
             self._stop_sampler(sampler, obs)
 
         for ctx in program.contexts:
@@ -331,11 +324,10 @@ class ThreadedExecutor(Executor):
         with self._blocked_lock:
             sites = dict(self._blocked_sites)
         stalls = []
-        contexts = {ctx.name: ctx for ctx in self._program.contexts}
-        for name, ctx in contexts.items():
+        for slot, ctx in enumerate(self._program.contexts):
             if ctx.finish_time is not None:
                 continue
-            detail, channel, peer = sites.get(name, ("not started", None, None))
+            detail, channel, peer = sites.get(slot, ("not started", None, None))
             stalls.append(stall_for(ctx, detail, channel=channel, peer=peer))
         return self._publish_stalls(stalls)
 
@@ -352,9 +344,9 @@ class ThreadedExecutor(Executor):
                 ctx.name,
                 ops=self._ctx_ops[slot],
                 finish_time=ctx.finish_time,
-                wall_seconds=self._ctx_wall[ctx.name],
-                parks=self._ctx_parks[ctx.name],
-                spin_reads=self._ctx_spins[ctx.name],
+                wall_seconds=self._ctx_wall[slot],
+                parks=self._ctx_parks[slot],
+                spin_reads=self._ctx_spins[slot],
             )
         registry.counter("executor_context_switches").inc(
             summary.context_switches
@@ -414,25 +406,30 @@ class ThreadedExecutor(Executor):
         try:
             driver.execute(Program(contexts, channels))
         except _Aborted:
-            return
+            pass
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
-            self._errors.append(
-                failure
-                if isinstance(failure, DamError)
-                else SimulationError(contexts[0].name, failure)
-            )
-            self._abort.set()
+            self._fail(contexts[0].name, failure)
         finally:
             # The driver finished its members as they completed
             # (_ClusterDriver._finish); what is left is the tallies, and
             # the cooperative scheduler's own counters.
             for state in getattr(driver, "_states", {}).values():
-                ctx = state.context
-                self._ctx_ops[self._slots[id(ctx)]] = state.ops
-                self._ctx_wall[ctx.name] = state.wall_seconds
+                slot = self._slots[id(state.context)]
+                self._ctx_ops[slot] = state.ops
+                self._ctx_wall[slot] = state.wall_seconds
             self._driver_counts.append(
                 (driver.context_switches, driver.wakeups, driver.preemptions)
             )
+            self._ckpt_leave()
+
+    def _fail(self, where: str, failure: BaseException) -> None:
+        """Record one thread's failure and abort the run."""
+        self._errors.append(
+            failure
+            if isinstance(failure, DamError)
+            else SimulationError(where, failure)
+        )
+        self._abort.set()
 
     def _drive(self, ctx: Context) -> None:
         """Thread body: interpret one context's generator to completion."""
@@ -488,22 +485,16 @@ class ThreadedExecutor(Executor):
         except _Aborted:
             return
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
-            self._errors.append(
-                failure
-                if isinstance(failure, DamError)
-                else SimulationError(ctx.name, failure)
-            )
-            self._abort.set()
+            self._fail(ctx.name, failure)
         finally:
             gen.close()
             self._finish(ctx)
             if buf is not None and ctx.finish_time is not None:
                 buf.append("finish", None, ctx.finish_time)
-            self._ctx_ops[self._slots[id(ctx)]] = ops
+            slot = self._slots[id(ctx)]
+            self._ctx_ops[slot] = ops
             if self._collect_metrics:
-                self._ctx_wall[ctx.name] = (
-                    _wallclock.perf_counter() - wall_start
-                )
+                self._ctx_wall[slot] = _wallclock.perf_counter() - wall_start
 
     def _step(self, ctx: Context, op: Any, buf) -> Any:
         """Execute one non-fused op to completion — parking on its
@@ -535,7 +526,7 @@ class ThreadedExecutor(Executor):
                 buf.append("advance", None, clock.now())
         elif kind is ViewTime:
             value = op.context.time.now()  # SVA: plain atomic load
-            self._ctx_spins[ctx.name] += 1
+            self._ctx_spins[self._slots[id(ctx)]] += 1
         elif kind is WaitUntil:
             value = self._wait_until(ctx, op)
         elif kind is FusedOps or kind is tuple or kind is list:
@@ -552,88 +543,65 @@ class ThreadedExecutor(Executor):
         return value
 
     # ------------------------------------------------------------------
-    # Checkpoint pause protocol (DESIGN.md §17): one controller; the
-    # cluster drivers join its rounds at their slice boundaries.
+    # Checkpoint rounds (DESIGN.md §17): a barrier of the live cluster
+    # drivers, each stopped at a slice boundary.
     # ------------------------------------------------------------------
 
-    def _ckpt_ack(self, records: dict[int, dict]) -> None:
-        """Publish one driver's member records (by program slot), then
-        stay parked — executing nothing — until the controller finishes
-        the capture."""
+    def _ckpt_join(self, records: dict[int, dict], may_open: bool) -> None:
+        """Join the open round with one driver's member records (by
+        program slot) — opening it first when ``may_open`` and the timer
+        is due — and stay parked, executing nothing, until it ends.  The
+        driver that completes the barrier captures instead of waiting."""
         with self._ckpt_cv:
-            if not self._ckpt_request:
-                # The round ended between the lock-free gate check and
-                # acquiring the condition; nothing to acknowledge.
-                return
-            round_id = self._ckpt_round
+            if not self._ckpt_open:
+                if not (may_open and self._ckpt_timer.due()):
+                    # The round ended between the caller's lock-free
+                    # gate and acquiring the condition.
+                    return
+                self._ckpt_open = True
             self._ckpt_records.update(records)
             self._ckpt_acked += 1
-            self._ckpt_cv.notify_all()
-            # Wait for *this* round to end.  The controller may begin the
-            # next round immediately (interval <= 0), so waiting on the
-            # request boolean alone would strand this driver in a stale
-            # wait while the new round counts acks it never re-sent.
-            while self._ckpt_round == round_id and not self._abort.is_set():
-                self._ckpt_cv.wait(self.poll_interval)
+            if self._ckpt_acked == self._ckpt_live:
+                self._ckpt_end_round()
+            else:
+                round_id = self._ckpt_round
+                while self._ckpt_round == round_id and not self._abort.is_set():
+                    self._ckpt_cv.wait(self.poll_interval)
         if self._abort.is_set():
             raise _Aborted
 
-    def _live_drivers(self) -> int:
-        return sum(1 for thread in self._threads if thread.is_alive())
-
-    def _ckpt_loop(self) -> None:
-        """Controller thread: pause, capture, resume at the configured
-        cadence until the run finishes or aborts."""
-        timer = self._ckpt_timer
-        while not self._abort.is_set() and self._live_drivers():
-            if timer.due():
-                try:
-                    self._ckpt_pause_and_capture()
-                except BaseException as failure:  # noqa: BLE001 - abort the run
-                    self._errors.append(
-                        failure
-                        if isinstance(failure, DamError)
-                        else SimulationError("<checkpoint>", failure)
-                    )
-                    self._abort.set()
-                    return
-            else:
-                self._abort.wait(self.poll_interval)
-
-    def _ckpt_pause_and_capture(self) -> None:
-        """One pause/capture/resume round.
-
-        Raising the request flag makes every live driver acknowledge at
-        its next slice boundary (or from its idle loop); a driver that
-        instead *finishes* mid-round leaves the live count, so the wait
-        below converges either way.  An acknowledged driver stays alive
-        in :meth:`_ckpt_ack`, so ``acked >= live`` means every live one
-        is paused.
-        """
+    def _ckpt_leave(self) -> None:
+        """An exiting driver leaves the live count; if it was the one an
+        open round still waited for, it completes that round on its way
+        out."""
         with self._ckpt_cv:
-            self._ckpt_records = {}
+            self._ckpt_live -= 1
+            if self._ckpt_open and self._ckpt_acked == self._ckpt_live:
+                self._ckpt_end_round()
+
+    def _ckpt_end_round(self) -> None:
+        """Every live driver has joined (caller holds ``_ckpt_cv``):
+        capture, then release them.  A capture that fails aborts the
+        run — a checkpointing run that cannot checkpoint fails loudly."""
+        try:
+            if not self._abort.is_set():
+                self._capture_checkpoint()
+        except Exception as failure:  # noqa: BLE001 - abort the run
+            self._fail("<checkpoint>", failure)
+        finally:
+            self._ckpt_open = False
             self._ckpt_acked = 0
-            self._ckpt_request = True
-            try:
-                while not self._abort.is_set():
-                    live = self._live_drivers()
-                    if live == 0 or self._ckpt_acked >= live:
-                        break
-                    self._ckpt_cv.wait(self.poll_interval)
-                if not self._abort.is_set():
-                    self._capture_checkpoint()
-            finally:
-                self._ckpt_request = False
-                self._ckpt_round += 1
-                self._ckpt_cv.notify_all()
+            self._ckpt_records = {}
+            self._ckpt_round += 1
+            self._ckpt_cv.notify_all()
 
     def _capture_checkpoint(self) -> None:
-        """All live drivers acknowledged: assemble and write the cut.
+        """All live drivers joined: assemble and write the cut.
         Contexts with no published record belong to a driver that
         already exited — all its members finished — and are captured as
         done."""
         program = self._program
-        records = dict(self._ckpt_records)
+        records = self._ckpt_records
         for slot, ctx in enumerate(program.contexts):
             if slot not in records:
                 records[slot] = _ckpt.record_done(ctx)
@@ -680,15 +648,16 @@ class ThreadedExecutor(Executor):
 
     def _wait_until(self, ctx: Context, op: WaitUntil) -> Any:
         target = op.context
+        slot = self._slots[id(ctx)]
         if target.time.now() >= op.time:  # SVA fast path
-            self._ctx_spins[ctx.name] += 1
+            self._ctx_spins[slot] += 1
             return target.time.now()
         sync = self._time_sync[id(target)]
         while True:
             with sync.cond:
                 if target.time.now() >= op.time:
                     break
-                self._ctx_spins[ctx.name] += 1
+                self._ctx_spins[slot] += 1
                 sync.waiter_count += 1
                 try:
                     self._park(
@@ -713,26 +682,29 @@ class ThreadedExecutor(Executor):
         ``channel``/``peer`` identify what the context is parked on; they
         feed the watchdog's stall report.
         """
+        slot = self._slots[id(ctx)]
+        self._ctx_parks[slot] += 1
+        self._parked({slot: (detail, channel, peer)}, cond.wait)
+
+    def _parked(self, sites: dict[int, tuple], wait) -> None:
+        """Keep ``sites`` (program slot -> park site) registered — for
+        the watchdog's stasis detector and the stall report — across one
+        ``wait(poll_interval)``.  A run aborted meanwhile keeps them:
+        the deadlock report reads them after the threads are gone."""
         if self._abort.is_set():
             raise _Aborted
-        self._ctx_parks[ctx.name] += 1
-        site = (detail, channel, peer)
         with self._blocked_lock:
-            self._blocked_count += 1
-            self._blocked_details[ctx.name] = detail
-            self._blocked_sites[ctx.name] = site
+            self._blocked_count += len(sites)
+            self._blocked_sites.update(sites)
         try:
-            cond.wait(timeout=self.poll_interval)
+            wait(self.poll_interval)
         finally:
             with self._blocked_lock:
-                self._blocked_count -= 1
-                self._blocked_details.pop(ctx.name, None)
-                self._blocked_sites.pop(ctx.name, None)
+                self._blocked_count -= len(sites)
+                if not self._abort.is_set():
+                    for slot in sites:
+                        del self._blocked_sites[slot]
         if self._abort.is_set():
-            # Keep the park site for the deadlock report.
-            with self._blocked_lock:
-                self._blocked_details[ctx.name] = detail
-                self._blocked_sites[ctx.name] = site
             raise _Aborted
 
     # ------------------------------------------------------------------
@@ -783,8 +755,8 @@ class ThreadedExecutor(Executor):
                 self._errors.append(self._timeout_error(self._program))
                 self._abort.set()
                 return
-            if self._ckpt_request:
-                # A checkpoint pause freezes every thread on purpose;
+            if self._ckpt_open:
+                # A checkpoint round freezes every thread on purpose;
                 # stillness during it is not a deadlock.
                 stall_start = None
                 continue
@@ -851,26 +823,32 @@ class _ClusterDriver(SequentialExecutor):
             if slots[id(ctx)] in records
         }
 
-    def _ckpt_join(self) -> None:
+    def _ckpt_join(self, may_open: bool) -> None:
         """Slice-boundary safe point: every member is between ops, so
         its state record describes it exactly (as in a sequential
-        capture).  Hands them to the parent's controller and waits the
-        round out."""
+        capture).  Joins the parent's open round, if any, with them;
+        opens one when the timer is due and the caller is about to run
+        a slice (``may_open``) — a driver asleep in its idle loop only
+        joins, so it cannot mint epochs nothing executed between."""
         parent = self._parent
-        if parent._ckpt_request:
+        timer = parent._ckpt_timer
+        if timer is not None and (
+            parent._ckpt_open or (may_open and timer.due())
+        ):
             slots = parent._slots
-            parent._ckpt_ack(
+            parent._ckpt_join(
                 {
                     slots[key]: self._context_record(state)
                     for key, state in self._states.items()
-                }
+                },
+                may_open,
             )
 
     def _run_slice(self, state, remaining) -> None:
         parent = self._parent
         if parent._abort.is_set():
             raise _Aborted
-        self._ckpt_join()
+        self._ckpt_join(may_open=True)
         before = self.ops_executed
         super()._run_slice(state, remaining)
         parent._progress += self.ops_executed - before
@@ -885,7 +863,7 @@ class _ClusterDriver(SequentialExecutor):
         parent = self._parent
         if parent._abort.is_set():
             raise _Aborted
-        self._ckpt_join()
+        self._ckpt_join(may_open=False)
         blocked = [
             st for st in self._states.values() if st.status == 1  # _BLOCKED
         ]
@@ -897,30 +875,16 @@ class _ClusterDriver(SequentialExecutor):
         # Genuinely idle: park the whole group for one poll interval,
         # with each member's site registered so the stall report and the
         # watchdog's stasis detector see the real blocking structure.
-        sites = {
-            st.context.name: (st.blocked_detail, *blocked_on(st.retry_op))
-            for st in blocked
-        }
-        with parent._blocked_lock:
-            parent._blocked_count += len(sites)
-            for name, site in sites.items():
-                parent._blocked_details[name] = site[0]
-                parent._blocked_sites[name] = site
-        try:
-            _wallclock.sleep(parent.poll_interval)
-        finally:
-            with parent._blocked_lock:
-                parent._blocked_count -= len(sites)
-                for name in sites:
-                    parent._blocked_details.pop(name, None)
-                    parent._blocked_sites.pop(name, None)
-        if parent._abort.is_set():
-            # Keep the park sites for the deadlock report.
-            with parent._blocked_lock:
-                for name, site in sites.items():
-                    parent._blocked_details[name] = site[0]
-                    parent._blocked_sites[name] = site
-            raise _Aborted
+        slots = parent._slots
+        parent._parked(
+            {
+                slots[id(st.context)]: (
+                    st.blocked_detail, *blocked_on(st.retry_op)
+                )
+                for st in blocked
+            },
+            _wallclock.sleep,
+        )
         return True
 
     def _fold_metrics(self, program, states):

@@ -16,6 +16,7 @@ The crash-then-resume paths (worker SIGKILL at a checkpoint round, the
 retry ladder's ``resumed_from``) live in ``test_faults.py``.
 """
 
+import functools
 import multiprocessing
 import os
 
@@ -43,13 +44,13 @@ needs_fork = pytest.mark.skipif(
 # ----------------------------------------------------------------------
 
 
-def _spmspm():
+def _spmspm(n=6):
     from repro.sam import CsfTensor
     from repro.sam.graphs import build_spmspm
     from repro.sam.tensor import random_dense
 
-    b = random_dense(6, 6, density=0.3, seed=23)
-    ct = random_dense(6, 6, density=0.3, seed=24)
+    b = random_dense(n, n, density=0.3, seed=23)
+    ct = random_dense(n, n, density=0.3, seed=24)
     return build_spmspm(
         CsfTensor.from_dense(b, "cc"), CsfTensor.from_dense(ct, "cc"), depth=4
     )
@@ -192,20 +193,23 @@ class TestElasticResume:
     """Checkpoints are executor- and worker-count-portable."""
 
     def test_process_capture_resumes_everywhere(self, tmp_path):
-        reference = _spmspm()
+        # A process round opens at most once per supervision tick
+        # (10 ms): the 6x6 kernel can finish inside the first.
+        build = functools.partial(_spmspm, 10)
+        reference = build()
         expected = _fingerprint(
             reference,
             reference.run(
                 executor="process", config=RunConfig(workers=2, timeslice=7)
             ),
         )
-        got, epochs = _capture(_spmspm, tmp_path, executor="process", workers=2)
+        got, epochs = _capture(build, tmp_path, executor="process", workers=2)
         assert got == expected
         path = tmp_path / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
         # Same worker count, more workers (elastic), and no workers at all.
-        assert _resume(_spmspm, path, "process", workers=2) == expected
-        assert _resume(_spmspm, path, "process", workers=3) == expected
-        assert _resume(_spmspm, path, "sequential") == expected
+        assert _resume(build, path, "process", workers=2) == expected
+        assert _resume(build, path, "process", workers=3) == expected
+        assert _resume(build, path, "sequential") == expected
 
     def test_sequential_capture_resumes_onto_process(self, tmp_path):
         expected, epochs = _capture(_spmspm, tmp_path)
@@ -213,10 +217,73 @@ class TestElasticResume:
         got = _resume(_spmspm, path, "process", workers=2)
         assert got == expected
 
+    def test_cut_with_a_backlog_resumes_everywhere(self, tmp_path, monkeypatch):
+        """96-byte rings hold two or three records, so workers stop for
+        a round with records that had not fit in a lane.  Nothing
+        delivers them before the dump: the stitch puts them behind what
+        the other side holds, and every epoch still resumes to the
+        uninterrupted result on every executor."""
+        from repro.core.executor.partitioned import ProcessExecutor
+
+        build = functools.partial(_spmspm, 20)
+        # The parent reads every worker's part to stitch an epoch:
+        # count the unflushed records each one carried.
+        backlog = {}
+        load_part = ckpt.load_part
+
+        def counting(directory, epoch, worker):
+            part = load_part(directory, epoch, worker)
+            backlog[epoch] = backlog.get(epoch, 0) + sum(
+                len(entry[side]["pending"])
+                for entry in part["channels"].values()
+                for side in ("send", "recv")
+                if side in entry
+            )
+            return part
+
+        monkeypatch.setattr(ckpt, "load_part", counting)
+
+        reference = build()
+        expected = _fingerprint(reference, reference.run())
+        kernel = build()
+        summary = kernel.run(
+            ProcessExecutor(
+                workers=2,
+                ring_capacity=96,
+                timeslice=7,
+                # Planned placement keeps both workers exchanging
+                # records for the whole run.
+                steal=False,
+                checkpoint_interval_s=0.0,
+                checkpoint_path=str(tmp_path),
+            )
+        )
+        assert _fingerprint(kernel, summary) == expected
+        epochs = _epochs(tmp_path)
+        assert len(epochs) >= 8 and sorted(backlog) == epochs
+        assert any(backlog.values()), "no cut held an undelivered record"
+        # Every epoch on the sequential executor (an in-process channel
+        # holds exactly the stitched state); the eight cuts with the
+        # largest backlog also on the hosts that re-split or re-cut it.
+        # Tier-1 budget: ~35 epochs x 4 resumes is 12 s.
+        legs = {epoch: [("sequential", {})] for epoch in epochs}
+        for epoch in sorted(epochs, key=backlog.get)[-8:]:
+            legs[epoch] += [
+                ("threaded", {}),
+                ("process", {"workers": 3}),
+                ("process", {"workers": 3, "steal": False}),
+            ]
+        for epoch in epochs:
+            path = tmp_path / ckpt.checkpoint_filename(epoch)
+            for executor, config in legs[epoch]:
+                assert _resume(build, path, executor, **config) == expected, (
+                    f"epoch {epoch} (backlog {backlog[epoch]}) on {executor}"
+                )
+
 
 # ----------------------------------------------------------------------
-# Capture *on* the threaded executor: the cluster drivers join the
-# parent's controller at their slice boundaries (DESIGN.md §17).
+# Capture *on* the threaded executor: a round is a barrier of the
+# cluster drivers at their slice boundaries (DESIGN.md §17).
 # ----------------------------------------------------------------------
 
 
@@ -234,48 +301,17 @@ def _parallel_mha():
     return build_parallel_mha(mask, q, k, v, parallelism=2)
 
 
-def _hold_drivers_for_controller(monkeypatch, first_boundary_only):
-    """Make cluster drivers wait at a slice boundary (bounded) until the
-    controller has raised its next round.  Left to race from the start,
-    programs this small run to completion inside one interpreter switch
-    interval, before the controller thread is ever scheduled."""
-    import time
-
-    from repro.core.executor.threaded import _ClusterDriver
-
-    join = _ClusterDriver._ckpt_join
-    seen = set()
-
-    def held(self):
-        parent = self._parent
-        if parent._ckpt_timer is not None and not (
-            first_boundary_only and id(self) in seen
-        ):
-            seen.add(id(self))
-            give_up = time.monotonic() + 5.0
-            while not parent._ckpt_request and time.monotonic() < give_up:
-                time.sleep(0)
-        join(self)
-
-    monkeypatch.setattr(_ClusterDriver, "_ckpt_join", held)
-
-
-@pytest.fixture
-def cut_at_every_slice(monkeypatch):
-    """``checkpoint_interval_s=0`` means "every quiescent opportunity"
-    here, as it does on the sequential executor."""
-    _hold_drivers_for_controller(monkeypatch, first_boundary_only=False)
-
-
-@pytest.fixture
-def controller_up_first(monkeypatch):
-    """The first round includes every driver; after it they race."""
-    _hold_drivers_for_controller(monkeypatch, first_boundary_only=True)
-
-
-@pytest.mark.usefixtures("cut_at_every_slice")
 class TestThreadedCapture:
     CONFIG = {"executor": "threaded", "poll_interval": 0.005}
+
+    def test_one_driver_cuts_where_the_sequential_executor_does(self, tmp_path):
+        """One connected component is one driver, and one host's
+        barrier is just its slice boundary: interval 0 writes an epoch
+        per slice, the sequential executor's epoch list."""
+        expected, epochs = _capture(_spmspm, tmp_path / "sequential")
+        got, threaded = _capture(_spmspm, tmp_path / "threaded", **self.CONFIG)
+        assert got == expected
+        assert len(epochs) > 8 and threaded == epochs
 
     def test_two_drivers_agree_on_every_cut(self, tmp_path):
         """Parallel MHA p=2 is two connected components, so two drivers:
@@ -377,13 +413,12 @@ class TestThreadedCapture:
         assert ("done", "suspended") in states
 
 
-@pytest.mark.usefixtures("controller_up_first")
 class TestThreadedCaptureRaces:
-    def test_six_drivers_race_the_controller(self, tmp_path):
-        """No lockstep past the first round: six drivers with a 10 µs
-        switch interval, rounds back to back.  Every cut the controller
-        managed to take must hold all twelve contexts' records and
-        resume to the uninterrupted result."""
+    def test_six_drivers_race_their_rounds(self, tmp_path):
+        """Six drivers with a 10 µs switch interval, rounds back to
+        back, whoever arrives last capturing.  Every cut must hold all
+        twelve contexts' records and resume to the uninterrupted
+        result."""
         import sys
 
         from repro.contexts import Collector, RampSource
@@ -438,6 +473,48 @@ class TestThreadedCaptureRaces:
             assert sorted(restored.contexts) == list(range(12))
             restored.restore_into(program)
             assert fingerprint(program, program.run()) == expected
+
+
+    def test_failed_capture_aborts_the_run(self, tmp_path, monkeypatch):
+        """The capture runs on whichever driver completes the barrier,
+        with the others parked behind it.  When it raises, the run ends
+        in a typed error and every driver is released."""
+        import threading
+
+        from repro import SimulationError
+        from repro.core.executor.threaded import ThreadedExecutor
+
+        save = ThreadedExecutor._save_checkpoint
+        saved = []
+
+        def failing(self, program, records):
+            if len(saved) == 2:
+                raise OSError("disk full")
+            saved.append(len(records))
+            save(self, program, records)
+
+        monkeypatch.setattr(ThreadedExecutor, "_save_checkpoint", failing)
+        kernel = _parallel_mha()
+        with pytest.raises(SimulationError) as info:
+            kernel.run(
+                "threaded",
+                config=RunConfig(
+                    checkpoint_interval_s=0.0,
+                    checkpoint_path=str(tmp_path),
+                    poll_interval=0.005,
+                    # A driver stranded in the barrier would hang the
+                    # run; the deadline turns that into a failure.
+                    deadline_s=30.0,
+                ),
+            )
+        assert info.value.context_name == "<checkpoint>"
+        assert isinstance(info.value.original, OSError)
+        assert _epochs(tmp_path) == [1, 2]
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("dam-")
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -517,12 +517,16 @@ class TestRetryLadder:
 
 
 def _spmspm_kernel():
+    """Sized so a process run spans several checkpoint rounds: a round
+    opens at most once per supervision tick (10 ms), and an 8x8 run
+    warmed by the tests before it fits in two ticks — the second dump
+    the kills below wait for then never happens."""
     from repro.sam import CsfTensor
     from repro.sam.graphs import build_spmspm
     from repro.sam.tensor import random_dense
 
-    b = random_dense(8, 8, density=0.4, seed=23)
-    ct = random_dense(8, 8, density=0.4, seed=24)
+    b = random_dense(10, 10, density=0.4, seed=23)
+    ct = random_dense(10, 10, density=0.4, seed=24)
     return build_spmspm(
         CsfTensor.from_dense(b, "cc"),
         CsfTensor.from_dense(ct, "cc"),

@@ -239,3 +239,51 @@ class TestClusterHostedWaitUntil:
         with pytest.raises(DeadlockError) as excinfo:
             builder.build().run("threaded", config=self.CONFIG)
         assert "ctx_a" in str(excinfo.value) and "ctx_b" in str(excinfo.value)
+
+
+class TestReplicatedNames:
+    """Replicated pipelines repeat context names (parallel MHA p=2: 78
+    contexts, 39 names); a stall report is per context, not per name."""
+
+    CONFIGS = {
+        "sequential": ("sequential", RunConfig()),
+        "threaded-off": (
+            "threaded",
+            RunConfig(poll_interval=0.01, deadlock_grace=0.2, superblocks="off"),
+        ),
+        "threaded-clustered": (
+            "threaded",
+            RunConfig(poll_interval=0.01, deadlock_grace=0.2, superblocks="on"),
+        ),
+        "process": ("process", RunConfig(workers=2, deadlock_grace=0.2)),
+    }
+
+    @pytest.mark.parametrize("hosting", sorted(CONFIGS))
+    def test_two_copies_of_a_cycle_report_four_stalls(self, hosting):
+        import multiprocessing
+
+        if hosting == "process" and (
+            "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            pytest.skip("fork start method unavailable")
+        builder = ProgramBuilder()
+        for copy in range(2):
+            sx, rx = builder.bounded(1, name=f"x{copy}")
+            sy, ry = builder.bounded(1, name=f"y{copy}")
+            builder.add(Hold(rx, sy, "a", 5))
+            builder.add(Hold(ry, sx, "b", 3))
+        executor, config = self.CONFIGS[hosting]
+        obs = Observability(trace=False)
+        with pytest.raises(DeadlockError) as excinfo:
+            builder.build().run(executor, config=config, obs=obs)
+        rows = sorted(
+            (stall.context, stall.channel, stall.peer)
+            for stall in obs.stall_report.stalls
+        )
+        assert rows == [
+            ("a", "x0", "b"),
+            ("a", "x1", "b"),
+            ("b", "y0", "a"),
+            ("b", "y1", "a"),
+        ]
+        assert len(excinfo.value.blocked) == 4
