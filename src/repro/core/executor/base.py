@@ -132,23 +132,24 @@ class RunSummary:
         return a partially-filled summary.
 
         Each payload is the dict a worker harvests after its slice of the
-        run: ``finish_times`` / ``context_attrs`` / ``context_stats``
-        keyed by context slot, ``channel_stats`` keyed by channel id,
-        per-context ``trace`` row lists, and scheduler ``counters``.
+        run: ``finish_times`` / ``context_attrs`` / ``context_stats`` and
+        the ``trace`` row lists keyed by context slot, ``channel_stats``
+        keyed by channel id, and scheduler ``counters``.
         The caller (any multi-runtime executor) completes the summary
         with ``executor`` / ``policy`` / ``real_seconds`` / ``metrics``.
 
         Folding lives here so :mod:`~repro.core.executor.partitioned`
         and future distributed executors share one merge: finish times
         and picklable result attributes land on the original contexts,
-        channel stats accumulate, trace buffers extend (keeping the
-        ``(time, context, seq)`` merge executor-independent), and the
-        post-run channel closures mirror what an in-process run leaves
-        behind.
+        channel stats accumulate, trace rows fold into the collector in
+        slot order (so contexts sharing a name read as on every other
+        executor), and the post-run channel closures mirror what an
+        in-process run leaves behind.
         """
         contexts = program.contexts
         by_id = {ch.id: ch for ch in program.channels}
         summary = cls(elapsed_cycles=0, real_seconds=0.0)
+        shipped_rows: list[tuple[int, list]] = []
 
         for payload in payloads:
             for slot, finish in payload.get("finish_times", {}).items():
@@ -172,15 +173,17 @@ class RunSummary:
                 log = shipped.get("profile_log")
                 if log and channel.profile_log is not None:
                     channel.profile_log.extend(log)
-            if trace is not None:
-                for name, rows in payload.get("trace", {}).items():
-                    trace.buffer(name).extend(rows)
+            shipped_rows.extend(payload.get("trace", {}).items())
             counters = payload.get("counters", {})
             summary.context_switches += counters.get("context_switches", 0)
             summary.wakeups += counters.get("wakeups", 0)
             summary.preemptions += counters.get("preemptions", 0)
             summary.ops_executed += counters.get("ops_executed", 0)
             summary.steals += counters.get("steals", 0)
+
+        if trace is not None:  # a stable sort: one slot keeps payload order
+            shipped_rows.sort(key=lambda item: item[0])
+            trace.fold((contexts[slot].name, rows) for slot, rows in shipped_rows)
 
         # Post-run channel parity with the in-process executors: every
         # finished endpoint has propagated its closure.

@@ -211,7 +211,7 @@ class _ContextState:
         "send",
     )
 
-    def __init__(self, context: Context):
+    def __init__(self, context: Context, trace: Any = None):
         self.context = context
         self.gen = context.run()
         #: ``gen.send``, bound once: the fast loop resumes through it.
@@ -224,8 +224,9 @@ class _ContextState:
         # generator (its result is then delivered via pending_value).
         self.retry_op: Op | None = None
         self.blocked_detail: str = ""
-        # Observability: per-context trace buffer and metric tallies.
-        self.buffer: Any = None
+        # Observability: the context's own trace buffer (folded into the
+        # collector when the run ends) and metric tallies.
+        self.buffer = None if trace is None else trace.context_buffer(context.name)
         self.ops = 0
         self.wall_seconds = 0.0
         # Mid-fusion suspension: the constituent at ``fused_index``
@@ -307,12 +308,15 @@ class SequentialExecutor(Executor):
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._bounded = False
-        #: Subclass hook: process-executor workers set this so the
-        #: schedule loop never takes the run-to-block FIFO branch — a
-        #: worker must return from every slice to service its shuttles
-        #: and observe the cross-process abort flag (a never-blocking
-        #: context would otherwise spin one endless slice, deaf to both).
-        self._always_bounded = False
+        #: Subclass hook, set by the engines a parent run hosts (a
+        #: threaded run's cluster drivers, process workers).  Their
+        #: schedule loop never takes the run-to-block FIFO branch: the
+        #: engine must return from every slice to observe the parent's
+        #: abort flag (and a worker to service its shuttles) — a
+        #: never-blocking context would otherwise spin one endless slice,
+        #: deaf to both.  And the parent folds the trace and the metrics
+        #: and profiles the whole run, so the engine does none of that.
+        self._embedded = False
         self.obs = obs
         #: The active trace collector (None when tracing is off).
         self.tracer = obs.trace if obs is not None else None
@@ -352,7 +356,8 @@ class SequentialExecutor(Executor):
             program, getattr(program, "_resume_epoch", 0)
         )
         resume_records = self._take_resume_records(program)
-        states = {id(ctx): _ContextState(ctx) for ctx in program.contexts}
+        trace = self.tracer
+        states = {id(ctx): _ContextState(ctx, trace) for ctx in program.contexts}
         # Waiters on another context's clock: target id -> [(threshold, state)].
         self._time_waiters: dict[int, list[tuple[Any, _ContextState]]] = {}
         # Fast-path flag: most programs never use WaitUntil, so the per-op
@@ -361,11 +366,7 @@ class SequentialExecutor(Executor):
         self._states = states
 
         obs = self.obs
-        trace = obs.trace if obs is not None else None
         collect_wall = obs is not None and obs.metrics is not None
-        if trace is not None:
-            for state in states.values():
-                state.buffer = trace.buffer(state.context.name)
 
         # Inline fast path eligibility is computed once; it only drops
         # (and later recovers) around registered WaitUntil waiters, so
@@ -385,7 +386,7 @@ class SequentialExecutor(Executor):
         # busy context starve the wall-clock check and the fault trigger).
         self._arm_deadline_and_faults(start)
         self._bounded = (
-            self._always_bounded
+            self._embedded
             or self._deadline_at is not None
             or bool(self._fault_map)
             # Checkpoint capture happens between bounded slices: the
@@ -429,10 +430,18 @@ class SequentialExecutor(Executor):
             # the happy path pays one cheap call per context.
             self._close_generators(states)
             self._stop_sampler(sampler, obs)
+            if trace is not None and not self._embedded:
+                # In program slot order: contexts that share a name land
+                # one after another, as on every executor.
+                trace.fold(
+                    (ctx.name, states[id(ctx)].buffer.rows)
+                    for ctx in program.contexts
+                )
 
         summary = self._run_summary(program, start)
-        summary.metrics = self._fold_metrics(program, states)
-        self._attach_profile(summary, program, obs)
+        if not self._embedded:
+            summary.metrics = self._fold_metrics(program, states)
+            self._attach_profile(summary, program, obs)
         return summary
 
     def _sampler_probe(self, states: dict[int, "_ContextState"]):

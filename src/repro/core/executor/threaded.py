@@ -32,8 +32,8 @@ simulated clocks of both of that channel's endpoints.
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 trace the run.  Each context appends to its own lock-free buffer from the
 thread that hosts it, so tracing does not perturb the synchronization
-schedule; buffers are merged deterministically at query time, yielding
-the same event order the sequential executor produces.
+schedule; the joined run folds the buffers into the collector in program
+slot order, yielding the rows the sequential executor produces.
 """
 
 from __future__ import annotations
@@ -212,13 +212,14 @@ class ThreadedExecutor(Executor):
         obs = self.obs
         trace = obs.trace if obs is not None else None
         # Per-context trace buffers and metric tallies are created here,
-        # on the main thread, so worker threads only ever touch their own
-        # entry (the lock-free discipline).
-        self._buffers = (
-            {ctx.name: trace.buffer(ctx.name) for ctx in program.contexts}
-            if trace is not None
-            else {}
-        )
+        # on the main thread, by slot (names may repeat across replicated
+        # pipelines), so worker threads only ever touch their own entry
+        # (the lock-free discipline).  A cluster driver hands back its
+        # members' buffers when it ends; the joined run folds them all.
+        self._buffers = [
+            trace.context_buffer(ctx.name) if trace is not None else None
+            for ctx in program.contexts
+        ]
         collect_metrics = obs is not None and obs.metrics is not None
         self._collect_metrics = collect_metrics
         # Per-context tallies, by slot (names may repeat across
@@ -272,6 +273,11 @@ class ThreadedExecutor(Executor):
             self._abort.set()  # stop the watchdog
             watchdog.join()
             self._stop_sampler(sampler, obs)
+        if trace is not None:
+            trace.fold(
+                (ctx.name, buf.rows)
+                for ctx, buf in zip(program.contexts, self._buffers)
+            )
 
         for ctx in program.contexts:
             ctx.time.on_advance = None
@@ -417,6 +423,7 @@ class ThreadedExecutor(Executor):
                 slot = self._slots[id(state.context)]
                 self._ctx_ops[slot] = state.ops
                 self._ctx_wall[slot] = state.wall_seconds
+                self._buffers[slot] = state.buffer
             self._driver_counts.append(
                 (driver.context_switches, driver.wakeups, driver.preemptions)
             )
@@ -438,7 +445,8 @@ class ThreadedExecutor(Executor):
         exc: BaseException | None = None
         # The buffer is this thread's own: appends need no locking and,
         # unlike a shared event log, cannot perturb peer scheduling.
-        buf = self._buffers.get(ctx.name)
+        slot = self._slots[id(ctx)]
+        buf = self._buffers[slot]
         ops = 0
         wall_start = _wallclock.perf_counter() if self._collect_metrics else 0.0
         abort_is_set = self._abort.is_set
@@ -491,7 +499,6 @@ class ThreadedExecutor(Executor):
             self._finish(ctx)
             if buf is not None and ctx.finish_time is not None:
                 buf.append("finish", None, ctx.finish_time)
-            slot = self._slots[id(ctx)]
             self._ctx_ops[slot] = ops
             if self._collect_metrics:
                 self._ctx_wall[slot] = _wallclock.perf_counter() - wall_start
@@ -801,7 +808,7 @@ class _ClusterDriver(SequentialExecutor):
     def __init__(self, parent: ThreadedExecutor):
         super().__init__(obs=parent.obs, faults=parent.faults)
         self._parent = parent
-        self._always_bounded = True
+        self._embedded = True
 
     def _arm_deadline_and_faults(self, start: float) -> None:
         self._deadline_at = None  # the parent's watchdog owns the deadline
@@ -886,9 +893,3 @@ class _ClusterDriver(SequentialExecutor):
             _wallclock.sleep,
         )
         return True
-
-    def _fold_metrics(self, program, states):
-        return None  # the parent folds the whole run
-
-    def _attach_profile(self, summary, program, obs):
-        return None  # the parent profiles the whole run
