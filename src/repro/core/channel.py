@@ -383,6 +383,15 @@ class Channel:
         if occupancy > self.stats.max_real_occupancy:
             self.stats.max_real_occupancy = occupancy
 
+    def sender_ready(self) -> bool:
+        """Could a sender parked on a full window retry successfully?"""
+        return bool(self._resps) or self._receiver_finished
+
+    def receiver_ready(self) -> bool:
+        """Could a parked receiver's retried dequeue/peek make progress
+        (take an element, or see the channel closed)?"""
+        return bool(self._data) or self._sender_finished
+
     def can_dequeue(self) -> bool:
         return bool(self._data)
 

@@ -509,6 +509,10 @@ class CheckpointTimer:
             return True
         return _wallclock.perf_counter() - self._last >= self.interval_s
 
+    def due_at(self) -> float:
+        """The ``perf_counter`` time the next capture falls due."""
+        return self._last + self.interval_s
+
     def mark(self) -> int:
         """Advance to the next epoch; returns the epoch just captured."""
         self.epoch += 1

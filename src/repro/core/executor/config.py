@@ -86,10 +86,6 @@ class RunConfig:
     steal:
         Allow idle workers to claim (steal) cold clusters planned for
         other workers (process executor; default on).
-    deadlock_grace:
-        Seconds of global stillness before the deadlock watchdog fires.
-    poll_interval:
-        Polling cadence for parked workers/threads.
     timeslice:
         Forced timeslice for worker-side cooperative scheduling.
     weights / pins:
@@ -154,8 +150,6 @@ class RunConfig:
     max_ops: Optional[int] = None
     obs: Any = None
     steal: Optional[bool] = None
-    deadlock_grace: Optional[float] = None
-    poll_interval: Optional[float] = None
     timeslice: Optional[int] = None
     weights: Optional[dict] = None
     pins: Optional[dict] = None

@@ -24,10 +24,18 @@ algorithm, blocking structure, and — critically — the simulated results are
 those of the paper's runtime.  Cross-executor tests assert cycle-exact
 agreement with :class:`~repro.core.executor.sequential.SequentialExecutor`.
 
-Deadlock detection: a watchdog aborts the run when every unfinished thread
-has been parked with no progress for a grace period, then dumps a stall
-report — each blocked context, the channel it is parked on, and the
-simulated clocks of both of that channel's endpoints.
+Deadlock detection is exact and runs on the main thread.  A host thread
+(a context's own, or a cluster driver) parks only after re-checking what
+it waits on, registering the condition it sleeps on and the predicate that
+would let it proceed; everything that could make that predicate true —
+a channel transition, a clock advance or publication, a checkpoint
+command, an abort — notifies that condition.  The main thread sleeps on
+the run's one :class:`threading.Condition` until every live host is
+parked, re-reads each parked host's predicate under its own lock, and
+reads the park registry again: if every predicate still fails and no host
+parked, woke or exited in between, nothing can wake anyone, and it aborts
+the run with a stall report — each blocked context, the channel it is
+parked on, and the simulated clocks of both of that channel's endpoints.
 
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 trace the run.  Each context appends to its own lock-free buffer from the
@@ -73,7 +81,7 @@ from .sequential import SequentialExecutor, blocked_on
 
 
 class _Aborted(Exception):
-    """Internal: the watchdog aborted the run (deadlock or peer failure)."""
+    """Internal: the run was aborted (deadlock, deadline or peer failure)."""
 
 
 class _TimeSync:
@@ -93,11 +101,6 @@ class ThreadedExecutor(Executor):
 
     Parameters
     ----------
-    poll_interval:
-        How often parked threads re-check the abort flag (seconds).
-    deadlock_grace:
-        Abort if all unfinished threads stay parked with zero progress for
-        this long (seconds).
     obs:
         A :class:`repro.obs.Observability` collecting the run's trace
         and/or metrics.
@@ -107,8 +110,6 @@ class ThreadedExecutor(Executor):
 
     def __init__(
         self,
-        poll_interval: float = 0.05,
-        deadlock_grace: float = 2.0,
         obs: Optional[Observability] = None,
         deadline_s: Optional[float] = None,
         faults=None,
@@ -118,8 +119,6 @@ class ThreadedExecutor(Executor):
         checkpoint_interval_s: Optional[float] = None,
         checkpoint_path: Optional[str] = None,
     ):
-        self.poll_interval = poll_interval
-        self.deadlock_grace = deadlock_grace
         self.obs = obs
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
@@ -136,36 +135,45 @@ class ThreadedExecutor(Executor):
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._abort = threading.Event()
-        #: Watchdog heartbeat and live op count.  Every thread bumps it
-        #: unlocked, so without the GIL it may lose updates: approximate
-        #: by design.  The exact count is the sum of ``_ctx_ops``.
+        #: Live op count for the sampler and a timed-out run's summary.
+        #: Every thread bumps it unlocked, so without the GIL it may lose
+        #: updates: approximate by design.  The exact count is the sum
+        #: of ``_ctx_ops``.
         self._progress = 0
-        self._blocked_count = 0
-        self._blocked_lock = threading.Lock()
         self._errors: list[BaseException] = []
+        #: The run's one condition: cluster drivers park and wait out
+        #: checkpoint rounds on it, and the main thread sleeps on it.
+        #: It also guards everything below.
+        self._cv = threading.Condition()
+        #: Host threads not yet exited.
+        self._live = 0
+        #: Parked hosts (a context's slot, or a cluster driver) -> the
+        #: condition each sleeps on and the predicate that would let it
+        #: proceed, which holds under that condition's lock.
+        self._parked_hosts: dict[Any, tuple[threading.Condition, Any]] = {}
+        #: Bumped whenever a host parks or exits: the main thread's two
+        #: reads of a deadlock verdict must see the same value.
+        self._park_gen = 0
         # Structured park sites for stall reports: program slot ->
         # (detail, channel, peer context); names repeat across
-        # replicated pipelines.  Written under _blocked_lock.
+        # replicated pipelines.
         self._blocked_sites: dict[int, tuple[str, Optional[Channel], Optional[Context]]] = {}
         # -- checkpoint rounds (DESIGN.md §17) -------------------------
         # A round is a barrier of the live cluster drivers at their
-        # slice boundaries, all under ``_ckpt_cv``: a driver about to
-        # run a slice opens one when the timer is due, every other
-        # driver joins at its next boundary with its members' records
-        # and waits, and whoever makes ``acked == live`` — the last to
-        # join, or a driver leaving — captures and ends the round.  With
-        # every live driver waiting, nothing can mutate a channel or
-        # clock.
+        # slice boundaries, all under ``_cv``: a driver about to run a
+        # slice opens one when the timer is due, every other driver
+        # joins at its next boundary with its members' records and
+        # waits, and whoever makes ``acked == live`` — the last to join,
+        # or a driver leaving — captures and ends the round.  With every
+        # live driver waiting, nothing can mutate a channel or clock.
         self._ckpt_timer: Any = None
         self._ckpt_open = False
-        self._ckpt_cv = threading.Condition()
         # Round counter: a joined driver waits for the *round it joined*
         # to end, not for a boolean to flip — back-to-back rounds
         # (interval <= 0) would otherwise swallow the flip and strand it
         # in a stale wait.
         self._ckpt_round = 0
         self._ckpt_acked = 0
-        self._ckpt_live = 0
         self._ckpt_records: dict[int, dict] = {}
         self._resume_records: Optional[dict[int, dict]] = None
         self._slots: dict[int, int] = {}
@@ -203,12 +211,6 @@ class ThreadedExecutor(Executor):
         # Handed to the drivers slot by slot (_ClusterDriver.
         # _take_resume_records).
         self._resume_records = program.__dict__.pop("_resume_records", None)
-        # Contexts restored as done came back with their finish times.
-        self._unfinished = sum(
-            1 for ctx in program.contexts if ctx.finish_time is None
-        )
-        self._unfinished_lock = threading.Lock()
-
         obs = self.obs
         trace = obs.trace if obs is not None else None
         # Per-context trace buffers and metric tallies are created here,
@@ -245,7 +247,7 @@ class ThreadedExecutor(Executor):
             ]
         else:
             # Cluster members keep unhooked clocks: foreign observers
-            # poll them from their own driver's idle loop.
+            # read them, woken by each slice boundary's notify.
             threads = [
                 threading.Thread(
                     target=self._drive_cluster,
@@ -255,23 +257,19 @@ class ThreadedExecutor(Executor):
                 )
                 for contexts, channels in self._plan_drivers(program)
             ]
-        self._ckpt_live = len(threads)
+        self._live = len(threads)
         for thread in threads:
             thread.start()
 
-        watchdog = threading.Thread(
-            target=self._watch, name="dam-watchdog", daemon=True
-        )
-        watchdog.start()
         sampler = self._start_sampler(
             self.metrics_interval_s, self._sampler_probe(program), self.metrics_sink
         )
         try:
+            self._supervise()
             for thread in threads:
                 thread.join()
         finally:
-            self._abort.set()  # stop the watchdog
-            watchdog.join()
+            self._abort_run()
             self._stop_sampler(sampler, obs)
         if trace is not None:
             trace.fold(
@@ -284,8 +282,6 @@ class ThreadedExecutor(Executor):
 
         if self._errors:
             error = self._errors[0]
-            if isinstance(error, DeadlockError):
-                raise error
             if isinstance(error, DamError):
                 raise error
             raise SimulationError("<threaded>", error) from error
@@ -327,7 +323,7 @@ class ThreadedExecutor(Executor):
 
     def _stall_report(self) -> StallReport:
         """Build the deadlock diagnosis from the recorded park sites."""
-        with self._blocked_lock:
+        with self._cv:
             sites = dict(self._blocked_sites)
         stalls = []
         for slot, ctx in enumerate(self._program.contexts):
@@ -379,7 +375,7 @@ class ThreadedExecutor(Executor):
     # Cluster hosting (DESIGN.md §15): every connected component runs on
     # ONE thread via an embedded SequentialExecutor.  Member clocks are
     # plain unhooked cells that observers on other drivers read directly
-    # (SVA).
+    # (SVA), woken by the run's condition at each slice boundary.
 
     @staticmethod
     def _plan_drivers(
@@ -416,9 +412,9 @@ class ThreadedExecutor(Executor):
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
             self._fail(contexts[0].name, failure)
         finally:
-            # The driver finished its members as they completed
-            # (_ClusterDriver._finish); what is left is the tallies, and
-            # the cooperative scheduler's own counters.
+            # The driver finished its members as they completed; what is
+            # left is the tallies, and the cooperative scheduler's own
+            # counters.
             for state in getattr(driver, "_states", {}).values():
                 slot = self._slots[id(state.context)]
                 self._ctx_ops[slot] = state.ops
@@ -427,7 +423,7 @@ class ThreadedExecutor(Executor):
             self._driver_counts.append(
                 (driver.context_switches, driver.wakeups, driver.preemptions)
             )
-            self._ckpt_leave()
+            self._leave()
 
     def _fail(self, where: str, failure: BaseException) -> None:
         """Record one thread's failure and abort the run."""
@@ -436,7 +432,30 @@ class ThreadedExecutor(Executor):
             if isinstance(failure, DamError)
             else SimulationError(where, failure)
         )
+        self._abort_run()
+
+    def _abort_run(self) -> None:
+        """Pull the abort switch and wake every parked host and the main
+        thread to see it.  The conditions are notified outside ``_cv``:
+        a context thread takes its own before ``_cv``."""
         self._abort.set()
+        with self._cv:
+            conds = {cond for cond, _ in self._parked_hosts.values()}
+            self._cv.notify_all()
+        for cond in conds:
+            with cond:
+                cond.notify_all()
+
+    def _leave(self) -> None:
+        """A host thread exits: it leaves the live count — completing an
+        open checkpoint round that waited only for it — and wakes the
+        main thread."""
+        with self._cv:
+            self._live -= 1
+            self._park_gen += 1
+            if self._ckpt_open and self._ckpt_acked == self._live:
+                self._ckpt_end_round()
+            self._cv.notify_all()
 
     def _drive(self, ctx: Context) -> None:
         """Thread body: interpret one context's generator to completion."""
@@ -502,6 +521,7 @@ class ThreadedExecutor(Executor):
             self._ctx_ops[slot] = ops
             if self._collect_metrics:
                 self._ctx_wall[slot] = _wallclock.perf_counter() - wall_start
+            self._leave()
 
     def _step(self, ctx: Context, op: Any, buf) -> Any:
         """Execute one non-fused op to completion — parking on its
@@ -559,35 +579,27 @@ class ThreadedExecutor(Executor):
         program slot) — opening it first when ``may_open`` and the timer
         is due — and stay parked, executing nothing, until it ends.  The
         driver that completes the barrier captures instead of waiting."""
-        with self._ckpt_cv:
+        with self._cv:
             if not self._ckpt_open:
                 if not (may_open and self._ckpt_timer.due()):
                     # The round ended between the caller's lock-free
                     # gate and acquiring the condition.
                     return
                 self._ckpt_open = True
+                self._cv.notify_all()  # parked drivers join too
             self._ckpt_records.update(records)
             self._ckpt_acked += 1
-            if self._ckpt_acked == self._ckpt_live:
+            if self._ckpt_acked == self._live:
                 self._ckpt_end_round()
             else:
                 round_id = self._ckpt_round
                 while self._ckpt_round == round_id and not self._abort.is_set():
-                    self._ckpt_cv.wait(self.poll_interval)
+                    self._cv.wait()
         if self._abort.is_set():
             raise _Aborted
 
-    def _ckpt_leave(self) -> None:
-        """An exiting driver leaves the live count; if it was the one an
-        open round still waited for, it completes that round on its way
-        out."""
-        with self._ckpt_cv:
-            self._ckpt_live -= 1
-            if self._ckpt_open and self._ckpt_acked == self._ckpt_live:
-                self._ckpt_end_round()
-
     def _ckpt_end_round(self) -> None:
-        """Every live driver has joined (caller holds ``_ckpt_cv``):
+        """Every live driver has joined (caller holds ``_cv``):
         capture, then release them.  A capture that fails aborts the
         run — a checkpointing run that cannot checkpoint fails loudly."""
         try:
@@ -600,7 +612,7 @@ class ThreadedExecutor(Executor):
             self._ckpt_acked = 0
             self._ckpt_records = {}
             self._ckpt_round += 1
-            self._ckpt_cv.notify_all()
+            self._cv.notify_all()
 
     def _capture_checkpoint(self) -> None:
         """All live drivers joined: assemble and write the cut.
@@ -631,7 +643,7 @@ class ThreadedExecutor(Executor):
                     return
                 self._park(
                     ctx, channel.cond, f"enqueue on full {channel.name}",
-                    channel=channel,
+                    channel.sender_ready, channel=channel,
                 )
 
     def _do_dequeue(self, ctx: Context, op: Any, remove: bool) -> Any:
@@ -650,7 +662,7 @@ class ThreadedExecutor(Executor):
                     raise ChannelClosed(channel.name)
                 self._park(
                     ctx, channel.cond, f"dequeue on empty {channel.name}",
-                    channel=channel,
+                    channel.receiver_ready, channel=channel,
                 )
 
     def _wait_until(self, ctx: Context, op: WaitUntil) -> Any:
@@ -670,6 +682,7 @@ class ThreadedExecutor(Executor):
                     self._park(
                         ctx, sync.cond,
                         f"wait-until {op.time} on {target.name}",
+                        lambda: target.time.now() >= op.time,
                         peer=target,
                     )
                 finally:
@@ -681,33 +694,38 @@ class ThreadedExecutor(Executor):
         ctx: Context,
         cond: threading.Condition,
         detail: str,
+        ready,
         channel: Optional[Channel] = None,
         peer: Optional[Context] = None,
     ) -> None:
-        """One bounded wait on ``cond`` (caller re-checks its predicate).
-
-        ``channel``/``peer`` identify what the context is parked on; they
-        feed the watchdog's stall report.
-        """
+        """Park one context thread on ``cond`` until ``ready()`` (the
+        caller then retries its op).  ``channel``/``peer`` identify what
+        the context is parked on; they feed the stall report."""
         slot = self._slots[id(ctx)]
         self._ctx_parks[slot] += 1
-        self._parked({slot: (detail, channel, peer)}, cond.wait)
+        self._parked(slot, {slot: (detail, channel, peer)}, cond, ready)
 
-    def _parked(self, sites: dict[int, tuple], wait) -> None:
-        """Keep ``sites`` (program slot -> park site) registered — for
-        the watchdog's stasis detector and the stall report — across one
-        ``wait(poll_interval)``.  A run aborted meanwhile keeps them:
-        the deadlock report reads them after the threads are gone."""
-        if self._abort.is_set():
-            raise _Aborted
-        with self._blocked_lock:
-            self._blocked_count += len(sites)
+    def _parked(self, host, sites: dict[int, tuple], cond, ready) -> None:
+        """Sleep on ``cond`` — its lock held by the caller — until
+        ``ready()`` or an abort, with ``host`` and its ``sites`` (program
+        slot -> park site) registered for the deadlock verdict and the
+        stall report.  A run aborted meanwhile keeps the sites: the
+        deadlock report reads them after the threads are gone."""
+        cv = self._cv
+        with cv:
+            if self._abort.is_set():
+                raise _Aborted
+            self._parked_hosts[host] = (cond, ready)
             self._blocked_sites.update(sites)
+            self._park_gen += 1
+            if len(self._parked_hosts) == self._live:
+                cv.notify_all()  # every host parked: the verdict's cue
         try:
-            wait(self.poll_interval)
+            while not ready() and not self._abort.is_set():
+                cond.wait()
         finally:
-            with self._blocked_lock:
-                self._blocked_count -= len(sites)
+            with cv:
+                del self._parked_hosts[host]
                 if not self._abort.is_set():
                     for slot in sites:
                         del self._blocked_sites[slot]
@@ -730,8 +748,6 @@ class ThreadedExecutor(Executor):
             with channel.cond:
                 channel.close_receiver()
                 channel.cond.notify_all()
-        with self._unfinished_lock:
-            self._unfinished -= 1
 
     def _timeout_error(self, program: Program) -> RunTimeoutError:
         """Build the deadline abort: stall report + partial summary, with
@@ -746,46 +762,59 @@ class ThreadedExecutor(Executor):
             ),
         )
 
-    def _watch(self) -> None:
-        """Abort the run when all unfinished threads are parked, stalled."""
-        stall_start: Optional[float] = None
-        last_progress = -1
+    def _supervise(self) -> None:
+        """The main thread's watch over the run: asleep on ``_cv`` until
+        every host thread has exited, it turns a passed deadline — or a
+        round in which every live host is parked and nothing can wake
+        any of them — into the run's abort."""
+        cv = self._cv
         deadline_at = self._deadline_at
-        while not self._abort.wait(self.poll_interval):
-            with self._unfinished_lock:
-                unfinished = self._unfinished
-            if unfinished == 0:
-                return
+        seen = -1
+        while True:
+            with cv:
+                while self._live and not self._abort.is_set() and (
+                    self._park_gen == seen
+                    or len(self._parked_hosts) < self._live
+                ):
+                    left = (
+                        None if deadline_at is None
+                        else deadline_at - _wallclock.perf_counter()
+                    )
+                    if left is not None and left <= 0:
+                        break
+                    cv.wait(left)
+                if not self._live or self._abort.is_set():
+                    return
+                seen = self._park_gen
+                parked = list(self._parked_hosts.items())
             if deadline_at is not None and (
                 _wallclock.perf_counter() >= deadline_at
             ):
-                self._errors.append(self._timeout_error(self._program))
-                self._abort.set()
-                return
-            if self._ckpt_open:
-                # A checkpoint round freezes every thread on purpose;
-                # stillness during it is not a deadlock.
-                stall_start = None
-                continue
-            progress = self._progress
-            with self._blocked_lock:
-                all_parked = self._blocked_count >= unfinished
-            if progress == last_progress and all_parked:
-                now = _wallclock.perf_counter()
-                if stall_start is None:
-                    stall_start = now
-                elif now - stall_start >= self.deadlock_grace:
-                    # Dump the full stall report while every thread is
-                    # still parked on its recorded site: per-context
-                    # state, the parked-on channel, and both endpoint
-                    # simulated clocks.
-                    report = self._stall_report()
-                    self._errors.append(DeadlockError(report.lines()))
-                    self._abort.set()
-                    return
+                error = self._timeout_error(self._program)
+            elif self._quiescent(seen, parked):
+                # Reported while every thread is still parked on its
+                # recorded site: per-context state, the parked-on
+                # channel, and both endpoint simulated clocks.
+                error = DeadlockError(self._stall_report().lines())
             else:
-                stall_start = None
-                last_progress = progress
+                continue  # a wake-up is in flight: wait for the next park
+            self._errors.append(error)
+            self._abort_run()
+            return
+
+    def _quiescent(self, gen: int, parked: list) -> bool:
+        """The second read of a deadlock verdict: each parked host's
+        predicate, re-read under its own condition's lock, still fails,
+        and no host parked, woke or exited since the first read."""
+        for host, (cond, ready) in parked:
+            with cond:
+                if host not in self._parked_hosts or ready():
+                    return False
+        with self._cv:
+            return (
+                self._park_gen == gen
+                and len(self._parked_hosts) == self._live
+            )
 
 
 class _ClusterDriver(SequentialExecutor):
@@ -798,9 +827,11 @@ class _ClusterDriver(SequentialExecutor):
     ``ViewTime`` / ``WaitUntil`` observers on other drivers read them
     directly — a monotone lower bound, exactly the SVA contract.
     Bounded slices keep the parent's abort flag, progress counter and
-    checkpoint rounds serviced, and idling polls foreign clocks (the one
-    external dependency a group can have) instead of declaring deadlock
-    — the parent watchdog owns that verdict.
+    checkpoint rounds serviced, and end by waking any parked driver that
+    may watch a member's clock.  Idling checks foreign clocks (the one
+    external dependency a group can have) and otherwise parks on the
+    parent's condition instead of declaring deadlock — the parent's
+    verdict covers every driver at once.
     """
 
     name = "threaded-cluster"
@@ -811,7 +842,7 @@ class _ClusterDriver(SequentialExecutor):
         self._embedded = True
 
     def _arm_deadline_and_faults(self, start: float) -> None:
-        self._deadline_at = None  # the parent's watchdog owns the deadline
+        self._deadline_at = None  # the parent's main thread owns the deadline
         # The parent's one map, not a copy: a context name that repeats
         # across drivers still fires once (the first to cross the
         # trigger pops it).
@@ -859,12 +890,26 @@ class _ClusterDriver(SequentialExecutor):
         before = self.ops_executed
         super()._run_slice(state, remaining)
         parent._progress += self.ops_executed - before
+        # Clock publication: a parked driver may be watching one of the
+        # clocks this slice moved.  Checked under the lock the parker
+        # holds while it re-reads them, so no build needs the GIL's
+        # ordering to keep the wake-up.
+        with parent._cv:
+            if parent._parked_hosts:
+                parent._cv.notify_all()
 
-    def _finish(self, state) -> None:
-        super()._finish(state)
-        parent = self._parent
-        with parent._unfinished_lock:
-            parent._unfinished -= 1
+    def _wakeable(self) -> bool:
+        """The parked driver's predicate: a round wants its records, or a
+        foreign clock passed a member's ``WaitUntil`` threshold (what
+        :meth:`_poll_foreign_waiters` would wake, read without waking)."""
+        if self._parent._ckpt_open:
+            return True
+        for target_id, waiters in self._time_waiters.items():
+            if target_id not in self._states:
+                now = waiters[0][1].retry_op.context.time.now()
+                if any(now >= threshold for threshold, _ in waiters):
+                    return True
+        return False
 
     def _idle(self) -> bool:
         parent = self._parent
@@ -879,17 +924,21 @@ class _ClusterDriver(SequentialExecutor):
         # A foreign clock may have passed a member's WaitUntil threshold.
         if self._poll_foreign_waiters():
             return True
-        # Genuinely idle: park the whole group for one poll interval,
-        # with each member's site registered so the stall report and the
-        # watchdog's stasis detector see the real blocking structure.
+        # Genuinely idle: park the whole group until a foreign clock or a
+        # checkpoint round could move it, with each member's site
+        # registered so the stall report and the deadlock verdict see
+        # the real blocking structure.
         slots = parent._slots
-        parent._parked(
-            {
-                slots[id(st.context)]: (
-                    st.blocked_detail, *blocked_on(st.retry_op)
-                )
-                for st in blocked
-            },
-            _wallclock.sleep,
-        )
+        with parent._cv:
+            parent._parked(
+                self,
+                {
+                    slots[id(st.context)]: (
+                        st.blocked_detail, *blocked_on(st.retry_op)
+                    )
+                    for st in blocked
+                },
+                parent._cv,
+                self._wakeable,
+            )
         return True

@@ -22,8 +22,10 @@ sense for it:
   so the retry ladder must *not* retry it).
 * ``stall_shuttle`` — process executor only.  The named channel's data lane
   delivers its first N records and then wedges, which must surface as
-  :class:`~repro.core.errors.DeadlockError` via the parent watchdog (or
-  :class:`~repro.core.errors.RunTimeoutError` when a deadline is set).
+  :class:`~repro.core.errors.DeadlockError` via the parent's verdict once
+  nothing else can run: the receiver drained its doorbell and found no
+  record (or as :class:`~repro.core.errors.RunTimeoutError` when a
+  deadline passes first).
 
 Worker-kill and shuttle-stall faults only exist on the process executor, so
 a ladder fallback (``fallback="sequential"``) re-runs the program with those

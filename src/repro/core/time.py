@@ -43,8 +43,8 @@ class TimeCell:
     threaded executor on the contexts it drives one thread each, to
     implement Synchronization-via-Parking (waking parked peers when this
     clock passes their threshold).  The sequential executor and the
-    schedulers built on it leave it unset: they poll, and publish or
-    notify at the slice boundary.
+    schedulers built on it leave it unset: they check their own waiters,
+    and publish or notify at the slice boundary.
     """
 
     __slots__ = ("_time", "on_advance")

@@ -4,10 +4,11 @@ When a simulation deadlocks the most useful artifact is not a timeout
 notice but the dependency cycle itself: every blocked context, the channel
 operation it is parked on, and the *simulated* clocks of both endpoints of
 that channel — the receiver stuck at t=5 waiting on a sender already at
-t=12 tells you immediately which way the starvation flows.  Both executors
-build a :class:`StallReport` on deadlock (the threaded watchdog dumps it
-instead of its old bare timeout notice) and attach it to the active
-:class:`~repro.obs.Observability` object when one is present.
+t=12 tells you immediately which way the starvation flows.  Every executor
+builds a :class:`StallReport` on deadlock (the threaded and process
+executors from the park sites their hosts registered before sleeping) and
+attaches it to the active :class:`~repro.obs.Observability` object when
+one is present.
 """
 
 from __future__ import annotations

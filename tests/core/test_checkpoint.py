@@ -193,23 +193,22 @@ class TestElasticResume:
     """Checkpoints are executor- and worker-count-portable."""
 
     def test_process_capture_resumes_everywhere(self, tmp_path):
-        # A process round opens at most once per supervision tick
-        # (10 ms): the 6x6 kernel can finish inside the first.
-        build = functools.partial(_spmspm, 10)
-        reference = build()
+        reference = _spmspm()
         expected = _fingerprint(
             reference,
             reference.run(
                 executor="process", config=RunConfig(workers=2, timeslice=7)
             ),
         )
-        got, epochs = _capture(build, tmp_path, executor="process", workers=2)
+        got, epochs = _capture(
+            _spmspm, tmp_path, executor="process", workers=2
+        )
         assert got == expected
         path = tmp_path / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
         # Same worker count, more workers (elastic), and no workers at all.
-        assert _resume(build, path, "process", workers=2) == expected
-        assert _resume(build, path, "process", workers=3) == expected
-        assert _resume(build, path, "sequential") == expected
+        assert _resume(_spmspm, path, "process", workers=2) == expected
+        assert _resume(_spmspm, path, "process", workers=3) == expected
+        assert _resume(_spmspm, path, "sequential") == expected
 
     def test_sequential_capture_resumes_onto_process(self, tmp_path):
         expected, epochs = _capture(_spmspm, tmp_path)
@@ -225,7 +224,7 @@ class TestElasticResume:
         uninterrupted result on every executor."""
         from repro.core.executor.partitioned import ProcessExecutor
 
-        build = functools.partial(_spmspm, 20)
+        build = functools.partial(_spmspm, 14)
         # The parent reads every worker's part to stitch an epoch:
         # count the unflushed records each one carried.
         backlog = {}
@@ -265,7 +264,8 @@ class TestElasticResume:
         # Every epoch on the sequential executor (an in-process channel
         # holds exactly the stitched state); the eight cuts with the
         # largest backlog also on the hosts that re-split or re-cut it.
-        # Tier-1 budget: ~35 epochs x 4 resumes is 12 s.
+        # A round costs the dumps plus a few wake-ups, so the 14x14
+        # kernel already cuts ~30 epochs.
         legs = {epoch: [("sequential", {})] for epoch in epochs}
         for epoch in sorted(epochs, key=backlog.get)[-8:]:
             legs[epoch] += [
@@ -302,7 +302,7 @@ def _parallel_mha():
 
 
 class TestThreadedCapture:
-    CONFIG = {"executor": "threaded", "poll_interval": 0.005}
+    CONFIG = {"executor": "threaded"}
 
     def test_one_driver_cuts_where_the_sequential_executor_does(self, tmp_path):
         """One connected component is one driver, and one host's
@@ -393,7 +393,6 @@ class TestThreadedCapture:
             config=RunConfig(
                 checkpoint_interval_s=0.0,
                 checkpoint_path=str(tmp_path),
-                poll_interval=0.005,
             ),
         )
         assert fingerprint(program, summary) == expected
@@ -457,7 +456,6 @@ class TestThreadedCaptureRaces:
                 config=RunConfig(
                     checkpoint_interval_s=0.0,
                     checkpoint_path=str(tmp_path),
-                    poll_interval=0.002,
                     deadline_s=60.0,
                 ),
             )
@@ -501,7 +499,6 @@ class TestThreadedCaptureRaces:
                 config=RunConfig(
                     checkpoint_interval_s=0.0,
                     checkpoint_path=str(tmp_path),
-                    poll_interval=0.005,
                     # A driver stranded in the barrier would hang the
                     # run; the deadline turns that into a failure.
                     deadline_s=30.0,

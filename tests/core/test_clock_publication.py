@@ -89,12 +89,11 @@ def _build(observe: str, clustered_observer: bool):
     "executor,clustered_observer,options",
     [
         ("process", True, {"workers": 2, "steal": False}),
-        # Observer on its own thread, parked on the runner's condition:
-        # woken by the cluster driver's slice-boundary notify.
+        # Observer alone on the pooled driver, or inside a second
+        # cluster driver: parked on the run's condition either way, and
+        # woken by the runner's driver at each slice boundary.
         ("threaded", False, {}),
-        # Observer inside a second cluster driver, which polls foreign
-        # clocks from its idle loop.
-        ("threaded", True, {"poll_interval": 0.005}),
+        ("threaded", True, {}),
     ],
 )
 def test_running_peer_is_visible_within_a_slice(

@@ -253,11 +253,8 @@ class TestDeadlock:
         s2, r2 = builder.bounded(1)
         builder.add(Hold(r1, s2))
         builder.add(Hold(r2, s1))
-        config = (
-            RunConfig(deadlock_grace=0.4) if executor == "threaded" else None
-        )
         with pytest.raises(DeadlockError, match="dequeue on empty"):
-            builder.build().run(executor=executor, config=config)
+            builder.build().run(executor=executor)
 
     def test_undersized_channel_deadlocks(self, executor):
         """The paper's softmax/reduction deadlock pattern: the consumer only
@@ -296,13 +293,10 @@ class TestDeadlock:
             builder.add(TrailerFirstConsumer(r_d, r_t, n))
             return builder.build()
 
-        config = (
-            RunConfig(deadlock_grace=0.4) if executor == "threaded" else None
-        )
         with pytest.raises(DeadlockError):
-            build(depth=4, n=100).run(executor=executor, config=config)
+            build(depth=4, n=100).run(executor=executor)
         # The correctly sized channel (depth >= N) completes.
-        build(depth=100, n=100).run(executor=executor, config=config)
+        build(depth=100, n=100).run(executor=executor)
 
 
 class TestSequentialSpecifics:

@@ -494,18 +494,14 @@ def _deadlock_pair(builder):
 
 
 class TestProcessFailures:
-    def test_local_deadlock_detected_without_watchdog(self):
+    def test_local_deadlock_detected(self):
         builder = ProgramBuilder()
         _deadlock_pair(builder)
         program = builder.build()
         # Both contexts land in one worker: a purely local cycle, reported
-        # by the worker itself (no grace period needed — keep it long to
-        # prove the watchdog was not involved).
+        # by the same verdict as a cycle across workers.
         with pytest.raises(DeadlockError) as excinfo:
-            program.run(
-                executor="process",
-                config=RunConfig(workers=1, deadlock_grace=30.0),
-            )
+            program.run(executor="process", config=RunConfig(workers=1))
         message = str(excinfo.value)
         assert "A" in message and "B" in message
 
@@ -519,7 +515,7 @@ class TestProcessFailures:
         with pytest.raises(DeadlockError):
             program.run(
                 executor="process",
-                config=RunConfig(workers=2, deadlock_grace=0.3),
+                config=RunConfig(workers=2),
                 obs=obs,
             )
         assert obs.stall_report is not None
@@ -543,10 +539,7 @@ class TestProcessFailures:
         builder.pin(c, 1)
         program = builder.build()
         with pytest.raises(SimulationError) as excinfo:
-            program.run(
-                executor="process",
-                config=RunConfig(workers=2, deadlock_grace=0.5),
-            )
+            program.run(executor="process", config=RunConfig(workers=2))
         assert excinfo.value.context_name == "bad"
         assert isinstance(excinfo.value.original, ValueError)
 
@@ -712,9 +705,7 @@ class TestExceptionThatDoesNotSurviveThePipe:
     @pytest.mark.parametrize("executor", ["sequential", "threaded", "process"])
     def test_every_executor_names_the_context(self, executor, no_leaked_workers):
         with pytest.raises(SimulationError) as info:
-            self._program().run(
-                executor, config=RunConfig(workers=2, deadlock_grace=0.5)
-            )
+            self._program().run(executor, config=RunConfig(workers=2))
         assert info.value.context_name == "bad"
         assert repr(Boom("left", "right")) in str(info.value)
         if executor == "process":

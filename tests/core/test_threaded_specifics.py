@@ -1,5 +1,5 @@
-"""Threaded-executor-specific behaviour: watchdog, error propagation,
-cluster hosting (DESIGN.md §15)."""
+"""Threaded-executor-specific behaviour: the deadlock verdict, error
+propagation, cluster hosting (DESIGN.md §15)."""
 
 import pytest
 
@@ -45,14 +45,14 @@ class TestThreadedErrors:
             ThreadedExecutor().execute(builder.build())
 
     def test_peer_contexts_unwound_after_failure(self):
-        """A failing context must not hang its peers: the abort flag
-        reaches parked threads through their bounded waits."""
+        """A failing context must not hang its peers: the abort notifies
+        the condition every parked thread sleeps on."""
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(1)
         source = builder.add(RampSource(snd, 10_000))
         builder.add(Exploder(rcv))
         with pytest.raises(SimulationError):
-            ThreadedExecutor(poll_interval=0.01).execute(builder.build())
+            ThreadedExecutor().execute(builder.build())
         # The source did not complete its stream (it was aborted).
         assert source.finish_time is None or source.finish_time < 10_000
 
@@ -103,15 +103,13 @@ class TestThreadedErrors:
         builder.add(Hold(r1, s2, "h1"))
         builder.add(Hold(r2, s1, "h2"))
         with pytest.raises(DeadlockError) as excinfo:
-            ThreadedExecutor(
-                poll_interval=0.01, deadlock_grace=0.3
-            ).execute(builder.build())
+            ThreadedExecutor().execute(builder.build())
         assert "h1" in str(excinfo.value)
         assert "h2" in str(excinfo.value)
 
     def test_compute_heavy_context_not_misdiagnosed(self):
         """A context that computes without yielding for a while must not
-        trip the watchdog (not all threads are parked)."""
+        read as a deadlock (not every host is parked)."""
 
         class Cruncher(Context):
             def __init__(self, out):
@@ -130,9 +128,7 @@ class TestThreadedErrors:
         snd, rcv = builder.bounded(1)
         builder.add(Cruncher(snd))
         sink = builder.add(Collector(rcv))
-        ThreadedExecutor(
-            poll_interval=0.01, deadlock_grace=0.05
-        ).execute(builder.build())
+        ThreadedExecutor().execute(builder.build())
         assert sink.values == [sum(range(600_000))]
 
 

@@ -35,20 +35,12 @@ def build_cycle():
     return builder.build()
 
 
-EXECUTOR_CONFIGS = {
-    "sequential": RunConfig(),
-    "threaded": RunConfig(poll_interval=0.01, deadlock_grace=0.2),
-}
-
-
 @pytest.mark.parametrize("executor", ["sequential", "threaded"])
 class TestStallReport:
     def run_deadlocked(self, executor):
         obs = Observability(trace=False)
         with pytest.raises(DeadlockError) as excinfo:
-            build_cycle().run(
-                executor=executor, config=EXECUTOR_CONFIGS[executor], obs=obs
-            )
+            build_cycle().run(executor=executor, obs=obs)
         return obs, excinfo.value
 
     def test_error_names_blocking_channels(self, executor):
@@ -170,7 +162,7 @@ class TestClusterHostedWaitUntil:
     registers the same park sites a per-context thread would."""
 
     # The deadline turns a missed deadlock into a failure, not a hang.
-    CONFIG = RunConfig(poll_interval=0.01, deadlock_grace=0.2, deadline_s=10.0)
+    CONFIG = RunConfig(deadline_s=10.0)
 
     def test_foreign_wait_until_keeps_its_peer(self):
         """A context parked on the clock of a context hosted by another
@@ -216,7 +208,7 @@ class TestClusterHostedWaitUntil:
 
     def test_deadlock_is_found_beside_a_finished_member(self):
         """A driver that hosts a finished context next to the blocked
-        ones must not hide the stall from the watchdog."""
+        ones must not hide the stall from the deadlock verdict."""
         from repro.contexts import RampSource
 
         class Fed(Hold):
@@ -247,15 +239,9 @@ class TestReplicatedNames:
 
     CONFIGS = {
         "sequential": ("sequential", RunConfig()),
-        "threaded-off": (
-            "threaded",
-            RunConfig(poll_interval=0.01, deadlock_grace=0.2, superblocks="off"),
-        ),
-        "threaded-clustered": (
-            "threaded",
-            RunConfig(poll_interval=0.01, deadlock_grace=0.2, superblocks="on"),
-        ),
-        "process": ("process", RunConfig(workers=2, deadlock_grace=0.2)),
+        "threaded-off": ("threaded", RunConfig(superblocks="off")),
+        "threaded-clustered": ("threaded", RunConfig(superblocks="on")),
+        "process": ("process", RunConfig(workers=2)),
     }
 
     @pytest.mark.parametrize("hosting", sorted(CONFIGS))

