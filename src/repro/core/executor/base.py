@@ -133,7 +133,7 @@ class RunSummary:
 
         Each payload is the dict a worker harvests after its slice of the
         run: ``finish_times`` / ``context_attrs`` / ``context_stats`` and
-        the ``trace`` row lists keyed by context slot, ``channel_stats``
+        the ``trace`` buffers keyed by context slot, ``channel_stats``
         keyed by channel id, and scheduler ``counters``.
         The caller (any multi-runtime executor) completes the summary
         with ``executor`` / ``policy`` / ``real_seconds`` / ``metrics``.
@@ -141,7 +141,7 @@ class RunSummary:
         Folding lives here so :mod:`~repro.core.executor.partitioned`
         and future distributed executors share one merge: finish times
         and picklable result attributes land on the original contexts,
-        channel stats accumulate, trace rows fold into the collector in
+        channel stats accumulate, trace buffers fold into the collector in
         slot order (so contexts sharing a name read as on every other
         executor), and the post-run channel closures mirror what an
         in-process run leaves behind.
@@ -149,7 +149,7 @@ class RunSummary:
         contexts = program.contexts
         by_id = {ch.id: ch for ch in program.channels}
         summary = cls(elapsed_cycles=0, real_seconds=0.0)
-        shipped_rows: list[tuple[int, list]] = []
+        buffers: list[tuple[int, Any]] = []
 
         for payload in payloads:
             for slot, finish in payload.get("finish_times", {}).items():
@@ -173,7 +173,7 @@ class RunSummary:
                 log = shipped.get("profile_log")
                 if log and channel.profile_log is not None:
                     channel.profile_log.extend(log)
-            shipped_rows.extend(payload.get("trace", {}).items())
+            buffers.extend(payload.get("trace", {}).items())
             counters = payload.get("counters", {})
             summary.context_switches += counters.get("context_switches", 0)
             summary.wakeups += counters.get("wakeups", 0)
@@ -182,8 +182,8 @@ class RunSummary:
             summary.steals += counters.get("steals", 0)
 
         if trace is not None:  # a stable sort: one slot keeps payload order
-            shipped_rows.sort(key=lambda item: item[0])
-            trace.fold((contexts[slot].name, rows) for slot, rows in shipped_rows)
+            buffers.sort(key=lambda item: item[0])
+            trace.fold(buf for _, buf in buffers)
 
         # Post-run channel parity with the in-process executors: every
         # finished endpoint has propagated its closure.

@@ -72,7 +72,7 @@ stopped where it really blocked — into one
 
 The parent merges per-worker results back onto the original program
 object: context finish times (and picklable result attributes), channel
-stats, per-context trace rows (keyed by slot and folded in slot order,
+stats, per-context trace buffers (keyed by slot and folded in slot order,
 so the observability layer's streams are executor-independent), and the
 metrics registry.
 """
@@ -894,23 +894,24 @@ class _WorkerExecutor(SequentialExecutor):
 # ----------------------------------------------------------------------
 
 
-def _shippable_rows(buf) -> list:
-    """A buffer's trace rows, with payloads stripped if they refuse to
-    pickle.  Without payload capture a row is strings and numbers, so
-    only a capturing buffer needs the probe."""
-    rows = buf.rows
-    if buf.capture_payloads:
+def _shippable_rows(buf):
+    """A buffer as it can cross the pipe: its columns, with the payload
+    column blanked if a payload refuses to pickle.  The other columns
+    are strings and numbers, so only a capturing buffer needs the
+    probe.  Harvest is the worker's last act, so the buffer is changed
+    in place."""
+    if buf.payloads is not None:
         try:
-            pickle.dumps(rows)
+            pickle.dumps(buf.payloads)
         except Exception:  # noqa: BLE001 - any payload may refuse
-            return [(kind, channel, time, None) for kind, channel, time, _ in rows]
-    return rows
+            buf.payloads = [None] * len(buf.payloads)
+    return buf
 
 
 def _harvest(executor: _WorkerExecutor) -> dict:
     """Everything the parent merges back onto the original program.
 
-    Per-context results — trace rows included — are keyed by the
+    Per-context results — trace buffers included — are keyed by the
     context's *slot* (its index in ``program.contexts``, identical in
     parent and forked child): names may legitimately repeat across
     replicated pipelines.  What a worker harvests is exactly what it
@@ -928,7 +929,7 @@ def _harvest(executor: _WorkerExecutor) -> dict:
     finish_times: dict[int, Any] = {}
     context_attrs: dict[int, dict] = {}
     context_stats: dict[int, dict] = {}
-    trace_rows: dict[int, list] = {}
+    trace_buffers: dict[int, Any] = {}
     for ctx in local:
         slot = slot_of[id(ctx)]
         finish_times[slot] = ctx.finish_time
@@ -947,7 +948,7 @@ def _harvest(executor: _WorkerExecutor) -> dict:
         state = executor._states[id(ctx)]
         context_stats[slot] = {"ops": state.ops, "wall": state.wall_seconds}
         if state.buffer is not None:
-            trace_rows[slot] = _shippable_rows(state.buffer)
+            trace_buffers[slot] = _shippable_rows(state.buffer)
 
     channel_stats: dict[int, dict] = {}
 
@@ -999,7 +1000,7 @@ def _harvest(executor: _WorkerExecutor) -> dict:
         "context_attrs": context_attrs,
         "context_stats": context_stats,
         "channel_stats": channel_stats,
-        "trace": trace_rows,
+        "trace": trace_buffers,
         "migrations": executor.migrations,
         "counters": {
             "context_switches": executor.context_switches,

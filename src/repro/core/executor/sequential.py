@@ -24,14 +24,14 @@ paper's undersized-channel observations.
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 record per-context trace buffers and fold run metrics.
 
-Dispatch is a ``type(op) → bound handler`` table plus an *inline fast
+Dispatch is a ``type(op) → handler function`` table plus an *inline fast
 path* (DESIGN.md §11): when no ``WaitUntil`` waiter is registered and no
 ``max_ops`` valve is set, the slice loop executes
 enqueue/dequeue/IncrCycles — and :class:`~repro.core.ops.FusedOps`
 batches of them — inline against the channels' flavor-specialized
 methods, paying zero per-op tracing/waiter conditionals: a traced run
-binds :func:`traced_fast_loop`, the same loop compiled with its
-``#T``-marked row appends live.  Every other configuration (and every
+calls :func:`traced_fast_loop`, the same loop compiled with its
+``#T``-marked column appends live.  Every other configuration (and every
 rare op) goes through the generic handlers, which perform the identical
 semantic transitions with the bookkeeping checks in place.
 """
@@ -325,22 +325,6 @@ class SequentialExecutor(Executor):
         self.wakeups = 0
         self.preemptions = 0
         self.ops_executed = 0
-        # type(op) -> bound handler; replaces the historical if-elif
-        # dispatch chain.  FusedOps/tuple/list appear only so a *nested*
-        # batch fails loudly — top-level batches are unrolled by the
-        # slice loops before dispatch.
-        self._handlers = {
-            Enqueue: self._h_enqueue,
-            Dequeue: self._h_dequeue,
-            Peek: self._h_peek,
-            IncrCycles: self._h_incr_cycles,
-            AdvanceTo: self._h_advance_to,
-            ViewTime: self._h_view_time,
-            WaitUntil: self._h_wait_until,
-            FusedOps: self._h_nested_fusion,
-            tuple: self._h_nested_fusion,
-            list: self._h_nested_fusion,
-        }
         self._any_time_waiters = False
         self._fast = False
         self._fast_capable = False
@@ -371,14 +355,17 @@ class SequentialExecutor(Executor):
         # Inline fast path eligibility is computed once; it only drops
         # (and later recovers) around registered WaitUntil waiters, so
         # the fast loop itself carries no waiter/max_ops checks — and no
-        # tracing checks either: a traced run binds the variant of the
-        # loop whose marked statements are live.
+        # tracing checks either: a traced run takes the variant of the
+        # loop whose marked statements are live.  It is kept as a plain
+        # function and called with ``self``: a bound method left on the
+        # executor would make a reference cycle, and everything the run
+        # allocated would then wait for the cycle collector.
         self._fast_capable = self.fast_path and self.max_ops is None
         self._fast = self._fast_capable
         self._fast_loop = (
-            self._run_slice_fast
+            type(self)._run_slice_fast
             if trace is None
-            else traced_fast_loop().__get__(self)
+            else traced_fast_loop()
         )
 
         # Deadlines and context faults both need the loop to come up for
@@ -433,10 +420,7 @@ class SequentialExecutor(Executor):
             if trace is not None and not self._embedded:
                 # In program slot order: contexts that share a name land
                 # one after another, as on every executor.
-                trace.fold(
-                    (ctx.name, states[id(ctx)].buffer.rows)
-                    for ctx in program.contexts
-                )
+                trace.fold(states[id(ctx)].buffer for ctx in program.contexts)
 
         summary = self._run_summary(program, start)
         if not self._embedded:
@@ -494,7 +478,7 @@ class SequentialExecutor(Executor):
                         self.context_switches += 1
                     previous = state
                     if self._fast:
-                        run_fast(state, -1)
+                        run_fast(self, state, -1)
                     else:
                         run_slice(state, None)
                     if state.status == _READY:
@@ -749,7 +733,7 @@ class SequentialExecutor(Executor):
                 state.pending_exc = fault.make()
 
         if self._fast:
-            self._fast_loop(state, remaining)
+            self._fast_loop(self, state, remaining)
             return
 
         # A context woken from a blocking op must first complete that op
@@ -835,17 +819,15 @@ class SequentialExecutor(Executor):
             remaining -= 1
             try:
                 if state.pending_exc is not None:
-                    exc = state.pending_exc
+                    # Cleared only once the generator took it: one it
+                    # raised back is cleared by _finish.
+                    op = gen_throw(state.pending_exc)
                     state.pending_exc = None
-                    op = gen_throw(exc)
                 else:
                     value = state.pending_value
                     state.pending_value = None
                     op = gen_send(value)
-            except StopIteration:
-                self._finish(state)
-                return
-            except ChannelClosed:
+            except (StopIteration, ChannelClosed):
                 # An uncaught ChannelClosed is graceful wind-down.
                 self._finish(state)
                 return
@@ -883,19 +865,20 @@ class SequentialExecutor(Executor):
         against the channels' flavor-specialized transitions with zero
         per-op bookkeeping conditionals.  Tracing is not a conditional
         either: a statement behind the ``#T`` marker is a comment here
-        and live in :func:`traced_fast_loop`, which a traced run binds
-        instead.  There is one per completion site — it appends the
-        ``(kind, channel, time, payload)`` row the generic handler would,
-        to the buffer of the context whose op completed (the waiter's,
-        at the waiter's clock, where the loop completes a parked peer's
-        op in place) — and nothing else may differ between the two, so
-        a change to this loop changes both.  Every context this executor
-        (or a subclass) hosts owns a plain :class:`TimeCell` with no
-        ``on_advance`` hook — hosts that must publish clocks do so at
-        the slice boundary, never per advance — so the common channel
-        flavors, keyed by the channels' ``_enq_code`` / ``_deq_code``
-        mirrors, are open-coded, and the simulated time lives in the
-        local ``now`` for the whole slice, written back to
+        and live in :func:`traced_fast_loop`, which a traced run calls
+        instead.  There is one group per completion site — it appends
+        to the kind, channel, time (and payload) columns what the
+        generic handler would, in the buffer of the context whose op
+        completed (the waiter's, at the waiter's clock, where the loop
+        completes a parked peer's op in place) — and nothing else may
+        differ between the two, so a change to this loop changes both.
+        Every context this executor (or a subclass) hosts owns a plain
+        :class:`TimeCell` with no ``on_advance`` hook — hosts that must
+        publish clocks do so at the slice boundary, never per advance —
+        so the common channel flavors, keyed by the channels'
+        ``_enq_code`` / ``_deq_code`` mirrors, are open-coded, and the
+        simulated time lives in the local ``now`` for the whole slice,
+        written back to
         ``clock._time`` wherever the world can observe it (generator
         resumes, method-path fallbacks, slice exits) and reloaded after
         any call that may advance it.  Results flow through locals;
@@ -955,8 +938,10 @@ class SequentialExecutor(Executor):
         clock = ctx.time
         gen_send = state.send
         fifo = self._fifo_queue
-        #T record = state.buffer.rows.append
-        #T keep = state.buffer.capture_payloads
+        #T add_kind = state.buffer.kinds.append
+        #T add_channel = state.buffer.channels.append
+        #T add_time = state.buffer.times.append
+        #T payloads = state.buffer.payloads
         now = clock._time
         value = state.pending_value
         exc = state.pending_exc
@@ -1035,10 +1020,11 @@ class SequentialExecutor(Executor):
                                     channel.waiting_sender = None
                                     self._wake_send_deliver(channel, waiter)
                                 buf[index] = result
-                                #T record((
-                                #T     "dequeue", channel.name, now,
-                                #T     result if keep else None,
-                                #T ))
+                                #T add_kind("dequeue")
+                                #T add_channel(channel.name)
+                                #T add_time(now)
+                                #T if payloads is not None:
+                                #T     payloads.append(result)
                             elif channel.closed_for_receiver:
                                 exc = ChannelClosed(channel.name)
                                 break  # abandon the batch
@@ -1096,10 +1082,11 @@ class SequentialExecutor(Executor):
                                 channel.waiting_sender = state
                                 parked = True
                                 break
-                            #T record((
-                            #T     "enqueue", channel.name, now,
-                            #T     sub.data if keep else None,
-                            #T ))
+                            #T add_kind("enqueue")
+                            #T add_channel(channel.name)
+                            #T add_time(now)
+                            #T if payloads is not None:
+                            #T     payloads.append(sub.data)
                             waiter = channel.waiting_receiver
                             if waiter is not None:
                                 channel.waiting_receiver = None
@@ -1125,10 +1112,9 @@ class SequentialExecutor(Executor):
                                         resps.append(
                                             wnow + channel.resp_latency
                                         )
-                                    #T waiter.buffer.rows.append((
-                                    #T     "dequeue", channel.name, wnow,
-                                    #T     result if keep else None,
-                                    #T ))
+                                    #T waiter.buffer.append(
+                                    #T     "dequeue", channel.name, wnow, result
+                                    #T )
                                     waiter.retry_op = None
                                     waiter.pending_value = result
                                     if waiter.status == _BLOCKED:
@@ -1147,7 +1133,11 @@ class SequentialExecutor(Executor):
                             # channel slot.
                             if channel:
                                 now += channel
-                            #T record(("advance", None, now, None))
+                            #T add_kind("advance")
+                            #T add_channel(None)
+                            #T add_time(now)
+                            #T if payloads is not None:
+                            #T     payloads.append(None)
                         else:
                             # Rare constituent: generic handler (raises
                             # on a nested batch).
@@ -1204,10 +1194,11 @@ class SequentialExecutor(Executor):
                             if waiter is not None:
                                 channel.waiting_sender = None
                                 self._wake_send_deliver(channel, waiter)
-                            #T record((
-                            #T     "dequeue", channel.name, now,
-                            #T     value if keep else None,
-                            #T ))
+                            #T add_kind("dequeue")
+                            #T add_channel(channel.name)
+                            #T add_time(now)
+                            #T if payloads is not None:
+                            #T     payloads.append(value)
                             continue
                         value = None
                     else:
@@ -1220,10 +1211,11 @@ class SequentialExecutor(Executor):
                             if waiter is not None:
                                 channel.waiting_sender = None
                                 self._wake_send_deliver(channel, waiter)
-                            #T record((
-                            #T     "dequeue", channel.name, now,
-                            #T     value if keep else None,
-                            #T ))
+                            #T add_kind("dequeue")
+                            #T add_channel(channel.name)
+                            #T add_time(now)
+                            #T if payloads is not None:
+                            #T     payloads.append(value)
                             continue
                     if channel.closed_for_receiver:
                         exc = ChannelClosed(channel.name)
@@ -1281,10 +1273,11 @@ class SequentialExecutor(Executor):
                         state.blocked_detail = channel._park_enq_msg
                         channel.waiting_sender = state
                         return
-                    #T record((
-                    #T     "enqueue", channel.name, now,
-                    #T     op.data if keep else None,
-                    #T ))
+                    #T add_kind("enqueue")
+                    #T add_channel(channel.name)
+                    #T add_time(now)
+                    #T if payloads is not None:
+                    #T     payloads.append(op.data)
                     waiter = channel.waiting_receiver
                     if waiter is not None:
                         channel.waiting_receiver = None
@@ -1299,7 +1292,11 @@ class SequentialExecutor(Executor):
                         clock._time = now
                         clock.incr(cycles)
                         now = clock._time
-                    #T record(("advance", None, now, None))
+                    #T add_kind("advance")
+                    #T add_channel(None)
+                    #T add_time(now)
+                    #T if payloads is not None:
+                    #T     payloads.append(None)
                     continue
 
                 # Rare op: Peek/AdvanceTo/ViewTime/WaitUntil (or a junk
@@ -1318,6 +1315,9 @@ class SequentialExecutor(Executor):
             state.pending_value = value
             state.pending_exc = exc
         finally:
+            # An exception the generator raised back holds this frame in
+            # its traceback: keeping it would make a reference cycle.
+            exc = None
             self.ops_executed += executed
             state.ops += executed
 
@@ -1330,7 +1330,7 @@ class SequentialExecutor(Executor):
                 state.context.name,
                 TypeError(f"context yielded a non-op value: {op!r}"),
             )
-        return handler(state, op)
+        return handler(self, state, op)
 
     # --- generic op handlers ------------------------------------------
     # Each performs the identical semantic transition the fast loop
@@ -1400,19 +1400,14 @@ class SequentialExecutor(Executor):
         channel.waiting_receiver = state
         return False
 
-    def _h_incr_cycles(self, state: _ContextState, op) -> bool:
+    def _h_advance(self, state: _ContextState, op) -> bool:
+        """``IncrCycles`` and ``AdvanceTo``: the context moves its own
+        clock."""
         clock = state.context.time
-        clock.incr(op.cycles)
-        state.pending_value = None
-        if self._any_time_waiters:
-            self._drain_time_waiters(state.context)
-        if state.buffer is not None:
-            state.buffer.append("advance", None, clock.now())
-        return True
-
-    def _h_advance_to(self, state: _ContextState, op) -> bool:
-        clock = state.context.time
-        clock.advance(op.time)
+        if op.__class__ is IncrCycles:
+            clock.incr(op.cycles)
+        else:
+            clock.advance(op.time)
         state.pending_value = None
         if self._any_time_waiters:
             self._drain_time_waiters(state.context)
@@ -1445,6 +1440,24 @@ class SequentialExecutor(Executor):
                 f"inside another fused batch: {op!r}"
             ),
         )
+
+    # type(op) -> handler, a plain function called as ``handler(self,
+    # state, op)`` (bound methods stored on the executor would make it a
+    # reference cycle).  FusedOps/tuple/list appear only so a *nested*
+    # batch fails loudly — top-level batches are unrolled by the slice
+    # loops before dispatch.
+    _handlers = {
+        Enqueue: _h_enqueue,
+        Dequeue: _h_dequeue,
+        Peek: _h_peek,
+        IncrCycles: _h_advance,
+        AdvanceTo: _h_advance,
+        ViewTime: _h_view_time,
+        WaitUntil: _h_wait_until,
+        FusedOps: _h_nested_fusion,
+        tuple: _h_nested_fusion,
+        list: _h_nested_fusion,
+    }
 
     # ------------------------------------------------------------------
 
@@ -1552,6 +1565,9 @@ class SequentialExecutor(Executor):
         """Mark a context finished and propagate closure to its channels."""
         ctx = state.context
         state.status = _DONE
+        # A thrown exception the context raised back: its traceback
+        # holds the slice loop's frame, which holds this state.
+        state.pending_exc = None
         ctx.finish_time = ctx.time.now()
         if state.buffer is not None:
             state.buffer.append("finish", None, ctx.finish_time)

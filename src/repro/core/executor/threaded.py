@@ -272,10 +272,7 @@ class ThreadedExecutor(Executor):
             self._abort_run()
             self._stop_sampler(sampler, obs)
         if trace is not None:
-            trace.fold(
-                (ctx.name, buf.rows)
-                for ctx, buf in zip(program.contexts, self._buffers)
-            )
+            trace.fold(self._buffers)
 
         for ctx in program.contexts:
             ctx.time.on_advance = None
@@ -481,13 +478,10 @@ class ThreadedExecutor(Executor):
                     exc, fault = fault.make(), None
                 try:
                     if exc is not None:
-                        pending, exc = exc, None
-                        op = gen.throw(pending)
+                        op = gen.throw(exc)
                     else:
                         op = gen.send(value)
-                except StopIteration:
-                    break
-                except ChannelClosed:
+                except (StopIteration, ChannelClosed):
                     break
                 value, exc = None, None
                 kind = type(op)
@@ -514,6 +508,9 @@ class ThreadedExecutor(Executor):
         except BaseException as failure:  # noqa: BLE001 - reported faithfully
             self._fail(ctx.name, failure)
         finally:
+            # An exception the generator raised back holds this frame in
+            # its traceback: keeping it would make a reference cycle.
+            exc = None
             gen.close()
             self._finish(ctx)
             if buf is not None and ctx.finish_time is not None:

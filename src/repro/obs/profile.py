@@ -1,9 +1,9 @@
 """Post-run performance attribution: critical path, blocked time, epochs.
 
 The trace already answers *what happened*; this module answers *why the
-run took as long as it did*.  One pass over each context's rows indexes
-the channel ops and does the whole-run accounting; a backward walk over
-that index finds the critical path.  Three artifacts come out:
+run took as long as it did*.  One pass over each context's columns
+indexes the channel ops and does the whole-run accounting; a backward
+walk over that index finds the critical path.  Three artifacts come out:
 
 * **Critical path** — the longest dependency chain of
   ``(context op -> channel delivery -> context op)`` edges bounding
@@ -36,22 +36,23 @@ that index finds the critical path.  Three artifacts come out:
   and the resulting utilization fraction.  Feeds the Perfetto counter
   track in :mod:`repro.obs.export`.
 
-Because each context's rows are executor-independent, and a run folds
-the rows of contexts that share a name in program slot order, everything
-computed here is too: sequential, threaded and process runs of the same
-program produce bit-identical profiles.
+Because each context's history is executor-independent, and a run
+folds the histories of contexts that share a name in program slot
+order, everything computed here is too: sequential, threaded and
+process runs of the same program produce bit-identical profiles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, count
 from math import nextafter
-from operator import itemgetter
+from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from ..core.time import INFINITY, Time
-from .events import Row, TraceEvent
+from .events import TraceEvent
 from .metrics import Histogram
 from .trace import TraceCollector
 
@@ -254,32 +255,36 @@ class ProfileReport:
 # Trace indexing.
 # ----------------------------------------------------------------------
 
-#: Positions of kind, channel and time in a stored
-#: :data:`~repro.obs.events.Row`.
-_KIND, _CHANNEL, _TIME = 0, 1, 2
-_kind_of, _time_of = itemgetter(_KIND), itemgetter(_TIME)
+#: One context's history as the profile reads it: its ``(kinds,
+#: channels, times)`` columns, index ``i`` of each describing op ``i``.
+Stream = tuple[list[str], list["str | None"], list[Time]]
 
 
-def _row_streams(
+def _streams(
     trace: "TraceCollector | Iterable[TraceEvent]",
-) -> dict[str, list[Row]]:
-    """The trace as per-context row streams in ``seq`` order.
+) -> dict[str, Stream]:
+    """The trace as per-context columns in ``seq`` order.
 
-    A collector's buffers already are exactly that; a bare event
+    A collector's buffers already hold exactly that; a bare event
     iterable (a re-imported Chrome trace) is grouped into the same form.
     """
     if isinstance(trace, TraceCollector):
-        return {name: buf.rows for name, buf in trace.buffers().items()}
+        return {
+            name: (buf.kinds, buf.channels, buf.times)
+            for name, buf in trace.buffers().items()
+        }
     grouped: dict[str, list[TraceEvent]] = {}
     for event in trace:
         grouped.setdefault(event.context, []).append(event)
-    return {
-        name: [
-            (e.kind, e.channel, e.time, e.payload)
-            for e in sorted(events, key=lambda e: e.seq)
-        ]
-        for name, events in grouped.items()
-    }
+    streams: dict[str, Stream] = {}
+    for name, events in grouped.items():
+        events.sort(key=attrgetter("seq"))
+        streams[name] = (
+            [e.kind for e in events],
+            [e.channel for e in events],
+            [e.time for e in events],
+        )
+    return streams
 
 
 #: What time spent completing an op *on a channel* is charged to, by
@@ -353,8 +358,9 @@ def _bin_across(
 
 
 class _Index:
-    """Everything the profile reads from the rows, from one pass over
-    them: per-channel FIFO op positions, and the whole-run attribution.
+    """Everything the profile reads from the trace, from one pass over
+    its columns: per-channel FIFO op positions, and the whole-run
+    attribution.
 
     An op is addressed by its *global position*: its index in the
     concatenation of the streams in context-name order.  A channel keeps
@@ -375,8 +381,8 @@ class _Index:
     window pays for the divisions and the clamped per-epoch loop.
     """
 
-    def __init__(self, streams: Mapping[str, list[Row]], epochs: int):
-        self.streams: dict[str, list[Row]] = {}
+    def __init__(self, streams: Mapping[str, Stream], epochs: int):
+        self.streams: dict[str, Stream] = {}
         #: Context names in order, and the global position each stream
         #: starts at (``starts`` is parallel to ``names``).
         self.names: list[str] = []
@@ -386,33 +392,31 @@ class _Index:
         self.deq: dict[str, tuple[list[int], list[Time]]] = {}
         for name in sorted(streams):
             stream = streams[name]
+            kinds, _, times = stream
             # Pseudo-buffers (``<worker-N>`` migrate, ``<supervisor>``)
             # and INFINITY finishes carry no simulated time to attribute.
-            # A context's own stream has neither and is read in place;
+            # A context's own columns have neither and are read in place;
             # only a stream that has one pays for a filtered copy.  (Every
             # time is looked at, not just the last: a buffer shared by
             # replicated context names is not monotone.)
-            if not stream:
+            if not kinds:
                 continue
-            if (
-                not _KINDS.issuperset(map(_kind_of, stream))
-                or INFINITY in map(_time_of, stream)
-            ):
-                stream = [
-                    row
-                    for row in stream
-                    if row[_KIND] in _KINDS and row[_TIME] != INFINITY
+            if not _KINDS.issuperset(kinds) or INFINITY in times:
+                keep = [
+                    kind in _KINDS and time != INFINITY
+                    for kind, time in zip(kinds, times)
                 ]
-                if not stream:
+                if not any(keep):
                     continue
+                stream = tuple(list(compress(col, keep)) for col in stream)
             self.streams[name] = stream
             self.names.append(name)
         #: (context, last index, finish time) of the makespan context.
         self.makespan: tuple[str, int, Time] | None = None
-        for name, stream in self.streams.items():
-            last = stream[-1][_TIME]
+        for name, (kinds, _, times) in self.streams.items():
+            last = times[-1]
             if self.makespan is None or last > self.makespan[2]:
-                self.makespan = (name, len(stream) - 1, last)
+                self.makespan = (name, len(kinds) - 1, last)
         finish_time = self.makespan[2] if self.makespan is not None else 0
         self.attribution, self.timeline = self._scan(finish_time, epochs)
         self.start_of = dict(zip(self.names, self.starts))
@@ -460,11 +464,13 @@ class _Index:
         lo, hi = windows[cur]
         total = 0
         for name in self.names:
-            stream = self.streams[name]
+            kinds, channels, times = self.streams[name]
             self.starts.append(total)
             totals: list[Time] = [0, 0, 0]
             prev = 0
-            for pos, (kind, channel, time, _) in enumerate(stream, total):
+            for pos, kind, channel, time in zip(
+                count(total), kinds, channels, times
+            ):
                 try:
                     slot, bins, add_pos, add_time, chan = recorders[channel][kind]
                 except KeyError:
@@ -497,7 +503,7 @@ class _Index:
                 "finish_time": prev,
                 "idle": finish_time - prev,
             }
-            total += len(stream)
+            total += len(kinds)
         self.total_events = total
 
         timeline: dict[str, Any] = {"epoch_width": width, "epochs": []}
@@ -549,14 +555,16 @@ def _category_of(kind: str, channel: str | None) -> str:
 
 def _producer_of(
     index: _Index,
-    row: Row,
+    kind: str,
+    channel: str,
+    time: Time,
     context: str,
     pos: int,
     channel_meta: Mapping[str, Mapping[str, Any]],
 ) -> int | None:
     """Global position of the enqueue whose value the dequeue/peek
-    ``row`` (at ``pos``, on ``context``) consumed."""
-    kind, channel, time, _ = row
+    ``kind`` on ``channel`` (completing at ``time``, at ``pos``, on
+    ``context``) consumed."""
     ops = index.enq.get(channel)
     if ops is None:
         return None
@@ -582,13 +590,14 @@ def _producer_of(
 
 def _unblocker_of(
     index: _Index,
-    row: Row,
+    channel: str,
+    time: Time,
     pos: int,
     channel_meta: Mapping[str, Mapping[str, Any]],
 ) -> int | None:
     """Global position of the dequeue whose response freed the slot the
-    enqueue ``row`` (at ``pos``) waited on."""
-    _, channel, time, _ = row
+    enqueue on ``channel`` (completing at ``time``, at ``pos``) waited
+    on."""
     ops = index.deq.get(channel)
     if ops is None:
         return None
@@ -625,7 +634,7 @@ def _critical_path(
     segments: list[PathSegment] = []
     visited: set[int] = set()
     ctx, idx = start
-    stream = index.streams[ctx]
+    kinds, channels, times = index.streams[ctx]
     base = index.start_of[ctx]
     cursor = finish_time
     limit = 4 * index.total_events + 16
@@ -633,12 +642,12 @@ def _critical_path(
     steps = 0
     while cursor > 0 and idx >= 0 and steps < limit:
         steps += 1
-        prev_time = stream[idx - 1][_TIME] if idx > 0 else 0
+        prev_time = times[idx - 1] if idx > 0 else 0
         pos = base + idx
         if not cursor > prev_time:
             # The op took no time (more than half of all steps): nothing
             # to attribute and no edge to follow, so step back without
-            # looking at the row.  It still counts as walked.  (``not >``
+            # looking at the op.  It still counts as walked.  (``not >``
             # rather than ``<=``: a re-imported malformed trace can hold
             # a NaN time, which must keep stepping back.)
             visited.add(pos)
@@ -646,18 +655,21 @@ def _critical_path(
             continue
         first_visit = pos not in visited
         visited.add(pos)
-        row = stream[idx]
-        kind, channel = row[_KIND], row[_CHANNEL]
+        kind, channel = kinds[idx], channels[idx]
         target: int | None = None
         if first_visit and channel is not None:
             if kind in ("dequeue", "peek"):
-                target = _producer_of(index, row, ctx, pos, channel_meta)
+                target = _producer_of(
+                    index, kind, channel, times[idx], ctx, pos, channel_meta
+                )
             elif kind == "enqueue":
-                target = _unblocker_of(index, row, pos, channel_meta)
+                target = _unblocker_of(
+                    index, channel, times[idx], pos, channel_meta
+                )
         if target is not None and target not in visited:
             t_ctx, t_idx = index.locate(target)
             t_stream = index.streams[t_ctx]
-            t_time = t_stream[t_idx][_TIME]
+            t_time = t_stream[2][t_idx]
             # Only jump when it makes progress toward t=0 (a zero-latency
             # edge is followed without emitting a segment); a malformed
             # or already-walked target degrades to a step-back instead.
@@ -670,7 +682,8 @@ def _critical_path(
                         )
                     )
                 ctx, idx, cursor = t_ctx, t_idx, t_time
-                stream, base = t_stream, index.start_of[t_ctx]
+                kinds, channels, times = t_stream
+                base = index.start_of[t_ctx]
                 continue
         # Step back within this context, charging the wait to it.
         segments.append(
@@ -700,7 +713,7 @@ def profile_trace(
 ) -> ProfileReport:
     """Analyze a trace (collector or bare event iterable) into a
     :class:`ProfileReport`."""
-    index = _Index(_row_streams(trace), epochs)
+    index = _Index(_streams(trace), epochs)
     if index.makespan is None:
         return ProfileReport(finish_time=0)
     ctx, idx, finish_time = index.makespan

@@ -3,9 +3,9 @@
 A run hands each context it hosts its own
 :class:`~repro.obs.events.ContextTraceBuffer` and, when it ends, folds
 them into the :class:`TraceCollector`'s name-keyed buffers in program
-slot order.  The per-name row streams are what the profiler and the
-Chrome exporter read; the single ``(time, context, seq)`` timeline is a
-derived view, sorted only when somebody asks for it.
+slot order.  The per-name columns are what the profiler and the Chrome
+exporter read; rows and the single ``(time, context, seq)`` timeline are
+derived views, built and sorted only when somebody asks for them.
 """
 
 from __future__ import annotations
@@ -52,23 +52,23 @@ class TraceCollector:
         Each context records into its own — by program slot, not name,
         because replicated pipelines repeat names — from its own thread
         of control only (the lock-free discipline); the run hands the
-        rows to :meth:`fold` when it ends.
+        buffers to :meth:`fold` when it ends.
         """
         return ContextTraceBuffer(context, self.capture_payloads)
 
-    def fold(self, streams: Iterable[tuple[str, list[Row]]]) -> None:
-        """Append each ``(context name, rows)`` to the buffer of that
-        name, in the order given.  Runs pass their contexts in program
-        slot order, so contexts that share a name land one after another
-        in slot order, whatever the schedule interleaved.  The first list
-        folded under a name is kept as is, not copied: the run is over
-        and nothing appends to it any more."""
-        for name, rows in streams:
-            buf = self.buffer(name)
-            if buf.rows:
-                buf.extend(rows)
+    def fold(self, buffers: Iterable[ContextTraceBuffer]) -> None:
+        """File each run buffer under its context's name, in the order
+        given.  Runs pass their contexts in program slot order, so
+        contexts that share a name land one after another in slot order,
+        whatever the schedule interleaved.  The first buffer folded under
+        a name is adopted as is, not copied (the run is over and nothing
+        appends to it any more); later ones are concatenated onto it."""
+        for buf in buffers:
+            mine = self._buffers.get(buf.context)
+            if mine is None:
+                self._buffers[buf.context] = buf
             else:
-                buf.rows = rows
+                mine.extend(buf)
 
     def record(
         self,
@@ -153,7 +153,7 @@ class TraceCollector:
         ]
 
     def __len__(self) -> int:
-        return sum(len(buf.rows) for buf in self._buffers.values())
+        return sum(map(len, self._buffers.values()))
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)

@@ -23,10 +23,11 @@ from repro.obs import Observability
 
 UNTRACED = SequentialExecutor._run_slice_fast.__code__
 
-#: What the marked statements introduce: two locals, and the attributes
-#: they read off a context's trace buffer.
-TRACED_LOCALS = {"record", "keep"}
-TRACED_ATTRS = {"buffer", "rows", "capture_payloads"}
+#: What the marked statements introduce: the bound appends of a
+#: context's columns and its payload column, and the attributes they read
+#: off its trace buffer.
+TRACED_LOCALS = {"add_kind", "add_channel", "add_time", "payloads"}
+TRACED_ATTRS = {"buffer", "kinds", "channels", "times", "payloads"}
 
 MARKER = re.compile(r"^\s*#T (.*)$")
 #: A comment that looks like a marker but would not be stripped.
@@ -88,9 +89,10 @@ class TestDerivation:
         closing bracket of a wrapped statement) and none in the method;
         the two agree on every other line."""
         marked = _marked_lines()
-        # 2 prologue bindings; 8 completion sites, 6 of them wrapped
-        # over 4 lines and 2 (the IncrCycles pair) on one.
-        assert len(marked) == 2 + 6 * 4 + 2
+        # 4 prologue bindings; 8 completion sites: 7 append to the three
+        # columns and, behind a test, the payload column (5 lines), and
+        # the hot wake calls the waiter's buffer (3 lines).
+        assert len(marked) == 4 + 7 * 5 + 3
         carrying = {
             lineno
             for lineno, text in marked.items()
@@ -112,14 +114,16 @@ class TestDerivation:
         executors = [SequentialExecutor(obs=Observability()) for _ in range(2)]
         for executor in executors:
             executor.execute(_pipeline())
-            assert executor._fast_loop.__func__ is first
+            assert executor._fast_loop is first
         assert traced_fast_loop() is first
         assert traced_fast_loop.cache_info().misses == 1
 
     def test_untraced_run_binds_the_method_itself(self):
+        """The executor keeps the plain function, not a bound method: a
+        bound method on the executor would be a reference cycle."""
         executor = SequentialExecutor()
         executor.execute(_pipeline())
-        assert executor._fast_loop.__func__ is SequentialExecutor._run_slice_fast
+        assert executor._fast_loop is SequentialExecutor._run_slice_fast
 
 
 class TestOneDefinitionPerTier:

@@ -13,6 +13,7 @@ import pytest
 from repro import Observability, ProgramBuilder
 from repro.bench import TreeConfig, fib, run_dam_forest
 from repro.contexts import Collector, RampSource, UnaryFunction
+from repro.core.executor import partitioned
 from repro.core.executor.base import RunSummary
 from repro.core.executor.partitioned import _shippable_rows
 from repro.obs import ContextTraceBuffer, TraceEvent
@@ -122,7 +123,8 @@ class TestCompletionTimes:
 
 
 class TestRowBuffers:
-    """Rows are the stored form; ``TraceEvent`` is a read-side product."""
+    """Columns are the stored form; rows and ``TraceEvent`` are read-side
+    products."""
 
     def test_traced_run_builds_no_events_until_read(self, monkeypatch):
         built = 0
@@ -142,17 +144,39 @@ class TestRowBuffers:
         events = obs.trace.events
         assert built == len(events) == len(obs.trace) > 0
 
-    def test_worker_payload_ships_rows(self):
-        """What a worker pickles to the parent is the row list itself;
-        payloads that refuse to pickle are dropped, the rows kept."""
+    def test_worker_payload_ships_rows(self, monkeypatch):
+        """What a worker pickles to the parent is the buffer's columns.
+        A buffer without payloads ships as is, unprobed; a payload that
+        refuses to pickle blanks the payload column and nothing else."""
+        probed = []
+        real_dumps = pickle.dumps
+
+        def spying_dumps(obj, *args, **kwargs):
+            probed.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(partitioned.pickle, "dumps", spying_dumps)
+        plain = ContextTraceBuffer("ctx")
+        plain.append("advance", None, 3, object())
+        columns = (plain.kinds, plain.channels, plain.times)
+        assert _shippable_rows(plain) is plain
+        assert (plain.kinds, plain.channels, plain.times) == columns
+        assert plain.payloads is None and probed == []
+
         buf = ContextTraceBuffer("ctx", capture_payloads=True)
         buf.append("enqueue", "c", 1, 41)
         buf.append("enqueue", "c", 2, lambda: None)
-        shipped = pickle.loads(pickle.dumps(_shippable_rows(buf)))
-        assert shipped == [("enqueue", "c", 1, None), ("enqueue", "c", 2, None)]
-        plain = ContextTraceBuffer("ctx")
-        plain.append("advance", None, 3, object())
-        assert _shippable_rows(plain) is plain.rows
+        kinds, channels, times = buf.kinds, buf.channels, buf.times
+        shipped = _shippable_rows(buf)
+        assert len(probed) == 1  # the payload column, once
+        assert shipped.kinds is kinds
+        assert shipped.channels is channels
+        assert shipped.times is times
+        assert shipped.payloads == [None, None]
+        received = pickle.loads(real_dumps(shipped))
+        assert received.rows == [
+            ("enqueue", "c", 1, None), ("enqueue", "c", 2, None)
+        ]
 
     def test_process_workers_ship_rows(self, monkeypatch):
         shipped = []
@@ -164,16 +188,21 @@ class TestRowBuffers:
 
         monkeypatch.setattr(RunSummary, "merge", classmethod(spying_merge))
         obs, _, _ = run_fib_pipeline("process")
-        rows = [row for p in shipped for rows in p["trace"].values() for row in rows]
+        buffers = [buf for p in shipped for buf in p["trace"].values()]
         # Steal markers are the parent's own rows, from the shipped
-        # migrations; everything else crossed the pipe.
+        # migrations; everything else crossed the pipe, as columns.
         contexts = {
             name: buf
             for name, buf in obs.trace.buffers().items()
             if not name.startswith("<worker-")
         }
-        assert len(rows) == sum(map(len, contexts.values())) > 0
-        assert all(type(row) is tuple and len(row) == 4 for row in rows)
+        assert sum(map(len, buffers)) == sum(map(len, contexts.values())) > 0
+        assert all(type(buf) is ContextTraceBuffer for buf in buffers)
+        assert all(
+            type(column) is list
+            for buf in buffers
+            for column in (buf.kinds, buf.channels, buf.times, buf.payloads)
+        )
 
     def test_merge_folds_shipped_rows_in_slot_order(self):
         """Two contexts named ``ctx`` on two workers: the later slot's
@@ -184,11 +213,11 @@ class TestRowBuffers:
         snd, rcv = builder.bounded(2, name="c")
         builder.add(RampSource(snd, 1, name="ctx"))
         builder.add(Collector(rcv, name="ctx"))
-        payloads = [
-            {"trace": {1: [("advance", None, 2, None),
-                           ("finish", None, 2, None)]}},
-            {"trace": {0: [("advance", None, 1, None)]}},
-        ]
+        later, earlier = ContextTraceBuffer("ctx"), ContextTraceBuffer("ctx")
+        later.append("advance", None, 2)
+        later.append("finish", None, 2)
+        earlier.append("advance", None, 1)
+        payloads = [{"trace": {1: later}}, {"trace": {0: earlier}}]
         RunSummary.merge(builder.build(), payloads, trace=obs.trace)
         events = obs.trace.buffers()["ctx"].events
         assert [(e.seq, e.kind, e.time) for e in events] == [
