@@ -258,13 +258,17 @@ class Channel:
 
     def _try_enqueue_void_bounded(self, clock: TimeCell, data: Any) -> bool:
         # Void, but responses already in flight are still drained while
-        # the sender's window is full, so its clock advances identically
+        # the sender's window is full, and the enqueue still takes its
+        # slot of the window, so the sender's clock advances identically
         # regardless of when the receiver's finish became visible (the
-        # module-docstring guarantee; matches ``sender_try_reserve``).
+        # module-docstring guarantee; matches ``sender_try_reserve`` +
+        # ``do_enqueue``).  Past the last response a full window no
+        # longer blocks: nobody is left to free it.
         resps = self._resps
         while self._delta >= self.capacity and resps:
             clock.advance(resps.popleft())
             self._delta -= 1
+        self._delta += 1
         self.stats.enqueues += 1
         return True
 
@@ -366,19 +370,21 @@ class Channel:
         """Append ``data`` stamped at ``sender_now + latency``.
 
         Caller must have obtained ``True`` from :meth:`sender_try_reserve`.
-        If the receiver has finished the element is discarded (void).
+        If the receiver has finished the element is discarded (void); it
+        still takes its slot of the sender's window, as it would have had
+        the finish become visible a moment later.
 
         Elements are stored as plain ``(stamp, data)`` tuples internally
         (the hot path); :class:`ChannelElement` remains the public shape.
         """
         self.stats.enqueues += 1
+        if self.capacity is not None:
+            self._delta += 1
         if self._receiver_finished:
             # Void enqueue: nothing is queued, the data is discarded.
             return
         stamp = 0 if self.real else clock._time + self.latency
         self._data.append((stamp, data))
-        if self.capacity is not None:
-            self._delta += 1
         occupancy = len(self._data)
         if occupancy > self.stats.max_real_occupancy:
             self.stats.max_real_occupancy = occupancy
@@ -449,13 +455,18 @@ class Channel:
         profiling log (re-armed empty if profiling was enabled) are all
         cleared; the flavor-specialized fast methods are re-selected for
         the restored state.
+
+        The queues and the stats object are cleared in place, never
+        replaced: a runner bound to the channel (DESIGN.md §11) holds
+        them, and a context may keep its ops — and so their runners —
+        across runs.
         """
         self._data.clear()
         self._resps.clear()
         self._delta = 0
         self._sender_finished = False
         self._receiver_finished = False
-        self.stats = ChannelStats()
+        self.stats.__init__()
         self.waiting_sender = None
         self.waiting_receiver = None
         if self.profile_log is not None:
@@ -496,17 +507,18 @@ class Channel:
         """Install a state dict produced by :meth:`checkpoint_state`.
 
         The flavor-specialized fast methods are re-selected for the
-        restored state, exactly as :meth:`reset` does for pristine state.
+        restored state, exactly as :meth:`reset` does for pristine state,
+        and, as there, the queues and stats are refilled in place.
         """
-        self._data = deque(tuple(item) for item in record["data"])
-        self._resps = deque(record["resps"])
+        self._data.clear()
+        self._data.extend(tuple(item) for item in record["data"])
+        self._resps.clear()
+        self._resps.extend(record["resps"])
         self._delta = record["delta"]
         self._sender_finished = record["sender_finished"]
         self._receiver_finished = record["receiver_finished"]
-        stats = ChannelStats()
         for field in ChannelStats.__slots__:
-            setattr(stats, field, record["stats"][field])
-        self.stats = stats
+            setattr(self.stats, field, record["stats"][field])
         self.waiting_sender = None
         self.waiting_receiver = None
         logged = record.get("profile_log")

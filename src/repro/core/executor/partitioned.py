@@ -111,7 +111,7 @@ from .partition import ClusterSpec, PartitionPlan, plan_clusters, plan_partition
 from .policies import SchedulingPolicy, make_policy
 from .registry import register_executor
 from .sequential import _BLOCKED, _DONE, SequentialExecutor, _ContextState
-from .sequential import traced_fast_loop
+from . import runners
 from .shm import (
     CKPT_DUMP,
     CKPT_PAUSE,
@@ -295,11 +295,11 @@ class _ShuttleSender(_ShuttleProxy):
 
     def do_enqueue(self, clock, data) -> None:
         self.stats.enqueues += 1
+        if self.capacity is not None:
+            self._delta += 1  # a void enqueue takes its slot too
         if self._receiver_finished:
             return  # void channel: data is discarded
         stamp = 0 if self.real else clock._time + self.latency
-        if self.capacity is not None:
-            self._delta += 1
         self._push((DATA, stamp, data))
 
     def try_enqueue(self, clock, data) -> bool:
@@ -511,6 +511,9 @@ class _WorkerExecutor(SequentialExecutor):
         #: *resumed* run: harvest ships deltas past these so the parent's
         #: merge (which adds onto the restored base) never double-counts.
         self._ship_base: dict[int, dict] = {}
+        #: Runner shapes inherited from the parent; harvest reports the
+        #: ones this worker compiles on top.
+        self._shapes_inherited = len(runners.compiled())
 
     # -- lazy cluster activation ---------------------------------------
 
@@ -1002,6 +1005,7 @@ def _harvest(executor: _WorkerExecutor) -> dict:
         "channel_stats": channel_stats,
         "trace": trace_buffers,
         "migrations": executor.migrations,
+        "shapes": runners.compiled()[executor._shapes_inherited:],
         "counters": {
             "context_switches": executor.context_switches,
             "wakeups": executor.wakeups,
@@ -1486,11 +1490,6 @@ class ProcessExecutor(Executor):
             else 0
         )
         ckpt_timer = self._arm_checkpoints(program, resume_epoch)
-        if self.obs is not None and self.obs.trace is not None:
-            # Build the traced slice loop once, here, so every forked
-            # worker inherits it instead of compiling its own.
-            traced_fast_loop()
-
         contexts = program.contexts
         # A response record is one float; its ring never needs more.
         resp_capacity = min(self.ring_capacity, 1 << 16)
@@ -1691,6 +1690,11 @@ class ProcessExecutor(Executor):
         summary.real_seconds = _wallclock.perf_counter() - start
         summary.metrics = self._fold_metrics(program, plan, payloads)
         self._attach_profile(summary, program, self.obs)
+        # The next fork inherits what this run's workers had to compile.
+        runners.warm(
+            key for payload in payloads.values()
+            for key in payload.get("shapes", ())
+        )
         return summary
 
     def _sampler_probe(self, contexts, clocks: SharedClockArray, status: StatusBoard):

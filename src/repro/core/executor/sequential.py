@@ -24,30 +24,28 @@ paper's undersized-channel observations.
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 record per-context trace buffers and fold run metrics.
 
-Dispatch is a ``type(op) → handler function`` table plus an *inline fast
-path* (DESIGN.md §11): when no ``WaitUntil`` waiter is registered and no
-``max_ops`` valve is set, the slice loop executes
-enqueue/dequeue/IncrCycles — and :class:`~repro.core.ops.FusedOps`
-batches of them — inline against the channels' flavor-specialized
-methods, paying zero per-op tracing/waiter conditionals: a traced run
-calls :func:`traced_fast_loop`, the same loop compiled with its
-``#T``-marked column appends live.  Every other configuration (and every
-rare op) goes through the generic handlers, which perform the identical
-semantic transitions with the bookkeeping checks in place.
+Dispatch is a ``type(op) → handler function`` table plus a *fast path*
+(DESIGN.md §11): when no ``WaitUntil`` waiter is registered and no
+``max_ops`` valve is set, the slice loop hands every yield — a
+:class:`~repro.core.ops.FusedOps` batch or a bare op — to the runner
+compiled for its shape (:mod:`.runners`), straight-line code against the
+channels' flavor-specialized state that pays zero per-op tracing/waiter
+conditionals (a traced run binds the runners whose ``#T``-marked column
+appends are live).  Every other configuration goes through the generic
+handlers, which perform the identical semantic transitions with the
+bookkeeping checks in place.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect as _inspect
-import re
 import time as _wallclock
 from typing import Any, Optional
 
 from ...obs import Observability, fold_channel_metrics, fold_context_metrics
 from ...obs.stall import StallReport, stall_for
 from .. import checkpoint as _ckpt
-from ..channel import _EMPTY, Channel
+from ..channel import _EMPTY
 from ..context import Context
 from ..errors import (
     ChannelClosed,
@@ -71,10 +69,7 @@ from ..program import Program
 from .base import Executor, RunSummary
 from .registry import register_executor
 from .policies import FifoPolicy, SchedulingPolicy, make_policy
-
-_READY = 0
-_BLOCKED = 1
-_DONE = 2
+from .runners import _BLOCKED, _DONE, _READY, SUSPENDED, compile_shape, plan, resume
 
 #: When a deadline or fault plan forces bounded slices, this is the slice
 #: length used where the policy does not set one: long enough that the
@@ -91,89 +86,6 @@ class _DeadlineExpired(BaseException):
     :class:`~repro.core.errors.RunTimeoutError` (with a partial summary
     attached) in :meth:`SequentialExecutor.execute`.
     """
-
-#: Constituent kind codes in a compiled :class:`FusedOps` plan.
-_K_DEQ = 0
-_K_ENQ = 1
-_K_INCR = 2
-_K_OTHER = 3
-
-
-def _compile_plan(subs):
-    """Compile a fused batch into ``((kind, op, channel), ...)`` entries
-    plus a reusable pre-sized results buffer.
-
-    Resolving each constituent's class and channel binding once per
-    *op object* (ops are pre-allocated and re-yielded by the hot
-    generators) instead of once per *execution* keeps the inner loop of
-    :meth:`SequentialExecutor._run_slice_fast` down to an unpack and an
-    int compare before the open-coded transition.  The buffer is what
-    the generator receives at the yield: Enqueue/IncrCycles slots stay
-    ``None`` forever, Dequeue (and rare-op) slots are rewritten on every
-    execution — which is why it can be reused without clearing, and why
-    the delivered list is only valid until the batch's next execution.
-    """
-    entries = []
-    for sub in subs:
-        skind = sub.__class__
-        if skind is Dequeue or skind is Enqueue:
-            ch = (
-                sub.receiver.channel
-                if skind is Dequeue
-                else sub.sender.channel
-            )
-            # The deques and stats objects are created once per channel
-            # and only ever mutated in place (close_* uses .clear()), so
-            # their identity can be latched here.  Shuttle proxies lack
-            # one side's deque — they are code-2 (method path), so their
-            # cached fields are never read.
-            entries.append((
-                _K_DEQ if skind is Dequeue else _K_ENQ,
-                sub,
-                ch,
-                getattr(ch, "_data", None),
-                getattr(ch, "_resps", None),
-                ch.stats,
-            ))
-        elif skind is IncrCycles and sub.cycles >= 0:
-            # The cycle count rides in the channel slot — constituents
-            # are immutable once compiled (see FusedOps), so it can be
-            # latched like the channel bindings above.
-            entries.append((_K_INCR, sub, sub.cycles, None, None, None))
-        else:
-            # Rare constituents — including a (bogus) negative
-            # IncrCycles, which the generic handler rejects with the
-            # proper error.
-            entries.append((_K_OTHER, sub, None, None, None, None))
-    return tuple(entries), [None] * len(entries)
-
-
-@functools.cache
-def traced_fast_loop():
-    """:meth:`SequentialExecutor._run_slice_fast` with tracing compiled
-    in: the method's own source lines with the marker stripped from
-    every ``#T``-marked statement (comments to the method Python
-    compiles from this file, so an untraced run pays nothing for them).
-
-    Built on first traced use and kept for the life of the process — the
-    process executor resolves it before forking so workers inherit it.
-    The source is padded to the method's place in this file and compiled
-    under this file's name: tracebacks, coverage and breakpoints land on
-    the real lines.
-    """
-    method = SequentialExecutor._run_slice_fast
-    lines, first = _inspect.getsourcelines(method)
-    source = re.sub(r"(?m)^(\s*)#T ", r"\1", "".join(lines))
-    # ``if 1:`` stands in for the class statement the method is indented
-    # under.
-    code = compile(
-        "\n" * (first - 2) + "if 1:\n" + source,
-        method.__code__.co_filename,
-        "exec",
-    )
-    namespace: dict = {}
-    exec(code, globals(), namespace)
-    return namespace["_run_slice_fast"]
 
 
 def blocked_on(op) -> tuple:
@@ -235,10 +147,10 @@ class _ContextState:
         self.fused_ops: Any = None
         self.fused_index = 0
         self.fused_results: Any = None
-        # The parked :class:`FusedOps` itself when the fast loop parked
-        # it: its compiled plan is what lets that loop re-enter the batch
-        # (None for a batch parked by the generic runner or restored
-        # from a checkpoint — those resume through :meth:`_run_fusion`).
+        # The parked :class:`FusedOps` itself when a runner parked it:
+        # the runner of its suffix re-enters it (None for a batch parked
+        # by the generic runner or restored from a checkpoint — those
+        # resume through :meth:`_run_fusion`).
         self.fused_batch: Any = None
 
 
@@ -261,8 +173,9 @@ class SequentialExecutor(Executor):
         and/or metrics.
     fast_path:
         When True (default) and the run is eligible (no ``max_ops``, no
-        registered ``WaitUntil`` waiter), slices run the inline fast
-        loop — its traced variant when ``obs`` records a trace.  Set
+        registered ``WaitUntil`` waiter), slices run the fast loop, which
+        hands each yield to its compiled runner — the traced runners
+        when ``obs`` records a trace.  Set
         False to force every op — including each
         :class:`FusedOps` constituent — through the generic handler
         table one at a time; the simulated results are identical by
@@ -270,6 +183,10 @@ class SequentialExecutor(Executor):
     """
 
     name = "sequential"
+
+    #: Compiles a runner shape this executor meets first (:mod:`.runners`):
+    #: here, on the calling thread.
+    _compile_shape = staticmethod(compile_shape)
 
     def __init__(
         self,
@@ -328,6 +245,11 @@ class SequentialExecutor(Executor):
         self._any_time_waiters = False
         self._fast = False
         self._fast_capable = False
+        #: Whose runners an op's ``plan`` holds: an op bound by another
+        #: executor (traced or not, or across a fork that rewired its
+        #: channel to a shuttle proxy) is bound again on first use here.
+        #: A plain object, not ``self``: an op must not reach the run.
+        self._plan_tag = object()
 
     # ------------------------------------------------------------------
 
@@ -352,21 +274,13 @@ class SequentialExecutor(Executor):
         obs = self.obs
         collect_wall = obs is not None and obs.metrics is not None
 
-        # Inline fast path eligibility is computed once; it only drops
-        # (and later recovers) around registered WaitUntil waiters, so
-        # the fast loop itself carries no waiter/max_ops checks — and no
-        # tracing checks either: a traced run takes the variant of the
-        # loop whose marked statements are live.  It is kept as a plain
-        # function and called with ``self``: a bound method left on the
-        # executor would make a reference cycle, and everything the run
-        # allocated would then wait for the cycle collector.
+        # Fast path eligibility is computed once; it only drops (and
+        # later recovers) around registered WaitUntil waiters, so the
+        # fast loop itself carries no waiter/max_ops checks — and no
+        # tracing checks either: a traced run binds the runners whose
+        # marked statements are live.
         self._fast_capable = self.fast_path and self.max_ops is None
         self._fast = self._fast_capable
-        self._fast_loop = (
-            type(self)._run_slice_fast
-            if trace is None
-            else traced_fast_loop()
-        )
 
         # Deadlines and context faults both need the loop to come up for
         # air: force bounded slices (run-to-block would otherwise let one
@@ -467,7 +381,7 @@ class SequentialExecutor(Executor):
             # eligibility is re-read per slice because a WaitUntil
             # registration drops it mid-run.
             run_slice = self._run_slice
-            run_fast = self._fast_loop
+            run_fast = self._run_slice_fast
             while True:
                 while queue:
                     state = queue.popleft()
@@ -478,7 +392,7 @@ class SequentialExecutor(Executor):
                         self.context_switches += 1
                     previous = state
                     if self._fast:
-                        run_fast(self, state, -1)
+                        run_fast(state, -1)
                     else:
                         run_slice(state, None)
                     if state.status == _READY:
@@ -733,7 +647,7 @@ class SequentialExecutor(Executor):
                 state.pending_exc = fault.make()
 
         if self._fast:
-            self._fast_loop(self, state, remaining)
+            self._run_slice_fast(state, remaining)
             return
 
         # A context woken from a blocking op must first complete that op
@@ -857,115 +771,81 @@ class SequentialExecutor(Executor):
                 return
 
     def _run_slice_fast(self, state: _ContextState, remaining: int) -> None:
-        """Inline fast loop (DESIGN.md §11).
+        """Fast slice loop (DESIGN.md §11): resume the generator, hand
+        the yield to its runner, repeat.
 
         Eligible only when ``max_ops`` is unset and no WaitUntil waiter
-        is registered — which is what lets the hot ops
-        (enqueue/dequeue/IncrCycles and FusedOps batches of them) run
-        against the channels' flavor-specialized transitions with zero
-        per-op bookkeeping conditionals.  Tracing is not a conditional
-        either: a statement behind the ``#T`` marker is a comment here
-        and live in :func:`traced_fast_loop`, which a traced run calls
-        instead.  There is one group per completion site — it appends
-        to the kind, channel, time (and payload) columns what the
-        generic handler would, in the buffer of the context whose op
-        completed (the waiter's, at the waiter's clock, where the loop
-        completes a parked peer's op in place) — and nothing else may
-        differ between the two, so a change to this loop changes both.
-        Every context this executor (or a subclass) hosts owns a plain
-        :class:`TimeCell` with no ``on_advance`` hook — hosts that must
-        publish clocks do so at the slice boundary, never per advance —
-        so the common channel flavors, keyed by the channels'
-        ``_enq_code`` / ``_deq_code`` mirrors, are open-coded, and the
-        simulated time lives in the local ``now`` for the whole slice,
-        written back to
-        ``clock._time`` wherever the world can observe it (generator
-        resumes, method-path fallbacks, slice exits) and reloaded after
-        any call that may advance it.  Results flow through locals;
-        ``state.pending_*`` is written back only when the slice ends
-        non-terminally.  Rare ops fall through to the generic handlers,
-        which keep the invariant: a WaitUntil that registers a waiter
-        blocks, ending the slice, so a fast slice never runs with a
-        waiter present.
+        is registered — which is what lets every op run with zero per-op
+        bookkeeping conditionals.  What an op does is its runner's
+        (:mod:`.runners`): straight-line code compiled per batch shape
+        and bound to the op on first use (``op.plan``, with the count of
+        constituents it performs and this executor's ``_plan_tag``).  A
+        bare op is a one-constituent batch that delivers its own result.
+        A runner keeps the context's clock in a local and leaves it in
+        ``clock._time`` whenever it returns, so the body sees its own
+        time at every resume.  Rare ops run through the generic handlers
+        inside their runner, which keeps the invariant: a WaitUntil that
+        registers a waiter blocks, ending the slice, so a fast slice
+        never runs with a waiter present.
 
-        A capacity-1 hop is park → wake → resume, and what it costs is
-        the Python calls in between, so park and wake are open-coded
-        where a benchmark workload shows them: parks store what
-        :meth:`_block` stores, and the wake a fused enqueue gives a
-        parked receiver is :meth:`_wake_recv_deliver` + :meth:`_wake`
-        in place (every other wake site calls the helpers).  The resume
-        has no code of its own: the prologue hands a batch this loop
-        parked back to the fused branch below, at the constituent after
-        the one it parked on.
+        A runner that parks records the suspension itself (what
+        :meth:`_block` stores, and for a batch the batch, the index and
+        its buffer) and counts what it attempted; one whose batch was
+        abandoned leaves the exception in ``state.pending_exc``.  The
+        resume has no code of its own: the prologue completes the parked
+        op (unless its waker delivered the result) and, when the batch
+        has constituents left, runs the runner of that suffix before the
+        generator is resumed (it is still suspended at the batch's
+        yield) — without spending a resumption of the slice.
         """
-        # A context woken from a blocking op completes it first: the
-        # parked op is re-attempted unless the waker delivered its
-        # result.  ``index`` is 0 whenever the loop is between batches;
-        # non-zero, it is where the first iteration re-enters the batch
-        # this loop parked (the generator is not resumed — it is still
-        # suspended at that batch's yield).
-        index = 0
+        run = None
+        executed = 0
         if state.retry_op is not None or state.fused_ops is not None:
             op = state.retry_op
             if op is not None:
                 state.retry_op = None
                 if not self._dispatch(state, op):
                     return  # blocked again; fused state (if any) kept
-            # A batch this loop parked is re-entered below.  One without
-            # a plan (parked by the generic runner, or restored from a
+            # A batch a runner parked is re-entered below.  One without
+            # a runner (parked by the generic runner, or restored from a
             # checkpoint) or abandoned while parked takes the reference
             # path, as does a bare op (nothing left to do).
             op = state.fused_batch
             if op is not None and state.pending_exc is None:
-                entries, buf = op.plan
-                index = state.fused_index
-                buf[index] = state.pending_value
-                index += 1
+                buf = state.fused_results
+                index = state.fused_index + 1
+                buf[index - 1] = state.pending_value
                 state.fused_ops = None
                 state.fused_results = None
                 state.fused_batch = None
-                if index == len(entries):
-                    # Parked on its last constituent: already complete.
-                    state.pending_value = buf
-                    index = 0
-                else:
-                    state.pending_value = None
-                    kind = FusedOps
+                state.pending_value = buf
+                if index < len(buf):
+                    run, count = resume(self, op, index, buf)
+                    # The prefix was counted by the slice that parked it.
+                    executed = -index
             elif not self._resume_pending(state):
                 return  # blocked again
 
         ctx = state.context
         clock = ctx.time
         gen_send = state.send
-        fifo = self._fifo_queue
-        #T add_kind = state.buffer.kinds.append
-        #T add_channel = state.buffer.channels.append
-        #T add_time = state.buffer.times.append
-        #T payloads = state.buffer.payloads
-        now = clock._time
+        tag = self._plan_tag
         value = state.pending_value
         exc = state.pending_exc
         state.pending_value = None
         state.pending_exc = None
-        # A re-entered batch counted its first ``index`` constituents
-        # (the parked one included) in the slice that parked it.
-        executed = -index
         try:
             while remaining != 0:
-                if not index:
+                if run is None:
                     remaining -= 1
-                    clock._time = now  # visible to the context body
                     try:
                         if exc is not None:
                             op = state.gen.throw(exc)
                             exc = None
                         else:
                             op = gen_send(value)
-                            value = None
-                    except StopIteration:
-                        self._finish(state)
-                        return
-                    except ChannelClosed:
+                    except (StopIteration, ChannelClosed):
+                        # An uncaught ChannelClosed is graceful wind-down.
                         self._finish(state)
                         return
                     except DeadlockError:
@@ -973,345 +853,23 @@ class SequentialExecutor(Executor):
                     except BaseException as failure:  # noqa: BLE001
                         self._finish(state)
                         raise SimulationError(ctx.name, failure) from failure
-                    now = clock._time
-
-                    kind = op.__class__
-                    if kind is tuple or kind is list:
-                        # Cold: ad-hoc batches are normalized so the hot
-                        # branch below compiles and caches a plan per
-                        # batch object (throwaway here, latched for
-                        # FusedOps).
-                        op = FusedOps(*op)
-                        kind = FusedOps
-                    if kind is FusedOps:
-                        plan = op.plan
-                        if plan is None:
-                            plan = op.plan = _compile_plan(op.ops)
-                        entries, buf = plan
-                if kind is FusedOps:
-                    # The one fused-batch interpreter of the fast tier,
-                    # inline because this is the hottest loop in the
-                    # simulator and a per-yield method call is
-                    # measurable.
-                    parked = False
-                    for scode, sub, channel, data_q, resps, stats in (
-                        entries[index:] if index else entries
-                    ):
-                        if scode == 0:  # Dequeue
-                            if channel._deq_code != 2:
-                                if data_q:
-                                    stamp, result = data_q.popleft()
-                                    if stamp > now:
-                                        now = stamp
-                                    stats.dequeues += 1
-                                    if channel._deq_code == 1:
-                                        resps.append(
-                                            now + channel.resp_latency
-                                        )
-                                else:
-                                    result = _EMPTY
-                            else:
-                                clock._time = now
-                                result = channel.fast_dequeue(clock)
-                                now = clock._time
-                            if result is not _EMPTY:
-                                waiter = channel.waiting_sender
-                                if waiter is not None:
-                                    channel.waiting_sender = None
-                                    self._wake_send_deliver(channel, waiter)
-                                buf[index] = result
-                                #T add_kind("dequeue")
-                                #T add_channel(channel.name)
-                                #T add_time(now)
-                                #T if payloads is not None:
-                                #T     payloads.append(result)
-                            elif channel.closed_for_receiver:
-                                exc = ChannelClosed(channel.name)
-                                break  # abandon the batch
-                            else:
-                                state.status = _BLOCKED
-                                state.retry_op = sub
-                                state.blocked_detail = channel._park_deq_msg
-                                channel.waiting_receiver = state
-                                parked = True
-                                break
-                        elif scode == 1:  # Enqueue
-                            code = channel._enq_code
-                            if code == 1:
-                                delta = channel._delta
-                                capacity = channel.capacity
-                                if delta >= capacity:
-                                    # Full window: drain responses
-                                    # (each advances the sender clock —
-                                    # the backpressure timeline).
-                                    while delta >= capacity and resps:
-                                        release = resps.popleft()
-                                        if release > now:
-                                            now = release
-                                        delta -= 1
-                                    channel._delta = delta
-                                if delta < capacity:
-                                    stats.enqueues += 1
-                                    data_q.append(
-                                        (now + channel.latency, sub.data)
-                                    )
-                                    channel._delta = delta + 1
-                                    occ = len(data_q)
-                                    if occ > stats.max_real_occupancy:
-                                        stats.max_real_occupancy = occ
-                                    ok = True
-                                else:
-                                    ok = False
-                            elif code == 0:
-                                stats.enqueues += 1
-                                data_q.append(
-                                    (now + channel.latency, sub.data)
-                                )
-                                occ = len(data_q)
-                                if occ > stats.max_real_occupancy:
-                                    stats.max_real_occupancy = occ
-                                ok = True
-                            else:
-                                clock._time = now
-                                ok = channel.try_enqueue(clock, sub.data)
-                                now = clock._time
-                            if not ok:
-                                state.status = _BLOCKED
-                                state.retry_op = sub
-                                state.blocked_detail = channel._park_enq_msg
-                                channel.waiting_sender = state
-                                parked = True
-                                break
-                            #T add_kind("enqueue")
-                            #T add_channel(channel.name)
-                            #T add_time(now)
-                            #T if payloads is not None:
-                            #T     payloads.append(sub.data)
-                            waiter = channel.waiting_receiver
-                            if waiter is not None:
-                                channel.waiting_receiver = None
-                                wop = waiter.retry_op
-                                if (
-                                    code != 2
-                                    and wop is not None
-                                    and wop.__class__ is Dequeue
-                                    and channel._deq_code != 2
-                                ):
-                                    # The hot wake (a fused kit's
-                                    # enqueue feeding a parked peer),
-                                    # open-coded: _wake_recv_deliver's
-                                    # transition on the item appended
-                                    # just above, then _wake.
-                                    wclock = waiter.context.time
-                                    stamp, result = data_q.popleft()
-                                    wnow = wclock._time
-                                    if stamp > wnow:
-                                        wclock._time = wnow = stamp
-                                    stats.dequeues += 1
-                                    if channel._deq_code == 1:
-                                        resps.append(
-                                            wnow + channel.resp_latency
-                                        )
-                                    #T waiter.buffer.append(
-                                    #T     "dequeue", channel.name, wnow, result
-                                    #T )
-                                    waiter.retry_op = None
-                                    waiter.pending_value = result
-                                    if waiter.status == _BLOCKED:
-                                        waiter.status = _READY
-                                        waiter.blocked_detail = ""
-                                        self.wakeups += 1
-                                        if fifo is None:
-                                            self.policy.push(waiter, woken=True)
-                                        elif not waiter.in_ready:
-                                            waiter.in_ready = True
-                                            fifo.append(waiter)
-                                else:
-                                    self._wake_recv_deliver(channel, waiter)
-                        elif scode == 2:
-                            # IncrCycles: latched count rides in the
-                            # channel slot.
-                            if channel:
-                                now += channel
-                            #T add_kind("advance")
-                            #T add_channel(None)
-                            #T add_time(now)
-                            #T if payloads is not None:
-                            #T     payloads.append(None)
-                        else:
-                            # Rare constituent: generic handler (raises
-                            # on a nested batch).
-                            clock._time = now
-                            if not self._dispatch(state, sub):
-                                now = clock._time
-                                parked = True
-                                break
-                            now = clock._time
-                            if state.pending_exc is not None:
-                                exc = state.pending_exc
-                                state.pending_exc = None
-                                break
-                            buf[index] = state.pending_value
-                            state.pending_value = None
-                        index += 1
-                    else:
-                        # Batch complete.  Deliver the plan's reused
-                        # results buffer: dequeue (and rare-op) slots
-                        # were just written, enqueue and IncrCycles
-                        # slots are permanently None.
-                        executed += index
-                        value = buf
-                        index = 0
-                        continue
-                    if parked:
-                        # The parked constituent counts (first attempt).
-                        clock._time = now
-                        executed += index + 1
-                        state.fused_ops = op.ops
-                        state.fused_index = index
-                        state.fused_results = buf
-                        state.fused_batch = op
+                    try:
+                        run, count, bound = op.plan
+                    except (AttributeError, TypeError, ValueError):
+                        bound = None  # not bound yet, or not an op
+                    if bound is not tag:
+                        op, run, count = plan(self, op)
+                value = run(self, state, clock, op)
+                run = None
+                if value is SUSPENDED:
+                    if state.status == _BLOCKED:
                         return
-                    executed += index + 1
-                    index = 0
-                    continue
-
-                executed += 1
-                if kind is Dequeue:
-                    channel = op.receiver.channel
-                    if channel._deq_code != 2:
-                        data_q = channel._data
-                        if data_q:
-                            stamp, value = data_q.popleft()
-                            if stamp > now:
-                                now = stamp
-                            channel.stats.dequeues += 1
-                            if channel._deq_code == 1:
-                                channel._resps.append(
-                                    now + channel.resp_latency
-                                )
-                            waiter = channel.waiting_sender
-                            if waiter is not None:
-                                channel.waiting_sender = None
-                                self._wake_send_deliver(channel, waiter)
-                            #T add_kind("dequeue")
-                            #T add_channel(channel.name)
-                            #T add_time(now)
-                            #T if payloads is not None:
-                            #T     payloads.append(value)
-                            continue
-                        value = None
-                    else:
-                        clock._time = now
-                        result = channel.fast_dequeue(clock)
-                        now = clock._time
-                        if result is not _EMPTY:
-                            value = result
-                            waiter = channel.waiting_sender
-                            if waiter is not None:
-                                channel.waiting_sender = None
-                                self._wake_send_deliver(channel, waiter)
-                            #T add_kind("dequeue")
-                            #T add_channel(channel.name)
-                            #T add_time(now)
-                            #T if payloads is not None:
-                            #T     payloads.append(value)
-                            continue
-                    if channel.closed_for_receiver:
-                        exc = ChannelClosed(channel.name)
-                        continue
-                    clock._time = now
-                    state.status = _BLOCKED
-                    state.retry_op = op
-                    state.blocked_detail = channel._park_deq_msg
-                    channel.waiting_receiver = state
-                    return
-
-                if kind is Enqueue:
-                    channel = op.sender.channel
-                    code = channel._enq_code
-                    if code == 1:
-                        delta = channel._delta
-                        capacity = channel.capacity
-                        if delta >= capacity:
-                            resps = channel._resps
-                            while delta >= capacity and resps:
-                                release = resps.popleft()
-                                if release > now:
-                                    now = release
-                                delta -= 1
-                            channel._delta = delta
-                        if delta < capacity:
-                            stats = channel.stats
-                            stats.enqueues += 1
-                            data_q = channel._data
-                            data_q.append((now + channel.latency, op.data))
-                            channel._delta = delta + 1
-                            occ = len(data_q)
-                            if occ > stats.max_real_occupancy:
-                                stats.max_real_occupancy = occ
-                            ok = True
-                        else:
-                            ok = False
-                    elif code == 0:
-                        stats = channel.stats
-                        stats.enqueues += 1
-                        data_q = channel._data
-                        data_q.append((now + channel.latency, op.data))
-                        occ = len(data_q)
-                        if occ > stats.max_real_occupancy:
-                            stats.max_real_occupancy = occ
-                        ok = True
-                    else:
-                        clock._time = now
-                        ok = channel.try_enqueue(clock, op.data)
-                        now = clock._time
-                    if not ok:
-                        clock._time = now
-                        state.status = _BLOCKED
-                        state.retry_op = op
-                        state.blocked_detail = channel._park_enq_msg
-                        channel.waiting_sender = state
-                        return
-                    #T add_kind("enqueue")
-                    #T add_channel(channel.name)
-                    #T add_time(now)
-                    #T if payloads is not None:
-                    #T     payloads.append(op.data)
-                    waiter = channel.waiting_receiver
-                    if waiter is not None:
-                        channel.waiting_receiver = None
-                        self._wake_recv_deliver(channel, waiter)
-                    continue
-
-                if kind is IncrCycles:
-                    cycles = op.cycles
-                    if cycles >= 0:
-                        now += cycles
-                    else:
-                        clock._time = now
-                        clock.incr(cycles)
-                        now = clock._time
-                    #T add_kind("advance")
-                    #T add_channel(None)
-                    #T add_time(now)
-                    #T if payloads is not None:
-                    #T     payloads.append(None)
-                    continue
-
-                # Rare op: Peek/AdvanceTo/ViewTime/WaitUntil (or a junk
-                # yield) through the generic handler table.
-                clock._time = now
-                if not self._dispatch(state, op):
-                    return  # blocked
-                now = clock._time
-                value = state.pending_value
-                state.pending_value = None
-                if state.pending_exc is not None:
+                    value = None
                     exc = state.pending_exc
                     state.pending_exc = None
+                else:
+                    executed += count
             # Slice expired: hand the in-flight result back to state.
-            clock._time = now
             state.pending_value = value
             state.pending_exc = exc
         finally:

@@ -77,6 +77,7 @@ from ..program import Program
 from .base import Executor, RunSummary
 from .partition import normalize_mode, plan_clusters
 from .registry import register_executor
+from .runners import compile_shape
 from .sequential import SequentialExecutor, blocked_on
 
 
@@ -177,6 +178,14 @@ class ThreadedExecutor(Executor):
         self._ckpt_records: dict[int, dict] = {}
         self._resume_records: Optional[dict[int, dict]] = None
         self._slots: dict[int, int] = {}
+        #: The cluster drivers' one ``_plan_tag``: an op they share is
+        #: bound once, not once per driver that meets it.
+        self._plan_tag = object()
+        #: Runner shapes the drivers asked the supervising thread to
+        #: compile (``[key, result, done]``), guarded by ``_cv``; and
+        #: whether it still serves them.
+        self._compiles: list = []
+        self._supervising = False
 
     # ------------------------------------------------------------------
 
@@ -258,6 +267,7 @@ class ThreadedExecutor(Executor):
                 for contexts, channels in self._plan_drivers(program)
             ]
         self._live = len(threads)
+        self._supervising = True
         for thread in threads:
             thread.start()
 
@@ -759,19 +769,45 @@ class ThreadedExecutor(Executor):
             ),
         )
 
+    def _compile_shape(self, key):
+        """A runner shape a cluster driver met first, compiled on the
+        supervising thread.  ``compile()`` takes its transient blocks
+        from the calling thread's malloc arena, which keeps its
+        high-water mark; the supervisor's heap has room already
+        (compiled on the drivers, ``thr_mha``'s peak RSS rose 11 %)."""
+        request = [key, None, False]  # key, factory or failure, done
+        with self._cv:
+            if not self._supervising:
+                return compile_shape(key)
+            self._compiles.append(request)
+            self._cv.notify_all()
+            while not request[2] and not self._abort.is_set():
+                self._cv.wait()
+        if not request[2]:
+            raise _Aborted
+        if isinstance(request[1], BaseException):
+            raise request[1]
+        return request[1]
+
     def _supervise(self) -> None:
         """The main thread's watch over the run: asleep on ``_cv`` until
-        every host thread has exited, it turns a passed deadline — or a
-        round in which every live host is parked and nothing can wake
-        any of them — into the run's abort."""
+        every host thread has exited, it compiles the runner shapes the
+        drivers ask for, and turns a passed deadline — or a round in
+        which every live host is parked and nothing can wake any of them
+        — into the run's abort."""
         cv = self._cv
         deadline_at = self._deadline_at
         seen = -1
         while True:
             with cv:
-                while self._live and not self._abort.is_set() and (
-                    self._park_gen == seen
-                    or len(self._parked_hosts) < self._live
+                while (
+                    not self._compiles
+                    and self._live
+                    and not self._abort.is_set()
+                    and (
+                        self._park_gen == seen
+                        or len(self._parked_hosts) < self._live
+                    )
                 ):
                     left = (
                         None if deadline_at is None
@@ -780,10 +816,24 @@ class ThreadedExecutor(Executor):
                     if left is not None and left <= 0:
                         break
                     cv.wait(left)
-                if not self._live or self._abort.is_set():
-                    return
-                seen = self._park_gen
-                parked = list(self._parked_hosts.items())
+                pending, self._compiles = self._compiles, []
+                if not pending:
+                    if not self._live or self._abort.is_set():
+                        self._supervising = False
+                        return
+                    seen = self._park_gen
+                    parked = list(self._parked_hosts.items())
+            if pending:
+                for request in pending:
+                    try:
+                        request[1] = compile_shape(request[0])
+                    except BaseException as failure:  # noqa: BLE001 - the driver raises it
+                        request[1] = failure
+                with cv:
+                    for request in pending:
+                        request[2] = True
+                    cv.notify_all()
+                continue
             if deadline_at is not None and (
                 _wallclock.perf_counter() >= deadline_at
             ):
@@ -837,6 +887,10 @@ class _ClusterDriver(SequentialExecutor):
         super().__init__(obs=parent.obs, faults=parent.faults)
         self._parent = parent
         self._embedded = True
+        self._plan_tag = parent._plan_tag
+
+    def _compile_shape(self, key):
+        return self._parent._compile_shape(key)
 
     def _arm_deadline_and_faults(self, start: float) -> None:
         self._deadline_at = None  # the parent's main thread owns the deadline

@@ -53,9 +53,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 
 class Op:
-    """Base class for all yieldable operations."""
+    """Base class for all yieldable operations.
 
-    __slots__ = ()
+    ``plan`` is the executor's: the runner it bound to the op on first
+    execution (DESIGN.md §11).  It latches the op's channel and, for an
+    ``IncrCycles``, its count, so an op must not change after it was first
+    yielded — only an ``Enqueue``'s ``data`` may.
+    """
+
+    __slots__ = ("plan",)
+
+    def __getstate__(self):
+        """An op pickles (and copies) as its fields alone: the
+        executor's binding stays behind, so an op that has run ships
+        exactly as one that has not."""
+        return getattr(self, "__dict__", None), {
+            name: getattr(self, name)
+            for klass in type(self).__mro__
+            for name in getattr(klass, "__slots__", ())
+            if name not in ("plan", "resumes") and hasattr(self, name)
+        }
 
 
 class Enqueue(Op):
@@ -179,7 +196,7 @@ class FusedOps(Op):
     have blocked.  The generator is resumed once, with a list of the
     per-constituent results (``None`` for ops that return nothing).
     The list is owned by the executor — for a reused ``FusedOps`` it is
-    the batch's plan buffer, rewritten on the next execution — so unpack
+    the buffer its runner writes, rewritten on the next execution — so unpack
     or index it at the yield; do not retain it across yields::
 
         a, b = yield FusedOps(self.in_a.dequeue(), self.in_b.dequeue())
@@ -200,15 +217,12 @@ class FusedOps(Op):
     closing dequeue).  Nesting ``FusedOps`` inside a batch is an error.
     """
 
-    __slots__ = ("ops", "plan")
+    #: ``resumes`` caches the runners that re-enter the batch after a park
+    #: (executor-owned, like ``plan``).
+    __slots__ = ("ops", "resumes")
 
     def __init__(self, *ops: Op):
         self.ops = ops
-        # Executor-compiled constituent plan (kind code + channel per
-        # op), latched on first execution.  Constituents and their
-        # channel bindings must not change afterwards — which the
-        # pre-allocate-and-mutate-``data`` reuse idiom already requires.
-        self.plan = None
 
     def __repr__(self) -> str:
         return f"FusedOps({', '.join(repr(op) for op in self.ops)})"

@@ -1,56 +1,92 @@
-"""The traced fast slice loop is derived, not written (DESIGN.md §11).
+"""The fast tier's transitions are written once, as runner templates.
 
-``SequentialExecutor._run_slice_fast`` is written once.  Statements that
-only a traced run executes sit in it behind a ``#T `` marker — comments
-to the method Python compiles from ``sequential.py`` — and
-``traced_fast_loop()`` compiles the same source lines with the markers
-stripped, at the same line numbers, on first traced use.  These tests
-pin the derivation itself; ``test_fused_ops.py::TestParkWakeShapes`` pins
-what the variant records.
+``repro.core.executor.runners`` holds one template per constituent kind
+(DESIGN.md §11).  A batch shape's factory source is those templates in
+order; ``#T `` lines (the port-history appends) are live only in a traced
+runner and ``#F `` lines (the batch's buffer and park bookkeeping) only in
+a batch runner.  Everywhere else they are comments, so every variant of a
+shape has the same line numbers.  These tests pin that derivation, the
+fast loop's lack of transitions of its own, and what a traceback through
+either shows; ``test_fused_ops.py`` and ``test_runners.py`` pin what the
+runners do.
 """
 
-import ast
-import inspect
+import linecache
 import re
 import traceback
 
 import pytest
 
-from repro.core import FunctionContext, IncrCycles, ProgramBuilder, SimulationError
-from repro.core.executor import sequential
-from repro.core.executor.sequential import SequentialExecutor, traced_fast_loop
+from repro.core import (
+    FunctionContext,
+    FusedOps,
+    IncrCycles,
+    ProgramBuilder,
+    SimulationError,
+)
+from repro.core.executor import runners, sequential
+from repro.core.executor.sequential import SequentialExecutor
 from repro.obs import Observability
 
-UNTRACED = SequentialExecutor._run_slice_fast.__code__
+#: Every constituent kind in one chunk: dequeue, enqueue, a folded count,
+#: a zero count, any other non-negative count, and a rare op.
+EVERY_KIND = ("D", "E", 3, 0, "C", "O")
 
-#: What the marked statements introduce: the bound appends of a
-#: context's columns and its payload column, and the attributes they read
-#: off its trace buffer.
-TRACED_LOCALS = {"add_kind", "add_channel", "add_time", "payloads"}
+#: What the ``#T`` statements introduce: the trace buffer and its
+#: columns, as locals and as the attributes they are read from.
+TRACED_LOCALS = {"trace", "kinds", "channels", "times", "payloads"}
 TRACED_ATTRS = {"buffer", "kinds", "channels", "times", "payloads"}
 
-MARKER = re.compile(r"^\s*#T (.*)$")
 #: A comment that looks like a marker but would not be stripped.
-NEAR_MISS = re.compile(r"^\s*#\s*[tT]\b(?!\w)")
+NEAR_MISS = re.compile(r"^\s*#\s*[tTfF]\b(?!\w)")
 
 
-def _marked_lines():
-    """``{line number: statement text}`` of the loop's marked lines."""
-    lines, first = inspect.getsourcelines(SequentialExecutor._run_slice_fast)
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _code_objects(const)
+
+
+def _compiled(key):
+    return compile(runners.source(key), "<test>", "exec")
+
+
+def _names(key):
+    names = set()
+    for code in _code_objects(_compiled(key)):
+        names |= set(code.co_varnames) | set(code.co_names) | set(code.co_freevars)
+    return names
+
+
+def _lines_with_code(key):
+    return {
+        line
+        for code in _code_objects(_compiled(key))
+        for _, _, line in code.co_lines()
+        if line is not None
+    }
+
+
+def _marked(key, marker):
+    """``{line number: statement}`` of the still-marked lines of a source."""
     marked = {}
-    for lineno, text in enumerate(lines, first):
-        match = MARKER.match(text)
+    for lineno, text in enumerate(runners.source(key).splitlines(), 1):
+        match = re.match(rf"^\s*{marker} (.*)$", text)
         if match:
             marked[lineno] = match.group(1)
-        else:
-            assert not NEAR_MISS.match(text), (
-                f"sequential.py:{lineno}: mistyped trace marker {text.strip()!r}"
-            )
+        elif not re.match(r"^\s*#[TF] ", text):
+            assert not NEAR_MISS.match(text), f"mistyped marker {text.strip()!r}"
     return marked
 
 
-def _lines_with_code(code):
-    return {line for _, _, line in code.co_lines() if line is not None}
+def _carrying(marked):
+    """Marked lines that carry bytecode once live (not a closing bracket)."""
+    return {
+        lineno
+        for lineno, text in marked.items()
+        if not re.fullmatch(r"[)\]},\s]*", text)
+    }
 
 
 def _pipeline(body_error=None):
@@ -74,78 +110,68 @@ def _pipeline(body_error=None):
 
 
 class TestDerivation:
-    def test_untraced_method_knows_nothing_of_tracing(self):
+    def test_untraced_runner_knows_nothing_of_tracing(self):
         # (A marked local that lost its marker would be read as a global.)
-        names = set(UNTRACED.co_varnames) | set(UNTRACED.co_names)
-        assert not (TRACED_LOCALS | TRACED_ATTRS) & names
+        assert not (TRACED_LOCALS | TRACED_ATTRS) & _names((EVERY_KIND, "last", False))
 
-    def test_traced_variant_has_the_traced_names_and_nothing_else_new(self):
-        traced = traced_fast_loop().__code__
-        assert set(traced.co_varnames) - set(UNTRACED.co_varnames) == TRACED_LOCALS
-        assert set(traced.co_names) - set(UNTRACED.co_names) == TRACED_ATTRS
+    def test_traced_runner_adds_the_traced_names_and_nothing_else(self):
+        traced = _names((EVERY_KIND, "last", True))
+        untraced = _names((EVERY_KIND, "last", False))
+        assert traced - untraced == TRACED_LOCALS | TRACED_ATTRS
 
-    def test_every_marked_statement_is_compiled_in(self):
-        """Each marked line carries bytecode in the variant (bar the
-        closing bracket of a wrapped statement) and none in the method;
-        the two agree on every other line."""
-        marked = _marked_lines()
-        # 4 prologue bindings; 8 completion sites: 7 append to the three
-        # columns and, behind a test, the payload column (5 lines), and
-        # the hot wake calls the waiter's buffer (3 lines).
-        assert len(marked) == 4 + 7 * 5 + 3
-        carrying = {
-            lineno
-            for lineno, text in marked.items()
-            if not re.fullmatch(r"[)\]},\s]*", text)
+    def test_every_traced_line_is_compiled_in(self):
+        """Each ``#T`` line carries bytecode in the traced runner (bar the
+        closing bracket of a wrapped statement) and none in the untraced
+        one; the two agree on every other line."""
+        untraced_key = (EVERY_KIND, "last", False)
+        marked = _marked(untraced_key, "#T")
+        # 5 prologue bindings; 5 completion sites (dequeue, enqueue, three
+        # advances) appending to the three columns and, behind a test,
+        # the payload column (5 lines each); the enqueue's open-coded
+        # wake records for the waiter (1 line).
+        assert len(marked) == 5 + 5 * 5 + 1
+        traced = _lines_with_code((EVERY_KIND, "last", True))
+        untraced = _lines_with_code(untraced_key)
+        assert traced - untraced == _carrying(marked)
+        assert untraced <= traced
+        assert _marked((EVERY_KIND, "last", True), "#T") == {}
+
+    @pytest.mark.parametrize("token", ["D", "E", "O"])
+    def test_every_batch_line_is_compiled_in(self, token):
+        """``#F`` lines (result slot, park bookkeeping) are code in a
+        batch runner and comments in a bare op's."""
+        bare = ((token,), "bare", False)
+        marked = _marked(bare, "#F")
+        assert marked
+        batch = _lines_with_code(((token,), "last", False))
+        assert batch - _lines_with_code(bare) == _carrying(marked)
+
+    def test_variants_share_line_numbers(self):
+        lengths = {
+            len(runners.source((tokens, mode, traced)).splitlines())
+            for tokens in [("E",), ("D",), ("O",)]
+            for mode in ("bare", "last", "chain")
+            for traced in (False, True)
         }
-        traced_lines = _lines_with_code(traced_fast_loop().__code__)
-        untraced_lines = _lines_with_code(UNTRACED)
-        assert traced_lines - untraced_lines == carrying
-        assert untraced_lines <= traced_lines
-
-    def test_variant_sits_on_the_methods_own_lines(self):
-        traced = traced_fast_loop().__code__
-        assert traced.co_filename == UNTRACED.co_filename == sequential.__file__
-        assert traced.co_firstlineno == UNTRACED.co_firstlineno
-        assert traced.co_name == UNTRACED.co_name
-
-    def test_built_once_per_process(self):
-        first = traced_fast_loop()
-        executors = [SequentialExecutor(obs=Observability()) for _ in range(2)]
-        for executor in executors:
-            executor.execute(_pipeline())
-            assert executor._fast_loop is first
-        assert traced_fast_loop() is first
-        assert traced_fast_loop.cache_info().misses == 1
-
-    def test_untraced_run_binds_the_method_itself(self):
-        """The executor keeps the plain function, not a bound method: a
-        bound method on the executor would be a reference cycle."""
-        executor = SequentialExecutor()
-        executor.execute(_pipeline())
-        assert executor._fast_loop is SequentialExecutor._run_slice_fast
+        assert len(lengths) == 3  # one per shape, whatever the variant
 
 
 class TestOneDefinitionPerTier:
-    """The fast tier open-codes a transition only inside the loop; what
-    runs beside it calls the channel's flavor methods."""
+    """The fast tier performs a transition only inside a runner; what
+    runs beside them calls the channel's flavor methods."""
 
-    def test_one_loop_over_plan_entries(self):
-        """A parked batch re-enters the loop's fused branch: there is no
-        second interpreter of compiled plans for the resume path."""
-        tree = ast.parse(inspect.getsource(sequential))
-        owners = [
-            function.name
-            for function in ast.walk(tree)
-            if isinstance(function, ast.FunctionDef)
-            for loop in ast.walk(function)
-            if isinstance(loop, ast.For)
-            and any(
-                isinstance(node, ast.Name) and node.id == "entries"
-                for node in ast.walk(loop.iter)
-            )
-        ]
-        assert owners == ["_run_slice_fast"]
+    def test_the_loop_performs_no_transition(self):
+        names = set(SequentialExecutor._run_slice_fast.__code__.co_names)
+        assert not {
+            "_data", "_resps", "_delta", "stats", "_enq_code", "_deq_code",
+            "try_enqueue", "fast_dequeue", "waiting_sender", "waiting_receiver",
+        } & names
+        assert {"plan", "resume"} <= names
+
+    def test_no_plan_interpreter_is_left(self):
+        source = open(sequential.__file__).read()
+        assert "_compile_plan" not in source
+        assert "for scode, sub, channel" not in source
 
     @pytest.mark.parametrize(
         "helper, transition",
@@ -172,6 +198,24 @@ class TestTracebacks:
         assert len(frames) == 1
         assert frames[0].filename == sequential.__file__
         assert "gen_send(value)" in frames[0].line
-        lines, first = inspect.getsourcelines(SequentialExecutor._run_slice_fast)
-        assert first <= frames[0].lineno < first + len(lines)
-        assert lines[frames[0].lineno - first].strip() == frames[0].line
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_an_error_inside_a_runner_shows_its_generated_line(self, traced):
+        builder = ProgramBuilder()
+
+        def bad():
+            yield FusedOps(IncrCycles(1), IncrCycles(-2))
+
+        builder.add(FunctionContext(bad, name="bad"))
+        executor = SequentialExecutor(obs=Observability() if traced else None)
+        with pytest.raises(ValueError, match="backwards") as caught:
+            executor.execute(builder.build())
+        frame = next(
+            frame
+            for frame in traceback.extract_tb(caught.value.__traceback__)
+            if frame.filename.startswith(runners.__file__ + "[")
+        )
+        label = "1,O last traced" if traced else "1,O last"
+        assert frame.filename == f"{runners.__file__}[{label}]"
+        assert frame.line == "if not self._dispatch(state, op1):"
+        assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line

@@ -16,7 +16,6 @@ import weakref
 import pytest
 
 from repro.core import INFINITY, RunConfig, SequentialExecutor
-from repro.core.executor.sequential import traced_fast_loop
 from repro.obs import Observability, TraceCollector
 from repro.obs.profile import profile_trace
 from repro.sam import CsfTensor
@@ -71,7 +70,6 @@ class TestRecordingAllocatesNothing:
         """An embedded run (no fold, metrics or profile) traced and
         untraced: recording ~5k ops may cost at most one more gen-0
         pass.  One GC-tracked tuple per op would cost about seven."""
-        traced_fast_loop()  # compiled once per process, not per run
 
         def gen0_passes(obs):
             program = spmspm_program()
@@ -92,6 +90,9 @@ class TestRecordingAllocatesNothing:
             assert summary.ops_executed > 4000
             return len(passes)
 
+        # Runners compile once per process, not per run: warm both sets.
+        for obs in (None, Observability(metrics=False)):
+            SequentialExecutor(obs=obs).execute(spmspm_program())
         untraced = gen0_passes(None)
         traced = gen0_passes(Observability(metrics=False))
         assert traced <= untraced + 1
