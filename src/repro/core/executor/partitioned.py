@@ -202,9 +202,11 @@ class _ShuttleProxy:
     ``_pending`` until :meth:`poll` flushes it."""
 
     # Flavor codes the sequential fast path would inline on; shuttles
-    # always need their method implementations (lane bookkeeping).
+    # always need their method implementations (lane bookkeeping), so a
+    # runner never reads the deque that a side lacks.
     _enq_code = 2
     _deq_code = 2
+    _data = _resps = None
 
     __slots__ = (
         "id", "name", "capacity", "latency", "resp_latency", "real",

@@ -1,31 +1,33 @@
-"""Fused-batch runners: straight-line code per batch shape (DESIGN.md §11).
+"""Runners: straight-line code per batch shape (DESIGN.md §11).
 
 Every op the fast slice loop executes — a :class:`~repro.core.ops.FusedOps`
 batch, a plain tuple/list of ops, or a bare op — runs through a *runner*:
-a function generated from the templates below for the batch's *shape* (the
-sequence of its constituents' kinds, each non-negative ``IncrCycles`` count
-folded in as a literal), compiled once per process, bound by its factory
-to the batch's channels, deques, stats and result buffer, and called once
-per yield as ``run(executor, state, clock, batch)``.  A runner performs
-each constituent's transition in order — flavor codes 0/1 open-coded, code
-2 through the channel's flavor method, rare constituents (``Peek``,
-``ViewTime``, ``AdvanceTo``, ``WaitUntil``, a negative ``IncrCycles``,
-junk) through the executor's generic handler — and returns the value the
-generator is resumed with.  When a constituent parks or the batch is
-abandoned (``ChannelClosed``) it records the suspension on the context's
-state, counts what it attempted, and returns :data:`SUSPENDED`.
+a function generated from the templates below for a *shape* (the sequence
+of constituent kinds), compiled once per process, and called once per
+yield as ``run(executor, state, clock, op)``.  A batch's runner is bound by
+its factory to the batch's channels, deques, stats, counts and result
+buffer, once per batch.  A bare op's runner reads its channel or count off
+the op it is called with, so one runner serves every op of its class and
+running a freshly built op binds nothing.  A runner
+performs each constituent's transition in order — flavor codes 0/1
+open-coded, code 2 through the channel's flavor method, rare constituents
+(``Peek``, ``ViewTime``, ``AdvanceTo``, ``WaitUntil``, a negative
+``IncrCycles``, junk) through the executor's generic handler — and returns
+the value the generator is resumed with.  When a constituent parks or the
+batch is abandoned (``ChannelClosed``) it records the suspension on the
+context's state, counts what it attempted, and returns :data:`SUSPENDED`.
 
-The templates are the fast tier's only written transitions.  Two kinds of
-marked line vary them, exactly as comments vary nothing: ``#T`` lines
+The templates are the fast tier's only written transitions.  Three kinds
+of marked line vary them, exactly as comments vary nothing: ``#T`` lines
 record the context's port history and are live only in a traced runner;
 ``#F`` lines keep a batch's result buffer and park bookkeeping and are
-live only in a batch runner (a bare op delivers its own result).  A batch
-longer than :data:`K` compiles as a chain of ``K``-constituent chunks, each
-ending in a call of the next; a batch re-entered after a park runs the
-rest of its chunk as one-constituent runners, bound to the same buffer,
-then the batch's own next chunk.  A runner counts constituents by their
-index in the batch, so one chunk runner serves a fresh batch and a
-re-entered one alike.
+live only in a batch runner; ``#B`` lines read a bare op's channel or
+count and are live only in a bare runner.  A batch longer than :data:`K`
+compiles as a chain of ``K``-constituent chunks, each ending in a call of
+the next; a batch re-entered after a park runs the rest of its chunk as
+one-constituent runners, bound to the same buffer, then the batch's own
+next chunk.  A runner counts constituents by their index in the batch, so
+one chunk runner serves a fresh batch and a re-entered one alike.
 
 A runner references its constituents and channels but never the batch it
 runs (that is an argument), so ``batch.plan`` makes no reference cycle and
@@ -41,7 +43,7 @@ import threading
 
 from ..channel import _EMPTY
 from ..errors import ChannelClosed
-from ..ops import Dequeue, Enqueue, FusedOps, IncrCycles, Op
+from ..ops import Dequeue, Enqueue, FusedOps, IncrCycles
 
 _READY = 0
 _BLOCKED = 1
@@ -65,6 +67,8 @@ _PROLOGUE = """\
 """
 
 _DEQUEUE = """\
+        #B ch@ = op@.receiver.channel
+        #B q@, r@, s@ = ch@._data, ch@._resps, ch@.stats
         code = ch@._deq_code
         if code != 2:
             if q@:
@@ -106,6 +110,8 @@ _DEQUEUE = """\
 # item it waits for is the only one queued: the wake performs its dequeue
 # in place against the waiter's clock (wake-with-delivery).
 _ENQUEUE = """\
+        #B ch@ = op@.sender.channel
+        #B q@, r@, s@ = ch@._data, ch@._resps, ch@.stats
         code = ch@._enq_code
         if code != 2:
             ok = True
@@ -174,7 +180,14 @@ _ENQUEUE = """\
                 self._wake_recv_deliver(ch@, waiter)
 """
 
-_ADVANCE = """\
+# A batch binds a non-negative count (a negative one is a rare
+# constituent); a bare op's runner hands a negative one to the rare runner.
+_COUNT = """\
+        #B c@ = op@.cycles
+        #B if c@ < 0:
+        #B     return nxt(self, state, clock, op@)
+        if c@:
+            now += c@
         #T kinds.append("advance")
         #T channels.append(None)
         #T times.append(now)
@@ -225,16 +238,26 @@ def _expand(template: str, index: int) -> str:
     return "\n".join(lines).replace("@", str(index)) + "\n"
 
 
+#: Per token: its template and the names a batch runner binds for it (a
+#: bare runner's ``#B`` lines read them off the op instead).
+_KINDS = {
+    "D": (_DEQUEUE, ("ch", "q", "r", "s", "op")),
+    "E": (_ENQUEUE, ("ch", "q", "r", "s", "op")),
+    "C": (_COUNT, ("c",)),
+    "O": (_RARE, ("op",)),
+}
+
+
 def source(key: tuple) -> str:
     """The factory's source for one chunk shape ``(tokens, mode, traced)``.
 
-    ``tokens`` holds ``"D"`` (dequeue), ``"E"`` (enqueue), an int (an
-    ``IncrCycles`` count), ``"C"`` (any other non-negative count) or
-    ``"O"`` (rare) per constituent; ``mode`` is ``"bare"`` (one op, its
-    own result), ``"last"`` (a batch's final chunk) or ``"chain"`` (a
-    chunk that hands on to the next).  Marked lines of the other
-    variants stay comments, so every variant of a shape has the same
-    line numbers.
+    ``tokens`` holds ``"D"`` (dequeue), ``"E"`` (enqueue), ``"C"`` (a
+    non-negative ``IncrCycles``; a bare one's runner also takes a negative
+    one) or ``"O"`` (rare) per constituent; ``mode`` is ``"bare"`` (one op,
+    its runner's argument, delivering its own result), ``"last"`` (a
+    batch's final chunk) or ``"chain"`` (a chunk that hands on to the
+    next).  Marked lines of the other variants stay comments, so every
+    variant of a shape has the same line numbers.
     """
     tokens, mode, traced = key
     bare = mode == "bare"
@@ -242,23 +265,11 @@ def source(key: tuple) -> str:
     binds = []
     body = [_PROLOGUE]
     for index, token in enumerate(tokens):
-        if token == "D" or token == "E":
-            params += [f"ch{index}", f"q{index}", f"r{index}", f"s{index}"]
-            body.append(_expand(_DEQUEUE if token == "D" else _ENQUEUE, index))
-        elif token == "C":
-            params.append(f"c{index}")
-            body.append(f"        if c{index}:\n            now += c{index}\n")
-            body.append(_ADVANCE)
-        elif token == "O":
-            body.append(_expand(_RARE, index))
-        else:
-            if token:
-                body.append(f"        now += {token!r}\n")
-            body.append(_ADVANCE)
-        if token in ("D", "E", "O"):
-            if not bare:
-                params.append(f"op{index}")
-            binds.append(f"    at{index} = base + {index}\n")
+        template, names = _KINDS[token]
+        if not bare:
+            params += [f"{name}{index}" for name in names]
+        binds.append(f"    at{index} = base + {index}\n")
+        body.append(_expand(template, index))
     if mode == "chain":
         result = "nxt(self, state, clock, batch)"
     elif not bare:
@@ -275,9 +286,7 @@ def source(key: tuple) -> str:
     ])
     if traced:
         text = re.sub(r"(?m)^(\s*)#T ", r"\1", text)
-    if not bare:
-        text = re.sub(r"(?m)^(\s*)#F ", r"\1", text)
-    return text
+    return re.sub(rf"(?m)^(\s*)#{'B' if bare else 'F'} ", r"\1", text)
 
 
 #: The process-wide shape cache: key -> compiled factory, in compile order.
@@ -328,70 +337,69 @@ def warm(keys) -> None:
         _factory(key)
 
 
-def _constituent(sub, bare: bool) -> tuple:
-    """``(token, factory arguments)`` of one constituent."""
+#: Token of a bare op's runner by op class ("O" for any other class).
+_BARE_TOKENS = {Dequeue: "D", Enqueue: "E", IncrCycles: "C"}
+
+
+def _bare(executor, token: str, nxt=None):
+    key = ((token,), "bare", executor.tracer is not None)
+    return _factory(key, executor._compile_shape)(0, None, nxt)
+
+
+def _constituent(sub) -> tuple:
+    """``(token, factory arguments)`` of one batch constituent."""
     kind = sub.__class__
     if kind is IncrCycles and sub.cycles >= 0:
-        if type(sub.cycles) is int:
-            return sub.cycles, []
         return "C", [sub.cycles]
     if kind is Dequeue or kind is Enqueue:
         channel = sub.receiver.channel if kind is Dequeue else sub.sender.channel
-        # A shuttle proxy lacks one side's deques; it takes the method
-        # path (flavor code 2), which never reads them.
-        token = "D" if kind is Dequeue else "E"
-        args = [
-            channel,
-            getattr(channel, "_data", None),
-            getattr(channel, "_resps", None),
-            channel.stats,
-        ]
-    else:
-        token, args = "O", []
-    # A bare op is its runner's argument; a batch's constituents are bound.
-    return token, args if bare else args + [sub]
+        args = [channel, channel._data, channel._resps, channel.stats, sub]
+        return "D" if kind is Dequeue else "E", args
+    return "O", [sub]
 
 
 def _chunk(executor, subs, base: int, end: int, buf, nxt):
-    """Bind the runner of ``subs[base:end]`` (``buf`` None: a bare op),
-    handing on to ``nxt`` (the runner of the chunk from ``end`` on)."""
-    bare = buf is None
+    """Bind the runner of ``subs[base:end]``, handing on to ``nxt`` (the
+    runner of the chunk from ``end`` on)."""
     tokens = []
     args = [base, buf, nxt]
     for sub in subs[base:end]:
-        token, more = _constituent(sub, bare)
+        token, more = _constituent(sub)
         tokens.append(token)
         args += more
-    mode = "bare" if bare else "last" if nxt is None else "chain"
-    key = (tuple(tokens), mode, executor.tracer is not None)
+    key = (tuple(tokens), "last" if nxt is None else "chain", executor.tracer is not None)
     return _factory(key, executor._compile_shape)(*args)
 
 
 def plan(executor, op) -> tuple:
     """Bind ``op`` for ``executor``: ``(op, run, count)``, a tuple or list
-    batch normalized to a :class:`FusedOps`.  An op keeps its binding as
-    ``op.plan`` until an executor with another ``_plan_tag`` meets it.
+    batch normalized to a :class:`FusedOps`.  The binding is kept as
+    ``(run, count, executor._plan_tag)``; an executor with another tag
+    binds again.
 
-    A batch's chunks are bound from the last, each handing on to the next,
-    and kept in ``op.resumes`` by start index: a batch re-entered there
-    runs on from it."""
+    A bare op's runner reads its channel or count off the op, so it is
+    bound once per op class, in ``executor._bare_runners``: a context may
+    build a fresh op at every yield.  A batch keeps its binding as
+    ``op.plan``: its chunks are bound from the last, each handing on to
+    the next, and kept in ``op.resumes`` by start index, so a batch
+    re-entered there runs on from it."""
     kind = op.__class__
     if kind is tuple or kind is list:
         op = FusedOps(*op)
         kind = FusedOps
-    if kind is FusedOps:
-        subs = op.ops
-        count = len(subs)
-        buf = [None] * count
-        op.resumes = chunks = {}
-        run = None
-        for base in reversed(range(0, count, K) or (0,)):
-            run = chunks[base] = _chunk(executor, subs, base, base + K, buf, run)
-    else:
-        count = 1
-        run = _chunk(executor, (op,), 0, 1, None, None)
-    if isinstance(op, Op):
-        op.plan = (run, count, executor._plan_tag)
+    if kind is not FusedOps:
+        token = _BARE_TOKENS.get(kind, "O")
+        run = _bare(executor, token, _bare(executor, "O") if token == "C" else None)
+        executor._bare_runners[kind] = (run, 1, executor._plan_tag)
+        return op, run, 1
+    subs = op.ops
+    count = len(subs)
+    buf = [None] * count
+    op.resumes = chunks = {}
+    run = None
+    for base in reversed(range(0, count, K) or (0,)):
+        run = chunks[base] = _chunk(executor, subs, base, base + K, buf, run)
+    op.plan = (run, count, executor._plan_tag)
     return op, run, count
 
 

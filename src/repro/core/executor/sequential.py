@@ -245,11 +245,13 @@ class SequentialExecutor(Executor):
         self._any_time_waiters = False
         self._fast = False
         self._fast_capable = False
-        #: Whose runners an op's ``plan`` holds: an op bound by another
+        #: Whose runners a batch's ``plan`` holds: a batch bound by another
         #: executor (traced or not, or across a fork that rewired its
-        #: channel to a shuttle proxy) is bound again on first use here.
-        #: A plain object, not ``self``: an op must not reach the run.
+        #: channels to shuttle proxies) is bound again on first use here.
+        #: A plain object, not ``self``: a batch must not reach the run.
         self._plan_tag = object()
+        #: Bare-op runners by op class, bound like a batch's ``plan``.
+        self._bare_runners: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -777,10 +779,11 @@ class SequentialExecutor(Executor):
         Eligible only when ``max_ops`` is unset and no WaitUntil waiter
         is registered — which is what lets every op run with zero per-op
         bookkeeping conditionals.  What an op does is its runner's
-        (:mod:`.runners`): straight-line code compiled per batch shape
-        and bound to the op on first use (``op.plan``, with the count of
-        constituents it performs and this executor's ``_plan_tag``).  A
-        bare op is a one-constituent batch that delivers its own result.
+        (:mod:`.runners`): straight-line code compiled per shape.  A bare
+        op's runner is its class's (``_bare_runners``), reading the
+        channel or count off the op; a batch's is bound to it on first use
+        (``op.plan``, with the count of constituents it performs and this
+        executor's ``_plan_tag``).
         A runner keeps the context's clock in a local and leaves it in
         ``clock._time`` whenever it returns, so the body sees its own
         time at every resume.  Rare ops run through the generic handlers
@@ -830,6 +833,7 @@ class SequentialExecutor(Executor):
         clock = ctx.time
         gen_send = state.send
         tag = self._plan_tag
+        bare = self._bare_runners.get
         value = state.pending_value
         exc = state.pending_exc
         state.pending_value = None
@@ -854,7 +858,7 @@ class SequentialExecutor(Executor):
                         self._finish(state)
                         raise SimulationError(ctx.name, failure) from failure
                     try:
-                        run, count, bound = op.plan
+                        run, count, bound = op.plan or bare(op.__class__)
                     except (AttributeError, TypeError, ValueError):
                         bound = None  # not bound yet, or not an op
                     if bound is not tag:

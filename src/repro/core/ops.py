@@ -53,26 +53,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 
 
 class Op:
-    """Base class for all yieldable operations.
+    """Base class for all yieldable operations."""
 
-    ``plan`` is the executor's: the runner it bound to the op on first
-    execution (DESIGN.md §11).  It latches the op's channel and, for an
-    ``IncrCycles``, its count, so an op must not change after it was first
-    yielded — only an ``Enqueue``'s ``data`` may.
-    """
+    __slots__ = ()
 
-    __slots__ = ("plan",)
-
-    def __getstate__(self):
-        """An op pickles (and copies) as its fields alone: the
-        executor's binding stays behind, so an op that has run ships
-        exactly as one that has not."""
-        return getattr(self, "__dict__", None), {
-            name: getattr(self, name)
-            for klass in type(self).__mro__
-            for name in getattr(klass, "__slots__", ())
-            if name not in ("plan", "resumes") and hasattr(self, name)
-        }
+    #: An executor's binding of the op (DESIGN.md §11): a bare op has none
+    #: of its own (its runner is its class's); a :class:`FusedOps` keeps
+    #: the one bound to it on first execution.
+    plan = None
 
 
 class Enqueue(Op):
@@ -215,14 +203,24 @@ class FusedOps(Op):
     earlier constituents in the batch are discarded with the throw, so
     a context that needs them on wind-down should not fuse them with a
     closing dequeue).  Nesting ``FusedOps`` inside a batch is an error.
+
+    ``plan`` and ``resumes`` are the executor's: the runners it bound to
+    the batch on first execution and on re-entry after a park (DESIGN.md
+    §11).  They latch the constituents' channels and counts, so a batch
+    must not change after it was first yielded — only an ``Enqueue``'s
+    ``data`` may.
     """
 
-    #: ``resumes`` caches the runners that re-enter the batch after a park
-    #: (executor-owned, like ``plan``).
-    __slots__ = ("ops", "resumes")
+    __slots__ = ("ops", "plan", "resumes")
 
     def __init__(self, *ops: Op):
         self.ops = ops
+
+    def __getstate__(self):
+        """A batch pickles (and copies) as its constituents alone: the
+        executor's binding stays behind, so a batch that has run ships
+        exactly as one that has not."""
+        return None, {"ops": self.ops}
 
     def __repr__(self) -> str:
         return f"FusedOps({', '.join(repr(op) for op in self.ops)})"

@@ -14,6 +14,7 @@ random batches — long, parking anywhere, abandoned, rare — run exactly as
 
 import json
 import multiprocessing
+import pickle
 import sys
 import threading
 
@@ -26,6 +27,8 @@ from repro.core import (
     AdvanceTo,
     Context,
     DeadlockError,
+    Dequeue,
+    Enqueue,
     FairPolicy,
     FunctionContext,
     FusedOps,
@@ -38,7 +41,7 @@ from repro.core import (
 )
 from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
-from repro.core.executor import runners
+from repro.core.executor import runners, sequential
 from repro.obs import Observability
 
 needs_fork = pytest.mark.skipif(
@@ -176,6 +179,21 @@ class TestBindingFollowsTheRun:
         }
         assert len(rows["batcher"]) == 2 * 5 + 1
 
+    def test_a_bound_batch_pickles_without_its_binding(self):
+        step = FusedOps(IncrCycles(1), IncrCycles(2))
+        builder = ProgramBuilder()
+
+        def ticks():
+            for _ in range(3):
+                yield step
+
+        builder.add(FunctionContext(ticks, name="ticks"))
+        assert builder.build().run().elapsed_cycles == 9
+        assert step.plan is not None
+        shipped = pickle.loads(pickle.dumps(step))
+        assert [op.cycles for op in shipped.ops] == [1, 2]
+        assert not hasattr(shipped, "resumes") and not hasattr(shipped, "plan")
+
     @needs_fork
     def test_process_run_after_an_in_process_one(self):
         program, taker = _batched_program()
@@ -200,9 +218,9 @@ class TestBindingFollowsTheRun:
 # ----------------------------------------------------------------------
 
 
-def _ticker(count, ticks, name="ticks"):
+def _ticker(count, ticks=3, name="ticks"):
     """A producer yielding ``FusedOps(enqueue, IncrCycles(ticks))`` into a
-    collector: ``ticks`` picks a shape no other test compiles."""
+    collector."""
     builder = ProgramBuilder()
     snd, rcv = builder.bounded(2, name=f"{name}-lane")
 
@@ -218,30 +236,43 @@ def _ticker(count, ticks, name="ticks"):
     return builder.build(), sink
 
 
-def _new_keys(before):
-    return runners.compiled()[before:]
+@pytest.fixture
+def cold(monkeypatch):
+    """An empty shape cache, as in a fresh process."""
+    monkeypatch.setattr(runners, "_FACTORIES", {})
 
 
+TICK = (("E", "C"), "last", False)
+
+
+@pytest.mark.usefixtures("cold")
 class TestShapeCache:
     def test_a_second_run_compiles_no_shape(self):
-        before = len(runners.compiled())
-        program, sink = _ticker(10, 7001)
+        program, sink = _ticker(10)
         program.run()
-        assert ((("E", 7001), "last", False)) in _new_keys(before)
-        compiled = len(runners.compiled())
+        assert TICK in runners.compiled()
+        compiled = runners.compiled()
         program.reset()
         sink.values.clear()
         program.run()
-        _ticker(10, 7001)[0].run()  # a fresh build of the same graph too
-        assert len(runners.compiled()) == compiled
+        _ticker(10)[0].run()  # a fresh build of the same graph too
+        assert runners.compiled() == compiled
+
+    def test_counts_are_bound_not_compiled_in(self):
+        """A count is a value the runner is bound to, fresh or fused:
+        batches and bare ops whose counts differ share their shapes."""
+        _ticker(4, ticks=1)[0].run()
+        compiled = runners.compiled()
+        for ticks in (0, 2, 7, 0.5, 10**6):
+            _ticker(4, ticks=ticks)[0].run()
+        assert runners.compiled() == compiled
 
     def test_traced_and_untraced_runners_are_separate_entries(self):
-        before = len(runners.compiled())
-        _ticker(4, 7002)[0].run()
-        _ticker(4, 7002)[0].run(obs=Observability())
-        keys = _new_keys(before)
-        assert (("E", 7002), "last", False) in keys
-        assert (("E", 7002), "last", True) in keys
+        _ticker(4)[0].run()
+        _ticker(4)[0].run(obs=Observability())
+        keys = runners.compiled()
+        assert TICK in keys
+        assert (("E", "C"), "last", True) in keys
 
     def test_a_long_batch_compiles_only_chunks(self):
         builder = ProgramBuilder()
@@ -249,17 +280,57 @@ class TestShapeCache:
 
         def produce():
             enq = snd.enqueue(None)
-            yield FusedOps(*[enq if i % 2 else IncrCycles(7003) for i in range(1000)])
+            yield FusedOps(*[enq if i % 2 else IncrCycles(3) for i in range(1000)])
 
         builder.add(FunctionContext(produce, handles=[snd], name="wide-src"))
         sink = builder.add(Collector(rcv, name="wide-sink"))
-        before = len(runners.compiled())
         summary = builder.build().run()
-        keys = [key for key in _new_keys(before) if 7003 in key[0]]
-        assert keys and all(len(tokens) <= runners.K for tokens, _, _ in keys)
-        assert {mode for _, mode, _ in keys} == {"chain", "last"}
+        keys = [key for key in runners.compiled() if key[1] != "bare"]
+        # 62 chunks of 16 and a last one of 8 (1000 = 62 * 16 + 8).
+        assert keys == [(("C", "E") * 4, "last", False), (("C", "E") * 8, "chain", False)]
         assert len(sink.values) == 500
         assert summary.ops_executed == 1000 + 500 + 1
+
+    def test_fresh_bare_ops_share_one_runner_per_class(self, monkeypatch):
+        """A context that builds a new op at every yield (the library's
+        own idiom) binds nothing per op: an executor binds one runner per
+        op class, whatever the ops' channels or counts, and a later run
+        compiles nothing."""
+        bound = []
+        real_plan = sequential.plan
+
+        def counting(executor, op):
+            bound.append(op.__class__)
+            return real_plan(executor, op)
+
+        monkeypatch.setattr(sequential, "plan", counting)
+        def build():
+            builder = ProgramBuilder()
+            lanes = [builder.bounded(1, name=f"fresh{i}") for i in range(2)]
+
+            def produce():
+                for value in range(30):
+                    yield lanes[value % 2][0].enqueue(value)
+                    yield IncrCycles(value % 4)
+
+            def consume():
+                for value in range(30):
+                    assert (yield lanes[value % 2][1].dequeue()) == value
+
+            builder.add(FunctionContext(produce, handles=[s for s, _ in lanes], name="fresh-src"))
+            builder.add(FunctionContext(consume, handles=[r for _, r in lanes], name="fresh-sink"))
+            return builder.build()
+
+        executor = SequentialExecutor()
+        summary = executor.execute(build())
+        assert summary.ops_executed == 90
+        assert sorted(bound, key=str) == [Dequeue, Enqueue, IncrCycles]
+        assert set(executor._bare_runners) == {Enqueue, Dequeue, IncrCycles}
+        compiled = runners.compiled()
+        # "O": the rare runner a negative count is handed to.
+        assert sorted(tokens for tokens, _, _ in compiled) == [("C",), ("D",), ("E",), ("O",)]
+        build().run()
+        assert runners.compiled() == compiled
 
     def test_cluster_drivers_meeting_new_shapes_compile_each_once(self, monkeypatch):
         """Eight connected components, one cluster driver each, meet the
@@ -282,7 +353,7 @@ class TestShapeCache:
 
                 def produce(snd=snd):
                     enq = snd.enqueue(None)
-                    step = FusedOps(enq, IncrCycles(7004), enq)
+                    step = FusedOps(enq, IncrCycles(4), enq)
                     for value in range(30):
                         enq.data = value
                         yield step
@@ -302,7 +373,7 @@ class TestShapeCache:
         finally:
             sys.setswitchinterval(interval)
         assert len(sources) == len(set(sources))
-        assert any(7004 in key[0] for key in sources)
+        assert (("E", "C", "E"), "last", True) in sources
         reference, ref_sinks = build()
         sequential = reference.run(obs=Observability())
         assert threaded.context_times == sequential.context_times
@@ -321,11 +392,11 @@ class TestShapeCache:
 
         monkeypatch.setattr(runners, "warm", spy)
         for _ in range(2):
-            program, sink = _ticker(20, 7005)
+            program, sink = _ticker(20)
             program.run("process", config=RunConfig(workers=2))
             assert sink.values == list(range(20))
         first, second = reported
-        assert (("E", 7005), "last", False) in first
+        assert TICK in first
         assert second == []
 
 
@@ -395,7 +466,6 @@ class _Scripted(Context):
         if kind == "P":
             return self.recvs[lane].peek()
         if kind == "I":
-            # Non-int counts (a zero among them) take the bound-count path.
             return IncrCycles((1, 0, 2, 0.0, 0.5)[arg])
         if kind == "V":
             return ViewTime(self.peers[arg % 3])

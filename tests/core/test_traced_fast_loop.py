@@ -3,8 +3,9 @@
 ``repro.core.executor.runners`` holds one template per constituent kind
 (DESIGN.md §11).  A batch shape's factory source is those templates in
 order; ``#T `` lines (the port-history appends) are live only in a traced
-runner and ``#F `` lines (the batch's buffer and park bookkeeping) only in
-a batch runner.  Everywhere else they are comments, so every variant of a
+runner, ``#F `` lines (the batch's buffer and park bookkeeping) only in a
+batch runner and ``#B `` lines (reading a bare op's channel or count) only
+in a bare op's.  Everywhere else they are comments, so every variant of a
 shape has the same line numbers.  These tests pin that derivation, the
 fast loop's lack of transitions of its own, and what a traceback through
 either shows; ``test_fused_ops.py`` and ``test_runners.py`` pin what the
@@ -28,9 +29,9 @@ from repro.core.executor import runners, sequential
 from repro.core.executor.sequential import SequentialExecutor
 from repro.obs import Observability
 
-#: Every constituent kind in one chunk: dequeue, enqueue, a folded count,
-#: a zero count, any other non-negative count, and a rare op.
-EVERY_KIND = ("D", "E", 3, 0, "C", "O")
+#: Every constituent kind in one chunk: dequeue, enqueue, a non-negative
+#: count, and a rare op.
+EVERY_KIND = ("D", "E", "C", "O")
 
 #: What the ``#T`` statements introduce: the trace buffer and its
 #: columns, as locals and as the attributes they are read from.
@@ -38,7 +39,7 @@ TRACED_LOCALS = {"trace", "kinds", "channels", "times", "payloads"}
 TRACED_ATTRS = {"buffer", "kinds", "channels", "times", "payloads"}
 
 #: A comment that looks like a marker but would not be stripped.
-NEAR_MISS = re.compile(r"^\s*#\s*[tTfF]\b(?!\w)")
+NEAR_MISS = re.compile(r"^\s*#\s*[tTfFbB]\b(?!\w)")
 
 
 def _code_objects(code):
@@ -75,7 +76,7 @@ def _marked(key, marker):
         match = re.match(rf"^\s*{marker} (.*)$", text)
         if match:
             marked[lineno] = match.group(1)
-        elif not re.match(r"^\s*#[TF] ", text):
+        elif not re.match(r"^\s*#[TFB] ", text):
             assert not NEAR_MISS.match(text), f"mistyped marker {text.strip()!r}"
     return marked
 
@@ -125,11 +126,11 @@ class TestDerivation:
         one; the two agree on every other line."""
         untraced_key = (EVERY_KIND, "last", False)
         marked = _marked(untraced_key, "#T")
-        # 5 prologue bindings; 5 completion sites (dequeue, enqueue, three
-        # advances) appending to the three columns and, behind a test,
+        # 5 prologue bindings; 3 completion sites (dequeue, enqueue,
+        # advance) appending to the three columns and, behind a test,
         # the payload column (5 lines each); the enqueue's open-coded
         # wake records for the waiter (1 line).
-        assert len(marked) == 5 + 5 * 5 + 1
+        assert len(marked) == 5 + 3 * 5 + 1
         traced = _lines_with_code((EVERY_KIND, "last", True))
         untraced = _lines_with_code(untraced_key)
         assert traced - untraced == _carrying(marked)
@@ -146,14 +147,32 @@ class TestDerivation:
         batch = _lines_with_code(((token,), "last", False))
         assert batch - _lines_with_code(bare) == _carrying(marked)
 
+    @pytest.mark.parametrize("token, count", [("D", 2), ("E", 2), ("C", 3)])
+    def test_every_bare_line_is_compiled_in(self, token, count):
+        """``#B`` lines (the op's channel and its deques and stats, or its
+        count and the hand-off of a negative one) are code in a bare op's
+        runner and comments in a batch runner, which binds them instead."""
+        batch = ((token,), "last", False)
+        marked = _marked(batch, "#B")
+        assert len(marked) == count
+        bare = _lines_with_code(((token,), "bare", False))
+        assert bare - _lines_with_code(batch) == _carrying(marked)
+
+    def test_a_bare_runner_binds_nothing_of_its_op(self):
+        """What a batch runner binds, a bare op's reads off the op."""
+        for token in ("D", "E", "C"):
+            bind = _compiled(((token,), "bare", False)).co_consts[0]
+            params = bind.co_varnames[: bind.co_argcount]
+            assert params == ("base", "buf", "nxt"), token
+
     def test_variants_share_line_numbers(self):
         lengths = {
             len(runners.source((tokens, mode, traced)).splitlines())
-            for tokens in [("E",), ("D",), ("O",)]
+            for tokens in [("E",), ("D",), ("C",), ("O",)]
             for mode in ("bare", "last", "chain")
             for traced in (False, True)
         }
-        assert len(lengths) == 3  # one per shape, whatever the variant
+        assert len(lengths) == 4  # one per shape, whatever the variant
 
 
 class TestOneDefinitionPerTier:
@@ -166,7 +185,7 @@ class TestOneDefinitionPerTier:
             "_data", "_resps", "_delta", "stats", "_enq_code", "_deq_code",
             "try_enqueue", "fast_dequeue", "waiting_sender", "waiting_receiver",
         } & names
-        assert {"plan", "resume"} <= names
+        assert {"plan", "resume", "_bare_runners"} <= names
 
     def test_no_plan_interpreter_is_left(self):
         source = open(sequential.__file__).read()
@@ -200,22 +219,34 @@ class TestTracebacks:
         assert "gen_send(value)" in frames[0].line
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    def test_an_error_inside_a_runner_shows_its_generated_line(self, traced):
+    @pytest.mark.parametrize(
+        "batch, label, op",
+        [
+            (FusedOps(IncrCycles(1), IncrCycles(-2)), "C,O last", "op1"),
+            # A bare count's runner hands a negative one to the rare runner.
+            (IncrCycles(-2), "O bare", "op0"),
+        ],
+        ids=["fused", "bare"],
+    )
+    def test_an_error_inside_a_runner_shows_its_generated_line(
+        self, traced, batch, label, op
+    ):
         builder = ProgramBuilder()
 
         def bad():
-            yield FusedOps(IncrCycles(1), IncrCycles(-2))
+            yield batch
 
         builder.add(FunctionContext(bad, name="bad"))
         executor = SequentialExecutor(obs=Observability() if traced else None)
         with pytest.raises(ValueError, match="backwards") as caught:
             executor.execute(builder.build())
-        frame = next(
+        frames = [
             frame
             for frame in traceback.extract_tb(caught.value.__traceback__)
             if frame.filename.startswith(runners.__file__ + "[")
-        )
-        label = "1,O last traced" if traced else "1,O last"
-        assert frame.filename == f"{runners.__file__}[{label}]"
-        assert frame.line == "if not self._dispatch(state, op1):"
-        assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
+        ]
+        label += " traced" if traced else ""
+        assert frames[-1].filename == f"{runners.__file__}[{label}]"
+        assert frames[-1].line == f"if not self._dispatch(state, {op}):"
+        for frame in frames:
+            assert linecache.getline(frame.filename, frame.lineno).strip() == frame.line
