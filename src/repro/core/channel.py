@@ -165,6 +165,11 @@ class Channel:
         # executors' block sites never pay an f-string on the hot path.
         "_park_enq_msg",
         "_park_deq_msg",
+        # Trace port ids of the channel's enqueue / dequeue / peek, set
+        # when a traced run numbers its ports (DESIGN.md §9).
+        "_enq_port",
+        "_deq_port",
+        "_peek_port",
     )
 
     def __init__(
@@ -186,6 +191,7 @@ class Channel:
         self.name = name or f"channel{self.id}"
         self._park_enq_msg = f"enqueue on full {self.name}"
         self._park_deq_msg = f"dequeue on empty {self.name}"
+        self._enq_port = self._deq_port = self._peek_port = None
         self.capacity = capacity
         self.latency = latency
         self.resp_latency = resp_latency

@@ -215,6 +215,7 @@ class _ShuttleProxy:
         "_sender_finished", "_receiver_finished",
         "_lane_out", "_lane_in", "_pending",
         "_park_enq_msg", "_park_deq_msg",
+        "_enq_port", "_deq_port", "_peek_port",
     )
 
     def __init__(self, channel: Channel, lane_out, lane_in):
@@ -222,6 +223,9 @@ class _ShuttleProxy:
         self.name = channel.name
         self._park_enq_msg = f"enqueue on full {self.name}"
         self._park_deq_msg = f"dequeue on empty {self.name}"
+        self._enq_port = channel._enq_port
+        self._deq_port = channel._deq_port
+        self._peek_port = channel._peek_port
         self.capacity = channel.capacity
         self.latency = channel.latency
         self.resp_latency = channel.resp_latency
@@ -450,14 +454,11 @@ class _WorkerExecutor(SequentialExecutor):
     def __init__(self, parent: "ProcessExecutor", run: _RunShared, worker: int):
         obs = None
         if parent.obs is not None:
-            # Fresh collectors of the parent's kinds: the parent merges
-            # what this worker ships back.
-            trace = parent.obs.trace
-            obs = Observability(
-                trace=trace is not None,
-                metrics=parent.obs.metrics is not None,
-                capture_payloads=trace is not None and trace.capture_payloads,
-            )
+            # A fresh registry (the parent folds the merged run), and the
+            # parent's collector as forked: the worker only makes its
+            # buffers with it (the run's port table) and ships them home.
+            obs = Observability(trace=False, metrics=parent.obs.metrics is not None)
+            obs.trace = parent.obs.trace
         # ``parent.policy`` is this process's forked copy; the parent
         # itself never queues on it.
         super().__init__(
@@ -901,10 +902,13 @@ class _WorkerExecutor(SequentialExecutor):
 
 def _shippable_rows(buf):
     """A buffer as it can cross the pipe: its columns, with the payload
-    column blanked if a payload refuses to pickle.  The other columns
-    are strings and numbers, so only a capturing buffer needs the
-    probe.  Harvest is the worker's last act, so the buffer is changed
-    in place."""
+    column blanked if a payload refuses to pickle.  The port and time
+    columns are ints (or floats), so only a capturing buffer needs the
+    probe; and the port ids are the run's, numbered before the fork, so
+    the table stays home: the parent's fold decodes them through its own
+    (:meth:`~repro.obs.TraceCollector.fold`).  Harvest is the worker's
+    last act, so the buffer is changed in place."""
+    buf.table = None
     if buf.payloads is not None:
         try:
             pickle.dumps(buf.payloads)
@@ -1460,6 +1464,10 @@ class ProcessExecutor(Executor):
                 ),
             )
         mp_ctx = multiprocessing.get_context("fork")
+        trace = self.obs.trace if self.obs is not None else None
+        if trace is not None:
+            # Before the fork: the workers inherit the numbered channels.
+            trace.start_run(program.channels)
 
         pins = dict(getattr(program, "partition_pins", None) or {})
         if self.pins:
@@ -1632,7 +1640,6 @@ class ProcessExecutor(Executor):
 
             payloads = self._collect(run, conns, procs, start, coordinator)
             self._resolve_failures(run, payloads, start)
-            trace = self.obs.trace if self.obs is not None else None
             summary = RunSummary.merge(
                 program,
                 [payloads[worker] for worker in sorted(payloads)],

@@ -60,8 +60,7 @@ SUSPENDED = object()
 _PROLOGUE = """\
         now = clock._time
         #T trace = state.buffer
-        #T kinds = trace.kinds
-        #T channels = trace.channels
+        #T ports = trace.ports
         #T times = trace.times
         #T payloads = trace.payloads
 """
@@ -99,8 +98,7 @@ _DEQUEUE = """\
             ch@.waiting_sender = None
             self._wake_send_deliver(ch@, waiter)
         #F buf[at@] = result
-        #T kinds.append("dequeue")
-        #T channels.append(ch@.name)
+        #T ports.append(ch@._deq_port)
         #T times.append(now)
         #T if payloads is not None:
         #T     payloads.append(result)
@@ -142,8 +140,7 @@ _ENQUEUE = """\
             state.blocked_detail = ch@._park_enq_msg
             ch@.waiting_sender = state
             PARK
-        #T kinds.append("enqueue")
-        #T channels.append(ch@.name)
+        #T ports.append(ch@._enq_port)
         #T times.append(now)
         #T if payloads is not None:
         #T     payloads.append(op@.data)
@@ -163,7 +160,7 @@ _ENQUEUE = """\
                 s@.dequeues += 1
                 if ch@._deq_code == 1:
                     r@.append(wnow + ch@.resp_latency)
-                #T waiter.buffer.append("dequeue", ch@.name, wnow, result)
+                #T waiter.buffer.add(ch@._deq_port, wnow, result)
                 waiter.retry_op = None
                 waiter.pending_value = result
                 if waiter.status == _BLOCKED:
@@ -188,8 +185,7 @@ _COUNT = """\
         #B     return nxt(self, state, clock, op@)
         if c@:
             now += c@
-        #T kinds.append("advance")
-        #T channels.append(None)
+        #T ports.append(0)  # ADVANCE
         #T times.append(now)
         #T if payloads is not None:
         #T     payloads.append(None)

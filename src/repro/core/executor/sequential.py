@@ -43,6 +43,7 @@ import time as _wallclock
 from typing import Any, Optional
 
 from ...obs import Observability, fold_channel_metrics, fold_context_metrics
+from ...obs.events import ADVANCE, FINISH
 from ...obs.stall import StallReport, stall_for
 from .. import checkpoint as _ckpt
 from ..channel import _EMPTY
@@ -265,6 +266,8 @@ class SequentialExecutor(Executor):
         )
         resume_records = self._take_resume_records(program)
         trace = self.tracer
+        if trace is not None and not self._embedded:
+            trace.start_run(program.channels)
         states = {id(ctx): _ContextState(ctx, trace) for ctx in program.contexts}
         # Waiters on another context's clock: target id -> [(threshold, state)].
         self._time_waiters: dict[int, list[tuple[Any, _ContextState]]] = {}
@@ -911,9 +914,7 @@ class SequentialExecutor(Executor):
             if self._any_time_waiters:
                 self._drain_time_waiters(state.context)
             if state.buffer is not None:
-                state.buffer.append(
-                    "enqueue", channel.name, clock.now(), op.data
-                )
+                state.buffer.add(channel._enq_port, clock.now(), op.data)
             return True
         self._block(state, op, channel._park_enq_msg)
         channel.waiting_sender = state
@@ -932,9 +933,7 @@ class SequentialExecutor(Executor):
             if self._any_time_waiters:
                 self._drain_time_waiters(state.context)
             if state.buffer is not None:
-                state.buffer.append(
-                    "dequeue", channel.name, clock.now(), result
-                )
+                state.buffer.add(channel._deq_port, clock.now(), result)
             return True
         if channel.closed_for_receiver:
             state.pending_exc = ChannelClosed(channel.name)
@@ -951,9 +950,7 @@ class SequentialExecutor(Executor):
             if self._any_time_waiters:
                 self._drain_time_waiters(state.context)
             if state.buffer is not None:
-                state.buffer.append(
-                    "peek", channel.name, clock.now(), state.pending_value
-                )
+                state.buffer.add(channel._peek_port, clock.now(), state.pending_value)
             return True
         if channel.closed_for_receiver:
             state.pending_exc = ChannelClosed(channel.name)
@@ -974,7 +971,7 @@ class SequentialExecutor(Executor):
         if self._any_time_waiters:
             self._drain_time_waiters(state.context)
         if state.buffer is not None:
-            state.buffer.append("advance", None, clock.now())
+            state.buffer.add(ADVANCE, clock.now())
         return True
 
     def _h_view_time(self, state: _ContextState, op) -> bool:
@@ -1049,9 +1046,7 @@ class SequentialExecutor(Executor):
                 waiter.retry_op = None
                 waiter.pending_value = None
                 if waiter.buffer is not None:
-                    waiter.buffer.append(
-                        "enqueue", channel.name, wclock._time, op.data
-                    )
+                    waiter.buffer.add(channel._enq_port, wclock._time, op.data)
         self._wake(waiter)
 
     def _wake_recv_deliver(self, channel, waiter: "_ContextState") -> None:
@@ -1069,9 +1064,7 @@ class SequentialExecutor(Executor):
                 waiter.retry_op = None
                 waiter.pending_value = result
                 if waiter.buffer is not None:
-                    waiter.buffer.append(
-                        "dequeue", channel.name, wclock._time, result
-                    )
+                    waiter.buffer.add(channel._deq_port, wclock._time, result)
         self._wake(waiter)
 
     def _block(self, state: _ContextState, op: Op, detail: str) -> None:
@@ -1132,7 +1125,7 @@ class SequentialExecutor(Executor):
         state.pending_exc = None
         ctx.finish_time = ctx.time.now()
         if state.buffer is not None:
-            state.buffer.append("finish", None, ctx.finish_time)
+            state.buffer.add(FINISH, ctx.finish_time)
         ctx.time.finish()
         for sender in ctx.senders:
             channel = sender.channel

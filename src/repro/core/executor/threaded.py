@@ -51,6 +51,7 @@ import time as _wallclock
 from typing import Any, Optional
 
 from ...obs import Observability, fold_channel_metrics, fold_context_metrics
+from ...obs.events import ADVANCE, FINISH
 from ...obs.stall import StallReport, stall_for
 from .. import checkpoint as _ckpt
 from ..channel import _EMPTY, Channel
@@ -227,10 +228,10 @@ class ThreadedExecutor(Executor):
         # pipelines), so worker threads only ever touch their own entry
         # (the lock-free discipline).  A cluster driver hands back its
         # members' buffers when it ends; the joined run folds them all.
-        self._buffers = [
-            trace.context_buffer(ctx.name) if trace is not None else None
-            for ctx in program.contexts
-        ]
+        self._buffers = [None] * len(program.contexts)
+        if trace is not None:
+            trace.start_run(program.channels)
+            self._buffers = [trace.context_buffer(ctx.name) for ctx in program.contexts]
         collect_metrics = obs is not None and obs.metrics is not None
         self._collect_metrics = collect_metrics
         # Per-context tallies, by slot (names may repeat across
@@ -524,7 +525,7 @@ class ThreadedExecutor(Executor):
             gen.close()
             self._finish(ctx)
             if buf is not None and ctx.finish_time is not None:
-                buf.append("finish", None, ctx.finish_time)
+                buf.add(FINISH, ctx.finish_time)
             self._ctx_ops[slot] = ops
             if self._collect_metrics:
                 self._ctx_wall[slot] = _wallclock.perf_counter() - wall_start
@@ -541,23 +542,20 @@ class ThreadedExecutor(Executor):
         if kind is Enqueue:
             self._do_enqueue(ctx, op)
             if buf is not None:
-                buf.append(
-                    "enqueue", op.sender.channel.name, clock.now(), op.data
-                )
+                buf.add(op.sender.channel._enq_port, clock.now(), op.data)
         elif kind is Dequeue or kind is Peek:
             value = self._do_dequeue(ctx, op, remove=kind is Dequeue)
             if buf is not None:
-                buf.append(
-                    "dequeue" if kind is Dequeue else "peek",
-                    op.receiver.channel.name, clock.now(), value,
-                )
+                channel = op.receiver.channel
+                port = channel._deq_port if kind is Dequeue else channel._peek_port
+                buf.add(port, clock.now(), value)
         elif kind is IncrCycles or kind is AdvanceTo:
             if kind is IncrCycles:
                 clock.incr(op.cycles)
             else:
                 clock.advance(op.time)
             if buf is not None:
-                buf.append("advance", None, clock.now())
+                buf.add(ADVANCE, clock.now())
         elif kind is ViewTime:
             value = op.context.time.now()  # SVA: plain atomic load
             self._ctx_spins[self._slots[id(ctx)]] += 1

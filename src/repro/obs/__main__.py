@@ -4,8 +4,10 @@
 path with blocked-time attribution; ``diff`` compares two profile
 reports (any mix of Chrome trace exports, bare profile dicts, or BENCH
 payloads carrying a ``profile`` section) and exits non-zero when a
-critical-path segment regressed beyond the tolerance — the gate CI runs
-against the checked-in benchmark baseline.
+critical-path metric regressed beyond the tolerance, so a script can use
+it as a gate.  No CI step runs it, and no baseline profile is checked in
+for one; the committed reference profiles are the test goldens under
+``tests/obs/golden/``.
 """
 
 from __future__ import annotations

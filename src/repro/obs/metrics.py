@@ -81,6 +81,38 @@ _QUANTILE_SUBDIV = 4
 _UNDERFLOW_BUCKET = -(2**31)
 
 
+def _bucket(value: float) -> int:
+    if value <= 0:
+        return _UNDERFLOW_BUCKET
+    return math.ceil(math.log2(value) * _QUANTILE_SUBDIV)
+
+
+def _representative(bucket: int, low: float, high: float) -> float:
+    """The value a quantile in ``bucket`` reads as, clamped into the
+    observed ``[low, high]``."""
+    if bucket == _UNDERFLOW_BUCKET:
+        return float(low)
+    return min(max(2.0 ** (bucket / _QUANTILE_SUBDIV), float(low)), float(high))
+
+
+def sorted_quantile(ordered: list, q: float) -> float:
+    """What :meth:`Histogram.quantile` returns for the values ``ordered``
+    (ascending), without building the histogram: the buckets rise with
+    the values, so the first bucket whose running count passes the rank
+    ``q * (n - 1)`` is the bucket of the value at that rank, rounded
+    down."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile fraction must be in [0, 1], got {q}")
+    if not ordered:
+        return 0.0
+    if q == 0.0:
+        return float(ordered[0])
+    if q == 1.0:
+        return float(ordered[-1])
+    value = ordered[int(q * (len(ordered) - 1))]
+    return _representative(_bucket(value), ordered[0], ordered[-1])
+
+
 class Histogram:
     """Streaming summary statistics (count / min / max / mean / total)
     plus a log-linear bucket sketch backing :meth:`quantile`.
@@ -107,10 +139,7 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if value <= 0:
-            bucket = _UNDERFLOW_BUCKET
-        else:
-            bucket = math.ceil(math.log2(value) * _QUANTILE_SUBDIV)
+        bucket = _bucket(value)
         self._buckets[bucket] = self._buckets.get(bucket, 0) + 1
 
     @property
@@ -134,11 +163,7 @@ class Histogram:
         for bucket in sorted(self._buckets):
             cumulative += self._buckets[bucket]
             if cumulative > rank:
-                if bucket == _UNDERFLOW_BUCKET:
-                    return float(self.min)  # type: ignore[arg-type]
-                value = 2.0 ** (bucket / _QUANTILE_SUBDIV)
-                # Clamp the bucket's representative into the observed range.
-                return min(max(value, float(self.min)), float(self.max))  # type: ignore[arg-type]
+                return _representative(bucket, self.min, self.max)
         return float(self.max)  # type: ignore[arg-type]
 
     def summary(self) -> dict[str, float]:

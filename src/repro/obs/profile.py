@@ -1,9 +1,9 @@
 """Post-run performance attribution: critical path, blocked time, epochs.
 
 The trace already answers *what happened*; this module answers *why the
-run took as long as it did*.  One pass over each context's columns
-indexes the channel ops and does the whole-run accounting; a backward
-walk over that index finds the critical path.  Three artifacts come out:
+run took as long as it did*.  Numpy passes over each context's columns
+index the channel ops and do the whole-run accounting; a backward walk
+over that index finds the critical path.  Three artifacts come out:
 
 * **Critical path** — the longest dependency chain of
   ``(context op -> channel delivery -> context op)`` edges bounding
@@ -44,16 +44,16 @@ process runs of the same program produce bit-identical profiles.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, count
-from math import nextafter
+from itertools import compress
 from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from ..core.time import INFINITY, Time
-from .events import TraceEvent
-from .metrics import Histogram
+from .events import PortTable, TraceEvent
+from .metrics import sorted_quantile
 from .trace import TraceCollector
 
 COMPUTE = "compute"
@@ -165,12 +165,18 @@ class ProfileReport:
         by_category: dict[str, Time] = {cat: 0 for cat in CATEGORIES}
         by_context: dict[str, Time] = {}
         by_channel: dict[str, Time] = {}
-        for seg in self.segments:
-            as_dict = seg.to_dict()
-            segments.append(as_dict)
-            duration = as_dict["duration"]
+        for category, context, channel, start, end in self.segments:
+            # ``PathSegment.to_dict``, inline.
+            duration = end - start
+            segments.append({
+                "category": category,
+                "context": context,
+                "channel": channel,
+                "start": start,
+                "end": end,
+                "duration": duration,
+            })
             durations.append(duration)
-            category, context, channel = seg.category, seg.context, seg.channel
             by_category[category] = by_category.get(category, 0) + duration
             by_context[context] = by_context.get(context, 0) + duration
             if channel is not None:
@@ -255,9 +261,10 @@ class ProfileReport:
 # Trace indexing.
 # ----------------------------------------------------------------------
 
-#: One context's history as the profile reads it: its ``(kinds,
-#: channels, times)`` columns, index ``i`` of each describing op ``i``.
-Stream = tuple[list[str], list["str | None"], list[Time]]
+#: One context's history as the profile reads it: its ``(ports, times)``
+#: columns, index ``i`` of each describing op ``i``, and the table the
+#: port ids index.
+Stream = tuple[list[int], list[Time], PortTable]
 
 
 def _streams(
@@ -266,23 +273,25 @@ def _streams(
     """The trace as per-context columns in ``seq`` order.
 
     A collector's buffers already hold exactly that; a bare event
-    iterable (a re-imported Chrome trace) is grouped into the same form.
+    iterable (a re-imported Chrome trace) is grouped into the same form,
+    its ports interned into one fresh table.
     """
     if isinstance(trace, TraceCollector):
         return {
-            name: (buf.kinds, buf.channels, buf.times)
+            name: (buf.ports, buf.times, buf.table)
             for name, buf in trace.buffers().items()
         }
     grouped: dict[str, list[TraceEvent]] = {}
     for event in trace:
         grouped.setdefault(event.context, []).append(event)
+    table = PortTable()
     streams: dict[str, Stream] = {}
     for name, events in grouped.items():
         events.sort(key=attrgetter("seq"))
         streams[name] = (
-            [e.kind for e in events],
-            [e.channel for e in events],
+            [table.intern(e.kind, e.channel) for e in events],
             [e.time for e in events],
+            table,
         )
     return streams
 
@@ -297,70 +306,106 @@ _CHANNEL_CATEGORY = {
     "finish": COMPUTE,
 }
 
-#: Where the row pass keeps each category's running total.
+#: Where the passes keep each category's running total.
 _SLOTS = {COMPUTE: 0, BLOCKED_ON_DEQUEUE: 1, BLOCKED_ON_ENQUEUE: 2}
 
-
-def _epoch_windows(
-    width: float, edges: list[float], last_epoch: int
-) -> list[tuple[float, float]]:
-    """Per epoch ``k``, the widest ``[lo, hi]`` inside ``[edges[k],
-    edges[k + 1]]`` on which the clamped ``int(x / width)`` is ``k``.
-
-    :func:`_bin_across` adds an interval inside that window to bin ``k``
-    whole, so the row pass may do the same without dividing.  Rounding
-    can put a point a few ulps from an edge in the neighbouring epoch;
-    the ends step inward until the division agrees (an epoch where it
-    never does gets an empty window, and its intervals take the loop).
-    """
-
-    def epoch(x: float) -> int:
-        return min(int(x / width), last_epoch)
-
-    windows = []
-    for k in range(last_epoch + 1):
-        lo, hi = edges[k], edges[k + 1]
-        for _ in range(4):
-            if epoch(lo) >= k:
-                break
-            lo = nextafter(lo, INFINITY)
-        for _ in range(4):
-            if epoch(hi) <= k:
-                break
-            hi = nextafter(hi, -INFINITY)
-        ok = lo <= hi and epoch(lo) == k == epoch(hi)
-        windows.append((lo, hi) if ok else (INFINITY, -INFINITY))
-    return windows
+#: The FIFO position index an op of a kind joins (enqueues or dequeues).
+_SIDES = {"enqueue": 0, "dequeue": 1}
 
 
-def _bin_across(
-    bins: list[float],
-    prev: Time,
-    time: Time,
-    width: float,
-    edges: list[float],
-    last_epoch: int,
-) -> int:
-    """Add ``[prev, time]`` to every epoch bin it overlaps, clamped to
-    the edges; returns the epoch ``time`` falls in."""
-    first = int(prev / width)
-    if first > last_epoch:
-        first = last_epoch
-    last = int(time / width)
-    if last > last_epoch:
-        last = last_epoch
-    for pos in range(first, last + 1):
-        left = max(prev, edges[pos])
-        right = min(time, edges[pos + 1])
-        if right > left:
-            bins[pos] += right - left
-    return last if last > 0 else 0
+def _category_of(kind: str, channel: str | None) -> str:
+    return COMPUTE if channel is None else _CHANNEL_CATEGORY[kind]
+
+
+class _Ports:
+    """What the profile reads off one port table, by port id, as arrays
+    the passes gather through: the category slot an op charges; the
+    channel total it charges (``charge``: three times the channel's index
+    into the profile's channel names, plus the slot; -1 for none); and
+    the FIFO index it joins (``key``: twice the channel index for its
+    enqueues, plus one for its dequeues; -1 for neither).  Also the ids
+    of unknown kinds, whose rows are dropped, and ``(kind, channel,
+    category)`` per id for the walk."""
+
+    __slots__ = ("slot", "charge", "key", "unknown", "walk")
+
+    def __init__(self, table: PortTable, channel_ids: dict[str, int]):
+        import numpy as np
+
+        slot, charge, key, walk = [], [], [], []
+        self.unknown: set[int] = set()
+        for port, (kind, channel) in enumerate(zip(table.kinds, table.channels)):
+            category = _category_of(kind, channel) if kind in _KINDS else None
+            charged = _SLOTS.get(category, 0)
+            if category is None:
+                self.unknown.add(port)
+            index = channel_ids.setdefault(channel, len(channel_ids)) if charged else -1
+            side = _SIDES.get(kind) if charged else None
+            slot.append(charged)
+            charge.append(3 * index + charged if charged else -1)
+            key.append(-1 if side is None else 2 * index + side)
+            walk.append((kind, channel, category))
+        self.slot = np.array(slot, dtype=np.int8)
+        self.charge = np.array(charge, dtype=np.intp)
+        self.key = np.array(key, dtype=np.intp)
+        self.walk = walk
+
+
+def _time_columns(streams: list[list[Time]]) -> list:
+    """Each stream's times as an array: ``int64`` when every time of
+    every stream is an int (``array`` refuses a float, and an int past 64
+    bits) and no sum of intervals can wrap (each interval is at most
+    twice the largest time, and there are fewer intervals than rows),
+    else ``object`` for all of them."""
+    import numpy as np
+
+    try:
+        columns = [np.frombuffer(array("q", times), np.int64) for times in streams]
+    except (TypeError, OverflowError):
+        columns = []
+    else:
+        largest = max((max(-int(c.min()), int(c.max())) for c in columns), default=0)
+        if 2 * largest * sum(map(len, columns)) < 2**63:
+            return columns
+    columns = []
+    for times in streams:
+        column = np.empty(len(times), dtype=object)
+        column[:] = times
+        columns.append(column)
+    return columns
+
+
+def _bin(bins, start, end, blocked, edges, width: float) -> None:
+    """Add each interval ``[start, end]`` to the epoch bins it overlaps —
+    ``bins[k]`` computing, ``bins[epochs + k]`` blocked — as the plain
+    loop does: over epochs ``int(start / width)`` to ``int(end / width)``
+    (clamped to the last), the piece between ``max(start, edge k)`` and
+    ``min(end, edge k + 1)`` when it is not empty, in row order, so the
+    float sums are the loop's bit for bit (for times below 2**53, which
+    a float holds exactly)."""
+    import numpy as np
+
+    epochs = len(edges) - 1
+    lo, hi = start.astype(np.float64), end.astype(np.float64)
+    first = np.minimum((lo / width).astype(np.intp), epochs - 1)
+    spans = np.minimum((hi / width).astype(np.intp), epochs - 1) - first + 1
+    # One entry per (interval, epoch it overlaps), in row order.
+    at = np.repeat(np.arange(len(lo)), spans)
+    epoch = first[at] + np.arange(len(at)) - (np.cumsum(spans) - spans)[at]
+    piece = np.minimum(edges[epoch + 1], hi[at]) - np.maximum(edges[epoch], lo[at])
+    into = piece > 0
+    np.add.at(bins, (blocked[at] * epochs + epoch)[into], piece[into])
+
+
+def _bisectable(column):
+    """A column as the walk bisects it: an int column read through a
+    memoryview (items come back as ints), any other as its objects."""
+    return memoryview(column) if column.dtype != object else column.tolist()
 
 
 class _Index:
-    """Everything the profile reads from the trace, from one pass over
-    its columns: per-channel FIFO op positions, and the whole-run
-    attribution.
+    """Everything the profile reads from the trace: per-channel FIFO op
+    positions, and the whole-run attribution.
 
     An op is addressed by its *global position*: its index in the
     concatenation of the streams in context-name order.  A channel keeps
@@ -370,165 +415,175 @@ class _Index:
     ordinal is found by bisection when the critical-path walk asks for
     it, which it does for a small fraction of the events.
 
-    The same loop charges the time each op advanced its context's clock
-    to the context's category total, to the channel's (for a blocked op)
-    and to the epoch bins it overlaps.  Per row that costs two dict
-    lookups for the row's ``(channel, kind)`` recorder — category slot,
-    bins, channel totals and the bound ``append`` methods of the
-    channel's position and time lists — and the two appends for an
-    enqueue or dequeue.  An op that advanced the clock adds to at most
-    three totals; only one whose interval leaves the current epoch's
-    window pays for the divisions and the clamped per-epoch loop.
+    Both come from numpy passes over one context's columns at a time
+    (:meth:`_scan`): the port ids gather each op's category, channel and
+    index side through the table's :class:`_Ports`; the times are an
+    ``int64`` array when every time in the trace is an int (and no sum
+    of intervals can wrap), and an ``object`` array otherwise, whose
+    arithmetic and comparisons are
+    Python's own (floats, NaN, ``INFINITY``) — the same operations either
+    way.
     """
 
     def __init__(self, streams: Mapping[str, Stream], epochs: int):
-        self.streams: dict[str, Stream] = {}
+        import numpy as np
+
+        #: Kept streams as the walk reads them: ``(ports, times, walk)``,
+        #: ``walk`` the table's ``_Ports.walk``.
+        self.streams: dict[str, tuple[list[int], list[Time], list]] = {}
         #: Context names in order, and the global position each stream
         #: starts at (``starts`` is parallel to ``names``).
         self.names: list[str] = []
         self.starts: list[int] = []
         #: channel -> (global positions, times) of its enqueues/dequeues.
-        self.enq: dict[str, tuple[list[int], list[Time]]] = {}
-        self.deq: dict[str, tuple[list[int], list[Time]]] = {}
-        for name in sorted(streams):
-            stream = streams[name]
-            kinds, _, times = stream
+        self.enq: dict[str, tuple[Any, Any]] = {}
+        self.deq: dict[str, tuple[Any, Any]] = {}
+        self._channels: dict[str, int] = {}
+        ports_of: dict[int, _Ports] = {}
+        names = [name for name in sorted(streams) if streams[name][0]]
+        columns = _time_columns([streams[name][1] for name in names])
+        self._dtype = columns[0].dtype if columns else object
+        #: name -> (time column, the table's ``_Ports``) for :meth:`_scan`.
+        self._columns: dict[str, tuple[Any, _Ports]] = {}
+        for name, column in zip(names, columns):
+            ports, times, table = streams[name]
+            lut = ports_of.get(id(table))
+            if lut is None:
+                lut = ports_of[id(table)] = _Ports(table, self._channels)
             # Pseudo-buffers (``<worker-N>`` migrate, ``<supervisor>``)
             # and INFINITY finishes carry no simulated time to attribute.
             # A context's own columns have neither and are read in place;
             # only a stream that has one pays for a filtered copy.  (Every
             # time is looked at, not just the last: a buffer shared by
             # replicated context names is not monotone.)
-            if not kinds:
-                continue
-            if not _KINDS.issuperset(kinds) or INFINITY in times:
-                keep = [
-                    kind in _KINDS and time != INFINITY
-                    for kind, time in zip(kinds, times)
-                ]
-                if not any(keep):
+            keep = column != INFINITY
+            if lut.unknown and not lut.unknown.isdisjoint(ports):
+                keep &= ~np.isin(ports, list(lut.unknown))
+            if not keep.all():
+                if not keep.any():
                     continue
-                stream = tuple(list(compress(col, keep)) for col in stream)
-            self.streams[name] = stream
+                mask = keep.tolist()
+                ports = list(compress(ports, mask))
+                times = list(compress(times, mask))
+                column = column[keep]
+            self.streams[name] = (ports, times, lut.walk)
+            self._columns[name] = (column, lut)
             self.names.append(name)
         #: (context, last index, finish time) of the makespan context.
         self.makespan: tuple[str, int, Time] | None = None
-        for name, (kinds, _, times) in self.streams.items():
+        for name, (ports, times, _) in self.streams.items():
             last = times[-1]
             if self.makespan is None or last > self.makespan[2]:
-                self.makespan = (name, len(kinds) - 1, last)
+                self.makespan = (name, len(ports) - 1, last)
         finish_time = self.makespan[2] if self.makespan is not None else 0
-        self.attribution, self.timeline = self._scan(finish_time, epochs)
+        # A NaN time compares False, as in Python; numpy would also warn.
+        with np.errstate(invalid="ignore"):
+            self.attribution, self.timeline = self._scan(finish_time, epochs)
         self.start_of = dict(zip(self.names, self.starts))
 
     def _scan(
         self, finish_time: Time, epochs: int
     ) -> tuple[dict[str, Any], dict[str, Any]]:
-        """The row pass: fills ``starts``, ``enq``, ``deq`` and
-        ``total_events`` and returns the attribution and the timeline."""
+        """The passes, one context at a time in name order (so every
+        running total and bin adds in row order): fills ``starts``,
+        ``enq``, ``deq`` and ``total_events`` and returns the attribution
+        and the timeline.
+
+        Each interval between a context's consecutive rows that advanced
+        its clock is charged to the op ending it — to the context's
+        category total, the channel's (a blocked op) and the epoch bins
+        it overlaps, split there with the clamped edges of a per-epoch
+        loop — all by ``np.add.at``, which adds in index order."""
+        import numpy as np
+
         width = finish_time / epochs if finish_time > 0 and epochs > 0 else 0
-        last_epoch = epochs - 1
-        if width:
-            edges = [pos * width for pos in range(epochs + 1)]
-            windows = _epoch_windows(width, edges, last_epoch)
-            #: Simulated time spent computing / blocked, per epoch.
-            active = [0.0] * epochs
-            blocked = [0.0] * epochs
-        else:
-            # No timeline: one window holding every time, over throwaway
-            # bins nobody reads.
-            edges = []
-            windows = [(-INFINITY, INFINITY)]
-            active, blocked = [0.0], [0.0]
+        edges = np.arange(epochs + 1) * width
+        #: Simulated time spent computing (first half) / blocked, by epoch.
+        bins = np.zeros(2 * epochs if width else 0)
         per_context: dict[str, dict[str, Any]] = {}
-        #: channel -> totals, indexed like a context's (``_SLOTS``).
-        per_channel: dict[str, list[Time]] = {}
-        compute = (0, active, None, None, None)
-
-        def recorder(channel: str | None, kind: str) -> tuple:
-            """What a ``kind`` row on ``channel`` charges and appends to:
-            ``(slot, bins, add_position, add_time, channel totals)``."""
-            slot = 0 if channel is None else _SLOTS[_CHANNEL_CATEGORY[kind]]
-            if not slot:
-                return compute
-            chan = per_channel.setdefault(channel, [0, 0, 0])
-            side = {"enqueue": self.enq, "dequeue": self.deq}.get(kind)
-            if side is None:
-                return (slot, blocked, None, None, chan)
-            positions, times = side.setdefault(channel, ([], []))
-            return (slot, blocked, positions.append, times.append, chan)
-
-        #: channel -> kind -> recorder (two lookups, no key tuple per row).
-        recorders: dict[str | None, dict[str, tuple]] = {}
-        cur = 0
-        lo, hi = windows[cur]
+        dtype = self._dtype
+        #: ``_Ports.charge`` -> total.
+        charged = np.zeros(3 * len(self._channels), dtype=dtype)
+        #: ``_Ports.key`` -> [(global positions, times)], by stream.
+        sides: dict[int, list] = {}
         total = 0
         for name in self.names:
-            kinds, channels, times = self.streams[name]
+            ports, times, _ = self.streams[name]
+            column, lut = self._columns.pop(name)
             self.starts.append(total)
-            totals: list[Time] = [0, 0, 0]
-            prev = 0
-            for pos, kind, channel, time in zip(
-                count(total), kinds, channels, times
-            ):
-                try:
-                    slot, bins, add_pos, add_time, chan = recorders[channel][kind]
-                except KeyError:
-                    slot, bins, add_pos, add_time, chan = recorders.setdefault(
-                        channel, {}
-                    )[kind] = recorder(channel, kind)
-                if add_pos is not None:
-                    add_pos(pos)
-                    add_time(time)
-                if time > prev:
-                    delta = time - prev
-                    totals[slot] += delta
-                    if chan is not None:
-                        chan[slot] += delta
-                    if lo <= prev and time <= hi:
-                        bins[cur] += delta
-                    else:
-                        cur = _bin_across(
-                            bins, prev, time, width, edges, last_epoch
-                        )
-                        lo, hi = windows[cur]
-                # Unconditional: a buffer shared by replicated context
-                # names is not monotone, and the next interval starts here.
-                prev = time
+            port = np.fromiter(ports, np.intp, len(ports))
+            prev = np.empty_like(column)
+            prev[0] = 0
+            prev[1:] = column[:-1]
+            # Unconditional: a buffer shared by replicated context names
+            # is not monotone, and the next interval starts at every row.
+            rows = (column > prev).nonzero()[0]
+            start, end = prev[rows], column[rows]
+            delta = end - start
+            ended = port[rows]
+            slot = lut.slot[ended]
+            totals = np.zeros(3, dtype=dtype)
+            np.add.at(totals, slot, delta)
+            blocked = slot != 0
+            np.add.at(charged, lut.charge[ended[blocked]], delta[blocked])
+            if width:
+                _bin(bins, start, end, blocked, edges, width)
+            keys = lut.key[port]
+            for key in np.bincount(keys + 1)[1:].nonzero()[0].tolist():
+                at = (keys == key).nonzero()[0]
+                sides.setdefault(key, []).append((at + total, column[at]))
+            sums = totals.tolist()
             per_context[name] = {
-                COMPUTE: totals[0],
-                BLOCKED_ON_DEQUEUE: totals[1],
-                BLOCKED_ON_ENQUEUE: totals[2],
+                COMPUTE: sums[0],
+                BLOCKED_ON_DEQUEUE: sums[1],
+                BLOCKED_ON_ENQUEUE: sums[2],
                 OVERHEAD: 0,
-                "finish_time": prev,
-                "idle": finish_time - prev,
+                "finish_time": times[-1],
+                "idle": finish_time - times[-1],
             }
-            total += len(kinds)
+            total += len(ports)
         self.total_events = total
 
+        channel_names = list(self._channels)
+        while sides:
+            # Popped as joined, so the parts and their join never all
+            # coexist; a side recorded by one stream (the usual) is its
+            # part as is.
+            key, parts = sides.popitem()
+            positions, stamps = (
+                arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+                for arrays in zip(*parts)
+            )
+            index = self.deq if key % 2 else self.enq
+            index[channel_names[key // 2]] = (
+                _bisectable(positions), _bisectable(stamps)
+            )
         timeline: dict[str, Any] = {"epoch_width": width, "epochs": []}
         if width:
+            active = bins[:epochs].tolist()
+            blocked_bins = bins[epochs:].tolist()
             denominator = width * max(len(self.names), 1)
             timeline["epochs"] = [
                 {
                     "start": pos * width,
                     "active": active[pos],
-                    "blocked": blocked[pos],
+                    "blocked": blocked_bins[pos],
                     "utilization": round(active[pos] / denominator, 6),
                 }
                 for pos in range(epochs)
             ]
+        sums = charged.tolist()
         attribution = {
             "per_context": per_context,
             # Every charge is positive, so a channel whose totals are
             # both zero never blocked anybody: leave it out.
             "per_channel": {
                 name: {
-                    BLOCKED_ON_DEQUEUE: per_channel[name][1],
-                    BLOCKED_ON_ENQUEUE: per_channel[name][2],
+                    BLOCKED_ON_DEQUEUE: sums[3 * index + 1],
+                    BLOCKED_ON_ENQUEUE: sums[3 * index + 2],
                 }
-                for name in sorted(per_channel)
-                if per_channel[name][1] or per_channel[name][2]
+                for name, index in sorted(self._channels.items())
+                if sums[3 * index + 1] or sums[3 * index + 2]
             },
         }
         return attribution, timeline
@@ -547,10 +602,6 @@ class _Index:
 # ----------------------------------------------------------------------
 # The backward walk.
 # ----------------------------------------------------------------------
-
-
-def _category_of(kind: str, channel: str | None) -> str:
-    return COMPUTE if channel is None else _CHANNEL_CATEGORY[kind]
 
 
 def _producer_of(
@@ -618,6 +669,11 @@ def _unblocker_of(
     return dequeues[at] if at >= 0 else None
 
 
+#: ``PathSegment`` from a tuple of its fields, skipping the named tuple's
+#: Python-level ``__new__``: the walk makes one per segment, thousands.
+_segment = tuple.__new__
+
+
 def _critical_path(
     index: _Index,
     finish_time: Time,
@@ -632,16 +688,17 @@ def _critical_path(
     makespan.
     """
     segments: list[PathSegment] = []
-    visited: set[int] = set()
+    #: One flag per global position: has the walk been at that op?
+    visited = bytearray(index.total_events)
     ctx, idx = start
-    kinds, channels, times = index.streams[ctx]
+    ports, times, walk = index.streams[ctx]
     base = index.start_of[ctx]
     cursor = finish_time
-    limit = 4 * index.total_events + 16
 
-    steps = 0
-    while cursor > 0 and idx >= 0 and steps < limit:
-        steps += 1
+    # At most 4 steps per event: the guard against a pathological cycle.
+    for _ in range(4 * index.total_events + 16):
+        if not (cursor > 0 and idx >= 0):
+            break
         prev_time = times[idx - 1] if idx > 0 else 0
         pos = base + idx
         if not cursor > prev_time:
@@ -650,12 +707,12 @@ def _critical_path(
             # looking at the op.  It still counts as walked.  (``not >``
             # rather than ``<=``: a re-imported malformed trace can hold
             # a NaN time, which must keep stepping back.)
-            visited.add(pos)
+            visited[pos] = 1
             idx -= 1
             continue
-        first_visit = pos not in visited
-        visited.add(pos)
-        kind, channel = kinds[idx], channels[idx]
+        first_visit = not visited[pos]
+        visited[pos] = 1
+        kind, channel, category = walk[ports[idx]]
         target: int | None = None
         if first_visit and channel is not None:
             if kind in ("dequeue", "peek"):
@@ -666,30 +723,25 @@ def _critical_path(
                 target = _unblocker_of(
                     index, channel, times[idx], pos, channel_meta
                 )
-        if target is not None and target not in visited:
+        if target is not None and not visited[target]:
             t_ctx, t_idx = index.locate(target)
             t_stream = index.streams[t_ctx]
-            t_time = t_stream[2][t_idx]
+            t_time = t_stream[1][t_idx]
             # Only jump when it makes progress toward t=0 (a zero-latency
             # edge is followed without emitting a segment); a malformed
             # or already-walked target degrades to a step-back instead.
             if t_time <= cursor:
                 if t_time < cursor:
                     segments.append(
-                        PathSegment(
-                            _category_of(kind, channel),
-                            ctx, channel, t_time, cursor,
-                        )
+                        _segment(PathSegment, (category, ctx, channel, t_time, cursor))
                     )
                 ctx, idx, cursor = t_ctx, t_idx, t_time
-                kinds, channels, times = t_stream
+                ports, times, walk = t_stream
                 base = index.start_of[t_ctx]
                 continue
         # Step back within this context, charging the wait to it.
         segments.append(
-            PathSegment(
-                _category_of(kind, channel), ctx, channel, prev_time, cursor
-            )
+            _segment(PathSegment, (category, ctx, channel, prev_time, cursor))
         )
         cursor = prev_time
         idx -= 1
@@ -722,16 +774,16 @@ def profile_trace(
         if finish_time > 0
         else []
     )
-    histogram = Histogram()
-    for seg in segments:
-        histogram.observe(seg.duration)
+    durations = [end - start for _, _, _, start, end in segments]
+    ordered = sorted(durations)
     quantiles = (
         {
-            "p50": histogram.quantile(0.5),
-            "p90": histogram.quantile(0.9),
-            "max": histogram.max or 0.0,
+            "p50": sorted_quantile(ordered, 0.5),
+            "p90": sorted_quantile(ordered, 0.9),
+            # The first of equal maxima, as a histogram keeps it.
+            "max": max(durations) or 0.0,
         }
-        if histogram.count
+        if durations
         else {}
     )
     return ProfileReport(

@@ -1,11 +1,12 @@
 """Executor-agnostic trace collection.
 
-A run hands each context it hosts its own
-:class:`~repro.obs.events.ContextTraceBuffer` and, when it ends, folds
-them into the :class:`TraceCollector`'s name-keyed buffers in program
-slot order.  The per-name columns are what the profiler and the Chrome
-exporter read; rows and the single ``(time, context, seq)`` timeline are
-derived views, built and sorted only when somebody asks for them.
+A run numbers its ports (:meth:`TraceCollector.start_run`), hands each
+context it hosts its own :class:`~repro.obs.events.ContextTraceBuffer`
+and, when it ends, folds them into the :class:`TraceCollector`'s
+name-keyed buffers in program slot order.  The per-name columns are what
+the profiler and the Chrome exporter read; rows and the single
+``(time, context, seq)`` timeline are derived views, decoded through the
+port table and sorted only when somebody asks for them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator
 
 from ..core.time import Time
-from .events import ContextTraceBuffer, Row, TraceEvent
+from .events import ContextTraceBuffer, PortTable, Row, TraceEvent
 
 
 class TraceCollector:
@@ -31,18 +32,34 @@ class TraceCollector:
         self.capture_payloads = capture_payloads
         self._buffers: dict[str, ContextTraceBuffer] = {}
         self._merged: list[TraceEvent] | None = None
+        #: The port table of the latest run (:meth:`start_run`); buffers
+        #: made here decode through it.
+        self.table = PortTable()
 
     # ------------------------------------------------------------------
     # Recording.
     # ------------------------------------------------------------------
 
+    def start_run(self, channels: Iterable[Any]) -> None:
+        """Number the ports of a run over ``channels`` (its program's, in
+        slot order): a fresh :class:`PortTable`, and each channel's
+        ``_enq_port`` / ``_deq_port`` / ``_peek_port``, the ids its ops
+        record.  The run's hosts read the ids off the channels (a forked
+        worker inherits them, a shuttle proxy copies them), so none
+        renumbers."""
+        channels = list(channels)
+        self.table = PortTable(channel.name for channel in channels)
+        for slot, channel in enumerate(channels):
+            ports = PortTable.channel_ports(slot)
+            channel._enq_port, channel._deq_port, channel._peek_port = ports
+
     def buffer(self, context: str) -> ContextTraceBuffer:
         """Return (creating if needed) the collector's buffer for the
         context name ``context``: what readers see, and what
-        :meth:`record` and :meth:`fold` append to."""
+        :meth:`fold` and pseudo rows append to."""
         buf = self._buffers.get(context)
         if buf is None:
-            buf = ContextTraceBuffer(context, self.capture_payloads)
+            buf = ContextTraceBuffer(context, self.capture_payloads, self.table)
             self._buffers[context] = buf
         return buf
 
@@ -52,9 +69,10 @@ class TraceCollector:
         Each context records into its own — by program slot, not name,
         because replicated pipelines repeat names — from its own thread
         of control only (the lock-free discipline); the run hands the
-        buffers to :meth:`fold` when it ends.
+        buffers to :meth:`fold` when it ends.  It records the run's port
+        ids (:meth:`start_run`).
         """
-        return ContextTraceBuffer(context, self.capture_payloads)
+        return ContextTraceBuffer(context, self.capture_payloads, self.table)
 
     def fold(self, buffers: Iterable[ContextTraceBuffer]) -> None:
         """File each run buffer under its context's name, in the order
@@ -62,24 +80,18 @@ class TraceCollector:
         contexts that share a name land one after another in slot order,
         whatever the schedule interleaved.  The first buffer folded under
         a name is adopted as is, not copied (the run is over and nothing
-        appends to it any more); later ones are concatenated onto it."""
+        appends to it any more); later ones are concatenated onto it,
+        remapped if they come from another run's table."""
         for buf in buffers:
+            if buf.table is None:
+                # Shipped by a forked worker, which recorded this run's
+                # port ids (``start_run``) and left the table home.
+                buf.table = self.table
             mine = self._buffers.get(buf.context)
             if mine is None:
                 self._buffers[buf.context] = buf
             else:
                 mine.extend(buf)
-
-    def record(
-        self,
-        context: str,
-        kind: str,
-        channel: str | None,
-        time: Time,
-        payload: Any = None,
-    ) -> None:
-        """Append one event on behalf of ``context`` (compatibility API)."""
-        self.buffer(context).append(kind, channel, time, payload)
 
     def clear(self) -> None:
         """Drop every recorded event and buffer.

@@ -553,7 +553,7 @@ def _outcome(spec, fast, traced):
         ],
         "logs": logs,
         "trace": None if obs is None else {
-            name: [buf.kinds, buf.channels, buf.times, buf.payloads]
+            name: [buf.ports, buf.rows]
             for name, buf in obs.trace.buffers().items()
         },
     }

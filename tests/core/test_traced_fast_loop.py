@@ -12,6 +12,7 @@ either shows; ``test_fused_ops.py`` and ``test_runners.py`` pin what the
 runners do.
 """
 
+import hashlib
 import linecache
 import re
 import traceback
@@ -34,9 +35,26 @@ from repro.obs import Observability
 EVERY_KIND = ("D", "E", "C", "O")
 
 #: What the ``#T`` statements introduce: the trace buffer and its
-#: columns, as locals and as the attributes they are read from.
-TRACED_LOCALS = {"trace", "kinds", "channels", "times", "payloads"}
-TRACED_ATTRS = {"buffer", "kinds", "channels", "times", "payloads"}
+#: columns, as locals and as the attributes they are read from, and the
+#: channels' port ids (the woken receiver's row goes through ``add``).
+TRACED_LOCALS = {"trace", "ports", "times", "payloads"}
+TRACED_ATTRS = {
+    "buffer", "ports", "times", "payloads", "_enq_port", "_deq_port", "add",
+}
+
+#: Every untraced runner variant: each kind alone in every mode, and
+#: every kind in one chunk.
+UNTRACED_SHAPES = [
+    ((token,), mode) for token in EVERY_KIND for mode in ("bare", "last", "chain")
+] + [(EVERY_KIND, "last"), (EVERY_KIND, "chain")]
+
+#: sha256 of those variants' sources with their ``#T`` lines removed, in
+#: ``UNTRACED_SHAPES`` order.  A change of what an untraced run executes
+#: changes it; a change of the trace's recording must not.  (Regenerate
+#: only for a deliberate change of the untraced runners.)
+UNTRACED_SOURCE_SHA256 = (
+    "1948e47c037882fb4327dbbd6336a24853b7634e0f9c30d11abfa6ddf1449eaa"
+)
 
 #: A comment that looks like a marker but would not be stripped.
 NEAR_MISS = re.compile(r"^\s*#\s*[tTfFbB]\b(?!\w)")
@@ -58,6 +76,18 @@ def _names(key):
     for code in _code_objects(_compiled(key)):
         names |= set(code.co_varnames) | set(code.co_names) | set(code.co_freevars)
     return names
+
+
+def _bytecode(code):
+    """A code object tree without its line numbers."""
+    return [
+        (
+            each.co_name, each.co_code, each.co_names, each.co_varnames,
+            each.co_freevars, each.co_cellvars,
+            tuple(c for c in each.co_consts if not hasattr(c, "co_code")),
+        )
+        for each in _code_objects(code)
+    ]
 
 
 def _lines_with_code(key):
@@ -126,11 +156,11 @@ class TestDerivation:
         one; the two agree on every other line."""
         untraced_key = (EVERY_KIND, "last", False)
         marked = _marked(untraced_key, "#T")
-        # 5 prologue bindings; 3 completion sites (dequeue, enqueue,
-        # advance) appending to the three columns and, behind a test,
-        # the payload column (5 lines each); the enqueue's open-coded
-        # wake records for the waiter (1 line).
-        assert len(marked) == 5 + 3 * 5 + 1
+        # 4 prologue bindings; 3 completion sites (dequeue, enqueue,
+        # advance) appending to the port and time columns and, behind a
+        # test, the payload column (4 lines each); the enqueue's
+        # open-coded wake records for the waiter (1 line).
+        assert len(marked) == 4 + 3 * 4 + 1
         traced = _lines_with_code((EVERY_KIND, "last", True))
         untraced = _lines_with_code(untraced_key)
         assert traced - untraced == _carrying(marked)
@@ -164,6 +194,22 @@ class TestDerivation:
             bind = _compiled(((token,), "bare", False)).co_consts[0]
             params = bind.co_varnames[: bind.co_argcount]
             assert params == ("base", "buf", "nxt"), token
+
+    def test_untraced_runners_are_pinned(self):
+        """What an untraced run executes does not move when the trace's
+        recording does: every untraced variant's source, less its ``#T``
+        lines, has the pinned digest, and compiles to the same code
+        objects as the variant itself (line tables aside)."""
+        stripped = []
+        for tokens, mode in UNTRACED_SHAPES:
+            source = runners.source((tokens, mode, False))
+            without = re.sub(r"(?m)^[ \t]*#T .*\n", "", source)
+            stripped.append(without)
+            assert _bytecode(compile(source, "<test>", "exec")) == _bytecode(
+                compile(without, "<test>", "exec")
+            ), (tokens, mode)
+        digest = hashlib.sha256("".join(stripped).encode()).hexdigest()
+        assert digest == UNTRACED_SOURCE_SHA256
 
     def test_variants_share_line_numbers(self):
         lengths = {

@@ -4,7 +4,11 @@ from repro import Observability, ProgramBuilder, RunConfig
 from repro.core.channel import Channel
 from repro.core.time import TimeCell
 from repro.contexts import Collector, RampSource, UnaryFunction
-from repro.obs import MetricsRegistry
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.obs import Histogram, MetricsRegistry
+from repro.obs.metrics import sorted_quantile
 
 
 class TestRegistry:
@@ -53,6 +57,27 @@ class TestRegistry:
         assert 32.0 <= hist.quantile(0.5) <= 64.0
         assert hist.quantile(0.99) <= 100.0
         assert hist.quantile(0.5) <= hist.quantile(0.9)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=10**6),
+                st.floats(min_value=0, max_value=1e6, allow_nan=False),
+                st.sampled_from([0, 1, 1.0, 2, 2.0, 1 / 3]),
+            ),
+            max_size=60,
+        )
+    )
+    def test_sorted_quantile_is_the_histograms(self, values):
+        """The profile reads its segment quantiles off one sort; every
+        rank, bucket edge and clamp must come out as the histogram's."""
+        hist = Histogram()
+        for value in values:
+            hist.observe(value)
+        ordered = sorted(values)
+        for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
+            assert repr(sorted_quantile(ordered, q)) == repr(hist.quantile(q))
 
     def test_histogram_quantile_edge_cases(self):
         import pytest

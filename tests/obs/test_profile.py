@@ -167,21 +167,21 @@ def malformed_trace():
     restarts the clock), an ``INFINITY`` finish that is, and a
     pseudo-buffer of unknown kinds only."""
     trace = TraceCollector()
-    trace.record("src", "advance", None, 3)
-    trace.record("src", "enqueue", "c", 3)
-    trace.record("src", "migrate", None, 0, {"cluster": 1})
-    trace.record("src", "enqueue", "c", 5)
-    trace.record("src", "finish", None, INFINITY)
-    trace.record("src", "advance", None, 1)
-    trace.record("src", "enqueue", "d", 2)
-    trace.record("src", "finish", None, 2)
-    trace.record("sink", "dequeue", "c", 4)
-    trace.record("sink", "advance", None, 9)
-    trace.record("sink", "dequeue", "c", 9)
-    trace.record("sink", "dequeue", "d", 11)
-    trace.record("sink", "crash", None, 11)
-    trace.record("sink", "finish", None, INFINITY)
-    trace.record("<worker-0>", "migrate", None, 0, {"cluster": 1})
+    trace.buffer("src").append("advance", None, 3)
+    trace.buffer("src").append("enqueue", "c", 3)
+    trace.buffer("src").append("migrate", None, 0, {"cluster": 1})
+    trace.buffer("src").append("enqueue", "c", 5)
+    trace.buffer("src").append("finish", None, INFINITY)
+    trace.buffer("src").append("advance", None, 1)
+    trace.buffer("src").append("enqueue", "d", 2)
+    trace.buffer("src").append("finish", None, 2)
+    trace.buffer("sink").append("dequeue", "c", 4)
+    trace.buffer("sink").append("advance", None, 9)
+    trace.buffer("sink").append("dequeue", "c", 9)
+    trace.buffer("sink").append("dequeue", "d", 11)
+    trace.buffer("sink").append("crash", None, 11)
+    trace.buffer("sink").append("finish", None, INFINITY)
+    trace.buffer("<worker-0>").append("migrate", None, 0, {"cluster": 1})
     meta = {
         "c": {"capacity": 2, "latency": 1, "resp_latency": 1},
         "d": {"capacity": 2, "latency": 1, "resp_latency": 1},
@@ -240,7 +240,7 @@ def generated_trace(rows) -> TraceCollector:
             time = step[1]
         else:
             time = clocks[name, copy] = clocks.get((name, copy), 0) + step
-        trace.record(name, kind, channel, time)
+        trace.buffer(name).append(kind, channel, time)
     return trace
 
 
@@ -393,10 +393,10 @@ class TestCriticalPath:
         edges = TraceCollector()
         # finish_time 100 over 7 epochs: a width with no exact float.
         for time in (14, 15, 28, 29, 43, 57, 58, 71, 72, 85, 86, 99):
-            edges.record("a", "advance", None, time)
-        edges.record("a", "finish", None, 100)
+            edges.buffer("a").append("advance", None, time)
+        edges.buffer("a").append("finish", None, 100)
         for time in (1, 50, 50, 100):
-            edges.record("b", "dequeue", "c", time)
+            edges.buffer("b").append("dequeue", "c", time)
         for trace in (obs.trace, edges):
             report = profile_trace(trace, epochs=epochs)
             got = [
@@ -517,6 +517,18 @@ class TestCriticalPath:
                 self._reference_attribution(trace, epochs)
             )
 
+    def test_int_times_whose_sums_would_wrap_64_bits(self):
+        """Times that fit 64 bits but whose intervals add up past them (two
+        contexts share the name ``a``) are summed as Python ints."""
+        trace = TraceCollector()
+        big = 2**62 + 2**61
+        for time in (big, 1, big):
+            trace.buffer("a").append("advance", None, time)
+        report = profile_trace(trace, epochs=1)
+        reference = self._reference_attribution(trace, 1)
+        assert json.dumps(report.attribution) == json.dumps(reference["attribution"])
+        assert report.attribution["per_context"]["a"][COMPUTE] == 2 * big - 1
+
     def test_segment_quantiles_present(self):
         report, _ = run_with_profile(build_starved_pipeline)
         quant = report.segment_quantiles
@@ -530,13 +542,29 @@ class TestCriticalPath:
 
 
 class TestRoundTrips:
-    def test_chrome_trace_round_trip_matches_in_process(self, tmp_path):
+    @staticmethod
+    def _chrome_round_trip(build, tmp_path):
+        """The in-process profile and the one of its re-imported Chrome
+        export, each as JSON text, keys unsorted."""
         obs = Observability()
-        build_starved_pipeline().run(config=RunConfig(obs=obs))
+        build().run(config=RunConfig(obs=obs))
         path = obs.write_chrome_trace(tmp_path / "run.json")
         events, channels = events_from_chrome_trace(json.loads(path.read_text()))
         rebuilt = profile_trace(events, channel_meta=channels)
-        assert rebuilt.to_dict() == obs.profile_report.to_dict()
+        return json.dumps(rebuilt.to_dict()), json.dumps(obs.profile_report.to_dict())
+
+    def test_chrome_trace_round_trip_matches_in_process(self, tmp_path):
+        rebuilt, in_process = self._chrome_round_trip(build_starved_pipeline, tmp_path)
+        assert rebuilt == in_process
+
+    @pytest.mark.parametrize("build", [build_spmspm, build_replicated_mha])
+    def test_chrome_round_trip_profiles_to_the_same_json_text(self, tmp_path, build):
+        """Re-imported, an export's ports are interned into a fresh table,
+        not numbered by program slot as the run's were; the profile is
+        still the same text (an int read back as a float, or a port
+        decoded wrongly, would show)."""
+        rebuilt, in_process = self._chrome_round_trip(build, tmp_path)
+        assert rebuilt == in_process
 
     @staticmethod
     def _three_ways(trace, channel_meta):
@@ -583,12 +611,12 @@ class TestRoundTrips:
 
     def test_entry_points_agree_with_an_infinity_finish(self):
         trace = TraceCollector()
-        trace.record("src", "advance", None, 3)
-        trace.record("src", "enqueue", "c", 3)
-        trace.record("src", "finish", None, INFINITY)
-        trace.record("sink", "dequeue", "c", 4)
-        trace.record("sink", "advance", None, 9)
-        trace.record("sink", "finish", None, 9)
+        trace.buffer("src").append("advance", None, 3)
+        trace.buffer("src").append("enqueue", "c", 3)
+        trace.buffer("src").append("finish", None, INFINITY)
+        trace.buffer("sink").append("dequeue", "c", 4)
+        trace.buffer("sink").append("advance", None, 9)
+        trace.buffer("sink").append("finish", None, 9)
         meta = {"c": {"capacity": 2, "latency": 1, "resp_latency": 1}}
         from_rows, from_events, from_chrome = self._three_ways(trace, meta)
         assert from_rows == from_events == from_chrome

@@ -1,16 +1,21 @@
 """Port histories are stored as columns, and a finished run frees itself.
 
 A context's trace is its timed sequence of port events, kept as plain
-``kinds`` / ``channels`` / ``times`` lists (DESIGN.md §9).  Recording an
-op appends objects that already exist, so a traced run allocates nothing
-per op that the cycle collector tracks; and an executor holds no bound
-method of itself, so dropping a run's summary, obs bundle and program
-frees everything it allocated by reference counting alone.
+``ports`` / ``times`` lists, a port an int id into the run's port table
+(DESIGN.md §9).  Recording an op appends objects that already exist, so
+a traced run allocates nothing per op that the cycle collector tracks;
+and an executor holds no bound method of itself, so dropping a run's
+summary, obs bundle and program frees everything it allocated by
+reference counting alone.  The profile reads the columns a context at a
+time, so its own peak stays small.
 """
 
 import gc
 import json
 import multiprocessing
+import subprocess
+import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -143,3 +148,39 @@ class TestTimesKeepTheirType:
         extra = profile_trace(trace(True), channel_meta=meta).to_dict()
         assert json.dumps(extra) == json.dumps(plain)
         assert set(extra["attribution"]["per_context"]) == {"src", "sink"}
+
+
+class TestProfileMemory:
+    def test_profiling_a_benchmark_sized_trace_peaks_under_2_7_mb(self):
+        """``profile_trace`` of an ``obs_spmspm``-sized trace (~85k rows):
+        numpy passes one context at a time, and FIFO indexes as arrays.
+        The row loop, with its positions and times in int lists, peaked
+        at 6.4 MB on this trace."""
+        b = random_dense(26, 26, density=0.2, seed=1)
+        ct = random_dense(26, 26, density=0.2, seed=101)
+        program = build_spmspm(
+            CsfTensor.from_dense(b, "cc"), CsfTensor.from_dense(ct, "cc"), depth=16
+        ).program
+        obs = Observability(metrics=False)
+        program.run(obs=obs)
+        assert len(obs.trace) > 80_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            profile_trace(obs.trace, channel_meta=obs.channel_meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_700_000
+
+
+class TestImportHygiene:
+    def test_importing_repro_loads_the_profiler_but_not_numpy(self):
+        """The profiler's passes import numpy when they run, so a program
+        that never profiles never pays for it."""
+        probe = "import sys, repro; print(*(m in sys.modules for m in ('repro.obs.profile', 'numpy')))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "False"]

@@ -16,7 +16,8 @@ from repro.contexts import Collector, RampSource, UnaryFunction
 from repro.core.executor import partitioned
 from repro.core.executor.base import RunSummary
 from repro.core.executor.partitioned import _shippable_rows
-from repro.obs import ContextTraceBuffer, TraceEvent
+from repro.obs import ContextTraceBuffer, TraceCollector, TraceEvent
+from repro.obs.events import ADVANCE
 
 EXECUTORS = ["sequential", "threaded", "process"]
 
@@ -145,8 +146,9 @@ class TestRowBuffers:
         assert built == len(events) == len(obs.trace) > 0
 
     def test_worker_payload_ships_rows(self, monkeypatch):
-        """What a worker pickles to the parent is the buffer's columns.
-        A buffer without payloads ships as is, unprobed; a payload that
+        """What a worker pickles to the parent is the buffer's columns,
+        without the port table (the parent decodes the ids through the
+        run's).  A buffer without payloads ships unprobed; a payload that
         refuses to pickle blanks the payload column and nothing else."""
         probed = []
         real_dumps = pickle.dumps
@@ -158,22 +160,24 @@ class TestRowBuffers:
         monkeypatch.setattr(partitioned.pickle, "dumps", spying_dumps)
         plain = ContextTraceBuffer("ctx")
         plain.append("advance", None, 3, object())
-        columns = (plain.kinds, plain.channels, plain.times)
+        columns = (plain.ports, plain.times)
         assert _shippable_rows(plain) is plain
-        assert (plain.kinds, plain.channels, plain.times) == columns
+        assert (plain.ports, plain.times) == columns == ([ADVANCE], [3])
+        assert plain.table is None
         assert plain.payloads is None and probed == []
 
         buf = ContextTraceBuffer("ctx", capture_payloads=True)
         buf.append("enqueue", "c", 1, 41)
         buf.append("enqueue", "c", 2, lambda: None)
-        kinds, channels, times = buf.kinds, buf.channels, buf.times
+        table, ports, times = buf.table, buf.ports, buf.times
         shipped = _shippable_rows(buf)
         assert len(probed) == 1  # the payload column, once
-        assert shipped.kinds is kinds
-        assert shipped.channels is channels
+        assert shipped.ports is ports
         assert shipped.times is times
+        assert shipped.table is None
         assert shipped.payloads == [None, None]
         received = pickle.loads(real_dumps(shipped))
+        received.table = table
         assert received.rows == [
             ("enqueue", "c", 1, None), ("enqueue", "c", 2, None)
         ]
@@ -201,8 +205,14 @@ class TestRowBuffers:
         assert all(
             type(column) is list
             for buf in buffers
-            for column in (buf.kinds, buf.channels, buf.times, buf.payloads)
+            for column in (buf.ports, buf.times, buf.payloads)
         )
+        # Every worker recorded the parent's port ids: the merge decodes
+        # them through the run's own table.
+        assert all(buf.table is obs.trace.table for buf in buffers)
+        assert {row[1] for buf in contexts.values() for row in buf.rows} == {
+            None, "indices", "fibs"
+        }
 
     def test_merge_folds_shipped_rows_in_slot_order(self):
         """Two contexts named ``ctx`` on two workers: the later slot's
@@ -224,3 +234,37 @@ class TestRowBuffers:
             (0, "advance", 1), (1, "advance", 2), (2, "finish", 2)
         ]
         assert all(e.context == "ctx" for e in events)
+
+    def test_buffers_of_two_programs_fold_to_their_own_rows(self):
+        """Two runs number their ports by their own programs' channels, so
+        one id names different ports in each; folded under the same
+        names into one collector, the later run's buffers are remapped
+        and every buffer decodes to the rows it had."""
+
+        def traced(*names):
+            builder = ProgramBuilder()
+            ends = [builder.bounded(2, name=name) for name in names]
+            builder.add(RampSource(ends[0][0], 3, name="src"))
+            for (_, rcv), (snd, _) in zip(ends, ends[1:]):
+                builder.add(UnaryFunction(rcv, snd, lambda x: x + 1, name="mid"))
+            builder.add(Collector(ends[-1][1], name="sink"))
+            obs = Observability(capture_payloads=True)
+            builder.build().run(obs=obs)
+            return obs.trace
+
+        first, second = traced("a"), traced("b", "a")
+        # The first channel's enqueue port of each: "a" in one, "b" in
+        # the other.
+        assert first.table.channels[2] == "a"
+        assert second.table.channels[2] == "b"
+        rows = {
+            name: first.buffers()[name].rows
+            + (second.buffers()[name].rows if name in second.buffers() else [])
+            for name in first.buffers()
+        }
+        rows["mid"] = second.buffers()["mid"].rows
+        folded = TraceCollector(capture_payloads=True)
+        folded.fold(list(first.buffers().values()))
+        folded.fold(list(second.buffers().values()))
+        assert {name: buf.rows for name, buf in folded.buffers().items()} == rows
+        assert {row[1] for row in rows["src"]} == {"a", "b", None}
