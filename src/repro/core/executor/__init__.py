@@ -8,7 +8,7 @@ Three executors share identical simulated semantics:
   pairwise synchronization (the paper's runtime); truly parallel on a
   free-threaded CPython build, where ``"free-threaded"`` names it too.
 * :class:`ProcessExecutor` — graph partitions across forked worker
-  processes, cut channels bridged by shared-memory shuttles and
+  processes, cut channels bridged by shared-memory lanes and
   rebalanced by work stealing; the route around the GIL to the paper's
   multi-core wall-clock speedups.
 

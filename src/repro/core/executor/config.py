@@ -79,8 +79,6 @@ class RunConfig:
         Scheduling policy name or instance for cooperative schedulers.
     fast_path:
         Enable the sequential executor's inline fast loop.
-    max_ops:
-        Safety valve: abort after this many operations.
     obs:
         An :class:`repro.obs.Observability` collecting trace/metrics.
     steal:
@@ -147,7 +145,6 @@ class RunConfig:
     workers: Optional[int] = None
     policy: Any = None
     fast_path: Optional[bool] = None
-    max_ops: Optional[int] = None
     obs: Any = None
     steal: Optional[bool] = None
     timeslice: Optional[int] = None

@@ -1,26 +1,34 @@
-"""Process-parallel executor: partitioned graphs bridged by shuttles.
+"""Process-parallel executor: partitioned graphs, cut channels over lanes.
 
 The GIL caps the threaded executor at one core; this executor recovers
 DAM's wall-clock scaling by partitioning ``program.contexts`` across
 **forked worker processes** (:mod:`repro.core.executor.partition`), running
 each partition under the existing cooperative scheduler, and bridging the
-*cut* channels — those whose endpoints land in different workers — with
-cross-process shuttles (:mod:`repro.core.executor.shm`).
+*cut* channels — those whose endpoints land in different workers — over
+shared-memory lanes (:mod:`repro.core.executor.shm`).
 
 Why the simulated results stay bit-identical
 --------------------------------------------
 
 Channel semantics are pure functions of simulated state (the FIFO contents
-and the endpoint clocks — see :mod:`repro.core.channel`).  A shuttle
-carries exactly the records an in-process channel would queue, over two
-FIFO lanes:
+and the endpoint clocks — see :mod:`repro.core.channel`).  A cut channel is
+a :class:`~repro.core.channel.Channel` at each end and two FIFO lanes
+between them.  Each activated side is a clone of the channel — same id,
+name, parameters and trace ports, its own queues and stats — that its
+contexts drive exactly as they would drive the original, so every
+transition, void and flavor change is ``Channel``'s.  The queue the *other*
+side drains is this side's outbox, which a lane pump flushes at slice
+boundaries:
 
-* **data lane** (sender partition → receiver partition): the ``(stamp,
-  data)`` tuples, followed by a ``SENDER_DONE`` sentinel when the sending
-  context finishes (the channel-close transition);
-* **response lane** (receiver → sender): the dequeue-time responses that
-  drive backpressure, followed by ``RECEIVER_DONE`` when the receiving
-  context finishes (the channel-void transition).
+* **data lane** (sender partition → receiver partition): the sender
+  clone's ``_data``, the ``(stamp, data)`` tuples an in-process channel
+  would queue, then a done sentinel once the sending context has finished
+  and the outbox is empty (applied as ``close_sender()``, the
+  channel-close transition);
+* **response lane** (receiver → sender): the receiver clone's ``_resps``,
+  the dequeue-time responses that drive backpressure, then a done
+  sentinel once the receiving context has finished (applied as
+  ``close_receiver()``, the channel-void transition).
 
 Both lanes preserve order, so every state transition observes the same
 sequence it would in-process, and the sender clock advances through the
@@ -46,12 +54,12 @@ and every worker begins empty, *activating* clusters lazily: when its run
 queue drains it claims its next own cold cluster from a shared
 :class:`~repro.core.executor.shm.ClaimBoard`, and when it has none left it
 steals another worker's cold cluster (largest first).  Because every
-channel leaving a cluster is a planned-cut channel already bridged by a
-shuttle, activation by *any* worker creates no new communication paths:
-the adopter installs the same shuttle proxies and publishes into the same
-clock slots the planned owner would have, and since a cluster is claimed
-exactly once (one inherited lock guards the board) the SPSC property of
-every shuttle lane is preserved.  Simulated results cannot change —
+channel leaving a cluster is a planned-cut channel already bridged by two
+lanes, activation by *any* worker creates no new communication paths:
+the adopter clones the same channels onto the same lanes and publishes
+into the same clock slots the planned owner would have, and since a
+cluster is claimed exactly once (one inherited lock guards the board) the
+SPSC property of every lane is preserved.  Simulated results cannot change —
 cluster activation moves *where* the same pure state transitions execute,
 never what they compute.  ``steal=False`` restores strict planned
 placement (pins keep their separation guarantee); with stealing on, pins
@@ -84,7 +92,6 @@ import multiprocessing
 import os
 import pickle
 import time as _wallclock
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 from typing import Any, Optional
@@ -92,7 +99,7 @@ from typing import Any, Optional
 from ...obs import Observability, fold_channel_metrics, fold_context_metrics
 from ...obs.stall import StallReport
 from .. import checkpoint as _ckpt
-from ..channel import _EMPTY, Channel, ChannelStats
+from ..channel import Channel, ChannelStats
 from ..errors import (
     CheckpointError,
     DamError,
@@ -116,15 +123,10 @@ from .shm import (
     CKPT_DUMP,
     CKPT_PAUSE,
     CKPT_RUN,
-    DATA,
-    RECEIVER_DONE,
-    RESPONSE,
-    SENDER_DONE,
     WORKER_BLOCKED,
     WORKER_DONE,
     WORKER_RUNNING,
     ArenaLayout,
-    ChannelShuttle,
     CheckpointBoard,
     ClaimBoard,
     Doorbell,
@@ -163,7 +165,8 @@ class _RunShared:
     status: StatusBoard
     claim: ClaimBoard
     claim_lock: Any
-    shuttles: dict[int, ChannelShuttle]
+    #: ``channel id -> (data lane, response lane)`` of every cut channel.
+    lanes: dict[int, tuple]
     abort: Any
     #: One doorbell per worker, by worker index, and the parent's.
     bells: list[Doorbell]
@@ -184,237 +187,112 @@ _FRAMEWORK_ATTRS = frozenset(
 
 
 # ----------------------------------------------------------------------
-# Cut-channel proxies.
-#
-# After fork, each worker swaps the ``.channel`` of every cut-channel
-# handle owned by a local context for one of these.  They mirror the
-# pure-semantics surface of :class:`Channel` that the sequential
-# executor's dispatch/finish/stall paths touch, but route records over
-# the shuttle lanes instead of shared deques.  Pushes never block the
-# scheduling loop: records that do not fit in the ring queue locally in
-# ``_pending`` and are flushed by ``poll()``.
+# Cut channels: a Channel at each end, two lanes between them.
 # ----------------------------------------------------------------------
 
 
-class _ShuttleProxy:
-    """What both sides of a cut channel share: the channel's parameters
-    and finished flags, and an outbound lane whose overflow waits in
-    ``_pending`` until :meth:`poll` flushes it."""
+class _LanePump:
+    """One activated side of a cut channel.
 
-    # Flavor codes the sequential fast path would inline on; shuttles
-    # always need their method implementations (lane bookkeeping), so a
-    # runner never reads the deque that a side lacks.
-    _enq_code = 2
-    _deq_code = 2
-    _data = _resps = None
+    ``channel`` is a clone of the cut :class:`Channel` — same id, name,
+    parameters and trace ports, its own queues and stats — that the
+    side's contexts drive as they would the original, on the runners'
+    open-coded path.  The queue the *peer* drains is this side's outbox
+    (the sender's ``_data``, the receiver's ``_resps``): :meth:`pump`
+    flushes it onto the outbound lane, and once it is empty and this
+    side's endpoint has finished, sends the done sentinel (``None``)
+    once, unless the peer finished first.  Inbound records land in the
+    clone's other queue, and the peer's sentinel is applied as
+    ``close_receiver()`` / ``close_sender()``, so every transition, void
+    and flavor change is ``Channel``'s.
+    """
 
-    __slots__ = (
-        "id", "name", "capacity", "latency", "resp_latency", "real",
-        "sender_owner", "receiver_owner", "stats", "profile_log",
-        "waiting_sender", "waiting_receiver",
-        "_sender_finished", "_receiver_finished",
-        "_lane_out", "_lane_in", "_pending",
-        "_park_enq_msg", "_park_deq_msg",
-        "_enq_port", "_deq_port", "_peek_port",
-    )
+    __slots__ = ("channel", "sender", "_out", "_in", "_outbox", "_inbox", "_done")
 
-    def __init__(self, channel: Channel, lane_out, lane_in):
-        self.id = channel.id
-        self.name = channel.name
-        self._park_enq_msg = f"enqueue on full {self.name}"
-        self._park_deq_msg = f"dequeue on empty {self.name}"
-        self._enq_port = channel._enq_port
-        self._deq_port = channel._deq_port
-        self._peek_port = channel._peek_port
-        self.capacity = channel.capacity
-        self.latency = channel.latency
-        self.resp_latency = channel.resp_latency
-        self.real = channel.real
-        self.sender_owner = channel.sender_owner
-        self.receiver_owner = channel.receiver_owner
-        #: Each side counts its own half; the parent adds them up.
-        self.stats = ChannelStats()
-        self.profile_log = None
-        self.waiting_sender: Any = None
-        self.waiting_receiver: Any = None
-        # Seed from the wrapped channel: pristine (all empty/False) on a
-        # fresh run, the restored state when the program was resumed
-        # from a checkpoint.
-        self._sender_finished = channel.sender_finished
-        self._receiver_finished = channel.receiver_finished
-        self._lane_out = lane_out
-        self._lane_in = lane_in
-        self._pending: deque = deque()
+    def __init__(self, channel: Channel, lanes: tuple, sender: bool):
+        clone = Channel(
+            channel.capacity, channel.latency, channel.resp_latency,
+            channel.name, channel.real,
+        )
+        clone.id = channel.id
+        clone.sender_owner = channel.sender_owner
+        clone.receiver_owner = channel.receiver_owner
+        clone._enq_port = channel._enq_port
+        clone._deq_port = channel._deq_port
+        clone._peek_port = channel._peek_port
+        # Seeded from the channel: pristine on a fresh run, the restored
+        # state on a resumed one.  The sender side takes the window, the
+        # receiver side the queued data and the profiling switch; stats
+        # start at zero, since the parent adds each side's onto its base.
+        clone._sender_finished = channel._sender_finished
+        clone._receiver_finished = channel._receiver_finished
+        data_lane, resp_lane = lanes
+        if sender:
+            clone._delta = channel._delta
+            clone._resps.extend(channel._resps)
+            self._out, self._in = data_lane, resp_lane
+            self._outbox, self._inbox = clone._data, clone._resps
+        else:
+            clone._data.extend(channel._data)
+            if channel.profile_log is not None:
+                clone.profile_log = []
+            self._out, self._in = resp_lane, data_lane
+            self._outbox, self._inbox = clone._resps, clone._data
+        clone._select_flavor()
+        self.channel = clone
+        self.sender = sender
+        # An endpoint that finished before the fork (a resumed run) owes
+        # no sentinel: the peer's clone was seeded with the same flag.
+        self._done = self._finished()[0]
 
-    def _push(self, record) -> None:
-        if self._pending or not self._lane_out.try_push(record):
-            self._pending.append(record)
+    def _finished(self) -> tuple[bool, bool]:
+        """Whether this side's endpoint and the peer's have finished."""
+        channel = self.channel
+        if self.sender:
+            return channel._sender_finished, channel._receiver_finished
+        return channel._receiver_finished, channel._sender_finished
 
-    def poll(self, flush: bool = True) -> int:
-        """Flush the outbound backlog (unless ``flush`` is off: a
-        checkpoint dump takes what is inbound and pushes nothing) and
-        drain the inbound lane; returns the number of records moved
-        (truthy iff progress)."""
+    def _owes_done(self) -> bool:
+        mine, peer = self._finished()
+        return mine and not peer and not self._done
+
+    def outstanding(self) -> bool:
+        """Is anything left to send: outbox records or the sentinel?"""
+        return bool(self._outbox) or self._owes_done()
+
+    def pump(self, flush: bool = True) -> int:
+        """Flush the outbox and the sentinel it owes (unless ``flush`` is
+        off: a checkpoint dump takes what is inbound and pushes nothing),
+        then take what the inbound lane holds; returns the number of
+        records moved (truthy iff progress)."""
         moved = 0
-        while (
-            self._pending
-            and flush
-            and self._lane_out.try_push(self._pending[0])
-        ):
-            self._pending.popleft()
-            moved += 1
+        outbox = self._outbox
+        if flush:
+            out = self._out
+            while outbox and out.try_push(outbox[0]):
+                outbox.popleft()
+                moved += 1
+            if not outbox and self._owes_done() and out.try_push(None):
+                self._done = True
+                moved += 1
+        channel = self.channel
+        inbox = self._inbox
+        mine = self._finished()[0]
         while True:
-            ok, record = self._lane_in.try_pop()
+            ok, record = self._in.try_pop()
             if not ok:
                 return moved
             moved += 1
-            self._take(record)
-
-    def outstanding(self) -> bool:
-        return bool(self._pending)
-
-
-class _ShuttleSender(_ShuttleProxy):
-    """Sender-partition stand-in for a cut channel."""
-
-    __slots__ = ("_delta", "_resps")
-
-    def __init__(self, channel: Channel, shuttle: ChannelShuttle):
-        super().__init__(channel, shuttle.data, shuttle.resp)
-        # The sender-side state of a restored channel: in-flight count
-        # and undrained responses.  The queued data itself seeds the
-        # *receiver* proxy in whichever worker activates that side.
-        self._delta = channel._delta
-        self._resps: deque = deque(channel._resps)
-
-    # -- Channel surface used by the sender-side dispatch --------------
-
-    def sender_try_reserve(self, clock) -> bool:
-        if self.capacity is None:
-            return True
-        while self._delta >= self.capacity and self._resps:
-            clock.advance(self._resps.popleft())
-            self._delta -= 1
-        if self._delta < self.capacity:
-            return True
-        return self._receiver_finished
-
-    def do_enqueue(self, clock, data) -> None:
-        self.stats.enqueues += 1
-        if self.capacity is not None:
-            self._delta += 1  # a void enqueue takes its slot too
-        if self._receiver_finished:
-            return  # void channel: data is discarded
-        stamp = 0 if self.real else clock._time + self.latency
-        self._push((DATA, stamp, data))
-
-    def try_enqueue(self, clock, data) -> bool:
-        """Single-call fast-path surface (reserve + enqueue).  Shuttle
-        lanes dominate the cost here, so this composes the reference
-        methods rather than specializing per flavor."""
-        if self.sender_try_reserve(clock):
-            self.do_enqueue(clock, data)
-            return True
-        return False
-
-    def close_sender(self) -> None:
-        self._sender_finished = True
-        self._resps.clear()
-        if not self._receiver_finished:
-            self._push((SENDER_DONE,))
-
-    def real_occupancy(self) -> int:
-        return len(self._pending)
-
-    def _take(self, record) -> None:
-        if record[0] == RESPONSE:
-            self._resps.append(record[1])
-        else:  # RECEIVER_DONE: channel voids, the backlog is dead letters
-            self._receiver_finished = True
-            self._pending.clear()
-
-    def sender_ready(self) -> bool:
-        """Could a parked sender's retried reserve make progress now?"""
-        return bool(self._resps) or self._receiver_finished
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"_ShuttleSender({self.name}, pending={len(self._pending)})"
-
-
-class _ShuttleReceiver(_ShuttleProxy):
-    """Receiver-partition stand-in for a cut channel."""
-
-    __slots__ = ("_data",)
-
-    def __init__(self, channel: Channel, shuttle: ChannelShuttle):
-        super().__init__(channel, shuttle.resp, shuttle.data)
-        #: Receiver side counts dequeues/peeks/occupancy and the profile log.
-        self.profile_log = [] if channel.profile_log is not None else None
-        # Restored queue contents become the proxy's local queue; lane
-        # records pushed since the fork append after them, preserving
-        # FIFO order across a checkpoint resume.
-        self._data: deque = deque(tuple(item) for item in channel._data)
-
-    # -- Channel surface used by the receiver-side dispatch ------------
-
-    def can_dequeue(self) -> bool:
-        return bool(self._data)
-
-    @property
-    def closed_for_receiver(self) -> bool:
-        return self._sender_finished and not self._data
-
-    def do_dequeue(self, clock):
-        stamp, data = self._data.popleft()
-        clock.advance(stamp)
-        self.stats.dequeues += 1
-        if self.capacity is not None and not self._sender_finished:
-            self._push((RESPONSE, clock._time + self.resp_latency))
-        if self.profile_log is not None:
-            self.profile_log.append((stamp, clock._time))
-        return data
-
-    def do_peek(self, clock):
-        stamp, data = self._data[0]
-        clock.advance(stamp)
-        self.stats.peeks += 1
-        return data
-
-    def fast_dequeue(self, clock):
-        """Single-call fast-path surface: ``_EMPTY`` when nothing is
-        visible yet (the worker loop then parks or polls the lane)."""
-        if not self._data:
-            return _EMPTY
-        return self.do_dequeue(clock)
-
-    def close_receiver(self) -> None:
-        self._receiver_finished = True
-        self._data.clear()
-        # In-flight responses still flush first (FIFO lane): the remote
-        # sender drains them before it observes the void transition,
-        # exactly as in-process semantics require.
-        if not self._sender_finished:
-            self._push((RECEIVER_DONE,))
-
-    def real_occupancy(self) -> int:
-        return len(self._data)
-
-    def _take(self, record) -> None:
-        if record[0] == DATA:
-            if not self._receiver_finished:
-                self._data.append((record[1], record[2]))
-                if len(self._data) > self.stats.max_real_occupancy:
-                    self.stats.max_real_occupancy = len(self._data)
-        else:  # SENDER_DONE: responses the sender will never drain die here
-            self._sender_finished = True
-            self._pending.clear()
-
-    def receiver_ready(self) -> bool:
-        """Could a parked receiver's retried dequeue/peek make progress?"""
-        return bool(self._data) or self._sender_finished
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"_ShuttleReceiver({self.name}, queued={len(self._data)})"
+            if record is None:
+                # The peer finished: this side's outbox is dead letters.
+                if self.sender:
+                    channel.close_receiver()
+                else:
+                    channel.close_sender()
+            elif not mine:
+                inbox.append(record)
+                if not self.sender and len(inbox) > channel.stats.max_real_occupancy:
+                    channel.stats.max_real_occupancy = len(inbox)
 
 
 # ----------------------------------------------------------------------
@@ -423,24 +301,24 @@ class _ShuttleReceiver(_ShuttleProxy):
 
 
 class _WorkerExecutor(SequentialExecutor):
-    """The cooperative scheduler, extended with shuttle servicing and
-    lazy cluster activation (work stealing).
+    """The cooperative scheduler, extended with lane pumping and lazy
+    cluster activation (work stealing).
 
     Differences from the plain sequential executor:
 
     * the worker starts with an *empty* program and pulls work from the
       shared claim board: its own cold clusters first, then — when
       ``steal`` is on — other workers' (largest first).  Activating a
-      cluster gives its contexts plain local time cells, swaps every
-      cut-channel handle for a shuttle proxy, and pushes the fresh
-      context states onto the ready queue;
+      cluster gives its contexts plain local time cells, points every
+      cut-channel handle at a clone of its channel with a lane pump,
+      and pushes the fresh context states onto the ready queue;
     * a finite timeslice is forced even under run-to-block policies, so
       at bounded intervals the owned clocks are published to their
-      shared slots, the shuttles are serviced (outbound flushed,
-      inbound drained, parked endpoints woken) and the peers' doorbells
+      shared slots, the lanes are pumped (outboxes flushed, inbound
+      records taken, parked endpoints woken) and the peers' doorbells
       rung;
     * :meth:`_idle` — reached when the local ready queue empties —
-      services shuttles and remote-clock waiters, claims more work when
+      pumps lanes and polls remote-clock waiters, claims more work when
       the board has any, and otherwise sleeps on its doorbell, published
       as blocked — a purely local cycle included, since the deadlock
       verdict is the parent's; it returns ``False`` only when every
@@ -461,12 +339,7 @@ class _WorkerExecutor(SequentialExecutor):
             obs.trace = parent.obs.trace
         # ``parent.policy`` is this process's forked copy; the parent
         # itself never queues on it.
-        super().__init__(
-            policy=parent.policy,
-            max_ops=parent.max_ops,
-            obs=obs,
-            faults=run.faults,
-        )
+        super().__init__(policy=parent.policy, obs=obs, faults=run.faults)
         #: Run settings (``steal``, ``timeslice``, ``checkpoint_path``)
         #: are read off the parent, shared objects off the run record —
         #: one hop each.
@@ -481,7 +354,7 @@ class _WorkerExecutor(SequentialExecutor):
             run.faults.kill_for(worker) if run.faults is not None else None
         )
         if self.policy.timeslice is None:
-            # Run-to-block would starve the shuttles on long-running
+            # Run-to-block would starve the lanes on long-running
             # contexts; preemption changes only real order, never
             # simulated results (the determinism invariant).
             self.policy.timeslice = parent.timeslice
@@ -490,8 +363,8 @@ class _WorkerExecutor(SequentialExecutor):
         # The parent also folds the trace and metrics and profiles the run.
         self._embedded = True
         self._shuttle_moves = 0
-        self._send_proxies: list[_ShuttleSender] = []
-        self._recv_proxies: list[_ShuttleReceiver] = []
+        #: One per activated side of a cut channel, in activation order.
+        self._pumps: list[_LanePump] = []
         #: Contexts this worker activated (own or stolen), in claim order.
         self._activated: list = []
         #: ``id(ctx) -> (cell, slot)`` for every activated context: the
@@ -525,34 +398,28 @@ class _WorkerExecutor(SequentialExecutor):
     ) -> None:
         """Materialize ``spec`` in this worker: plain time cells on its
         contexts (their slots hold the start times the parent pre-wrote
-        until the first slice boundary refreshes them), shuttle proxies
-        on its cut-channel handles, fresh context states on the ready
-        queue.  The caller has already won the claim, so exactly one
-        worker ever runs this for a given cluster — which is what keeps
-        every shuttle lane single-producer single-consumer (a fresh
+        until the first slice boundary refreshes them), channel clones
+        with lane pumps on its cut-channel handles, fresh context states
+        on the ready queue.  The caller has already won the claim, so
+        exactly one worker ever runs this for a given cluster — which is
+        what keeps every lane single-producer single-consumer (a fresh
         adopter's cached ring counters start at the same zeros the
         planned owner's would)."""
         run = self._run
         contexts = run.program.contexts
         channels = run.program.channels
-        shuttles = run.shuttles
         resume = run.resume_records
         for slot in spec.contexts:
             ctx = contexts[slot]
             ctx.time = cell = TimeCell(run.starts[slot])
             self._owned_clocks[id(ctx)] = (cell, slot)
-            for handle in ctx.senders:
-                shuttle = shuttles.get(handle.channel.id)
-                if shuttle is not None:
-                    proxy = _ShuttleSender(handle.channel, shuttle)
-                    handle.channel = proxy
-                    self._send_proxies.append(proxy)
-            for handle in ctx.receivers:
-                shuttle = shuttles.get(handle.channel.id)
-                if shuttle is not None:
-                    proxy = _ShuttleReceiver(handle.channel, shuttle)
-                    handle.channel = proxy
-                    self._recv_proxies.append(proxy)
+            for sender, handles in ((True, ctx.senders), (False, ctx.receivers)):
+                for handle in handles:
+                    lanes = run.lanes.get(handle.channel.id)
+                    if lanes is not None:
+                        pump = _LanePump(handle.channel, lanes, sender)
+                        handle.channel = pump.channel
+                        self._pumps.append(pump)
         if resume is not None:
             for index in spec.channels:
                 channel = channels[index]
@@ -656,7 +523,7 @@ class _WorkerExecutor(SequentialExecutor):
         self._publish(WORKER_RUNNING)
         super()._run_slice(state, timeslice)
         run.clocks.publish(self._owned_clocks.values())
-        self._service_shuttles()
+        self._pump_lanes()
         self._ring_peers()
         cut = self._ckpt_cut
         if cut is not None and self.ops_executed + self._shuttle_moves != cut:
@@ -684,19 +551,21 @@ class _WorkerExecutor(SequentialExecutor):
         _cell, slot = self._owned_clocks[id(state.context)]
         self._run.clocks.write(slot, INFINITY)
 
-    def _service_shuttles(self) -> int:
+    def _pump_lanes(self) -> int:
+        """Pump every lane; wake an endpoint parked on a clone that can
+        now make progress.  (A clone's peer endpoint is remote, so it
+        has at most the one local waiter.)"""
         moved = 0
-        for proxy in self._send_proxies:
-            moved += proxy.poll()
-            waiter = proxy.waiting_sender
-            if waiter is not None and proxy.sender_ready():
-                proxy.waiting_sender = None
+        for pump in self._pumps:
+            moved += pump.pump()
+            channel = pump.channel
+            waiter = channel.waiting_sender
+            if waiter is not None and channel.sender_ready():
+                channel.waiting_sender = None
                 self._wake(waiter)
-        for proxy in self._recv_proxies:
-            moved += proxy.poll()
-            waiter = proxy.waiting_receiver
-            if waiter is not None and proxy.receiver_ready():
-                proxy.waiting_receiver = None
+            waiter = channel.waiting_receiver
+            if waiter is not None and channel.receiver_ready():
+                channel.waiting_receiver = None
                 self._wake(waiter)
         if moved:
             self._shuttle_moves += 1
@@ -760,8 +629,8 @@ class _WorkerExecutor(SequentialExecutor):
             if command != CKPT_DUMP or dumped:
                 self._bell.wait()
                 continue
-            for proxy in self._send_proxies + self._recv_proxies:
-                proxy.poll(flush=False)
+            for pump in self._pumps:
+                pump.pump(flush=False)
             self._dump_partition(epoch)
             board.mark_dumped(worker, epoch)
             run.bell.ring()
@@ -782,10 +651,10 @@ class _WorkerExecutor(SequentialExecutor):
 
         Context records cover exactly what this worker activated;
         channel entries carry internal channels whole and cut channels
-        by side (the parent stitches ``send``/``recv`` halves — queued
-        data lives receiver-side, credits sender-side, and each side's
-        ``pending`` is what it produced that had not fit in its lane —
-        into one partition-independent state).
+        by side, each as its clone's ``checkpoint_state()`` (the parent
+        stitches the ``send``/``recv`` halves into one
+        partition-independent state: a side's outbox is what it produced
+        that had not reached the other side).
         """
         slot_of = {
             id(ctx): slot
@@ -798,39 +667,9 @@ class _WorkerExecutor(SequentialExecutor):
         channels: dict[int, dict] = {}
         for channel in self._active_channels:
             channels[channel.id] = {"chan": channel.checkpoint_state()}
-        for proxy in self._send_proxies:
-            entry = channels.setdefault(proxy.id, {})
-            entry["send"] = {
-                "delta": proxy._delta,
-                "resps": list(proxy._resps),
-                "sender_finished": proxy._sender_finished,
-                "receiver_finished": proxy._receiver_finished,
-                "enqueues": proxy.stats.enqueues,
-                "pending": [
-                    (record[1], record[2])
-                    for record in proxy._pending
-                    if record[0] == DATA
-                ],
-            }
-        for proxy in self._recv_proxies:
-            entry = channels.setdefault(proxy.id, {})
-            entry["recv"] = {
-                "data": list(proxy._data),
-                "sender_finished": proxy._sender_finished,
-                "receiver_finished": proxy._receiver_finished,
-                "dequeues": proxy.stats.dequeues,
-                "peeks": proxy.stats.peeks,
-                "max_real_occupancy": proxy.stats.max_real_occupancy,
-                "profile_log": (
-                    None if proxy.profile_log is None
-                    else list(proxy.profile_log)
-                ),
-                "pending": [
-                    record[1]
-                    for record in proxy._pending
-                    if record[0] == RESPONSE
-                ],
-            }
+        for pump in self._pumps:
+            entry = channels.setdefault(pump.channel.id, {})
+            entry["send" if pump.sender else "recv"] = pump.channel.checkpoint_state()
         _ckpt.save_part(
             self._parent.checkpoint_path, epoch, self._worker,
             {"records": records, "channels": channels},
@@ -852,7 +691,7 @@ class _WorkerExecutor(SequentialExecutor):
             # here makes "a parked or retiring worker has shown its peers
             # everything" hold without that argument.
             run.clocks.publish(self._owned_clocks.values())
-            moved = self._service_shuttles()
+            moved = self._pump_lanes()
             if moved:
                 self._ring_peers()
             self._poll_foreign_waiters()
@@ -866,10 +705,7 @@ class _WorkerExecutor(SequentialExecutor):
                 return True
             if not any(
                 st.status == _BLOCKED for st in self._states.values()
-            ) and not any(
-                proxy.outstanding()
-                for proxy in self._send_proxies + self._recv_proxies
-            ):
+            ) and not any(pump.outstanding() for pump in self._pumps):
                 # All activated contexts finished, nothing is claimable,
                 # and every outbound record (done sentinels included) is
                 # flushed: retire.
@@ -929,8 +765,6 @@ def _harvest(executor: _WorkerExecutor) -> dict:
     """
     local = executor._activated
     local_channels = executor._active_channels
-    send_proxies = executor._send_proxies
-    recv_proxies = executor._recv_proxies
     slot_of = {
         id(ctx): slot
         for slot, ctx in enumerate(executor._run.program.contexts)
@@ -961,9 +795,9 @@ def _harvest(executor: _WorkerExecutor) -> dict:
 
     channel_stats: dict[int, dict] = {}
 
-    def ship(channel_id: int, stats: ChannelStats, log) -> None:
+    def ship(channel_id: int, stats: ChannelStats, log, occupancy: int) -> None:
         # Accumulate, never overwrite: after a steal one worker may hold
-        # *both* proxies of a cut channel (sender-side enqueues and
+        # *both* sides of a cut channel (sender-side enqueues and
         # receiver-side dequeues land in separate ChannelStats).
         entry = channel_stats.setdefault(
             channel_id,
@@ -975,8 +809,8 @@ def _harvest(executor: _WorkerExecutor) -> dict:
         entry["enqueues"] += stats.enqueues
         entry["dequeues"] += stats.dequeues
         entry["peeks"] += stats.peeks
-        if stats.max_real_occupancy > entry["max_real_occupancy"]:
-            entry["max_real_occupancy"] = stats.max_real_occupancy
+        if occupancy > entry["max_real_occupancy"]:
+            entry["max_real_occupancy"] = occupancy
         if log:
             entry["profile_log"] = log
 
@@ -998,11 +832,13 @@ def _harvest(executor: _WorkerExecutor) -> dict:
             stats = delta
             if log is not None:
                 log = log[base["log_len"]:]
-        ship(channel.id, stats, log)
-    for proxy in send_proxies:
-        ship(proxy.id, proxy.stats, None)
-    for proxy in recv_proxies:
-        ship(proxy.id, proxy.stats, proxy.profile_log)
+        ship(channel.id, stats, log, stats.max_real_occupancy)
+    for pump in executor._pumps:
+        clone = pump.channel
+        # The sender side's queue is its outbox: its depth is no
+        # occupancy of the channel.
+        occupancy = 0 if pump.sender else clone.stats.max_real_occupancy
+        ship(clone.id, clone.stats, clone.profile_log, occupancy)
 
     return {
         "finish_times": finish_times,
@@ -1105,8 +941,7 @@ class _CkptCoordinator:
         does so at a slice boundary — its contexts all between
         operations — and from then on pushes and pops nothing, so once
         the last one has, the program is frozen: every record is in a
-        proxy's queue, a proxy's unflushed backlog, or a lane, and
-        stays there.  Each worker published its progress just before
+        clone's queue, a clone's outbox, or a lane, and stays there.  Each worker published its progress just before
         its ack; those values are the cut the next round compares
         against.
     ``dumping``
@@ -1260,7 +1095,7 @@ class _CkptCoordinator:
                 continue
             # Cut channel (or internal to retired clusters): start from
             # the parent's fork-time base, add the retired workers'
-            # shipped deltas, then the live proxies' sides.
+            # shipped deltas, then the live sides.
             state = channel.checkpoint_state()
             stats = state["stats"]
             log = state["profile_log"]
@@ -1281,16 +1116,18 @@ class _CkptCoordinator:
             recv = next((e["recv"] for e in entries if "recv" in e), None)
             if send is not None:
                 state["delta"] = send["delta"]
-                state["resps"] = list(send["resps"])
-                stats["enqueues"] += send["enqueues"]
+                state["resps"] = send["resps"]
+                stats["enqueues"] += send["stats"]["enqueues"]
             if recv is not None:
-                state["data"] = list(recv["data"])
-                stats["dequeues"] += recv["dequeues"]
-                stats["peeks"] += recv["peeks"]
-                if recv["max_real_occupancy"] > stats["max_real_occupancy"]:
-                    stats["max_real_occupancy"] = recv["max_real_occupancy"]
+                state["data"] = recv["data"]
+                shipped = recv["stats"]
+                stats["dequeues"] += shipped["dequeues"]
+                stats["peeks"] += shipped["peeks"]
+                # The sender side's occupancy is its outbox depth.
+                if shipped["max_real_occupancy"] > stats["max_real_occupancy"]:
+                    stats["max_real_occupancy"] = shipped["max_real_occupancy"]
                 if recv["profile_log"]:
-                    log = (log or []) + list(recv["profile_log"])
+                    log = (log or []) + recv["profile_log"]
             # Finished flags: each side is authoritative for its own
             # endpoint (the other may not have seen the done sentinel
             # yet), and a missing side means that endpoint's cluster
@@ -1307,15 +1144,13 @@ class _CkptCoordinator:
                 state["receiver_finished"] = send["receiver_finished"]
             elif entries or retired:
                 state["receiver_finished"] = True
-            if send is not None and recv is not None:
-                # In flight at the cut: what a side produced that had
-                # not fit in its lane goes behind what the other side
-                # holds, which is where the FIFO lane would have put it
-                # — unless that endpoint finished (dead letters).
-                if not state["receiver_finished"]:
-                    state["data"] += send["pending"]
-                if not state["sender_finished"]:
-                    state["resps"] += recv["pending"]
+            # In flight at the cut: a side's outbox goes behind what the
+            # other side holds, which is where the FIFO lane would have
+            # put it — unless its addressee finished (dead letters).
+            if send is not None and not state["receiver_finished"]:
+                state["data"] = state["data"] + send["data"]
+            if recv is not None and not state["sender_finished"]:
+                state["resps"] = state["resps"] + recv["resps"]
             if send is None and recv is None and retired:
                 # Both endpoints retired: the queue is semantically
                 # empty (whatever physically remains is dead letters of
@@ -1362,7 +1197,7 @@ class ProcessExecutor(Executor):
         groups spawn no process.
     policy:
         Scheduling policy for each worker's cooperative scheduler.  A
-        finite timeslice is forced so shuttles are serviced at bounded
+        finite timeslice is forced so lanes are pumped at bounded
         intervals.
     weights:
         Optional per-channel traffic weights for the partitioner,
@@ -1387,10 +1222,8 @@ class ProcessExecutor(Executor):
         ring carries one float per record and is sized
         ``min(ring_capacity, 64 KiB)``.
     timeslice:
-        Ops per slice forced on a run-to-block policy, so shuttles are
-        serviced and clocks published at bounded intervals.
-    max_ops:
-        Per-worker safety valve (forwarded to each worker's scheduler).
+        Ops per slice forced on a run-to-block policy, so lanes are
+        pumped and clocks published at bounded intervals.
     """
 
     name = "process"
@@ -1399,7 +1232,6 @@ class ProcessExecutor(Executor):
         self,
         workers: int = 2,
         policy: str | SchedulingPolicy = "fifo",
-        max_ops: Optional[int] = None,
         obs: Optional[Observability] = None,
         weights: Optional[dict[str, float]] = None,
         pins: Optional[dict[int, int]] = None,
@@ -1417,7 +1249,6 @@ class ProcessExecutor(Executor):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.policy = make_policy(policy)
-        self.max_ops = max_ops
         self.obs = obs
         self.weights = weights
         self.pins = pins
@@ -1574,7 +1405,7 @@ class ProcessExecutor(Executor):
                 if self.faults is not None
                 else None
             )
-            shuttles: dict[int, ChannelShuttle] = {}
+            lanes: dict[int, tuple] = {}
             for channel, (data_off, resp_off) in zip(plan.cut, ring_offsets):
                 data_lane = ring(data_off, self.ring_capacity)
                 stall = (
@@ -1587,9 +1418,7 @@ class ProcessExecutor(Executor):
                     # the wrapper, and only the receiving side ever pops
                     # a data lane — exactly the delivery path stalls.
                     data_lane = StalledLane(data_lane, stall.after_records)
-                shuttles[channel.id] = ChannelShuttle(
-                    channel.id, data_lane, ring(resp_off, resp_capacity)
-                )
+                lanes[channel.id] = (data_lane, ring(resp_off, resp_capacity))
             abort = mp_ctx.Event()
             run = _RunShared(
                 program=program,
@@ -1600,7 +1429,7 @@ class ProcessExecutor(Executor):
                 status=status,
                 claim=claim,
                 claim_lock=mp_ctx.Lock(),
-                shuttles=shuttles,
+                lanes=lanes,
                 abort=abort,
                 bells=bells[:-1],
                 bell=bells[-1],

@@ -25,8 +25,8 @@ Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 record per-context trace buffers and fold run metrics.
 
 Dispatch is a ``type(op) → handler function`` table plus a *fast path*
-(DESIGN.md §11): when no ``WaitUntil`` waiter is registered and no
-``max_ops`` valve is set, the slice loop hands every yield — a
+(DESIGN.md §11): when no ``WaitUntil`` waiter is registered, the slice
+loop hands every yield — a
 :class:`~repro.core.ops.FusedOps` batch or a bare op — to the runner
 compiled for its shape (:mod:`.runners`), straight-line code against the
 channels' flavor-specialized state that pays zero per-op tracing/waiter
@@ -165,16 +165,12 @@ class SequentialExecutor(Executor):
         Ready-queue discipline: ``"fifo"`` (run-to-block, default) or
         ``"fair"`` (timesliced with wakeup boosting), or a
         :class:`~repro.core.executor.policies.SchedulingPolicy` instance.
-    max_ops:
-        Optional safety valve: abort with :class:`SimulationError` after
-        this many operations (guards against runaway non-terminating
-        programs in tests).
     obs:
         A :class:`repro.obs.Observability` collecting the run's trace
         and/or metrics.
     fast_path:
-        When True (default) and the run is eligible (no ``max_ops``, no
-        registered ``WaitUntil`` waiter), slices run the fast loop, which
+        When True (default) and the run is eligible (no registered
+        ``WaitUntil`` waiter), slices run the fast loop, which
         hands each yield to its compiled runner — the traced runners
         when ``obs`` records a trace.  Set
         False to force every op — including each
@@ -192,7 +188,6 @@ class SequentialExecutor(Executor):
     def __init__(
         self,
         policy: str | SchedulingPolicy = "fifo",
-        max_ops: Optional[int] = None,
         obs: Optional[Observability] = None,
         fast_path: bool = True,
         deadline_s: Optional[float] = None,
@@ -211,7 +206,6 @@ class SequentialExecutor(Executor):
             if self.policy.__class__ is FifoPolicy
             else None
         )
-        self.max_ops = max_ops
         self.deadline_s = deadline_s
         self.faults = faults
         self.metrics_interval_s = metrics_interval_s
@@ -230,7 +224,7 @@ class SequentialExecutor(Executor):
         #: threaded run's cluster drivers, process workers).  Their
         #: schedule loop never takes the run-to-block FIFO branch: the
         #: engine must return from every slice to observe the parent's
-        #: abort flag (and a worker to service its shuttles) — a
+        #: abort flag (and a worker to pump its lanes) — a
         #: never-blocking context would otherwise spin one endless slice,
         #: deaf to both.  And the parent folds the trace and the metrics
         #: and profiles the whole run, so the engine does none of that.
@@ -245,10 +239,9 @@ class SequentialExecutor(Executor):
         self.ops_executed = 0
         self._any_time_waiters = False
         self._fast = False
-        self._fast_capable = False
         #: Whose runners a batch's ``plan`` holds: a batch bound by another
-        #: executor (traced or not, or across a fork that rewired its
-        #: channels to shuttle proxies) is bound again on first use here.
+        #: executor (traced or not, or across a fork that rewired its cut
+        #: channels to clones) is bound again on first use here.
         #: A plain object, not ``self``: a batch must not reach the run.
         self._plan_tag = object()
         #: Bare-op runners by op class, bound like a batch's ``plan``.
@@ -279,13 +272,11 @@ class SequentialExecutor(Executor):
         obs = self.obs
         collect_wall = obs is not None and obs.metrics is not None
 
-        # Fast path eligibility is computed once; it only drops (and
-        # later recovers) around registered WaitUntil waiters, so the
-        # fast loop itself carries no waiter/max_ops checks — and no
-        # tracing checks either: a traced run binds the runners whose
-        # marked statements are live.
-        self._fast_capable = self.fast_path and self.max_ops is None
-        self._fast = self._fast_capable
+        # The fast path only drops (and later recovers) around registered
+        # WaitUntil waiters, so the fast loop itself carries no waiter
+        # checks — and no tracing checks either: a traced run binds the
+        # runners whose marked statements are live.
+        self._fast = self.fast_path
 
         # Deadlines and context faults both need the loop to come up for
         # air: force bounded slices (run-to-block would otherwise let one
@@ -328,7 +319,7 @@ class SequentialExecutor(Executor):
                 stall_report=report,
             ) from None
         finally:
-            # On any abort (SimulationError, DeadlockError, max_ops), close
+            # On any abort (SimulationError, DeadlockError, deadline), close
             # the generators of every context that did not run to completion
             # so their ``finally:`` blocks execute now, not at interpreter
             # shutdown (where GeneratorExit/ResourceWarning noise leaks into
@@ -371,7 +362,7 @@ class SequentialExecutor(Executor):
     def _schedule_loop(self, collect_wall: bool) -> None:
         """Drain the ready queue; ask :meth:`_idle` for more work when it
         empties (subclass hook — the process executor's workers poll their
-        cross-process shuttles there)."""
+        cross-process lanes there)."""
         policy = self.policy
         previous: _ContextState | None = None
         deadline_at = self._deadline_at
@@ -702,16 +693,10 @@ class SequentialExecutor(Executor):
         generic handlers, writing each result into the pre-sized
         ``results`` list; return False (parking mid-batch) on a block."""
         total = len(ops_seq)
-        max_ops = self.max_ops
         while index < total:
             sub = ops_seq[index]
             self.ops_executed += 1
             state.ops += 1
-            if max_ops is not None and self.ops_executed > max_ops:
-                raise SimulationError(
-                    state.context.name,
-                    RuntimeError(f"exceeded max_ops={max_ops}"),
-                )
             if not self._dispatch(state, sub):
                 state.fused_ops = ops_seq
                 state.fused_index = index
@@ -729,11 +714,10 @@ class SequentialExecutor(Executor):
         self, state: _ContextState, remaining: int
     ) -> None:
         """Reference slice loop: every op through the handler table, with
-        tracing, time-waiter, and max_ops bookkeeping in place."""
+        tracing and time-waiter bookkeeping in place."""
         gen_send = state.gen.send
         gen_throw = state.gen.throw
         ctx = state.context
-        max_ops = self.max_ops
         while remaining != 0:
             remaining -= 1
             try:
@@ -765,11 +749,6 @@ class SequentialExecutor(Executor):
                 continue
             self.ops_executed += 1
             state.ops += 1
-            if max_ops is not None and self.ops_executed > max_ops:
-                raise SimulationError(
-                    ctx.name,
-                    RuntimeError(f"exceeded max_ops={max_ops}"),
-                )
             if not self._dispatch(state, op):
                 return  # blocked
             if state.status == _DONE:
@@ -779,8 +758,8 @@ class SequentialExecutor(Executor):
         """Fast slice loop (DESIGN.md §11): resume the generator, hand
         the yield to its runner, repeat.
 
-        Eligible only when ``max_ops`` is unset and no WaitUntil waiter
-        is registered — which is what lets every op run with zero per-op
+        Eligible only when no WaitUntil waiter is registered — which is
+        what lets every op run with zero per-op
         bookkeeping conditionals.  What an op does is its runner's
         (:mod:`.runners`): straight-line code compiled per shape.  A bare
         op's runner is its class's (``_bare_runners``), reading the
@@ -1030,7 +1009,7 @@ class SequentialExecutor(Executor):
     # The transition itself is the channel's flavor method, called with
     # the waiter's clock.  Generic-mode wake sites keep the plain wake +
     # retry protocol, and so does everything the guards below exclude
-    # (shuttle proxies, profiled or void flavors, a parked Peek).
+    # (profiled or void flavors, a parked Peek).
 
     def _wake_send_deliver(self, channel, waiter: "_ContextState") -> None:
         """A dequeue freed bounded capacity: complete the parked sender's
@@ -1100,7 +1079,7 @@ class SequentialExecutor(Executor):
             del self._time_waiters[id(target)]
             if not self._time_waiters:
                 self._any_time_waiters = False
-                self._fast = self._fast_capable
+                self._fast = self.fast_path
 
     def _poll_foreign_waiters(self) -> bool:
         """Wake WaitUntil waiters on clocks this executor does not host

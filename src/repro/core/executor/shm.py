@@ -17,8 +17,8 @@ inherits the same mapping:
 * :class:`ShmRing` — a single-producer/single-consumer byte ring carrying
   pickled records.  Each *cut* channel (sender and receiver in different
   partitions) gets two rings — a data lane for ``(stamp, data)`` tuples
-  and a response lane for dequeue times — bundled as a
-  :class:`ChannelShuttle`.
+  and a response lane for dequeue times, each closed by a ``None`` done
+  sentinel.
 
 * :class:`StatusBoard` — per-worker progress counters and run states, the
   inputs to the parent's global deadlock verdict.
@@ -582,33 +582,3 @@ class Doorbell:
     def close(self) -> None:
         os.close(self._read)
         os.close(self._write)
-
-
-# ----------------------------------------------------------------------
-# Shuttles: the two lanes of one cut channel.
-# ----------------------------------------------------------------------
-
-#: Record tags carried on shuttle lanes.
-DATA = "d"          # data lane: (DATA, stamp, payload)
-SENDER_DONE = "c"   # data lane: sender finished (channel closes)
-RESPONSE = "r"      # response lane: (RESPONSE, release_time)
-RECEIVER_DONE = "f"  # response lane: receiver finished (channel voids)
-
-
-class ChannelShuttle:
-    """The cross-process bridge for one cut channel.
-
-    ``data`` flows sender-partition → receiver-partition carrying the
-    exact ``(stamp, data)`` tuples an in-process channel would queue;
-    ``resp`` flows back carrying the dequeue-time responses that drive
-    backpressure.  Both lanes preserve FIFO order, so every simulated
-    state transition sees the same sequence it would in-process — the
-    schedule-independence property the equivalence suite asserts.
-    """
-
-    __slots__ = ("channel_id", "data", "resp")
-
-    def __init__(self, channel_id: int, data_lane, resp_lane):
-        self.channel_id = channel_id
-        self.data = data_lane
-        self.resp = resp_lane

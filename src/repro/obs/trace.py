@@ -45,7 +45,7 @@ class TraceCollector:
         slot order): a fresh :class:`PortTable`, and each channel's
         ``_enq_port`` / ``_deq_port`` / ``_peek_port``, the ids its ops
         record.  The run's hosts read the ids off the channels (a forked
-        worker inherits them, a shuttle proxy copies them), so none
+        worker inherits them, a cut channel's clone copies them), so none
         renumbers."""
         channels = list(channels)
         self.table = PortTable(channel.name for channel in channels)

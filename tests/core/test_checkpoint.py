@@ -226,16 +226,17 @@ class TestElasticResume:
 
         build = functools.partial(_spmspm, 14)
         # The parent reads every worker's part to stitch an epoch:
-        # count the unflushed records each one carried.
+        # count the unflushed records each one carried (the sender
+        # side's outbox is its data, the receiver side's its responses).
         backlog = {}
         load_part = ckpt.load_part
 
         def counting(directory, epoch, worker):
             part = load_part(directory, epoch, worker)
             backlog[epoch] = backlog.get(epoch, 0) + sum(
-                len(entry[side]["pending"])
+                len(entry[side][outbox])
                 for entry in part["channels"].values()
-                for side in ("send", "recv")
+                for side, outbox in (("send", "data"), ("recv", "resps"))
                 if side in entry
             )
             return part

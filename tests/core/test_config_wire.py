@@ -48,8 +48,9 @@ def tiny_program():
 
 
 #: The two supervision timers deadlock and checkpoint rounds no longer
-#: need, spelled in pieces so a search for their names finds only history.
-DELETED_KNOBS = ("poll" "_interval", "deadlock" "_grace")
+#: need, and the op budget that ``deadline_s`` already covers, spelled in
+#: pieces so a search for their names finds only history.
+DELETED_KNOBS = ("poll" "_interval", "deadlock" "_grace", "max" "_ops")
 
 
 class TestRunConfigWire:
@@ -87,7 +88,8 @@ class TestRunConfigWire:
         """``ring_capacity`` is a ``ProcessExecutor`` keyword; no wire
         request can reach it, directly or through the deleted ``extra``
         side door.  Nor the deleted supervision knobs: deadlock and
-        checkpoint rounds are decided on wake-ups, not timers."""
+        checkpoint rounds are decided on wake-ups, not timers, and a
+        runaway run is bounded by ``deadline_s``, not an op count."""
         for wire in (
             {"ring_capacity": 64},
             {"extra": {"ring_capacity": 64}},

@@ -159,7 +159,7 @@ class TestLatchedChannelState:
 class TestBindingFollowsTheRun:
     """A batch built once is bound again by each executor that meets it
     (``_plan_tag``): a traced run records rows though an untraced one
-    bound the batch first, and a forked worker drives the shuttle proxy
+    bound the batch first, and a forked worker drives the channel clone
     its activation put on the handle, not the channel the parent bound."""
 
     def test_traced_after_untraced(self):
@@ -504,7 +504,7 @@ class _Scripted(Context):
             self.log.append("closed")
 
 
-def _build(spec):
+def _build(spec, context=_Scripted):
     lanes, scripts = spec
     builder = ProgramBuilder()
     ends = []
@@ -523,7 +523,7 @@ def _build(spec):
     for index, script in enumerate(scripts):
         sends = {i: ends[i][0] for i, lane in enumerate(lanes) if lane["sender"] == index}
         recvs = {i: ends[i][1] for i, lane in enumerate(lanes) if lane["receiver"] == index}
-        contexts.append(_Scripted(index, script, sends, recvs, contexts, logs[index]))
+        contexts.append(context(index, script, sends, recvs, contexts, logs[index]))
     for ctx in contexts:
         builder.add(ctx)
     return builder.build(), logs

@@ -1,6 +1,8 @@
-"""Metrics registry semantics and the executor folding discipline."""
+"""Metrics registry semantics, the executor folding discipline, and the
+registry across a checkpoint."""
 
 from repro import Observability, ProgramBuilder, RunConfig
+from repro.core import RunTimeoutError, SequentialExecutor
 from repro.core.channel import Channel
 from repro.core.time import TimeCell
 from repro.contexts import Collector, RampSource, UnaryFunction
@@ -110,6 +112,28 @@ class TestRegistry:
         registry.gauge("depth", channel="c").set(4)
         assert json.loads(registry.to_json())["counters"]["ops"] == 3
 
+    def test_load_state_reproduces_a_dump(self):
+        """What a checkpoint carries (pickled, as on disk) rebuilds every
+        metric — labelled histograms down to their bucket sketches — and
+        replaces whatever the registry held."""
+        import pickle
+
+        registry = MetricsRegistry()
+        registry.counter("ops").inc(3)
+        registry.counter("parks", context="a").inc(2)
+        registry.gauge("depth", channel="c").set(4)
+        for value in (0.0, 1.5, 7.0, 300.0):
+            registry.histogram("latency", channel="c").observe(value)
+        restored = MetricsRegistry()
+        restored.counter("stale").inc()
+        restored.load_state(pickle.loads(pickle.dumps(registry.dump_state())))
+        assert restored.snapshot() == registry.snapshot()
+        assert restored.dump_state() == registry.dump_state()
+        quantiles = (0.25, 0.5, 0.9)
+        assert [restored.histogram("latency", channel="c").quantile(q) for q in quantiles] == [
+            registry.histogram("latency", channel="c").quantile(q) for q in quantiles
+        ]
+
 
 class TestAlwaysOnOccupancy:
     """Satellite regression: max_real_occupancy no longer needs the
@@ -208,3 +232,49 @@ class TestRunMetrics:
         builder.add(Collector(rcv))
         summary = builder.build().run()
         assert summary.metrics is None
+
+
+class _TimesOutAtTheSecondCut(SequentialExecutor):
+    """Counts its cuts in the run's registry and overruns its deadline
+    right after saving the second: a timeout that lands at a known cut."""
+
+    def _capture_checkpoint(self):
+        self.obs.metrics.counter("cuts").inc()
+        super()._capture_checkpoint()
+        if self._ckpt_timer.epoch == 2:
+            self.obs.metrics.counter("cuts").inc()  # past the cut
+            raise RunTimeoutError(0.0, executor=self.name)
+
+
+class TestMetricsAcrossACheckpoint:
+    def test_ladder_retry_resumes_from_the_cuts_registry(self, tmp_path):
+        """The retry restores the registry the second cut saved, so it
+        holds that cut's counters (not the failed attempt's later ones),
+        plus ``run_retries`` and the finished run's fold."""
+
+        def run(executor, obs, **config):
+            builder = ProgramBuilder()
+            s1, r1 = builder.bounded(3, name="raw")
+            s2, r2 = builder.bounded(3, name="doubled")
+            builder.add(RampSource(s1, 20, name="src"))
+            builder.add(UnaryFunction(r1, s2, lambda x: 2 * x, name="double"))
+            builder.add(Collector(r2, name="sink"))
+            return builder.build().run(executor, obs=obs, config=RunConfig(**config))
+
+        def channels(counters):
+            return {k: v for k, v in counters.items() if k.startswith("channel_")}
+
+        obs = Observability(trace=False)
+        summary = run(
+            _TimesOutAtTheSecondCut, obs,
+            fallback="sequential",
+            checkpoint_interval_s=0.0,
+            checkpoint_path=str(tmp_path),
+        )
+        assert [a["outcome"] for a in summary.attempts] == ["timeout", "ok"]
+        assert summary.attempts[-1]["resumed_from"]["epoch"] == 2
+        counters = summary.metrics["counters"]
+        assert counters["cuts"] == 2
+        assert counters["run_retries"] == 1
+        reference = run("sequential", Observability(trace=False))
+        assert channels(counters) == channels(reference.metrics["counters"])

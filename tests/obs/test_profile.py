@@ -715,6 +715,27 @@ class TestWireShape:
         assert json.dumps(rebuilt.to_dict()) == json.dumps(summary.profile)
 
 
+class TestReadmeProfileCalls:
+    def test_obs_profile_on_a_traced_run(self):
+        """README's ``report = obs.profile(); report.describe()``: the
+        run's attached report; computed from the trace when none is
+        attached, and cached; a finer ``epochs`` recomputes without
+        replacing it."""
+        obs = Observability()
+        summary = build_diamond().run(config=RunConfig(obs=obs))
+        report = obs.profile()
+        assert report is obs.profile_report
+        assert report.describe().startswith("critical path: ")
+        obs.profile_report = None
+        recomputed = obs.profile()
+        assert obs.profile_report is recomputed
+        assert json.dumps(recomputed.to_dict()) == json.dumps(summary.profile)
+        finer = obs.profile(epochs=4)
+        assert obs.profile_report is recomputed
+        assert len(finer.timeline["epochs"]) == 4
+        assert finer.segments == recomputed.segments
+
+
 class TestDiff:
     def test_identical_profiles_are_ok(self):
         report, _ = run_with_profile(build_starved_pipeline)
