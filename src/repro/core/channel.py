@@ -157,7 +157,7 @@ class Channel:
         "try_enqueue",
         "fast_dequeue",
         # Small-int mirrors of the selected flavors, letting the
-        # sequential executor's inline fast path open-code the hot
+        # sequential executor's runners open-code the hot
         # transitions without even a bound-method call (DESIGN.md §11).
         "_enq_code",
         "_deq_code",

@@ -78,7 +78,9 @@ class RunConfig:
     policy:
         Scheduling policy name or instance for cooperative schedulers.
     fast_path:
-        Enable the sequential executor's inline fast loop.
+        Inert: the sequential executor runs every op through its runner
+        either way.  Kept only because a frozen benchmark suite spells
+        ``RunConfig(fast_path=False)``; due for deletion.
     obs:
         An :class:`repro.obs.Observability` collecting trace/metrics.
     steal:

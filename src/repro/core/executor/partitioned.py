@@ -1269,11 +1269,6 @@ class ProcessExecutor(Executor):
         #: _resolve_failures raises RunTimeoutError instead of reading the
         #: aborted workers' stalls as a deadlock.
         self._deadline_hit = False
-        self.context_switches = 0
-        self.wakeups = 0
-        self.preemptions = 0
-        self.ops_executed = 0
-        self.steals = 0
         #: Cluster migrations performed by the last run (diagnostics):
         #: ``{"cluster", "from", "to", "contexts"}`` dicts.
         self.migrations: list[dict] = []
@@ -1491,11 +1486,6 @@ class ProcessExecutor(Executor):
                 except OSError:  # pragma: no cover - directory vanished
                     pass
 
-        self.context_switches += summary.context_switches
-        self.wakeups += summary.wakeups
-        self.preemptions += summary.preemptions
-        self.ops_executed += summary.ops_executed
-        self.steals += summary.steals
         self.migrations = [
             migration
             for worker in sorted(payloads)
@@ -1526,7 +1516,7 @@ class ProcessExecutor(Executor):
         summary.executor = self.name
         summary.policy = self.policy.name
         summary.real_seconds = _wallclock.perf_counter() - start
-        summary.metrics = self._fold_metrics(program, plan, payloads)
+        summary.metrics = self._fold_metrics(program, plan, payloads, summary)
         self._attach_profile(summary, program, self.obs)
         # The next fork inherits what this run's workers had to compile.
         runners.warm(
@@ -1850,7 +1840,8 @@ class ProcessExecutor(Executor):
             )
 
     def _fold_metrics(
-        self, program: Program, plan: PartitionPlan, payloads: dict
+        self, program: Program, plan: PartitionPlan, payloads: dict,
+        summary: RunSummary,
     ) -> Optional[dict]:
         if self.obs is None or self.obs.metrics is None:
             return None
@@ -1866,13 +1857,13 @@ class ProcessExecutor(Executor):
                     finish_time=ctx.finish_time,
                     wall_seconds=tallies["wall"],
                 )
-        registry.counter("executor_context_switches").inc(self.context_switches)
-        registry.counter("executor_wakeups").inc(self.wakeups)
-        registry.counter("executor_preemptions").inc(self.preemptions)
-        registry.counter("executor_ops").inc(self.ops_executed)
+        registry.counter("executor_context_switches").inc(summary.context_switches)
+        registry.counter("executor_wakeups").inc(summary.wakeups)
+        registry.counter("executor_preemptions").inc(summary.preemptions)
+        registry.counter("executor_ops").inc(summary.ops_executed)
         registry.gauge("process_workers").set(plan.workers_used)
         registry.gauge("process_cut_channels").set(len(plan.cut))
-        registry.counter("process_steals").inc(self.steals)
+        registry.counter("process_steals").inc(summary.steals)
         registry.counter("process_migrated_contexts").inc(
             sum(len(m["contexts"]) for m in self.migrations)
         )

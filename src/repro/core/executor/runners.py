@@ -1,6 +1,6 @@
 """Runners: straight-line code per batch shape (DESIGN.md §11).
 
-Every op the fast slice loop executes — a :class:`~repro.core.ops.FusedOps`
+Every op the slice loop executes — a :class:`~repro.core.ops.FusedOps`
 batch, a plain tuple/list of ops, or a bare op — runs through a *runner*:
 a function generated from the templates below for a *shape* (the sequence
 of constituent kinds), compiled once per process, and called once per
@@ -12,19 +12,20 @@ running a freshly built op binds nothing.  A runner
 performs each constituent's transition in order — flavor codes 0/1
 open-coded, code 2 through the channel's flavor method, rare constituents
 (``Peek``, ``ViewTime``, ``AdvanceTo``, ``WaitUntil``, a negative
-``IncrCycles``, junk) through the executor's generic handler — and returns
+``IncrCycles``, junk) through the executor's handler table — and returns
 the value the generator is resumed with.  When a constituent parks or the
 batch is abandoned (``ChannelClosed``) it records the suspension on the
 context's state, counts what it attempted, and returns :data:`SUSPENDED`.
 
-The templates are the fast tier's only written transitions.  Three kinds
-of marked line vary them, exactly as comments vary nothing: ``#T`` lines
-record the context's port history and are live only in a traced runner;
-``#F`` lines keep a batch's result buffer and park bookkeeping and are
-live only in a batch runner; ``#B`` lines read a bare op's channel or
-count and are live only in a bare runner.  A batch longer than :data:`K`
-compiles as a chain of ``K``-constituent chunks, each ending in a call of
-the next; a batch re-entered after a park runs the rest of its chunk as
+The templates are the sequential engine's only written transitions.
+Three kinds of marked line vary them, exactly as comments vary nothing:
+``#T`` lines record the context's port history and are live only in a
+traced runner; ``#F`` lines keep a batch's result buffer and park
+bookkeeping and are live only in a batch runner; ``#B`` lines read a bare
+op's channel or count and are live only in a bare runner.  A batch longer
+than :data:`K` compiles as a chain of ``K``-constituent chunks, each
+ending in a call of the next; a batch re-entered after a park — or
+restored mid-batch from a checkpoint — runs the rest of its chunk as
 one-constituent runners, bound to the same buffer, then the batch's own
 next chunk.  A runner counts constituents by their index in the batch, so
 one chunk runner serves a fresh batch and a re-entered one alike.
@@ -367,11 +368,12 @@ def _chunk(executor, subs, base: int, end: int, buf, nxt):
     return _factory(key, executor._compile_shape)(*args)
 
 
-def plan(executor, op) -> tuple:
+def plan(executor, op, buf=None) -> tuple:
     """Bind ``op`` for ``executor``: ``(op, run, count)``, a tuple or list
     batch normalized to a :class:`FusedOps`.  The binding is kept as
     ``(run, count, executor._plan_tag)``; an executor with another tag
-    binds again.
+    binds again.  A batch's runners write its results into ``buf`` (a
+    fresh list by default; a restored suspension passes its prefix).
 
     A bare op's runner reads its channel or count off the op, so it is
     bound once per op class, in ``executor._bare_runners``: a context may
@@ -390,7 +392,8 @@ def plan(executor, op) -> tuple:
         return op, run, 1
     subs = op.ops
     count = len(subs)
-    buf = [None] * count
+    if buf is None:
+        buf = [None] * count
     op.resumes = chunks = {}
     run = None
     for base in reversed(range(0, count, K) or (0,)):

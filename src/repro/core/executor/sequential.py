@@ -24,16 +24,17 @@ paper's undersized-channel observations.
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 record per-context trace buffers and fold run metrics.
 
-Dispatch is a ``type(op) → handler function`` table plus a *fast path*
-(DESIGN.md §11): when no ``WaitUntil`` waiter is registered, the slice
-loop hands every yield — a
-:class:`~repro.core.ops.FusedOps` batch or a bare op — to the runner
+Dispatch has one tier (DESIGN.md §11): the slice loop hands every yield
+— a :class:`~repro.core.ops.FusedOps` batch or a bare op — to the runner
 compiled for its shape (:mod:`.runners`), straight-line code against the
-channels' flavor-specialized state that pays zero per-op tracing/waiter
+channels' flavor-specialized state that pays zero per-op tracing
 conditionals (a traced run binds the runners whose ``#T``-marked column
-appends are live).  Every other configuration goes through the generic
-handlers, which perform the identical semantic transitions with the
-bookkeeping checks in place.
+appends are live).  A parked op is retried, and a parked batch
+re-entered, by the same runners.  What the runners do not open-code —
+``Peek``, ``ViewTime``, ``AdvanceTo``, ``WaitUntil``, a negative
+``IncrCycles`` — goes through a small ``type(op) → handler`` table.  The
+reference the differential tests compare against is the threaded
+executor's one-thread-per-context runtime (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class _ContextState:
     def __init__(self, context: Context, trace: Any = None):
         self.context = context
         self.gen = context.run()
-        #: ``gen.send``, bound once: the fast loop resumes through it.
+        #: ``gen.send``, bound once: the slice loop resumes through it.
         self.send = self.gen.send
         self.status = _READY
         self.in_ready = False
@@ -142,17 +143,16 @@ class _ContextState:
         self.buffer = None if trace is None else trace.context_buffer(context.name)
         self.ops = 0
         self.wall_seconds = 0.0
-        # Mid-fusion suspension: the constituent at ``fused_index``
-        # blocked (``retry_op`` set) or had its result delivered by a
-        # waker; ``fused_results`` holds the completed prefix.
+        # Mid-batch suspension: the parked :class:`FusedOps`, bound by
+        # this executor (a restored one is bound on restore), and its
+        # ops; its constituent at ``fused_index`` blocked (``retry_op``
+        # set) or had its result delivered by a waker, and
+        # ``fused_results``, the buffer its runners write, holds the
+        # completed prefix.
+        self.fused_batch: Any = None
         self.fused_ops: Any = None
         self.fused_index = 0
         self.fused_results: Any = None
-        # The parked :class:`FusedOps` itself when a runner parked it:
-        # the runner of its suffix re-enters it (None for a batch parked
-        # by the generic runner or restored from a checkpoint — those
-        # resume through :meth:`_run_fusion`).
-        self.fused_batch: Any = None
 
 
 @register_executor("sequential")
@@ -169,14 +169,9 @@ class SequentialExecutor(Executor):
         A :class:`repro.obs.Observability` collecting the run's trace
         and/or metrics.
     fast_path:
-        When True (default) and the run is eligible (no registered
-        ``WaitUntil`` waiter), slices run the fast loop, which
-        hands each yield to its compiled runner — the traced runners
-        when ``obs`` records a trace.  Set
-        False to force every op — including each
-        :class:`FusedOps` constituent — through the generic handler
-        table one at a time; the simulated results are identical by
-        construction, which is what the equivalence tests assert.
+        Inert: every op runs through its runner (:mod:`.runners`) either
+        way.  Kept only so ``RunConfig(fast_path=...)`` still reaches an
+        executor; a frozen benchmark suite spells it.
     """
 
     name = "sequential"
@@ -199,7 +194,7 @@ class SequentialExecutor(Executor):
     ):
         self.policy = make_policy(policy)
         #: The FIFO policy's raw deque (None under any other policy):
-        #: the run-to-block schedule loop and the fast loop's inline
+        #: the run-to-block schedule loop and the runners' inline
         #: wakes append to it directly, skipping the push/pop calls.
         self._fifo_queue = (
             self.policy._queue
@@ -212,6 +207,7 @@ class SequentialExecutor(Executor):
         self.metrics_sink = metrics_sink
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
+        del fast_path  # inert (see above)
         #: Live capture cadence (a CheckpointTimer) while a checkpointed
         #: run is executing; None otherwise.
         self._ckpt_timer: Any = None
@@ -220,6 +216,9 @@ class SequentialExecutor(Executor):
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._bounded = False
+        #: The run's slice length: the policy's, or ``_BOUNDED_TIMESLICE``
+        #: where a bounded run needs one and the policy sets none.
+        self._timeslice: Optional[int] = None
         #: Subclass hook, set by the engines a parent run hosts (a
         #: threaded run's cluster drivers, process workers).  Their
         #: schedule loop never takes the run-to-block FIFO branch: the
@@ -232,13 +231,10 @@ class SequentialExecutor(Executor):
         self.obs = obs
         #: The active trace collector (None when tracing is off).
         self.tracer = obs.trace if obs is not None else None
-        self.fast_path = fast_path
         self.context_switches = 0
         self.wakeups = 0
         self.preemptions = 0
         self.ops_executed = 0
-        self._any_time_waiters = False
-        self._fast = False
         #: Whose runners a batch's ``plan`` holds: a batch bound by another
         #: executor (traced or not, or across a fork that rewired its cut
         #: channels to clones) is bound again on first use here.
@@ -264,19 +260,16 @@ class SequentialExecutor(Executor):
         states = {id(ctx): _ContextState(ctx, trace) for ctx in program.contexts}
         # Waiters on another context's clock: target id -> [(threshold, state)].
         self._time_waiters: dict[int, list[tuple[Any, _ContextState]]] = {}
-        # Fast-path flag: most programs never use WaitUntil, so the per-op
-        # waiter check is skipped entirely until one registers.
-        self._any_time_waiters = False
         self._states = states
+        # Per-run counters: an instance may execute several programs.
+        self.context_switches = self.wakeups = self.preemptions = 0
+        self.ops_executed = 0
+        policy = self.policy
+        while policy:  # what an aborted run left queued
+            policy.pop()
 
         obs = self.obs
         collect_wall = obs is not None and obs.metrics is not None
-
-        # The fast path only drops (and later recovers) around registered
-        # WaitUntil waiters, so the fast loop itself carries no waiter
-        # checks — and no tracing checks either: a traced run binds the
-        # runners whose marked statements are live.
-        self._fast = self.fast_path
 
         # Deadlines and context faults both need the loop to come up for
         # air: force bounded slices (run-to-block would otherwise let one
@@ -291,13 +284,13 @@ class SequentialExecutor(Executor):
             # the quiescent-cut opportunity for the whole run.
             or self._ckpt_timer is not None
         )
-        if self._bounded and self.policy.timeslice is None:
-            self.policy.timeslice = _BOUNDED_TIMESLICE
+        self._timeslice = policy.timeslice
+        if self._bounded and self._timeslice is None:
+            self._timeslice = _BOUNDED_TIMESLICE
 
         if resume_records is not None:
             self._apply_resume_records(program, states, resume_records)
 
-        policy = self.policy
         for ctx in program.contexts:
             policy.push(states[id(ctx)], woken=False)
 
@@ -362,22 +355,27 @@ class SequentialExecutor(Executor):
     def _schedule_loop(self, collect_wall: bool) -> None:
         """Drain the ready queue; ask :meth:`_idle` for more work when it
         empties (subclass hook — the process executor's workers poll their
-        cross-process lanes there)."""
+        cross-process lanes there).
+
+        A context's ``WaitUntil`` waiters are drained when its slice
+        ends (and when it finishes): a waiter reads the clock the target
+        left at that boundary.  On a cooperative host no waiter could
+        run before it anyway, and the op promises the peer's clock at
+        wakeup, not the crossing."""
         policy = self.policy
         previous: _ContextState | None = None
         deadline_at = self._deadline_at
         ckpt_timer = self._ckpt_timer
         queue = self._fifo_queue
+        waiters = self._time_waiters
+        drain = self._drain_time_waiters
         if queue is not None and not collect_wall and not self._bounded:
             # Run-to-block FIFO (the default): drive the raw deque
             # directly, skipping the per-slice __bool__/pop method calls
             # and the timeslice attribute load.  No fault plan reaches
-            # this branch (faults force bounded slices), so an eligible
-            # slice enters the fast loop without the _run_slice hop;
-            # eligibility is re-read per slice because a WaitUntil
-            # registration drops it mid-run.
-            run_slice = self._run_slice
-            run_fast = self._run_slice_fast
+            # this branch (faults force bounded slices), so a slice
+            # enters the slice loop without the _run_slice hop.
+            run_slice = self._run_slice_fast
             while True:
                 while queue:
                     state = queue.popleft()
@@ -387,15 +385,15 @@ class SequentialExecutor(Executor):
                     if previous is not None and state is not previous:
                         self.context_switches += 1
                     previous = state
-                    if self._fast:
-                        run_fast(state, -1)
-                    else:
-                        run_slice(state, None)
+                    run_slice(state, -1)
+                    if waiters:
+                        drain(state.context)
                     if state.status == _READY:
                         self.preemptions += 1
                         policy.push(state, woken=False)
                 if not self._idle():
                     return
+        timeslice = self._timeslice
         while True:
             while policy:
                 state = policy.pop()
@@ -406,10 +404,12 @@ class SequentialExecutor(Executor):
                 previous = state
                 if collect_wall:
                     slice_start = _wallclock.perf_counter()
-                    self._run_slice(state, policy.timeslice)
+                    self._run_slice(state, timeslice)
                     state.wall_seconds += _wallclock.perf_counter() - slice_start
                 else:
-                    self._run_slice(state, policy.timeslice)
+                    self._run_slice(state, timeslice)
+                if waiters:
+                    drain(state.context)
                 if deadline_at is not None and (
                     _wallclock.perf_counter() >= deadline_at
                 ):
@@ -500,10 +500,10 @@ class SequentialExecutor(Executor):
         attributes and the scheduler primes and (re-)attempts it
         naturally.  Executed suspensions prime the generator here,
         discard the re-derived first yield, and inject the recorded
-        result; fused suspensions additionally rebuild the mid-batch
-        bookkeeping that :meth:`_resume_pending` already knows how to
-        finish (``fused_batch=None`` routes it through the generic
-        :meth:`_run_fusion`).
+        result; fused suspensions additionally wrap the re-derived ops
+        in a fresh :class:`FusedOps`, bound here with the recorded prefix
+        as its buffer, which the slice loop re-enters as it would a batch
+        a runner parked.
         """
         for slot, ctx in enumerate(program.contexts):
             record = records.get(slot)
@@ -553,10 +553,11 @@ class SequentialExecutor(Executor):
             )
         results = list(record["fused_prefix"])
         results.extend([None] * (record["fused_len"] - len(results)))
+        # Fresh: the context's own batch may be bound to another buffer.
+        state.fused_batch = plan(self, FusedOps(*ops_seq), results)[0]
         state.fused_ops = ops_seq
         state.fused_index = fused_index
         state.fused_results = results
-        state.fused_batch = None  # forces the generic _run_fusion path
         if executed:
             state.pending_value = record["pending_value"]
             state.pending_exc = pending_exc
@@ -636,180 +637,60 @@ class SequentialExecutor(Executor):
                 and self._fault_map.pop(name, None) is not None
             ):
                 state.retry_op = None
-                state.fused_ops = None
+                state.fused_batch = state.fused_ops = None
                 state.fused_results = None
-                state.fused_batch = None
                 state.pending_value = None
                 state.pending_exc = fault.make()
-
-        if self._fast:
-            self._run_slice_fast(state, remaining)
-            return
-
-        # A context woken from a blocking op must first complete that op
-        # (re-attempt it, or — if a waker delivered the result directly —
-        # just resume) and, if the op was a FusedOps constituent, finish
-        # the rest of the batch.
-        if state.retry_op is not None or state.fused_ops is not None:
-            if not self._resume_pending(state):
-                return  # blocked again
-            if state.status == _DONE:
-                return
-        self._run_slice_generic(state, remaining)
-
-    def _resume_pending(self, state: _ContextState) -> bool:
-        """Complete the op a woken context was parked on; return False if
-        it (or a later constituent of its fused batch) blocks again."""
-        op = state.retry_op
-        if op is not None:
-            state.retry_op = None
-            if not self._dispatch(state, op):
-                return False  # blocked again; fused state (if any) kept
-        if state.fused_ops is None:
-            return True
-        # Mid-fusion: the constituent at fused_index just completed (via
-        # the retry above, or its result was delivered by a waker into
-        # pending_value).  Collect it and run the rest of the batch.
-        ops_seq = state.fused_ops
-        index = state.fused_index
-        results = state.fused_results
-        state.fused_ops = None
-        state.fused_results = None
-        state.fused_batch = None
-        if state.pending_exc is not None:
-            return True  # batch abandoned; exception thrown at the yield
-        results[index] = state.pending_value
-        if index + 1 == len(ops_seq):
-            # Parked on the *last* constituent: the batch is already
-            # complete, deliver the results without re-entering the
-            # fusion runner.
-            state.pending_value = results
-            return True
-        state.pending_value = None
-        return self._run_fusion(state, ops_seq, index + 1, results)
-
-    def _run_fusion(self, state, ops_seq, index: int, results: list) -> bool:
-        """Execute fused constituents ``ops_seq[index:]`` through the
-        generic handlers, writing each result into the pre-sized
-        ``results`` list; return False (parking mid-batch) on a block."""
-        total = len(ops_seq)
-        while index < total:
-            sub = ops_seq[index]
-            self.ops_executed += 1
-            state.ops += 1
-            if not self._dispatch(state, sub):
-                state.fused_ops = ops_seq
-                state.fused_index = index
-                state.fused_results = results
-                return False
-            if state.pending_exc is not None:
-                return True  # e.g. ChannelClosed: abandon the batch
-            results[index] = state.pending_value
-            state.pending_value = None
-            index += 1
-        state.pending_value = results
-        return True
-
-    def _run_slice_generic(
-        self, state: _ContextState, remaining: int
-    ) -> None:
-        """Reference slice loop: every op through the handler table, with
-        tracing and time-waiter bookkeeping in place."""
-        gen_send = state.gen.send
-        gen_throw = state.gen.throw
-        ctx = state.context
-        while remaining != 0:
-            remaining -= 1
-            try:
-                if state.pending_exc is not None:
-                    # Cleared only once the generator took it: one it
-                    # raised back is cleared by _finish.
-                    op = gen_throw(state.pending_exc)
-                    state.pending_exc = None
-                else:
-                    value = state.pending_value
-                    state.pending_value = None
-                    op = gen_send(value)
-            except (StopIteration, ChannelClosed):
-                # An uncaught ChannelClosed is graceful wind-down.
-                self._finish(state)
-                return
-            except DeadlockError:
-                raise
-            except BaseException as failure:  # noqa: BLE001 - reported faithfully
-                self._finish(state)
-                raise SimulationError(ctx.name, failure) from failure
-
-            kind = op.__class__
-            if kind is FusedOps:
-                op, kind = op.ops, tuple  # a batch is its tuple of ops here
-            if kind is tuple or kind is list:
-                if not self._run_fusion(state, op, 0, [None] * len(op)):
-                    return  # blocked mid-batch
-                continue
-            self.ops_executed += 1
-            state.ops += 1
-            if not self._dispatch(state, op):
-                return  # blocked
-            if state.status == _DONE:
-                return
+        self._run_slice_fast(state, remaining)
 
     def _run_slice_fast(self, state: _ContextState, remaining: int) -> None:
-        """Fast slice loop (DESIGN.md §11): resume the generator, hand
-        the yield to its runner, repeat.
+        """The slice loop (DESIGN.md §11): resume the generator, hand the
+        yield to its runner, repeat.
 
-        Eligible only when no WaitUntil waiter is registered — which is
-        what lets every op run with zero per-op
-        bookkeeping conditionals.  What an op does is its runner's
-        (:mod:`.runners`): straight-line code compiled per shape.  A bare
-        op's runner is its class's (``_bare_runners``), reading the
-        channel or count off the op; a batch's is bound to it on first use
-        (``op.plan``, with the count of constituents it performs and this
-        executor's ``_plan_tag``).
+        What an op does is its runner's (:mod:`.runners`): straight-line
+        code compiled per shape.  A bare op's runner is its class's
+        (``_bare_runners``), reading the channel or count off the op; a
+        batch's is bound to it on first use (``op.plan``, with the count
+        of constituents it performs and this executor's ``_plan_tag``).
         A runner keeps the context's clock in a local and leaves it in
         ``clock._time`` whenever it returns, so the body sees its own
-        time at every resume.  Rare ops run through the generic handlers
-        inside their runner, which keeps the invariant: a WaitUntil that
-        registers a waiter blocks, ending the slice, so a fast slice
-        never runs with a waiter present.
+        time at every resume.  Rare ops run through the handler table
+        inside their runner.
 
         A runner that parks records the suspension itself (what
         :meth:`_block` stores, and for a batch the batch, the index and
         its buffer) and counts what it attempted; one whose batch was
         abandoned leaves the exception in ``state.pending_exc``.  The
-        resume has no code of its own: the prologue completes the parked
-        op (unless its waker delivered the result) and, when the batch
-        has constituents left, runs the runner of that suffix before the
-        generator is resumed (it is still suspended at the batch's
-        yield) — without spending a resumption of the slice.
+        prologue resumes a parked context through the same runners,
+        before the generator (still suspended at its yield) is resumed
+        and without spending a resumption of the slice: a bare op is
+        retried by its class's runner, and a batch re-entered at the
+        parked constituent — or past it, when its waker delivered the
+        result.  Either way the parked constituent was counted when it
+        was first attempted.
         """
         run = None
         executed = 0
-        if state.retry_op is not None or state.fused_ops is not None:
-            op = state.retry_op
-            if op is not None:
-                state.retry_op = None
-                if not self._dispatch(state, op):
-                    return  # blocked again; fused state (if any) kept
-            # A batch a runner parked is re-entered below.  One without
-            # a runner (parked by the generic runner, or restored from a
-            # checkpoint) or abandoned while parked takes the reference
-            # path, as does a bare op (nothing left to do).
-            op = state.fused_batch
-            if op is not None and state.pending_exc is None:
-                buf = state.fused_results
-                index = state.fused_index + 1
-                buf[index - 1] = state.pending_value
-                state.fused_ops = None
-                state.fused_results = None
-                state.fused_batch = None
+        op = state.retry_op
+        batch = state.fused_batch
+        if batch is not None:
+            parked = index = state.fused_index
+            buf = state.fused_results
+            state.retry_op = state.fused_batch = state.fused_ops = None
+            state.fused_results = None
+            if state.pending_exc is None:  # else abandoned while parked
+                if op is None:  # the waker delivered the parked result
+                    buf[index] = state.pending_value
+                    index += 1
                 state.pending_value = buf
                 if index < len(buf):
-                    run, count = resume(self, op, index, buf)
-                    # The prefix was counted by the slice that parked it.
-                    executed = -index
-            elif not self._resume_pending(state):
-                return  # blocked again
+                    op = batch
+                    run, count = resume(self, batch, index, buf)
+                    executed = -parked - 1
+        elif op is not None:  # parked by its class's runner
+            state.retry_op = None
+            run, count, _ = self._bare_runners[op.__class__]
+            executed = -1
 
         ctx = state.context
         clock = ctx.time
@@ -876,58 +757,15 @@ class SequentialExecutor(Executor):
             )
         return handler(self, state, op)
 
-    # --- generic op handlers ------------------------------------------
-    # Each performs the identical semantic transition the fast loop
-    # inlines, plus the bookkeeping (tracing, time-waiter drain) that
-    # the fast loop's eligibility rules make unnecessary there.
-
-    def _h_enqueue(self, state: _ContextState, op) -> bool:
-        clock = state.context.time
-        channel = op.sender.channel
-        if channel.try_enqueue(clock, op.data):
-            state.pending_value = None
-            waiter = channel.waiting_receiver
-            if waiter is not None:
-                channel.waiting_receiver = None
-                self._wake(waiter)
-            if self._any_time_waiters:
-                self._drain_time_waiters(state.context)
-            if state.buffer is not None:
-                state.buffer.add(channel._enq_port, clock.now(), op.data)
-            return True
-        self._block(state, op, channel._park_enq_msg)
-        channel.waiting_sender = state
-        return False
-
-    def _h_dequeue(self, state: _ContextState, op) -> bool:
-        clock = state.context.time
-        channel = op.receiver.channel
-        result = channel.fast_dequeue(clock)
-        if result is not _EMPTY:
-            state.pending_value = result
-            waiter = channel.waiting_sender
-            if waiter is not None:
-                channel.waiting_sender = None
-                self._wake(waiter)
-            if self._any_time_waiters:
-                self._drain_time_waiters(state.context)
-            if state.buffer is not None:
-                state.buffer.add(channel._deq_port, clock.now(), result)
-            return True
-        if channel.closed_for_receiver:
-            state.pending_exc = ChannelClosed(channel.name)
-            return True
-        self._block(state, op, channel._park_deq_msg)
-        channel.waiting_receiver = state
-        return False
+    # --- rare op handlers ----------------------------------------------
+    # What the ``_RARE`` runners dispatch: the ops the templates do not
+    # open-code.
 
     def _h_peek(self, state: _ContextState, op) -> bool:
         clock = state.context.time
         channel = op.receiver.channel
         if channel.can_dequeue():
             state.pending_value = channel.do_peek(clock)
-            if self._any_time_waiters:
-                self._drain_time_waiters(state.context)
             if state.buffer is not None:
                 state.buffer.add(channel._peek_port, clock.now(), state.pending_value)
             return True
@@ -939,16 +777,14 @@ class SequentialExecutor(Executor):
         return False
 
     def _h_advance(self, state: _ContextState, op) -> bool:
-        """``IncrCycles`` and ``AdvanceTo``: the context moves its own
-        clock."""
+        """``AdvanceTo`` and a negative ``IncrCycles`` (which raises): the
+        context moves its own clock."""
         clock = state.context.time
         if op.__class__ is IncrCycles:
             clock.incr(op.cycles)
         else:
             clock.advance(op.time)
         state.pending_value = None
-        if self._any_time_waiters:
-            self._drain_time_waiters(state.context)
         if state.buffer is not None:
             state.buffer.add(ADVANCE, clock.now())
         return True
@@ -962,12 +798,10 @@ class SequentialExecutor(Executor):
         if target.time.now() >= op.time:
             state.pending_value = target.time.now()
             return True
+        # Woken when the target's slice ends past the threshold
+        # (:meth:`_schedule_loop`), or by polling a foreign clock.
         self._block(state, op, f"wait-until {op.time} on {target.name}")
         self._time_waiters.setdefault(id(target), []).append((op.time, state))
-        self._any_time_waiters = True
-        # A registered waiter must be drained on every clock advance, so
-        # subsequent slices take the generic loop until it clears.
-        self._fast = False
         return False
 
     def _h_nested_fusion(self, state: _ContextState, op) -> bool:
@@ -982,11 +816,8 @@ class SequentialExecutor(Executor):
     # type(op) -> handler, a plain function called as ``handler(self,
     # state, op)`` (bound methods stored on the executor would make it a
     # reference cycle).  FusedOps/tuple/list appear only so a *nested*
-    # batch fails loudly — top-level batches are unrolled by the slice
-    # loops before dispatch.
+    # batch fails loudly — a top-level batch is its runner's.
     _handlers = {
-        Enqueue: _h_enqueue,
-        Dequeue: _h_dequeue,
         Peek: _h_peek,
         IncrCycles: _h_advance,
         AdvanceTo: _h_advance,
@@ -999,17 +830,16 @@ class SequentialExecutor(Executor):
 
     # ------------------------------------------------------------------
 
-    # --- wake-with-delivery (fast path only) --------------------------
+    # --- wake-with-delivery --------------------------------------------
     # A simulated op's result is a pure function of simulated state, so
-    # *who executes it* cannot change it: when a fast-path op unblocks a
-    # parked counterpart, the waker completes the parked Dequeue/Enqueue
-    # on the waiter's behalf (against the *waiter's* clock) and clears
-    # ``retry_op`` — the woken slice then starts straight in the fast
-    # loop with ``pending_value`` set, skipping the retry dispatch.
-    # The transition itself is the channel's flavor method, called with
-    # the waiter's clock.  Generic-mode wake sites keep the plain wake +
-    # retry protocol, and so does everything the guards below exclude
-    # (profiled or void flavors, a parked Peek).
+    # *who executes it* cannot change it: when an op unblocks a parked
+    # counterpart, the waker completes the parked Dequeue/Enqueue on the
+    # waiter's behalf (against the *waiter's* clock) and clears
+    # ``retry_op`` — the woken slice then resumes with ``pending_value``
+    # set, skipping the retry.  The transition itself is the channel's
+    # flavor method, called with the waiter's clock.  Everything the
+    # guards below exclude (profiled or void flavors, a parked Peek)
+    # keeps the plain wake + retry protocol.
 
     def _wake_send_deliver(self, channel, waiter: "_ContextState") -> None:
         """A dequeue freed bounded capacity: complete the parked sender's
@@ -1077,20 +907,15 @@ class SequentialExecutor(Executor):
             self._time_waiters[id(target)] = still_waiting
         else:
             del self._time_waiters[id(target)]
-            if not self._time_waiters:
-                self._any_time_waiters = False
-                self._fast = self.fast_path
 
     def _poll_foreign_waiters(self) -> bool:
         """Wake WaitUntil waiters on clocks this executor does not host
-        (another worker's or driver's: no local advance drains them);
+        (another worker's or driver's: no local slice end drains them);
         True if one woke.  For the ``_idle`` of an embedded host."""
-        if not self._any_time_waiters:
-            return False
         woke = self.wakeups
         for target_id, waiters in list(self._time_waiters.items()):
             if target_id in self._states:
-                continue  # local target: woken by local advances
+                continue  # local target: drained when its slice ends
             # The parked WaitUntil names its target.
             self._drain_time_waiters(waiters[0][1].retry_op.context)
         return self.wakeups != woke

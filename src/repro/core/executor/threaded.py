@@ -134,6 +134,17 @@ class ThreadedExecutor(Executor):
         self.faults = faults
         self.metrics_interval_s = metrics_interval_s
         self.metrics_sink = metrics_sink
+        #: The cluster drivers' one ``_plan_tag``: an op they share is
+        #: bound once, not once per driver that meets it.
+        self._plan_tag = object()
+
+    def _reset_run(self) -> None:
+        """Per-run state: an instance may execute several programs."""
+        #: Runner shapes the drivers asked the supervising thread to
+        #: compile (``[key, result, done]``), guarded by ``_cv``; and
+        #: whether it still serves them.
+        self._compiles: list = []
+        self._supervising = False
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._abort = threading.Event()
@@ -179,20 +190,13 @@ class ThreadedExecutor(Executor):
         self._ckpt_records: dict[int, dict] = {}
         self._resume_records: Optional[dict[int, dict]] = None
         self._slots: dict[int, int] = {}
-        #: The cluster drivers' one ``_plan_tag``: an op they share is
-        #: bound once, not once per driver that meets it.
-        self._plan_tag = object()
-        #: Runner shapes the drivers asked the supervising thread to
-        #: compile (``[key, result, done]``), guarded by ``_cv``; and
-        #: whether it still serves them.
-        self._compiles: list = []
-        self._supervising = False
 
     # ------------------------------------------------------------------
 
     def execute(self, program: Program) -> RunSummary:
         start = _wallclock.perf_counter()
         self._start = start
+        self._reset_run()
         per_context = normalize_mode(self.superblocks) == "off"
         if per_context and (
             self.checkpoint_path is not None
@@ -501,8 +505,8 @@ class ThreadedExecutor(Executor):
                 # dequeue is still counted.
                 try:
                     if kind is FusedOps or kind is tuple or kind is list:
-                        # A list, matching the sequential fast path's
-                        # reused plan buffer (same type either way).
+                        # A list, matching the sequential runners'
+                        # reused batch buffer (same type either way).
                         value = []
                         for sub in op.ops if kind is FusedOps else op:
                             ops += 1
@@ -565,7 +569,8 @@ class ThreadedExecutor(Executor):
             raise SimulationError(
                 ctx.name,
                 TypeError(
-                    f"FusedOps constituent must be a non-fused op: {op!r}"
+                    "FusedOps (or a tuple/list of ops) cannot be nested "
+                    f"inside another fused batch: {op!r}"
                 ),
             )
         else:

@@ -24,8 +24,8 @@ read naturally::
 
 When several ops are known *before* any of their results are needed, they
 can be fused into a single yield with :class:`FusedOps` (or a plain
-tuple/list of ops).  The executor runs them back to back on its inline
-fast path — no scheduler round-trip between them — and resumes the
+tuple/list of ops).  The executor runs them back to back — no
+scheduler round-trip between them — and resumes the
 generator once with a tuple of the per-op results::
 
     def run(self):
@@ -160,7 +160,11 @@ class WaitUntil(Op):
     """Block until a peer context's clock reaches ``time`` (SVP).
 
     Returns the peer's clock value at wakeup (``INFINITY`` if the peer
-    finished).  This is the parking primitive used to compose complex
+    finished): at least ``time``, but not necessarily the exact crossing.
+    A threaded host reads it whenever the waiter's thread wakes; the
+    sequential engine wakes the waiter when the peer's slice ends past
+    ``time``, and it reads the clock the peer left there (deterministic
+    per policy).  This is the parking primitive used to compose complex
     logical units from several simpler contexts.
     """
 

@@ -6,6 +6,8 @@ threaded executor report the same simulated cycle counts and deliver the
 same data.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro import (
@@ -13,6 +15,7 @@ from repro import (
     DeadlockError,
     FairPolicy,
     IncrCycles,
+    ProcessExecutor,
     ProgramBuilder,
     RunConfig,
     RunTimeoutError,
@@ -34,6 +37,7 @@ from repro.contexts import (
     StreamReducer,
     UnaryFunction,
 )
+from repro.obs import Observability
 
 EXECUTORS = ["sequential", "threaded"]
 
@@ -381,3 +385,44 @@ class TestCrossExecutorAgreement:
         assert col_a.values == col_b.values
         assert seq.elapsed_cycles == thr.elapsed_cycles
         assert seq.context_times == thr.context_times
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda obs: SequentialExecutor(obs=obs),
+        lambda obs: ThreadedExecutor(obs=obs, superblocks="off"),
+        lambda obs: ThreadedExecutor(obs=obs, superblocks="on"),
+        pytest.param(
+            lambda obs: ProcessExecutor(workers=2, obs=obs),
+            marks=pytest.mark.skipif(
+                "fork" not in multiprocessing.get_all_start_methods(),
+                reason="fork start method unavailable",
+            ),
+        ),
+    ],
+    ids=["sequential", "threaded-off", "threaded-on", "process"],
+)
+class TestInstanceReuse:
+    """``Program.run`` accepts an executor instance, so one instance may
+    run several programs: each run starts from fresh per-run state."""
+
+    def test_a_second_run_reports_what_the_first_did(self, make):
+        obs = Observability(trace=False)
+        executor = make(obs)
+        summaries = []
+        for _ in range(2):
+            builder = ProgramBuilder()
+            snd, rcv = builder.bounded(1)
+            builder.add(IterableSource(snd, range(50), name="src"))
+            builder.add(NullSink(rcv, name="sink"))
+            summaries.append(builder.build().run(executor))
+        first, second = (
+            (s.elapsed_cycles, s.ops_executed, s.context_switches, s.wakeups)
+            for s in summaries
+        )
+        assert first == second
+        assert first[1] == 151
+        # One registry across both runs: each run adds its own count.
+        counters = summaries[1].metrics["counters"]
+        assert counters["executor_ops"] == 2 * first[1]

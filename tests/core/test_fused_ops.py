@@ -8,17 +8,18 @@ results delivery (valid only until the batch's next execution); blocking
 mid-batch at exactly the constituent that would have blocked; ChannelClosed
 surfacing at the yield point; and nested batches rejected.
 
-Every behavioural test runs under both the inline fast path and the
-generic dispatch path (``fast_path=False``) — the two implementations must
-be indistinguishable.  The park/wake section drives the fast loop's
+Every behavioural test runs on the sequential executor's runners and on
+the threaded executor's one-thread-per-context runtime (the paper's, and
+the reference: it steps each op through ``Channel``'s own methods) — the
+two must be indistinguishable.  The park/wake section drives the runners'
 machinery (inline peer delivery, last-constituent resume, mid-batch
-resume, rare ops, slice expiry) against the generic interpreter, untraced
-and traced: a traced run takes the fast loop's traced variant, and which
-loop (or which context, on a wake-with-delivery) appends a row must not
-show in any context's row sequence or in the profile.  The last section
-parks one five-constituent batch on each of its positions and checks that
-re-entering it — with its plan, without one after a checkpoint restore,
-on the one-thread-per-context runtime — is invisible.
+resume, rare ops, slice expiry) against that reference, untraced and
+traced: a traced run binds the traced runners, and which context appends
+a row on a wake-with-delivery must not show in any context's row sequence
+or in the profile.  The last section parks one five-constituent batch on
+each of its positions and checks that re-entering it — with its plan,
+after a checkpoint restore, on the one-thread-per-context runtime — is
+invisible.
 """
 
 import os
@@ -47,6 +48,7 @@ from repro.core import (
     RunTimeoutError,
     SequentialExecutor,
     SimulationError,
+    ThreadedExecutor,
     ViewTime,
     WaitUntil,
 )
@@ -54,11 +56,17 @@ from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
 from repro.obs import Observability
 
-BOTH_PATHS = pytest.mark.parametrize("fast", [True, False], ids=["fast", "generic"])
+BOTH_HOSTS = pytest.mark.parametrize(
+    "host", ["sequential", "threaded"], ids=["sequential", "threaded-off"]
+)
 
 
-def run(builder, fast=True, obs=None):
-    return SequentialExecutor(fast_path=fast, obs=obs).execute(builder.build())
+def run(builder, host="sequential", obs=None):
+    if host == "threaded":
+        executor = ThreadedExecutor(superblocks="off", obs=obs)
+    else:
+        executor = SequentialExecutor(obs=obs)
+    return executor.execute(builder.build())
 
 
 # ----------------------------------------------------------------------
@@ -67,8 +75,8 @@ def run(builder, fast=True, obs=None):
 
 
 class TestResultDelivery:
-    @BOTH_PATHS
-    def test_results_in_constituent_order(self, fast):
+    @BOTH_HOSTS
+    def test_results_in_constituent_order(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(4)
         seen = []
@@ -83,12 +91,12 @@ class TestResultDelivery:
 
         builder.add(FunctionContext(producer, handles=[snd]))
         builder.add(FunctionContext(consumer, handles=[rcv]))
-        run(builder, fast)
+        run(builder, host)
         # Dequeues deliver their element; IncrCycles delivers None.
         assert seen == [[10, None, 20]]
 
-    @BOTH_PATHS
-    def test_plain_tuple_and_list_accepted(self, fast):
+    @BOTH_HOSTS
+    def test_plain_tuple_and_list_accepted(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(4)
         seen = []
@@ -104,11 +112,11 @@ class TestResultDelivery:
 
         builder.add(FunctionContext(producer, handles=[snd]))
         builder.add(FunctionContext(consumer, handles=[rcv]))
-        run(builder, fast)
+        run(builder, host)
         assert seen == [(1, 2, 3)]
 
-    @BOTH_PATHS
-    def test_reused_batch_results_valid_until_next_execution(self, fast):
+    @BOTH_HOSTS
+    def test_reused_batch_results_valid_until_next_execution(self, host):
         """The delivered list belongs to the batch: a reused ``FusedOps``
         rewrites it on its next execution, so contexts must read results
         at the yield (the documented contract)."""
@@ -130,7 +138,7 @@ class TestResultDelivery:
 
         builder.add(FunctionContext(producer, handles=[snd]))
         builder.add(FunctionContext(consumer, handles=[rcv]))
-        run(builder, fast)
+        run(builder, host)
         assert at_yield == [0, 1, 2]
         # Whether or not the executor reused one buffer, the values read
         # at each yield were correct; retaining across yields is only
@@ -207,22 +215,22 @@ def _signature(builder, summary):
 
 
 class TestFusedUnfusedEquivalence:
-    @BOTH_PATHS
-    def test_cycles_stats_and_op_counts_match(self, fast):
+    @BOTH_HOSTS
+    def test_cycles_stats_and_op_counts_match(self, host):
         fused_builder, fused_sink = _pipeline(fused=True)
-        fused_sig = _signature(fused_builder, run(fused_builder, fast))
+        fused_sig = _signature(fused_builder, run(fused_builder, host))
         plain_builder, plain_sink = _pipeline(fused=False)
-        plain_sig = _signature(plain_builder, run(plain_builder, fast))
+        plain_sig = _signature(plain_builder, run(plain_builder, host))
         assert fused_sink.values == plain_sink.values
         assert fused_sig == plain_sig
 
-    def test_fast_and_generic_paths_match(self):
-        fast_builder, fast_sink = _pipeline(fused=True)
-        fast_sig = _signature(fast_builder, run(fast_builder, fast=True))
-        gen_builder, gen_sink = _pipeline(fused=True)
-        gen_sig = _signature(gen_builder, run(gen_builder, fast=False))
-        assert fast_sink.values == gen_sink.values
-        assert fast_sig == gen_sig
+    def test_runners_match_one_thread_per_context(self):
+        seq_builder, seq_sink = _pipeline(fused=True)
+        seq_sig = _signature(seq_builder, run(seq_builder))
+        thr_builder, thr_sink = _pipeline(fused=True)
+        thr_sig = _signature(thr_builder, run(thr_builder, "threaded"))
+        assert seq_sink.values == thr_sink.values
+        assert seq_sig == thr_sig
 
     def test_trace_event_sequences_match_unfused(self):
         """Fusion emits the same per-constituent trace events, in the
@@ -231,7 +239,7 @@ class TestFusedUnfusedEquivalence:
         def events(fused):
             builder, _ = _pipeline(fused=fused)
             obs = Observability(capture_payloads=True)
-            run(builder, fast=True, obs=obs)
+            run(builder, obs=obs)
             return [
                 (e.context, e.kind, e.channel, e.time, e.payload, e.seq)
                 for e in obs.trace.events
@@ -246,8 +254,8 @@ class TestFusedUnfusedEquivalence:
 
 
 class TestMidBatchBlocking:
-    @BOTH_PATHS
-    def test_blocks_at_the_blocking_constituent(self, fast):
+    @BOTH_HOSTS
+    def test_blocks_at_the_blocking_constituent(self, host):
         """Two fused enqueues into a capacity-1 channel: the second blocks
         until the consumer frees the slot, and its enqueue lands at the
         response-advanced time — exactly the unfused behaviour."""
@@ -260,7 +268,7 @@ class TestMidBatchBlocking:
 
         builder.add(FunctionContext(producer, handles=[snd], name="src"))
         builder.add(sink)
-        summary = run(builder, fast)
+        summary = run(builder, host)
         assert [v for _, v in sink.values] == ["a", "b"]
         unfused = ProgramBuilder()
         snd2, rcv2 = unfused.bounded(1, name="narrow")
@@ -272,13 +280,13 @@ class TestMidBatchBlocking:
 
         unfused.add(FunctionContext(producer2, handles=[snd2], name="src"))
         unfused.add(sink2)
-        summary2 = run(unfused, fast)
+        summary2 = run(unfused, host)
         assert sink.values == sink2.values
         assert summary.elapsed_cycles == summary2.elapsed_cycles
         assert summary.ops_executed == summary2.ops_executed
 
-    @BOTH_PATHS
-    def test_both_directions_parked_fused(self, fast):
+    @BOTH_HOSTS
+    def test_both_directions_parked_fused(self, host):
         """A ring where every transition is fused: park/wake must deliver
         mid-batch results on both the sender and receiver sides."""
         builder = ProgramBuilder()
@@ -310,7 +318,7 @@ class TestMidBatchBlocking:
 
         builder.add(FunctionContext(head, handles=[s1, r2], name="head"))
         builder.add(FunctionContext(back, handles=[r1, s2], name="back"))
-        run(builder, fast)
+        run(builder, host)
         assert finals == [2 * laps - 1]
 
 
@@ -320,8 +328,8 @@ class TestMidBatchBlocking:
 
 
 class TestErrorPaths:
-    @BOTH_PATHS
-    def test_channel_closed_raises_at_the_yield(self, fast):
+    @BOTH_HOSTS
+    def test_channel_closed_raises_at_the_yield(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(4)
         out_snd, out_rcv = builder.bounded(4)
@@ -342,14 +350,14 @@ class TestErrorPaths:
         builder.add(FunctionContext(producer, handles=[snd], name="src"))
         builder.add(FunctionContext(consumer, handles=[rcv, out_snd], name="mid"))
         builder.add(sink)
-        run(builder, fast)
+        run(builder, host)
         # First execution: enqueue + dequeue(1).  Second: the enqueue ran
         # (its effect persists), then the closed dequeue raised.
         assert caught == [True]
         assert sink.values == ["before", "before"]
 
-    @BOTH_PATHS
-    def test_nested_fusion_rejected(self, fast):
+    @BOTH_HOSTS
+    def test_nested_fusion_rejected(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(4)
 
@@ -359,10 +367,10 @@ class TestErrorPaths:
         builder.add(FunctionContext(bad, handles=[snd], name="bad"))
         builder.add(Collector(rcv, name="sink"))
         with pytest.raises(Exception, match="[Nn]est"):
-            run(builder, fast)
+            run(builder, host)
 
-    @BOTH_PATHS
-    def test_negative_incr_cycles_rejected_fused(self, fast):
+    @BOTH_HOSTS
+    def test_negative_incr_cycles_rejected_fused(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(4)
 
@@ -372,7 +380,7 @@ class TestErrorPaths:
         builder.add(FunctionContext(bad, handles=[snd], name="bad"))
         builder.add(Collector(rcv, name="sink"))
         with pytest.raises(Exception, match="backwards|negative"):
-            run(builder, fast)
+            run(builder, host)
 
 
 # ----------------------------------------------------------------------
@@ -381,8 +389,8 @@ class TestErrorPaths:
 
 
 class TestAccounting:
-    @BOTH_PATHS
-    def test_ops_counted_per_constituent(self, fast):
+    @BOTH_HOSTS
+    def test_ops_counted_per_constituent(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(4)
 
@@ -395,7 +403,7 @@ class TestAccounting:
 
         builder.add(FunctionContext(producer, handles=[snd], name="src"))
         builder.add(Collector(rcv, name="sink"))
-        summary = run(builder, fast)
+        summary = run(builder, host)
         # 10×(enqueue+incr) + 10 dequeues + 1 closing dequeue attempt:
         # identical to the unfused form of the same program.
         unfused = ProgramBuilder()
@@ -408,11 +416,11 @@ class TestAccounting:
 
         unfused.add(FunctionContext(producer2, handles=[snd2], name="src"))
         unfused.add(Collector(rcv2, name="sink"))
-        summary2 = run(unfused, fast)
+        summary2 = run(unfused, host)
         assert summary.ops_executed == summary2.ops_executed
 
-    @BOTH_PATHS
-    def test_blocked_constituent_not_double_counted(self, fast):
+    @BOTH_HOSTS
+    def test_blocked_constituent_not_double_counted(self, host):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(1)
         sink = Collector(rcv, ii=3, name="sink")
@@ -426,7 +434,7 @@ class TestAccounting:
 
         builder.add(FunctionContext(producer, handles=[snd], name="src"))
         builder.add(sink)
-        summary = run(builder, fast)
+        summary = run(builder, host)
         program = builder.build()
         chan = program.channels[0]
         assert chan.stats.enqueues == 6
@@ -453,7 +461,7 @@ def summary2_expected(sink):
 
 
 # ----------------------------------------------------------------------
-# Park/wake shapes: fast loop vs generic interpreter, bit for bit.
+# Park/wake shapes: runners vs one thread per context, bit for bit.
 # ----------------------------------------------------------------------
 # Each builder returns ``(program, observe)``; ``observe()`` reads what
 # the contexts saw.  Contexts and channels are compared by program
@@ -635,8 +643,9 @@ def _peek():
 
 
 def _wait_until():
-    """A registered WaitUntil waiter drops the fast path mid-run (every
-    clock advance must drain it) and restores it once woken."""
+    """A WaitUntil waiter parked on a peer's clock, woken once the peer
+    is past the threshold: what it reads is the peer's clock at wakeup,
+    which depends on the host (``observe`` reports it apart)."""
     results = []
 
     class Waiter(Context):
@@ -680,6 +689,9 @@ _SHAPES = {
     "wait_until": _wait_until,
 }
 
+#: Shapes whose ``observe`` is a peer's clock, with the bound it is past.
+_PEER_CLOCK_READS = {"view_time": 42, "wait_until": 100}
+
 #: Run-to-block, and a two-resumption slice that expires between (and,
 #: once a batch has parked, in the middle of) fused batches.
 _POLICIES = {"fifo": lambda: "fifo", "slice2": lambda: FairPolicy(timeslice=2)}
@@ -710,22 +722,25 @@ def _rows(obs):
     }
 
 
-def _outcome(build, payloads=None, **executor_kwargs):
-    """``(simulated, summary)`` of one sequential run: everything
-    simulated about it — with ``payloads`` not None also every context's
-    trace rows (payloads captured or not) and the profile — and the
-    summary for its scheduling counters.
+def _outcome(build, payloads=None, host="sequential", **executor_kwargs):
+    """``(simulated, summary)`` of one run — sequential, or with ``host``
+    ``"threaded"`` one thread per context: everything simulated about it
+    — with ``payloads`` not None also every context's trace rows
+    (payloads captured or not) and the profile — and the summary for its
+    scheduling counters.
     (Not simulated: ``max_real_occupancy``, real queue depth, and the
-    counters — a waker that completes the parked op in place (§11)
-    saves the wake-retry-park round the generic handlers take, so
-    switches and wakeups differ between the loops by design.)"""
+    counters, which count a host's own scheduling.)"""
     program, observe = _build_named(build)
     obs = (
         None
         if payloads is None
         else Observability(metrics=False, capture_payloads=payloads)
     )
-    summary = SequentialExecutor(obs=obs, **executor_kwargs).execute(program)
+    if host == "threaded":
+        executor = ThreadedExecutor(superblocks="off", obs=obs, **executor_kwargs)
+    else:
+        executor = SequentialExecutor(obs=obs, **executor_kwargs)
+    summary = executor.execute(program)
     simulated = {
         "rows": None if obs is None else _rows(obs),
         "profile": summary.profile,
@@ -747,16 +762,17 @@ class TestParkWakeShapes:
     @pytest.mark.parametrize("tracing", sorted(_TRACING))
     @pytest.mark.parametrize("policy", sorted(_POLICIES))
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
-    def test_fast_matches_generic(self, shape, policy, tracing):
+    def test_matches_one_thread_per_context(self, shape, policy, tracing):
         build = _SHAPES[shape]
         payloads = _TRACING[tracing]
-        fast, fast_summary = _outcome(
-            build, payloads, policy=_POLICIES[policy](), fast_path=True
-        )
-        generic, generic_summary = _outcome(
-            build, payloads, policy=_POLICIES[policy](), fast_path=False
-        )
-        assert fast == generic
+        fast, fast_summary = _outcome(build, payloads, policy=_POLICIES[policy]())
+        reference, _ = _outcome(build, payloads, "threaded")
+        if shape in _PEER_CLOCK_READS:
+            # A peer's clock read is a lower bound, not a value: each
+            # host reads it at its own boundary.
+            for simulated in (fast, reference):
+                assert simulated.pop("observed")[0] >= _PEER_CLOCK_READS[shape]
+        assert fast == reference
         assert fast["ops"] > 0
         if payloads is not None:
             # One row per completed op that records (ViewTime/WaitUntil
@@ -766,9 +782,8 @@ class TestParkWakeShapes:
             )
             assert fast["profile"]["finish_time"] == fast["elapsed"]
         if policy == "fifo":
-            # Run-to-block never preempts, whichever loop drives.
+            # Run-to-block never preempts.
             assert fast_summary.preemptions == 0
-            assert generic_summary.preemptions == 0
 
     def test_delivered_values(self):
         def observed(build):
@@ -782,16 +797,18 @@ class TestParkWakeShapes:
         assert observed(_fused_batch_ending_in_dequeue) == totals
         assert observed(_peek) == [7, 7]
 
-    @BOTH_PATHS
-    def test_wait_until_returns_the_threshold_crossing(self, fast):
-        """The deterministic host wakes the waiter at the advance that
-        crosses the threshold, so it reads exactly 100 — not a later
-        bound — whichever loop ran the mover."""
-        simulated, _ = _outcome(_wait_until, fast_path=fast)
-        assert simulated["observed"] == [100]
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    def test_wait_until_returns_the_peer_clock_at_wakeup(self, policy):
+        """The sequential host wakes the waiter when the mover's slice
+        ends past the threshold, and the waiter reads the mover's clock
+        there: at least 100, and a time in the mover's port history."""
+        simulated, _ = _outcome(_wait_until, True, policy=_POLICIES[policy]())
+        [seen] = simulated["observed"]
+        assert seen >= 100
+        assert seen in {row[2] for row in simulated["rows"]["ctx0"]}
 
-    @BOTH_PATHS
-    def test_deadlock_reported(self, fast):
+    @BOTH_HOSTS
+    def test_deadlock_reported(self, host):
         class Hold(Context):
             def __init__(self, inp, out):
                 super().__init__()
@@ -808,19 +825,19 @@ class TestParkWakeShapes:
         builder.add(Hold(r1, s2))
         builder.add(Hold(r2, s1))
         with pytest.raises(DeadlockError, match="dequeue on empty"):
-            run(builder, fast)
+            run(builder, host)
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-    @BOTH_PATHS
-    def test_deadline_abort(self, fast, traced):
-        """A deadline bounds the slices but keeps the loop ``fast_path``
-        asks for, traced or not; it ends a ping-pong that never stops."""
+    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    def test_deadline_abort(self, policy, traced):
+        """A deadline bounds the slices, under either policy, traced or
+        not; it ends a ping-pong that never stops."""
 
         class SliceSpy(SequentialExecutor):
-            fast_slices = 0
+            slices = 0
 
             def _run_slice_fast(self, state, remaining):
-                self.fast_slices += 1
+                self.slices += 1
                 return super()._run_slice_fast(state, remaining)
 
         builder = ProgramBuilder()
@@ -846,20 +863,20 @@ class TestParkWakeShapes:
         builder.add(FunctionContext(relay, handles=[r1, s2], name="relay"))
         builder.add(FunctionContext(sink, handles=[r2], name="sink"))
         obs = Observability(metrics=False) if traced else None
-        executor = SliceSpy(deadline_s=0.2, fast_path=fast, obs=obs)
+        executor = SliceSpy(deadline_s=0.2, policy=_POLICIES[policy](), obs=obs)
         with pytest.raises(RunTimeoutError) as info:
             executor.execute(builder.build())
         assert info.value.summary.context_times["sink"] > 0
-        assert (executor.fast_slices > 0) == fast
+        assert executor.slices > 0
         if traced:
             assert all(_rows(obs).values())
 
     @pytest.mark.parametrize("payloads", [False, True], ids=["rows", "payloads"])
-    def test_traced_process_run_matches_sequential(self, payloads):
-        """Two forked workers run the traced loop against channel clones
-        (every channel of this pipeline is cut); merged back, each
-        context's rows are the sequential run's."""
-        reference, _ = _outcome(_capacity_one_ping_pong, payloads, fast_path=False)
+    def test_traced_process_run_matches_one_thread_per_context(self, payloads):
+        """Two forked workers run the traced runners against channel
+        clones (every channel of this pipeline is cut); merged back, each
+        context's rows are the reference run's."""
+        reference, _ = _outcome(_capacity_one_ping_pong, payloads, "threaded")
         program, observe = _build_named(_capacity_one_ping_pong)
         pins = {id(ctx): slot % 2 for slot, ctx in enumerate(program.contexts)}
         obs = Observability(metrics=False, capture_payloads=payloads)
@@ -1001,6 +1018,43 @@ _REENTRY = {
     "scatter_voided": _scatter(_SCRIPT[:4], 3),
 }
 
+#: Where ``_Wide``'s batch dequeues; every other constituent is a tick.
+_WIDE_AT = (0, 5, 16, 100, 517, 950, 1100, 1199)
+
+
+class _Wide(Context):
+    """One 1,200-constituent batch per round, longer than a recursion
+    limit's worth of one-constituent runners: a restore mid-batch must
+    re-enter it through the batch's own chunk runners."""
+
+    checkpoint_attrs = ("_round", "rows")
+
+    def __init__(self, inp, rounds):
+        super().__init__()
+        self.inp, self.rounds = inp, rounds
+        self._round = 0
+        self.rows = []
+        self.register(inp)
+
+    def run(self):
+        step = FusedOps(*[
+            self.inp.dequeue() if at in _WIDE_AT else IncrCycles(at % 3)
+            for at in range(1200)
+        ])
+        while self._round < self.rounds:
+            got = yield step
+            self.rows.append([got[at] for at in _WIDE_AT])
+            self._round += 1
+
+
+def _wide():
+    builder = ProgramBuilder()
+    snd, rcv = builder.bounded(1)
+    stage = builder.add(_Wide(rcv, 2))
+    builder.add(_Feeder([snd], [0] * (2 * len(_WIDE_AT))))
+    return builder.build(), lambda: list(stage.rows)
+
+
 _REENTRY_POLICIES = {
     "fifo": lambda: "fifo",
     "slice1": lambda: FairPolicy(timeslice=1),
@@ -1038,7 +1092,7 @@ class _ResumeSpy(SequentialExecutor):
 
     def _run_slice_fast(self, state, remaining):
         if state.fused_ops is not None:
-            assert state.fused_batch is not None  # parked by this loop
+            assert state.fused_batch is not None  # bound: re-entered by runners
             self.resumed.add((state.fused_index, state.retry_op is None))
         return super()._run_slice_fast(state, remaining)
 
@@ -1046,13 +1100,15 @@ class _ResumeSpy(SequentialExecutor):
 class TestBatchReentry:
     @pytest.mark.parametrize("policy", sorted(_REENTRY_POLICIES))
     @pytest.mark.parametrize("scenario", sorted(_REENTRY))
-    def test_matches_generic_and_the_recorded_schedule(self, scenario, policy):
+    def test_matches_one_thread_per_context_and_the_recorded_schedule(
+        self, scenario, policy
+    ):
         build = _REENTRY[scenario]
         make_policy = _REENTRY_POLICIES[policy]
-        generic, _ = _outcome(build, True, policy=make_policy(), fast_path=False)
+        reference, _ = _outcome(build, True, "threaded")
         traced, traced_summary = _outcome(build, True, policy=make_policy())
         untraced, untraced_summary = _outcome(build, policy=make_policy())
-        assert traced == generic
+        assert traced == reference
         assert untraced == dict(traced, rows=None, profile=None)
         counters = [
             (s.context_switches, s.wakeups, s.preemptions)
@@ -1077,13 +1133,16 @@ class TestBatchReentry:
         assert (4, False) in resumed("gather_closed")
         assert (2, False) in resumed("scatter_voided")
 
-    @pytest.mark.parametrize("scenario", ["gather", "gather_profiled", "scatter"])
-    def test_restored_batch_resumes_without_its_plan(self, scenario, tmp_path):
+    @pytest.mark.parametrize(
+        "scenario", ["gather", "gather_profiled", "scatter", "wide"]
+    )
+    def test_restored_batch_is_reentered(self, scenario, tmp_path):
         """A checkpoint keeps a mid-batch suspension as data; restored,
-        it has no plan, and the fast loop hands it to the generic
-        runner.  From every epoch, fast and generic finish alike and
-        deliver what the uninterrupted run delivered."""
-        build = _REENTRY[scenario]
+        the re-derived ops are bound as a fresh batch and re-entered by
+        the runners at the recorded constituent.  From every epoch, the
+        restored run finishes alike under either policy, and delivers
+        what the uninterrupted run delivered."""
+        build = _REENTRY.get(scenario) or _wide
         whole, _ = _outcome(build, policy=FairPolicy(timeslice=1))
         program, _ = _build_named(build)
         SequentialExecutor(
@@ -1101,20 +1160,18 @@ class TestBatchReentry:
 
             records = ckpt.load(path).contexts.values()
             mid_batch += any(r.get("fused_index") is not None for r in records)
-            fast, _ = _outcome(restored, True, policy=FairPolicy(timeslice=1))
-            generic, _ = _outcome(
-                restored, True, policy=FairPolicy(timeslice=1), fast_path=False
-            )
-            assert fast == generic, os.path.basename(path)
+            sliced, _ = _outcome(restored, True, policy=FairPolicy(timeslice=1))
+            fifo, _ = _outcome(restored, True)
+            assert sliced == fifo, os.path.basename(path)
             for key in ("elapsed", "context_times", "channels", "observed"):
-                assert fast[key] == whole[key], (os.path.basename(path), key)
-        assert mid_batch >= 3
+                assert sliced[key] == whole[key], (os.path.basename(path), key)
+        assert mid_batch >= (5 if scenario == "wide" else 3)
 
     @pytest.mark.parametrize("scenario", sorted(_REENTRY))
     def test_one_thread_per_context_matches(self, scenario):
         """The paper's runtime steps bare ops and batch constituents
         through one ``_step``: same rows, results and counts."""
-        reference, _ = _outcome(_REENTRY[scenario], True, fast_path=False)
+        reference, _ = _outcome(_REENTRY[scenario], True)
         program, observe = _build_named(_REENTRY[scenario])
         obs = Observability(metrics=False, capture_payloads=True)
         summary = program.run(

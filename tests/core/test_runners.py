@@ -1,5 +1,5 @@
 """Fused-batch runners: the shape cache, latched channel state, and a
-differential check of generated batches against the generic interpreter.
+differential check of generated batches against the paper's runtime.
 
 A runner is bound to the channels, deques and stats of its batch on first
 execution and compiled once per process per shape (DESIGN.md §11).  The
@@ -8,8 +8,10 @@ mutated in place, so a batch built once survives ``Program.reset()`` and
 an in-place checkpoint restore; each shape compiles once per process,
 traced and untraced apart, chunked when long, once under racing cluster
 drivers, and never again in the workers of a later process run; and
-random batches — long, parking anywhere, abandoned, rare — run exactly as
-``fast_path=False`` runs them.
+random batches — long, parking anywhere, abandoned, rare — run under every
+scheduling policy exactly as the threaded executor's one-thread-per-context
+runtime runs them (DESIGN.md §5: it steps each op through ``Channel``'s
+own methods, not through a runner).
 """
 
 import json
@@ -37,7 +39,9 @@ from repro.core import (
     RunConfig,
     SequentialExecutor,
     SimulationError,
+    ThreadedExecutor,
     ViewTime,
+    WaitUntil,
 )
 from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
@@ -131,8 +135,8 @@ class TestLatchedChannelState:
     @pytest.mark.parametrize("reuse", [False, True], ids=["program-run", "same-executor"])
     def test_restored_in_place(self, reuse, tmp_path):
         """Resumed from every epoch by ``restore_into`` on the program
-        that already ran (its batches bound), the fast path finishes as a
-        freshly built program and the generic path do."""
+        that already ran (its batches bound), the runners finish as a
+        freshly built program does under another schedule."""
         fresh, fresh_taker = _batched_program()
         whole = _observed(fresh, fresh_taker, SequentialExecutor().execute(fresh))
         SequentialExecutor(
@@ -150,9 +154,9 @@ class TestLatchedChannelState:
             summary = executor.execute(program) if reuse else program.run()
             reference, ref_taker = _batched_program()
             ckpt.load(path, reference).restore_into(reference)
-            generic = reference.run(config=RunConfig(fast_path=False))
+            sliced = reference.run(config=RunConfig(policy=FairPolicy(timeslice=1)))
             got = _observed(program, taker, summary)
-            assert got == _observed(reference, ref_taker, generic), path
+            assert got == _observed(reference, ref_taker, sliced), path
             assert got[2] == whole[2] and got[1] == whole[1], path
 
 
@@ -401,7 +405,7 @@ class TestShapeCache:
 
 
 # ----------------------------------------------------------------------
-# Random batches: runners against the generic interpreter.
+# Random batches: runners against one thread per context.
 # ----------------------------------------------------------------------
 
 #: Constituents a context may draw, by weight: on one of its send lanes,
@@ -412,12 +416,13 @@ _FREE = ("I",) * 3 + ("V", "A")
 
 
 @st.composite
-def _programs(draw):
+def _programs(draw, waits=False):
     """Three contexts and up to three lanes between them (either way, so
     a receiver may start first and park on an empty lane, and cycles may
     deadlock), each context running a script of batches over its lanes —
     several times, re-yielding the same batch objects.  One example in
-    about ten puts a negative ``IncrCycles`` somewhere."""
+    about ten puts a negative ``IncrCycles`` somewhere; with ``waits``,
+    one in two puts a ``WaitUntil`` on a peer somewhere."""
     lanes = []
     for index in range(draw(st.integers(1, 3))):
         sender = draw(st.integers(0, 2))
@@ -448,6 +453,11 @@ def _programs(draw):
         batches = draw(st.sampled_from([b for b, _ in scripts if b]))
         batch = draw(st.sampled_from(batches))[0]
         batch.insert(draw(st.integers(0, len(batch))), ("N", 0, 0))
+    if waits and draw(st.booleans()):
+        batches = draw(st.sampled_from([b for b, _ in scripts if b]))
+        batch = draw(st.sampled_from(batches))[0]
+        wait = ("W", 0, draw(st.integers(0, 4)))
+        batch.insert(draw(st.integers(0, len(batch))), wait)
     return lanes, scripts
 
 
@@ -456,6 +466,9 @@ class _Scripted(Context):
         super().__init__(name=f"ctx{index}")
         self.index, self.script, self.log = index, script, log
         self.sends, self.recvs, self.peers = sends, recvs, peers
+        #: ``(threshold, value)`` of each ``WaitUntil``: the peer's
+        #: clock at wakeup, which depends on the host.
+        self.waits = []
         self.register(*sends.values(), *recvs.values())
 
     def _op(self, kind, lane, arg):
@@ -471,6 +484,8 @@ class _Scripted(Context):
             return ViewTime(self.peers[arg % 3])
         if kind == "A":
             return AdvanceTo(4 * arg)
+        if kind == "W":
+            return WaitUntil(self.peers[(self.index + 1 + arg % 2) % 3], 3 * arg)
         return IncrCycles(-1)
 
     def run(self):
@@ -500,6 +515,11 @@ class _Scripted(Context):
                         for (kind, _, _), value in zip(constituents, results)
                         if kind in ("D", "P")
                     ])
+                    self.waits.extend(
+                        (op.time, value)
+                        for (kind, _, _), op, value in zip(constituents, ops, results)
+                        if kind == "W"
+                    )
         except ChannelClosed:
             self.log.append("closed")
 
@@ -529,50 +549,76 @@ def _build(spec, context=_Scripted):
     return builder.build(), logs
 
 
-def _outcome(spec, fast, traced):
-    """``(simulated, counters)`` of one sequential run, as JSON text.
+#: The sequential legs: run-to-block, and fair slices that expire between
+#: and inside batches.
+_POLICIES = {
+    "fifo": lambda: "fifo",
+    "fair1": lambda: FairPolicy(timeslice=1),
+    "fair4": lambda: FairPolicy(timeslice=4),
+    "fair16": lambda: FairPolicy(timeslice=16),
+}
 
-    The scheduling counters are apart: where a waker completes a parked
-    op in place the fast path saves the wake-retry-park round the
-    generic handlers take, so they differ between the paths by design
-    (DESIGN.md §11) — but not between a traced and an untraced run."""
+
+def _outcome(spec, policy, traced):
+    """``(simulated, counters)`` of one run — sequential under ``policy``,
+    or the reference, one thread per context, when it is None.
+
+    ``simulated`` is JSON text.  A run that raises other than by
+    deadlocking keeps only the error type: what it did before the abort
+    depends on the schedule.  A deadlock keeps everything, and each
+    blocked context's name and clock.  The ``WaitUntil`` results are
+    checked apart, against their thresholds: a peer's clock at wakeup
+    depends on the host.  The scheduling counters are the sequential
+    host's own."""
     program, logs = _build(spec)
-    obs = Observability(metrics=False, capture_payloads=True) if traced else None
-    executor = SequentialExecutor(fast_path=fast, obs=obs)
-    error = None
+    obs = Observability(trace=traced, metrics=False, capture_payloads=True)
+    if policy is None:
+        executor = ThreadedExecutor(superblocks="off", obs=obs)
+    else:
+        executor = SequentialExecutor(policy=_POLICIES[policy](), obs=obs)
+    simulated = {"error": None}
     try:
         executor.execute(program)
-    except (DeadlockError, SimulationError, ValueError) as failure:
-        error = f"{type(failure).__name__}: {failure}"
-    simulated = {
-        "error": error,
+    except DeadlockError:
+        simulated["error"] = "DeadlockError"
+        simulated["stalls"] = sorted(
+            (stall.context, stall.local_time) for stall in obs.stall_report.stalls
+        )
+    except (SimulationError, ValueError) as failure:
+        cause = getattr(failure, "original", None) or failure
+        return json.dumps({"error": type(cause).__name__}), None
+    for ctx in program.contexts:
+        assert all(value >= threshold for threshold, value in ctx.waits), ctx.waits
+    if policy is None:
+        context_ops = executor._ctx_ops
+    else:
+        context_ops = [executor._states[id(ctx)].ops for ctx in program.contexts]
+    simulated.update({
         "finish": [ctx.finish_time for ctx in program.contexts],
         "stats": [
             (ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
             for ch in program.channels
         ],
         "logs": logs,
-        "trace": None if obs is None else {
+        "trace": None if obs.trace is None else {
             name: [buf.ports, buf.rows]
             for name, buf in obs.trace.buffers().items()
         },
-    }
-    if error is None or error.startswith("DeadlockError"):
-        # A constituent that raises is not counted on the fast path.
-        simulated["ops"] = executor.ops_executed
-        simulated["context_ops"] = [
-            executor._states[id(ctx)].ops for ctx in program.contexts
-        ]
-    counters = [executor.context_switches, executor.wakeups, executor.preemptions]
+        "ops": sum(context_ops),
+        "context_ops": context_ops,
+    })
+    counters = None
+    if policy is not None:
+        counters = [executor.context_switches, executor.wakeups, executor.preemptions]
     return json.dumps(simulated, default=str), counters
 
 
 class TestVoidEnqueueTakesItsSlot:
     """Shrunk from the generator below.  The producer parks on its full
-    window; the consumer's dequeue frees a slot and finishes.  The fast
-    path completes the parked enqueue in place (a real enqueue, taking a
-    window slot); the generic path retries it after the finish (a void
-    enqueue).  A void enqueue that took no slot drained the last response
+    window; the consumer's dequeue frees a slot and finishes.  Under
+    run-to-block the waker completes the parked enqueue in place (a real
+    enqueue, taking a window slot); elsewhere it may be retried after the
+    finish (a void enqueue).  A void enqueue that took no slot drained the last response
     one enqueue later, so the producer finished at 0 on one path and 1 on
     the other."""
 
@@ -595,7 +641,7 @@ class TestVoidEnqueueTakesItsSlot:
         "executor, config",
         [
             ("sequential", RunConfig()),
-            ("sequential", RunConfig(fast_path=False)),
+            ("sequential", RunConfig(policy=FairPolicy(timeslice=1))),
             ("threaded", RunConfig(superblocks="off")),
             ("threaded", RunConfig(superblocks="on")),
             pytest.param(
@@ -604,7 +650,7 @@ class TestVoidEnqueueTakesItsSlot:
                 marks=needs_fork,
             ),
         ],
-        ids=["fast", "generic", "threaded-off", "threaded-on", "process"],
+        ids=["fifo", "fair1", "threaded-off", "threaded-on", "process"],
     )
     def test_finish_times_do_not_depend_on_the_path(self, executor, config):
         program = self._build()
@@ -623,11 +669,13 @@ class TestRandomBatches:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(_programs())
-    def test_runners_match_the_generic_interpreter(self, spec):
-        counters = []
+    @given(_programs(waits=True))
+    def test_runners_match_one_thread_per_context(self, spec):
+        counters = {}
         for traced in (False, True):
-            fast, fast_counters = _outcome(spec, True, traced)
-            assert fast == _outcome(spec, False, traced)[0]
-            counters.append(fast_counters)
-        assert counters[0] == counters[1]
+            reference = _outcome(spec, None, traced)[0]
+            for policy in _POLICIES:
+                simulated, seen = _outcome(spec, policy, traced)
+                assert simulated == reference, (policy, traced)
+                # Tracing never moves the schedule.
+                assert counters.setdefault(policy, seen) == seen, policy

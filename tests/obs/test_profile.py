@@ -261,7 +261,7 @@ def check_profile_golden(name: str, profile: dict, sort_keys: bool = True):
 
 ALL_EXECUTOR_LEGS = [
     ("sequential", {}),
-    ("sequential", {"fast_path": False}),
+    ("threaded", {"superblocks": "off"}),
     ("threaded", {}),
     ("process", {"workers": 2}),
 ]

@@ -20,7 +20,7 @@ import weakref
 
 import pytest
 
-from repro.core import INFINITY, RunConfig, SequentialExecutor
+from repro.core import INFINITY, FairPolicy, RunConfig, SequentialExecutor
 from repro.obs import Observability, TraceCollector
 from repro.obs.profile import profile_trace
 from repro.sam import CsfTensor
@@ -46,12 +46,12 @@ class TestRunLifetime:
         "executor, config",
         [
             ("sequential", RunConfig()),
-            ("sequential", RunConfig(fast_path=False)),
+            ("sequential", RunConfig(policy=FairPolicy(timeslice=1))),
             ("threaded", RunConfig(superblocks="off")),
             ("threaded", RunConfig(superblocks="on")),
             pytest.param("process", RunConfig(workers=2), marks=needs_fork),
         ],
-        ids=["sequential", "generic", "threaded-off", "threaded-on", "process"],
+        ids=["sequential", "fair1", "threaded-off", "threaded-on", "process"],
     )
     def test_dropping_a_traced_run_frees_it_by_refcount(self, executor, config):
         """No reference cycle keeps the collector or the program alive:

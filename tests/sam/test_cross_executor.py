@@ -168,10 +168,10 @@ class TestExecutorMatrix:
 
     The SAM primitives issue their steady-state transitions as fused op
     batches, so this matrix is also the fused-program equivalence suite:
-    the sequential reference runs the inline fast path, the
-    ``fast_path=False`` leg runs the same batches through the generic
-    dispatch path, and the threaded/process legs execute them on entirely
-    different runtimes.
+    the sequential reference runs them through the compiled runners, the
+    one-thread-per-context leg steps each constituent through
+    ``Channel``'s own methods, and the cluster-driver and process legs
+    host the runners on entirely different runtimes.
     """
 
     @pytest.mark.parametrize("kernel_name", sorted(_KERNELS))
@@ -183,7 +183,7 @@ class TestExecutorMatrix:
         reference = _signature(reference_kernel, reference_kernel.run())
 
         runs = [
-            ("sequential", RunConfig(fast_path=False)),
+            ("threaded", RunConfig(superblocks="off")),
             ("threaded", RunConfig()),
         ]
         runs += [("process", RunConfig(workers=n)) for n in (1, 2, 3, 4)]
@@ -550,8 +550,8 @@ class TestSchedulingCounters:
 # ----------------------------------------------------------------------
 # Body-visible clocks: a context body may read ``self.time.now()``
 # between yields, so whatever the runtime does with clocks (a local in
-# the fast loop, a plain cell published at slice boundaries) the body
-# must see exactly the value the reference interpreter shows it.
+# a runner, a plain cell published at slice boundaries) the body must
+# see exactly the value the one-thread-per-context reference shows it.
 # ----------------------------------------------------------------------
 
 
@@ -595,15 +595,13 @@ class TestBodyVisibleClock:
                 sink.values,
             )
 
-        reference = run("sequential", fast_path=False)
+        reference = run("threaded", superblocks="off")
         assert len(reference[3]) > 10
-        legs = [("sequential", {})]
-        legs += [
-            ("threaded", {"superblocks": mode}) for mode in ("off", "on", "auto")
-        ]
+        legs = [("sequential", {}), ("sequential", {"policy": FairPolicy(timeslice=1)})]
+        legs += [("threaded", {"superblocks": mode}) for mode in ("on", "auto")]
         legs += [("process", {"workers": n}) for n in (1, 2, 3)]
         for executor, kwargs in legs:
             assert run(executor, **kwargs) == reference, (
                 f"{executor} {kwargs}: a body saw a different clock than "
-                "the reference interpreter showed it"
+                "the one-thread-per-context reference showed it"
             )
