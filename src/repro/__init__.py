@@ -31,7 +31,6 @@ from .core import (
     AdvanceTo,
     Channel,
     ChannelClosed,
-    ChannelElement,
     CheckpointError,
     Context,
     ContextFault,
@@ -139,7 +138,6 @@ __all__ = [
     "AdvanceTo",
     "Channel",
     "ChannelClosed",
-    "ChannelElement",
     "Checkpoint",
     "CheckpointError",
     "CheckpointTimer",

@@ -45,7 +45,6 @@ from . import serve
 from .core import (
     Channel,
     ChannelClosed,
-    ChannelElement,
     Context,
     DamError,
     DeadlockError,
@@ -94,7 +93,6 @@ __all__ = [
     # authoring
     "Channel",
     "ChannelClosed",
-    "ChannelElement",
     "Context",
     "Dequeue",
     "Enqueue",

@@ -13,7 +13,6 @@ from .channel import (
     peak_simulated_occupancy,
 )
 from .context import Context, ContextGenerator, FunctionContext
-from .element import ChannelElement
 from .errors import (
     ChannelClosed,
     CheckpointError,
@@ -110,7 +109,6 @@ __all__ = [
     "Context",
     "ContextGenerator",
     "FunctionContext",
-    "ChannelElement",
     "ChannelClosed",
     "Checkpoint",
     "CheckpointError",

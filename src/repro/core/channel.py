@@ -5,9 +5,9 @@ and a receiver context.  It is *time-bridging*: the two endpoints may sit at
 wildly different simulated times (asynchronous distributed time), and the
 channel reconciles them using only timestamps:
 
-* The **data queue** carries :class:`~repro.core.element.ChannelElement`
-  values stamped with the earliest simulated time the receiver may observe
-  them (sender time at enqueue + channel ``latency``).
+* The **data queue** carries ``(stamp, data)`` tuples, stamped with the
+  earliest simulated time the receiver may observe them (sender time at
+  enqueue + channel ``latency``).
 
 * The **response queue** carries, for every dequeue, the simulated time at
   which the sender should *see* the freed slot (receiver dequeue time +
@@ -16,7 +16,7 @@ channel reconciles them using only timestamps:
   how backpressure advances simulated time (local time acceleration on the
   send side).
 
-* The receiver's clock jumps to ``max(now, element.time)`` on dequeue —
+* The receiver's clock jumps to ``max(now, stamp)`` on dequeue —
   local time acceleration on the receive side; starvation costs simulated
   time without any polling.
 
@@ -82,8 +82,11 @@ class ChannelStats:
     """Lightweight per-channel counters.
 
     ``enqueues``/``dequeues``/``peeks``/``max_real_occupancy`` are always
-    maintained (a length check per enqueue is cheap enough for the hot
-    path) and surfaced through the observability metrics registry as
+    maintained, by :class:`Channel`'s reference methods and by the
+    runners' open-coded flavor codes alike (a length check per enqueue is
+    cheap enough for the hot path; a runner latches this object, so it is
+    reset in place, never replaced), and surfaced through the
+    observability metrics registry as
     ``channel_enqueues``/``channel_dequeues``/``channel_peeks``/
     ``channel_max_occupancy``.  The heavier simulated-occupancy log still
     requires an explicit :meth:`Channel.enable_profiling`.
@@ -151,14 +154,9 @@ class Channel:
         "waiting_sender",
         "waiting_receiver",
         "profile_log",
-        # Flavor-specialized fast methods, selected once per state
-        # transition (construction, close_sender, close_receiver,
-        # enable_profiling) instead of branch-checked per op.
-        "try_enqueue",
-        "fast_dequeue",
-        # Small-int mirrors of the selected flavors, letting the
-        # sequential executor's runners open-code the hot
-        # transitions without even a bound-method call (DESIGN.md §11).
+        # Flavor codes, re-derived once per state transition by
+        # ``_select_codes``: they tell the sequential executor's runners
+        # which transitions they may open-code (DESIGN.md §11).
         "_enq_code",
         "_deq_code",
         # Park messages, precomputed once (the name is immutable) so the
@@ -210,147 +208,54 @@ class Channel:
         self.waiting_receiver: Any = None
         # Optional (stamp, dequeue_time) log for simulated-occupancy analysis.
         self.profile_log: list[tuple[Time, Time]] | None = None
-        self._select_flavor()
+        self._select_codes()
 
     # ------------------------------------------------------------------
-    # Flavor specialization (the Fig. 11 lever, applied to the simulator
-    # itself).  ``try_enqueue``/``fast_dequeue`` are the executors' hot
-    # entry points: one bound-method call that either completes the op or
-    # reports that it would block.  The right variant for the channel's
-    # current state (unbounded / real / void / bounded, profiled or not)
-    # is picked here — once per state *transition*, so the per-op path
-    # pays zero flavor branches.  Every variant performs exactly the
-    # transition the generic reference methods below describe.
+    # Flavor codes.  The sequential executor's runners open-code the two
+    # hot transitions (DESIGN.md §11): they read these small ints to know
+    # which form applies to the channel's current state, and call
+    # ``try_enqueue`` / ``fast_dequeue`` for everything else.  The codes
+    # are re-derived once per state *transition* (construction,
+    # close_sender, close_receiver, enable_profiling, reset,
+    # restore_state), so the per-op path pays zero flavor branches.
     # ------------------------------------------------------------------
 
-    def _select_flavor(self) -> None:
-        # Enqueue codes: 0 = unbounded, 1 = bounded (inline-able in the
-        # executor); 2 = everything else (real/void: call the method).
+    def _select_codes(self) -> None:
+        # Enqueue codes: 0 = unbounded, 1 = bounded (open-coded by the
+        # runners); 2 = everything else (real/void: call the method).
         if self._receiver_finished:
-            self.try_enqueue = (
-                self._try_enqueue_void_bounded
-                if self.capacity is not None
-                else self._try_enqueue_void
-            )
             self._enq_code = 2
         elif self.capacity is not None:
-            self.try_enqueue = self._try_enqueue_bounded
             self._enq_code = 1
-        elif self.real:
-            self.try_enqueue = self._try_enqueue_real
-            self._enq_code = 2
         else:
-            self.try_enqueue = self._try_enqueue_unbounded
-            self._enq_code = 0
-        # Dequeue codes: 0 = plain, 1 = responding (both inline-able);
+            self._enq_code = 2 if self.real else 0
+        # Dequeue codes: 0 = plain, 1 = responding (both open-coded);
         # 2 = profiled (cold: call the method).
         if self.profile_log is not None:
-            self.fast_dequeue = self._fast_dequeue_profiled
             self._deq_code = 2
         elif self.capacity is not None and not self._sender_finished:
-            self.fast_dequeue = self._fast_dequeue_resp
             self._deq_code = 1
         else:
-            self.fast_dequeue = self._fast_dequeue_plain
             self._deq_code = 0
 
-    def _try_enqueue_void(self, clock: TimeCell, data: Any) -> bool:
-        # Receiver finished: count the enqueue, discard the data.  (The
-        # old generic path also re-observed occupancy here, but
-        # ``close_receiver()`` clears ``_data``, so the observation was
-        # always of an empty queue — dead code, folded away.)
-        self.stats.enqueues += 1
-        return True
-
-    def _try_enqueue_void_bounded(self, clock: TimeCell, data: Any) -> bool:
-        # Void, but responses already in flight are still drained while
-        # the sender's window is full, and the enqueue still takes its
-        # slot of the window, so the sender's clock advances identically
-        # regardless of when the receiver's finish became visible (the
-        # module-docstring guarantee; matches ``sender_try_reserve`` +
-        # ``do_enqueue``).  Past the last response a full window no
-        # longer blocks: nobody is left to free it.
-        resps = self._resps
-        while self._delta >= self.capacity and resps:
-            clock.advance(resps.popleft())
-            self._delta -= 1
-        self._delta += 1
-        self.stats.enqueues += 1
-        return True
-
-    def _try_enqueue_real(self, clock: TimeCell, data: Any) -> bool:
-        # Real channels carry data without time coupling: stamp 0, no
-        # backpressure (they are unbounded by construction).
-        self.stats.enqueues += 1
-        data_q = self._data
-        data_q.append((0, data))
-        stats = self.stats
-        if len(data_q) > stats.max_real_occupancy:
-            stats.max_real_occupancy = len(data_q)
-        return True
-
-    def _try_enqueue_unbounded(self, clock: TimeCell, data: Any) -> bool:
-        # No capacity: no reserve step, no ``_delta`` bookkeeping.
-        stats = self.stats
-        stats.enqueues += 1
-        data_q = self._data
-        data_q.append((clock._time + self.latency, data))
-        if len(data_q) > stats.max_real_occupancy:
-            stats.max_real_occupancy = len(data_q)
-        return True
-
-    def _try_enqueue_bounded(self, clock: TimeCell, data: Any) -> bool:
-        # Reserve (consuming responses advances the sender clock — the
-        # backpressure timeline), then enqueue.  False = would block.
-        resps = self._resps
-        while self._delta >= self.capacity and resps:
-            clock.advance(resps.popleft())
-            self._delta -= 1
-        if self._delta >= self.capacity:
+    def try_enqueue(self, clock: TimeCell, data: Any) -> bool:
+        """Reserve and enqueue in one call; ``False`` = would block."""
+        if not self.sender_try_reserve(clock):
             return False
-        stats = self.stats
-        stats.enqueues += 1
-        data_q = self._data
-        data_q.append((clock._time + self.latency, data))
-        self._delta += 1
-        if len(data_q) > stats.max_real_occupancy:
-            stats.max_real_occupancy = len(data_q)
+        self.do_enqueue(clock, data)
         return True
 
-    def _fast_dequeue_plain(self, clock: TimeCell) -> Any:
-        # Unbounded/real channels, or a bounded channel whose sender has
-        # finished: no response queue to feed.
-        data_q = self._data
-        if not data_q:
-            return _EMPTY
-        stamp, data = data_q.popleft()
-        clock.advance(stamp)
-        self.stats.dequeues += 1
-        return data
-
-    def _fast_dequeue_resp(self, clock: TimeCell) -> Any:
-        # Bounded channel with a live sender: every dequeue responds.
-        data_q = self._data
-        if not data_q:
-            return _EMPTY
-        stamp, data = data_q.popleft()
-        clock.advance(stamp)
-        self.stats.dequeues += 1
-        self._resps.append(clock._time + self.resp_latency)
-        return data
-
-    def _fast_dequeue_profiled(self, clock: TimeCell) -> Any:
-        # Cold variant: profiling on — delegate to the reference method.
-        if not self._data:
-            return _EMPTY
-        return self.do_dequeue(clock)
+    def fast_dequeue(self, clock: TimeCell) -> Any:
+        """Dequeue, or return ``_EMPTY`` when nothing is queued."""
+        return self.do_dequeue(clock) if self._data else _EMPTY
 
     # ------------------------------------------------------------------
     # Pure semantics (generic reference surface).  These methods never
     # block; executors orchestrate blocking around them.  All mutate only
     # under the caller's exclusion discipline (channel lock in threaded
-    # mode, single thread otherwise).  The flavor methods above are the
-    # specialized equivalents the executors actually call per op.
+    # mode, single thread otherwise).  They are the one written form of
+    # the transitions; the runners' open-coded codes 0 and 1 are checked
+    # against them by the differential tests.
     # ------------------------------------------------------------------
 
     def sender_try_reserve(self, clock: TimeCell) -> bool:
@@ -379,9 +284,6 @@ class Channel:
         If the receiver has finished the element is discarded (void); it
         still takes its slot of the sender's window, as it would have had
         the finish become visible a moment later.
-
-        Elements are stored as plain ``(stamp, data)`` tuples internally
-        (the hot path); :class:`ChannelElement` remains the public shape.
         """
         self.stats.enqueues += 1
         if self.capacity is not None:
@@ -442,13 +344,13 @@ class Channel:
         """The sender context finished: no further data will arrive."""
         self._sender_finished = True
         self._resps.clear()  # the sender will never drain them
-        self._select_flavor()  # remaining dequeues stop responding
+        self._select_codes()  # remaining dequeues stop responding
 
     def close_receiver(self) -> None:
         """The receiver context finished: the channel becomes void."""
         self._receiver_finished = True
         self._data.clear()
-        self._select_flavor()  # enqueues become void (discard) fast path
+        self._select_codes()  # enqueues become void: no longer open-coded
 
     def reset(self) -> None:
         """Restore pristine pre-run state (wiring and parameters kept).
@@ -459,8 +361,7 @@ class Channel:
         observes exactly the state a fresh build would.  Occupancy,
         response queues, finished flags, stats, parked waiters, and the
         profiling log (re-armed empty if profiling was enabled) are all
-        cleared; the flavor-specialized fast methods are re-selected for
-        the restored state.
+        cleared; the flavor codes are re-derived for the restored state.
 
         The queues and the stats object are cleared in place, never
         replaced: a runner bound to the channel (DESIGN.md §11) holds
@@ -477,7 +378,7 @@ class Channel:
         self.waiting_receiver = None
         if self.profile_log is not None:
             self.profile_log = []
-        self._select_flavor()
+        self._select_codes()
 
     # ------------------------------------------------------------------
     # Checkpointing (DESIGN.md §17).
@@ -512,9 +413,9 @@ class Channel:
     def restore_state(self, record: dict[str, Any]) -> None:
         """Install a state dict produced by :meth:`checkpoint_state`.
 
-        The flavor-specialized fast methods are re-selected for the
-        restored state, exactly as :meth:`reset` does for pristine state,
-        and, as there, the queues and stats are refilled in place.
+        The flavor codes are re-derived for the restored state, exactly
+        as :meth:`reset` does for pristine state, and, as there, the
+        queues and stats are refilled in place.
         """
         self._data.clear()
         self._data.extend(tuple(item) for item in record["data"])
@@ -530,7 +431,7 @@ class Channel:
         logged = record.get("profile_log")
         if self.profile_log is not None or logged is not None:
             self.profile_log = list(logged or [])
-        self._select_flavor()
+        self._select_codes()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -560,7 +461,7 @@ class Channel:
         the observability metrics registry.
         """
         self.profile_log = []
-        self._select_flavor()  # dequeues switch to the profiled variant
+        self._select_codes()  # dequeues are no longer open-coded
 
     def __repr__(self) -> str:
         cap = "inf" if self.capacity is None else str(self.capacity)

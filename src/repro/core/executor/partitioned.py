@@ -238,7 +238,7 @@ class _LanePump:
                 clone.profile_log = []
             self._out, self._in = resp_lane, data_lane
             self._outbox, self._inbox = clone._resps, clone._data
-        clone._select_flavor()
+        clone._select_codes()
         self.channel = clone
         self.sender = sender
         # An endpoint that finished before the fork (a resumed run) owes

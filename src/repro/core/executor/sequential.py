@@ -27,7 +27,7 @@ record per-context trace buffers and fold run metrics.
 Dispatch has one tier (DESIGN.md §11): the slice loop hands every yield
 — a :class:`~repro.core.ops.FusedOps` batch or a bare op — to the runner
 compiled for its shape (:mod:`.runners`), straight-line code against the
-channels' flavor-specialized state that pays zero per-op tracing
+channels' queues and flavor codes that pays zero per-op tracing
 conditionals (a traced run binds the runners whose ``#T``-marked column
 appends are live).  A parked op is retried, and a parked batch
 re-entered, by the same runners.  What the runners do not open-code —
@@ -837,9 +837,9 @@ class SequentialExecutor(Executor):
     # waiter's behalf (against the *waiter's* clock) and clears
     # ``retry_op`` — the woken slice then resumes with ``pending_value``
     # set, skipping the retry.  The transition itself is the channel's
-    # flavor method, called with the waiter's clock.  Everything the
-    # guards below exclude (profiled or void flavors, a parked Peek)
-    # keeps the plain wake + retry protocol.
+    # own ``try_enqueue`` / ``fast_dequeue``, called with the waiter's
+    # clock.  Everything the guards below exclude (profiled or void
+    # channels, a parked Peek) keeps the plain wake + retry protocol.
 
     def _wake_send_deliver(self, channel, waiter: "_ContextState") -> None:
         """A dequeue freed bounded capacity: complete the parked sender's

@@ -645,9 +645,6 @@ class ThreadedExecutor(Executor):
         clock = ctx.time
         while True:
             with channel.cond:
-                # ``try_enqueue`` is re-fetched on every attempt: a close
-                # transition while parked re-selects the flavor under this
-                # same condition, so the retry sees the fresh bound method.
                 if channel.try_enqueue(clock, op.data):
                     channel.cond.notify_all()
                     return

@@ -40,7 +40,7 @@ class ContextStall:
     local_time: Time | None
     channel: str | None = None     # the blocking channel, when channel-blocked
     capacity: int | None = None    # None for unbounded
-    occupancy: int | None = None   # physically queued elements right now
+    occupancy: int | None = None   # elements queued right now
     peer: str | None = None        # context on the channel's other end
     peer_time: Time | None = None  # that peer's simulated clock
 
@@ -115,18 +115,27 @@ def stall_for(
     ``peer`` overrides channel-derived resolution (used for WaitUntil,
     where the blocking dependency is a clock, not a channel).
     """
-    if channel is not None and peer is None:
-        if channel.receiver_owner is context:
-            peer = channel.sender_owner
+    occupancy = None
+    if channel is not None:
+        receiving = channel.receiver_owner is context
+        if peer is None:
+            peer = channel.sender_owner if receiving else channel.receiver_owner
+        # A sender parked on a full window has drained every response, so
+        # its window counts exactly the elements still queued.  Reading the
+        # window, not the queue, keeps a cut channel's sender-side clone
+        # (whose queue is an already-pumped outbox) reporting what the
+        # in-process channel would.
+        if receiving or channel.capacity is None:
+            occupancy = channel.real_occupancy()
         else:
-            peer = channel.receiver_owner
+            occupancy = channel._delta
     return ContextStall(
         context=context.name,
         detail=detail,
         local_time=context.time.now(),
         channel=channel.name if channel is not None else None,
         capacity=channel.capacity if channel is not None else None,
-        occupancy=channel.real_occupancy() if channel is not None else None,
+        occupancy=occupancy,
         peer=peer.name if peer is not None else None,
         peer_time=peer.time.now() if peer is not None else None,
     )

@@ -184,6 +184,54 @@ class TestStats:
         assert ch.profile_log == [(1, 10)]
 
 
+class TestFlavorCodes:
+    """``_enq_code`` / ``_deq_code`` are the only state ``Channel``
+    derives, and the runners open-code codes 0 and 1 on trust.  The
+    rule: enqueue is 1 on a live bounded channel, 0 on a live unbounded
+    one, and 2 (call the method) once the receiver has finished or on a
+    real channel; dequeue is 2 while profiling, 1 on a bounded channel
+    whose sender is live (every dequeue responds), and 0 otherwise."""
+
+    #: (enq, deq) after each step of ``drive``, per channel kind.
+    EXPECTED = {
+        "bounded": [(1, 1), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2), (1, 2), (2, 0)],
+        "unbounded": [(0, 0), (0, 0), (2, 0), (0, 0), (0, 2), (2, 2), (0, 2), (2, 0)],
+        "real": [(2, 0), (2, 0), (2, 0), (2, 0), (2, 2), (2, 2), (2, 2), (2, 0)],
+    }
+
+    KINDS = {
+        "bounded": {"capacity": 2},
+        "unbounded": {},
+        "real": {"real": True},
+    }
+
+    def drive(self, kind):
+        """Yield the channel whose codes to read after each step."""
+        channel = Channel(**self.KINDS[kind])
+        yield channel
+        channel.close_sender()
+        yield channel
+        channel.close_receiver()
+        closed = channel.checkpoint_state()
+        yield channel
+        channel.reset()
+        yield channel
+        channel.enable_profiling()
+        yield channel
+        channel.restore_state(closed)  # profiling stays armed
+        yield channel
+        channel.reset()  # and survives a reset, re-armed empty
+        yield channel
+        fresh = Channel(**self.KINDS[kind])
+        fresh.restore_state(closed)  # a resumed run's fresh build
+        yield fresh
+
+    @pytest.mark.parametrize("kind", sorted(EXPECTED))
+    def test_codes_follow_every_state_transition(self, kind):
+        codes = [(ch._enq_code, ch._deq_code) for ch in self.drive(kind)]
+        assert codes == self.EXPECTED[kind]
+
+
 class TestPeakSimulatedOccupancy:
     def test_empty_log(self):
         assert peak_simulated_occupancy([]) == 0

@@ -416,24 +416,29 @@ _FREE = ("I",) * 3 + ("V", "A")
 
 
 @st.composite
-def _programs(draw, waits=False):
+def _programs(draw, waits=False, reals=False):
     """Three contexts and up to three lanes between them (either way, so
     a receiver may start first and park on an empty lane, and cycles may
     deadlock), each context running a script of batches over its lanes —
     several times, re-yielding the same batch objects.  One example in
     about ten puts a negative ``IncrCycles`` somewhere; with ``waits``,
-    one in two puts a ``WaitUntil`` on a peer somewhere."""
+    one in two puts a ``WaitUntil`` on a peer somewhere; with ``reals``,
+    one lane in three is a real channel (unbounded, stamp 0), whose
+    enqueues the runners hand to ``Channel.try_enqueue``."""
     lanes = []
     for index in range(draw(st.integers(1, 3))):
         sender = draw(st.integers(0, 2))
-        lanes.append({
+        lane = {
             "sender": sender,
             "receiver": (sender + draw(st.integers(1, 2))) % 3,
             "capacity": draw(st.sampled_from([1, 2, 3, None])),
             "latency": draw(st.integers(0, 2)),
             "resp_latency": draw(st.integers(0, 2)),
             "profiled": draw(st.integers(0, 4)) == 3,
-        })
+        }
+        if reals and draw(st.integers(0, 2)) == 0:
+            lane["real"] = True
+        lanes.append(lane)
     scripts = []
     for ctx in range(3):
         sends = [i for i, lane in enumerate(lanes) if lane["sender"] == ctx]
@@ -529,12 +534,15 @@ def _build(spec, context=_Scripted):
     builder = ProgramBuilder()
     ends = []
     for index, lane in enumerate(lanes):
-        snd, rcv = builder.channel(
-            lane["capacity"],
-            latency=lane["latency"],
-            resp_latency=lane["resp_latency"],
-            name=f"lane{index}",
-        )
+        if lane.get("real"):
+            snd, rcv = builder.real(name=f"lane{index}")
+        else:
+            snd, rcv = builder.channel(
+                lane["capacity"],
+                latency=lane["latency"],
+                resp_latency=lane["resp_latency"],
+                name=f"lane{index}",
+            )
         if lane["profiled"]:
             snd.channel.enable_profiling()
         ends.append((snd, rcv))
@@ -669,7 +677,7 @@ class TestRandomBatches:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(_programs(waits=True))
+    @given(_programs(waits=True, reals=True))
     def test_runners_match_one_thread_per_context(self, spec):
         counters = {}
         for traced in (False, True):

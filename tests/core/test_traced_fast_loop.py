@@ -223,7 +223,8 @@ class TestDerivation:
 
 class TestOneDefinitionPerTier:
     """The fast tier performs a transition only inside a runner; what
-    runs beside them calls the channel's flavor methods."""
+    runs beside them calls the channel's own methods, the one written
+    form of the transitions."""
 
     def test_the_loop_performs_no_transition(self):
         names = set(SequentialExecutor._run_slice_fast.__code__.co_names)
@@ -242,7 +243,7 @@ class TestOneDefinitionPerTier:
         "helper, transition",
         [("_wake_send_deliver", "try_enqueue"), ("_wake_recv_deliver", "fast_dequeue")],
     )
-    def test_wake_helpers_go_through_the_flavor_methods(self, helper, transition):
+    def test_wake_helpers_go_through_the_channel_methods(self, helper, transition):
         names = set(getattr(SequentialExecutor, helper).__code__.co_names)
         assert transition in names
         assert not {"_data", "_resps", "_delta", "stats"} & names

@@ -273,3 +273,75 @@ class TestReplicatedNames:
             ("b", "y1", "a"),
         ]
         assert len(excinfo.value.blocked) == 4
+
+
+class TestCutChannelOccupancy:
+    """A sender parked on a full channel reports the same occupancy on
+    every host, including across a cut channel, where its side of the
+    channel holds only an already-pumped outbox."""
+
+    CONFIGS = {
+        "sequential": ("sequential", RunConfig()),
+        "threaded-off": ("threaded", RunConfig(superblocks="off")),
+        "process": ("process", RunConfig(workers=2, steal=False)),
+    }
+
+    @staticmethod
+    def build():
+        class Stuffer(Context):
+            """Enqueues twice on a capacity-1 channel, then feeds ``out``."""
+
+            def __init__(self, jam, out):
+                super().__init__(name="stuffer")
+                self.jam, self.out = jam, out
+                self.register(jam, out)
+
+            def run(self):
+                yield self.jam.enqueue(0)
+                yield self.jam.enqueue(1)
+                yield self.out.enqueue(2)
+
+        class Waiter(Context):
+            """Dequeues what the stuffer feeds last before the jam."""
+
+            def __init__(self, jam, inp):
+                super().__init__(name="waiter")
+                self.jam, self.inp = jam, inp
+                self.register(jam, inp)
+
+            def run(self):
+                yield self.inp.dequeue()
+                yield self.jam.dequeue()
+
+        builder = ProgramBuilder()
+        s1, r1 = builder.bounded(1, name="ch1")
+        s2, r2 = builder.bounded(1, name="ch2")
+        builder.add(Stuffer(s1, s2))
+        builder.add(Waiter(r1, r2))
+        return builder.build()
+
+    @pytest.mark.parametrize("hosting", sorted(CONFIGS))
+    def test_parked_sender_reports_its_queued_elements(self, hosting):
+        import multiprocessing
+
+        if hosting == "process" and (
+            "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            pytest.skip("fork start method unavailable")
+        program = self.build()
+        executor, config = self.CONFIGS[hosting]
+        if executor == "process":  # the two contexts on different workers
+            pins = {id(ctx): slot for slot, ctx in enumerate(program.contexts)}
+            config = config.replace(pins=pins)
+        obs = Observability(trace=False)
+        with pytest.raises(DeadlockError):
+            program.run(executor, config=config, obs=obs)
+        rows = sorted(
+            (stall.context, stall.detail, stall.channel, stall.occupancy,
+             stall.capacity)
+            for stall in obs.stall_report.stalls
+        )
+        assert rows == [
+            ("stuffer", "enqueue on full ch1", "ch1", 1, 1),
+            ("waiter", "dequeue on empty ch2", "ch2", 0, 1),
+        ]

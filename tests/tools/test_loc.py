@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import repro.core
 import repro.core.executor
 from repro.tools import count_loc, loc_comparison
 
@@ -67,4 +68,21 @@ class TestExecutorSizeRatchet:
         assert total <= EXECUTOR_LOC_LIMIT, (
             f"core/executor/ grew to {total} effective lines "
             f"(limit {EXECUTOR_LOC_LIMIT}): delete before you add"
+        )
+
+
+#: Effective lines (``count_loc``) in ``src/repro/core/*.py``, the
+#: framework outside ``executor/``, after the last PR that touched it.
+#: The same ratchet: lower it whenever a PR deletes code there, never
+#: raise it to make room.
+CORE_LOC_LIMIT = 1359
+
+
+class TestCoreSizeRatchet:
+    def test_core_does_not_grow(self):
+        directory = Path(repro.core.__file__).parent
+        total = sum(count_loc(path.read_text()) for path in directory.glob("*.py"))
+        assert total <= CORE_LOC_LIMIT, (
+            f"core/ outside executor/ grew to {total} effective lines "
+            f"(limit {CORE_LOC_LIMIT}): delete before you add"
         )
