@@ -7,6 +7,7 @@ import time as _wallclock
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
+from ...obs.metrics import fold_channel_metrics, fold_context_metrics
 from .. import checkpoint as _ckpt
 from ..time import Time
 
@@ -19,9 +20,9 @@ class RunSummary:
     """The result of executing a program.
 
     ``elapsed_cycles`` is the simulated makespan: the largest finite local
-    time any context reached before finishing.  Both executors must report
-    identical ``elapsed_cycles`` and ``context_times`` for the same program
-    (the paper's exactness/determinism property).
+    time any context reached before finishing.  All three executors must
+    report identical ``elapsed_cycles`` and ``context_times`` for the same
+    program (the paper's exactness/determinism property).
 
     ``metrics`` is the :meth:`repro.obs.MetricsRegistry.snapshot` of the
     run when an :class:`~repro.obs.Observability` with metrics enabled
@@ -327,9 +328,9 @@ class Executor:
         """Compute the performance-attribution report from the run's trace
         and attach it to both ``summary.profile`` and the obs bundle.
 
-        A no-op without tracing.  The process executor's in-worker
-        sequential executor overrides this to nothing — the parent
-        profiles the merged run, exactly like metrics folding.
+        A no-op without tracing.  Embedded engines (cluster drivers,
+        process workers) never call it — the parent profiles the merged
+        run, exactly like metrics folding (:meth:`_fold_metrics`).
         """
         if obs is None or getattr(obs, "trace", None) is None:
             return
@@ -343,6 +344,59 @@ class Executor:
         report = profile_trace(trace, channel_meta=meta)
         obs.profile_report = report
         summary.profile = report.to_dict()
+
+    def _fold_metrics(
+        self, program: "Program", summary: RunSummary, ops, wall,
+        parks=None, spins=None,
+    ) -> Optional[dict]:
+        """Fold the finished run into the obs registry and return its
+        snapshot (``None`` without metrics): channel stats, then one set
+        of per-context tallies per program slot — ``ops`` / ``wall`` /
+        ``parks`` / ``spins`` are lists indexed by slot, a ``None`` wall
+        is not recorded — then the summary's scheduling counters."""
+        registry = self.obs.metrics if self.obs is not None else None
+        if registry is None:
+            return None
+        fold_channel_metrics(registry, program.channels)
+        for slot, ctx in enumerate(program.contexts):
+            fold_context_metrics(
+                registry,
+                ctx.name,
+                ops=ops[slot],
+                finish_time=ctx.finish_time,
+                wall_seconds=wall[slot],
+                parks=parks[slot] if parks is not None else 0,
+                spin_reads=spins[slot] if spins is not None else 0,
+            )
+        registry.counter("executor_context_switches").inc(summary.context_switches)
+        registry.counter("executor_wakeups").inc(summary.wakeups)
+        registry.counter("executor_preemptions").inc(summary.preemptions)
+        registry.counter("executor_ops").inc(summary.ops_executed)
+        return registry.snapshot()
+
+    def _sampler_probe(self, contexts, counts, clock=None):
+        """The read-only closure the live metrics sampler calls from its
+        own thread: each context's clock by name (``clock(slot)``, or the
+        context's own time cell), the run's progress counters
+        (``counts()``, a dict), and — when enabled — the metrics
+        registry.  Reads only; it cannot perturb the simulated run."""
+        obs = self.obs
+        registry = obs.metrics if obs is not None else None
+        contexts = list(contexts)
+
+        def probe() -> dict:
+            sample: dict = {
+                "contexts": {
+                    ctx.name: ctx.time.now() if clock is None else clock(slot)
+                    for slot, ctx in enumerate(contexts)
+                },
+                **counts(),
+            }
+            if registry is not None:
+                sample["metrics"] = registry.snapshot()
+            return sample
+
+        return probe
 
     @staticmethod
     def _start_sampler(interval_s, probe, sink):

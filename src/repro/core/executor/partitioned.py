@@ -96,7 +96,7 @@ from dataclasses import dataclass
 from multiprocessing import connection as _mpconn
 from typing import Any, Optional
 
-from ...obs import Observability, fold_channel_metrics, fold_context_metrics
+from ...obs import Observability
 from ...obs.stall import StallReport
 from .. import checkpoint as _ckpt
 from ..channel import Channel, ChannelStats
@@ -358,9 +358,9 @@ class _WorkerExecutor(SequentialExecutor):
             # contexts; preemption changes only real order, never
             # simulated results (the determinism invariant).
             self.policy.timeslice = parent.timeslice
-        # ... and the run-to-block FIFO branch would additionally make the
-        # worker deaf to the parent's abort flag: bounded slices, always.
-        # The parent also folds the trace and metrics and profiles the run.
+        # Embedded: every slice goes through this class's _run_slice (the
+        # abort flag, lanes, checkpoint rounds), and the parent folds the
+        # trace and metrics and profiles the run.
         self._embedded = True
         self._shuttle_moves = 0
         #: One per activated side of a cut channel, in activation order.
@@ -512,7 +512,7 @@ class _WorkerExecutor(SequentialExecutor):
             os.kill(os.getpid(), self._kill.signal)
         return progress
 
-    def _run_slice(self, state, timeslice) -> None:
+    def _run_slice(self, state, remaining) -> None:
         run = self._run
         if run.abort.is_set():
             raise _WorkerAborted()
@@ -521,7 +521,7 @@ class _WorkerExecutor(SequentialExecutor):
         # Publishing at every slice keeps the verdict honest: a worker
         # crunching local work always shows RUNNING with rising progress.
         self._publish(WORKER_RUNNING)
-        super()._run_slice(state, timeslice)
+        super()._run_slice(state, remaining)
         run.clocks.publish(self._owned_clocks.values())
         self._pump_lanes()
         self._ring_peers()
@@ -695,7 +695,7 @@ class _WorkerExecutor(SequentialExecutor):
             if moved:
                 self._ring_peers()
             self._poll_foreign_waiters()
-            if self.policy:
+            if self.policy.queue:
                 self._publish(WORKER_RUNNING)
                 return True
             # The queue is dry: pull more work off the claim board before
@@ -1445,7 +1445,11 @@ class ProcessExecutor(Executor):
             # arena anyway, so the sampler adds zero work to any worker.
             sampler = self._start_sampler(
                 self.metrics_interval_s,
-                self._sampler_probe(contexts, clocks, status),
+                self._sampler_probe(
+                    contexts,
+                    lambda: {"progress": status.snapshot()[0]},
+                    clocks.read,
+                ),
                 self.metrics_sink,
             )
 
@@ -1516,7 +1520,20 @@ class ProcessExecutor(Executor):
         summary.executor = self.name
         summary.policy = self.policy.name
         summary.real_seconds = _wallclock.perf_counter() - start
-        summary.metrics = self._fold_metrics(program, plan, payloads, summary)
+        registry = self.obs.metrics if self.obs is not None else None
+        if registry is not None:
+            registry.gauge("process_workers").set(plan.workers_used)
+            registry.gauge("process_cut_channels").set(len(plan.cut))
+            registry.counter("process_steals").inc(summary.steals)
+            registry.counter("process_migrated_contexts").inc(
+                sum(len(m["contexts"]) for m in self.migrations)
+            )
+            ops = [0] * len(program.contexts)
+            wall: list = [None] * len(program.contexts)
+            for payload in payloads.values():
+                for slot, tallies in payload.get("context_stats", {}).items():
+                    ops[slot], wall[slot] = tallies["ops"], tallies["wall"]
+            summary.metrics = self._fold_metrics(program, summary, ops, wall)
         self._attach_profile(summary, program, self.obs)
         # The next fork inherits what this run's workers had to compile.
         runners.warm(
@@ -1524,28 +1541,6 @@ class ProcessExecutor(Executor):
             for key in payload.get("shapes", ())
         )
         return summary
-
-    def _sampler_probe(self, contexts, clocks: SharedClockArray, status: StatusBoard):
-        """Read-only closure for the live sampler: every context's
-        shared-memory clock slot, total worker progress, and the parent
-        registry when metrics are enabled."""
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-
-        def probe() -> dict:
-            progress, _states = status.snapshot()
-            sample: dict = {
-                "contexts": {
-                    ctx.name: clocks.read(slot)
-                    for slot, ctx in enumerate(contexts)
-                },
-                "progress": progress,
-            }
-            if registry is not None:
-                sample["metrics"] = registry.snapshot()
-            return sample
-
-        return probe
 
     # ------------------------------------------------------------------
 
@@ -1838,33 +1833,3 @@ class ProcessExecutor(Executor):
             self.obs.trace.buffer("<supervisor>").append(
                 kind, None, 0, payload
             )
-
-    def _fold_metrics(
-        self, program: Program, plan: PartitionPlan, payloads: dict,
-        summary: RunSummary,
-    ) -> Optional[dict]:
-        if self.obs is None or self.obs.metrics is None:
-            return None
-        registry = self.obs.metrics
-        fold_channel_metrics(registry, program.channels)
-        for payload in payloads.values():
-            for slot, tallies in payload.get("context_stats", {}).items():
-                ctx = program.contexts[slot]
-                fold_context_metrics(
-                    registry,
-                    ctx.name,
-                    ops=tallies["ops"],
-                    finish_time=ctx.finish_time,
-                    wall_seconds=tallies["wall"],
-                )
-        registry.counter("executor_context_switches").inc(summary.context_switches)
-        registry.counter("executor_wakeups").inc(summary.wakeups)
-        registry.counter("executor_preemptions").inc(summary.preemptions)
-        registry.counter("executor_ops").inc(summary.ops_executed)
-        registry.gauge("process_workers").set(plan.workers_used)
-        registry.gauge("process_cut_channels").set(len(plan.cut))
-        registry.counter("process_steals").inc(summary.steals)
-        registry.counter("process_migrated_contexts").inc(
-            sum(len(m["contexts"]) for m in self.migrations)
-        )
-        return registry.snapshot()

@@ -13,8 +13,12 @@ policies directly and counts switches/wakeups/preemptions — the quantities
 behind Table I.  Simulated results are identical under every policy; only
 real execution order and the counters change.
 
-Policies manage :class:`_ContextState` objects opaquely; they only rely on
-an ``in_ready`` flag to prevent double-queuing.
+A policy is a ``push`` discipline over one deque, ``queue``, plus a
+``timeslice``: ``push`` decides where a runnable context joins the queue,
+and the executor's one schedule loop pops it from the left.  Policies
+manage :class:`_ContextState` objects opaquely; they only rely on an
+``in_ready`` flag to prevent double-queuing, which the loop clears as it
+pops.
 """
 
 from __future__ import annotations
@@ -30,14 +34,13 @@ class SchedulingPolicy:
     timeslice: Optional[int] = None
     name = "abstract"
 
+    def __init__(self) -> None:
+        #: The ready queue: ``push`` adds to it, the schedule loop pops
+        #: from its left.
+        self.queue: deque[Any] = deque()
+
     def push(self, state: Any, woken: bool) -> None:
         """Add a runnable context (``woken`` = it was just unblocked)."""
-        raise NotImplementedError
-
-    def pop(self) -> Any:
-        raise NotImplementedError
-
-    def __bool__(self) -> bool:
         raise NotImplementedError
 
 
@@ -53,25 +56,11 @@ class FifoPolicy(SchedulingPolicy):
     timeslice = None
     name = "fifo"
 
-    def __init__(self) -> None:
-        self._queue: deque[Any] = deque()
-
     def push(self, state: Any, woken: bool) -> None:
         if state.in_ready:
             return
         state.in_ready = True
-        self._queue.append(state)
-
-    def pop(self) -> Any:
-        state = self._queue.popleft()
-        state.in_ready = False
-        return state
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
+        self.queue.append(state)
 
 
 class FairPolicy(SchedulingPolicy):
@@ -88,29 +77,18 @@ class FairPolicy(SchedulingPolicy):
     def __init__(self, timeslice: int = 64, boost: bool = True):
         if timeslice < 1:
             raise ValueError("timeslice must be >= 1")
+        super().__init__()
         self.timeslice = timeslice
         self.boost = boost
-        self._queue: deque[Any] = deque()
 
     def push(self, state: Any, woken: bool) -> None:
         if state.in_ready:
             return
         state.in_ready = True
         if woken and self.boost:
-            self._queue.appendleft(state)
+            self.queue.appendleft(state)
         else:
-            self._queue.append(state)
-
-    def pop(self) -> Any:
-        state = self._queue.popleft()
-        state.in_ready = False
-        return state
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)
-
-    def __len__(self) -> int:
-        return len(self._queue)
+            self.queue.append(state)
 
 
 def make_policy(spec: str | SchedulingPolicy) -> SchedulingPolicy:

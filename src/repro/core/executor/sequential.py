@@ -43,7 +43,7 @@ import inspect as _inspect
 import time as _wallclock
 from typing import Any, Optional
 
-from ...obs import Observability, fold_channel_metrics, fold_context_metrics
+from ...obs import Observability
 from ...obs.events import ADVANCE, FINISH
 from ...obs.stall import StallReport, stall_for
 from .. import checkpoint as _ckpt
@@ -193,11 +193,11 @@ class SequentialExecutor(Executor):
         checkpoint_path: Optional[str] = None,
     ):
         self.policy = make_policy(policy)
-        #: The FIFO policy's raw deque (None under any other policy):
-        #: the run-to-block schedule loop and the runners' inline
-        #: wakes append to it directly, skipping the push/pop calls.
+        #: The FIFO policy's ready queue (None under any other policy):
+        #: the runners' inline wakes append to it directly, skipping the
+        #: push call.
         self._fifo_queue = (
-            self.policy._queue
+            self.policy.queue
             if self.policy.__class__ is FifoPolicy
             else None
         )
@@ -215,18 +215,14 @@ class SequentialExecutor(Executor):
         #: (populated per run from ``faults.context_faults``).
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
-        self._bounded = False
-        #: The run's slice length: the policy's, or ``_BOUNDED_TIMESLICE``
-        #: where a bounded run needs one and the policy sets none.
-        self._timeslice: Optional[int] = None
         #: Subclass hook, set by the engines a parent run hosts (a
         #: threaded run's cluster drivers, process workers).  Their
-        #: schedule loop never takes the run-to-block FIFO branch: the
-        #: engine must return from every slice to observe the parent's
-        #: abort flag (and a worker to pump its lanes) — a
-        #: never-blocking context would otherwise spin one endless slice,
-        #: deaf to both.  And the parent folds the trace and the metrics
-        #: and profiles the whole run, so the engine does none of that.
+        #: slices are always bounded: the engine must return from every
+        #: slice to observe the parent's abort flag (and a worker to pump
+        #: its lanes) — a never-blocking context would otherwise spin one
+        #: endless slice, deaf to both.  And the parent folds the trace
+        #: and the metrics and profiles the whole run, so the engine does
+        #: none of that.
         self._embedded = False
         self.obs = obs
         #: The active trace collector (None when tracing is off).
@@ -265,8 +261,7 @@ class SequentialExecutor(Executor):
         self.context_switches = self.wakeups = self.preemptions = 0
         self.ops_executed = 0
         policy = self.policy
-        while policy:  # what an aborted run left queued
-            policy.pop()
+        policy.queue.clear()  # what an aborted run left queued
 
         obs = self.obs
         collect_wall = obs is not None and obs.metrics is not None
@@ -275,18 +270,15 @@ class SequentialExecutor(Executor):
         # air: force bounded slices (run-to-block would otherwise let one
         # busy context starve the wall-clock check and the fault trigger).
         self._arm_deadline_and_faults(start)
-        self._bounded = (
+        bounded = (
             self._embedded
             or self._deadline_at is not None
             or bool(self._fault_map)
-            # Checkpoint capture happens between bounded slices: the
-            # run-to-block FIFO branch would let one busy context starve
-            # the quiescent-cut opportunity for the whole run.
+            # Checkpoint capture happens between slices: run-to-block
+            # would let one busy context starve the quiescent-cut
+            # opportunity for the whole run.
             or self._ckpt_timer is not None
         )
-        self._timeslice = policy.timeslice
-        if self._bounded and self._timeslice is None:
-            self._timeslice = _BOUNDED_TIMESLICE
 
         if resume_records is not None:
             self._apply_resume_records(program, states, resume_records)
@@ -295,10 +287,14 @@ class SequentialExecutor(Executor):
             policy.push(states[id(ctx)], woken=False)
 
         sampler = self._start_sampler(
-            self.metrics_interval_s, self._sampler_probe(states), self.metrics_sink
+            self.metrics_interval_s,
+            self._sampler_probe(
+                program.contexts, lambda: {"ops_executed": self.ops_executed}
+            ),
+            self.metrics_sink,
         )
         try:
-            self._schedule_loop(collect_wall)
+            self._schedule_loop(collect_wall, bounded)
             unfinished = [st for st in states.values() if st.status != _DONE]
             if unfinished:
                 raise DeadlockError(self._stall_report(unfinished).lines())
@@ -327,35 +323,27 @@ class SequentialExecutor(Executor):
 
         summary = self._run_summary(program, start)
         if not self._embedded:
-            summary.metrics = self._fold_metrics(program, states)
+            slots = [states[id(ctx)] for ctx in program.contexts]
+            summary.metrics = self._fold_metrics(
+                program,
+                summary,
+                [state.ops for state in slots],
+                [state.wall_seconds for state in slots],
+            )
             self._attach_profile(summary, program, obs)
         return summary
 
-    def _sampler_probe(self, states: dict[int, "_ContextState"]):
-        """Build the read-only closure the live metrics sampler calls:
-        context clocks, the op counter, and — when enabled — the metrics
-        registry.  Reads only; it cannot perturb the simulated run."""
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
+    def _schedule_loop(self, collect_wall: bool, bounded: bool) -> None:
+        """Drain the policy's ready queue; ask :meth:`_idle` for more
+        work when it empties (subclass hook — the process executor's
+        workers poll their cross-process lanes there).
 
-        def probe() -> dict:
-            sample: dict = {
-                "contexts": {
-                    state.context.name: state.context.time.now()
-                    for state in states.values()
-                },
-                "ops_executed": self.ops_executed,
-            }
-            if registry is not None:
-                sample["metrics"] = registry.snapshot()
-            return sample
-
-        return probe
-
-    def _schedule_loop(self, collect_wall: bool) -> None:
-        """Drain the ready queue; ask :meth:`_idle` for more work when it
-        empties (subclass hook — the process executor's workers poll their
-        cross-process lanes there).
+        One loop for every run: each slice is followed by the waiter
+        drain, the deadline check and the checkpoint check, in that
+        order.  A run that is not ``bounded`` (no deadline, fault plan,
+        checkpoint or parent engine) has nothing to do at a slice's
+        start and enters :meth:`_run_slice_fast` directly; every other
+        run goes through :meth:`_run_slice`.
 
         A context's ``WaitUntil`` waiters are drained when its slice
         ends (and when it finishes): a waiter reads the clock the target
@@ -363,40 +351,22 @@ class SequentialExecutor(Executor):
         run before it anyway, and the op promises the peer's clock at
         wakeup, not the crossing."""
         policy = self.policy
+        queue = policy.queue
         previous: _ContextState | None = None
         deadline_at = self._deadline_at
         ckpt_timer = self._ckpt_timer
-        queue = self._fifo_queue
         waiters = self._time_waiters
         drain = self._drain_time_waiters
-        if queue is not None and not collect_wall and not self._bounded:
-            # Run-to-block FIFO (the default): drive the raw deque
-            # directly, skipping the per-slice __bool__/pop method calls
-            # and the timeslice attribute load.  No fault plan reaches
-            # this branch (faults force bounded slices), so a slice
-            # enters the slice loop without the _run_slice hop.
-            run_slice = self._run_slice_fast
-            while True:
-                while queue:
-                    state = queue.popleft()
-                    state.in_ready = False
-                    if state.status != _READY:
-                        continue
-                    if previous is not None and state is not previous:
-                        self.context_switches += 1
-                    previous = state
-                    run_slice(state, -1)
-                    if waiters:
-                        drain(state.context)
-                    if state.status == _READY:
-                        self.preemptions += 1
-                        policy.push(state, woken=False)
-                if not self._idle():
-                    return
-        timeslice = self._timeslice
+        # A bounded run slices at the policy's length, or at
+        # _BOUNDED_TIMESLICE under run-to-block.
+        remaining = policy.timeslice
+        if remaining is None:
+            remaining = _BOUNDED_TIMESLICE if bounded else -1
+        run_slice = self._run_slice if bounded else self._run_slice_fast
         while True:
-            while policy:
-                state = policy.pop()
+            while queue:
+                state = queue.popleft()
+                state.in_ready = False
                 if state.status != _READY:
                     continue
                 if previous is not None and state is not previous:
@@ -404,10 +374,10 @@ class SequentialExecutor(Executor):
                 previous = state
                 if collect_wall:
                     slice_start = _wallclock.perf_counter()
-                    self._run_slice(state, timeslice)
+                    run_slice(state, remaining)
                     state.wall_seconds += _wallclock.perf_counter() - slice_start
                 else:
-                    self._run_slice(state, timeslice)
+                    run_slice(state, remaining)
                 if waiters:
                     drain(state.context)
                 if deadline_at is not None and (
@@ -593,34 +563,11 @@ class SequentialExecutor(Executor):
             )
         return self._publish_stalls(stalls)
 
-    def _fold_metrics(
-        self, program: Program, states: dict[int, _ContextState]
-    ) -> Optional[dict]:
-        if self.obs is None or self.obs.metrics is None:
-            return None
-        registry = self.obs.metrics
-        fold_channel_metrics(registry, program.channels)
-        for state in states.values():
-            ctx = state.context
-            fold_context_metrics(
-                registry,
-                ctx.name,
-                ops=state.ops,
-                finish_time=ctx.finish_time,
-                wall_seconds=state.wall_seconds,
-            )
-        registry.counter("executor_context_switches").inc(self.context_switches)
-        registry.counter("executor_wakeups").inc(self.wakeups)
-        registry.counter("executor_preemptions").inc(self.preemptions)
-        registry.counter("executor_ops").inc(self.ops_executed)
-        return registry.snapshot()
-
     # ------------------------------------------------------------------
 
-    def _run_slice(self, state: _ContextState, timeslice: Optional[int]) -> None:
-        """Run one context until it blocks, finishes, or exhausts its slice."""
-        remaining = timeslice if timeslice is not None else -1
-
+    def _run_slice(self, state: _ContextState, remaining: int) -> None:
+        """Run one context until it blocks, finishes, or spends its
+        ``remaining`` resumptions (-1: unbounded)."""
         # Fault injection (chaos testing): once the victim context's op
         # counter passes the trigger, abandon whatever it was parked on and
         # throw FaultInjected into its generator at the next resume.  The

@@ -50,7 +50,7 @@ import threading
 import time as _wallclock
 from typing import Any, Optional
 
-from ...obs import Observability, fold_channel_metrics, fold_context_metrics
+from ...obs import Observability
 from ...obs.events import ADVANCE, FINISH
 from ...obs.stall import StallReport, stall_for
 from .. import checkpoint as _ckpt
@@ -236,8 +236,7 @@ class ThreadedExecutor(Executor):
         if trace is not None:
             trace.start_run(program.channels)
             self._buffers = [trace.context_buffer(ctx.name) for ctx in program.contexts]
-        collect_metrics = obs is not None and obs.metrics is not None
-        self._collect_metrics = collect_metrics
+        self._collect_metrics = obs is not None and obs.metrics is not None
         # Per-context tallies, by slot (names may repeat across
         # replicated pipelines).  Each entry is written only by the
         # thread that drives the context, and read after the joins.
@@ -277,7 +276,11 @@ class ThreadedExecutor(Executor):
             thread.start()
 
         sampler = self._start_sampler(
-            self.metrics_interval_s, self._sampler_probe(program), self.metrics_sink
+            self.metrics_interval_s,
+            self._sampler_probe(
+                program.contexts, lambda: {"ops_executed": self._progress}
+            ),
+            self.metrics_sink,
         )
         try:
             self._supervise()
@@ -308,28 +311,12 @@ class ThreadedExecutor(Executor):
             preemptions=sum(row[2] for row in counts),
             ops_executed=sum(self._ctx_ops),
         )
-        summary.metrics = self._fold_metrics(program, summary)
+        summary.metrics = self._fold_metrics(
+            program, summary, self._ctx_ops, self._ctx_wall,
+            self._ctx_parks, self._ctx_spins,
+        )
         self._attach_profile(summary, program, obs)
         return summary
-
-    def _sampler_probe(self, program: Program):
-        """Read-only closure for the live metrics sampler: each context's
-        clock, the (approximate) live op count, and the registry when
-        enabled."""
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-        contexts = list(program.contexts)
-
-        def probe() -> dict:
-            sample: dict = {
-                "contexts": {ctx.name: ctx.time.now() for ctx in contexts},
-                "ops_executed": self._progress,
-            }
-            if registry is not None:
-                sample["metrics"] = registry.snapshot()
-            return sample
-
-        return probe
 
     # ------------------------------------------------------------------
 
@@ -344,31 +331,6 @@ class ThreadedExecutor(Executor):
             detail, channel, peer = sites.get(slot, ("not started", None, None))
             stalls.append(stall_for(ctx, detail, channel=channel, peer=peer))
         return self._publish_stalls(stalls)
-
-    def _fold_metrics(
-        self, program: Program, summary: RunSummary
-    ) -> Optional[dict]:
-        if not self._collect_metrics:
-            return None
-        registry = self.obs.metrics
-        fold_channel_metrics(registry, program.channels)
-        for slot, ctx in enumerate(program.contexts):
-            fold_context_metrics(
-                registry,
-                ctx.name,
-                ops=self._ctx_ops[slot],
-                finish_time=ctx.finish_time,
-                wall_seconds=self._ctx_wall[slot],
-                parks=self._ctx_parks[slot],
-                spin_reads=self._ctx_spins[slot],
-            )
-        registry.counter("executor_context_switches").inc(
-            summary.context_switches
-        )
-        registry.counter("executor_wakeups").inc(summary.wakeups)
-        registry.counter("executor_preemptions").inc(summary.preemptions)
-        registry.counter("executor_ops").inc(summary.ops_executed)
-        return registry.snapshot()
 
     # ------------------------------------------------------------------
 

@@ -64,7 +64,8 @@ class Program:
         — or ``"auto"``, which picks the best of the three runtimes the
         host supports (process > threaded > sequential).  An
         :class:`~repro.core.executor.base.Executor` instance or subclass
-        is also accepted.  Resolution goes through the registry
+        is also accepted; an instance carries its own settings, so
+        passing ``config`` or ``obs`` with one is a :class:`TypeError`.  Resolution goes through the registry
         (:mod:`repro.core.executor.registry`), so an unknown name raises
         a :class:`ValueError` listing the registered names without
         importing any executor module.
@@ -85,7 +86,7 @@ class Program:
         from .executor.registry import resolve_executor
 
         if isinstance(executor, Executor):
-            if config is not None:
+            if config is not None or obs is not None:
                 raise TypeError(
                     "run() got an executor instance and configuration; "
                     "construct the executor with its settings instead"

@@ -8,6 +8,14 @@ metrics are enabled — the :class:`~repro.obs.metrics.MetricsRegistry`),
 and hands each sample to a *sink*: a user callback, a JSONL file path,
 or (always) the sampler's own ``samples`` list.
 
+Every executor builds its probe with the one
+:meth:`~repro.core.executor.base.Executor._sampler_probe`, so a sample
+always holds ``contexts`` (name → clock) and, when metrics are on,
+``metrics``.  Its progress counter is ``ops_executed`` on the sequential
+and threaded executors; the process executor's is ``progress``, the
+workers' published totals from the shared status board — ops executed
+plus records moved across cut-channel lanes.
+
 The safety argument for not perturbing SVA: the sampler only *reads*
 published state — time cells, counters, shared-memory clock slots — and
 never takes a lock the run's threads contend on, never touches channel

@@ -722,19 +722,22 @@ def _rows(obs):
     }
 
 
-def _outcome(build, payloads=None, host="sequential", **executor_kwargs):
+def _outcome(
+    build, payloads=None, host="sequential", metrics=False, **executor_kwargs
+):
     """``(simulated, summary)`` of one run — sequential, or with ``host``
     ``"threaded"`` one thread per context: everything simulated about it
     — with ``payloads`` not None also every context's trace rows
     (payloads captured or not) and the profile — and the summary for its
-    scheduling counters.
+    scheduling counters.  ``metrics`` attaches a registry too (the
+    sequential executor then wall-times every slice).
     (Not simulated: ``max_real_occupancy``, real queue depth, and the
     counters, which count a host's own scheduling.)"""
     program, observe = _build_named(build)
     obs = (
         None
         if payloads is None
-        else Observability(metrics=False, capture_payloads=payloads)
+        else Observability(metrics=metrics, capture_payloads=payloads)
     )
     if host == "threaded":
         executor = ThreadedExecutor(superblocks="off", obs=obs, **executor_kwargs)
@@ -1108,13 +1111,26 @@ class TestBatchReentry:
         reference, _ = _outcome(build, True, "threaded")
         traced, traced_summary = _outcome(build, True, policy=make_policy())
         untraced, untraced_summary = _outcome(build, policy=make_policy())
+        # The schedule loop's other entry: wall-timed slices (metrics) and
+        # bounded slices through _run_slice (a deadline never reached).
+        timed, timed_summary = _outcome(
+            build, True, metrics=True, policy=make_policy()
+        )
+        bounded, bounded_summary = _outcome(
+            build, policy=make_policy(), deadline_s=3600.0
+        )
         assert traced == reference
         assert untraced == dict(traced, rows=None, profile=None)
+        assert timed == traced
+        assert bounded == untraced
+        summaries = (
+            traced_summary, untraced_summary, timed_summary, bounded_summary
+        )
         counters = [
-            (s.context_switches, s.wakeups, s.preemptions)
-            for s in (traced_summary, untraced_summary)
+            (s.context_switches, s.wakeups, s.preemptions) for s in summaries
         ]
-        assert counters == [_REENTRY_COUNTERS[scenario, policy]] * 2
+        assert counters == [_REENTRY_COUNTERS[scenario, policy]] * 4
+        assert timed_summary.metrics is not None
 
     def test_every_position_parks_and_resumes(self):
         """The scripts do what their comments say (else the matrix above

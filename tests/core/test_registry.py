@@ -28,6 +28,7 @@ from repro.core.executor.registry import (
     registered_names,
     resolve_executor,
 )
+from repro.obs import Observability
 
 
 def pipeline(n=10, capacity=3):
@@ -291,6 +292,15 @@ class TestProgramRunApi:
             program.run(executor=SequentialExecutor(), config=RunConfig())
         with pytest.raises(TypeError, match="workers"):
             program.run(executor=SequentialExecutor(), workers=2)
+
+    def test_instance_plus_obs_rejected(self):
+        """``obs=`` is configuration too: an instance would run without
+        it (no metrics, no trace), so it is refused like ``config=``."""
+        program, _ = pipeline()
+        obs = Observability()
+        with pytest.raises(TypeError, match="executor instance"):
+            program.run(executor=SequentialExecutor(), obs=obs)
+        assert len(obs.trace) == 0
 
     def test_auto_runs_and_reports_real_executor(self):
         program, collector = pipeline()

@@ -1,6 +1,10 @@
 """Metrics registry semantics, the executor folding discipline, and the
 registry across a checkpoint."""
 
+import multiprocessing
+
+import pytest
+
 from repro import Observability, ProgramBuilder, RunConfig
 from repro.core import RunTimeoutError, SequentialExecutor
 from repro.core.channel import Channel
@@ -11,6 +15,11 @@ from hypothesis import strategies as st
 
 from repro.obs import Histogram, MetricsRegistry
 from repro.obs.metrics import sorted_quantile
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
 
 
 class TestRegistry:
@@ -82,8 +91,6 @@ class TestRegistry:
             assert repr(sorted_quantile(ordered, q)) == repr(hist.quantile(q))
 
     def test_histogram_quantile_edge_cases(self):
-        import pytest
-
         registry = MetricsRegistry()
         hist = registry.histogram("empty")
         assert hist.quantile(0.5) == 0.0  # no observations yet
@@ -189,20 +196,39 @@ class TestRunMetrics:
         assert counters["channel_dequeues{channel=raw}"] == 6
         assert 1 <= gauges["channel_max_occupancy{channel=raw}"] <= 3
 
-    def test_channel_metrics_identical_across_executors(self):
-        """Simulated-state metrics are executor-independent."""
+    @pytest.mark.parametrize(
+        "executor, config",
+        [
+            pytest.param("threaded", {}, id="threaded"),
+            pytest.param("process", {"workers": 2}, id="process", marks=needs_fork),
+        ],
+    )
+    def test_channel_metrics_identical_across_executors(self, executor, config):
+        """Simulated-state metrics are executor-independent: one fold
+        (``Executor._fold_metrics``) serves every executor."""
         _, seq = run_pipeline("sequential")
-        _, thr = run_pipeline("threaded")
-        pick = lambda snap: {
-            key: value
-            for key, value in snap["counters"].items()
-            if key.startswith("channel_")
+        _, other = run_pipeline(executor, **config)
+
+        def pick(snap):
+            return {
+                key: value
+                for kind, prefixes in (
+                    ("counters", ("channel_", "context_ops{")),
+                    ("gauges", ("context_finish_time{",)),
+                )
+                for key, value in snap[kind].items()
+                if key.startswith(prefixes)
+            }
+
+        picked = pick(seq.metrics)
+        assert {
+            key for key in picked if key.startswith(("context_ops", "context_fin"))
+        } == {
+            f"{series}{{context={name}}}"
+            for series in ("context_ops", "context_finish_time")
+            for name in ("src", "double", "sink")
         }
-        assert pick(seq.metrics) == pick(thr.metrics)
-        assert (
-            seq.metrics["gauges"]["context_finish_time{context=sink}"]
-            == thr.metrics["gauges"]["context_finish_time{context=sink}"]
-        )
+        assert pick(other.metrics) == picked
 
     def test_per_context_ops_and_wall(self):
         _, summary = run_pipeline("sequential")
