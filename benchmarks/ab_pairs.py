@@ -1,6 +1,8 @@
 """A/B two checkouts on one run workload, one operation at a time.
 
     python3 benchmarks/ab_pairs.py <other-checkout> --workload W --pairs N [--aa]
+    python3 benchmarks/ab_pairs.py <parent-checkout> --workload W --pairs N --aa \
+        --record BENCH_trajectory.json
 
 The suite (``benchmarks/layers/run.py``) measures a checkout in fresh
 subprocesses over a 12 s window; two such runs, minutes apart on a shared
@@ -29,6 +31,16 @@ refused when the two sides report a different Python or CPU count.
 
 Only the run workloads (``catalog.EXECUTORS``) are supported; ``serve_mixed``
 is a server and a client, not one call.
+
+``--record PATH`` appends the session as one *link* to a trajectory file
+(a JSON list, ``BENCH_trajectory.json`` at the repo root): ``A`` is a
+change, ``B`` its parent.  A link names both sides by ``git_rev`` and
+``parent_rev``, the git tree id of each checkout's ``src/`` as it is on
+disk (what the child imports; ``git rev-parse REV:src`` of the commit that
+holds it), so a change can be recorded before it is committed.  Per
+workload, each link's ``parent_rev`` must be the ``git_rev`` of the link
+before it: the product of the ``ratio``s along the chain is the
+trajectory, and each factor was measured paired, so host drift cancels.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, os.path.join(HERE, "layers"))
 
-from run import fastest_quarter  # noqa: E402 - the suite's own statistic
+from run import fastest_quarter, stamp  # noqa: E402 - the suite's own statistic and host stamp
 
 
 # ----------------------------------------------------------------------
@@ -214,6 +226,94 @@ def run_session(labels: tuple[str, str], checkouts: tuple[str, str], args) -> di
     return report
 
 
+# ----------------------------------------------------------------------
+# The trajectory: one link per change and workload.
+# ----------------------------------------------------------------------
+
+#: Every field of a link.  ``change`` / ``parent`` hold the fastest-quarter
+#: and median ms of ``A`` / ``B``; ``ratio`` is parent over change
+#: fastest-quarter (above 1: the change is faster), ``ahead`` the pairs the
+#: change won, ``aa_ratio`` the session's A/A ratio (the harness's bias).
+LINK_FIELDS = (
+    "workload", "git_rev", "parent_rev", "host", "seed", "pairs",
+    "change", "parent", "ratio", "ahead", "aa_ratio",
+)
+
+
+def source_rev(checkout: str) -> str:
+    """The git tree id of ``checkout``'s ``src/`` as it is on disk,
+    tracked or not, written through a scratch index (the checkout's own
+    index and refs are untouched)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(scratch, "index"))
+
+        def git(*arguments: str) -> str:
+            return subprocess.run(
+                ["git", "-C", checkout, *arguments],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        git("add", "--all", "--", "src")
+        return git("write-tree", "--prefix=src/")
+
+
+def make_link(result: dict, checkout: str, parent: str) -> dict:
+    """The link of one ``--aa`` session of ``checkout`` against ``parent``."""
+    ab, host = result["ab"], stamp(result["seed"])
+
+    def side(label: str) -> dict:
+        return {key: ab[label][key] for key in ("fastest_quarter_ms", "median_ms")}
+
+    return {
+        "workload": result["workload"],
+        "git_rev": source_rev(checkout),
+        "parent_rev": source_rev(parent),
+        "host": {key: host[key] for key in ("cpu_model", "nproc", "affinity", "python")},
+        "seed": result["seed"],
+        "pairs": result["pairs"],
+        "change": side("A"),
+        "parent": side("B"),
+        "ratio": ab["time_ratio"],
+        "ahead": ab["losses"],  # pairs B lost
+        "aa_ratio": result["aa"]["time_ratio"],
+    }
+
+
+def chain_breaks(links: list) -> list[str]:
+    """What keeps ``links`` from being a trajectory: a link whose fields
+    are not :data:`LINK_FIELDS`, or whose ``parent_rev`` is not the
+    ``git_rev`` of the previous link of its workload."""
+    breaks, last = [], {}
+    for index, link in enumerate(links):
+        if tuple(link) != LINK_FIELDS:
+            breaks.append(f"link {index}: fields {list(link)} != {list(LINK_FIELDS)}")
+            continue
+        previous = last.get(link["workload"])
+        if previous is not None and link["parent_rev"] != previous:
+            breaks.append(
+                f"link {index} ({link['workload']}): parent_rev {link['parent_rev']} "
+                f"!= the previous link's git_rev {previous}"
+            )
+        last[link["workload"]] = link["git_rev"]
+    return breaks
+
+
+def append_link(path: str, link: dict) -> None:
+    """Append ``link`` to the trajectory at ``path``; refuse one that
+    would break the chain (record the missing links first)."""
+    links = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            links = json.load(handle)
+    breaks = chain_breaks(links + [link])
+    if breaks:
+        raise SystemExit(f"refusing to record {path}: " + "; ".join(breaks))
+    with open(path + ".tmp", "w", encoding="utf-8") as handle:
+        json.dump(links + [link], handle, indent=1)
+        handle.write("\n")
+    os.replace(path + ".tmp", path)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", nargs="?", help="the checkout to compare against (B)")
@@ -223,6 +323,9 @@ def main() -> int:
     parser.add_argument("--smoke", action="store_true", help="the suite's smoke sizes")
     parser.add_argument("--aa", action="store_true",
                         help="first run this checkout against itself")
+    parser.add_argument("--record", metavar="PATH",
+                        help="append the session to a trajectory file (needs "
+                        "the parent checkout and --aa)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--size", default="full", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -230,12 +333,16 @@ def main() -> int:
         return child(args.child, args.workload, args.seed, args.size)
     if args.other is None and not args.aa:
         parser.error("give the other checkout, or --aa")
+    if args.record and (args.other is None or not args.aa):
+        parser.error("--record needs the parent checkout and --aa")
     result = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs}
     if args.aa:
         result["aa"] = run_session(("A", "A2"), (ROOT, ROOT), args)
     if args.other is not None:
         result["ab"] = run_session(("A", "B"), (ROOT, args.other), args)
     print(json.dumps(result))
+    if args.record:
+        append_link(args.record, make_link(result, ROOT, args.other))
     return 0
 
 

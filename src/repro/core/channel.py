@@ -159,10 +159,6 @@ class Channel:
         # which transitions they may open-code (DESIGN.md §11).
         "_enq_code",
         "_deq_code",
-        # Park messages, precomputed once (the name is immutable) so the
-        # executors' block sites never pay an f-string on the hot path.
-        "_park_enq_msg",
-        "_park_deq_msg",
         # Trace port ids of the channel's enqueue / dequeue / peek, set
         # when a traced run numbers its ports (DESIGN.md §9).
         "_enq_port",
@@ -187,8 +183,6 @@ class Channel:
         self.real = real
         self.id = next(_channel_ids)
         self.name = name or f"channel{self.id}"
-        self._park_enq_msg = f"enqueue on full {self.name}"
-        self._park_deq_msg = f"dequeue on empty {self.name}"
         self._enq_port = self._deq_port = self._peek_port = None
         self.capacity = capacity
         self.latency = latency

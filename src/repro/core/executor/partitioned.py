@@ -358,9 +358,10 @@ class _WorkerExecutor(SequentialExecutor):
             # contexts; preemption changes only real order, never
             # simulated results (the determinism invariant).
             self.policy.timeslice = parent.timeslice
-        # Embedded: every slice goes through this class's _run_slice (the
-        # abort flag, lanes, checkpoint rounds), and the parent folds the
-        # trace and metrics and profiles the run.
+        # Embedded: every slice is bracketed by this class's
+        # _begin_slice / _end_slice (the abort flag, lanes, checkpoint
+        # rounds), and the parent folds the trace and metrics and
+        # profiles the run.
         self._embedded = True
         self._shuttle_moves = 0
         #: One per activated side of a cut channel, in activation order.
@@ -512,16 +513,18 @@ class _WorkerExecutor(SequentialExecutor):
             os.kill(os.getpid(), self._kill.signal)
         return progress
 
-    def _run_slice(self, state, remaining) -> None:
-        run = self._run
-        if run.abort.is_set():
+    def _begin_slice(self, state) -> None:
+        if self._run.abort.is_set():
             raise _WorkerAborted()
         if self._ckpt_pending():
             self._ckpt_participate()
         # Publishing at every slice keeps the verdict honest: a worker
         # crunching local work always shows RUNNING with rising progress.
         self._publish(WORKER_RUNNING)
-        super()._run_slice(state, remaining)
+        super()._begin_slice(state)
+
+    def _end_slice(self, state) -> None:
+        run = self._run
         run.clocks.publish(self._owned_clocks.values())
         self._pump_lanes()
         self._ring_peers()

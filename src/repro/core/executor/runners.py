@@ -1,21 +1,26 @@
 """Runners: straight-line code per batch shape (DESIGN.md §11).
 
-Every op the slice loop executes — a :class:`~repro.core.ops.FusedOps`
+Every op the schedule loop executes — a :class:`~repro.core.ops.FusedOps`
 batch, a plain tuple/list of ops, or a bare op — runs through a *runner*:
 a function generated from the templates below for a *shape* (the sequence
 of constituent kinds), compiled once per process, and called once per
 yield as ``run(executor, state, clock, op)``.  A batch's runner is bound by
 its factory to the batch's channels, deques, stats, counts and result
-buffer, once per batch.  A bare op's runner reads its channel or count off
-the op it is called with, so one runner serves every op of its class and
-running a freshly built op binds nothing.  A runner
-performs each constituent's transition in order — flavor codes 0/1
-open-coded, code 2 through the channel's flavor method, rare constituents
-(``Peek``, ``ViewTime``, ``AdvanceTo``, ``WaitUntil``, a negative
-``IncrCycles``, junk) through the executor's handler table — and returns
-the value the generator is resumed with.  When a constituent parks or the
-batch is abandoned (``ChannelClosed``) it records the suspension on the
-context's state, counts what it attempted, and returns :data:`SUSPENDED`.
+buffer (kept as ``batch.results``), once per batch.  A bare op's runner
+reads its channel or count off the op it is called with, so one runner
+serves every op of its class and running a freshly built op binds
+nothing.  A runner performs each constituent's transition in order — the
+channel's codes 0/1 (``_enq_code`` / ``_deq_code``) open-coded, code 2
+through the channel's reference method (``try_enqueue`` /
+``fast_dequeue``), rare constituents (``Peek``, ``ViewTime``,
+``AdvanceTo``, ``WaitUntil``, a negative ``IncrCycles``, junk) through the
+executor's handler table — and returns the value the generator is
+resumed with.  When a constituent parks, it
+records the suspension on the context's state: the op in ``retry_op`` and,
+for a batch, two fields more, the batch and the constituent's index.  When
+the batch is abandoned (``ChannelClosed``), it leaves the exception in
+``pending_exc``.  Either way it counts what it attempted and returns
+:data:`SUSPENDED`.
 
 The templates are the sequential engine's only written transitions.
 Three kinds of marked line vary them, exactly as comments vary nothing:
@@ -86,12 +91,11 @@ _DEQUEUE = """\
             now = clock._time
         if result is _EMPTY:
             clock._time = now
-            if ch@.closed_for_receiver:
+            if ch@._sender_finished:
                 state.pending_exc = ChannelClosed(ch@.name)
                 QUIT
             state.status = _BLOCKED
             state.retry_op = op@
-            state.blocked_detail = ch@._park_deq_msg
             ch@.waiting_receiver = state
             PARK
         waiter = ch@.waiting_sender
@@ -138,7 +142,6 @@ _ENQUEUE = """\
             clock._time = now
             state.status = _BLOCKED
             state.retry_op = op@
-            state.blocked_detail = ch@._park_enq_msg
             ch@.waiting_sender = state
             PARK
         #T ports.append(ch@._enq_port)
@@ -148,10 +151,11 @@ _ENQUEUE = """\
         waiter = ch@.waiting_receiver
         if waiter is not None:
             ch@.waiting_receiver = None
+            dcode = ch@._deq_code
             if (
                 code != 2
                 and waiter.retry_op.__class__ is Dequeue
-                and ch@._deq_code != 2
+                and dcode != 2
             ):
                 wclock = waiter.context.time
                 stamp, result = q@.popleft()
@@ -159,19 +163,18 @@ _ENQUEUE = """\
                 if stamp > wnow:
                     wclock._time = wnow = stamp
                 s@.dequeues += 1
-                if ch@._deq_code == 1:
+                if dcode == 1:
                     r@.append(wnow + ch@.resp_latency)
                 #T waiter.buffer.add(ch@._deq_port, wnow, result)
                 waiter.retry_op = None
                 waiter.pending_value = result
                 if waiter.status == _BLOCKED:
                     waiter.status = _READY
-                    waiter.blocked_detail = ""
                     self.wakeups += 1
                     fifo = self._fifo_queue
                     if fifo is None:
                         self.policy.push(waiter, woken=True)
-                    elif not waiter.in_ready:
+                    else:
                         waiter.in_ready = True
                         fifo.append(waiter)
             else:
@@ -205,19 +208,18 @@ _RARE = """\
 """
 
 #: What a suspension runs, in place of a ``QUIT`` or ``PARK`` line: both
-#: count the batch's constituents up to this one (the loop subtracts a
-#: prefix that an earlier slice already counted), and a park also keeps
-#: the batch for re-entry.
+#: count the batch's constituents up to this one (``n@``, bound as
+#: ``at@ + 1``; the loop subtracts a prefix that an earlier slice already
+#: counted), and a park also keeps the batch, which keeps its buffer, and
+#: the index for re-entry.
 _QUIT = """\
-self.ops_executed += at@ + 1
-state.ops += at@ + 1
+self.ops_executed += n@
+state.ops += n@
 return SUSPENDED"""
 _TAILS = {
     "QUIT": _QUIT,
     "PARK": """\
-#F state.fused_ops = batch.ops
 #F state.fused_index = at@
-#F state.fused_results = buf
 #F state.fused_batch = batch
 """ + _QUIT,
 }
@@ -265,7 +267,7 @@ def source(key: tuple) -> str:
         template, names = _KINDS[token]
         if not bare:
             params += [f"{name}{index}" for name in names]
-        binds.append(f"    at{index} = base + {index}\n")
+        binds.append(f"    at{index}, n{index} = base + {index}, base + {index + 1}\n")
         body.append(_expand(template, index))
     if mode == "chain":
         result = "nxt(self, state, clock, batch)"
@@ -372,8 +374,9 @@ def plan(executor, op, buf=None) -> tuple:
     """Bind ``op`` for ``executor``: ``(op, run, count)``, a tuple or list
     batch normalized to a :class:`FusedOps`.  The binding is kept as
     ``(run, count, executor._plan_tag)``; an executor with another tag
-    binds again.  A batch's runners write its results into ``buf`` (a
-    fresh list by default; a restored suspension passes its prefix).
+    binds again.  A batch's runners write its results into ``buf``, kept
+    as ``op.results`` (a fresh list by default; a restored suspension
+    passes its prefix).
 
     A bare op's runner reads its channel or count off the op, so it is
     bound once per op class, in ``executor._bare_runners``: a context may
@@ -394,6 +397,7 @@ def plan(executor, op, buf=None) -> tuple:
     count = len(subs)
     if buf is None:
         buf = [None] * count
+    op.results = buf
     op.resumes = chunks = {}
     run = None
     for base in reversed(range(0, count, K) or (0,)):
@@ -402,16 +406,19 @@ def plan(executor, op, buf=None) -> tuple:
     return op, run, count
 
 
-def resume(executor, batch, index: int, buf: list) -> tuple:
+def resume(executor, batch, index: int) -> tuple:
     """``(run, count)`` of ``batch`` re-entered at constituent ``index``:
     up to the next chunk boundary, one-constituent runners bound once per
-    index, each handing on to the next, then the batch's own chunk runner.
-    (A runner per suffix of a chunk compiled a shape per park position:
-    29 of 49 shapes on ``obs_spmspm``, for ~1.5 % of its ops.)  ``count``
-    covers the whole batch, the prefix included: the caller subtracts
-    the prefix."""
+    index to the batch's buffer, each handing on to the next, then the
+    batch's own chunk runner.  (A runner per suffix of a chunk compiled a
+    shape per park position: 29 of 49 shapes on ``obs_spmspm``, for
+    ~1.5 % of its ops.)  ``count`` covers the whole batch, the prefix
+    included: the caller subtracts the prefix."""
     run = batch.resumes.get(index)
+    count = len(batch.ops)
     if run is None:
-        nxt = resume(executor, batch, index + 1, buf)[0] if index + 1 < len(buf) else None
-        run = batch.resumes[index] = _chunk(executor, batch.ops, index, index + 1, buf, nxt)
-    return run, len(buf)
+        nxt = resume(executor, batch, index + 1)[0] if index + 1 < count else None
+        run = batch.resumes[index] = _chunk(
+            executor, batch.ops, index, index + 1, batch.results, nxt
+        )
+    return run, count

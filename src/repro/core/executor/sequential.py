@@ -24,10 +24,11 @@ paper's undersized-channel observations.
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 record per-context trace buffers and fold run metrics.
 
-Dispatch has one tier (DESIGN.md §11): the slice loop hands every yield
-— a :class:`~repro.core.ops.FusedOps` batch or a bare op — to the runner
-compiled for its shape (:mod:`.runners`), straight-line code against the
-channels' queues and flavor codes that pays zero per-op tracing
+Dispatch has one tier (DESIGN.md §11): the schedule loop, whose body is
+the slice, hands every yield — a :class:`~repro.core.ops.FusedOps` batch
+or a bare op — to the runner compiled for its shape (:mod:`.runners`),
+straight-line code against the channels' queues that open-codes their
+codes 0/1 (``_enq_code`` / ``_deq_code``) and pays zero per-op tracing
 conditionals (a traced run binds the runners whose ``#T``-marked column
 appends are live).  A parked op is retried, and a parked batch
 re-entered, by the same runners.  What the runners do not open-code —
@@ -90,17 +91,27 @@ class _DeadlineExpired(BaseException):
     """
 
 
-def blocked_on(op) -> tuple:
-    """``(channel, peer context)`` a parked op waits on, for stall
-    reports: a channel for the queue ops, the watched context for a
-    ``WaitUntil``, neither for ``None`` (not started)."""
-    if isinstance(op, Enqueue):
-        return op.sender.channel, None
-    if isinstance(op, (Dequeue, Peek)):
-        return op.receiver.channel, None
-    if isinstance(op, WaitUntil):
-        return None, op.context
-    return None, None
+def park_site(state) -> tuple:
+    """``(detail, channel, peer context)`` of a context for its stall
+    report, derived from the op it is parked on (``retry_op``): a channel
+    for the queue ops, the watched context for a ``WaitUntil``.  A
+    context that is not parked — never started, or woken and not yet
+    run — reads ``"not started"``."""
+    op = state.retry_op
+    kind = op.__class__
+    if kind is WaitUntil:
+        site = (f"wait-until {op.time} on {op.context.name}", None, op.context)
+    elif kind is Enqueue:
+        site = (f"enqueue on full {op.sender.channel.name}", op.sender.channel, None)
+    elif kind is Dequeue or kind is Peek:
+        verb = "dequeue" if kind is Dequeue else "peek"
+        channel = op.receiver.channel
+        site = (f"{verb} on empty {channel.name}", channel, None)
+    else:
+        return "not started", None, None
+    if state.status != _BLOCKED:
+        return ("not started", *site[1:])
+    return site
 
 
 class _ContextState:
@@ -114,13 +125,10 @@ class _ContextState:
         "pending_value",
         "pending_exc",
         "retry_op",
-        "blocked_detail",
         "buffer",
         "ops",
         "wall_seconds",
-        "fused_ops",
         "fused_index",
-        "fused_results",
         "fused_batch",
         "send",
     )
@@ -135,24 +143,21 @@ class _ContextState:
         self.pending_value: Any = None
         self.pending_exc: BaseException | None = None
         # An op that blocked and must be re-attempted before resuming the
-        # generator (its result is then delivered via pending_value).
+        # generator (its result is then delivered via pending_value); the
+        # stall report reads the park site off it (:func:`park_site`).
         self.retry_op: Op | None = None
-        self.blocked_detail: str = ""
         # Observability: the context's own trace buffer (folded into the
         # collector when the run ends) and metric tallies.
         self.buffer = None if trace is None else trace.context_buffer(context.name)
         self.ops = 0
         self.wall_seconds = 0.0
         # Mid-batch suspension: the parked :class:`FusedOps`, bound by
-        # this executor (a restored one is bound on restore), and its
-        # ops; its constituent at ``fused_index`` blocked (``retry_op``
-        # set) or had its result delivered by a waker, and
-        # ``fused_results``, the buffer its runners write, holds the
-        # completed prefix.
+        # this executor (a restored one is bound on restore); its
+        # constituent at ``fused_index`` blocked (``retry_op`` set) or had
+        # its result delivered by a waker, and its buffer
+        # (``fused_batch.results``) holds the completed prefix.
         self.fused_batch: Any = None
-        self.fused_ops: Any = None
         self.fused_index = 0
-        self.fused_results: Any = None
 
 
 @register_executor("sequential")
@@ -334,16 +339,42 @@ class SequentialExecutor(Executor):
         return summary
 
     def _schedule_loop(self, collect_wall: bool, bounded: bool) -> None:
-        """Drain the policy's ready queue; ask :meth:`_idle` for more
-        work when it empties (subclass hook — the process executor's
-        workers poll their cross-process lanes there).
+        """The only slice loop (DESIGN.md §11): drain the policy's ready
+        queue, one slice per pop, and ask :meth:`_idle` for more work
+        when it empties (subclass hook — the process executor's workers
+        poll their cross-process lanes there).
 
-        One loop for every run: each slice is followed by the waiter
-        drain, the deadline check and the checkpoint check, in that
-        order.  A run that is not ``bounded`` (no deadline, fault plan,
-        checkpoint or parent engine) has nothing to do at a slice's
-        start and enters :meth:`_run_slice_fast` directly; every other
-        run goes through :meth:`_run_slice`.
+        A slice resumes the context's generator and hands the yield to
+        its runner, until the context blocks, finishes, or spends its
+        ``remaining`` resumptions: the policy's timeslice, else
+        ``_BOUNDED_TIMESLICE`` in a ``bounded`` run (deadline, fault
+        plan, checkpoint or parent engine) and unbounded (-1) in any
+        other.  Only a bounded run calls :meth:`_begin_slice` and
+        :meth:`_end_slice` around a slice.  Each slice is followed by the
+        waiter drain, the deadline check and the checkpoint check, in
+        that order.
+
+        What an op does is its runner's (:mod:`.runners`): straight-line
+        code compiled per shape.  A bare op's runner is its class's
+        (``_bare_runners``), reading the channel or count off the op; a
+        batch's is bound to it on first use (``op.plan``, with the count
+        of constituents it performs and this executor's ``_plan_tag``).
+        A runner keeps the context's clock in a local and leaves it in
+        ``clock._time`` whenever it returns, so the body sees its own
+        time at every resume.  Rare ops run through the handler table
+        inside their runner.
+
+        A runner that parks records the suspension itself (``retry_op``,
+        and for a batch the batch and the index) and counts what it
+        attempted; one whose batch was abandoned leaves the exception in
+        ``state.pending_exc``.  A slice that starts on a parked context
+        resumes it through the same runners, before the generator (still
+        suspended at its yield) is resumed and without spending a
+        resumption: a bare op is retried by its class's runner, and a
+        batch re-entered at the parked constituent — or past it, when
+        its waker delivered the result into the batch's buffer.  Either
+        way the parked constituent was counted when it was first
+        attempted.  A slice that completes no op updates no counter.
 
         A context's ``WaitUntil`` waiters are drained when its slice
         ends (and when it finishes): a waiter reads the clock the target
@@ -352,49 +383,168 @@ class SequentialExecutor(Executor):
         wakeup, not the crossing."""
         policy = self.policy
         queue = policy.queue
-        previous: _ContextState | None = None
+        popleft = queue.popleft
         deadline_at = self._deadline_at
         ckpt_timer = self._ckpt_timer
         waiters = self._time_waiters
         drain = self._drain_time_waiters
-        # A bounded run slices at the policy's length, or at
-        # _BOUNDED_TIMESLICE under run-to-block.
-        remaining = policy.timeslice
-        if remaining is None:
-            remaining = _BOUNDED_TIMESLICE if bounded else -1
-        run_slice = self._run_slice if bounded else self._run_slice_fast
-        while True:
-            while queue:
-                state = queue.popleft()
-                state.in_ready = False
-                if state.status != _READY:
-                    continue
-                if previous is not None and state is not previous:
-                    self.context_switches += 1
-                previous = state
-                if collect_wall:
-                    slice_start = _wallclock.perf_counter()
-                    run_slice(state, remaining)
-                    state.wall_seconds += _wallclock.perf_counter() - slice_start
-                else:
-                    run_slice(state, remaining)
-                if waiters:
-                    drain(state.context)
-                if deadline_at is not None and (
-                    _wallclock.perf_counter() >= deadline_at
-                ):
-                    raise _DeadlineExpired
-                if ckpt_timer is not None and ckpt_timer.due():
-                    # Between slices every context's in-flight value has
-                    # been written back to its state record and no op is
-                    # mid-transition: a quiescent cut by construction.
-                    self._capture_checkpoint()
-                if state.status == _READY:
-                    # Slice expired without blocking: preempted.
-                    self.preemptions += 1
-                    policy.push(state, woken=False)
-            if not self._idle():
-                return
+        begin = self._begin_slice
+        end = self._end_slice
+        perf_counter = _wallclock.perf_counter
+        timeslice = policy.timeslice
+        if timeslice is None:
+            timeslice = _BOUNDED_TIMESLICE if bounded else -1
+        tag = self._plan_tag
+        bare_runners = self._bare_runners
+        bare = bare_runners.get
+        previous = state = exc = None
+        executed = switches = preemptions = 0
+        try:
+            while True:
+                while queue:
+                    state = popleft()
+                    state.in_ready = False
+                    if state.status != _READY:
+                        continue
+                    if state is not previous:
+                        if previous is not None:
+                            switches += 1
+                        previous = state
+                    if bounded:
+                        begin(state)
+                    if collect_wall:
+                        slice_start = perf_counter()
+                    remaining = timeslice
+                    run = None
+                    op = state.retry_op
+                    batch = state.fused_batch
+                    value = state.pending_value
+                    exc = state.pending_exc
+                    state.retry_op = state.fused_batch = None
+                    state.pending_value = state.pending_exc = None
+                    if batch is not None:
+                        if exc is None:  # else abandoned while parked
+                            parked = index = state.fused_index
+                            buf = batch.results
+                            if op is None:  # the waker delivered the parked result
+                                buf[index] = value
+                                index += 1
+                            value = buf
+                            if index < len(buf):
+                                op = batch
+                                run, count = resume(self, batch, index)
+                                executed = -parked - 1
+                    elif op is not None:  # parked by its class's runner
+                        run, count, _ = bare_runners[op.__class__]
+                        executed = -1
+                    clock = state.context.time
+                    gen_send = state.send
+                    # The budget is tested where it is spent, not as a
+                    # ``while remaining != 0`` condition: this body is long
+                    # enough that the loop's jumps take an EXTENDED_ARG,
+                    # and CPython 3.11 then leaves that comparison
+                    # unspecialized (~10 % of proc_mha's worker time on a
+                    # 2-vCPU x86 host).
+                    while True:
+                        if run is None:
+                            if remaining == 0:
+                                # Slice expired: hand the in-flight result
+                                # back to state.
+                                state.pending_value = value
+                                state.pending_exc = exc
+                                break
+                            remaining -= 1
+                            try:
+                                if exc is not None:
+                                    op = state.gen.throw(exc)
+                                    exc = None
+                                else:
+                                    op = gen_send(value)
+                            except (StopIteration, ChannelClosed):
+                                # An uncaught ChannelClosed is graceful wind-down.
+                                exc = None
+                                self._finish(state)
+                                break
+                            except DeadlockError:
+                                raise
+                            except BaseException as failure:  # noqa: BLE001
+                                self._finish(state)
+                                raise SimulationError(
+                                    state.context.name, failure
+                                ) from failure
+                            try:
+                                run, count, bound = op.plan or bare(op.__class__)
+                            except (AttributeError, TypeError, ValueError):
+                                bound = None  # not bound yet, or not an op
+                            if bound is not tag:
+                                op, run, count = plan(self, op)
+                        value = run(self, state, clock, op)
+                        run = None
+                        if value is SUSPENDED:
+                            if state.status == _BLOCKED:
+                                break
+                            value = None
+                            exc = state.pending_exc
+                            state.pending_exc = None
+                        else:
+                            executed += count
+                    if executed:
+                        self.ops_executed += executed
+                        state.ops += executed
+                        executed = 0
+                    if collect_wall:
+                        state.wall_seconds += perf_counter() - slice_start
+                    if bounded:
+                        end(state)
+                        if waiters:
+                            drain(state.context)
+                        if deadline_at is not None and perf_counter() >= deadline_at:
+                            raise _DeadlineExpired
+                        if ckpt_timer is not None and ckpt_timer.due():
+                            # Between slices every context's in-flight value
+                            # has been written back to its state record and
+                            # no op is mid-transition: a quiescent cut by
+                            # construction.
+                            self._capture_checkpoint()
+                    elif waiters:
+                        drain(state.context)
+                    if state.status == _READY:
+                        # Slice expired without blocking: preempted.
+                        preemptions += 1
+                        policy.push(state, woken=False)
+                if not self._idle():
+                    return
+        finally:
+            # An exception the generator raised back holds this frame in
+            # its traceback: keeping it would make a reference cycle.
+            exc = None
+            self.context_switches += switches
+            self.preemptions += preemptions
+            if executed:  # a slice cut short by an exception
+                self.ops_executed += executed
+                state.ops += executed
+
+    def _begin_slice(self, state: _ContextState) -> None:
+        """Called before each slice of a bounded run, and only there:
+        the fault trigger.  A parent's engine extends it, and
+        :meth:`_end_slice`, with its own slice-boundary duties."""
+        # Fault injection (chaos testing): once the victim context's op
+        # counter passes the trigger, abandon whatever it was parked on and
+        # throw FaultInjected into its generator at the next resume.  The
+        # trigger is evaluated at slice granularity — bounded slices are
+        # forced whenever a fault plan is present, so it fires promptly.
+        # Cluster drivers share their parent's map: the pop decides which
+        # of them fires.
+        fault_map = self._fault_map
+        name = state.context.name
+        fault = fault_map.get(name)
+        if fault is not None and state.ops >= fault.after_ops:
+            if fault_map.pop(name, None) is not None:
+                state.retry_op = state.fused_batch = state.pending_value = None
+                state.pending_exc = fault.make()
+
+    def _end_slice(self, state: _ContextState) -> None:
+        """Called after each slice of a bounded run, and only there."""
 
     def _idle(self) -> bool:
         """Called when the ready queue empties; return True if new work may
@@ -428,7 +578,7 @@ class SequentialExecutor(Executor):
             return _ckpt.record_done(ctx)
         if (
             state.retry_op is None
-            and state.fused_ops is None
+            and state.fused_batch is None
             and state.pending_exc is None
             and _inspect.getgeneratorstate(state.gen) == _inspect.GEN_CREATED
         ):
@@ -437,7 +587,8 @@ class SequentialExecutor(Executor):
             # "never primed" by pending_value alone.
             return _ckpt.record_fresh(ctx)
         executed = state.retry_op is None
-        fused = state.fused_ops is not None
+        batch = state.fused_batch
+        fused = batch is not None
         index = state.fused_index
         return _ckpt.record_suspended(
             ctx,
@@ -445,8 +596,8 @@ class SequentialExecutor(Executor):
             pending_value=state.pending_value if executed else None,
             pending_exc=state.pending_exc,
             fused_index=index if fused else None,
-            fused_prefix=list(state.fused_results[:index]) if fused else None,
-            fused_len=len(state.fused_ops) if fused else None,
+            fused_prefix=list(batch.results[:index]) if fused else None,
+            fused_len=len(batch.ops) if fused else None,
         )
 
     def _capture_checkpoint(self) -> None:
@@ -525,9 +676,7 @@ class SequentialExecutor(Executor):
         results.extend([None] * (record["fused_len"] - len(results)))
         # Fresh: the context's own batch may be bound to another buffer.
         state.fused_batch = plan(self, FusedOps(*ops_seq), results)[0]
-        state.fused_ops = ops_seq
         state.fused_index = fused_index
-        state.fused_results = results
         if executed:
             state.pending_value = record["pending_value"]
             state.pending_exc = pending_exc
@@ -550,148 +699,11 @@ class SequentialExecutor(Executor):
     def _stall_report(self, unfinished: list[_ContextState]) -> StallReport:
         """Diagnose the blocked set: who is parked, on which channel, and
         at what simulated time each endpoint sits."""
-        stalls = []
-        for state in unfinished:
-            channel, peer = blocked_on(state.retry_op)
-            stalls.append(
-                stall_for(
-                    state.context,
-                    state.blocked_detail or "not started",
-                    channel=channel,
-                    peer=peer,
-                )
-            )
-        return self._publish_stalls(stalls)
+        return self._publish_stalls(
+            [stall_for(state.context, *park_site(state)) for state in unfinished]
+        )
 
     # ------------------------------------------------------------------
-
-    def _run_slice(self, state: _ContextState, remaining: int) -> None:
-        """Run one context until it blocks, finishes, or spends its
-        ``remaining`` resumptions (-1: unbounded)."""
-        # Fault injection (chaos testing): once the victim context's op
-        # counter passes the trigger, abandon whatever it was parked on and
-        # throw FaultInjected into its generator at the next resume.  The
-        # trigger is evaluated at slice granularity — bounded slices are
-        # forced whenever a fault plan is present, so it fires promptly.
-        if self._fault_map:
-            name = state.context.name
-            fault = self._fault_map.get(name)
-            if (
-                fault is not None
-                and state.ops >= fault.after_ops
-                # Cluster drivers share their parent's map: the pop
-                # decides which of them fires.
-                and self._fault_map.pop(name, None) is not None
-            ):
-                state.retry_op = None
-                state.fused_batch = state.fused_ops = None
-                state.fused_results = None
-                state.pending_value = None
-                state.pending_exc = fault.make()
-        self._run_slice_fast(state, remaining)
-
-    def _run_slice_fast(self, state: _ContextState, remaining: int) -> None:
-        """The slice loop (DESIGN.md §11): resume the generator, hand the
-        yield to its runner, repeat.
-
-        What an op does is its runner's (:mod:`.runners`): straight-line
-        code compiled per shape.  A bare op's runner is its class's
-        (``_bare_runners``), reading the channel or count off the op; a
-        batch's is bound to it on first use (``op.plan``, with the count
-        of constituents it performs and this executor's ``_plan_tag``).
-        A runner keeps the context's clock in a local and leaves it in
-        ``clock._time`` whenever it returns, so the body sees its own
-        time at every resume.  Rare ops run through the handler table
-        inside their runner.
-
-        A runner that parks records the suspension itself (what
-        :meth:`_block` stores, and for a batch the batch, the index and
-        its buffer) and counts what it attempted; one whose batch was
-        abandoned leaves the exception in ``state.pending_exc``.  The
-        prologue resumes a parked context through the same runners,
-        before the generator (still suspended at its yield) is resumed
-        and without spending a resumption of the slice: a bare op is
-        retried by its class's runner, and a batch re-entered at the
-        parked constituent — or past it, when its waker delivered the
-        result.  Either way the parked constituent was counted when it
-        was first attempted.
-        """
-        run = None
-        executed = 0
-        op = state.retry_op
-        batch = state.fused_batch
-        if batch is not None:
-            parked = index = state.fused_index
-            buf = state.fused_results
-            state.retry_op = state.fused_batch = state.fused_ops = None
-            state.fused_results = None
-            if state.pending_exc is None:  # else abandoned while parked
-                if op is None:  # the waker delivered the parked result
-                    buf[index] = state.pending_value
-                    index += 1
-                state.pending_value = buf
-                if index < len(buf):
-                    op = batch
-                    run, count = resume(self, batch, index, buf)
-                    executed = -parked - 1
-        elif op is not None:  # parked by its class's runner
-            state.retry_op = None
-            run, count, _ = self._bare_runners[op.__class__]
-            executed = -1
-
-        ctx = state.context
-        clock = ctx.time
-        gen_send = state.send
-        tag = self._plan_tag
-        bare = self._bare_runners.get
-        value = state.pending_value
-        exc = state.pending_exc
-        state.pending_value = None
-        state.pending_exc = None
-        try:
-            while remaining != 0:
-                if run is None:
-                    remaining -= 1
-                    try:
-                        if exc is not None:
-                            op = state.gen.throw(exc)
-                            exc = None
-                        else:
-                            op = gen_send(value)
-                    except (StopIteration, ChannelClosed):
-                        # An uncaught ChannelClosed is graceful wind-down.
-                        self._finish(state)
-                        return
-                    except DeadlockError:
-                        raise
-                    except BaseException as failure:  # noqa: BLE001
-                        self._finish(state)
-                        raise SimulationError(ctx.name, failure) from failure
-                    try:
-                        run, count, bound = op.plan or bare(op.__class__)
-                    except (AttributeError, TypeError, ValueError):
-                        bound = None  # not bound yet, or not an op
-                    if bound is not tag:
-                        op, run, count = plan(self, op)
-                value = run(self, state, clock, op)
-                run = None
-                if value is SUSPENDED:
-                    if state.status == _BLOCKED:
-                        return
-                    value = None
-                    exc = state.pending_exc
-                    state.pending_exc = None
-                else:
-                    executed += count
-            # Slice expired: hand the in-flight result back to state.
-            state.pending_value = value
-            state.pending_exc = exc
-        finally:
-            # An exception the generator raised back holds this frame in
-            # its traceback: keeping it would make a reference cycle.
-            exc = None
-            self.ops_executed += executed
-            state.ops += executed
 
     def _dispatch(self, state: _ContextState, op: Op) -> bool:
         """Attempt ``op`` via its handler; return False (and park the
@@ -719,7 +731,8 @@ class SequentialExecutor(Executor):
         if channel.closed_for_receiver:
             state.pending_exc = ChannelClosed(channel.name)
             return True
-        self._block(state, op, f"peek on empty {channel.name}")
+        state.status = _BLOCKED
+        state.retry_op = op
         channel.waiting_receiver = state
         return False
 
@@ -747,7 +760,8 @@ class SequentialExecutor(Executor):
             return True
         # Woken when the target's slice ends past the threshold
         # (:meth:`_schedule_loop`), or by polling a foreign clock.
-        self._block(state, op, f"wait-until {op.time} on {target.name}")
+        state.status = _BLOCKED
+        state.retry_op = op
         self._time_waiters.setdefault(id(target), []).append((op.time, state))
         return False
 
@@ -823,16 +837,10 @@ class SequentialExecutor(Executor):
                     waiter.buffer.add(channel._deq_port, wclock._time, result)
         self._wake(waiter)
 
-    def _block(self, state: _ContextState, op: Op, detail: str) -> None:
-        state.status = _BLOCKED
-        state.retry_op = op
-        state.blocked_detail = detail
-
     def _wake(self, state: _ContextState) -> None:
         if state.status != _BLOCKED:
             return
         state.status = _READY
-        state.blocked_detail = ""
         self.wakeups += 1
         self.policy.push(state, woken=True)
 

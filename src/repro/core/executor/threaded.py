@@ -79,7 +79,7 @@ from .base import Executor, RunSummary
 from .partition import normalize_mode, plan_clusters
 from .registry import register_executor
 from .runners import compile_shape
-from .sequential import SequentialExecutor, blocked_on
+from .sequential import SequentialExecutor, park_site
 
 
 class _Aborted(Exception):
@@ -895,14 +895,16 @@ class _ClusterDriver(SequentialExecutor):
                 may_open,
             )
 
-    def _run_slice(self, state, remaining) -> None:
-        parent = self._parent
-        if parent._abort.is_set():
+    def _begin_slice(self, state) -> None:
+        if self._parent._abort.is_set():
             raise _Aborted
         self._ckpt_join(may_open=True)
-        before = self.ops_executed
-        super()._run_slice(state, remaining)
-        parent._progress += self.ops_executed - before
+        self._slice_ops = self.ops_executed
+        super()._begin_slice(state)
+
+    def _end_slice(self, state) -> None:
+        parent = self._parent
+        parent._progress += self.ops_executed - self._slice_ops
         # Clock publication: a parked driver may be watching one of the
         # clocks this slice moved.  Checked under the lock the parker
         # holds while it re-reads them, so no build needs the GIL's
@@ -945,12 +947,7 @@ class _ClusterDriver(SequentialExecutor):
         with parent._cv:
             parent._parked(
                 self,
-                {
-                    slots[id(st.context)]: (
-                        st.blocked_detail, *blocked_on(st.retry_op)
-                    )
-                    for st in blocked
-                },
+                {slots[id(st.context)]: park_site(st) for st in blocked},
                 parent._cv,
                 self._wakeable,
             )

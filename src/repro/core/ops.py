@@ -208,14 +208,14 @@ class FusedOps(Op):
     a context that needs them on wind-down should not fuse them with a
     closing dequeue).  Nesting ``FusedOps`` inside a batch is an error.
 
-    ``plan`` and ``resumes`` are the executor's: the runners it bound to
-    the batch on first execution and on re-entry after a park (DESIGN.md
-    §11).  They latch the constituents' channels and counts, so a batch
-    must not change after it was first yielded — only an ``Enqueue``'s
-    ``data`` may.
+    ``plan``, ``resumes`` and ``results`` are the executor's: the runners
+    it bound to the batch on first execution and on re-entry after a park,
+    and the buffer they write (DESIGN.md §11).  They latch the
+    constituents' channels and counts, so a batch must not change after
+    it was first yielded — only an ``Enqueue``'s ``data`` may.
     """
 
-    __slots__ = ("ops", "plan", "resumes")
+    __slots__ = ("ops", "plan", "resumes", "results")
 
     def __init__(self, *ops: Op):
         self.ops = ops

@@ -839,9 +839,9 @@ class TestParkWakeShapes:
         class SliceSpy(SequentialExecutor):
             slices = 0
 
-            def _run_slice_fast(self, state, remaining):
+            def _begin_slice(self, state):
                 self.slices += 1
-                return super()._run_slice_fast(state, remaining)
+                return super()._begin_slice(state)
 
         builder = ProgramBuilder()
         s1, r1 = builder.bounded(1, latency=1, resp_latency=1)
@@ -1087,17 +1087,18 @@ _REENTRY_COUNTERS = {
 
 class _ResumeSpy(SequentialExecutor):
     """Records ``(fused_index, result delivered by the waker?)`` of every
-    slice that starts on a parked batch."""
+    slice that starts on a parked batch.  A deadline never reached makes
+    the run bounded, so the schedule loop calls ``_begin_slice``."""
 
     def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+        super().__init__(deadline_s=3600.0, **kwargs)
         self.resumed = set()
 
-    def _run_slice_fast(self, state, remaining):
-        if state.fused_ops is not None:
-            assert state.fused_batch is not None  # bound: re-entered by runners
+    def _begin_slice(self, state):
+        if state.fused_batch is not None:
+            assert state.fused_batch.plan is not None  # bound: re-entered by runners
             self.resumed.add((state.fused_index, state.retry_op is None))
-        return super()._run_slice_fast(state, remaining)
+        return super()._begin_slice(state)
 
 
 class TestBatchReentry:
@@ -1111,8 +1112,9 @@ class TestBatchReentry:
         reference, _ = _outcome(build, True, "threaded")
         traced, traced_summary = _outcome(build, True, policy=make_policy())
         untraced, untraced_summary = _outcome(build, policy=make_policy())
-        # The schedule loop's other entry: wall-timed slices (metrics) and
-        # bounded slices through _run_slice (a deadline never reached).
+        # The schedule loop's other legs: wall-timed slices (metrics) and
+        # bounded slices with their begin/end hooks (a deadline never
+        # reached).
         timed, timed_summary = _outcome(
             build, True, metrics=True, policy=make_policy()
         )

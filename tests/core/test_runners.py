@@ -557,19 +557,23 @@ def _build(spec, context=_Scripted):
     return builder.build(), logs
 
 
-#: The sequential legs: run-to-block, and fair slices that expire between
-#: and inside batches.
-_POLICIES = {
-    "fifo": lambda: "fifo",
-    "fair1": lambda: FairPolicy(timeslice=1),
-    "fair4": lambda: FairPolicy(timeslice=4),
-    "fair16": lambda: FairPolicy(timeslice=16),
+#: The sequential legs: run-to-block, fair slices that expire between
+#: and inside batches, and run-to-block through the schedule loop's other
+#: branches: bounded slices with their begin/end hooks (a deadline never
+#: reached) and wall-timed slices (metrics).
+_LEGS = {
+    "fifo": lambda: {"policy": "fifo"},
+    "fair1": lambda: {"policy": FairPolicy(timeslice=1)},
+    "fair4": lambda: {"policy": FairPolicy(timeslice=4)},
+    "fair16": lambda: {"policy": FairPolicy(timeslice=16)},
+    "bounded": lambda: {"policy": "fifo", "deadline_s": 3600.0},
+    "timed": lambda: {"policy": "fifo", "metrics": True},
 }
 
 
-def _outcome(spec, policy, traced):
-    """``(simulated, counters)`` of one run — sequential under ``policy``,
-    or the reference, one thread per context, when it is None.
+def _outcome(spec, leg, traced):
+    """``(simulated, counters)`` of one run — sequential on ``leg``, or
+    the reference, one thread per context, when it is None.
 
     ``simulated`` is JSON text.  A run that raises other than by
     deadlocking keeps only the error type: what it did before the abort
@@ -579,11 +583,13 @@ def _outcome(spec, policy, traced):
     depends on the host.  The scheduling counters are the sequential
     host's own."""
     program, logs = _build(spec)
-    obs = Observability(trace=traced, metrics=False, capture_payloads=True)
-    if policy is None:
+    options = _LEGS[leg]() if leg is not None else {}
+    metrics = options.pop("metrics", False)
+    obs = Observability(trace=traced, metrics=metrics, capture_payloads=True)
+    if leg is None:
         executor = ThreadedExecutor(superblocks="off", obs=obs)
     else:
-        executor = SequentialExecutor(policy=_POLICIES[policy](), obs=obs)
+        executor = SequentialExecutor(obs=obs, **options)
     simulated = {"error": None}
     try:
         executor.execute(program)
@@ -597,7 +603,7 @@ def _outcome(spec, policy, traced):
         return json.dumps({"error": type(cause).__name__}), None
     for ctx in program.contexts:
         assert all(value >= threshold for threshold, value in ctx.waits), ctx.waits
-    if policy is None:
+    if leg is None:
         context_ops = executor._ctx_ops
     else:
         context_ops = [executor._states[id(ctx)].ops for ctx in program.contexts]
@@ -616,7 +622,7 @@ def _outcome(spec, policy, traced):
         "context_ops": context_ops,
     })
     counters = None
-    if policy is not None:
+    if leg is not None:
         counters = [executor.context_switches, executor.wakeups, executor.preemptions]
     return json.dumps(simulated, default=str), counters
 
@@ -682,8 +688,8 @@ class TestRandomBatches:
         counters = {}
         for traced in (False, True):
             reference = _outcome(spec, None, traced)[0]
-            for policy in _POLICIES:
-                simulated, seen = _outcome(spec, policy, traced)
-                assert simulated == reference, (policy, traced)
+            for leg in _LEGS:
+                simulated, seen = _outcome(spec, leg, traced)
+                assert simulated == reference, (leg, traced)
                 # Tracing never moves the schedule.
-                assert counters.setdefault(policy, seen) == seen, policy
+                assert counters.setdefault(leg, seen) == seen, leg

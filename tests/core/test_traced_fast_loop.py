@@ -7,7 +7,7 @@ runner, ``#F `` lines (the batch's buffer and park bookkeeping) only in a
 batch runner and ``#B `` lines (reading a bare op's channel or count) only
 in a bare op's.  Everywhere else they are comments, so every variant of a
 shape has the same line numbers.  These tests pin that derivation, the
-fast loop's lack of transitions of its own, and what a traceback through
+schedule loop's lack of transitions of its own, and what a traceback through
 either shows; ``test_fused_ops.py`` and ``test_runners.py`` pin what the
 runners do.
 """
@@ -53,7 +53,7 @@ UNTRACED_SHAPES = [
 #: changes it; a change of the trace's recording must not.  (Regenerate
 #: only for a deliberate change of the untraced runners.)
 UNTRACED_SOURCE_SHA256 = (
-    "1948e47c037882fb4327dbbd6336a24853b7634e0f9c30d11abfa6ddf1449eaa"
+    "183fe37c502f61cd70d58f2b3d9cd1d300509311e9f52a9dfbcfa49e304c5620"
 )
 
 #: A comment that looks like a marker but would not be stripped.
@@ -227,7 +227,7 @@ class TestOneDefinitionPerTier:
     form of the transitions."""
 
     def test_the_loop_performs_no_transition(self):
-        names = set(SequentialExecutor._run_slice_fast.__code__.co_names)
+        names = set(SequentialExecutor._schedule_loop.__code__.co_names)
         assert not {
             "_data", "_resps", "_delta", "stats", "_enq_code", "_deq_code",
             "try_enqueue", "fast_dequeue", "waiting_sender", "waiting_receiver",
@@ -259,7 +259,7 @@ class TestTracebacks:
         frames = [
             frame
             for frame in traceback.extract_tb(caught.value.__cause__.__traceback__)
-            if frame.name == "_run_slice_fast"
+            if frame.name == "_schedule_loop"
         ]
         assert len(frames) == 1
         assert frames[0].filename == sequential.__file__

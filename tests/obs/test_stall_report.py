@@ -345,3 +345,127 @@ class TestCutChannelOccupancy:
             ("stuffer", "enqueue on full ch1", "ch1", 1, 1),
             ("waiter", "dequeue on empty ch2", "ch2", 0, 1),
         ]
+
+
+class TestParkSites:
+    """The stall report derives each context's ``detail`` from the op it
+    is parked on.  Every park site, once: a runner dequeue park bare and
+    mid-batch, a runner enqueue park on a full window, ``Peek`` and
+    ``WaitUntil`` (the rare ops), and two contexts that park, are woken
+    and then park again elsewhere — each must report its last site."""
+
+    CONFIGS = {
+        "sequential": ("sequential", RunConfig()),
+        "threaded-clustered": ("threaded", RunConfig(superblocks="on")),
+        "process": ("process", RunConfig(workers=2)),
+    }
+
+    EXPECTED = {
+        "bare": "dequeue on empty a",
+        "batch": "dequeue on empty b",
+        "stuffer": "enqueue on full c",
+        "peeker": "peek on empty d",
+        "waiter": "wait-until 100 on holder2",
+        "rover1": "dequeue on empty f",
+        "rover2": "peek on empty h",
+        "holder1": "dequeue on empty z1",
+        "holder2": "dequeue on empty z2",
+    }
+
+    @staticmethod
+    def build():
+        from repro import WaitUntil
+        from repro.core import FunctionContext, FusedOps
+
+        builder = ProgramBuilder()
+        names = [*"abcdefgh", "z1", "z2"]
+        (sa, ra), (sb, rb), (sc, rc), (sd, rd), (se, re_), (sf, rf), (sg, rg), (
+            sh, rh
+        ), z1, z2 = (builder.bounded(1, name=name) for name in names)
+
+        def add(name, body, *handles):
+            return builder.add(FunctionContext(body, handles=list(handles), name=name))
+
+        def holder1():
+            # Keeps the never-fed channels open: their sender never finishes.
+            yield z1[1].dequeue()
+
+        def holder2():
+            yield z2[1].dequeue()
+
+        def bare():
+            yield ra.dequeue()
+
+        def batch():
+            yield FusedOps(IncrCycles(1), rb.dequeue())
+
+        def stuffer():
+            yield sc.enqueue(0)
+            yield sc.enqueue(1)
+
+        def peeker():
+            yield rd.peek()
+
+        def rover1():
+            yield re_.peek()  # parks on a rare op, woken by the kicker
+            yield re_.dequeue()
+            yield rf.dequeue()
+
+        def rover2():
+            yield rg.dequeue()  # parks in its runner, woken with delivery
+            yield rh.peek()
+
+        def kicker():
+            yield IncrCycles(2)
+            yield se.enqueue(0)
+            yield sg.enqueue(0)
+
+        add("holder1", holder1, z1[1], z2[0], sa, sb, sd, sf, sh, rc)
+        target = add("holder2", holder2, z2[1], z1[0])
+
+        def waiter():
+            yield WaitUntil(target, 100)
+
+        add("bare", bare, ra)
+        add("batch", batch, rb)
+        add("stuffer", stuffer, sc)
+        add("peeker", peeker, rd)
+        add("waiter", waiter)
+        add("rover1", rover1, re_, rf)
+        add("rover2", rover2, rg, rh)
+        add("kicker", kicker, se, sg)
+        return builder.build()
+
+    @pytest.mark.parametrize("hosting", sorted(CONFIGS))
+    def test_every_site_reports_its_text(self, hosting):
+        import multiprocessing
+
+        if hosting == "process" and (
+            "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            pytest.skip("fork start method unavailable")
+        executor, config = self.CONFIGS[hosting]
+        obs = Observability(trace=False)
+        with pytest.raises(DeadlockError) as excinfo:
+            self.build().run(executor, config=config, obs=obs)
+        details = {stall.context: stall.detail for stall in obs.stall_report.stalls}
+        assert details == self.EXPECTED
+        for line in excinfo.value.blocked:
+            context = line.split(":", 1)[0]
+            assert line.startswith(f"{context}: {self.EXPECTED[context]} @ t=")
+
+    def test_a_woken_context_reads_not_started(self):
+        """Woken but not yet run, a context still holds the op it parked
+        on; its report keeps the channel and reads ``not started``."""
+        from repro.core.executor.runners import _BLOCKED, _READY
+        from repro.core.executor.sequential import _ContextState, park_site
+
+        program = self.build()
+        bare = next(ctx for ctx in program.contexts if ctx.name == "bare")
+        state = _ContextState(bare)
+        receiver = bare.receivers[0]
+        state.retry_op = receiver.dequeue()
+        state.status = _BLOCKED
+        assert park_site(state) == ("dequeue on empty a", receiver.channel, None)
+        state.status = _READY
+        assert park_site(state) == ("not started", receiver.channel, None)
