@@ -10,8 +10,9 @@ process executor) the observed post-steal placement.
 The consistency argument is the communication-closed-rounds one: every
 executor captures only at a **quiescent cut** — a barrier of its hosts,
 each stopped at a slice boundary, so nobody is mid-operation (the
-sequential executor between slices, the threaded executor with every
-live driver joined, the process executor with every live worker paused).
+sequential executor between slices — the threaded executor's default
+hosting is that engine — and the process executor with every live
+worker paused).
 Channels are FIFO with one sender and one receiver, so a record still in
 flight at such a cut — one a process worker had not yet delivered — is
 captured where it is, behind what the receiver already holds.  The

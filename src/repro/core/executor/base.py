@@ -328,9 +328,9 @@ class Executor:
         """Compute the performance-attribution report from the run's trace
         and attach it to both ``summary.profile`` and the obs bundle.
 
-        A no-op without tracing.  Embedded engines (cluster drivers,
-        process workers) never call it — the parent profiles the merged
-        run, exactly like metrics folding (:meth:`_fold_metrics`).
+        A no-op without tracing.  Embedded engines (process workers)
+        never call it — the parent profiles the merged run, exactly like
+        metrics folding (:meth:`_fold_metrics`).
         """
         if obs is None or getattr(obs, "trace", None) is None:
             return

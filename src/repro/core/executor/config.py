@@ -114,12 +114,14 @@ class RunConfig:
         ``obs.metrics_samples`` when an ``obs`` is attached.
     superblocks:
         The threaded executor's hosting, decided by this alone (DESIGN.md
-        §15): ``"off"``/``False`` is one thread per context (and refuses
-        ``checkpoint_path`` or a restored program with
-        ``NotCheckpointable``); ``"on"``/``True``/``"auto"`` (default) is
-        one driver thread per connected component.  Other executors
-        ignore it; any other value is a :class:`ValueError` here.
-        Results, traces and profiles are bit-identical either way.
+        §15): ``"off"``/``False`` is one thread per context, the paper's
+        runtime (and refuses ``checkpoint_path`` or a restored program
+        with ``NotCheckpointable``); ``"on"``/``True``/``"auto"``
+        (default) runs the whole program on the sequential executor's
+        cooperative engine on the calling thread, starting no thread.
+        Other executors ignore it; any other value is a
+        :class:`ValueError` here.  Results, traces and profiles are
+        bit-identical either way.
     checkpoint_interval_s:
         Enable checkpointing (DESIGN.md §17): at each quiescent cut at
         least this many wall-clock seconds after the previous capture,

@@ -513,7 +513,7 @@ class _WorkerExecutor(SequentialExecutor):
             os.kill(os.getpid(), self._kill.signal)
         return progress
 
-    def _begin_slice(self, state) -> None:
+    def _begin_slice(self, state, timeslice: int) -> int:
         if self._run.abort.is_set():
             raise _WorkerAborted()
         if self._ckpt_pending():
@@ -521,7 +521,7 @@ class _WorkerExecutor(SequentialExecutor):
         # Publishing at every slice keeps the verdict honest: a worker
         # crunching local work always shows RUNNING with rising progress.
         self._publish(WORKER_RUNNING)
-        super()._begin_slice(state)
+        return super()._begin_slice(state, timeslice)
 
     def _end_slice(self, state) -> None:
         run = self._run

@@ -36,6 +36,8 @@ _BUILTIN: dict[str, tuple[str, str]] = {
     "process": (".partitioned", "ProcessExecutor"),
     # An alias: with the GIL off the threaded runtime *is* the
     # free-threaded one (summaries report ``executor == "threaded"``).
+    # Its parallel hosting is ``superblocks="off"``, one thread per
+    # context; the default runs the program on the calling thread.
     "free-threaded": (".threaded", "ThreadedExecutor"),
 }
 

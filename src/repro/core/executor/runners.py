@@ -295,8 +295,8 @@ _LOCK = threading.Lock()
 
 
 def compile_shape(key: tuple):
-    """Compile one shape's factory on the calling thread (uncached: an
-    executor's ``_compile_shape`` hook, or :func:`_factory`, caches it)."""
+    """Compile one shape's factory on the calling thread (uncached:
+    :func:`_factory` caches it)."""
     text = source(key)
     tokens, mode, traced = key
     filename = (
@@ -313,14 +313,15 @@ def compile_shape(key: tuple):
     return namespace["bind"]
 
 
-def _factory(key: tuple, compile_on=compile_shape):
+def _factory(key: tuple):
     factory = _FACTORIES.get(key)
     if factory is None:
-        # Cluster-driver threads meet new shapes together: one compiles.
+        # Runs on concurrent threads (the serve tier's run slots) may
+        # meet a new shape together: one compiles.
         with _LOCK:
             factory = _FACTORIES.get(key)
             if factory is None:
-                factory = _FACTORIES[key] = compile_on(key)
+                factory = _FACTORIES[key] = compile_shape(key)
     return factory
 
 
@@ -342,7 +343,7 @@ _BARE_TOKENS = {Dequeue: "D", Enqueue: "E", IncrCycles: "C"}
 
 def _bare(executor, token: str, nxt=None):
     key = ((token,), "bare", executor.tracer is not None)
-    return _factory(key, executor._compile_shape)(0, None, nxt)
+    return _factory(key)(0, None, nxt)
 
 
 def _constituent(sub) -> tuple:
@@ -367,7 +368,7 @@ def _chunk(executor, subs, base: int, end: int, buf, nxt):
         tokens.append(token)
         args += more
     key = (tuple(tokens), "last" if nxt is None else "chain", executor.tracer is not None)
-    return _factory(key, executor._compile_shape)(*args)
+    return _factory(key)(*args)
 
 
 def plan(executor, op, buf=None) -> tuple:

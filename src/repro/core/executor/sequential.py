@@ -72,7 +72,7 @@ from ..program import Program
 from .base import Executor, RunSummary
 from .registry import register_executor
 from .policies import FifoPolicy, SchedulingPolicy, make_policy
-from .runners import _BLOCKED, _DONE, _READY, SUSPENDED, compile_shape, plan, resume
+from .runners import _BLOCKED, _DONE, _READY, SUSPENDED, plan, resume
 
 #: When a deadline or fault plan forces bounded slices, this is the slice
 #: length used where the policy does not set one: long enough that the
@@ -181,10 +181,6 @@ class SequentialExecutor(Executor):
 
     name = "sequential"
 
-    #: Compiles a runner shape this executor meets first (:mod:`.runners`):
-    #: here, on the calling thread.
-    _compile_shape = staticmethod(compile_shape)
-
     def __init__(
         self,
         policy: str | SchedulingPolicy = "fifo",
@@ -220,14 +216,13 @@ class SequentialExecutor(Executor):
         #: (populated per run from ``faults.context_faults``).
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
-        #: Subclass hook, set by the engines a parent run hosts (a
-        #: threaded run's cluster drivers, process workers).  Their
-        #: slices are always bounded: the engine must return from every
-        #: slice to observe the parent's abort flag (and a worker to pump
-        #: its lanes) — a never-blocking context would otherwise spin one
-        #: endless slice, deaf to both.  And the parent folds the trace
-        #: and the metrics and profiles the whole run, so the engine does
-        #: none of that.
+        #: Subclass hook, set by the engines a parent run hosts (process
+        #: workers).  Their slices are always bounded: the engine must
+        #: return from every slice to observe the parent's abort flag and
+        #: pump its lanes — a never-blocking context would otherwise spin
+        #: one endless slice, deaf to both.  And the parent folds the
+        #: trace and the metrics and profiles the whole run, so the
+        #: engine does none of that.
         self._embedded = False
         self.obs = obs
         #: The active trace collector (None when tracing is off).
@@ -254,7 +249,8 @@ class SequentialExecutor(Executor):
         self._ckpt_timer = self._arm_checkpoints(
             program, getattr(program, "_resume_epoch", 0)
         )
-        resume_records = self._take_resume_records(program)
+        # One-shot: the records a checkpoint restore left on the program.
+        resume_records = program.__dict__.pop("_resume_records", None)
         trace = self.tracer
         if trace is not None and not self._embedded:
             trace.start_run(program.channels)
@@ -349,10 +345,10 @@ class SequentialExecutor(Executor):
         ``remaining`` resumptions: the policy's timeslice, else
         ``_BOUNDED_TIMESLICE`` in a ``bounded`` run (deadline, fault
         plan, checkpoint or parent engine) and unbounded (-1) in any
-        other.  Only a bounded run calls :meth:`_begin_slice` and
-        :meth:`_end_slice` around a slice.  Each slice is followed by the
-        waiter drain, the deadline check and the checkpoint check, in
-        that order.
+        other.  Only a bounded run calls :meth:`_begin_slice`, which
+        returns the slice's budget, and :meth:`_end_slice` around a
+        slice.  Each slice is followed by the waiter drain, the deadline
+        check and the checkpoint check, in that order.
 
         What an op does is its runner's (:mod:`.runners`): straight-line
         code compiled per shape.  A bare op's runner is its class's
@@ -410,11 +406,9 @@ class SequentialExecutor(Executor):
                         if previous is not None:
                             switches += 1
                         previous = state
-                    if bounded:
-                        begin(state)
+                    remaining = begin(state, timeslice) if bounded else timeslice
                     if collect_wall:
                         slice_start = perf_counter()
-                    remaining = timeslice
                     run = None
                     op = state.retry_op
                     batch = state.fused_batch
@@ -524,24 +518,33 @@ class SequentialExecutor(Executor):
                 self.ops_executed += executed
                 state.ops += executed
 
-    def _begin_slice(self, state: _ContextState) -> None:
+    def _begin_slice(self, state: _ContextState, timeslice: int) -> int:
         """Called before each slice of a bounded run, and only there:
-        the fault trigger.  A parent's engine extends it, and
-        :meth:`_end_slice`, with its own slice-boundary duties."""
-        # Fault injection (chaos testing): once the victim context's op
-        # counter passes the trigger, abandon whatever it was parked on and
-        # throw FaultInjected into its generator at the next resume.  The
-        # trigger is evaluated at slice granularity — bounded slices are
-        # forced whenever a fault plan is present, so it fires promptly.
-        # Cluster drivers share their parent's map: the pop decides which
-        # of them fires.
+        the fault trigger.  Returns the slice's budget of resumptions,
+        ``timeslice`` but for a context whose trigger is pending.  A
+        parent's engine extends it, and :meth:`_end_slice`, with its own
+        slice-boundary duties."""
+        # Fault injection (chaos testing): FaultInjected is thrown into a
+        # context of the plan's name, instead of its first resume once it
+        # has executed ``after_ops`` ops.  Only its
+        # slices change: each one resumes at most once, so each resume is
+        # a slice start, where the count is exact; a slice that must first
+        # re-enter a parked op or batch resumes nothing.
         fault_map = self._fault_map
-        name = state.context.name
-        fault = fault_map.get(name)
-        if fault is not None and state.ops >= fault.after_ops:
-            if fault_map.pop(name, None) is not None:
-                state.retry_op = state.fused_batch = state.pending_value = None
+        if fault_map:
+            name = state.context.name
+            fault = fault_map.get(name)
+            if fault is not None:
+                if state.retry_op is not None or (
+                    state.fused_batch is not None and state.pending_exc is None
+                ):
+                    return 0
+                if state.ops < fault.after_ops:
+                    return 1
+                del fault_map[name]
+                state.fused_batch = state.pending_value = None
                 state.pending_exc = fault.make()
+        return timeslice
 
     def _end_slice(self, state: _ContextState) -> None:
         """Called after each slice of a bounded run, and only there."""
@@ -564,12 +567,6 @@ class SequentialExecutor(Executor):
     # ------------------------------------------------------------------
     # Checkpoint capture and resume (DESIGN.md §17).
     # ------------------------------------------------------------------
-
-    def _take_resume_records(self, program: Program):
-        """Consume (one-shot) the resume records a checkpoint restore left
-        on the program; subclasses that receive records another way (the
-        process executor's forked workers) override this."""
-        return program.__dict__.pop("_resume_records", None)
 
     def _context_record(self, state: _ContextState) -> dict:
         """Classify one context's suspension into a resume record."""
@@ -865,8 +862,8 @@ class SequentialExecutor(Executor):
 
     def _poll_foreign_waiters(self) -> bool:
         """Wake WaitUntil waiters on clocks this executor does not host
-        (another worker's or driver's: no local slice end drains them);
-        True if one woke.  For the ``_idle`` of an embedded host."""
+        (another worker's: no local slice end drains them); True if one
+        woke.  For the ``_idle`` of an embedded host."""
         woke = self.wakeups
         for target_id, waiters in list(self._time_waiters.items()):
             if target_id in self._states:

@@ -1,10 +1,9 @@
 """One-thread-per-context executor with SVA/SVP-style synchronization.
 
-This is the Python analog of the DAM-RS runtime (paper Section IV): every
-context runs on its own OS thread (``superblocks="off"``; by default each
-connected component of the graph shares one cluster-driver thread
-instead, DESIGN.md §15), there is no global clock and no event queue, and
-synchronization is strictly pairwise:
+This is the Python analog of the DAM-RS runtime (paper Section IV), run
+when ``superblocks="off"``: every context runs on its own OS thread,
+there is no global clock and no event queue, and synchronization is
+strictly pairwise:
 
 * **SVA (Synchronization via Atomics)** — reading a peer's
   :class:`~repro.core.time.TimeCell` is a plain attribute load; under
@@ -16,26 +15,34 @@ synchronization is strictly pairwise:
   ``threading.Condition``, the portable analog of a futex park/unpark
   pair, and is woken by the peer's releasing operation.
 
-Under the GIL this executor does not deliver the paper's wall-clock
+Under the GIL this runtime does not deliver the paper's wall-clock
 *speedups* (documented substitution in DESIGN.md); on a free-threaded
 CPython build, where the registry also knows it as ``"free-threaded"``,
-the same threads run in parallel.  Either way the synchronization
-algorithm, blocking structure, and — critically — the simulated results are
-those of the paper's runtime.  Cross-executor tests assert cycle-exact
-agreement with :class:`~repro.core.executor.sequential.SequentialExecutor`.
+the context threads run in parallel.  Either way the synchronization
+algorithm, blocking structure, and — critically — the simulated results
+are those of the paper's runtime.  Cross-executor tests assert
+cycle-exact agreement with
+:class:`~repro.core.executor.sequential.SequentialExecutor`.
 
-Deadlock detection is exact and runs on the main thread.  A host thread
-(a context's own, or a cluster driver) parks only after re-checking what
-it waits on, registering the condition it sleeps on and the predicate that
-would let it proceed; everything that could make that predicate true —
-a channel transition, a clock advance or publication, a checkpoint
-command, an abort — notifies that condition.  The main thread sleeps on
-the run's one :class:`threading.Condition` until every live host is
-parked, re-reads each parked host's predicate under its own lock, and
-reads the park registry again: if every predicate still fails and no host
-parked, woke or exited in between, nothing can wake anyone, and it aborts
-the run with a stall report — each blocked context, the channel it is
-parked on, and the simulated clocks of both of that channel's endpoints.
+Any other ``superblocks`` value (the default ``"auto"``, ``"on"``,
+``True``) hosts the whole program on the cooperative engine instead: one
+:class:`~repro.core.executor.sequential.SequentialExecutor` on the
+calling thread, which starts no thread and reports as ``"threaded"``
+(DESIGN.md §15).  Tracing, faults, the deadline, checkpoint capture and
+resume are then the sequential executor's own.
+
+Deadlock detection is exact and runs on the main thread.  A context
+thread parks only after re-checking what it waits on, registering the
+condition it sleeps on and the predicate that would let it proceed;
+everything that could make that predicate true — a channel transition, a
+clock advance, an abort — notifies that condition.  The main thread
+sleeps on the run's one :class:`threading.Condition` until every live
+thread is parked, re-reads each parked thread's predicate under its own
+lock, and reads the park registry again: if every predicate still fails
+and no thread parked, woke or exited in between, nothing can wake
+anyone, and it aborts the run with a stall report — each blocked
+context, the channel it is parked on, and the simulated clocks of both
+of that channel's endpoints.
 
 Observability: attach a :class:`repro.obs.Observability` (``obs=``) to
 trace the run.  Each context appends to its own lock-free buffer from the
@@ -53,7 +60,6 @@ from typing import Any, Optional
 from ...obs import Observability
 from ...obs.events import ADVANCE, FINISH
 from ...obs.stall import StallReport, stall_for
-from .. import checkpoint as _ckpt
 from ..channel import _EMPTY, Channel
 from ..context import Context
 from ..errors import (
@@ -76,10 +82,9 @@ from ..ops import (
 )
 from ..program import Program
 from .base import Executor, RunSummary
-from .partition import normalize_mode, plan_clusters
+from .partition import normalize_mode
 from .registry import register_executor
-from .runners import compile_shape
-from .sequential import SequentialExecutor, park_site
+from .sequential import SequentialExecutor
 
 
 class _Aborted(Exception):
@@ -98,8 +103,10 @@ class _TimeSync:
 
 @register_executor("threaded")
 class ThreadedExecutor(Executor):
-    """Executes contexts on OS threads: one per context, or one per
-    connected component (``superblocks``, DESIGN.md §15).
+    """Executes contexts on OS threads, one per context
+    (``superblocks="off"``), or the whole program on the cooperative
+    engine on the calling thread (any other ``superblocks``, DESIGN.md
+    §15).
 
     Parameters
     ----------
@@ -126,25 +133,16 @@ class ThreadedExecutor(Executor):
         self.checkpoint_path = checkpoint_path
         #: Hosting (DESIGN.md §15), and nothing else decides it: "off"
         #: runs every context on its own thread (the paper's runtime),
-        #: anything else runs every connected component on one cluster
-        #: driver.  Results are identical either way (the determinism
-        #: invariant).
+        #: anything else runs the program on the cooperative engine.
+        #: Results are identical either way (the determinism invariant).
         self.superblocks = superblocks
         self.deadline_s = deadline_s
         self.faults = faults
         self.metrics_interval_s = metrics_interval_s
         self.metrics_sink = metrics_sink
-        #: The cluster drivers' one ``_plan_tag``: an op they share is
-        #: bound once, not once per driver that meets it.
-        self._plan_tag = object()
 
     def _reset_run(self) -> None:
         """Per-run state: an instance may execute several programs."""
-        #: Runner shapes the drivers asked the supervising thread to
-        #: compile (``[key, result, done]``), guarded by ``_cv``; and
-        #: whether it still serves them.
-        self._compiles: list = []
-        self._supervising = False
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._abort = threading.Event()
@@ -154,56 +152,46 @@ class ThreadedExecutor(Executor):
         #: of ``_ctx_ops``.
         self._progress = 0
         self._errors: list[BaseException] = []
-        #: The run's one condition: cluster drivers park and wait out
-        #: checkpoint rounds on it, and the main thread sleeps on it.
-        #: It also guards everything below.
+        #: The run's one condition: the main thread sleeps on it.  It
+        #: also guards everything below.
         self._cv = threading.Condition()
-        #: Host threads not yet exited.
+        #: Context threads not yet exited.
         self._live = 0
-        #: Parked hosts (a context's slot, or a cluster driver) -> the
-        #: condition each sleeps on and the predicate that would let it
-        #: proceed, which holds under that condition's lock.
-        self._parked_hosts: dict[Any, tuple[threading.Condition, Any]] = {}
-        #: Bumped whenever a host parks or exits: the main thread's two
+        #: Parked contexts (program slot) -> the condition each sleeps on
+        #: and the predicate that would let it proceed, which holds under
+        #: that condition's lock.
+        self._parked_hosts: dict[int, tuple[threading.Condition, Any]] = {}
+        #: Bumped whenever a thread parks or exits: the main thread's two
         #: reads of a deadlock verdict must see the same value.
         self._park_gen = 0
         # Structured park sites for stall reports: program slot ->
         # (detail, channel, peer context); names repeat across
         # replicated pipelines.
         self._blocked_sites: dict[int, tuple[str, Optional[Channel], Optional[Context]]] = {}
-        # -- checkpoint rounds (DESIGN.md §17) -------------------------
-        # A round is a barrier of the live cluster drivers at their
-        # slice boundaries, all under ``_cv``: a driver about to run a
-        # slice opens one when the timer is due, every other driver
-        # joins at its next boundary with its members' records and
-        # waits, and whoever makes ``acked == live`` — the last to join,
-        # or a driver leaving — captures and ends the round.  With every
-        # live driver waiting, nothing can mutate a channel or clock.
-        self._ckpt_timer: Any = None
-        self._ckpt_open = False
-        # Round counter: a joined driver waits for the *round it joined*
-        # to end, not for a boolean to flip — back-to-back rounds
-        # (interval <= 0) would otherwise swallow the flip and strand it
-        # in a stale wait.
-        self._ckpt_round = 0
-        self._ckpt_acked = 0
-        self._ckpt_records: dict[int, dict] = {}
-        self._resume_records: Optional[dict[int, dict]] = None
-        self._slots: dict[int, int] = {}
 
     # ------------------------------------------------------------------
 
     def execute(self, program: Program) -> RunSummary:
-        start = _wallclock.perf_counter()
-        self._start = start
-        self._reset_run()
-        per_context = normalize_mode(self.superblocks) == "off"
-        if per_context and (
+        if normalize_mode(self.superblocks) != "off":
+            # The cooperative engine, on this thread, with this run's
+            # settings; it reports, captures and times out as "threaded".
+            engine = SequentialExecutor(
+                obs=self.obs,
+                deadline_s=self.deadline_s,
+                faults=self.faults,
+                metrics_interval_s=self.metrics_interval_s,
+                metrics_sink=self.metrics_sink,
+                checkpoint_interval_s=self.checkpoint_interval_s,
+                checkpoint_path=self.checkpoint_path,
+            )
+            engine.name = self.name
+            return engine.execute(program)
+        if (
             self.checkpoint_path is not None
             or getattr(program, "_resume_records", None) is not None
         ):
-            # Safe points are slice boundaries, and only a cluster
-            # driver has them.
+            # Safe points are slice boundaries, and only the cooperative
+            # engine has them.
             raise NotCheckpointable(
                 [],
                 reason=(
@@ -213,25 +201,21 @@ class ThreadedExecutor(Executor):
                     'superblocks="on"/"auto" or another executor'
                 ),
             )
+        start = _wallclock.perf_counter()
+        self._start = start
+        self._reset_run()
         # One fault map for the run, shared by every thread: whoever
         # pops a context's trigger fires it (a dict pop is GIL- and
         # per-object-lock safe).
         self._arm_deadline_and_faults(start)
         self._program = program
         self._slots = {id(ctx): slot for slot, ctx in enumerate(program.contexts)}
-        self._ckpt_timer = self._arm_checkpoints(
-            program, getattr(program, "_resume_epoch", 0)
-        )
-        # Handed to the drivers slot by slot (_ClusterDriver.
-        # _take_resume_records).
-        self._resume_records = program.__dict__.pop("_resume_records", None)
         obs = self.obs
         trace = obs.trace if obs is not None else None
         # Per-context trace buffers and metric tallies are created here,
         # on the main thread, by slot (names may repeat across replicated
-        # pipelines), so worker threads only ever touch their own entry
-        # (the lock-free discipline).  A cluster driver hands back its
-        # members' buffers when it ends; the joined run folds them all.
+        # pipelines), so context threads only ever touch their own entry
+        # (the lock-free discipline); the joined run folds them all.
         self._buffers = [None] * len(program.contexts)
         if trace is not None:
             trace.start_run(program.channels)
@@ -244,34 +228,17 @@ class ThreadedExecutor(Executor):
         self._ctx_parks = [0] * len(program.contexts)
         self._ctx_spins = [0] * len(program.contexts)
         self._ctx_wall = [0.0] * len(program.contexts)
-        # One (context_switches, wakeups, preemptions) row per retired
-        # cluster driver; empty under "off", where the OS schedules.
-        self._driver_counts: list[tuple[int, int, int]] = []
 
-        if per_context:
-            self._time_sync = {id(ctx): _TimeSync() for ctx in program.contexts}
-            for ctx in program.contexts:
-                self._install_advance_hook(ctx)
-            threads = [
-                threading.Thread(
-                    target=self._drive, args=(ctx,), name=f"dam-{ctx.name}", daemon=True
-                )
-                for ctx in program.contexts
-            ]
-        else:
-            # Cluster members keep unhooked clocks: foreign observers
-            # read them, woken by each slice boundary's notify.
-            threads = [
-                threading.Thread(
-                    target=self._drive_cluster,
-                    args=(contexts, channels),
-                    name=f"dam-cluster-{contexts[0].name}",
-                    daemon=True,
-                )
-                for contexts, channels in self._plan_drivers(program)
-            ]
+        self._time_sync = {id(ctx): _TimeSync() for ctx in program.contexts}
+        for ctx in program.contexts:
+            self._install_advance_hook(ctx)
+        threads = [
+            threading.Thread(
+                target=self._drive, args=(ctx,), name=f"dam-{ctx.name}", daemon=True
+            )
+            for ctx in program.contexts
+        ]
         self._live = len(threads)
-        self._supervising = True
         for thread in threads:
             thread.start()
 
@@ -303,14 +270,8 @@ class ThreadedExecutor(Executor):
         if any(ctx.finish_time is None for ctx in program.contexts):
             raise DeadlockError(self._stall_report().lines())
 
-        counts = self._driver_counts
-        summary = self._summary(
-            program, start, "os",
-            context_switches=sum(row[0] for row in counts),
-            wakeups=sum(row[1] for row in counts),
-            preemptions=sum(row[2] for row in counts),
-            ops_executed=sum(self._ctx_ops),
-        )
+        # The OS schedules: no scheduler counters.
+        summary = self._summary(program, start, "os", ops_executed=sum(self._ctx_ops))
         summary.metrics = self._fold_metrics(
             program, summary, self._ctx_ops, self._ctx_wall,
             self._ctx_parks, self._ctx_spins,
@@ -345,60 +306,6 @@ class ThreadedExecutor(Executor):
 
         ctx.time.on_advance = notify
 
-    # ------------------------------------------------------------------
-    # Cluster hosting (DESIGN.md §15): every connected component runs on
-    # ONE thread via an embedded SequentialExecutor.  Member clocks are
-    # plain unhooked cells that observers on other drivers read directly
-    # (SVA), woken by the run's condition at each slice boundary.
-
-    @staticmethod
-    def _plan_drivers(
-        program: Program,
-    ) -> list[tuple[list[Context], list[Any]]]:
-        """One ``(contexts, channels)`` group per driver thread: each
-        multi-context connected component, plus one pool of all the
-        single-context ones (a union of components is still closed under
-        channels)."""
-        groups: list[tuple[list[Context], list[Any]]] = []
-        pool: tuple[list[Context], list[Any]] = ([], [])
-        for spec in plan_clusters(
-            program, {id(ctx): 0 for ctx in program.contexts}
-        ):
-            group = pool if spec.size == 1 else ([], [])
-            group[0].extend(program.contexts[slot] for slot in spec.contexts)
-            group[1].extend(program.channels[slot] for slot in spec.channels)
-            if group is not pool:
-                groups.append(group)
-        if pool[0]:
-            groups.append(pool)
-        return groups
-
-    def _drive_cluster(
-        self, contexts: list[Context], channels: list[Any]
-    ) -> None:
-        """Thread body: drive one group to completion through an
-        embedded sequential engine."""
-        driver = _ClusterDriver(self)
-        try:
-            driver.execute(Program(contexts, channels))
-        except _Aborted:
-            pass
-        except BaseException as failure:  # noqa: BLE001 - reported faithfully
-            self._fail(contexts[0].name, failure)
-        finally:
-            # The driver finished its members as they completed; what is
-            # left is the tallies, and the cooperative scheduler's own
-            # counters.
-            for state in getattr(driver, "_states", {}).values():
-                slot = self._slots[id(state.context)]
-                self._ctx_ops[slot] = state.ops
-                self._ctx_wall[slot] = state.wall_seconds
-                self._buffers[slot] = state.buffer
-            self._driver_counts.append(
-                (driver.context_switches, driver.wakeups, driver.preemptions)
-            )
-            self._leave()
-
     def _fail(self, where: str, failure: BaseException) -> None:
         """Record one thread's failure and abort the run."""
         self._errors.append(
@@ -409,7 +316,7 @@ class ThreadedExecutor(Executor):
         self._abort_run()
 
     def _abort_run(self) -> None:
-        """Pull the abort switch and wake every parked host and the main
+        """Pull the abort switch and wake every parked thread and the main
         thread to see it.  The conditions are notified outside ``_cv``:
         a context thread takes its own before ``_cv``."""
         self._abort.set()
@@ -421,14 +328,11 @@ class ThreadedExecutor(Executor):
                 cond.notify_all()
 
     def _leave(self) -> None:
-        """A host thread exits: it leaves the live count — completing an
-        open checkpoint round that waited only for it — and wakes the
+        """A context thread exits: it leaves the live count and wakes the
         main thread."""
         with self._cv:
             self._live -= 1
             self._park_gen += 1
-            if self._ckpt_open and self._ckpt_acked == self._live:
-                self._ckpt_end_round()
             self._cv.notify_all()
 
     def _drive(self, ctx: Context) -> None:
@@ -443,7 +347,10 @@ class ThreadedExecutor(Executor):
         ops = 0
         wall_start = _wallclock.perf_counter() if self._collect_metrics else 0.0
         abort_is_set = self._abort.is_set
-        fault = self._fault_map.pop(ctx.name, None)
+        # Popped when crossed, not here: a context of the same name that
+        # never crosses it must leave the trigger to one that does.
+        fault_map = self._fault_map
+        fault = fault_map.get(ctx.name)
         try:
             while True:
                 # Per-op abort check: without it a context that never
@@ -452,7 +359,9 @@ class ThreadedExecutor(Executor):
                 if abort_is_set():
                     raise _Aborted
                 if fault is not None and ops >= fault.after_ops:
-                    exc, fault = fault.make(), None
+                    if fault_map.pop(ctx.name, None) is not None:
+                        exc = fault.make()
+                    fault = None
                 try:
                     if exc is not None:
                         op = gen.throw(exc)
@@ -542,63 +451,6 @@ class ThreadedExecutor(Executor):
         return value
 
     # ------------------------------------------------------------------
-    # Checkpoint rounds (DESIGN.md §17): a barrier of the live cluster
-    # drivers, each stopped at a slice boundary.
-    # ------------------------------------------------------------------
-
-    def _ckpt_join(self, records: dict[int, dict], may_open: bool) -> None:
-        """Join the open round with one driver's member records (by
-        program slot) — opening it first when ``may_open`` and the timer
-        is due — and stay parked, executing nothing, until it ends.  The
-        driver that completes the barrier captures instead of waiting."""
-        with self._cv:
-            if not self._ckpt_open:
-                if not (may_open and self._ckpt_timer.due()):
-                    # The round ended between the caller's lock-free
-                    # gate and acquiring the condition.
-                    return
-                self._ckpt_open = True
-                self._cv.notify_all()  # parked drivers join too
-            self._ckpt_records.update(records)
-            self._ckpt_acked += 1
-            if self._ckpt_acked == self._live:
-                self._ckpt_end_round()
-            else:
-                round_id = self._ckpt_round
-                while self._ckpt_round == round_id and not self._abort.is_set():
-                    self._cv.wait()
-        if self._abort.is_set():
-            raise _Aborted
-
-    def _ckpt_end_round(self) -> None:
-        """Every live driver has joined (caller holds ``_cv``):
-        capture, then release them.  A capture that fails aborts the
-        run — a checkpointing run that cannot checkpoint fails loudly."""
-        try:
-            if not self._abort.is_set():
-                self._capture_checkpoint()
-        except Exception as failure:  # noqa: BLE001 - abort the run
-            self._fail("<checkpoint>", failure)
-        finally:
-            self._ckpt_open = False
-            self._ckpt_acked = 0
-            self._ckpt_records = {}
-            self._ckpt_round += 1
-            self._cv.notify_all()
-
-    def _capture_checkpoint(self) -> None:
-        """All live drivers joined: assemble and write the cut.
-        Contexts with no published record belong to a driver that
-        already exited — all its members finished — and are captured as
-        done."""
-        program = self._program
-        records = self._ckpt_records
-        for slot, ctx in enumerate(program.contexts):
-            if slot not in records:
-                records[slot] = _ckpt.record_done(ctx)
-        self._save_checkpoint(program, records)
-
-    # ------------------------------------------------------------------
     # Blocking channel operations (the SVP paths).
     # ------------------------------------------------------------------
 
@@ -629,8 +481,9 @@ class ThreadedExecutor(Executor):
                     return channel.do_peek(clock)
                 if channel.closed_for_receiver:
                     raise ChannelClosed(channel.name)
+                verb = "dequeue" if remove else "peek"
                 self._park(
-                    ctx, channel.cond, f"dequeue on empty {channel.name}",
+                    ctx, channel.cond, f"{verb} on empty {channel.name}",
                     channel.receiver_ready, channel=channel,
                 )
 
@@ -667,37 +520,31 @@ class ThreadedExecutor(Executor):
         channel: Optional[Channel] = None,
         peer: Optional[Context] = None,
     ) -> None:
-        """Park one context thread on ``cond`` until ``ready()`` (the
-        caller then retries its op).  ``channel``/``peer`` identify what
-        the context is parked on; they feed the stall report."""
+        """Park one context thread on ``cond`` — its lock held by the
+        caller — until ``ready()`` or an abort (the caller then retries
+        its op), registered for the deadlock verdict and, with
+        ``channel``/``peer`` naming what it is parked on, the stall
+        report.  A run aborted meanwhile keeps the site: the deadlock
+        report reads it after the threads are gone."""
         slot = self._slots[id(ctx)]
         self._ctx_parks[slot] += 1
-        self._parked(slot, {slot: (detail, channel, peer)}, cond, ready)
-
-    def _parked(self, host, sites: dict[int, tuple], cond, ready) -> None:
-        """Sleep on ``cond`` — its lock held by the caller — until
-        ``ready()`` or an abort, with ``host`` and its ``sites`` (program
-        slot -> park site) registered for the deadlock verdict and the
-        stall report.  A run aborted meanwhile keeps the sites: the
-        deadlock report reads them after the threads are gone."""
         cv = self._cv
         with cv:
             if self._abort.is_set():
                 raise _Aborted
-            self._parked_hosts[host] = (cond, ready)
-            self._blocked_sites.update(sites)
+            self._parked_hosts[slot] = (cond, ready)
+            self._blocked_sites[slot] = (detail, channel, peer)
             self._park_gen += 1
             if len(self._parked_hosts) == self._live:
-                cv.notify_all()  # every host parked: the verdict's cue
+                cv.notify_all()  # every thread parked: the verdict's cue
         try:
             while not ready() and not self._abort.is_set():
                 cond.wait()
         finally:
             with cv:
-                del self._parked_hosts[host]
+                del self._parked_hosts[slot]
                 if not self._abort.is_set():
-                    for slot in sites:
-                        del self._blocked_sites[slot]
+                    del self._blocked_sites[slot]
         if self._abort.is_set():
             raise _Aborted
 
@@ -731,40 +578,18 @@ class ThreadedExecutor(Executor):
             ),
         )
 
-    def _compile_shape(self, key):
-        """A runner shape a cluster driver met first, compiled on the
-        supervising thread.  ``compile()`` takes its transient blocks
-        from the calling thread's malloc arena, which keeps its
-        high-water mark; the supervisor's heap has room already
-        (compiled on the drivers, ``thr_mha``'s peak RSS rose 11 %)."""
-        request = [key, None, False]  # key, factory or failure, done
-        with self._cv:
-            if not self._supervising:
-                return compile_shape(key)
-            self._compiles.append(request)
-            self._cv.notify_all()
-            while not request[2] and not self._abort.is_set():
-                self._cv.wait()
-        if not request[2]:
-            raise _Aborted
-        if isinstance(request[1], BaseException):
-            raise request[1]
-        return request[1]
-
     def _supervise(self) -> None:
         """The main thread's watch over the run: asleep on ``_cv`` until
-        every host thread has exited, it compiles the runner shapes the
-        drivers ask for, and turns a passed deadline — or a round in
-        which every live host is parked and nothing can wake any of them
-        — into the run's abort."""
+        every context thread has exited, it turns a passed deadline — or
+        a round in which every live thread is parked and nothing can wake
+        any of them — into the run's abort."""
         cv = self._cv
         deadline_at = self._deadline_at
         seen = -1
         while True:
             with cv:
                 while (
-                    not self._compiles
-                    and self._live
+                    self._live
                     and not self._abort.is_set()
                     and (
                         self._park_gen == seen
@@ -778,24 +603,10 @@ class ThreadedExecutor(Executor):
                     if left is not None and left <= 0:
                         break
                     cv.wait(left)
-                pending, self._compiles = self._compiles, []
-                if not pending:
-                    if not self._live or self._abort.is_set():
-                        self._supervising = False
-                        return
-                    seen = self._park_gen
-                    parked = list(self._parked_hosts.items())
-            if pending:
-                for request in pending:
-                    try:
-                        request[1] = compile_shape(request[0])
-                    except BaseException as failure:  # noqa: BLE001 - the driver raises it
-                        request[1] = failure
-                with cv:
-                    for request in pending:
-                        request[2] = True
-                    cv.notify_all()
-                continue
+                if not self._live or self._abort.is_set():
+                    return
+                seen = self._park_gen
+                parked = list(self._parked_hosts.items())
             if deadline_at is not None and (
                 _wallclock.perf_counter() >= deadline_at
             ):
@@ -812,9 +623,9 @@ class ThreadedExecutor(Executor):
             return
 
     def _quiescent(self, gen: int, parked: list) -> bool:
-        """The second read of a deadlock verdict: each parked host's
+        """The second read of a deadlock verdict: each parked thread's
         predicate, re-read under its own condition's lock, still fails,
-        and no host parked, woke or exited since the first read."""
+        and no thread parked, woke or exited since the first read."""
         for host, (cond, ready) in parked:
             with cond:
                 if host not in self._parked_hosts or ready():
@@ -824,131 +635,3 @@ class ThreadedExecutor(Executor):
                 self._park_gen == gen
                 and len(self._parked_hosts) == self._live
             )
-
-
-class _ClusterDriver(SequentialExecutor):
-    """One group of connected components on one thread, embedded in a
-    threaded run.
-
-    Everything per-op — tracing, fault triggers, resume — is the
-    sequential executor's own; the parent's ``obs`` and fault plan are
-    simply handed down.  Member clocks are plain unhooked cells:
-    ``ViewTime`` / ``WaitUntil`` observers on other drivers read them
-    directly — a monotone lower bound, exactly the SVA contract.
-    Bounded slices keep the parent's abort flag, progress counter and
-    checkpoint rounds serviced, and end by waking any parked driver that
-    may watch a member's clock.  Idling checks foreign clocks (the one
-    external dependency a group can have) and otherwise parks on the
-    parent's condition instead of declaring deadlock — the parent's
-    verdict covers every driver at once.
-    """
-
-    name = "threaded-cluster"
-
-    def __init__(self, parent: ThreadedExecutor):
-        super().__init__(obs=parent.obs, faults=parent.faults)
-        self._parent = parent
-        self._embedded = True
-        self._plan_tag = parent._plan_tag
-
-    def _compile_shape(self, key):
-        return self._parent._compile_shape(key)
-
-    def _arm_deadline_and_faults(self, start: float) -> None:
-        self._deadline_at = None  # the parent's main thread owns the deadline
-        # The parent's one map, not a copy: a context name that repeats
-        # across drivers still fires once (the first to cross the
-        # trigger pops it).
-        self._fault_map = self._parent._fault_map
-
-    def _take_resume_records(self, program: Program):
-        """The members' share of the parent's records, re-keyed from
-        program slot to this sub-program's slot."""
-        records = self._parent._resume_records
-        if records is None:
-            return None
-        slots = self._parent._slots
-        return {
-            index: records[slots[id(ctx)]]
-            for index, ctx in enumerate(program.contexts)
-            if slots[id(ctx)] in records
-        }
-
-    def _ckpt_join(self, may_open: bool) -> None:
-        """Slice-boundary safe point: every member is between ops, so
-        its state record describes it exactly (as in a sequential
-        capture).  Joins the parent's open round, if any, with them;
-        opens one when the timer is due and the caller is about to run
-        a slice (``may_open``) — a driver asleep in its idle loop only
-        joins, so it cannot mint epochs nothing executed between."""
-        parent = self._parent
-        timer = parent._ckpt_timer
-        if timer is not None and (
-            parent._ckpt_open or (may_open and timer.due())
-        ):
-            slots = parent._slots
-            parent._ckpt_join(
-                {
-                    slots[key]: self._context_record(state)
-                    for key, state in self._states.items()
-                },
-                may_open,
-            )
-
-    def _begin_slice(self, state) -> None:
-        if self._parent._abort.is_set():
-            raise _Aborted
-        self._ckpt_join(may_open=True)
-        self._slice_ops = self.ops_executed
-        super()._begin_slice(state)
-
-    def _end_slice(self, state) -> None:
-        parent = self._parent
-        parent._progress += self.ops_executed - self._slice_ops
-        # Clock publication: a parked driver may be watching one of the
-        # clocks this slice moved.  Checked under the lock the parker
-        # holds while it re-reads them, so no build needs the GIL's
-        # ordering to keep the wake-up.
-        with parent._cv:
-            if parent._parked_hosts:
-                parent._cv.notify_all()
-
-    def _wakeable(self) -> bool:
-        """The parked driver's predicate: a round wants its records, or a
-        foreign clock passed a member's ``WaitUntil`` threshold (what
-        :meth:`_poll_foreign_waiters` would wake, read without waking)."""
-        if self._parent._ckpt_open:
-            return True
-        for target_id, waiters in self._time_waiters.items():
-            if target_id not in self._states:
-                now = waiters[0][1].retry_op.context.time.now()
-                if any(now >= threshold for threshold, _ in waiters):
-                    return True
-        return False
-
-    def _idle(self) -> bool:
-        parent = self._parent
-        if parent._abort.is_set():
-            raise _Aborted
-        self._ckpt_join(may_open=False)
-        blocked = [
-            st for st in self._states.values() if st.status == 1  # _BLOCKED
-        ]
-        if not blocked:
-            return False  # every member ran to completion
-        # A foreign clock may have passed a member's WaitUntil threshold.
-        if self._poll_foreign_waiters():
-            return True
-        # Genuinely idle: park the whole group until a foreign clock or a
-        # checkpoint round could move it, with each member's site
-        # registered so the stall report and the deadlock verdict see
-        # the real blocking structure.
-        slots = parent._slots
-        with parent._cv:
-            parent._parked(
-                self,
-                {slots[id(st.context)]: park_site(st) for st in blocked},
-                parent._cv,
-                self._wakeable,
-            )
-        return True

@@ -17,9 +17,13 @@ sense for it:
   itself once its operation counter reaches the trigger, which the parent's
   supervisor must surface as :class:`~repro.core.errors.WorkerCrashError`.
 * ``raise_in`` — all executors.  A :class:`FaultInjected` exception is
-  thrown into the named context's generator at its Nth operation and
-  surfaces as :class:`~repro.core.errors.SimulationError` (deterministic,
-  so the retry ladder must *not* retry it).
+  thrown into the named context's generator at its Nth operation — at
+  the first resume of a context of that name once it has executed at
+  least N ops (a batch's constituents each count), in place of that
+  resume — once per plan entry (per worker on the process executor,
+  whose workers each hold a copy of the plan), and surfaces as
+  :class:`~repro.core.errors.SimulationError` (deterministic, so the
+  retry ladder must *not* retry it).
 * ``stall_shuttle`` — process executor only.  The named channel's data lane
   delivers its first N records and then wedges, which must surface as
   :class:`~repro.core.errors.DeadlockError` via the parent's verdict once

@@ -69,8 +69,8 @@ class PortTable:
     A run's table is numbered by program slot — :data:`ADVANCE` and
     :data:`FINISH`, then each channel's :data:`CHANNEL_KINDS` in
     ``program.channels`` order (:meth:`channel_ports`) — so every host of
-    the run (the parent, cluster drivers, forked workers) assigns the same
-    ids without exchanging a table.  A port outside that numbering (a
+    the run (the parent, forked workers) assigns the same ids without
+    exchanging a table.  A port outside that numbering (a
     hand-built row, a ``migrate`` or supervisor marker) is interned on
     demand.  Channel names may repeat across replicated pipelines; such
     channels keep their own ids, which decode alike.

@@ -11,7 +11,7 @@ from repro.attention import (
     build_standard_attention,
     run_cycle_standard_attention,
 )
-from repro.core import DeadlockError
+from repro.core import DeadlockError, RunConfig
 
 
 def inputs(n=16, d=4, seed=0, scale=0.5):
@@ -34,7 +34,7 @@ class TestStandardAttention:
         seq = build_standard_attention(q, k, v)
         s_seq = seq.run()
         thr = build_standard_attention(q, k, v)
-        s_thr = thr.run(executor="threaded")
+        s_thr = thr.run(executor="threaded", config=RunConfig(superblocks="off"))
         assert np.allclose(seq.result(), thr.result())
         assert s_seq.elapsed_cycles == s_thr.elapsed_cycles
 

@@ -161,12 +161,6 @@ class TestBitIdentity:
             path = tmp_path / ckpt.checkpoint_filename(epoch)
             assert _resume(build, path) == expected
 
-    def test_resume_onto_threaded(self, tmp_path):
-        expected, epochs = _capture(_spmspm, tmp_path)
-        path = tmp_path / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
-        got = _resume(_spmspm, path, executor="threaded", workers=2)
-        assert got == expected
-
     def test_resumed_run_does_not_overwrite_its_source(self, tmp_path):
         expected, epochs = _capture(_spmspm, tmp_path)
         middle = epochs[len(epochs) // 2]
@@ -264,13 +258,13 @@ class TestElasticResume:
         assert any(backlog.values()), "no cut held an undelivered record"
         # Every epoch on the sequential executor (an in-process channel
         # holds exactly the stitched state); the eight cuts with the
-        # largest backlog also on the hosts that re-split or re-cut it.
+        # largest backlog also on the process hosts that re-split or
+        # re-cut it.
         # A round costs the dumps plus a few wake-ups, so the 14x14
         # kernel already cuts ~30 epochs.
         legs = {epoch: [("sequential", {})] for epoch in epochs}
         for epoch in sorted(epochs, key=backlog.get)[-8:]:
             legs[epoch] += [
-                ("threaded", {}),
                 ("process", {"workers": 3}),
                 ("process", {"workers": 3, "steal": False}),
             ]
@@ -283,8 +277,8 @@ class TestElasticResume:
 
 
 # ----------------------------------------------------------------------
-# Capture *on* the threaded executor: a round is a barrier of the
-# cluster drivers at their slice boundaries (DESIGN.md §17).
+# Capture *on* the threaded executor: its default hosting is the
+# cooperative engine, which cuts between slices (DESIGN.md §17).
 # ----------------------------------------------------------------------
 
 
@@ -303,216 +297,31 @@ def _parallel_mha():
 
 
 class TestThreadedCapture:
-    CONFIG = {"executor": "threaded"}
-
-    def test_one_driver_cuts_where_the_sequential_executor_does(self, tmp_path):
-        """One connected component is one driver, and one host's
-        barrier is just its slice boundary: interval 0 writes an epoch
-        per slice, the sequential executor's epoch list."""
-        expected, epochs = _capture(_spmspm, tmp_path / "sequential")
-        got, threaded = _capture(_spmspm, tmp_path / "threaded", **self.CONFIG)
-        assert got == expected
-        assert len(epochs) > 8 and threaded == epochs
-
-    def test_two_drivers_agree_on_every_cut(self, tmp_path):
-        """Parallel MHA p=2 is two connected components, so two drivers:
+    def test_cuts_where_the_sequential_executor_does(self, tmp_path):
+        """Parallel MHA p=2 (two connected components): interval 0 writes
+        the sequential executor's epoch list, stamped ``"threaded"``, and
         any epoch — first, middle, last — resumes bit-identically on
         every executor."""
         reference = _parallel_mha()
         expected = _fingerprint(reference, reference.run())
-        got, epochs = _capture(_parallel_mha, tmp_path, **self.CONFIG)
+        got, sequential = _capture(_parallel_mha, tmp_path / "sequential")
         assert got == expected
-        assert len(epochs) >= 3 and epochs == list(range(1, len(epochs) + 1))
+        got, epochs = _capture(_parallel_mha, tmp_path, executor="threaded")
+        assert got == expected
+        assert len(epochs) >= 3 and epochs == sequential
         legs = [("sequential", {}), ("threaded", {})]
         if fork_available:
             legs.append(("process", {"workers": 2}))
         for epoch in (epochs[0], epochs[len(epochs) // 2], epochs[-1]):
             path = tmp_path / ckpt.checkpoint_filename(epoch)
-            kinds = {
-                record["kind"] for record in ckpt.load(str(path)).contexts.values()
-            }
+            restored = ckpt.load(str(path))
+            assert restored.executor == "threaded"
+            kinds = {record["kind"] for record in restored.contexts.values()}
             assert kinds <= {"fresh", "suspended", "done"}
             for executor, config in legs:
                 assert _resume(_parallel_mha, path, executor, **config) == expected, (
                     f"epoch {epoch} of {len(epochs)} resumed on {executor}"
                 )
-
-    def test_round_completes_beside_idle_and_finished_drivers(self, tmp_path):
-        """Three drivers: a long pipeline, a short one that exits early,
-        and a pooled watcher that idles on the long pipeline's clock.
-        Rounds that begin while one is gone and one is asleep in its
-        idle loop still complete, and resume from them."""
-        from repro import Context, WaitUntil
-        from repro.contexts import Collector, RampSource
-
-        class Watcher(Context):
-            checkpoint_attrs = ("woke",)
-
-            def __init__(self, target, threshold):
-                super().__init__(name="watcher")
-                self.target, self.threshold = target, threshold
-                self.woke = False
-
-            def run(self):
-                if not self.woke:
-                    yield WaitUntil(self.target, self.threshold)
-                    self.woke = True
-                yield IncrCycles(1)
-
-        def build():
-            builder = ProgramBuilder()
-            s1, r1 = builder.bounded(2, name="long")
-            s2, r2 = builder.bounded(2, name="short")
-            builder.add(RampSource(s1, 300, ii=1, name="long_src"))
-            long_sink = builder.add(Collector(r1, ii=2, name="long_sink"))
-            builder.add(RampSource(s2, 2, ii=1, name="short_src"))
-            builder.add(Collector(r2, name="short_sink"))
-            builder.add(Watcher(long_sink, 400))
-            return builder.build()
-
-        def fingerprint(program, summary):
-            return (
-                summary.elapsed_cycles,
-                tuple(
-                    (ch.name, ch.stats.enqueues, ch.stats.dequeues)
-                    for ch in program.channels
-                ),
-                # The watcher reads a foreign clock: when it wakes is a
-                # schedule-dependent lower bound (DESIGN.md §15).
-                tuple(
-                    (ctx.name, ctx.finish_time, getattr(ctx, "values", None))
-                    for ctx in program.contexts
-                    if ctx.name != "watcher"
-                ),
-            )
-
-        reference = build()
-        expected = fingerprint(reference, reference.run())
-        program = build()
-        summary = program.run(
-            "threaded",
-            config=RunConfig(
-                checkpoint_interval_s=0.0,
-                checkpoint_path=str(tmp_path),
-            ),
-        )
-        assert fingerprint(program, summary) == expected
-        epochs = _epochs(tmp_path)
-        assert len(epochs) >= 3
-        states = set()
-        for epoch in (epochs[len(epochs) // 2], epochs[-1]):
-            path = str(tmp_path / ckpt.checkpoint_filename(epoch))
-            records = ckpt.load(path).contexts
-            states.add((records[2]["kind"], records[4]["kind"]))
-            for executor in ("sequential", "threaded"):
-                program = build()
-                ckpt.load(path, program).restore_into(program)
-                assert fingerprint(program, program.run(executor)) == expected
-        # Some captured round saw the short pipeline's driver gone and
-        # the watcher parked on its un-executed WaitUntil.
-        assert ("done", "suspended") in states
-
-
-class TestThreadedCaptureRaces:
-    def test_six_drivers_race_their_rounds(self, tmp_path):
-        """Six drivers with a 10 µs switch interval, rounds back to
-        back, whoever arrives last capturing.  Every cut must hold all
-        twelve contexts' records and resume to the uninterrupted
-        result."""
-        import sys
-
-        from repro.contexts import Collector, RampSource
-
-        def build():
-            builder = ProgramBuilder()
-            for lane in range(6):
-                snd, rcv = builder.bounded(1, latency=1, name=f"lane{lane}")
-                builder.add(RampSource(snd, 300 + lane, ii=1, name=f"src{lane}"))
-                builder.add(Collector(rcv, ii=1, name=f"sink{lane}"))
-            return builder.build()
-
-        def fingerprint(program, summary):
-            return (
-                summary.elapsed_cycles,
-                tuple(sorted(summary.context_times.items())),
-                tuple(
-                    (ch.stats.enqueues, ch.stats.dequeues)
-                    for ch in program.channels
-                ),
-                tuple(
-                    tuple(ctx.values)
-                    for ctx in program.contexts
-                    if hasattr(ctx, "values")
-                ),
-            )
-
-        reference = build()
-        expected = fingerprint(reference, reference.run())
-        program = build()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            summary = program.run(
-                "threaded",
-                config=RunConfig(
-                    checkpoint_interval_s=0.0,
-                    checkpoint_path=str(tmp_path),
-                    deadline_s=60.0,
-                ),
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert fingerprint(program, summary) == expected
-        epochs = _epochs(tmp_path)
-        assert epochs and epochs == list(range(1, len(epochs) + 1))
-        for epoch in {epochs[0], epochs[len(epochs) // 2], epochs[-1]}:
-            path = str(tmp_path / ckpt.checkpoint_filename(epoch))
-            program = build()
-            restored = ckpt.load(path, program)
-            assert sorted(restored.contexts) == list(range(12))
-            restored.restore_into(program)
-            assert fingerprint(program, program.run()) == expected
-
-
-    def test_failed_capture_aborts_the_run(self, tmp_path, monkeypatch):
-        """The capture runs on whichever driver completes the barrier,
-        with the others parked behind it.  When it raises, the run ends
-        in a typed error and every driver is released."""
-        import threading
-
-        from repro import SimulationError
-        from repro.core.executor.threaded import ThreadedExecutor
-
-        save = ThreadedExecutor._save_checkpoint
-        saved = []
-
-        def failing(self, program, records):
-            if len(saved) == 2:
-                raise OSError("disk full")
-            saved.append(len(records))
-            save(self, program, records)
-
-        monkeypatch.setattr(ThreadedExecutor, "_save_checkpoint", failing)
-        kernel = _parallel_mha()
-        with pytest.raises(SimulationError) as info:
-            kernel.run(
-                "threaded",
-                config=RunConfig(
-                    checkpoint_interval_s=0.0,
-                    checkpoint_path=str(tmp_path),
-                    # A driver stranded in the barrier would hang the
-                    # run; the deadline turns that into a failure.
-                    deadline_s=30.0,
-                ),
-            )
-        assert info.value.context_name == "<checkpoint>"
-        assert isinstance(info.value.original, OSError)
-        assert _epochs(tmp_path) == [1, 2]
-        assert not [
-            thread.name
-            for thread in threading.enumerate()
-            if thread.name.startswith("dam-")
-        ]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Clock publication at the slice boundary (DESIGN.md §10).
 
-A scheduler built on the sequential executor — a process-executor
-worker, a threaded cluster driver — keeps its contexts' clocks in plain
-cells and shows them to other workers and threads only between slices.
+A scheduler built on the sequential executor that shares a run with
+others — a process-executor worker — keeps its contexts' clocks in plain
+cells and shows them to the other workers only between slices.
 These tests pin down what that owes an observer: a peer's progress is
 visible while the peer is still running (not only once it parks or
 finishes), what is visible never goes backwards, and none of it moves a
@@ -30,17 +30,16 @@ LOOP = 1_000_000
 THRESHOLD = 4096
 
 
-def _build(observe: str, clustered_observer: bool):
+def _build(observe: str):
     """``runner`` never parks: one enqueue, then ``LOOP`` single-cycle
     ticks.  ``observer`` watches the runner's clock — parked on a
     ``WaitUntil`` or spinning on ``ViewTime`` — until it reads
     ``THRESHOLD``.  Each records the wall time at which it got through.
     Returns ``(program, runner, observer)``.
 
-    The channel to ``runner_sink`` makes the runner a two-member cluster
-    (what the threaded executor hands to a cluster driver); the
-    observer gets one too when ``clustered_observer``.  Pins put the two
-    sides in different process-executor workers.
+    The channels to ``runner_sink`` and ``observer_sink`` make each a
+    two-member cluster.  Pins put the two sides in different
+    process-executor workers.
     """
     builder = ProgramBuilder()
     out, inp = builder.bounded(4, name="runner_out")
@@ -57,11 +56,8 @@ def _build(observe: str, clustered_observer: bool):
     )
     members = {runner_ctx: 0, builder.add(Collector(inp, name="runner_sink")): 0}
 
-    handles = []
-    if clustered_observer:
-        obs_out, obs_inp = builder.bounded(4, name="observer_out")
-        handles.append(obs_out)
-        members[builder.add(Collector(obs_inp, name="observer_sink"))] = 1
+    obs_out, obs_inp = builder.bounded(4, name="observer_out")
+    members[builder.add(Collector(obs_inp, name="observer_sink"))] = 1
 
     def observer(ctx):
         if observe == "wait":
@@ -75,7 +71,7 @@ def _build(observe: str, clustered_observer: bool):
 
     observer_ctx = builder.add(
         FunctionContext(
-            observer, handles=handles, name="observer", pass_context=True
+            observer, handles=[obs_out], name="observer", pass_context=True
         )
     )
     members[observer_ctx] = 1
@@ -85,28 +81,16 @@ def _build(observe: str, clustered_observer: bool):
 
 
 @pytest.mark.parametrize("observe", ["wait", "spin"])
-@pytest.mark.parametrize(
-    "executor,clustered_observer,options",
-    [
-        ("process", True, {"workers": 2, "steal": False}),
-        # Observer alone on the pooled driver, or inside a second
-        # cluster driver: parked on the run's condition either way, and
-        # woken by the runner's driver at each slice boundary.
-        ("threaded", False, {}),
-        ("threaded", True, {}),
-    ],
-)
-def test_running_peer_is_visible_within_a_slice(
-    observe, executor, clustered_observer, options
-):
-    expected = _build(observe, clustered_observer)[0].run()
+def test_running_peer_is_visible_within_a_slice(observe):
+    expected = _build(observe)[0].run()
 
     samples: list = []
-    program, runner, observer = _build(observe, clustered_observer)
+    program, runner, observer = _build(observe)
     summary = program.run(
-        executor=executor,
+        executor="process",
         config=RunConfig(
-            metrics_interval_s=0.002, metrics_sink=samples.append, **options
+            workers=2, steal=False,
+            metrics_interval_s=0.002, metrics_sink=samples.append,
         ),
     )
 

@@ -11,7 +11,7 @@ per-context finish time.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FairPolicy, ProgramBuilder, SequentialExecutor
+from repro import FairPolicy, ProgramBuilder, RunConfig, SequentialExecutor
 from repro.contexts import Collector, IterableSource, UnaryFunction
 
 channel_geometry = st.tuples(
@@ -85,7 +85,7 @@ def test_threaded_matches_sequential(spec):
     program_seq, col_seq = build_pipeline(payload, geometries, iis, source_ii)
     seq = program_seq.run(executor="sequential")
     program_thr, col_thr = build_pipeline(payload, geometries, iis, source_ii)
-    thr = program_thr.run(executor="threaded")
+    thr = program_thr.run(executor="threaded", config=RunConfig(superblocks="off"))
     assert col_seq.values == col_thr.values
     assert seq.elapsed_cycles == thr.elapsed_cycles
     assert seq.context_times == thr.context_times

@@ -39,7 +39,16 @@ from repro.contexts import (
 )
 from repro.obs import Observability
 
-EXECUTORS = ["sequential", "threaded"]
+#: The two runtimes: the cooperative engine, and the paper's one thread
+#: per context (the threaded executor's default hosting is the former).
+EXECUTORS = ["sequential", "threaded-off"]
+
+
+def _on(executor):
+    """``Program.run`` keywords for an ``EXECUTORS`` entry."""
+    if executor == "threaded-off":
+        return {"executor": "threaded", "config": RunConfig(superblocks="off")}
+    return {"executor": executor}
 
 
 def pipeline(n=20, capacity=4, ii=1):
@@ -59,12 +68,12 @@ def pipeline(n=20, capacity=4, ii=1):
 class TestBasicExecution:
     def test_pipeline_values(self, executor):
         program, collector = pipeline()
-        program.run(executor=executor)
+        program.run(**_on(executor))
         assert collector.values == [2 * i + 1 for i in range(20)]
 
     def test_summary_reports_contexts(self, executor):
         program, _ = pipeline(n=5)
-        summary = program.run(executor=executor)
+        summary = program.run(**_on(executor))
         assert len(summary.context_times) == 4
         assert summary.elapsed_cycles == max(summary.context_times.values())
         assert summary.real_seconds >= 0
@@ -74,7 +83,7 @@ class TestBasicExecution:
         snd, rcv = builder.bounded(2)
         builder.add(IterableSource(snd, []))
         collector = builder.add(Collector(rcv))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert collector.values == []
 
     def test_backpressure_slows_producer(self, executor):
@@ -84,7 +93,7 @@ class TestBasicExecution:
         snd, rcv = builder.bounded(2, latency=1, resp_latency=1)
         source = builder.add(RampSource(snd, 50, ii=1))
         builder.add(Collector(rcv, ii=10))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         # Unthrottled the source would finish at ~50 cycles; with the slow
         # consumer it must wait for slots: well beyond 300 cycles.
         assert source.finish_time > 300
@@ -94,7 +103,7 @@ class TestBasicExecution:
         snd, rcv = builder.unbounded()
         source = builder.add(RampSource(snd, 50, ii=1))
         builder.add(Collector(rcv, ii=10))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert source.finish_time == 50
 
     def test_checker_passes_on_correct_stream(self, executor):
@@ -102,7 +111,7 @@ class TestBasicExecution:
         snd, rcv = builder.bounded(2)
         builder.add(RampSource(snd, 5))
         builder.add(Checker(rcv, [0, 1, 2, 3, 4]))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
 
     def test_checker_failure_surfaces_as_simulation_error(self, executor):
         builder = ProgramBuilder()
@@ -110,7 +119,7 @@ class TestBasicExecution:
         builder.add(RampSource(snd, 5))
         builder.add(Checker(rcv, [0, 1, 999, 3, 4]))
         with pytest.raises(SimulationError, match="expected 999"):
-            builder.build().run(executor=executor)
+            builder.build().run(**_on(executor))
 
     def test_void_channel_lets_producer_finish(self, executor):
         """A receiver that stops early voids the channel; the producer
@@ -130,7 +139,7 @@ class TestBasicExecution:
         snd, rcv = builder.bounded(1)
         source = builder.add(RampSource(snd, 100, ii=1))
         builder.add(TakeTwo(rcv))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert source.finish_time is not None
 
     def test_diamond_graph(self, executor):
@@ -144,7 +153,7 @@ class TestBasicExecution:
         builder.add(Broadcast(r_in, [s_a, s_b]))
         builder.add(BinaryFunction(r_a, r_b, s_out, lambda a, b: a + b))
         collector = builder.add(Collector(r_out))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert collector.values == [2 * i for i in range(10)]
 
     def test_merge_sorted_streams(self, executor):
@@ -156,7 +165,7 @@ class TestBasicExecution:
         builder.add(IterableSource(s_b, [2, 3, 8]))
         builder.add(Merge(r_a, r_b, s_o))
         collector = builder.add(Collector(r_o))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert collector.values == [1, 2, 3, 4, 5, 8, 9]
 
     def test_stream_reducer_groups(self, executor):
@@ -166,7 +175,7 @@ class TestBasicExecution:
         builder.add(RampSource(s_i, 9))
         builder.add(StreamReducer(r_i, s_o, lambda a, b: a + b, group=3))
         collector = builder.add(Collector(r_o))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert collector.values == [3, 12, 21]
 
     def test_stream_reducer_whole_stream(self, executor):
@@ -176,7 +185,7 @@ class TestBasicExecution:
         builder.add(RampSource(s_i, 10))
         builder.add(StreamReducer(r_i, s_o, lambda a, b: a + b))
         collector = builder.add(Collector(r_o))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert collector.values == [45]
 
     def test_null_sink_counts(self, executor):
@@ -184,7 +193,7 @@ class TestBasicExecution:
         snd, rcv = builder.bounded(2)
         builder.add(RampSource(snd, 17))
         sink = builder.add(NullSink(rcv))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert sink.count == 17
 
     def test_view_time_reads_peer_clock(self, executor):
@@ -205,7 +214,7 @@ class TestBasicExecution:
         snd, rcv = builder.bounded(1)
         source = builder.add(IterableSource(snd, ["x"], initial_delay=42))
         builder.add(Observer(source, rcv))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert observed[0] >= 42
 
     def test_wait_until_blocks_until_peer_advances(self, executor):
@@ -236,7 +245,7 @@ class TestBasicExecution:
         mover = builder.add(Mover(snd))
         builder.add(NullSink(rcv))
         builder.add(Waiter(mover))
-        builder.build().run(executor=executor)
+        builder.build().run(**_on(executor))
         assert results[0] >= 100
 
 
@@ -259,7 +268,7 @@ class TestDeadlock:
         builder.add(Hold(r1, s2))
         builder.add(Hold(r2, s1))
         with pytest.raises(DeadlockError, match="dequeue on empty"):
-            builder.build().run(executor=executor)
+            builder.build().run(**_on(executor))
 
     def test_undersized_channel_deadlocks(self, executor):
         """The paper's softmax/reduction deadlock pattern: the consumer only
@@ -299,9 +308,9 @@ class TestDeadlock:
             return builder.build()
 
         with pytest.raises(DeadlockError):
-            build(depth=4, n=100).run(executor=executor)
+            build(depth=4, n=100).run(**_on(executor))
         # The correctly sized channel (depth >= N) completes.
-        build(depth=100, n=100).run(executor=executor)
+        build(depth=100, n=100).run(**_on(executor))
 
 
 class TestSequentialSpecifics:
@@ -381,7 +390,7 @@ class TestCrossExecutorAgreement:
         program_a, col_a = self.build_mixed_graph()
         seq = program_a.run(executor="sequential")
         program_b, col_b = self.build_mixed_graph()
-        thr = program_b.run(executor="threaded")
+        thr = program_b.run(**_on("threaded-off"))
         assert col_a.values == col_b.values
         assert seq.elapsed_cycles == thr.elapsed_cycles
         assert seq.context_times == thr.context_times

@@ -23,6 +23,7 @@ import pytest
 from repro import (
     ChannelClosed,
     DeadlockError,
+    FairPolicy,
     FaultInjected,
     FaultPlan,
     FunctionContext,
@@ -34,6 +35,7 @@ from repro import (
     SimulationError,
     WorkerCrashError,
 )
+from repro.core import FusedOps
 from repro.core.errors import pack_exception, unpack_exception
 from repro.core.faults import StalledLane, WorkerKill
 
@@ -291,12 +293,16 @@ class TestFaultPlan:
 
 
 class TestContextFault:
-    @pytest.mark.parametrize("executor", ["sequential", "threaded"])
-    def test_in_process_executors(self, executor):
+    @pytest.mark.parametrize(
+        "executor,config",
+        [("sequential", {}), ("threaded", {"superblocks": "off"})],
+        ids=["sequential", "threaded-off"],
+    )
+    def test_in_process_executors(self, executor, config):
         program = _stream_program()
         plan = FaultPlan().raise_in("prod", after_ops=10, message="chaos")
         with pytest.raises(SimulationError) as info:
-            program.run(executor, config=RunConfig(faults=plan))
+            program.run(executor, config=RunConfig(faults=plan, **config))
         assert isinstance(info.value.original, FaultInjected)
         assert "prod" in str(info.value)
 
@@ -308,12 +314,12 @@ class TestContextFault:
             program.run("process", config=_process_config(faults=plan))
         assert isinstance(info.value.original, FaultInjected)
 
-    @pytest.mark.parametrize("hosting", ["sequential", "off", "on", "auto"])
+    @pytest.mark.parametrize("hosting", ["sequential", "off"])
     def test_name_repeated_across_components_fires_once(self, hosting):
         """One plan entry is one fault: three components each hold a
-        context named ``prod``, and exactly one of them is hit, whichever
-        way the threaded executor hosts them (DESIGN.md §13: the first to
-        cross the trigger)."""
+        context named ``prod``, and exactly one of them is hit, on the
+        cooperative engine or on one thread per context (DESIGN.md §13:
+        the first to cross the trigger)."""
         builder = ProgramBuilder()
         hit = []
         for lane in range(3):
@@ -345,17 +351,118 @@ class TestContextFault:
         assert len(hit) == 1
 
 
+# One executor leg per row: (executor, RunConfig fields).
+_RAISE_IN_LEGS = [
+    pytest.param("sequential", {}, id="sequential-fifo"),
+    pytest.param("sequential", {"policy": FairPolicy(timeslice=4)}, id="sequential-fair4"),
+    pytest.param("threaded", {"superblocks": "on"}, id="threaded-on"),
+    pytest.param("threaded", {"superblocks": "off"}, id="threaded-off"),
+    pytest.param("process", {"workers": 1}, id="process-1", marks=needs_fork),
+    pytest.param("process", {"workers": 2}, id="process-2", marks=needs_fork),
+]
+
+
+def _raise_in_program(shape, thrown_at):
+    """Contexts named ``x``: ``"one"`` is one context of 50 bare
+    ``IncrCycles``; ``"two"`` is, in slot order, one of 5 bare ops and
+    one of 5000 ops in batches of 4; ``"parked"`` is one that enqueues
+    50 values on a capacity-1 channel to a slower consumer, so it is
+    parked on its 10th op when it crosses the trigger.  Each appends to ``thrown_at`` how
+    many of its yields had returned when one raised the fault: after 10
+    bare ops the 10th yield raises (9 returned), after 3 batches (12
+    ops) the 3rd (2 returned)."""
+    builder = ProgramBuilder()
+
+    def victim(yields, op):
+        def body():
+            done = 0
+            try:
+                for _ in range(yields):
+                    yield op
+                    done += 1
+            except FaultInjected:
+                thrown_at.append(done)
+                raise
+
+        builder.add(FunctionContext(body, name="x"))
+
+    if shape == "one":
+        victim(50, IncrCycles(1))
+    elif shape == "parked":
+        snd, rcv = builder.bounded(1, name="x_out")
+
+        def producer():
+            for value in range(50):
+                yield snd.enqueue(value)
+
+        def consumer():
+            while True:
+                yield rcv.dequeue()
+                yield IncrCycles(5)
+
+        builder.add(FunctionContext(producer, handles=[snd], name="x"))
+        builder.add(FunctionContext(consumer, handles=[rcv], name="slow"))
+    else:
+        victim(5, IncrCycles(1))
+        victim(1250, FusedOps(*[IncrCycles(1)] * 4))
+    return builder.build()
+
+
+class TestRaiseInIsExact:
+    """``raise_in("x", after_ops=10)`` throws at the first resume of a
+    context named ``x`` that has executed at least 10 ops, once, on every
+    executor: not only at a slice start, and not only in the first
+    context of that name to start."""
+
+    @pytest.mark.parametrize("executor,config", _RAISE_IN_LEGS)
+    @pytest.mark.parametrize("shape,expected", [("one", [9]), ("two", [2])])
+    def test_matrix(self, shape, expected, executor, config):
+        thrown_at = []
+        program = _raise_in_program(shape, thrown_at)
+        plan = FaultPlan().raise_in("x", after_ops=10)
+        with pytest.raises(SimulationError) as info:
+            program.run(executor, config=RunConfig(faults=plan, **config))
+        assert isinstance(info.value.original, FaultInjected)
+        assert info.value.context_name == "x"
+        if executor != "process":  # the worker's list is its own
+            assert thrown_at == expected
+
+    @pytest.mark.parametrize("shape", ["one", "parked"])
+    def test_victim_rows_before_the_throw_match_the_reference(self, shape):
+        """The op that crosses the trigger completes, parked or not."""
+
+        def rows(executor, config):
+            obs = Observability()
+            program = _raise_in_program(shape, [])
+            plan = FaultPlan().raise_in("x", after_ops=10)
+            with pytest.raises(SimulationError):
+                program.run(executor, config=RunConfig(faults=plan, obs=obs, **config))
+            return [
+                (e.kind, e.channel, e.time, e.seq)
+                for e in obs.trace.for_context("x")
+                if e.kind != "finish"
+            ]
+
+        reference = rows("threaded", {"superblocks": "off"})
+        assert len(reference) == 10
+        assert rows("sequential", {}) == reference
+
+
 # ----------------------------------------------------------------------
 # Run deadlines.
 # ----------------------------------------------------------------------
 
 
 class TestDeadline:
-    @pytest.mark.parametrize("executor", ["sequential", "threaded"])
-    def test_runaway_run_is_aborted(self, executor):
+    @pytest.mark.parametrize(
+        "executor,config",
+        [("sequential", {}), ("threaded", {"superblocks": "off"})],
+        ids=["sequential", "threaded-off"],
+    )
+    def test_runaway_run_is_aborted(self, executor, config):
         program = _runaway_program()
         with pytest.raises(RunTimeoutError) as info:
-            program.run(executor, config=RunConfig(deadline_s=0.3))
+            program.run(executor, config=RunConfig(deadline_s=0.3, **config))
         err = info.value
         assert err.deadline_s == 0.3
         assert err.summary is not None

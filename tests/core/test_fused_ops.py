@@ -839,9 +839,9 @@ class TestParkWakeShapes:
         class SliceSpy(SequentialExecutor):
             slices = 0
 
-            def _begin_slice(self, state):
+            def _begin_slice(self, state, timeslice):
                 self.slices += 1
-                return super()._begin_slice(state)
+                return super()._begin_slice(state, timeslice)
 
         builder = ProgramBuilder()
         s1, r1 = builder.bounded(1, latency=1, resp_latency=1)
@@ -1094,11 +1094,11 @@ class _ResumeSpy(SequentialExecutor):
         super().__init__(deadline_s=3600.0, **kwargs)
         self.resumed = set()
 
-    def _begin_slice(self, state):
+    def _begin_slice(self, state, timeslice):
         if state.fused_batch is not None:
             assert state.fused_batch.plan is not None  # bound: re-entered by runners
             self.resumed.add((state.fused_index, state.retry_op is None))
-        return super()._begin_slice(state)
+        return super()._begin_slice(state, timeslice)
 
 
 class TestBatchReentry:

@@ -1,6 +1,6 @@
 """Exact quiescence: deadlock is decided on wake-ups, not on stillness.
 
-Every host — a process worker, a cluster driver, a context's own thread —
+Every host — a process worker, a context's own thread —
 sleeps only after re-checking what it waits on, and everything that could
 unblock it wakes it (a lane push or pop, a clock publication, a
 checkpoint command, an abort).  So a deadlock is reported as soon as
@@ -74,11 +74,10 @@ LATENCY_BOUND_S = 0.050
     [
         ("sequential", RunConfig()),
         ("threaded", RunConfig(superblocks="off")),
-        ("threaded", RunConfig()),
         _needs_fork("process", RunConfig(workers=1)),
         _needs_fork("process", RunConfig(workers=2)),
     ],
-    ids=["sequential", "threaded-off", "threaded-clustered", "process-1", "process-2"],
+    ids=["sequential", "threaded-off", "process-1", "process-2"],
 )
 def test_two_context_cycle_is_reported_within_50ms(executor, config):
     """The fastest of three runs, so a first-use import or a busy host
@@ -211,7 +210,6 @@ def _outcome(program, summary):
         _needs_fork("process", RunConfig(workers=3, steal=False), True),
         _needs_fork("process", RunConfig(workers=3, steal=True), True),
         ("threaded", RunConfig(superblocks="off"), False),
-        ("threaded", RunConfig(superblocks="on"), False),
     ],
     ids=[
         "process-pinned",
@@ -219,7 +217,6 @@ def _outcome(program, summary):
         "process-pinned-checkpointing",
         "process-stealing-checkpointing",
         "threaded-off",
-        "threaded-clustered",
     ],
 )
 def test_parked_ring_never_loses_a_wakeup(executor, config, checkpoint, tmp_path):

@@ -7,6 +7,7 @@ from repro import (
     Context,
     IncrCycles,
     ProgramBuilder,
+    RunConfig,
     make_channel,
 )
 from repro.contexts import Collector
@@ -90,5 +91,5 @@ class TestRealChannels:
         program_a, consumer_a = build()
         program_a.run(executor="sequential")
         program_b, consumer_b = build()
-        program_b.run(executor="threaded")
+        program_b.run(executor="threaded", config=RunConfig(superblocks="off"))
         assert consumer_a.observed_times == consumer_b.observed_times

@@ -6,8 +6,8 @@ execution and compiled once per process per shape (DESIGN.md §11).  The
 tests here pin what that may not change: a channel's internals are
 mutated in place, so a batch built once survives ``Program.reset()`` and
 an in-place checkpoint restore; each shape compiles once per process,
-traced and untraced apart, chunked when long, once under racing cluster
-drivers, and never again in the workers of a later process run; and
+traced and untraced apart, chunked when long, once under runs racing on
+threads, and never again in the workers of a later process run; and
 random batches — long, parking anywhere, abandoned, rare — run under every
 scheduling policy exactly as the threaded executor's one-thread-per-context
 runtime runs them (DESIGN.md §5: it steps each op through ``Channel``'s
@@ -336,17 +336,15 @@ class TestShapeCache:
         build().run()
         assert runners.compiled() == compiled
 
-    def test_cluster_drivers_meeting_new_shapes_compile_each_once(self, monkeypatch):
-        """Eight connected components, one cluster driver each, meet the
-        same new shapes at once: each compiles once, on the supervising
-        thread (whose heap has room, unlike a driver's fresh malloc
-        arena), and the run equals the sequential one."""
+    def test_runs_racing_on_threads_compile_each_shape_once(self, monkeypatch):
+        """Four traced runs on four threads (as the serve tier's run
+        slots host them) meet the same new shapes at once: each compiles
+        once, and every run equals the sequential one."""
         sources = []
         real_source = runners.source
 
         def counting(key):
             sources.append(key)
-            assert threading.current_thread() is threading.main_thread()
             return real_source(key)
 
         def build():
@@ -367,22 +365,32 @@ class TestShapeCache:
             return builder.build(), sinks
 
         monkeypatch.setattr(runners, "source", counting)
+        builds = [build() for _ in range(4)]
+        results = [None] * len(builds)
+
+        def run(index):
+            results[index] = builds[index][0].run(obs=Observability())
+
+        threads = [
+            threading.Thread(target=run, args=(index,)) for index in range(len(builds))
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            program, sinks = build()
-            threaded = program.run(
-                "threaded", config=RunConfig(superblocks="on", obs=Observability())
-            )
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         finally:
             sys.setswitchinterval(interval)
         assert len(sources) == len(set(sources))
         assert (("E", "C", "E"), "last", True) in sources
         reference, ref_sinks = build()
         sequential = reference.run(obs=Observability())
-        assert threaded.context_times == sequential.context_times
-        assert threaded.profile == sequential.profile
-        assert [s.values for s in sinks] == [s.values for s in ref_sinks]
+        for (_, sinks), summary in zip(builds, results):
+            assert summary.context_times == sequential.context_times
+            assert summary.profile == sequential.profile
+            assert [s.values for s in sinks] == [s.values for s in ref_sinks]
 
     @needs_fork
     def test_a_second_process_run_compiles_nothing_in_its_workers(self, monkeypatch):

@@ -1,5 +1,6 @@
-"""Threaded-executor-specific behaviour: the deadlock verdict, error
-propagation, cluster hosting (DESIGN.md §15)."""
+"""Threaded-executor-specific behaviour: the per-context runtime's
+deadlock verdict and error propagation, and the hosting rule (DESIGN.md
+§15)."""
 
 import pytest
 
@@ -7,21 +8,29 @@ from repro import (
     Context,
     DeadlockError,
     IncrCycles,
+    Observability,
     ProgramBuilder,
     RunConfig,
+    SequentialExecutor,
     SimulationError,
     ThreadedExecutor,
 )
 from repro.contexts import Collector, NullSink, RampSource, UnaryFunction
-from repro.core import plan_clusters
 
 
 def _never(*_args, **_kwargs):
-    raise AssertionError("the other hosting's thread body was entered")
+    raise AssertionError("the other hosting was entered")
 
 
-def _components(program):
-    return plan_clusters(program, {id(ctx): 0 for ctx in program.contexts})
+@pytest.fixture
+def no_threads(monkeypatch):
+    import threading
+
+    monkeypatch.setattr(threading.Thread, "start", _never)
+
+
+#: The cooperative hostings: every ``superblocks`` value but off.
+COOPERATIVE = ["on", "auto", True]
 
 
 class Exploder(Context):
@@ -36,13 +45,15 @@ class Exploder(Context):
 
 
 class TestThreadedErrors:
+    """The per-context runtime's own abort and verdict machinery."""
+
     def test_context_exception_propagates(self):
         builder = ProgramBuilder()
         snd, rcv = builder.bounded(2)
         builder.add(RampSource(snd, 5))
         builder.add(Exploder(rcv))
         with pytest.raises(SimulationError, match="boom"):
-            ThreadedExecutor().execute(builder.build())
+            ThreadedExecutor(superblocks="off").execute(builder.build())
 
     def test_peer_contexts_unwound_after_failure(self):
         """A failing context must not hang its peers: the abort notifies
@@ -52,7 +63,7 @@ class TestThreadedErrors:
         source = builder.add(RampSource(snd, 10_000))
         builder.add(Exploder(rcv))
         with pytest.raises(SimulationError):
-            ThreadedExecutor().execute(builder.build())
+            ThreadedExecutor(superblocks="off").execute(builder.build())
         # The source did not complete its stream (it was aborted).
         assert source.finish_time is None or source.finish_time < 10_000
 
@@ -103,7 +114,7 @@ class TestThreadedErrors:
         builder.add(Hold(r1, s2, "h1"))
         builder.add(Hold(r2, s1, "h2"))
         with pytest.raises(DeadlockError) as excinfo:
-            ThreadedExecutor().execute(builder.build())
+            ThreadedExecutor(superblocks="off").execute(builder.build())
         assert "h1" in str(excinfo.value)
         assert "h2" in str(excinfo.value)
 
@@ -128,7 +139,7 @@ class TestThreadedErrors:
         snd, rcv = builder.bounded(1)
         builder.add(Cruncher(snd))
         sink = builder.add(Collector(rcv))
-        ThreadedExecutor().execute(builder.build())
+        ThreadedExecutor(superblocks="off").execute(builder.build())
         assert sink.values == [sum(range(600_000))]
 
 
@@ -137,41 +148,62 @@ class Loner(Context):
         yield IncrCycles(3)
 
 
-class TestClusterHosting:
+def _pipelines():
+    """Four channel-less contexts plus two source→sink pipelines."""
+    builder = ProgramBuilder()
+    for _ in range(4):
+        builder.add(Loner())
+    for _ in range(2):
+        snd, rcv = builder.bounded(2)
+        builder.add(RampSource(snd, 5))
+        builder.add(NullSink(rcv))
+    return builder.build()
+
+
+def _add_component(builder, tokens):
+    """source → (unbounded) → +1 → (capacity 1) → collector: the source
+    outruns a 2048-op slice (preemptions under a deadline), the last hop
+    parks on every token (wakeups)."""
+    s1, r1 = builder.unbounded()
+    s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
+    builder.add(RampSource(s1, tokens, ii=1))
+    builder.add(UnaryFunction(r1, s2, _plus_one, ii=1))
+    builder.add(Collector(r2, ii=2))
+
+
+def _two_components():
+    builder = ProgramBuilder()
+    for tokens in (1500, 2500):
+        _add_component(builder, tokens)
+    return builder.build()
+
+
+def _host_view(summary):
+    """The summary without its wall clock and executor name, context
+    times in slot order (names are global counters), and its
+    ``executor_*`` counters, which must read the same."""
+    view = summary.to_dict()
+    del view["real_seconds"], view["executor"], view["metrics"]
+    view["context_times"] = list(view["context_times"].values())
+    if summary.metrics is not None:
+        counters = summary.metrics["counters"]
+        view["executor_counters"] = tuple(
+            counters[f"executor_{name}"]
+            for name in ("context_switches", "wakeups", "preemptions", "ops")
+        )
+    return view
+
+
+class TestHosting:
     """``superblocks`` alone picks the hosting: one thread per context
-    (``"off"``) or one cluster driver per connected component, the
-    single-context components pooled onto one more."""
+    (``"off"``), or the whole program on the cooperative engine on the
+    calling thread."""
 
-    @staticmethod
-    def _program():
-        """Four channel-less contexts plus two source→sink pipelines."""
-        builder = ProgramBuilder()
-        for _ in range(4):
-            builder.add(Loner())
-        for _ in range(2):
-            snd, rcv = builder.bounded(2)
-            builder.add(RampSource(snd, 5))
-            builder.add(NullSink(rcv))
-        return builder.build()
-
-    @pytest.mark.parametrize("mode", ["on", "auto", True])
-    def test_singletons_pool_onto_one_driver(self, mode, monkeypatch):
-        groups = []
-        drive_cluster = ThreadedExecutor._drive_cluster
-
-        def spy(self, contexts, channels):
-            groups.append(len(contexts))
-            drive_cluster(self, contexts, channels)
-
-        monkeypatch.setattr(ThreadedExecutor, "_drive_cluster", spy)
-        monkeypatch.setattr(ThreadedExecutor, "_drive", _never)
-        program = self._program()
-        assert len(_components(program)) == 6
-        summary = program.run("threaded", config=RunConfig(superblocks=mode))
-        assert sorted(groups) == [2, 2, 4]  # three driver threads
-        reference = self._program().run("sequential")
-        assert summary.ops_executed == reference.ops_executed
-        assert summary.elapsed_cycles == reference.elapsed_cycles
+    @pytest.mark.parametrize("mode", COOPERATIVE)
+    def test_cooperative_modes_start_no_thread(self, mode, no_threads):
+        summary = _pipelines().run("threaded", config=RunConfig(superblocks=mode))
+        assert summary.executor == "threaded"
+        assert _host_view(summary) == _host_view(_pipelines().run("sequential"))
 
     @pytest.mark.parametrize("mode", ["off", False])
     def test_off_is_one_thread_per_context(self, mode, monkeypatch):
@@ -183,14 +215,15 @@ class TestClusterHosting:
             drive(self, ctx)
 
         monkeypatch.setattr(ThreadedExecutor, "_drive", spy)
-        monkeypatch.setattr(ThreadedExecutor, "_drive_cluster", _never)
-        program = self._program()
+        monkeypatch.setattr(SequentialExecutor, "execute", _never)
+        program = _pipelines()
         program.run("threaded", config=RunConfig(superblocks=mode))
         assert len(driven) == len(program.contexts) == 8
 
     def test_every_mode_matches_sequential(self):
-        """Capacity-1 ping-pong (every hop parks) on one driver thread or
-        on three context threads: same simulated run as sequential."""
+        """Capacity-1 ping-pong (every hop parks) on the cooperative
+        engine or on three context threads: same simulated run as
+        sequential."""
 
         def run(executor, mode=None):
             builder = ProgramBuilder()
@@ -217,70 +250,31 @@ class TestClusterHosting:
             assert run("threaded", mode) == reference, f"superblocks={mode}"
 
 
-class TestClusterCounters:
-    """Cluster drivers are cooperative schedulers; the threaded summary
-    and ``executor_*`` metrics carry the sum of their counters
-    (DESIGN.md §15).  ``superblocks="off"`` reports 0: the OS schedules."""
+class TestHostCounters:
+    """The cooperative hostings report the sequential engine's counters;
+    ``superblocks="off"`` reports 0: the OS schedules."""
 
     @staticmethod
-    def _add_component(builder, tokens):
-        """source → (unbounded) → +1 → (capacity 1) → collector: the
-        source outruns a 2048-op slice (preemptions), the last hop parks
-        on every token (wakeups)."""
-        s1, r1 = builder.unbounded()
-        s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
-        builder.add(RampSource(s1, tokens, ii=1))
-        builder.add(UnaryFunction(r1, s2, _plus_one, ii=1))
-        builder.add(Collector(r2, ii=2))
-
-    @staticmethod
-    def _counters(summary):
-        row = (summary.context_switches, summary.wakeups, summary.preemptions)
-        if summary.metrics is not None:
-            counters = summary.metrics["counters"]
-            assert row == (
-                counters["executor_context_switches"],
-                counters["executor_wakeups"],
-                counters["executor_preemptions"],
-            )
-        return row
-
-    def _threaded(self, mode):
-        from repro import Observability
-
-        builder = ProgramBuilder()
-        for tokens in (1500, 2500):
-            self._add_component(builder, tokens)
-        program = builder.build()
-        assert len(_components(program)) == 2
-        return self._counters(
-            program.run(
-                "threaded",
-                config=RunConfig(
-                    superblocks=mode, obs=Observability(trace=False)
-                ),
-            )
+    def _run(executor, **config):
+        return _two_components().run(
+            executor, config=RunConfig(obs=Observability(trace=False), **config)
         )
 
-    def _alone(self, tokens):
-        builder = ProgramBuilder()
-        self._add_component(builder, tokens)
-        # A deadline forces the bounded slices a cluster driver always
-        # runs (same 2048-op timeslice).
-        return self._counters(
-            builder.build().run(config=RunConfig(deadline_s=3600.0))
-        )
-
-    def test_summary_sums_the_drivers(self):
-        first = self._threaded("on")
-        assert all(count > 0 for count in first)
-        assert self._threaded("auto") == first
-        assert first == tuple(
-            map(sum, zip(self._alone(1500), self._alone(2500)))
-        )
+    @pytest.mark.parametrize("bounded", [False, True], ids=["unbounded", "deadline"])
+    def test_counters_are_sequential_fifo(self, bounded):
+        config = {"deadline_s": 3600.0} if bounded else {}
+        reference = _host_view(self._run("sequential", **config))
+        assert reference["wakeups"] > 0
+        if bounded:  # 2048-resumption slices preempt the sources
+            assert reference["preemptions"] > 0
+        for mode in COOPERATIVE:
+            got = self._run("threaded", superblocks=mode, **config)
+            assert _host_view(got) == reference, mode
 
     def test_off_reports_zero(self):
-        assert self._threaded("off") == (0, 0, 0)
+        summary = self._run("threaded", superblocks="off")
+        assert _host_view(summary)["executor_counters"][:3] == (0, 0, 0)
+        assert (summary.context_switches, summary.wakeups, summary.preemptions) == (0, 0, 0)
 
 
 def _two_stage(tokens=40):
@@ -297,6 +291,11 @@ def _two_stage(tokens=40):
 
 def _plus_one(x):
     return x + 1
+
+
+def _forever():
+    while True:
+        yield IncrCycles(1)
 
 
 def _run_signature(program, collector, executor, **config):
@@ -328,28 +327,17 @@ def _restored(tmp_path):
 
 class TestHostingRule:
     """What is attached to a run never picks its hosting: the default
-    mode stays on the cluster drivers, and ``"off"`` refuses — typed,
-    before any thread starts — the one combination it has no safe points
-    for."""
+    mode runs the cooperative engine, which brings obs, faults, the
+    deadline, checkpointing and resume along, and ``"off"`` refuses —
+    typed, before any thread starts — the one combination it has no safe
+    points for."""
 
     @pytest.fixture
     def reference(self):
         program, collector = _two_stage()
         return _run_signature(program, collector, "sequential")
 
-    @pytest.fixture
-    def no_context_threads(self, monkeypatch):
-        monkeypatch.setattr(ThreadedExecutor, "_drive", _never)
-
-    @pytest.fixture
-    def no_threads(self, monkeypatch):
-        import threading
-
-        monkeypatch.setattr(threading.Thread, "start", _never)
-
-    def test_obs_rides_the_driver(self, reference, no_context_threads):
-        from repro import Observability
-
+    def test_obs_rides_the_engine(self, reference, no_threads):
         def traced(executor):
             program, collector = _two_stage()
             obs = Observability()
@@ -362,7 +350,7 @@ class TestHostingRule:
         assert traced("threaded") == traced("sequential")
         assert traced("threaded")[0] == reference
 
-    def test_fault_plan_rides_the_driver(self, reference, no_context_threads):
+    def test_fault_plan_rides_the_engine(self, reference, no_threads):
         from repro import FaultInjected, FaultPlan
 
         program, collector = _two_stage()
@@ -380,19 +368,29 @@ class TestHostingRule:
         assert isinstance(info.value.original, FaultInjected)
         assert info.value.context_name == "fn"
 
-    def test_checkpointing_rides_the_driver(
-        self, reference, no_context_threads, tmp_path
-    ):
+    def test_deadline_rides_the_engine(self, no_threads):
+        from repro import FunctionContext, RunTimeoutError
+
+        builder = ProgramBuilder()
+        builder.add(FunctionContext(_forever, name="spinner"))
+        with pytest.raises(RunTimeoutError) as info:
+            builder.build().run("threaded", config=RunConfig(deadline_s=0.1))
+        assert info.value.executor == "threaded"
+        assert info.value.summary.executor == "threaded"
+
+    def test_checkpointing_rides_the_engine(self, reference, no_threads, tmp_path):
+        from repro.core import checkpoint as ckpt
+
         program, collector = _two_stage()
         got = _run_signature(
             program, collector, "threaded",
             checkpoint_interval_s=0.0, checkpoint_path=str(tmp_path),
         )
         assert got == reference
+        paths = ckpt.list_checkpoints(str(tmp_path))
+        assert paths and ckpt.load(paths[-1]).executor == "threaded"
 
-    def test_resume_rides_the_driver(
-        self, reference, no_context_threads, tmp_path
-    ):
+    def test_resume_rides_the_engine(self, reference, no_threads, tmp_path):
         program, collector = _restored(tmp_path)
         got = _run_signature(program, collector, "threaded")
         # Ops before the cut were executed by the captured run.
@@ -428,9 +426,9 @@ class TestHostingRule:
         assert got[:2] + got[3:] == reference[:2] + reference[3:]
 
     def test_off_keeps_obs_and_faults(self, reference, monkeypatch):
-        from repro import FaultInjected, FaultPlan, Observability
+        from repro import FaultInjected, FaultPlan
 
-        monkeypatch.setattr(ThreadedExecutor, "_drive_cluster", _never)
+        monkeypatch.setattr(SequentialExecutor, "execute", _never)
         program, collector = _two_stage()
         obs = Observability()
         got = _run_signature(

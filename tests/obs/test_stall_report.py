@@ -35,12 +35,13 @@ def build_cycle():
     return builder.build()
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threaded"])
+@pytest.mark.parametrize("executor", ["sequential", "threaded-off"])
 class TestStallReport:
     def run_deadlocked(self, executor):
         obs = Observability(trace=False)
+        config = RunConfig(superblocks="off") if executor == "threaded-off" else None
         with pytest.raises(DeadlockError) as excinfo:
-            build_cycle().run(executor=executor, obs=obs)
+            build_cycle().run(executor=executor.split("-")[0], config=config, obs=obs)
         return obs, excinfo.value
 
     def test_error_names_blocking_channels(self, executor):
@@ -157,16 +158,17 @@ class TestFullChannelStall:
         assert "wait-until 10000 on stuffer" in message
 
 
-class TestClusterHostedWaitUntil:
-    """Threaded cluster hosting (DESIGN.md §15): the driver's idle loop
-    registers the same park sites a per-context thread would."""
+class TestPerContextVerdict:
+    """The per-context runtime's deadlock verdict (DESIGN.md §15) sees
+    every park site: a ``WaitUntil`` on a peer's clock, and a cycle
+    beside a context that already finished."""
 
     # The deadline turns a missed deadlock into a failure, not a hang.
-    CONFIG = RunConfig(deadline_s=10.0)
+    CONFIG = RunConfig(superblocks="off", deadline_s=10.0)
 
     def test_foreign_wait_until_keeps_its_peer(self):
-        """A context parked on the clock of a context hosted by another
-        driver reports that peer and the peer's clock."""
+        """A context parked on the clock of a context in another
+        connected component reports that peer and the peer's clock."""
         from repro import WaitUntil
 
         class Watcher(Context):
@@ -207,8 +209,8 @@ class TestClusterHostedWaitUntil:
         assert "peer ctx_a @ t=5" in line
 
     def test_deadlock_is_found_beside_a_finished_member(self):
-        """A driver that hosts a finished context next to the blocked
-        ones must not hide the stall from the deadlock verdict."""
+        """A finished context beside the blocked ones must not hide the
+        stall from the deadlock verdict."""
         from repro.contexts import RampSource
 
         class Fed(Hold):
@@ -240,7 +242,6 @@ class TestReplicatedNames:
     CONFIGS = {
         "sequential": ("sequential", RunConfig()),
         "threaded-off": ("threaded", RunConfig(superblocks="off")),
-        "threaded-clustered": ("threaded", RunConfig(superblocks="on")),
         "process": ("process", RunConfig(workers=2)),
     }
 
@@ -356,7 +357,7 @@ class TestParkSites:
 
     CONFIGS = {
         "sequential": ("sequential", RunConfig()),
-        "threaded-clustered": ("threaded", RunConfig(superblocks="on")),
+        "threaded-off": ("threaded", RunConfig(superblocks="off")),
         "process": ("process", RunConfig(workers=2)),
     }
 

@@ -10,7 +10,7 @@ per-context finish times, and identical channel statistics.
 import numpy as np
 import pytest
 
-from repro.core import FairPolicy, SequentialExecutor
+from repro.core import FairPolicy, RunConfig, SequentialExecutor
 from repro.sam import CsfTensor
 from repro.sam.graphs import (
     build_mmadd,
@@ -39,7 +39,9 @@ class TestKernelDeterminism:
         for run_kind in ["fifo", "fair", "threaded"]:
             kernel = mmadd_kernel()
             if run_kind == "threaded":
-                summary = kernel.run(executor="threaded")
+                summary = kernel.run(
+                    executor="threaded", config=RunConfig(superblocks="off")
+                )
             elif run_kind == "fair":
                 summary = SequentialExecutor(
                     policy=FairPolicy(timeslice=3)
@@ -51,47 +53,6 @@ class TestKernelDeterminism:
                 (summary.elapsed_cycles, kernel.result_dense().tobytes())
             )
         assert outcomes[0] == outcomes[1] == outcomes[2]
-
-    def test_spmspm_threaded_matches_sequential(self):
-        b = random_dense(6, 6, density=0.3, seed=23)
-        ct = random_dense(6, 6, density=0.3, seed=24)
-
-        def build():
-            return build_spmspm(
-                CsfTensor.from_dense(b, "cc"),
-                CsfTensor.from_dense(ct, "cc"),
-                depth=4,
-            )
-
-        seq = build()
-        s_seq = seq.run()
-        thr = build()
-        s_thr = thr.run(executor="threaded")
-        assert np.allclose(seq.result_dense(), thr.result_dense())
-        assert s_seq.elapsed_cycles == s_thr.elapsed_cycles
-
-    def test_mha_threaded_matches_sequential(self):
-        rng = np.random.default_rng(3)
-        H, N, d = 2, 6, 3
-        mask = (rng.random((H, N, N)) < 0.5).astype(float)
-        for h in range(H):
-            np.fill_diagonal(mask[h], 1.0)
-        q = rng.standard_normal((H, N, d))
-        k = rng.standard_normal((H, N, d))
-        v = rng.standard_normal((H, N, d))
-
-        def build():
-            return build_sparse_mha(
-                CsfTensor.from_dense(mask, "dcc"), q, k, v, depth=6,
-                softmax_depth=32,
-            )
-
-        seq = build()
-        s_seq = seq.run()
-        thr = build()
-        s_thr = thr.run(executor="threaded")
-        assert np.allclose(seq.result_dense(), thr.result_dense())
-        assert s_seq.elapsed_cycles == s_thr.elapsed_cycles
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +121,8 @@ def _signature(kernel, summary):
 
 
 class TestExecutorMatrix:
-    """sequential × threaded × process(1..4 workers), three SAM kernels.
+    """sequential × threaded (one thread per context) × process(1..4
+    workers), three SAM kernels.
 
     Simulated results — cycle counts, per-context finish times, channel
     traffic statistics, and the numeric output tensor — must be
@@ -170,8 +132,8 @@ class TestExecutorMatrix:
     batches, so this matrix is also the fused-program equivalence suite:
     the sequential reference runs them through the compiled runners, the
     one-thread-per-context leg steps each constituent through
-    ``Channel``'s own methods, and the cluster-driver and process legs
-    host the runners on entirely different runtimes.
+    ``Channel``'s own methods, and the process legs host the runners on
+    an entirely different runtime.
     """
 
     @pytest.mark.parametrize("kernel_name", sorted(_KERNELS))
@@ -182,10 +144,7 @@ class TestExecutorMatrix:
         reference_kernel = build()
         reference = _signature(reference_kernel, reference_kernel.run())
 
-        runs = [
-            ("threaded", RunConfig(superblocks="off")),
-            ("threaded", RunConfig()),
-        ]
+        runs = [("threaded", RunConfig(superblocks="off"))]
         runs += [("process", RunConfig(workers=n)) for n in (1, 2, 3, 4)]
         for executor, config in runs:
             kernel = build()
@@ -208,7 +167,6 @@ class TestExecutorMatrix:
         "executor,kwargs",
         [
             ("sequential", {}),
-            ("threaded", {}),
             ("process", {"workers": 2}),
         ],
     )
@@ -264,7 +222,7 @@ class TestExecutorMatrix:
             ]
 
         reference = events("sequential")
-        assert events("threaded") == reference
+        assert events("threaded", config=RunConfig(superblocks="off")) == reference
 
 
 # ----------------------------------------------------------------------
@@ -370,30 +328,13 @@ class TestWorkStealing:
 
 
 # ----------------------------------------------------------------------
-# Cluster hosting (DESIGN.md §15): the threaded executor drives each
-# connected component on one thread, or ("off") each context on its own;
-# the results must not move.  No other executor reads the field.
+# Threaded hosting (DESIGN.md §15): each context on its own thread
+# ("off"), or the whole program on the cooperative engine; the results
+# must not move.  No other executor reads the field.
 # ----------------------------------------------------------------------
 
 
-class TestClusterHostingModes:
-    @pytest.mark.parametrize("kernel_name", sorted(_KERNELS))
-    def test_threaded_results_identical_across_modes(self, kernel_name):
-        from repro.core import RunConfig
-
-        build = _KERNELS[kernel_name]
-        reference_kernel = build()
-        reference = _signature(reference_kernel, reference_kernel.run())
-        for mode in ("off", "on", "auto"):
-            kernel = build()
-            summary = kernel.run(
-                executor="threaded", config=RunConfig(superblocks=mode)
-            )
-            assert _signature(kernel, summary) == reference, (
-                f"{kernel_name} on threaded with superblocks={mode} "
-                "diverged from the sequential reference"
-            )
-
+class TestThreadedHostingModes:
     @pytest.mark.parametrize("executor", ["sequential", "process"])
     def test_field_is_inert_off_the_threaded_executor(self, executor):
         """Summaries — cycles, ops and the scheduling counters — do not
@@ -431,10 +372,11 @@ class TestClusterHostingModes:
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
     def test_trace_and_profile_identical_across_modes(self):
-        """An attached ``Observability`` rides whichever hosting the mode
-        picked — per-context threads or cluster drivers: the merged
-        event stream, the derived profile and the channel metrics must
-        match the sequential ones."""
+        """The threaded identity test: an attached ``Observability``
+        rides whichever hosting the mode picked — per-context threads or
+        the cooperative engine — and the cycles, the merged event
+        stream, the derived profile and the channel metrics must match
+        the sequential ones."""
         from repro.core import RunConfig
         from repro.obs import Observability
 
@@ -598,7 +540,6 @@ class TestBodyVisibleClock:
         reference = run("threaded", superblocks="off")
         assert len(reference[3]) > 10
         legs = [("sequential", {}), ("sequential", {"policy": FairPolicy(timeslice=1)})]
-        legs += [("threaded", {"superblocks": mode}) for mode in ("on", "auto")]
         legs += [("process", {"workers": n}) for n in (1, 2, 3)]
         for executor, kwargs in legs:
             assert run(executor, **kwargs) == reference, (

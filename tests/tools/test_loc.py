@@ -51,7 +51,7 @@ class TestLocComparison:
 #: ``src/repro/core/executor/`` after the last PR that touched it.  A
 #: ratchet: lower it whenever a PR deletes code there, never raise it to
 #: make room — ROADMAP wants this directory materially smaller.
-EXECUTOR_LOC_LIMIT = 3721
+EXECUTOR_LOC_LIMIT = 3518
 
 
 class TestExecutorSizeRatchet:
