@@ -294,21 +294,6 @@ class Executor:
             0.0 if interval is None else interval, start_epoch=start_epoch
         )
 
-    def _save_checkpoint(self, program: "Program", records: dict) -> None:
-        """Write the quiescent cut ``records`` describes (one resume
-        record per context slot) as the next epoch."""
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-        checkpoint = _ckpt.Checkpoint.capture(
-            program,
-            self._ckpt_timer.epoch + 1,
-            records,
-            metrics=registry.dump_state() if registry is not None else None,
-            executor=self.name,
-        )
-        checkpoint.save(self.checkpoint_path)
-        self._ckpt_timer.mark()
-
     # ------------------------------------------------------------------
     # Shared observability hooks.
     # ------------------------------------------------------------------

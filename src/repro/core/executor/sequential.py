@@ -598,14 +598,27 @@ class SequentialExecutor(Executor):
         )
 
     def _capture_checkpoint(self) -> None:
-        """Snapshot the whole program at the current between-slices cut."""
+        """Snapshot the whole program at the current between-slices cut
+        and write it as the next epoch."""
         program = self._run_program
-        states = self._states
         records = {
-            slot: self._context_record(states[id(ctx)])
+            slot: self._context_record(self._states[id(ctx)])
             for slot, ctx in enumerate(program.contexts)
         }
-        self._save_checkpoint(program, records)
+        registry = self.obs.metrics if self.obs is not None else None
+        try:
+            _ckpt.Checkpoint.capture(
+                program,
+                self._ckpt_timer.epoch + 1,
+                records,
+                metrics=registry.dump_state() if registry is not None else None,
+                executor=self.name,
+            ).save(self.checkpoint_path)
+        except Exception as exc:
+            # The process executor's coordinator reports a failed
+            # capture the same way.
+            raise SimulationError("<checkpoint>", exc) from exc
+        self._ckpt_timer.mark()
 
     def _apply_resume_records(
         self, program: Program, states: dict, records: dict

@@ -324,6 +324,56 @@ class TestThreadedCapture:
                 )
 
 
+class TestFailedCapture:
+    @pytest.mark.parametrize(
+        "executor,config",
+        [
+            ("sequential", {}),
+            ("threaded", {}),
+            pytest.param("process", {"workers": 2}, marks=needs_fork),
+        ],
+    )
+    def test_failed_capture_aborts_the_run(
+        self, executor, config, tmp_path, monkeypatch
+    ):
+        """A capture whose write raises ends the run in a typed error
+        naming ``<checkpoint>``, on every executor; the epochs written
+        before it stay, and no context thread is left behind."""
+        import threading
+
+        from repro import SimulationError
+
+        save = ckpt.Checkpoint.save
+        saved = []
+
+        def failing(self, directory):
+            if len(saved) == 2:
+                raise OSError("disk full")
+            saved.append(directory)
+            return save(self, directory)
+
+        monkeypatch.setattr(ckpt.Checkpoint, "save", failing)
+        with pytest.raises(SimulationError) as info:
+            _spmspm().run(
+                executor,
+                config=RunConfig(
+                    timeslice=7,
+                    checkpoint_interval_s=0.0,
+                    checkpoint_path=str(tmp_path),
+                    deadline_s=30.0,
+                    **config,
+                ),
+            )
+        assert info.value.context_name == "<checkpoint>"
+        assert isinstance(info.value.original, OSError)
+        assert _epochs(tmp_path) == [1, 2]
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("dam-")
+        ]
+
+
 # ----------------------------------------------------------------------
 # Refusal, corruption, discovery hygiene.
 # ----------------------------------------------------------------------

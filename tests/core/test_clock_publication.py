@@ -3,7 +3,9 @@
 A scheduler built on the sequential executor that shares a run with
 others — a process-executor worker — keeps its contexts' clocks in plain
 cells and shows them to the other workers only between slices.
-These tests pin down what that owes an observer: a peer's progress is
+The threaded executor's per-context threads (``superblocks="off"``)
+publish every advance as it happens, waking whoever waits on the clock.
+These tests pin down what either owes an observer: a peer's progress is
 visible while the peer is still running (not only once it parks or
 finishes), what is visible never goes backwards, and none of it moves a
 simulated result.
@@ -80,17 +82,15 @@ def _build(observe: str):
     return builder.build(), runner_ctx, observer_ctx
 
 
-@pytest.mark.parametrize("observe", ["wait", "spin"])
-def test_running_peer_is_visible_within_a_slice(observe):
+def _check_visible_while_running(observe, executor, **options):
     expected = _build(observe)[0].run()
 
     samples: list = []
     program, runner, observer = _build(observe)
     summary = program.run(
-        executor="process",
+        executor=executor,
         config=RunConfig(
-            workers=2, steal=False,
-            metrics_interval_s=0.002, metrics_sink=samples.append,
+            metrics_interval_s=0.002, metrics_sink=samples.append, **options
         ),
     )
 
@@ -100,7 +100,7 @@ def test_running_peer_is_visible_within_a_slice(observe):
         assert summary.ops_executed == expected.ops_executed
 
     # The bound: the observer is through while the runner still has all
-    # but a few of its thousand slices to go — not when the runner
+    # but a few thousand of its ticks to go — not when the runner
     # finishes, which is when an unpublished clock would first move.
     assert observer.done_wall < runner.done_wall
 
@@ -108,3 +108,13 @@ def test_running_peer_is_visible_within_a_slice(observe):
     for name in summary.context_times:
         seen = [sample["contexts"][name] for sample in samples]
         assert seen == sorted(seen), f"{name}: sampled clock went backwards"
+
+
+@pytest.mark.parametrize("observe", ["wait", "spin"])
+def test_running_peer_is_visible_within_a_slice(observe):
+    _check_visible_while_running(observe, "process", workers=2, steal=False)
+
+
+@pytest.mark.parametrize("observe", ["wait", "spin"])
+def test_running_peer_thread_is_visible_as_it_advances(observe):
+    _check_visible_while_running(observe, "threaded", superblocks="off")
