@@ -50,7 +50,7 @@ def build_kernel():
 def fingerprint(kernel, summary):
     chans = tuple(
         sorted(
-            (ch.name, ch.stats.enqueues, ch.stats.dequeues)
+            (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
             for ch in kernel.program.channels
         )
     )

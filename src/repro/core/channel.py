@@ -88,8 +88,8 @@ class ChannelStats:
     reset in place, never replaced), and surfaced through the
     observability metrics registry as
     ``channel_enqueues``/``channel_dequeues``/``channel_peeks``/
-    ``channel_max_occupancy``.  The heavier simulated-occupancy log still
-    requires an explicit :meth:`Channel.enable_profiling`.
+    ``channel_max_occupancy``.  Occupancy in *simulated* time is read
+    from a run's trace (:func:`repro.obs.occupancy_log`).
 
     The traffic counters (``enqueues``/``dequeues``/``peeks``) are pure
     functions of simulated state, identical across executors; only
@@ -153,7 +153,6 @@ class Channel:
         "cond",
         "waiting_sender",
         "waiting_receiver",
-        "profile_log",
         # Flavor codes, re-derived once per state transition by
         # ``_select_codes``: they tell the sequential executor's runners
         # which transitions they may open-code (DESIGN.md §11).
@@ -200,18 +199,16 @@ class Channel:
         # Used only by the sequential executor (at most one waiter per side).
         self.waiting_sender: Any = None
         self.waiting_receiver: Any = None
-        # Optional (stamp, dequeue_time) log for simulated-occupancy analysis.
-        self.profile_log: list[tuple[Time, Time]] | None = None
         self._select_codes()
 
     # ------------------------------------------------------------------
     # Flavor codes.  The sequential executor's runners open-code the two
     # hot transitions (DESIGN.md §11): they read these small ints to know
     # which form applies to the channel's current state, and call
-    # ``try_enqueue`` / ``fast_dequeue`` for everything else.  The codes
+    # ``try_enqueue`` for an enqueue they do not open-code.  The codes
     # are re-derived once per state *transition* (construction,
-    # close_sender, close_receiver, enable_profiling, reset,
-    # restore_state), so the per-op path pays zero flavor branches.
+    # close_sender, close_receiver, reset, restore_state), so the
+    # per-op path pays zero flavor branches.
     # ------------------------------------------------------------------
 
     def _select_codes(self) -> None:
@@ -223,14 +220,8 @@ class Channel:
             self._enq_code = 1
         else:
             self._enq_code = 2 if self.real else 0
-        # Dequeue codes: 0 = plain, 1 = responding (both open-coded);
-        # 2 = profiled (cold: call the method).
-        if self.profile_log is not None:
-            self._deq_code = 2
-        elif self.capacity is not None and not self._sender_finished:
-            self._deq_code = 1
-        else:
-            self._deq_code = 0
+        # Dequeue codes: 0 = plain, 1 = responding; both open-coded.
+        self._deq_code = int(self.capacity is not None and not self._sender_finished)
 
     def try_enqueue(self, clock: TimeCell, data: Any) -> bool:
         """Reserve and enqueue in one call; ``False`` = would block."""
@@ -319,8 +310,6 @@ class Channel:
         self.stats.dequeues += 1
         if self.capacity is not None and not self._sender_finished:
             self._resps.append(clock._time + self.resp_latency)
-        if self.profile_log is not None:
-            self.profile_log.append((stamp, clock._time))
         return data
 
     def do_peek(self, clock: TimeCell) -> Any:
@@ -353,8 +342,7 @@ class Channel:
         :meth:`~repro.core.program.Program.reset` before re-running a
         program whose previous attempt crashed or timed out, so the retry
         observes exactly the state a fresh build would.  Occupancy,
-        response queues, finished flags, stats, parked waiters, and the
-        profiling log (re-armed empty if profiling was enabled) are all
+        response queues, finished flags, stats and parked waiters are all
         cleared; the flavor codes are re-derived for the restored state.
 
         The queues and the stats object are cleared in place, never
@@ -370,8 +358,6 @@ class Channel:
         self.stats.__init__()
         self.waiting_sender = None
         self.waiting_receiver = None
-        if self.profile_log is not None:
-            self.profile_log = []
         self._select_codes()
 
     # ------------------------------------------------------------------
@@ -382,8 +368,8 @@ class Channel:
         """Capture the channel's full run state as a picklable dict.
 
         Everything :meth:`reset` clears is captured: queued data and
-        responses, the sender's in-flight count, the finished flags, the
-        stats counters, and the profiling log.  Parked-waiter fields are
+        responses, the sender's in-flight count, the finished flags and the
+        stats counters.  Parked-waiter fields are
         *not* captured — at a quiescent cut every context's suspension is
         recorded on the context side, and :meth:`restore_state` re-arms
         waiters empty.
@@ -401,7 +387,6 @@ class Channel:
                 "peeks": stats.peeks,
                 "max_real_occupancy": stats.max_real_occupancy,
             },
-            "profile_log": None if self.profile_log is None else list(self.profile_log),
         }
 
     def restore_state(self, record: dict[str, Any]) -> None:
@@ -422,9 +407,6 @@ class Channel:
             setattr(self.stats, field, record["stats"][field])
         self.waiting_sender = None
         self.waiting_receiver = None
-        logged = record.get("profile_log")
-        if self.profile_log is not None or logged is not None:
-            self.profile_log = list(logged or [])
         self._select_codes()
 
     # ------------------------------------------------------------------
@@ -443,27 +425,15 @@ class Channel:
         """Number of elements physically queued right now (debug metric)."""
         return len(self._data)
 
-    def enable_profiling(self) -> None:
-        """Record (visibility stamp, dequeue time) pairs for every dequeue.
-
-        Post-process with :func:`peak_simulated_occupancy` to measure how
-        deep the channel got *in simulated time* — the metric behind the
-        attention case study's O(N) vs O(1) local-memory argument.
-
-        Note: peak *real* occupancy no longer needs this toggle; it is
-        always tracked in ``stats.max_real_occupancy`` and exported via
-        the observability metrics registry.
-        """
-        self.profile_log = []
-        self._select_codes()  # dequeues are no longer open-coded
-
     def __repr__(self) -> str:
         cap = "inf" if self.capacity is None else str(self.capacity)
         return f"Channel({self.name}, cap={cap}, len={len(self._data)})"
 
 
 def peak_simulated_occupancy(log: list[tuple[Time, Time]]) -> int:
-    """Compute peak occupancy in simulated time from a channel profile log.
+    """Compute peak occupancy in simulated time from ``(visibility stamp,
+    dequeue time)`` pairs, as :func:`repro.obs.occupancy_log` reads them
+    off a run's trace.
 
     An element occupies the channel from its visibility stamp until it is
     dequeued.  (Elements enqueued but never dequeued are not in the log;

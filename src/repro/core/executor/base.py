@@ -171,9 +171,6 @@ class RunSummary:
                 stats.peeks += shipped["peeks"]
                 if shipped["max_real_occupancy"] > stats.max_real_occupancy:
                     stats.max_real_occupancy = shipped["max_real_occupancy"]
-                log = shipped.get("profile_log")
-                if log and channel.profile_log is not None:
-                    channel.profile_log.extend(log)
             buffers.extend(payload.get("trace", {}).items())
             counters = payload.get("counters", {})
             summary.context_switches += counters.get("context_switches", 0)

@@ -222,8 +222,8 @@ class _LanePump:
         clone._peek_port = channel._peek_port
         # Seeded from the channel: pristine on a fresh run, the restored
         # state on a resumed one.  The sender side takes the window, the
-        # receiver side the queued data and the profiling switch; stats
-        # start at zero, since the parent adds each side's onto its base.
+        # receiver side the queued data; stats start at zero, since the
+        # parent adds each side's onto its base.
         clone._sender_finished = channel._sender_finished
         clone._receiver_finished = channel._receiver_finished
         data_lane, resp_lane = lanes
@@ -234,8 +234,6 @@ class _LanePump:
             self._outbox, self._inbox = clone._data, clone._resps
         else:
             clone._data.extend(channel._data)
-            if channel.profile_log is not None:
-                clone.profile_log = []
             self._out, self._in = resp_lane, data_lane
             self._outbox, self._inbox = clone._resps, clone._data
         clone._select_codes()
@@ -384,10 +382,6 @@ class _WorkerExecutor(SequentialExecutor):
         #: run takes no checkpoints.
         self._ckpt_cut = 0 if run.ckpt_board is not None else None
         self._ckpt_rounds_done = 0
-        #: Stats already on an internal channel at activation time of a
-        #: *resumed* run: harvest ships deltas past these so the parent's
-        #: merge (which adds onto the restored base) never double-counts.
-        self._ship_base: dict[int, dict] = {}
         #: Runner shapes inherited from the parent; harvest reports the
         #: ones this worker compiles on top.
         self._shapes_inherited = len(runners.compiled())
@@ -421,21 +415,12 @@ class _WorkerExecutor(SequentialExecutor):
                         pump = _LanePump(handle.channel, lanes, sender)
                         handle.channel = pump.channel
                         self._pumps.append(pump)
-        if resume is not None:
-            for index in spec.channels:
-                channel = channels[index]
-                stats = channel.stats
-                self._ship_base[channel.id] = {
-                    "enqueues": stats.enqueues,
-                    "dequeues": stats.dequeues,
-                    "peeks": stats.peeks,
-                    "log_len": (
-                        len(channel.profile_log)
-                        if channel.profile_log is not None
-                        else 0
-                    ),
-                }
-        self._active_channels.extend(channels[i] for i in spec.channels)
+        for index in spec.channels:
+            # Since activation, like a clone: the parent adds what this
+            # worker ships onto its own (restored) base.  In place: a
+            # runner bound to the channel holds its stats object.
+            channels[index].stats.__init__()
+            self._active_channels.append(channels[index])
         for slot in spec.contexts:
             ctx = contexts[slot]
             state = _ContextState(ctx, self.tracer)
@@ -798,50 +783,29 @@ def _harvest(executor: _WorkerExecutor) -> dict:
 
     channel_stats: dict[int, dict] = {}
 
-    def ship(channel_id: int, stats: ChannelStats, log, occupancy: int) -> None:
+    def ship(channel_id: int, stats: ChannelStats, occupancy: int) -> None:
         # Accumulate, never overwrite: after a steal one worker may hold
         # *both* sides of a cut channel (sender-side enqueues and
-        # receiver-side dequeues land in separate ChannelStats).
+        # receiver-side dequeues land in separate ChannelStats).  Every
+        # side counts since its activation (zeroed, or a fresh clone).
         entry = channel_stats.setdefault(
             channel_id,
-            {
-                "enqueues": 0, "dequeues": 0, "peeks": 0,
-                "max_real_occupancy": 0, "profile_log": None,
-            },
+            {"enqueues": 0, "dequeues": 0, "peeks": 0, "max_real_occupancy": 0},
         )
         entry["enqueues"] += stats.enqueues
         entry["dequeues"] += stats.dequeues
         entry["peeks"] += stats.peeks
         if occupancy > entry["max_real_occupancy"]:
             entry["max_real_occupancy"] = occupancy
-        if log:
-            entry["profile_log"] = log
 
-    ship_base = executor._ship_base
     for channel in local_channels:
-        stats = channel.stats
-        log = channel.profile_log
-        base = ship_base.get(channel.id)
-        if base is not None:
-            # Resumed run: the restored channel state carries the
-            # pre-checkpoint totals, but the parent *also* restored them
-            # (RunSummary.merge adds shipped stats onto its own) — ship
-            # only what happened after activation.
-            delta = ChannelStats()
-            delta.enqueues = stats.enqueues - base["enqueues"]
-            delta.dequeues = stats.dequeues - base["dequeues"]
-            delta.peeks = stats.peeks - base["peeks"]
-            delta.max_real_occupancy = stats.max_real_occupancy
-            stats = delta
-            if log is not None:
-                log = log[base["log_len"]:]
-        ship(channel.id, stats, log, stats.max_real_occupancy)
+        ship(channel.id, channel.stats, channel.stats.max_real_occupancy)
     for pump in executor._pumps:
         clone = pump.channel
         # The sender side's queue is its outbox: its depth is no
         # occupancy of the channel.
         occupancy = 0 if pump.sender else clone.stats.max_real_occupancy
-        ship(clone.id, clone.stats, clone.profile_log, occupancy)
+        ship(clone.id, clone.stats, occupancy)
 
     return {
         "finish_times": finish_times,
@@ -1087,50 +1051,39 @@ class _CkptCoordinator:
                 for part in parts.values()
                 if channel.id in part["channels"]
             ]
-            whole = next(
-                (e["chan"] for e in entries if "chan" in e), None
+            # Every side reports its stats since activation — a live
+            # internal channel (``chan``), a cut channel's ``send`` and
+            # ``recv`` clones, a retired worker's shipped harvest — and
+            # all of them add onto the parent's fork-time base.
+            whole, send, recv = (
+                next((e[side] for e in entries if side in e), None)
+                for side in ("chan", "send", "recv")
             )
-            if whole is not None:
-                # Cluster-internal on a live worker: the dumped state
-                # already carries the full totals (restored base
-                # inherited at fork, plus everything since).
-                channels[slot] = whole
-                continue
-            # Cut channel (or internal to retired clusters): start from
-            # the parent's fork-time base, add the retired workers'
-            # shipped deltas, then the live sides.
             state = channel.checkpoint_state()
             stats = state["stats"]
-            log = state["profile_log"]
-            for payload in retired:
-                shipped = (
-                    payload.get("channel_stats") or {}
-                ).get(channel.id)
-                if shipped is None:
-                    continue
-                stats["enqueues"] += shipped["enqueues"]
-                stats["dequeues"] += shipped["dequeues"]
-                stats["peeks"] += shipped["peeks"]
-                if shipped["max_real_occupancy"] > stats["max_real_occupancy"]:
-                    stats["max_real_occupancy"] = shipped["max_real_occupancy"]
-                if shipped.get("profile_log"):
-                    log = (log or []) + list(shipped["profile_log"])
-            send = next((e["send"] for e in entries if "send" in e), None)
-            recv = next((e["recv"] for e in entries if "recv" in e), None)
+            sides = [
+                payload["channel_stats"][channel.id]
+                for payload in retired
+                if channel.id in (payload.get("channel_stats") or {})
+            ]
+            sides += [side["stats"] for side in (whole, recv) if side is not None]
+            if send is not None:
+                # The sender side's occupancy is its outbox depth.
+                sides.append(dict(send["stats"], max_real_occupancy=0))
+            for side in sides:
+                for field in ("enqueues", "dequeues", "peeks"):
+                    stats[field] += side[field]
+                if side["max_real_occupancy"] > stats["max_real_occupancy"]:
+                    stats["max_real_occupancy"] = side["max_real_occupancy"]
+            if whole is not None:
+                # Internal to a live worker: its queues are all there.
+                channels[slot] = dict(whole, stats=stats)
+                continue
             if send is not None:
                 state["delta"] = send["delta"]
                 state["resps"] = send["resps"]
-                stats["enqueues"] += send["stats"]["enqueues"]
             if recv is not None:
                 state["data"] = recv["data"]
-                shipped = recv["stats"]
-                stats["dequeues"] += shipped["dequeues"]
-                stats["peeks"] += shipped["peeks"]
-                # The sender side's occupancy is its outbox depth.
-                if shipped["max_real_occupancy"] > stats["max_real_occupancy"]:
-                    stats["max_real_occupancy"] = shipped["max_real_occupancy"]
-                if recv["profile_log"]:
-                    log = (log or []) + recv["profile_log"]
             # Finished flags: each side is authoritative for its own
             # endpoint (the other may not have seen the done sentinel
             # yet), and a missing side means that endpoint's cluster
@@ -1161,7 +1114,6 @@ class _CkptCoordinator:
                 state["data"] = []
                 state["resps"] = []
                 state["delta"] = 0
-            state["profile_log"] = log
             channels[slot] = state
 
         placement: dict[str, int] = {}

@@ -9,18 +9,17 @@ its factory to the batch's channels, deques, stats, counts and result
 buffer (kept as ``batch.results``), once per batch.  A bare op's runner
 reads its channel or count off the op it is called with, so one runner
 serves every op of its class and running a freshly built op binds
-nothing.  A runner performs each constituent's transition in order — the
-channel's codes 0/1 (``_enq_code`` / ``_deq_code``) open-coded, code 2
-through the channel's reference method (``try_enqueue`` /
-``fast_dequeue``), rare constituents (``Peek``, ``ViewTime``,
-``AdvanceTo``, ``WaitUntil``, a negative ``IncrCycles``, junk) through the
-executor's handler table — and returns the value the generator is
-resumed with.  When a constituent parks, it
-records the suspension on the context's state: the op in ``retry_op`` and,
-for a batch, two fields more, the batch and the constituent's index.  When
-the batch is abandoned (``ChannelClosed``), it leaves the exception in
-``pending_exc``.  Either way it counts what it attempted and returns
-:data:`SUSPENDED`.
+nothing.  A runner performs each constituent's transition in order — a
+dequeue and the enqueue codes 0/1 (``_enq_code``) open-coded, enqueue
+code 2 through the channel's reference method (``try_enqueue``), rare
+constituents (``Peek``, ``ViewTime``, ``AdvanceTo``, ``WaitUntil``, a
+negative ``IncrCycles``, junk) through the executor's handler table —
+and returns the value the generator is resumed with.  When a
+constituent parks, it records the suspension on the context's state:
+the op in ``retry_op`` and, for a batch, two fields more, the batch and
+the constituent's index.  When the batch is abandoned
+(``ChannelClosed``), it leaves the exception in ``pending_exc``.  Either
+way it counts what it attempted and returns :data:`SUSPENDED`.
 
 The templates are the sequential engine's only written transitions.
 Three kinds of marked line vary them, exactly as comments vary nothing:
@@ -47,7 +46,6 @@ import linecache
 import re
 import threading
 
-from ..channel import _EMPTY
 from ..errors import ChannelClosed
 from ..ops import Dequeue, Enqueue, FusedOps, IncrCycles
 
@@ -74,22 +72,7 @@ _PROLOGUE = """\
 _DEQUEUE = """\
         #B ch@ = op@.receiver.channel
         #B q@, r@, s@ = ch@._data, ch@._resps, ch@.stats
-        code = ch@._deq_code
-        if code != 2:
-            if q@:
-                stamp, result = q@.popleft()
-                if stamp > now:
-                    now = stamp
-                s@.dequeues += 1
-                if code == 1:
-                    r@.append(now + ch@.resp_latency)
-            else:
-                result = _EMPTY
-        else:
-            clock._time = now
-            result = ch@.fast_dequeue(clock)
-            now = clock._time
-        if result is _EMPTY:
+        if not q@:
             clock._time = now
             if ch@._sender_finished:
                 state.pending_exc = ChannelClosed(ch@.name)
@@ -98,6 +81,12 @@ _DEQUEUE = """\
             state.retry_op = op@
             ch@.waiting_receiver = state
             PARK
+        stamp, result = q@.popleft()
+        if stamp > now:
+            now = stamp
+        s@.dequeues += 1
+        if ch@._deq_code:
+            r@.append(now + ch@.resp_latency)
         waiter = ch@.waiting_sender
         if waiter is not None:
             ch@.waiting_sender = None
@@ -151,19 +140,14 @@ _ENQUEUE = """\
         waiter = ch@.waiting_receiver
         if waiter is not None:
             ch@.waiting_receiver = None
-            dcode = ch@._deq_code
-            if (
-                code != 2
-                and waiter.retry_op.__class__ is Dequeue
-                and dcode != 2
-            ):
+            if code != 2 and waiter.retry_op.__class__ is Dequeue:
                 wclock = waiter.context.time
                 stamp, result = q@.popleft()
                 wnow = wclock._time
                 if stamp > wnow:
                     wclock._time = wnow = stamp
                 s@.dequeues += 1
-                if dcode == 1:
+                if ch@._deq_code:
                     r@.append(wnow + ch@.resp_latency)
                 #T waiter.buffer.add(ch@._deq_port, wnow, result)
                 waiter.retry_op = None
@@ -307,7 +291,7 @@ def compile_shape(key: tuple):
     # demand (a lazy entry) rather than kept.  (linecache skips lazy
     # entries named ``<...>``.)
     linecache.cache[filename] = (functools.partial(source, key),)
-    # The generated code reads this module's names (_EMPTY, Dequeue, ...).
+    # The generated code reads this module's names (Dequeue, ...).
     namespace = dict(globals())
     exec(compile(text, filename, "exec"), namespace)
     return namespace["bind"]

@@ -48,7 +48,6 @@ from ...obs import Observability
 from ...obs.events import ADVANCE, FINISH
 from ...obs.stall import StallReport, stall_for
 from .. import checkpoint as _ckpt
-from ..channel import _EMPTY
 from ..context import Context
 from ..errors import (
     ChannelClosed,
@@ -808,9 +807,9 @@ class SequentialExecutor(Executor):
     # waiter's behalf (against the *waiter's* clock) and clears
     # ``retry_op`` — the woken slice then resumes with ``pending_value``
     # set, skipping the retry.  The transition itself is the channel's
-    # own ``try_enqueue`` / ``fast_dequeue``, called with the waiter's
-    # clock.  Everything the guards below exclude (profiled or void
-    # channels, a parked Peek) keeps the plain wake + retry protocol.
+    # own ``try_enqueue`` / ``do_dequeue``, called with the waiter's
+    # clock.  Everything the guards below exclude (a void channel, a
+    # parked Peek) keeps the plain wake + retry protocol.
 
     def _wake_send_deliver(self, channel, waiter: "_ContextState") -> None:
         """A dequeue freed bounded capacity: complete the parked sender's
@@ -832,19 +831,13 @@ class SequentialExecutor(Executor):
     def _wake_recv_deliver(self, channel, waiter: "_ContextState") -> None:
         """An enqueue filled an empty channel: complete the parked
         receiver's Dequeue in place, then wake it."""
-        op = waiter.retry_op
-        if (
-            op is not None
-            and op.__class__ is Dequeue
-            and channel._deq_code != 2
-        ):
+        if waiter.retry_op.__class__ is Dequeue:
             wclock = waiter.context.time
-            result = channel.fast_dequeue(wclock)
-            if result is not _EMPTY:
-                waiter.retry_op = None
-                waiter.pending_value = result
-                if waiter.buffer is not None:
-                    waiter.buffer.add(channel._deq_port, wclock._time, result)
+            result = channel.do_dequeue(wclock)
+            waiter.retry_op = None
+            waiter.pending_value = result
+            if waiter.buffer is not None:
+                waiter.buffer.add(channel._deq_port, wclock._time, result)
         self._wake(waiter)
 
     def _wake(self, state: _ContextState) -> None:

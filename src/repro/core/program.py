@@ -48,6 +48,11 @@ class Program:
         #: Manual placement for the process executor: ``id(context)`` →
         #: worker index (see :meth:`ProgramBuilder.pin`).
         self.partition_pins: dict[int, int] = dict(partition_pins or {})
+        #: Each checkpointable context's declared state as built (None
+        #: for the others): what :meth:`reset` puts back.
+        self._built_state = [
+            ctx.snapshot() if ctx.checkpointable else None for ctx in self.contexts
+        ]
 
     def run(
         self,
@@ -268,20 +273,19 @@ class Program:
 
         The graph (contexts, channels, wiring, pins) is untouched; only
         run state is cleared: context clocks return to zero, finish times
-        are forgotten, and every channel is drained back to its built
+        are forgotten, a checkpointable context's ``checkpoint_attrs``
+        (its whole inter-yield state, DESIGN.md §17) get their built
+        values back, and every channel is drained back to its built
         state (see :meth:`Channel.reset`).  Called by the retry ladder
         between attempts; also useful for running the same program
-        repeatedly in benchmarks.
-
-        Note that *user state* inside a context body (instance attributes
-        mutated by ``run()``) is the context author's responsibility —
-        DAM contexts conventionally keep their state in locals, created
-        fresh each time the generator is re-invoked, in which case reset
-        is complete.
+        repeatedly in benchmarks.  Any other instance attribute a
+        ``run()`` mutates is the context author's to reset.
         """
-        for context in self.contexts:
+        for context, state in zip(self.contexts, self._built_state):
             context.time = TimeCell(0)
             context.finish_time = None
+            if state is not None:
+                context.restore(state)
         for channel in self.channels:
             channel.reset()
         # A pending checkpoint restore is run state too: reset means "from

@@ -6,7 +6,8 @@ executor.  The pieces:
 
 * :mod:`~repro.obs.events` — per-context lock-free row buffers;
 * :mod:`~repro.obs.trace` — :class:`TraceCollector`, which owns the
-  buffers and derives the merged ``(time, context, seq)`` view on demand;
+  buffers and derives the merged ``(time, context, seq)`` view on demand,
+  and :func:`occupancy_log`, a channel's elements read off the trace;
 * :mod:`~repro.obs.metrics` — :class:`MetricsRegistry` of counters,
   gauges, and histograms folded into ``RunSummary.metrics``;
 * :mod:`~repro.obs.export` — Chrome trace-event / Perfetto JSON and CSV;
@@ -53,7 +54,7 @@ from .profile import (
 )
 from .stall import ContextStall, StallReport, stall_for
 from .stream import MetricsSampler
-from .trace import TraceCollector
+from .trace import TraceCollector, occupancy_log
 
 __all__ = [
     "ContextStall",
@@ -75,6 +76,7 @@ __all__ = [
     "events_from_chrome_trace",
     "fold_channel_metrics",
     "fold_context_metrics",
+    "occupancy_log",
     "profile_trace",
     "resolve_profile",
     "stall_for",

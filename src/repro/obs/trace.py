@@ -169,3 +169,32 @@ class TraceCollector:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events)
+
+
+def occupancy_log(trace: TraceCollector, channel: Any) -> list[tuple[Time, Time]]:
+    """``(visibility stamp, dequeue time)`` of every element the traced
+    run dequeued from ``channel``, the input of
+    :func:`~repro.core.channel.peak_simulated_occupancy`.
+
+    A channel is FIFO, so its k-th traced dequeue took its k-th traced
+    enqueue, whose stamp is the sender's time at that enqueue plus the
+    channel's latency (0 on a real channel).  Enqueues no dequeue took —
+    void ones after the receiver finished among them — are not paired.
+    The ops are found by the port ids the run stamped on ``channel``
+    (:meth:`TraceCollector.start_run`), in its endpoints' buffers.
+    """
+
+    def times(owner: Any, port: int) -> list[Time]:
+        buf = trace.buffers().get(owner.name) if owner is not None else None
+        if buf is None:
+            return []
+        return [time for p, time in zip(buf.ports, buf.times) if p == port]
+
+    real, latency = channel.real, channel.latency
+    return [
+        (0 if real else sent + latency, taken)
+        for sent, taken in zip(
+            times(channel.sender_owner, channel._enq_port),
+            times(channel.receiver_owner, channel._deq_port),
+        )
+    ]

@@ -164,7 +164,6 @@ class TestTermination:
 class TestStats:
     def test_counters(self):
         ch = Channel(capacity=8)
-        ch.enable_profiling()
         sender = TimeCell()
         for i in range(4):
             ch.do_enqueue(sender, i)
@@ -174,29 +173,20 @@ class TestStats:
         assert ch.stats.dequeues == 1
         assert ch.stats.max_real_occupancy == 4
 
-    def test_profiling_log(self):
-        ch = Channel(capacity=8, latency=1)
-        ch.enable_profiling()
-        sender = TimeCell(0)
-        ch.do_enqueue(sender, "a")
-        receiver = TimeCell(10)
-        ch.do_dequeue(receiver)
-        assert ch.profile_log == [(1, 10)]
-
 
 class TestFlavorCodes:
     """``_enq_code`` / ``_deq_code`` are the only state ``Channel``
     derives, and the runners open-code codes 0 and 1 on trust.  The
     rule: enqueue is 1 on a live bounded channel, 0 on a live unbounded
     one, and 2 (call the method) once the receiver has finished or on a
-    real channel; dequeue is 2 while profiling, 1 on a bounded channel
-    whose sender is live (every dequeue responds), and 0 otherwise."""
+    real channel; dequeue is 1 on a bounded channel whose sender is live
+    (every dequeue responds), and 0 otherwise."""
 
     #: (enq, deq) after each step of ``drive``, per channel kind.
     EXPECTED = {
-        "bounded": [(1, 1), (1, 0), (2, 0), (1, 1), (1, 2), (2, 2), (1, 2), (2, 0)],
-        "unbounded": [(0, 0), (0, 0), (2, 0), (0, 0), (0, 2), (2, 2), (0, 2), (2, 0)],
-        "real": [(2, 0), (2, 0), (2, 0), (2, 0), (2, 2), (2, 2), (2, 2), (2, 0)],
+        "bounded": [(1, 1), (1, 0), (2, 0), (1, 1), (2, 0), (1, 1), (2, 0)],
+        "unbounded": [(0, 0), (0, 0), (2, 0), (0, 0), (2, 0), (0, 0), (2, 0)],
+        "real": [(2, 0)] * 7,
     }
 
     KINDS = {
@@ -208,6 +198,7 @@ class TestFlavorCodes:
     def drive(self, kind):
         """Yield the channel whose codes to read after each step."""
         channel = Channel(**self.KINDS[kind])
+        live = channel.checkpoint_state()
         yield channel
         channel.close_sender()
         yield channel
@@ -216,11 +207,9 @@ class TestFlavorCodes:
         yield channel
         channel.reset()
         yield channel
-        channel.enable_profiling()
+        channel.restore_state(closed)
         yield channel
-        channel.restore_state(closed)  # profiling stays armed
-        yield channel
-        channel.reset()  # and survives a reset, re-armed empty
+        channel.restore_state(live)  # both endpoints live again
         yield channel
         fresh = Channel(**self.KINDS[kind])
         fresh.restore_state(closed)  # a resumed run's fresh build

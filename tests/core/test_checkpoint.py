@@ -72,6 +72,40 @@ def _mmadd():
     )
 
 
+class _MergeTree:
+    """A ``repro.contexts`` pipeline whose every firing peeks: four
+    sorted sources, a tree of three :class:`~repro.contexts.Merge` units
+    (each peeks both inputs before it dequeues one), and a collector.
+    Names are explicit, so two builds fingerprint alike."""
+
+    def __init__(self, n=40):
+        from repro.contexts import Collector, IterableSource, Merge
+
+        builder = ProgramBuilder()
+        heads = []
+        for lane in range(4):
+            snd, rcv = builder.bounded(2, name=f"src{lane}")
+            builder.add(IterableSource(
+                snd, range(lane, 4 * n, 4), ii=1 + lane % 2, name=f"source{lane}"
+            ))
+            heads.append(rcv)
+        for level in range(3):
+            a, b = heads.pop(0), heads.pop(0)
+            snd, rcv = builder.bounded(3, latency=6, name=f"merged{level}")
+            builder.add(Merge(a, b, snd, name=f"merge{level}"))
+            heads.append(rcv)
+        self.sink = builder.add(Collector(heads[0], name="sink"))
+        self.program = builder.build()
+
+    def run(self, executor="sequential", config=None):
+        return self.program.run(executor, config=config)
+
+    def result_dense(self):
+        import numpy as np
+
+        return np.array(self.sink.values)
+
+
 KERNELS = {"spmspm": _spmspm, "mmadd": _mmadd}
 
 
@@ -81,7 +115,7 @@ def _fingerprint(kernel, summary):
     every context's finish time."""
     chans = tuple(
         sorted(
-            (ch.name, ch.stats.enqueues, ch.stats.dequeues)
+            (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
             for ch in kernel.program.channels
         )
     )
@@ -186,23 +220,35 @@ class TestBitIdentity:
 class TestElasticResume:
     """Checkpoints are executor- and worker-count-portable."""
 
-    def test_process_capture_resumes_everywhere(self, tmp_path):
-        reference = _spmspm()
+    @staticmethod
+    def _capture_resumes_everywhere(build, tmp_path):
+        reference = build()
         expected = _fingerprint(
             reference,
             reference.run(
                 executor="process", config=RunConfig(workers=2, timeslice=7)
             ),
         )
-        got, epochs = _capture(
-            _spmspm, tmp_path, executor="process", workers=2
-        )
+        got, epochs = _capture(build, tmp_path, executor="process", workers=2)
         assert got == expected
         path = tmp_path / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
         # Same worker count, more workers (elastic), and no workers at all.
-        assert _resume(_spmspm, path, "process", workers=2) == expected
-        assert _resume(_spmspm, path, "process", workers=3) == expected
-        assert _resume(_spmspm, path, "sequential") == expected
+        assert _resume(build, path, "process", workers=2) == expected
+        assert _resume(build, path, "process", workers=3) == expected
+        assert _resume(build, path, "sequential") == expected
+        return expected
+
+    def test_process_capture_resumes_everywhere(self, tmp_path):
+        self._capture_resumes_everywhere(_spmspm, tmp_path)
+
+    def test_peeks_resume_everywhere(self, tmp_path):
+        """``peeks`` go through the stitch like the other counters."""
+        import numpy as np
+
+        expected = self._capture_resumes_everywhere(_MergeTree, tmp_path)
+        assert expected[1] == np.arange(160).tobytes()  # merged in order
+        peeks = {name: peeks for name, _, _, peeks in expected[2]}
+        assert peeks["src0"] > 0 and peeks["merged0"] > 0
 
     def test_sequential_capture_resumes_onto_process(self, tmp_path):
         expected, epochs = _capture(_spmspm, tmp_path)

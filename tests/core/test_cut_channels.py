@@ -164,7 +164,7 @@ def _process(spec, workers, ring, **options):
 _VOID_SLOT = (
     (
         [{"sender": 0, "receiver": 1, "capacity": 2, "latency": 0,
-          "resp_latency": 0, "profiled": False}],
+          "resp_latency": 0, "peeked": False}],
         [
             ([([("E", 0, 0)] * 3, "fused")] * 2, 1),
             ([([("D", 0, 0), ("I", 0, 0), ("D", 0, 0)], "fused")], 1),
@@ -181,7 +181,7 @@ _VOID_SLOT = (
 _BACKLOG = (
     (
         [{"sender": 0, "receiver": 1, "capacity": None, "latency": 0,
-          "resp_latency": 0, "profiled": False}],
+          "resp_latency": 0, "peeked": False}],
         [
             ([([("E", 0, 0)] * 16, "fused")], 1),
             ([([("D", 0, 0)] * 4, "fused")], 4),

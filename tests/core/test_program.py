@@ -11,6 +11,10 @@ from repro import (
     make_channel,
 )
 from repro.contexts import Collector, RampSource
+from repro.core import RunConfig, RunTimeoutError
+from repro.sam import CsfTensor
+from repro.sam.graphs import build_spmspm
+from repro.sam.tensor import random_dense
 
 
 class Passthrough(Context):
@@ -165,3 +169,26 @@ class TestFunctionContext:
 
         ctx = FunctionContext(my_producer, handles=[snd])
         assert "my_producer" in ctx.name
+
+
+class TestReset:
+    def test_a_timed_out_run_reruns_from_scratch(self):
+        """A SAM primitive keeps its loop state in ``checkpoint_attrs``:
+        a reset after a run cut short by its deadline must put that
+        state back as built, or the rerun resumes each primitive
+        mid-stream against empty channels."""
+        def kernel():
+            b = random_dense(20, 20, density=0.3, seed=1)
+            c = random_dense(20, 20, density=0.3, seed=2)
+            return build_spmspm(
+                CsfTensor.from_dense(b, "cc"), CsfTensor.from_dense(c, "cc"), depth=2
+            )
+
+        clean = kernel()
+        cycles = clean.run().elapsed_cycles
+        cut = kernel()
+        with pytest.raises(RunTimeoutError):
+            cut.run(config=RunConfig(deadline_s=0.01))
+        cut.program.reset()
+        assert cut.run().elapsed_cycles == cycles
+        assert cut.result_dense().tobytes() == clean.result_dense().tobytes()

@@ -442,7 +442,7 @@ def _programs(draw, waits=False, reals=False):
             "capacity": draw(st.sampled_from([1, 2, 3, None])),
             "latency": draw(st.integers(0, 2)),
             "resp_latency": draw(st.integers(0, 2)),
-            "profiled": draw(st.integers(0, 4)) == 3,
+            "peeked": draw(st.integers(0, 4)) == 3,
         }
         if reals and draw(st.integers(0, 2)) == 0:
             lane["real"] = True
@@ -537,8 +537,25 @@ class _Scripted(Context):
             self.log.append("closed")
 
 
+def _peeked(batch, lanes):
+    """``batch`` with a ``Peek`` ahead of each dequeue on a peeked lane."""
+    out = []
+    for kind, lane, arg in batch:
+        if kind == "D" and lanes[lane]["peeked"]:
+            out.append(("P", lane, 0))
+        out.append((kind, lane, arg))
+    return out
+
+
 def _build(spec, context=_Scripted):
+    """A peeked lane parks its receiver on the peek, which the waker
+    cannot complete in its place: the peek is retried, and its batch
+    re-entered at the peek."""
     lanes, scripts = spec
+    scripts = [
+        ([(_peeked(batch, lanes), form) for batch, form in batches], repeats)
+        for batches, repeats in scripts
+    ]
     builder = ProgramBuilder()
     ends = []
     for index, lane in enumerate(lanes):
@@ -551,8 +568,6 @@ def _build(spec, context=_Scripted):
                 resp_latency=lane["resp_latency"],
                 name=f"lane{index}",
             )
-        if lane["profiled"]:
-            snd.channel.enable_profiling()
         ends.append((snd, rcv))
     logs = [[] for _ in scripts]
     contexts = []

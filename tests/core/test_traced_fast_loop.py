@@ -53,7 +53,7 @@ UNTRACED_SHAPES = [
 #: changes it; a change of the trace's recording must not.  (Regenerate
 #: only for a deliberate change of the untraced runners.)
 UNTRACED_SOURCE_SHA256 = (
-    "183fe37c502f61cd70d58f2b3d9cd1d300509311e9f52a9dfbcfa49e304c5620"
+    "7a8ee04fe410353aa37aa1a6bc3e7746b24e8fcc77d9ba035a7a2ad23ee06bc6"
 )
 
 #: A comment that looks like a marker but would not be stripped.
@@ -241,7 +241,7 @@ class TestOneDefinitionPerTier:
 
     @pytest.mark.parametrize(
         "helper, transition",
-        [("_wake_send_deliver", "try_enqueue"), ("_wake_recv_deliver", "fast_dequeue")],
+        [("_wake_send_deliver", "try_enqueue"), ("_wake_recv_deliver", "do_dequeue")],
     )
     def test_wake_helpers_go_through_the_channel_methods(self, helper, transition):
         names = set(getattr(SequentialExecutor, helper).__code__.co_names)

@@ -143,8 +143,8 @@ class TestRegistry:
 
 
 class TestAlwaysOnOccupancy:
-    """Satellite regression: max_real_occupancy no longer needs the
-    enable_profiling toggle and is consistent on every enqueue path."""
+    """max_real_occupancy is tracked on every channel, with no toggle,
+    and is consistent on every enqueue path."""
 
     def test_tracked_without_profiling(self):
         ch = Channel(capacity=8)
