@@ -28,6 +28,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro import spec  # noqa: E402
 from repro.core import RunConfig, checkpoint as ckpt  # noqa: E402
 from repro.core.errors import WorkerCrashError  # noqa: E402
 from repro.core.executor.partitioned import ProcessExecutor  # noqa: E402
@@ -44,24 +45,6 @@ def build_kernel():
     ct = random_dense(12, 12, density=0.4, seed=24)
     return build_spmspm(
         CsfTensor.from_dense(b, "cc"), CsfTensor.from_dense(ct, "cc"), depth=4
-    )
-
-
-def fingerprint(kernel, summary):
-    chans = tuple(
-        sorted(
-            (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-            for ch in kernel.program.channels
-        )
-    )
-    times = tuple(
-        sorted((c.name, float(c.time.now())) for c in kernel.program.contexts)
-    )
-    return (
-        summary.elapsed_cycles,
-        kernel.result_dense().tobytes(),
-        chans,
-        times,
     )
 
 
@@ -146,7 +129,7 @@ def ladder_round(rng, reference, shm_before, failures):
                     checkpoint_path=ckdir,
                 ),
             )
-            if fingerprint(kernel, summary) != reference:
+            if (spec.simulated(kernel.program, summary), kernel.result_dense().tobytes()) != reference:
                 failures.append(f"{label}: result differs from clean run")
             check_hygiene(ckdir, shm_before, label, failures)
             if summary.attempts[0]["outcome"] != "crashed":
@@ -204,7 +187,7 @@ def elastic_round(rng, reference, shm_before, failures, ring_capacity=1 << 20):
                 executor="process",
                 config=RunConfig(workers=resume_workers, timeslice=7),
             )
-            if fingerprint(fresh, summary) != reference:
+            if (spec.simulated(fresh.program, summary), fresh.result_dense().tobytes()) != reference:
                 failures.append(
                     f"{label}: elastic resume differs from clean run"
                 )
@@ -217,14 +200,6 @@ def elastic_round(rng, reference, shm_before, failures, ring_capacity=1 << 20):
     failures.append(f"{label}: kill never fired in {MAX_TRIES} tries")
 
 
-def clean_reference(build):
-    base = build()
-    return fingerprint(
-        base,
-        base.run(executor="process", config=RunConfig(workers=2, timeslice=7)),
-    )
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2024)
@@ -233,7 +208,8 @@ def main(argv=None):
 
     rng = random.Random(args.seed)
     shm_before = shm_segments()
-    reference = clean_reference(build_kernel)
+    kernel = build_kernel()
+    reference = spec.run(kernel.program), kernel.result_dense().tobytes()
 
     failures: list[str] = []
     for round_no in range(args.rounds):

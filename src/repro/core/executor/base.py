@@ -19,17 +19,23 @@ if TYPE_CHECKING:  # pragma: no cover
 class RunSummary:
     """The result of executing a program.
 
-    ``elapsed_cycles`` is the simulated makespan: the largest finite local
-    time any context reached before finishing.  All three executors must
-    report identical ``elapsed_cycles`` and ``context_times`` for the same
-    program (the paper's exactness/determinism property).
+    Two kinds of field.  *Simulated* fields are a function of the
+    program alone, the same on every executor, policy and worker count
+    (the paper's exactness property): ``elapsed_cycles`` (the simulated
+    makespan, the largest finite local time any context reached before
+    finishing), ``context_times``, ``context_ops``, ``ops_executed``
+    and ``profile``, and beside them the program's channel traffic and
+    trace.
+    :func:`repro.spec.simulated` is their one definition, the record
+    every identity check compares.  *Host* fields describe the real run
+    and vary with it: ``real_seconds``, ``executor``, ``policy``, the
+    switch counters (``context_switches``, ``wakeups``,
+    ``preemptions``), ``steals``, ``placement``, ``attempts``, ``tag``,
+    and a channel's ``max_real_occupancy``.
 
     ``metrics`` is the :meth:`repro.obs.MetricsRegistry.snapshot` of the
     run when an :class:`~repro.obs.Observability` with metrics enabled
-    was attached, else ``None``.  Simulated-state metrics in it (channel
-    traffic, peak occupancy, finish times, per-context ops) are
-    executor-independent; scheduling metrics (parks, spin reads, wall
-    clock) describe the real run and naturally vary.
+    was attached, else ``None``; it mixes the two kinds the same way.
     """
 
     elapsed_cycles: Time
@@ -41,6 +47,9 @@ class RunSummary:
     wakeups: int = 0
     preemptions: int = 0
     ops_executed: int = 0
+    #: Each context's ops executed, in program slot order (their sum is
+    #: ``ops_executed``); a resumed run counts from the program's start.
+    context_ops: list[int] = field(default_factory=list)
     #: Cold clusters claimed away from their planned worker (process
     #: executor work stealing); 0 for single-runtime executors.
     steals: int = 0
@@ -95,6 +104,7 @@ class RunSummary:
             "wakeups": self.wakeups,
             "preemptions": self.preemptions,
             "ops_executed": self.ops_executed,
+            "context_ops": list(self.context_ops),
             "steals": self.steals,
             "placement": dict(self.placement) if self.placement else None,
             "metrics": self.metrics,
@@ -137,7 +147,9 @@ class RunSummary:
         the ``trace`` buffers keyed by context slot, ``channel_stats``
         keyed by channel id, and scheduler ``counters``.
         The caller (any multi-runtime executor) completes the summary
-        with ``executor`` / ``policy`` / ``real_seconds`` / ``metrics``.
+        with ``executor`` / ``policy`` / ``real_seconds``, and folds
+        ``context_stats`` into ``context_ops``, ``ops_executed`` and
+        ``metrics``.
 
         Folding lives here so :mod:`~repro.core.executor.partitioned`
         and future distributed executors share one merge: finish times
@@ -162,10 +174,7 @@ class RunSummary:
                 for key, value in attrs.items():
                     setattr(ctx, key, value)
             for channel_id, shipped in payload.get("channel_stats", {}).items():
-                channel = by_id.get(channel_id)
-                if channel is None:  # pragma: no cover - defensive
-                    continue
-                stats = channel.stats
+                stats = by_id[channel_id].stats
                 stats.enqueues += shipped["enqueues"]
                 stats.dequeues += shipped["dequeues"]
                 stats.peeks += shipped["peeks"]
@@ -176,7 +185,6 @@ class RunSummary:
             summary.context_switches += counters.get("context_switches", 0)
             summary.wakeups += counters.get("wakeups", 0)
             summary.preemptions += counters.get("preemptions", 0)
-            summary.ops_executed += counters.get("ops_executed", 0)
             summary.steals += counters.get("steals", 0)
 
         if trace is not None:  # a stable sort: one slot keeps payload order
@@ -186,11 +194,9 @@ class RunSummary:
         # Post-run channel parity with the in-process executors: every
         # finished endpoint has propagated its closure.
         for channel in program.channels:
-            owner = channel.sender_owner
-            if owner is not None and owner.finish_time is not None:
+            if channel.sender_owner.finish_time is not None:
                 channel.close_sender()
-            owner = channel.receiver_owner
-            if owner is not None and owner.finish_time is not None:
+            if channel.receiver_owner.finish_time is not None:
                 channel.close_receiver()
 
         summary.elapsed_cycles = Executor._makespan(program)
@@ -331,11 +337,13 @@ class Executor:
         self, program: "Program", summary: RunSummary, ops, wall,
         parks=None, spins=None,
     ) -> Optional[dict]:
-        """Fold the finished run into the obs registry and return its
+        """Set the finished run's ``context_ops`` and ``ops_executed``
+        from ``ops``, fold the run into the obs registry and return its
         snapshot (``None`` without metrics): channel stats, then one set
         of per-context tallies per program slot — ``ops`` / ``wall`` /
         ``parks`` / ``spins`` are lists indexed by slot, a ``None`` wall
         is not recorded — then the summary's scheduling counters."""
+        summary.context_ops, summary.ops_executed = list(ops), sum(ops)
         registry = self.obs.metrics if self.obs is not None else None
         if registry is None:
             return None

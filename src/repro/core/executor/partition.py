@@ -167,8 +167,6 @@ def plan_clusters(
     for chan_index, channel in enumerate(program.channels):
         sender = channel.sender_owner
         receiver = channel.receiver_owner
-        if sender is None or receiver is None:  # pragma: no cover - defensive
-            continue
         a, b = index_of[id(sender)], index_of[id(receiver)]
         if assignment[id(sender)] != assignment[id(receiver)]:
             continue  # planned-cut channel: never cluster-internal

@@ -819,7 +819,6 @@ def _harvest(executor: _WorkerExecutor) -> dict:
             "context_switches": executor.context_switches,
             "wakeups": executor.wakeups,
             "preemptions": executor.preemptions,
-            "ops_executed": executor.ops_executed,
             "steals": executor.steal_count,
         },
     }
@@ -1029,6 +1028,7 @@ class _CkptCoordinator:
                     },
                     "clock": finish,
                     "finish_time": finish,
+                    "ops": payload["context_stats"][slot]["ops"],
                 }
         missing = [
             slot for slot in range(len(program.contexts))
@@ -1422,12 +1422,14 @@ class ProcessExecutor(Executor):
                 conns[parent_conn] = worker
 
             payloads = self._collect(run, conns, procs, start, coordinator)
-            self._resolve_failures(run, payloads, start)
+            deadlock = self._resolve_failures(run, payloads, start)
             summary = RunSummary.merge(
                 program,
                 [payloads[worker] for worker in sorted(payloads)],
                 trace=trace,
             )
+            if deadlock is not None:
+                raise deadlock
         finally:
             # The sampler reads arena memory; stop it before the unmap.
             self._stop_sampler(sampler, self.obs)
@@ -1483,12 +1485,12 @@ class ProcessExecutor(Executor):
             registry.counter("process_migrated_contexts").inc(
                 sum(len(m["contexts"]) for m in self.migrations)
             )
-            ops = [0] * len(program.contexts)
-            wall: list = [None] * len(program.contexts)
-            for payload in payloads.values():
-                for slot, tallies in payload.get("context_stats", {}).items():
-                    ops[slot], wall[slot] = tallies["ops"], tallies["wall"]
-            summary.metrics = self._fold_metrics(program, summary, ops, wall)
+        ops = [0] * len(program.contexts)
+        wall: list = [None] * len(program.contexts)
+        for payload in payloads.values():
+            for slot, tallies in payload.get("context_stats", {}).items():
+                ops[slot], wall[slot] = tallies["ops"], tallies["wall"]
+        summary.metrics = self._fold_metrics(program, summary, ops, wall)
         self._attach_profile(summary, program, self.obs)
         # The next fork inherits what this run's workers had to compile.
         runners.warm(
@@ -1684,9 +1686,10 @@ class ProcessExecutor(Executor):
 
     def _resolve_failures(
         self, run: _RunShared, payloads: dict, start: float
-    ) -> None:
-        """Raise the run's failure, if any: error > crash > timeout >
-        deadlock."""
+    ) -> Optional[DeadlockError]:
+        """Raise the run's failure, if any: error > crash > timeout; a
+        deadlock is returned, to be raised once the aborted workers'
+        harvests (trace, channel stats, finish times) are folded."""
         for payload in payloads.values():
             if payload["status"] == "error":
                 info = payload.get("error") or {}
@@ -1723,7 +1726,7 @@ class ProcessExecutor(Executor):
                 error = self._timeout_failure(run, payloads, report, start)
                 self._report_supervisor_event("timeout", error)
                 raise error
-            raise DeadlockError(report.lines())
+            return DeadlockError(report.lines())
         if self._deadline_hit:
             # Reached when every worker either raced to completion as the
             # deadline fired or was force-recorded by the escape hatch.
@@ -1746,7 +1749,7 @@ class ProcessExecutor(Executor):
             for slot, t in payload.get("finish_times", {}).items():
                 if t is not None:
                     finish[slot] = t
-            ops += payload.get("counters", {}).get("ops_executed", 0)
+            ops += sum(s["ops"] for s in payload.get("context_stats", {}).values())
         context_times = {
             ctx.name: finish.get(slot, run.clocks.read(slot))
             for slot, ctx in enumerate(run.program.contexts)

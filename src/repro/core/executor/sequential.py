@@ -507,6 +507,10 @@ class SequentialExecutor(Executor):
                         policy.push(state, woken=False)
                 if not self._idle():
                     return
+        except (TypeError, ValueError) as failure:
+            # An op's own error (a negative IncrCycles) is its context's,
+            # as on a context thread.
+            raise SimulationError(state.context.name, failure) from failure
         finally:
             # An exception the generator raised back holds this frame in
             # its traceback: keeping it would make a reference cycle.
@@ -568,10 +572,11 @@ class SequentialExecutor(Executor):
     # ------------------------------------------------------------------
 
     def _context_record(self, state: _ContextState) -> dict:
-        """Classify one context's suspension into a resume record."""
+        """Classify one context's suspension into a resume record, with
+        its op count so far."""
         ctx = state.context
         if state.status == _DONE:
-            return _ckpt.record_done(ctx)
+            return _ckpt.record_done(ctx) | {"ops": state.ops}
         if (
             state.retry_op is None
             and state.fused_batch is None
@@ -594,7 +599,7 @@ class SequentialExecutor(Executor):
             fused_index=index if fused else None,
             fused_prefix=list(batch.results[:index]) if fused else None,
             fused_len=len(batch.ops) if fused else None,
-        )
+        ) | {"ops": state.ops}
 
     def _capture_checkpoint(self) -> None:
         """Snapshot the whole program at the current between-slices cut
@@ -643,7 +648,10 @@ class SequentialExecutor(Executor):
 
     def _apply_one_resume_record(self, ctx, state, record: dict) -> None:
         """Rebuild one context's scheduler bookkeeping from its record
-        (shared with the process executor's lazy cluster activation)."""
+        (shared with the process executor's lazy cluster activation).
+        Its op count goes on from the record's: a resumed run counts the
+        whole run."""
+        state.ops = record.get("ops", 0)  # a fresh record has run none
         kind = record["kind"]
         if kind == "done":
             state.status = _DONE
@@ -653,7 +661,8 @@ class SequentialExecutor(Executor):
         executed = record["executed"]
         fused_index = record.get("fused_index")
         if fused_index is None and not executed:
-            return  # plain re-derive + re-attempt
+            state.ops -= 1  # plain re-derive + re-attempt, counted again
+            return
         try:
             first_op = state.gen.send(None)
         except BaseException as failure:  # noqa: BLE001 - contract breach

@@ -67,10 +67,6 @@ WORKER_BLOCKED = 1  # asleep on its doorbell: drained it, found nothing to do
 WORKER_DONE = 2
 
 
-def _align8(value: int) -> int:
-    return (value + 7) & ~7
-
-
 class SharedArena:
     """One shared-memory block carved into aligned regions.
 
@@ -126,7 +122,7 @@ class ArenaLayout:
 
     def reserve(self, length: int) -> int:
         offset = self.size
-        self.size = _align8(offset + length)
+        self.size = (offset + length + 7) & ~7  # the next region 8-byte aligned
         return offset
 
 

@@ -271,7 +271,7 @@ class ThreadedExecutor(Executor):
             raise DeadlockError(self._stall_report().lines())
 
         # The OS schedules: no scheduler counters.
-        summary = self._summary(program, start, "os", ops_executed=sum(self._ctx_ops))
+        summary = self._summary(program, start, "os")
         summary.metrics = self._fold_metrics(
             program, summary, self._ctx_ops, self._ctx_wall,
             self._ctx_parks, self._ctx_spins,

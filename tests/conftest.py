@@ -1,0 +1,18 @@
+"""Hypothesis profiles for the whole suite.
+
+``nightly`` is the scheduled CI job's: the spec differentials
+(``test_runners.TestRandomBatches``, ``test_cut_channels``) draw 2,000
+programs each from the run's seed instead of their fixed tier-1 draws.
+Select it with ``pytest --hypothesis-profile=nightly
+--hypothesis-seed=<seed>``; the same seed replays a failure.
+"""
+
+from hypothesis import HealthCheck, settings
+
+settings.register_profile(
+    "nightly",
+    max_examples=2000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+

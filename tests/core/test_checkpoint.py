@@ -30,8 +30,10 @@ from repro import (
     ProgramBuilder,
     RunConfig,
 )
+from repro import spec as reference
 from repro.core import checkpoint as ckpt
 from repro.core.errors import CheckpointError
+from repro.spec import simulated
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -76,7 +78,7 @@ class _MergeTree:
     """A ``repro.contexts`` pipeline whose every firing peeks: four
     sorted sources, a tree of three :class:`~repro.contexts.Merge` units
     (each peeks both inputs before it dequeues one), and a collector.
-    Names are explicit, so two builds fingerprint alike."""
+    Names are explicit, so two builds record alike."""
 
     def __init__(self, n=40):
         from repro.contexts import Collector, IterableSource, Merge
@@ -109,27 +111,6 @@ class _MergeTree:
 KERNELS = {"spmspm": _spmspm, "mmadd": _mmadd}
 
 
-def _fingerprint(kernel, summary):
-    """Everything a resumed run could plausibly get wrong: the final
-    cycle count, the numeric result, per-channel traffic totals, and
-    every context's finish time."""
-    chans = tuple(
-        sorted(
-            (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-            for ch in kernel.program.channels
-        )
-    )
-    times = tuple(
-        sorted((c.name, float(c.time.now())) for c in kernel.program.contexts)
-    )
-    return (
-        summary.elapsed_cycles,
-        kernel.result_dense().tobytes(),
-        chans,
-        times,
-    )
-
-
 def _epochs(ckdir):
     return sorted(
         int(name[5:-4])
@@ -140,7 +121,7 @@ def _epochs(ckdir):
 
 def _capture(build, ckdir, **config):
     """Run ``build()`` with every-round checkpointing into ``ckdir``;
-    returns (fingerprint, sorted epoch list)."""
+    returns (record, sorted epoch list)."""
     kernel = build()
     executor = config.pop("executor", "sequential")
     summary = kernel.run(
@@ -152,7 +133,7 @@ def _capture(build, ckdir, **config):
             **config,
         ),
     )
-    return _fingerprint(kernel, summary), _epochs(ckdir)
+    return (simulated(kernel.program, summary), kernel.result_dense().tobytes()), _epochs(ckdir)
 
 
 def _resume(build, path, executor="sequential", **config):
@@ -162,7 +143,7 @@ def _resume(build, path, executor="sequential", **config):
     summary = kernel.run(
         executor=executor, config=RunConfig(timeslice=7, **config)
     )
-    return _fingerprint(kernel, summary)
+    return simulated(kernel.program, summary), kernel.result_dense().tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +155,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_checkpointing_is_a_pure_observer(self, name, tmp_path):
         build = KERNELS[name]
-        reference = build()
-        expected = _fingerprint(
-            reference, reference.run(config=RunConfig(timeslice=7))
-        )
+        kernel = build()
+        expected = reference.run(kernel.program), kernel.result_dense().tobytes()
         got, epochs = _capture(build, tmp_path)
         assert got == expected
         assert epochs and epochs == list(range(1, len(epochs) + 1))
@@ -211,7 +190,7 @@ class TestBitIdentity:
                 checkpoint_path=str(resume_dir),
             )
         )
-        assert _fingerprint(kernel, summary) == expected
+        assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
         # Epoch numbering continues past the restored epoch.
         assert _epochs(resume_dir)[0] == middle + 1
 
@@ -222,13 +201,8 @@ class TestElasticResume:
 
     @staticmethod
     def _capture_resumes_everywhere(build, tmp_path):
-        reference = build()
-        expected = _fingerprint(
-            reference,
-            reference.run(
-                executor="process", config=RunConfig(workers=2, timeslice=7)
-            ),
-        )
+        kernel = build()
+        expected = reference.run(kernel.program), kernel.result_dense().tobytes()
         got, epochs = _capture(build, tmp_path, executor="process", workers=2)
         assert got == expected
         path = tmp_path / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
@@ -247,7 +221,8 @@ class TestElasticResume:
 
         expected = self._capture_resumes_everywhere(_MergeTree, tmp_path)
         assert expected[1] == np.arange(160).tobytes()  # merged in order
-        peeks = {name: peeks for name, _, _, peeks in expected[2]}
+        names = [channel.name for channel in _MergeTree().program.channels]
+        peeks = {name: c[2] for name, c in zip(names, expected[0]["channels"])}
         assert peeks["src0"] > 0 and peeks["merged0"] > 0
 
     def test_sequential_capture_resumes_onto_process(self, tmp_path):
@@ -283,8 +258,8 @@ class TestElasticResume:
 
         monkeypatch.setattr(ckpt, "load_part", counting)
 
-        reference = build()
-        expected = _fingerprint(reference, reference.run())
+        kernel = build()
+        expected = reference.run(kernel.program), kernel.result_dense().tobytes()
         kernel = build()
         summary = kernel.run(
             ProcessExecutor(
@@ -298,7 +273,7 @@ class TestElasticResume:
                 checkpoint_path=str(tmp_path),
             )
         )
-        assert _fingerprint(kernel, summary) == expected
+        assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
         epochs = _epochs(tmp_path)
         assert len(epochs) >= 8 and sorted(backlog) == epochs
         assert any(backlog.values()), "no cut held an undelivered record"
@@ -348,8 +323,8 @@ class TestThreadedCapture:
         the sequential executor's epoch list, stamped ``"threaded"``, and
         any epoch — first, middle, last — resumes bit-identically on
         every executor."""
-        reference = _parallel_mha()
-        expected = _fingerprint(reference, reference.run())
+        kernel = _parallel_mha()
+        expected = reference.run(kernel.program), kernel.result_dense().tobytes()
         got, sequential = _capture(_parallel_mha, tmp_path / "sequential")
         assert got == expected
         got, epochs = _capture(_parallel_mha, tmp_path, executor="threaded")

@@ -4,15 +4,17 @@ The paper claims DAM is "an exact, deterministic system, producing the same
 results on each execution".  We generate random dataflow pipelines (random
 channel geometries, initiation intervals, and payload streams) and assert
 that the sequential executor — under multiple scheduling policies — and the
-threaded executor agree on delivered values, simulated makespan, and every
-per-context finish time.
+threaded executor leave the spec's record (:func:`repro.spec.simulated`)
+and deliver its values.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FairPolicy, ProgramBuilder, RunConfig, SequentialExecutor
+from repro import FairPolicy, ProgramBuilder, RunConfig
+from repro import spec as reference
 from repro.contexts import Collector, IterableSource, UnaryFunction
+from repro.spec import simulated
 
 channel_geometry = st.tuples(
     st.one_of(st.none(), st.integers(min_value=1, max_value=5)),  # capacity
@@ -62,33 +64,18 @@ def pipeline_spec(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(pipeline_spec())
-def test_sequential_policies_agree(spec):
-    payload, geometries, iis, source_ii = spec
-    outcomes = []
-    for policy in ["fifo", FairPolicy(timeslice=2), FairPolicy(timeslice=7, boost=False)]:
-        program, collector = build_pipeline(payload, geometries, iis, source_ii)
-        summary = SequentialExecutor(policy=policy).execute(program)
-        outcomes.append(
-            (
-                tuple(collector.values),
-                summary.elapsed_cycles,
-                tuple(sorted(summary.context_times.items())),
-            )
-        )
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-
-
-@settings(max_examples=15, deadline=None)
-@given(pipeline_spec())
-def test_threaded_matches_sequential(spec):
-    payload, geometries, iis, source_ii = spec
-    program_seq, col_seq = build_pipeline(payload, geometries, iis, source_ii)
-    seq = program_seq.run(executor="sequential")
-    program_thr, col_thr = build_pipeline(payload, geometries, iis, source_ii)
-    thr = program_thr.run(executor="threaded", config=RunConfig(superblocks="off"))
-    assert col_seq.values == col_thr.values
-    assert seq.elapsed_cycles == thr.elapsed_cycles
-    assert seq.context_times == thr.context_times
+def test_every_host_matches_the_spec(spec):
+    program, collector = build_pipeline(*spec)
+    expected = reference.run(program), collector.values
+    hosts = [
+        ("sequential", RunConfig(policy=policy))
+        for policy in ["fifo", FairPolicy(timeslice=2), FairPolicy(timeslice=7, boost=False)]
+    ]
+    hosts.append(("threaded", RunConfig(superblocks="off")))
+    for executor, config in hosts:
+        program, collector = build_pipeline(*spec)
+        summary = program.run(executor, config=config)
+        assert (simulated(program, summary), collector.values) == expected, executor
 
 
 @settings(max_examples=25, deadline=None)

@@ -35,9 +35,11 @@ from repro import (
     SimulationError,
     WorkerCrashError,
 )
+from repro import spec as reference
 from repro.core import FusedOps
 from repro.core.errors import pack_exception, unpack_exception
 from repro.core.faults import StalledLane, WorkerKill
+from repro.spec import simulated
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -153,13 +155,9 @@ def _deadlocking_program():
     return builder.build()
 
 
-def _fingerprint(program, summary):
-    stats = {
-        ch.name: (ch.stats.enqueues, ch.stats.dequeues)
-        for ch in program.channels
-    }
-    total = next(c for c in program.contexts if c.name == "cons").total
-    return (summary.elapsed_cycles, summary.context_times, stats, total)
+def _total(program):
+    """What the consumer of ``_stream_program`` added up."""
+    return next(c for c in program.contexts if c.name == "cons").total
 
 
 def _process_config(**kwargs):
@@ -477,11 +475,11 @@ class TestDeadline:
         assert info.value.summary is not None
 
     def test_generous_deadline_changes_nothing(self):
-        reference = _stream_program()
-        expected = _fingerprint(reference, reference.run())
+        program = _stream_program()
+        expected = reference.run(program), _total(program)
         program = _stream_program()
         summary = program.run(config=RunConfig(deadline_s=60.0))
-        assert _fingerprint(program, summary) == expected
+        assert (simulated(program, summary), _total(program)) == expected
 
     def test_sequential_timeout_files_stall_report(self):
         obs = Observability()
@@ -563,8 +561,8 @@ class TestShuttleStall:
 class TestRetryLadder:
     @needs_fork
     def test_crash_falls_back_and_result_is_bit_identical(self):
-        reference = _stream_program(n=300)
-        expected = _fingerprint(reference, reference.run())
+        program = _stream_program(n=300)
+        expected = reference.run(program), _total(program)
 
         obs = Observability()
         program = _stream_program(n=300, pin=(0, 1))
@@ -577,7 +575,7 @@ class TestRetryLadder:
         assert summary.attempts[0]["executor"] == "process"
         assert summary.attempts[1]["executor"] == "sequential"
         assert obs.metrics.counter("run_retries").value == 1
-        assert _fingerprint(program, summary) == expected
+        assert (simulated(program, summary), _total(program)) == expected
 
     @needs_fork
     def test_default_ladder_steps_to_threaded_first(self):
@@ -614,12 +612,12 @@ class TestRetryLadder:
 
     def test_reset_restores_pristine_state(self):
         program = _stream_program(n=200)
-        first = _fingerprint(program, program.run())
+        first = simulated(program, program.run()), _total(program)
         program.reset()
         for channel in program.channels:
             assert channel.stats.enqueues == 0
             assert not channel.sender_finished
-        second = _fingerprint(program, program.run())
+        second = simulated(program, program.run()), _total(program)
         assert first == second
 
 
@@ -640,24 +638,6 @@ def _spmspm_kernel():
         CsfTensor.from_dense(b, "cc"),
         CsfTensor.from_dense(ct, "cc"),
         depth=4,
-    )
-
-
-def _kernel_fingerprint(kernel, summary):
-    chans = tuple(
-        sorted(
-            (ch.name, ch.stats.enqueues, ch.stats.dequeues)
-            for ch in kernel.program.channels
-        )
-    )
-    times = tuple(
-        sorted((c.name, float(c.time.now())) for c in kernel.program.contexts)
-    )
-    return (
-        summary.elapsed_cycles,
-        kernel.result_dense().tobytes(),
-        chans,
-        times,
     )
 
 
@@ -689,12 +669,7 @@ class TestCheckpointChaos:
     @staticmethod
     def _reference():
         kernel = _spmspm_kernel()
-        return _kernel_fingerprint(
-            kernel,
-            kernel.run(
-                executor="process", config=RunConfig(workers=2, timeslice=7)
-            ),
-        )
+        return reference.run(kernel.program), kernel.result_dense().tobytes()
 
     def test_ladder_resumes_from_checkpoint_bit_identically(self, tmp_path):
         expected = self._reference()
@@ -715,7 +690,7 @@ class TestCheckpointChaos:
                     checkpoint_path=str(ckdir),
                 ),
             )
-            assert _kernel_fingerprint(kernel, summary) == expected
+            assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
             assert not _checkpoint_leftovers(ckdir)
             if summary.attempts[0]["outcome"] != "crashed":
                 continue  # run finished before the second dump; retry
@@ -765,7 +740,7 @@ class TestCheckpointChaos:
             summary = fresh.run(
                 executor="process", config=RunConfig(workers=3, timeslice=7)
             )
-            assert _kernel_fingerprint(fresh, summary) == expected
+            assert (simulated(fresh.program, summary), fresh.result_dense().tobytes()) == expected
             return
         pytest.fail(f"kill never fired in {self.TRIES} tries")
 

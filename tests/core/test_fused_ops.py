@@ -9,17 +9,17 @@ mid-batch at exactly the constituent that would have blocked; ChannelClosed
 surfacing at the yield point; and nested batches rejected.
 
 Every behavioural test runs on the sequential executor's runners and on
-the threaded executor's one-thread-per-context runtime (the paper's, and
-the reference: it steps each op through ``Channel``'s own methods) — the
-two must be indistinguishable.  The park/wake section drives the runners'
-machinery (inline peer delivery, last-constituent resume, mid-batch
-resume, rare ops, slice expiry) against that reference, untraced and
-traced: a traced run binds the traced runners, and which context appends
-a row on a wake-with-delivery must not show in any context's row sequence
-or in the profile.  The last section parks one five-constituent batch on
-each of its positions and checks that re-entering it — with its plan,
-after a checkpoint restore, on the one-thread-per-context runtime — is
-invisible.
+the threaded executor's one-thread-per-context runtime (the paper's: it
+steps each op through ``Channel``'s own methods) — the two must be
+indistinguishable.  The park/wake section drives the runners' machinery
+(inline peer delivery, last-constituent resume, mid-batch resume, rare
+ops, slice expiry), and the paper's runtime beside it, against the spec
+(``repro.spec``), untraced and traced: a traced run binds the traced
+runners, and which context appends a row on a wake-with-delivery must
+not show in any context's port history or in the profile.  The last
+section parks one five-constituent batch on each of its positions and
+checks that re-entering it — with its plan, after a checkpoint restore,
+on the one-thread-per-context runtime — is invisible.
 """
 
 import os
@@ -54,7 +54,9 @@ from repro.core import (
 )
 from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
+from repro import spec as reference
 from repro.obs import Observability
+from repro.spec import simulated
 
 BOTH_HOSTS = pytest.mark.parametrize(
     "host", ["sequential", "threaded"], ids=["sequential", "threaded-off"]
@@ -200,37 +202,17 @@ def _pipeline(fused):
     return builder, sink
 
 
-def _signature(builder, summary):
-    program = builder.build()  # rebuild shares the channel objects
-    channels = tuple(
-        (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-        for ch in program.channels
-    )
-    return (
-        summary.elapsed_cycles,
-        summary.context_times,
-        summary.ops_executed,
-        channels,
-    )
-
-
 class TestFusedUnfusedEquivalence:
     @BOTH_HOSTS
     def test_cycles_stats_and_op_counts_match(self, host):
-        fused_builder, fused_sink = _pipeline(fused=True)
-        fused_sig = _signature(fused_builder, run(fused_builder, host))
+        """Fused, on either host, the record and the delivered values are
+        the spec's of the unfused form."""
         plain_builder, plain_sink = _pipeline(fused=False)
-        plain_sig = _signature(plain_builder, run(plain_builder, host))
-        assert fused_sink.values == plain_sink.values
-        assert fused_sig == plain_sig
-
-    def test_runners_match_one_thread_per_context(self):
-        seq_builder, seq_sink = _pipeline(fused=True)
-        seq_sig = _signature(seq_builder, run(seq_builder))
-        thr_builder, thr_sink = _pipeline(fused=True)
-        thr_sig = _signature(thr_builder, run(thr_builder, "threaded"))
-        assert seq_sink.values == thr_sink.values
-        assert seq_sig == thr_sig
+        expected = reference.run(plain_builder.build()), plain_sink.values
+        fused_builder, fused_sink = _pipeline(fused=True)
+        summary = run(fused_builder, host)
+        # A rebuild shares the channel objects.
+        assert (simulated(fused_builder.build(), summary), fused_sink.values) == expected
 
     def test_trace_event_sequences_match_unfused(self):
         """Fusion emits the same per-constituent trace events, in the
@@ -713,27 +695,22 @@ def _build_named(build):
 
 
 def _rows(obs):
-    """Per-context rows of simulated ops (a process run also records
-    where a steal happened, in a pseudo-buffer no context owns)."""
-    return {
-        name: list(buffer.rows)
-        for name, buffer in obs.trace.buffers().items()
-        if not name.startswith("<")
-    }
+    """Per-context rows of simulated ops."""
+    return {name: list(buffer.rows) for name, buffer in obs.trace.buffers().items()}
 
 
-def _outcome(
-    build, payloads=None, host="sequential", metrics=False, **executor_kwargs
-):
-    """``(simulated, summary)`` of one run — sequential, or with ``host``
-    ``"threaded"`` one thread per context: everything simulated about it
-    — with ``payloads`` not None also every context's trace rows
-    (payloads captured or not) and the profile — and the summary for its
-    scheduling counters.  ``metrics`` attaches a registry too (the
-    sequential executor then wall-times every slice).
-    (Not simulated: ``max_real_occupancy``, real queue depth, and the
-    counters, which count a host's own scheduling.)"""
+def _run(build, payloads=None, host="sequential", metrics=False, **executor_kwargs):
+    """``(record, observed, summary)`` of one run of ``build()`` — on the
+    sequential engine, one thread per context (``host="threaded"``) or
+    the spec (``host="spec"``, no summary): its
+    :func:`repro.spec.simulated` record, traced when ``payloads`` is not
+    None (with the data moved when true), what the shape observed, and
+    the summary, for its scheduling counters.  ``metrics`` attaches a
+    registry too (the sequential executor then wall-times every slice)."""
     program, observe = _build_named(build)
+    if host == "spec":
+        record = reference.run(program, payloads is not None, bool(payloads))
+        return record, observe(), None
     obs = (
         None
         if payloads is None
@@ -744,53 +721,49 @@ def _outcome(
     else:
         executor = SequentialExecutor(obs=obs, **executor_kwargs)
     summary = executor.execute(program)
-    simulated = {
-        "rows": None if obs is None else _rows(obs),
-        "profile": summary.profile,
-        "elapsed": summary.elapsed_cycles,
-        "context_times": tuple(
-            summary.context_times[ctx.name] for ctx in program.contexts
-        ),
-        "ops": summary.ops_executed,
-        "channels": tuple(
-            (ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-            for ch in program.channels
-        ),
-        "observed": observe(),
-    }
-    return simulated, summary
+    return simulated(program, summary, obs), observe(), summary
+
+
+#: The hosts each park/wake shape runs on: the sequential engine's
+#: run-to-block and two-resumption slices, and one thread per context.
+_HOSTS = {
+    "fifo": {"policy": "fifo"},
+    "slice2": {"policy": FairPolicy(timeslice=2)},
+    "threaded-off": {"host": "threaded"},
+}
 
 
 class TestParkWakeShapes:
     @pytest.mark.parametrize("tracing", sorted(_TRACING))
-    @pytest.mark.parametrize("policy", sorted(_POLICIES))
+    @pytest.mark.parametrize("host", sorted(_HOSTS))
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
-    def test_matches_one_thread_per_context(self, shape, policy, tracing):
+    def test_matches_the_spec(self, shape, host, tracing):
         build = _SHAPES[shape]
         payloads = _TRACING[tracing]
-        fast, fast_summary = _outcome(build, payloads, policy=_POLICIES[policy]())
-        reference, _ = _outcome(build, payloads, "threaded")
+        record, seen, summary = _run(build, payloads, **_HOSTS[host])
+        expected, expected_seen, _ = _run(build, payloads, "spec")
         if shape in _PEER_CLOCK_READS:
             # A peer's clock read is a lower bound, not a value: each
             # host reads it at its own boundary.
-            for simulated in (fast, reference):
-                assert simulated.pop("observed")[0] >= _PEER_CLOCK_READS[shape]
-        assert fast == reference
-        assert fast["ops"] > 0
+            assert min(seen + expected_seen) >= _PEER_CLOCK_READS[shape]
+        else:
+            assert seen == expected_seen
+        assert record == expected
+        assert sum(record["ops"]) == summary.ops_executed > 0
         if payloads is not None:
             # One row per completed op that records (ViewTime/WaitUntil
             # do not) plus one finish row per context that finished.
-            assert 0 < sum(map(len, fast["rows"].values())) <= (
-                fast["ops"] + len(fast["rows"])
-            )
-            assert fast["profile"]["finish_time"] == fast["elapsed"]
-        if policy == "fifo":
+            trace = record["trace"]
+            rows = sum(len(ports) for ports, _, _ in trace.values())
+            assert 0 < rows <= summary.ops_executed + len(trace)
+            assert record["profile"]["finish_time"] == summary.elapsed_cycles
+        if host == "fifo":
             # Run-to-block never preempts.
-            assert fast_summary.preemptions == 0
+            assert summary.preemptions == 0
 
     def test_delivered_values(self):
         def observed(build):
-            return _outcome(build)[0]["observed"]
+            return _run(build)[1]
 
         assert observed(_capacity_one_ping_pong) == [i + 1 for i in range(30)]
         assert observed(_fused_parks_both_positions) == [
@@ -805,10 +778,9 @@ class TestParkWakeShapes:
         """The sequential host wakes the waiter when the mover's slice
         ends past the threshold, and the waiter reads the mover's clock
         there: at least 100, and a time in the mover's port history."""
-        simulated, _ = _outcome(_wait_until, True, policy=_POLICIES[policy]())
-        [seen] = simulated["observed"]
+        record, [seen], _ = _run(_wait_until, True, policy=_POLICIES[policy]())
         assert seen >= 100
-        assert seen in {row[2] for row in simulated["rows"]["ctx0"]}
+        assert seen in record["trace"]["ctx0"][1]
 
     @BOTH_HOSTS
     def test_deadlock_reported(self, host):
@@ -875,20 +847,19 @@ class TestParkWakeShapes:
             assert all(_rows(obs).values())
 
     @pytest.mark.parametrize("payloads", [False, True], ids=["rows", "payloads"])
-    def test_traced_process_run_matches_one_thread_per_context(self, payloads):
+    def test_traced_process_run_matches_the_spec(self, payloads):
         """Two forked workers run the traced runners against channel
-        clones (every channel of this pipeline is cut); merged back, each
-        context's rows are the reference run's."""
-        reference, _ = _outcome(_capacity_one_ping_pong, payloads, "threaded")
+        clones (every channel of this pipeline is cut); merged back, the
+        record — each context's port history and the profile among it —
+        is the spec's."""
+        expected = _run(_capacity_one_ping_pong, payloads, "spec")[:2]
         program, observe = _build_named(_capacity_one_ping_pong)
         pins = {id(ctx): slot % 2 for slot, ctx in enumerate(program.contexts)}
         obs = Observability(metrics=False, capture_payloads=payloads)
         summary = program.run(
             "process", config=RunConfig(workers=2, pins=pins, obs=obs)
         )
-        assert _rows(obs) == reference["rows"]
-        assert summary.profile == reference["profile"]
-        assert summary.elapsed_cycles == reference["elapsed"]
+        assert (simulated(program, summary, obs), observe()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -1107,35 +1078,26 @@ class _ResumeSpy(SequentialExecutor):
 class TestBatchReentry:
     @pytest.mark.parametrize("policy", sorted(_REENTRY_POLICIES))
     @pytest.mark.parametrize("scenario", sorted(_REENTRY))
-    def test_matches_one_thread_per_context_and_the_recorded_schedule(
-        self, scenario, policy
-    ):
+    def test_matches_the_spec_and_the_recorded_schedule(self, scenario, policy):
         build = _REENTRY[scenario]
         make_policy = _REENTRY_POLICIES[policy]
-        reference, _ = _outcome(build, True, "threaded")
-        traced, traced_summary = _outcome(build, True, policy=make_policy())
-        untraced, untraced_summary = _outcome(build, policy=make_policy())
+        traced = _run(build, True, policy=make_policy())
+        untraced = _run(build, policy=make_policy())
         # The schedule loop's other legs: wall-timed slices (metrics) and
         # bounded slices with their begin/end hooks (a deadline never
         # reached).
-        timed, timed_summary = _outcome(
-            build, True, metrics=True, policy=make_policy()
-        )
-        bounded, bounded_summary = _outcome(
-            build, policy=make_policy(), deadline_s=3600.0
-        )
-        assert traced == reference
-        assert untraced == dict(traced, rows=None, profile=None)
-        assert timed == traced
-        assert bounded == untraced
-        summaries = (
-            traced_summary, untraced_summary, timed_summary, bounded_summary
-        )
+        timed = _run(build, True, metrics=True, policy=make_policy())
+        bounded = _run(build, policy=make_policy(), deadline_s=3600.0)
+        expected = _run(build, True, "spec")[:2]
+        assert traced[:2] == expected and timed[:2] == expected
+        expected = _run(build, None, "spec")[:2]
+        assert untraced[:2] == expected and bounded[:2] == expected
         counters = [
-            (s.context_switches, s.wakeups, s.preemptions) for s in summaries
+            (s.context_switches, s.wakeups, s.preemptions)
+            for _, _, s in (traced, untraced, timed, bounded)
         ]
         assert counters == [_REENTRY_COUNTERS[scenario, policy]] * 4
-        assert timed_summary.metrics is not None
+        assert timed[2].metrics is not None
 
     def test_every_position_parks_and_resumes(self):
         """The scripts do what their comments say (else the matrix above
@@ -1164,7 +1126,7 @@ class TestBatchReentry:
         restored run finishes alike under either policy, and delivers
         what the uninterrupted run delivered."""
         build = _REENTRY.get(scenario) or _wide
-        whole, _ = _outcome(build, policy=FairPolicy(timeslice=1))
+        whole, whole_seen, _ = _run(build, host="spec")
         program, _ = _build_named(build)
         SequentialExecutor(
             policy=FairPolicy(timeslice=1),
@@ -1181,28 +1143,22 @@ class TestBatchReentry:
 
             records = ckpt.load(path).contexts.values()
             mid_batch += any(r.get("fused_index") is not None for r in records)
-            sliced, _ = _outcome(restored, True, policy=FairPolicy(timeslice=1))
-            fifo, _ = _outcome(restored, True)
-            assert sliced == fifo, os.path.basename(path)
-            for key in ("elapsed", "context_times", "channels", "observed"):
-                assert sliced[key] == whole[key], (os.path.basename(path), key)
+            sliced = _run(restored, True, policy=FairPolicy(timeslice=1))
+            fifo = _run(restored, True)
+            assert sliced[:2] == fifo[:2], os.path.basename(path)
+            # A resumed run traces since its restore, and counts the
+            # ops of the whole run.
+            for key in ("finish", "channels", "ops"):
+                assert sliced[0][key] == whole[key], (os.path.basename(path), key)
+            assert sliced[1] == whole_seen, os.path.basename(path)
         assert mid_batch >= (5 if scenario == "wide" else 3)
 
     @pytest.mark.parametrize("scenario", sorted(_REENTRY))
     def test_one_thread_per_context_matches(self, scenario):
         """The paper's runtime steps bare ops and batch constituents
-        through one ``_step``: same rows, results and counts."""
-        reference, _ = _outcome(_REENTRY[scenario], True)
-        program, observe = _build_named(_REENTRY[scenario])
-        obs = Observability(metrics=False, capture_payloads=True)
-        summary = program.run(
-            "threaded", config=RunConfig(superblocks="off", obs=obs)
-        )
-        assert _rows(obs) == reference["rows"]
-        assert summary.profile == reference["profile"]
-        assert summary.elapsed_cycles == reference["elapsed"]
-        assert summary.ops_executed == reference["ops"]
-        assert observe() == reference["observed"]
+        through one ``_step``: the spec's record and results."""
+        build = _REENTRY[scenario]
+        assert _run(build, True, "threaded")[:2] == _run(build, True, "spec")[:2]
 
     @pytest.mark.parametrize(
         "bad",

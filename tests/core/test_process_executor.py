@@ -27,6 +27,7 @@ from repro import (
     channel_weights,
     plan_partition,
 )
+from repro import spec as reference
 from repro.core.channel import Channel
 from repro.core.executor import partitioned
 from repro.core.executor.shm import (
@@ -39,6 +40,7 @@ from repro.core.executor.shm import (
 )
 from repro.core.ops import Peek, WaitUntil
 from repro.core.time import INFINITY, TimeCell
+from repro.spec import simulated
 
 
 # ----------------------------------------------------------------------
@@ -310,25 +312,21 @@ def _pipeline_program(pin=None):
     return builder.build()
 
 
-def _fingerprint(program, summary):
-    stats = {
-        ch.name: (ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-        for ch in program.channels
-    }
-    total = next(ctx for ctx in program.contexts if ctx.name == "cons").total
-    return (summary.elapsed_cycles, summary.context_times, stats, total)
+def _total(program):
+    """What the consumer of ``_pipeline_program`` added up."""
+    return next(ctx for ctx in program.contexts if ctx.name == "cons").total
 
 
 class TestProcessEquivalence:
-    def test_matches_sequential_across_worker_counts(self):
-        reference_program = _pipeline_program()
-        reference = _fingerprint(reference_program, reference_program.run())
+    def test_matches_the_spec_across_worker_counts(self):
+        program = _pipeline_program()
+        expected = reference.run(program), _total(program)
         for workers, pin in [(1, None), (2, (0, 0, 1)), (3, (0, 1, 2))]:
             program = _pipeline_program(pin=pin)
             summary = program.run(
                 executor="process", config=RunConfig(workers=workers)
             )
-            assert _fingerprint(program, summary) == reference
+            assert (simulated(program, summary), _total(program)) == expected
 
     def test_tiny_ring_still_exact(self):
         # A 96-byte data ring (and response ring: it is sized
@@ -337,9 +335,10 @@ class TestProcessEquivalence:
         # RunConfig field: build the executor and hand over the instance.
         program = _pipeline_program(pin=(0, 1, 2))
         summary = program.run(ProcessExecutor(workers=3, ring_capacity=96))
-        reference_program = _pipeline_program()
-        reference = _fingerprint(reference_program, reference_program.run())
-        assert _fingerprint(program, summary) == reference
+        spec_program = _pipeline_program()
+        assert (simulated(program, summary), _total(program)) == (
+            reference.run(spec_program), _total(spec_program)
+        )
 
     def test_record_larger_than_the_ring_fails_typed(self):
         """Backlog-and-flush only helps records that fit: one that never

@@ -1,5 +1,5 @@
-"""Fused-batch runners: the shape cache, latched channel state, and a
-differential check of generated batches against the paper's runtime.
+"""Fused-batch runners: the shape cache, latched channel state, and the
+generated differential of every host against the spec.
 
 A runner is bound to the channels, deques and stats of its batch on first
 execution and compiled once per process per shape (DESIGN.md §11).  The
@@ -8,27 +8,25 @@ mutated in place, so a batch built once survives ``Program.reset()`` and
 an in-place checkpoint restore; each shape compiles once per process,
 traced and untraced apart, chunked when long, once under runs racing on
 threads, and never again in the workers of a later process run; and
-random batches — long, parking anywhere, abandoned, rare — run under every
-scheduling policy exactly as the threaded executor's one-thread-per-context
-runtime runs them (DESIGN.md §5: it steps each op through ``Channel``'s
-own methods, not through a runner).
+generated programs — 2 to 6 contexts, long batches parking anywhere,
+abandoned, rare, deadlocking — leave the spec's record (``repro.spec``,
+DESIGN.md §5–6) under every scheduling policy and on the threaded
+executor's one-thread-per-context runtime alike.
 """
 
-import json
 import multiprocessing
 import pickle
 import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.contexts import Collector
 from repro.core import (
     AdvanceTo,
     Context,
-    DeadlockError,
     Dequeue,
     Enqueue,
     FairPolicy,
@@ -38,7 +36,6 @@ from repro.core import (
     ProgramBuilder,
     RunConfig,
     SequentialExecutor,
-    SimulationError,
     ThreadedExecutor,
     ViewTime,
     WaitUntil,
@@ -46,7 +43,9 @@ from repro.core import (
 from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
 from repro.core.executor import runners, sequential
+from repro import spec as reference
 from repro.obs import Observability
+from repro.spec import observed, simulated
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -106,23 +105,13 @@ def _batched_program(count=5):
     return builder.build(), taker
 
 
-def _observed(program, taker, summary):
-    stats = program.channels[0].stats
-    return (
-        summary.elapsed_cycles,
-        (stats.enqueues, stats.dequeues),
-        list(taker.got),
-        [ctx.finish_time for ctx in program.contexts],
-    )
-
-
 class TestLatchedChannelState:
     @pytest.mark.parametrize("reuse", [False, True], ids=["program-run", "same-executor"])
     def test_second_run_after_reset(self, reuse):
         program, taker = _batched_program()
         executor = SequentialExecutor()
-        first = _observed(program, taker, executor.execute(program))
-        assert first[1] == (5, 5)
+        first = simulated(program, executor.execute(program)), list(taker.got)
+        assert first[0]["channels"] == [[5, 5, 0]]
         program.reset()
         taker.got.clear()
         program._resume_records = None
@@ -130,7 +119,7 @@ class TestLatchedChannelState:
             if isinstance(ctx, _Batcher):
                 ctx._sent = 0
         summary = executor.execute(program) if reuse else program.run()
-        assert _observed(program, taker, summary) == first
+        assert (simulated(program, summary), list(taker.got)) == first
 
     @pytest.mark.parametrize("reuse", [False, True], ids=["program-run", "same-executor"])
     def test_restored_in_place(self, reuse, tmp_path):
@@ -138,7 +127,7 @@ class TestLatchedChannelState:
         that already ran (its batches bound), the runners finish as a
         freshly built program does under another schedule."""
         fresh, fresh_taker = _batched_program()
-        whole = _observed(fresh, fresh_taker, SequentialExecutor().execute(fresh))
+        whole = simulated(fresh, SequentialExecutor().execute(fresh)), list(fresh_taker.got)
         SequentialExecutor(
             policy=FairPolicy(timeslice=1),
             checkpoint_interval_s=0.0,
@@ -155,9 +144,9 @@ class TestLatchedChannelState:
             reference, ref_taker = _batched_program()
             ckpt.load(path, reference).restore_into(reference)
             sliced = reference.run(config=RunConfig(policy=FairPolicy(timeslice=1)))
-            got = _observed(program, taker, summary)
-            assert got == _observed(reference, ref_taker, sliced), path
-            assert got[2] == whole[2] and got[1] == whole[1], path
+            got = simulated(program, summary), list(taker.got)
+            assert got == (simulated(reference, sliced), list(ref_taker.got)), path
+            assert got == whole, path
 
 
 class TestBindingFollowsTheRun:
@@ -201,7 +190,7 @@ class TestBindingFollowsTheRun:
     @needs_fork
     def test_process_run_after_an_in_process_one(self):
         program, taker = _batched_program()
-        whole = _observed(program, taker, program.run())
+        whole = simulated(program, program.run()), list(taker.got)
         program.reset()
         taker.got.clear()
         for ctx in program.contexts:
@@ -212,9 +201,7 @@ class TestBindingFollowsTheRun:
             "process", config=RunConfig(workers=2, pins=pins, steal=False)
         )
         taker = program.contexts[1]  # results came back by harvest
-        assert summary.elapsed_cycles == whole[0]
-        assert program.channels[0].stats.enqueues == 5
-        assert taker.got == whole[2]
+        assert (simulated(program, summary), list(taker.got)) == whole
 
 
 # ----------------------------------------------------------------------
@@ -413,8 +400,22 @@ class TestShapeCache:
 
 
 # ----------------------------------------------------------------------
-# Random batches: runners against one thread per context.
+# Random batches: every host against the spec.
 # ----------------------------------------------------------------------
+
+def differential(examples):
+    """The settings of a spec differential: ``examples`` fixed draws, or
+    the ``nightly`` profile's (``tests/conftest.py``) when it is loaded."""
+    nightly = settings.get_profile("nightly")
+    if settings.default is nightly:
+        return nightly
+    return settings(
+        max_examples=examples,
+        derandomize=True,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
 
 #: Constituents a context may draw, by weight: on one of its send lanes,
 #: on one of its receive lanes, or on neither.
@@ -423,22 +424,46 @@ _RECV = ("D",) * 4 + ("P",)
 _FREE = ("I",) * 3 + ("V", "A")
 
 
+def _edges(draw, shape, count):
+    """``(sender, receiver)`` of each lane of a ``count``-context graph
+    of ``shape``; a ``"mesh"`` draws lanes either way, so cycles form."""
+    if shape == "chain":
+        return [(i, i + 1) for i in range(count - 1)]
+    if shape == "ring":
+        return [(i, (i + 1) % count) for i in range(count)]
+    if shape == "diamond" and count > 2:
+        middle = range(1, count - 1)
+        return [(0, i) for i in middle] + [(i, count - 1) for i in middle]
+    pairs = []
+    for _ in range(draw(st.integers(1, count + 1))):
+        sender = draw(st.integers(0, count - 1))
+        receiver = (sender + draw(st.integers(1, count - 1))) % count
+        pairs.append((sender, receiver) if shape == "mesh" else tuple(sorted((sender, receiver))))
+    return pairs
+
+
 @st.composite
-def _programs(draw, waits=False, reals=False):
-    """Three contexts and up to three lanes between them (either way, so
-    a receiver may start first and park on an empty lane, and cycles may
-    deadlock), each context running a script of batches over its lanes —
-    several times, re-yielding the same batch objects.  One example in
-    about ten puts a negative ``IncrCycles`` somewhere; with ``waits``,
-    one in two puts a ``WaitUntil`` on a peer somewhere; with ``reals``,
-    one lane in three is a real channel (unbounded, stamp 0), whose
-    enqueues the runners hand to ``Channel.try_enqueue``."""
+def _programs(draw, waits=False, reals=False, contexts=st.integers(2, 6)):
+    """A chain, ring, diamond, DAG or mesh of ``contexts`` contexts, each
+    running a script of batches over its lanes several times,
+    re-yielding the same batch objects.  A lane draws its capacity and
+    latencies, so a receiver may start first and park on an empty lane,
+    and one in five is peeked.  One context in about four has no script
+    at all: it finishes at once, closing its out-lanes and voiding its
+    in-lanes.  One ring in three opens every script with a dequeue of
+    its in-lane, a deadlock by construction; other draws deadlock on
+    their own.  One example in about ten puts a negative ``IncrCycles``
+    somewhere; with ``waits``, one in two puts a ``WaitUntil`` on a peer
+    somewhere; with ``reals``, one lane in three is a real channel
+    (unbounded, stamp 0), whose enqueues the runners hand to
+    ``Channel.try_enqueue``."""
+    count = draw(contexts)
+    shape = draw(st.sampled_from(["chain", "ring", "diamond", "dag", "mesh"]))
     lanes = []
-    for index in range(draw(st.integers(1, 3))):
-        sender = draw(st.integers(0, 2))
+    for sender, receiver in _edges(draw, shape, count):
         lane = {
             "sender": sender,
-            "receiver": (sender + draw(st.integers(1, 2))) % 3,
+            "receiver": receiver,
             "capacity": draw(st.sampled_from([1, 2, 3, None])),
             "latency": draw(st.integers(0, 2)),
             "resp_latency": draw(st.integers(0, 2)),
@@ -447,13 +472,14 @@ def _programs(draw, waits=False, reals=False):
         if reals and draw(st.integers(0, 2)) == 0:
             lane["real"] = True
         lanes.append(lane)
+    stuck = shape == "ring" and draw(st.integers(0, 2)) == 0
     scripts = []
-    for ctx in range(3):
+    for ctx in range(count):
         sends = [i for i, lane in enumerate(lanes) if lane["sender"] == ctx]
         recvs = [i for i, lane in enumerate(lanes) if lane["receiver"] == ctx]
         kinds = (_SEND if sends else ()) + (_RECV if recvs else ()) + _FREE
-        batches = []
-        for _ in range(draw(st.integers(1, 4))):
+        batches = [([("D", recvs[0], 0)], "bare")] if stuck else []
+        for _ in range(draw(st.integers(0, 3)) and draw(st.integers(1, 4))):
             length = draw(st.sampled_from([3, 1, 2, 5, 15, 16, 17, 33]))
             batch = []
             for _ in range(length):
@@ -462,11 +488,11 @@ def _programs(draw, waits=False, reals=False):
                 batch.append((kind, lane, draw(st.integers(0, 4))))
             batches.append((batch, draw(st.sampled_from(["fused", "tuple", "bare"]))))
         scripts.append((batches, draw(st.integers(1, 6))))
-    if draw(st.integers(0, 9)) == 5:
+    if draw(st.integers(0, 9)) == 5 and any(b for b, _ in scripts):
         batches = draw(st.sampled_from([b for b, _ in scripts if b]))
         batch = draw(st.sampled_from(batches))[0]
         batch.insert(draw(st.integers(0, len(batch))), ("N", 0, 0))
-    if waits and draw(st.booleans()):
+    if waits and draw(st.booleans()) and any(b for b, _ in scripts):
         batches = draw(st.sampled_from([b for b, _ in scripts if b]))
         batch = draw(st.sampled_from(batches))[0]
         wait = ("W", 0, draw(st.integers(0, 4)))
@@ -494,11 +520,12 @@ class _Scripted(Context):
         if kind == "I":
             return IncrCycles((1, 0, 2, 0.0, 0.5)[arg])
         if kind == "V":
-            return ViewTime(self.peers[arg % 3])
+            return ViewTime(self.peers[arg % len(self.peers)])
         if kind == "A":
             return AdvanceTo(4 * arg)
         if kind == "W":
-            return WaitUntil(self.peers[(self.index + 1 + arg % 2) % 3], 3 * arg)
+            others = len(self.peers) - 1
+            return WaitUntil(self.peers[(self.index + 1 + arg % others) % len(self.peers)], 3 * arg)
         return IncrCycles(-1)
 
     def run(self):
@@ -580,74 +607,6 @@ def _build(spec, context=_Scripted):
     return builder.build(), logs
 
 
-#: The sequential legs: run-to-block, fair slices that expire between
-#: and inside batches, and run-to-block through the schedule loop's other
-#: branches: bounded slices with their begin/end hooks (a deadline never
-#: reached) and wall-timed slices (metrics).
-_LEGS = {
-    "fifo": lambda: {"policy": "fifo"},
-    "fair1": lambda: {"policy": FairPolicy(timeslice=1)},
-    "fair4": lambda: {"policy": FairPolicy(timeslice=4)},
-    "fair16": lambda: {"policy": FairPolicy(timeslice=16)},
-    "bounded": lambda: {"policy": "fifo", "deadline_s": 3600.0},
-    "timed": lambda: {"policy": "fifo", "metrics": True},
-}
-
-
-def _outcome(spec, leg, traced):
-    """``(simulated, counters)`` of one run — sequential on ``leg``, or
-    the reference, one thread per context, when it is None.
-
-    ``simulated`` is JSON text.  A run that raises other than by
-    deadlocking keeps only the error type: what it did before the abort
-    depends on the schedule.  A deadlock keeps everything, and each
-    blocked context's name and clock.  The ``WaitUntil`` results are
-    checked apart, against their thresholds: a peer's clock at wakeup
-    depends on the host.  The scheduling counters are the sequential
-    host's own."""
-    program, logs = _build(spec)
-    options = _LEGS[leg]() if leg is not None else {}
-    metrics = options.pop("metrics", False)
-    obs = Observability(trace=traced, metrics=metrics, capture_payloads=True)
-    if leg is None:
-        executor = ThreadedExecutor(superblocks="off", obs=obs)
-    else:
-        executor = SequentialExecutor(obs=obs, **options)
-    simulated = {"error": None}
-    try:
-        executor.execute(program)
-    except DeadlockError:
-        simulated["error"] = "DeadlockError"
-        simulated["stalls"] = sorted(
-            (stall.context, stall.local_time) for stall in obs.stall_report.stalls
-        )
-    except (SimulationError, ValueError) as failure:
-        cause = getattr(failure, "original", None) or failure
-        return json.dumps({"error": type(cause).__name__}), None
-    for ctx in program.contexts:
-        assert all(value >= threshold for threshold, value in ctx.waits), ctx.waits
-    if leg is None:
-        context_ops = executor._ctx_ops
-    else:
-        context_ops = [executor._states[id(ctx)].ops for ctx in program.contexts]
-    simulated.update({
-        "finish": [ctx.finish_time for ctx in program.contexts],
-        "stats": [
-            (ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-            for ch in program.channels
-        ],
-        "logs": logs,
-        "trace": None if obs.trace is None else {
-            name: [buf.ports, buf.rows]
-            for name, buf in obs.trace.buffers().items()
-        },
-        "ops": sum(context_ops),
-        "context_ops": context_ops,
-    })
-    counters = None
-    if leg is not None:
-        counters = [executor.context_switches, executor.wakeups, executor.preemptions]
-    return json.dumps(simulated, default=str), counters
 
 
 class TestVoidEnqueueTakesItsSlot:
@@ -699,20 +658,87 @@ class TestVoidEnqueueTakesItsSlot:
         assert program.channels[0].stats.enqueues == 6
 
 
+
+def _leg(name, traced):
+    """``(executor, obs)`` of one host under test: the paper's runtime,
+    one thread per context; sequential run-to-block; fair slices that
+    expire between and inside batches; and run-to-block through the
+    schedule loop's other branches: bounded slices with their begin/end
+    hooks (a deadline never reached) and wall-timed slices (metrics)."""
+    obs = Observability(trace=traced, metrics=name == "timed", capture_payloads=True)
+    if name == "threaded-off":
+        return ThreadedExecutor(superblocks="off", obs=obs), obs
+    policy = FairPolicy(timeslice=int(name[4:])) if name.startswith("fair") else "fifo"
+    deadline = 3600.0 if name == "bounded" else None
+    return SequentialExecutor(obs=obs, policy=policy, deadline_s=deadline), obs
+
+
+_LEGS = ("threaded-off", "fifo", "fair1", "fair4", "fair16", "bounded", "timed")
+
+
+def _lane(sender, receiver, capacity, resp_latency=0, real=False):
+    lane = {"sender": sender, "receiver": receiver, "capacity": capacity,
+            "latency": 0, "resp_latency": resp_latency, "peeked": False}
+    return dict(lane, real=True) if real else lane
+
+
+#: Shrunk by the generator from a channel whose void enqueue took no
+#: window slot (the bug ``TestVoidEnqueueTakesItsSlot`` names): ``ctx1``
+#: finishes with ``ctx0`` parked on its full window, and one thread per
+#: context completed the parked enqueue after the finish, so ``ctx0``
+#: drained one response fewer.  Three contexts finish at once.
+_VOID_SLOT_ON_THREADS = (
+    [_lane(0, 1, 2, resp_latency=1)] + [_lane(i, i + 1, 1, real=True) for i in (1, 2, 3)],
+    [
+        ([([("E", 0, 0)] * 3 + [("I", 0, 0)] + [("E", 0, 0)] * 11, "fused"),
+          ([("E", 0, 0)] * 15, "fused")], 1),
+        ([([("E", 1, 0), ("D", 0, 0), ("D", 0, 0)], "fused")], 2),
+        ([], 1), ([], 1), ([], 1),
+    ],
+)
+
+#: Shrunk by the generator, then by hand, from runners whose
+#: wake-with-delivery stamped the response without ``resp_latency``:
+#: every dequeue wakes the parked producer by delivering to it.
+_RESP_ON_WAKE = (
+    [_lane(0, 1, 1, resp_latency=1)],
+    [([([("E", 0, 0)] * 4, "fused")], 1), ([([("D", 0, 0)], "fused")], 4)],
+)
+
+
 class TestRandomBatches:
-    @settings(
-        max_examples=40,
-        derandomize=True,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @differential(40)
     @given(_programs(waits=True, reals=True))
-    def test_runners_match_one_thread_per_context(self, spec):
-        counters = {}
+    @example(_VOID_SLOT_ON_THREADS)
+    @example(_RESP_ON_WAKE)
+    def test_every_host_matches_the_spec(self, spec):
+        """Each host's :func:`repro.spec.simulated` record, and what its
+        contexts logged, equal the spec's, traced and untraced.  A
+        ``WaitUntil`` result is checked against its threshold: a peer's
+        clock at wakeup depends on the host.  The sequential legs'
+        scheduling counters are their own, but tracing never moves them."""
+        counters, context_ops = {}, None
         for traced in (False, True):
-            reference = _outcome(spec, None, traced)[0]
+            program, logs = _build(spec)
+            expected = reference.run(program, traced, payloads=True)
+            expected_logs = logs
             for leg in _LEGS:
-                simulated, seen = _outcome(spec, leg, traced)
-                assert simulated == reference, (leg, traced)
-                # Tracing never moves the schedule.
-                assert counters.setdefault(leg, seen) == seen, leg
+                program, logs = _build(spec)
+                executor, obs = _leg(leg, traced)
+                record = observed(program, lambda: executor.execute(program), obs)
+                assert record == expected, (leg, traced)
+                if "error" in record:
+                    continue
+                assert logs == expected_logs, (leg, traced)
+                # The record holds a finished run's op counts; a
+                # deadlocked run's, each host's own, must agree too.
+                ops = executor._ctx_ops if leg == "threaded-off" else [
+                    executor._states[id(ctx)].ops for ctx in program.contexts
+                ]
+                context_ops = context_ops or ops
+                assert ops == context_ops, (leg, traced)
+                for ctx in program.contexts:
+                    assert all(value >= limit for limit, value in ctx.waits), ctx.waits
+                if leg != "threaded-off":
+                    seen = (executor.context_switches, executor.wakeups, executor.preemptions)
+                    assert counters.setdefault(leg, seen) == seen, leg

@@ -4,6 +4,7 @@ deadlock verdict and error propagation, and the hosting rule (DESIGN.md
 
 import pytest
 
+import repro.spec
 from repro import (
     Context,
     DeadlockError,
@@ -16,6 +17,7 @@ from repro import (
     ThreadedExecutor,
 )
 from repro.contexts import Collector, NullSink, RampSource, UnaryFunction
+from repro.spec import simulated
 
 
 def _never(*_args, **_kwargs):
@@ -220,34 +222,25 @@ class TestHosting:
         program.run("threaded", config=RunConfig(superblocks=mode))
         assert len(driven) == len(program.contexts) == 8
 
-    def test_every_mode_matches_sequential(self):
+    def test_every_mode_matches_the_spec(self):
         """Capacity-1 ping-pong (every hop parks) on the cooperative
-        engine or on three context threads: same simulated run as
-        sequential."""
+        engine or on three context threads: the spec's simulated run."""
 
-        def run(executor, mode=None):
+        def build():
             builder = ProgramBuilder()
-            s1, r1 = builder.bounded(1, latency=1, resp_latency=1)
-            s2, r2 = builder.bounded(1, latency=1, resp_latency=1)
-            builder.add(RampSource(s1, 12, ii=1))
-            builder.add(UnaryFunction(r1, s2, lambda x: x + 1, ii=1))
-            collector = builder.add(Collector(r2, ii=2))
-            program = builder.build()
-            summary = program.run(executor, config=RunConfig(superblocks=mode))
-            return (
-                summary.elapsed_cycles,
-                tuple(summary.context_times[ctx.name] for ctx in program.contexts),
-                summary.ops_executed,
-                tuple(
-                    (ch.stats.enqueues, ch.stats.dequeues)
-                    for ch in program.channels
-                ),
-                list(collector.values),
-            )
+            s1, r1 = builder.bounded(1, latency=1, resp_latency=1, name="a")
+            s2, r2 = builder.bounded(1, latency=1, resp_latency=1, name="b")
+            builder.add(RampSource(s1, 12, ii=1, name="src"))
+            builder.add(UnaryFunction(r1, s2, lambda x: x + 1, ii=1, name="fn"))
+            collector = builder.add(Collector(r2, ii=2, name="sink"))
+            return builder.build(), collector
 
-        reference = run("sequential")
+        program, collector = build()
+        expected = repro.spec.run(program), collector.values
         for mode in ("off", "on", "auto"):
-            assert run("threaded", mode) == reference, f"superblocks={mode}"
+            program, collector = build()
+            summary = program.run("threaded", config=RunConfig(superblocks=mode))
+            assert (simulated(program, summary), collector.values) == expected, mode
 
 
 class TestHostCounters:
@@ -298,17 +291,6 @@ def _forever():
         yield IncrCycles(1)
 
 
-def _run_signature(program, collector, executor, **config):
-    summary = program.run(executor, config=RunConfig(**config))
-    return (
-        summary.elapsed_cycles,
-        tuple(sorted(summary.context_times.items())),
-        summary.ops_executed,
-        tuple((ch.stats.enqueues, ch.stats.dequeues) for ch in program.channels),
-        list(collector.values),
-    )
-
-
 def _restored(tmp_path):
     """A fresh program restored from a mid-run sequential checkpoint."""
     from repro.core import checkpoint as ckpt
@@ -335,30 +317,24 @@ class TestHostingRule:
     @pytest.fixture
     def reference(self):
         program, collector = _two_stage()
-        return _run_signature(program, collector, "sequential")
+        return repro.spec.run(program), collector.values
 
-    def test_obs_rides_the_engine(self, reference, no_threads):
-        def traced(executor):
+    def test_obs_rides_the_engine(self, no_threads):
+        program, collector = _two_stage()
+        expected = repro.spec.run(program, traced=True), collector.values
+        for executor in ("threaded", "sequential"):
             program, collector = _two_stage()
             obs = Observability()
-            signature = _run_signature(program, collector, executor, obs=obs)
-            return signature, [
-                (e.context, e.kind, e.channel, e.time, e.seq)
-                for e in obs.trace.events
-            ]
-
-        assert traced("threaded") == traced("sequential")
-        assert traced("threaded")[0] == reference
+            summary = program.run(executor, config=RunConfig(obs=obs))
+            assert (simulated(program, summary, obs), collector.values) == expected, executor
 
     def test_fault_plan_rides_the_engine(self, reference, no_threads):
         from repro import FaultInjected, FaultPlan
 
         program, collector = _two_stage()
         dormant = FaultPlan().raise_in("fn", after_ops=10**9)
-        assert (
-            _run_signature(program, collector, "threaded", faults=dormant)
-            == reference
-        )
+        summary = program.run("threaded", config=RunConfig(faults=dormant))
+        assert (simulated(program, summary), collector.values) == reference
         program, _ = _two_stage()
         with pytest.raises(SimulationError) as info:
             program.run(
@@ -382,19 +358,18 @@ class TestHostingRule:
         from repro.core import checkpoint as ckpt
 
         program, collector = _two_stage()
-        got = _run_signature(
-            program, collector, "threaded",
-            checkpoint_interval_s=0.0, checkpoint_path=str(tmp_path),
+        summary = program.run(
+            "threaded",
+            config=RunConfig(checkpoint_interval_s=0.0, checkpoint_path=str(tmp_path)),
         )
-        assert got == reference
+        assert (simulated(program, summary), collector.values) == reference
         paths = ckpt.list_checkpoints(str(tmp_path))
         assert paths and ckpt.load(paths[-1]).executor == "threaded"
 
     def test_resume_rides_the_engine(self, reference, no_threads, tmp_path):
         program, collector = _restored(tmp_path)
-        got = _run_signature(program, collector, "threaded")
-        # Ops before the cut were executed by the captured run.
-        assert got[:2] + got[3:] == reference[:2] + reference[3:]
+        summary = program.run("threaded")
+        assert (simulated(program, summary), collector.values) == reference
 
     def test_off_refuses_checkpointing(self, no_threads, tmp_path):
         from repro import NotCheckpointable
@@ -422,20 +397,19 @@ class TestHostingRule:
             with pytest.raises(NotCheckpointable, match="superblocks"):
                 program.run("threaded", config=RunConfig(superblocks="off"))
         # The refusal consumed nothing: the same program still resumes.
-        got = _run_signature(program, collector, "threaded")
-        assert got[:2] + got[3:] == reference[:2] + reference[3:]
+        summary = program.run("threaded")
+        assert (simulated(program, summary), collector.values) == reference
 
-    def test_off_keeps_obs_and_faults(self, reference, monkeypatch):
+    def test_off_keeps_obs_and_faults(self, monkeypatch):
         from repro import FaultInjected, FaultPlan
 
         monkeypatch.setattr(SequentialExecutor, "execute", _never)
         program, collector = _two_stage()
         obs = Observability()
-        got = _run_signature(
-            program, collector, "threaded", superblocks="off", obs=obs
-        )
-        assert got == reference
-        assert len(obs.trace.events) > reference[2]  # ops + finishes
+        summary = program.run("threaded", config=RunConfig(superblocks="off", obs=obs))
+        got = simulated(program, summary, obs), collector.values
+        program, collector = _two_stage()
+        assert got == (repro.spec.run(program, traced=True), collector.values)
         program, _ = _two_stage()
         with pytest.raises(SimulationError) as info:
             program.run(

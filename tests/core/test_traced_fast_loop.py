@@ -285,11 +285,12 @@ class TestTracebacks:
 
         builder.add(FunctionContext(bad, name="bad"))
         executor = SequentialExecutor(obs=Observability() if traced else None)
-        with pytest.raises(ValueError, match="backwards") as caught:
+        with pytest.raises(SimulationError, match="backwards") as caught:
             executor.execute(builder.build())
+        assert isinstance(caught.value.original, ValueError)
         frames = [
             frame
-            for frame in traceback.extract_tb(caught.value.__traceback__)
+            for frame in traceback.extract_tb(caught.value.original.__traceback__)
             if frame.filename.startswith(runners.__file__ + "[")
         ]
         label += " traced" if traced else ""

@@ -3,56 +3,25 @@
 The paper's exactness claim at application scale: the same SAM kernel
 graph, executed on the cooperative executor (every policy), on the
 threaded executor, and on the process executor at every worker count,
-yields identical outputs, identical simulated cycle counts, identical
-per-context finish times, and identical channel statistics.
+leaves the spec's record (:func:`repro.spec.simulated`: per-context
+finish times, channel traffic, op count, and, traced, every port history
+and the profile) and the identical output tensor.
 """
 
 import numpy as np
 import pytest
 
+from repro import spec as reference
 from repro.core import FairPolicy, RunConfig, SequentialExecutor
 from repro.sam import CsfTensor
 from repro.sam.graphs import (
-    build_mmadd,
     build_sddmm,
     build_sparse_mha,
     build_spmspm,
 )
 from repro.sam.primitives import TimingParams
 from repro.sam.tensor import random_dense
-
-
-def mmadd_kernel():
-    a = random_dense(6, 6, density=0.5, seed=21)
-    b = random_dense(6, 6, density=0.5, seed=22)
-    return build_mmadd(
-        CsfTensor.from_dense(a, "cc"),
-        CsfTensor.from_dense(b, "cc"),
-        depth=3,
-        timing=TimingParams(ii=2, stop_bubble=1),
-    )
-
-
-class TestKernelDeterminism:
-    def test_mmadd_policies_and_threads_agree(self):
-        outcomes = []
-        for run_kind in ["fifo", "fair", "threaded"]:
-            kernel = mmadd_kernel()
-            if run_kind == "threaded":
-                summary = kernel.run(
-                    executor="threaded", config=RunConfig(superblocks="off")
-                )
-            elif run_kind == "fair":
-                summary = SequentialExecutor(
-                    policy=FairPolicy(timeslice=3)
-                ).execute(kernel.program)
-                kernel.summary = summary
-            else:
-                summary = kernel.run()
-            outcomes.append(
-                (summary.elapsed_cycles, kernel.result_dense().tobytes())
-            )
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+from repro.spec import simulated
 
 
 # ----------------------------------------------------------------------
@@ -102,35 +71,15 @@ _KERNELS = {
 }
 
 
-def _signature(kernel, summary):
-    """Everything that must be executor-independent about a run.
-
-    (``max_real_occupancy`` is deliberately absent: it measures real
-    queue depth, which legitimately varies with scheduling order.)
-    """
-    channel_stats = tuple(
-        (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-        for ch in kernel.program.channels
-    )
-    return {
-        "elapsed": summary.elapsed_cycles,
-        "context_times": summary.context_times,
-        "channels": channel_stats,
-        "result": kernel.result_dense().tobytes(),
-    }
-
-
 class TestExecutorMatrix:
     """sequential × threaded (one thread per context) × process(1..4
-    workers), three SAM kernels.
+    workers), three SAM kernels, against the spec.
 
-    Simulated results — cycle counts, per-context finish times, channel
-    traffic statistics, and the numeric output tensor — must be
-    bit-identical regardless of the runtime that produced them.
-
-    The SAM primitives issue their steady-state transitions as fused op
-    batches, so this matrix is also the fused-program equivalence suite:
-    the sequential reference runs them through the compiled runners, the
+    The simulated record and the numeric output tensor must be
+    bit-identical to the spec's, whatever runtime produced them.  The SAM
+    primitives issue their steady-state transitions as fused op batches,
+    so this matrix is also the fused-program equivalence suite: the
+    sequential leg runs them through the compiled runners, the
     one-thread-per-context leg steps each constituent through
     ``Channel``'s own methods, and the process legs host the runners on
     an entirely different runtime.
@@ -138,21 +87,27 @@ class TestExecutorMatrix:
 
     @pytest.mark.parametrize("kernel_name", sorted(_KERNELS))
     def test_all_executors_agree(self, kernel_name):
-        from repro.core import RunConfig
+        """Every leg traced — the port histories, merged from forked
+        workers on the process legs, and the profile are in the record —
+        and the sequential leg untraced too."""
+        from repro.obs import Observability
 
         build = _KERNELS[kernel_name]
-        reference_kernel = build()
-        reference = _signature(reference_kernel, reference_kernel.run())
-
-        runs = [("threaded", RunConfig(superblocks="off"))]
+        kernel, untraced, traced = build(), build(), build()
+        summary = kernel.run()
+        output = kernel.result_dense().tobytes()
+        assert simulated(kernel.program, summary) == reference.run(untraced.program)
+        assert output == untraced.result_dense().tobytes()
+        expected = reference.run(traced.program, traced=True), output
+        runs = [("sequential", RunConfig()), ("threaded", RunConfig(superblocks="off"))]
         runs += [("process", RunConfig(workers=n)) for n in (1, 2, 3, 4)]
         for executor, config in runs:
             kernel = build()
-            summary = kernel.run(executor=executor, config=config)
-            signature = _signature(kernel, summary)
-            assert signature == reference, (
-                f"{kernel_name} on {executor} {config} diverged from "
-                "the sequential reference"
+            obs = Observability(metrics=False)
+            summary = kernel.run(executor=executor, config=config.replace(obs=obs))
+            got = simulated(kernel.program, summary, obs), kernel.result_dense().tobytes()
+            assert got == expected, (
+                f"{kernel_name} on {executor} {config} diverged from the spec"
             )
 
     def test_legacy_kwargs_form_rejected(self):
@@ -172,57 +127,22 @@ class TestExecutorMatrix:
     )
     def test_sampled_metrics_leg_is_bit_identical(self, executor, kwargs):
         """Live metric streaming (``metrics_interval_s``) must not perturb
-        SVA: the sampled run's simulated results, merged trace, and
-        profile must be bit-identical to the unsampled reference."""
-        from repro.core import RunConfig
+        SVA: the sampled run's record, traced — its port histories and
+        profile too — is the spec's."""
         from repro.obs import Observability
 
-        def run(sampled):
-            kernel = _KERNELS["spmspm"]()
-            obs = Observability()
-            sink: list = []
-            config = RunConfig(
-                obs=obs,
-                metrics_interval_s=0.002 if sampled else None,
-                metrics_sink=sink.append if sampled else None,
-                **kwargs,
-            )
-            summary = kernel.run(executor=executor, config=config)
-            # Keep only simulated-state kinds: the process executor also
-            # records ``migrate`` events for steals, whose placement is a
-            # scheduling artifact and varies run to run.
-            kinds = {"enqueue", "dequeue", "peek", "advance", "finish"}
-            events = [
-                (e.context, e.kind, e.channel, e.time, e.seq)
-                for e in obs.trace.events
-                if e.kind in kinds
-            ]
-            return _signature(kernel, summary), events, summary.profile, sink
-
-        ref_sig, ref_events, ref_profile, _ = run(sampled=False)
-        sig, events, profile, sink = run(sampled=True)
-        assert sig == ref_sig, f"{executor}: sampling changed the results"
-        assert events == ref_events, f"{executor}: sampling changed the trace"
-        assert profile == ref_profile, f"{executor}: sampling changed the profile"
+        kernel = _KERNELS["spmspm"]()
+        obs = Observability()
+        sink: list = []
+        config = RunConfig(
+            obs=obs, metrics_interval_s=0.002, metrics_sink=sink.append, **kwargs
+        )
+        summary = kernel.run(executor=executor, config=config)
+        spec_kernel = _KERNELS["spmspm"]()
+        assert (simulated(kernel.program, summary, obs), kernel.result_dense().tobytes()) == (
+            reference.run(spec_kernel.program, traced=True), spec_kernel.result_dense().tobytes()
+        )
         assert sink, f"{executor}: sampler produced no samples"
-
-    @pytest.mark.parametrize("kernel_name", sorted(_KERNELS))
-    def test_trace_event_sequences_agree(self, kernel_name):
-        """Fused batches emit per-constituent trace events; the merged
-        (time, context, seq) event stream must match across runtimes."""
-        from repro.obs import Observability
-
-        def events(executor, **kwargs):
-            kernel = _KERNELS[kernel_name]()
-            obs = Observability()
-            kernel.run(executor=executor, obs=obs, **kwargs)
-            return [
-                (e.context, e.kind, e.channel, e.time, e.seq)
-                for e in obs.trace.events
-            ]
-
-        reference = events("sequential")
-        assert events("threaded", config=RunConfig(superblocks="off")) == reference
 
 
 # ----------------------------------------------------------------------
@@ -264,14 +184,14 @@ def _skewed_pins(program):
 
 
 class TestWorkStealing:
-    def test_forced_steal_matches_sequential(self):
+    def test_forced_steal_matches_the_spec(self):
         """Worker 0 owns one of six pipelines; the other five sit cold on
         worker 1.  Worker 0 must steal, and the simulated results must
-        stay bit-identical to the sequential reference anyway."""
+        stay bit-identical to the spec's anyway."""
         from repro.core import RunConfig
 
-        reference_kernel = _build_parallel_mha_kernel()
-        reference = _signature(reference_kernel, reference_kernel.run())
+        spec_kernel = _build_parallel_mha_kernel()
+        expected = reference.run(spec_kernel.program), spec_kernel.result_dense().tobytes()
 
         kernel = _build_parallel_mha_kernel()
         pins = _skewed_pins(kernel.program)
@@ -279,7 +199,7 @@ class TestWorkStealing:
             executor="process", config=RunConfig(workers=2, pins=pins)
         )
         assert summary.steals >= 1, "skewed partition did not force a steal"
-        assert _signature(kernel, summary) == reference
+        assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
 
     def test_placement_feedback_eliminates_resteals(self):
         """RunSummary.placement credits stolen clusters to their adopter;
@@ -288,8 +208,8 @@ class TestWorkStealing:
         simulated results both times."""
         from repro.core import RunConfig, pins_from_placement
 
-        reference_kernel = _build_parallel_mha_kernel()
-        reference = _signature(reference_kernel, reference_kernel.run())
+        spec_kernel = _build_parallel_mha_kernel()
+        expected = reference.run(spec_kernel.program), spec_kernel.result_dense().tobytes()
 
         kernel = _build_parallel_mha_kernel()
         pins = _skewed_pins(kernel.program)
@@ -309,13 +229,13 @@ class TestWorkStealing:
             config=RunConfig(workers=2, pins=replay_pins),
         )
         assert summary2.steals == 0, "observed placement was not honored"
-        assert _signature(replay, summary2) == reference
+        assert (simulated(replay.program, summary2), replay.result_dense().tobytes()) == expected
 
     def test_steal_disabled_keeps_planned_placement(self):
         from repro.core import RunConfig
 
-        reference_kernel = _build_parallel_mha_kernel()
-        reference = _signature(reference_kernel, reference_kernel.run())
+        spec_kernel = _build_parallel_mha_kernel()
+        expected = reference.run(spec_kernel.program), spec_kernel.result_dense().tobytes()
 
         kernel = _build_parallel_mha_kernel()
         pins = _skewed_pins(kernel.program)
@@ -324,7 +244,7 @@ class TestWorkStealing:
             config=RunConfig(workers=2, pins=pins, steal=False),
         )
         assert summary.steals == 0
-        assert _signature(kernel, summary) == reference
+        assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +257,7 @@ class TestWorkStealing:
 class TestThreadedHostingModes:
     @pytest.mark.parametrize("executor", ["sequential", "process"])
     def test_field_is_inert_off_the_threaded_executor(self, executor):
-        """Summaries — cycles, ops and the scheduling counters — do not
+        """Summaries — the record and the scheduling counters — do not
         depend on the field where nothing reads it.  The process leg
         runs a zero-cut graph (one pipeline per worker, no stealing) on
         short slices: its counters are then deterministic, and busy."""
@@ -361,23 +281,21 @@ class TestThreadedHostingModes:
             )
             outcomes.append(
                 (
-                    _signature(kernel, summary),
-                    summary.ops_executed,
+                    simulated(kernel.program, summary),
+                    kernel.result_dense().tobytes(),
                     summary.context_switches,
                     summary.wakeups,
                     summary.preemptions,
                 )
             )
-        assert outcomes[0][3] > 0  # the run does park and wake
+        assert outcomes[0][2] > 0  # the run does park and wake
         assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
     def test_trace_and_profile_identical_across_modes(self):
         """The threaded identity test: an attached ``Observability``
         rides whichever hosting the mode picked — per-context threads or
-        the cooperative engine — and the cycles, the merged event
-        stream, the derived profile and the channel metrics must match
-        the sequential ones."""
-        from repro.core import RunConfig
+        the cooperative engine — and the record, traced, must be the
+        spec's, and the channel metrics the sequential ones."""
         from repro.obs import Observability
 
         def run(executor, mode):
@@ -387,10 +305,6 @@ class TestThreadedHostingModes:
                 executor=executor,
                 config=RunConfig(obs=obs, superblocks=mode),
             )
-            events = [
-                (e.context, e.kind, e.channel, e.time, e.seq)
-                for e in obs.trace.events
-            ]
             # Counters only: the occupancy gauges are *real* (schedule-
             # dependent) high-water marks.
             channel_metrics = {
@@ -398,25 +312,26 @@ class TestThreadedHostingModes:
                 for key, value in summary.metrics["counters"].items()
                 if key.startswith("channel_")
             }
-            return (
-                _signature(kernel, summary),
-                events,
-                summary.profile,
-                channel_metrics,
-            )
+            output = kernel.result_dense().tobytes()
+            return simulated(kernel.program, summary, obs), output, channel_metrics
 
-        reference = run("sequential", None)
-        assert reference[3]
+        sequential = run("sequential", None)
+        assert sequential[2]
+        spec_kernel = _KERNELS["spmspm"]()
+        assert sequential[:2] == (
+            reference.run(spec_kernel.program, traced=True), spec_kernel.result_dense().tobytes()
+        )
         for mode in ("off", "on", "auto"):
-            assert run("threaded", mode) == reference, (
+            assert run("threaded", mode) == sequential, (
                 f"threaded superblocks={mode}: trace/profile/metrics diverged"
             )
 
 
 # ----------------------------------------------------------------------
 # Table I quantities (context switches, wakeups, preemptions) come from
-# the scheduling policy, never from who drives the loop or from whether
-# the run is traced.
+# the scheduling policy, never from who drives the loop (nor from whether
+# the run is traced: ``test_runners.TestRandomBatches`` checks that on
+# every sequential leg).
 # ----------------------------------------------------------------------
 
 
@@ -457,43 +372,12 @@ class TestSchedulingCounters:
         assert len(counters) == 1
         assert min(counters.pop()) > 0
 
-    @pytest.mark.parametrize("policy", ["fifo", "fair16"])
-    @pytest.mark.parametrize("graph", ["table1", "spmspm"])
-    def test_counters_ignore_tracing(self, graph, policy):
-        """A traced run schedules exactly as the untraced one does: it
-        takes the same slice loop (its traced variant), so the counters
-        a user reads off a run they are debugging are the ones the
-        untraced program reports.  The Table I graph's deep channels
-        hardly park; the shallow SpMSpM kernel wakes by delivery all the
-        time, which the generic loop a traced run used to take never
-        does."""
-        from repro.core import RunConfig
-        from repro.obs import Observability
-
-        build = _build_table1_graph if graph == "table1" else _build_spmspm_kernel
-
-        def counters(obs):
-            summary = build().program.run(
-                config=RunConfig(
-                    policy="fifo" if policy == "fifo" else FairPolicy(timeslice=16),
-                    obs=obs,
-                )
-            )
-            return (
-                summary.context_switches, summary.wakeups, summary.preemptions
-            )
-
-        untraced = counters(None)
-        assert untraced[0] > 0
-        assert counters(Observability()) == untraced
-        assert counters(Observability(capture_payloads=True)) == untraced
-
 
 # ----------------------------------------------------------------------
 # Body-visible clocks: a context body may read ``self.time.now()``
 # between yields, so whatever the runtime does with clocks (a local in
 # a runner, a plain cell published at slice boundaries) the body must
-# see exactly the value the one-thread-per-context reference shows it.
+# see exactly the value the spec shows it.
 # ----------------------------------------------------------------------
 
 
@@ -525,24 +409,20 @@ def _build_batching_pipeline():
 
 class TestBodyVisibleClock:
     def test_recorded_clock_reads_identical_everywhere(self):
-        from repro.core import RunConfig
+        def observe(program, inference, sink, record):
+            return record, inference.completions, sink.values
 
-        def run(executor, **kwargs):
-            program, inference, sink = _build_batching_pipeline()
-            summary = program.run(executor=executor, config=RunConfig(**kwargs))
-            return (
-                summary.elapsed_cycles,
-                summary.context_times,
-                inference.completions,
-                sink.values,
-            )
-
-        reference = run("threaded", superblocks="off")
-        assert len(reference[3]) > 10
-        legs = [("sequential", {}), ("sequential", {"policy": FairPolicy(timeslice=1)})]
+        built = _build_batching_pipeline()
+        expected = observe(*built, reference.run(built[0]))
+        assert len(expected[2]) > 10
+        legs = [("threaded", {"superblocks": "off"}), ("sequential", {})]
+        legs += [("sequential", {"policy": FairPolicy(timeslice=1)})]
         legs += [("process", {"workers": n}) for n in (1, 2, 3)]
         for executor, kwargs in legs:
-            assert run(executor, **kwargs) == reference, (
+            program, inference, sink = _build_batching_pipeline()
+            summary = program.run(executor=executor, config=RunConfig(**kwargs))
+            got = observe(program, inference, sink, simulated(program, summary))
+            assert got == expected, (
                 f"{executor} {kwargs}: a body saw a different clock than "
-                "the one-thread-per-context reference showed it"
+                "the spec showed it"
             )

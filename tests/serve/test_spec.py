@@ -13,6 +13,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro import spec as reference
 from repro.core import RunConfig
 from repro.sam import CsfTensor
 from repro.sam.spec import (
@@ -26,6 +27,7 @@ from repro.sam.spec import (
 )
 from repro.sam.primitives import TimingParams
 from repro.sam.tensor import random_dense
+from repro.spec import simulated
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -92,19 +94,6 @@ _RECIPES = {
 }
 
 
-def _signature(built, summary):
-    channel_stats = tuple(
-        (ch.name, ch.stats.enqueues, ch.stats.dequeues, ch.stats.peeks)
-        for ch in built.program.channels
-    )
-    return {
-        "elapsed": summary.elapsed_cycles,
-        "context_times": summary.context_times,
-        "channels": channel_stats,
-        "result": built.result_dense().tobytes(),
-    }
-
-
 _EXECUTOR_CONFIGS = [
     ("sequential", RunConfig()),
     ("threaded", RunConfig()),
@@ -113,8 +102,9 @@ _EXECUTOR_CONFIGS = [
 
 
 class TestSpecEquivalence:
-    """spec → JSON → spec → build → run must be bit-identical to a
-    direct in-process construction, on every executor."""
+    """spec → JSON → spec → build → run, on every executor, must leave
+    the record and output the spec leaves for a direct in-process
+    construction."""
 
     @pytest.mark.parametrize("graph", sorted(_RECIPES))
     @pytest.mark.parametrize("executor,config", _EXECUTOR_CONFIGS)
@@ -123,12 +113,13 @@ class TestSpecEquivalence:
     ):
         tensors, params = _RECIPES[graph]()
 
-        # Direct reference: hand the live tensors to the builder.
+        # Direct build: hand the live tensors to the builder; the spec
+        # runs it.
         direct_built = ProgramSpec.from_graph_inputs(
             graph, tensors, params
         ).build()
-        reference = _signature(
-            direct_built, direct_built.program.run(executor, config=config)
+        expected = (
+            reference.run(direct_built.program), direct_built.result_dense().tobytes()
         )
 
         # Wire path: encode, serialize, parse, decode, build, run.
@@ -137,7 +128,8 @@ class TestSpecEquivalence:
         )
         rebuilt = ProgramSpec.from_json(spec.to_json())
         built, summary = rebuilt.run()
-        assert _signature(built, summary) == reference, (
+        got = simulated(built.program, summary), built.result_dense().tobytes()
+        assert got == expected, (
             f"{graph} via spec on {executor} diverged from direct build"
         )
 
@@ -237,12 +229,14 @@ class TestGraphRegistry:
             direct = ProgramSpec.from_graph_inputs(
                 "spmspm", tensors, params
             ).build()
-            reference = _signature(direct, direct.program.run())
+            expected = reference.run(direct.program), direct.result_dense().tobytes()
 
             spec = ProgramSpec.from_graph_inputs(name, tensors, params)
             built = build_spec(spec.to_json())
             summary = built.program.run()
-            assert _signature(built, summary) == reference
+            assert (
+                simulated(built.program, summary), built.result_dense().tobytes()
+            ) == expected
         finally:
             # Keep the registry clean for other tests.
             from repro.sam import spec as spec_module
