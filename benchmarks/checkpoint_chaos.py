@@ -11,7 +11,7 @@ Seeded end-to-end kill/resume rounds on top of the unit suites:
    onto a *different* worker count (elastic repartitioning) — again
    bit-identical.  Once per run the same with 96-byte rings, so the
    cuts hold records that had not fit in a lane (DESIGN.md §17).
-3. Post-conditions after every round: no stale temp/part files in the
+3. Post-conditions after every round: no stale temp files in the
    checkpoint directory, no orphaned child processes (multiprocessing's
    ``resource_tracker`` legitimately lives until interpreter exit), and
    no ``/dev/shm`` segments.

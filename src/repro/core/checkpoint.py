@@ -14,7 +14,7 @@ sequential executor between slices — the threaded executor's default
 hosting is that engine — and the process executor with every live
 worker paused).
 Channels are FIFO with one sender and one receiver, so a record still in
-flight at such a cut — one a process worker had not yet delivered — is
+flight at such a cut — in a process worker's outbox or on a lane — is
 captured where it is, behind what the receiver already holds.  The
 program state *is* the pair (context attributes, channel queues); no
 schedule information needs to be saved, because simulated results are
@@ -40,8 +40,10 @@ resume record then tells the executor what to do with that first yield:
   closure flags are restored without ever starting the generator.
 
 On-disk format: ``checkpoint_path`` names a **directory** holding one
-file per epoch (``ckpt-000007.dam``), each a magic header + versioned
-pickle payload, written atomically via tmp+rename.  Discovery
+file per epoch (``ckpt-000007.dam``) and nothing else, each a magic
+header + versioned pickle payload, written atomically via tmp+rename by
+the one process that captures (a process run's workers hand their
+slices to the parent over their result pipes).  Discovery
 (:func:`latest_checkpoint`) scans newest-first and skips corrupt,
 truncated, or mismatched files, so a crash mid-write can never poison a
 resume.
@@ -75,18 +77,6 @@ _FILE_SUFFIX = ".dam"
 
 def checkpoint_filename(epoch: int) -> str:
     return f"{_FILE_PREFIX}{epoch:06d}{_FILE_SUFFIX}"
-
-
-#: Filename pattern for per-worker partition dumps (process executor):
-#: each worker writes its slice of an epoch here; the parent stitches
-#: them into one ``ckpt-*.dam`` and deletes them.  Leftovers (a crash
-#: between dump and stitch) are removed by :func:`clean_stale_temps`.
-_PART_PREFIX = "part-"
-_PART_SUFFIX = ".pkl"
-
-
-def part_filename(epoch: int, worker: int) -> str:
-    return f"{_PART_PREFIX}{epoch:06d}-{worker:03d}{_PART_SUFFIX}"
 
 
 # ----------------------------------------------------------------------
@@ -416,71 +406,22 @@ def latest_checkpoint(
 
 
 def clean_stale_temps(directory: str) -> int:
-    """Remove ``.tmp-*`` and orphaned ``part-*`` leftovers from
-    interrupted writes; returns the number of files removed.  Called at
-    executor start and before restore, so a kill mid-dump never leaks
-    temp files or half-stitched worker partitions."""
+    """Remove the ``.tmp-*`` leftovers of interrupted writes; returns
+    the number of files removed.  Called at executor start and before
+    restore, so a kill mid-write never leaks a temp file."""
     removed = 0
     try:
         names = os.listdir(directory)
     except OSError:
         return 0
     for name in names:
-        if name.startswith(".tmp-") or (
-            name.startswith(_PART_PREFIX) and name.endswith(_PART_SUFFIX)
-        ):
+        if name.startswith(".tmp-"):
             try:
                 os.unlink(os.path.join(directory, name))
                 removed += 1
             except OSError:
                 pass
     return removed
-
-
-# ----------------------------------------------------------------------
-# Worker partition dumps (process executor).
-# ----------------------------------------------------------------------
-
-
-def save_part(directory: str, epoch: int, worker: int, payload: dict) -> str:
-    """Atomically write one worker's slice of an epoch (tmp + rename)."""
-    os.makedirs(directory, exist_ok=True)
-    final = os.path.join(directory, part_filename(epoch, worker))
-    tmp = os.path.join(
-        directory, f".tmp-{part_filename(epoch, worker)}-{os.getpid()}"
-    )
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    with open(tmp, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, final)
-    return final
-
-
-def load_part(directory: str, epoch: int, worker: int) -> dict:
-    """Read one worker's partition dump, strictly."""
-    path = os.path.join(directory, part_filename(epoch, worker))
-    try:
-        with open(path, "rb") as handle:
-            return pickle.loads(handle.read())
-    except Exception as exc:  # noqa: BLE001 - any failure = corrupt part
-        raise CheckpointError(f"cannot read partition dump {path!r}: {exc!r}") from exc
-
-
-def remove_parts(directory: str, epoch: int) -> None:
-    """Delete every worker's dump for ``epoch`` after a successful stitch."""
-    prefix = f"{_PART_PREFIX}{epoch:06d}-"
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return
-    for name in names:
-        if name.startswith(prefix) and name.endswith(_PART_SUFFIX):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from ...obs.metrics import fold_channel_metrics, fold_context_metrics
 from .. import checkpoint as _ckpt
+from ..errors import RunTimeoutError
 from ..time import Time
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -311,6 +312,42 @@ class Executor:
         if self.obs is not None:
             self.obs.stall_report = report
         return report
+
+    def _report_supervisor_event(self, kind: str, error) -> None:
+        """Feed a host failure — a worker ``"crash"`` or a run
+        ``"timeout"`` — into the run's observability: a supervisor
+        pseudo-buffer event in the trace, a crash report on the obs
+        handle, and a counter in the metrics registry."""
+        if self.obs is None:
+            return
+        if kind == "crash":
+            self.obs.crash_report = error
+        if self.obs.metrics is not None:
+            name = "worker_crashes" if kind == "crash" else "run_timeouts"
+            self.obs.metrics.counter(name).inc()
+        if self.obs.trace is not None:
+            payload: dict[str, Any] = {"error": str(error)}
+            if kind == "crash":
+                payload.update(
+                    worker=error.worker,
+                    exitcode=error.exitcode,
+                    contexts=list(error.contexts),
+                )
+            self.obs.trace.buffer("<supervisor>").append(
+                kind, None, 0, payload
+            )
+
+    def _timed_out(self, summary: RunSummary, report) -> RunTimeoutError:
+        """The run's deadline abort, with its partial ``summary`` and
+        its stall ``report``, reported as a supervisor event."""
+        error = RunTimeoutError(
+            self.deadline_s,
+            executor=self.name,
+            summary=summary,
+            stall_report=report,
+        )
+        self._report_supervisor_event("timeout", error)
+        return error
 
     def _attach_profile(self, summary: RunSummary, program: "Program", obs) -> None:
         """Compute the performance-attribution report from the run's trace

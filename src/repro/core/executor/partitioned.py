@@ -104,7 +104,6 @@ from ..errors import (
     CheckpointError,
     DamError,
     DeadlockError,
-    RunTimeoutError,
     SimulationError,
     WorkerCrashError,
     pack_exception,
@@ -120,7 +119,6 @@ from .registry import register_executor
 from .sequential import _BLOCKED, _DONE, SequentialExecutor, _ContextState
 from . import runners
 from .shm import (
-    CKPT_DUMP,
     CKPT_PAUSE,
     CKPT_RUN,
     WORKER_BLOCKED,
@@ -258,21 +256,19 @@ class _LanePump:
         """Is anything left to send: outbox records or the sentinel?"""
         return bool(self._outbox) or self._owes_done()
 
-    def pump(self, flush: bool = True) -> int:
-        """Flush the outbox and the sentinel it owes (unless ``flush`` is
-        off: a checkpoint dump takes what is inbound and pushes nothing),
-        then take what the inbound lane holds; returns the number of
-        records moved (truthy iff progress)."""
+    def pump(self) -> int:
+        """Flush the outbox and the sentinel it owes, then take what the
+        inbound lane holds; returns the number of records moved (truthy
+        iff progress)."""
         moved = 0
         outbox = self._outbox
-        if flush:
-            out = self._out
-            while outbox and out.try_push(outbox[0]):
-                outbox.popleft()
-                moved += 1
-            if not outbox and self._owes_done() and out.try_push(None):
-                self._done = True
-                moved += 1
+        out = self._out
+        while outbox and out.try_push(outbox[0]):
+            outbox.popleft()
+            moved += 1
+        if not outbox and self._owes_done() and out.try_push(None):
+            self._done = True
+            moved += 1
         channel = self.channel
         inbox = self._inbox
         mine = self._finished()[0]
@@ -327,7 +323,9 @@ class _WorkerExecutor(SequentialExecutor):
 
     name = "process-worker"
 
-    def __init__(self, parent: "ProcessExecutor", run: _RunShared, worker: int):
+    def __init__(
+        self, parent: "ProcessExecutor", run: _RunShared, worker: int, conn
+    ):
         obs = None
         if parent.obs is not None:
             # A fresh registry (the parent folds the merged run), and the
@@ -345,6 +343,8 @@ class _WorkerExecutor(SequentialExecutor):
         self._run = run
         self._worker = worker
         self._bell = run.bells[worker]
+        #: The result pipe: checkpoint dumps, then the final payload.
+        self._conn = conn
         #: Chaos hook: a WorkerKill aimed at *this* worker — the process
         #: SIGKILLs itself the first time its published progress counter
         #: reaches the trigger (see :meth:`_publish`).
@@ -364,8 +364,9 @@ class _WorkerExecutor(SequentialExecutor):
         self._shuttle_moves = 0
         #: One per activated side of a cut channel, in activation order.
         self._pumps: list[_LanePump] = []
-        #: Contexts this worker activated (own or stolen), in claim order.
-        self._activated: list = []
+        #: Slots of the contexts this worker activated (own or stolen),
+        #: in claim order.
+        self._activated: list[int] = []
         #: ``id(ctx) -> (cell, slot)`` for every activated context: the
         #: plain clocks this worker owns and the shared slots it
         #: publishes them to at each slice boundary.
@@ -430,7 +431,7 @@ class _WorkerExecutor(SequentialExecutor):
                 self._apply_one_resume_record(ctx, state, record)
             if state.status != _DONE:
                 self.policy.push(state, woken=False)
-            self._activated.append(ctx)
+            self._activated.append(slot)
         if stolen_from is not None:
             self.steal_count += 1
             record = {
@@ -567,101 +568,69 @@ class _WorkerExecutor(SequentialExecutor):
         board = self._run.ckpt_board
         return board is not None and board.epoch() > self._ckpt_seen
 
-    def _claim_own_cold(self) -> None:
-        """Claim and activate every cold cluster this worker owns.
-
-        Called at the start of a pause round: a lane whose receiving
-        cluster nobody activated has no consumer to take it at the
-        dump, and a cold context has no record.  Claiming through the
-        board keeps the claimed-exactly-once invariant even against a
-        concurrent steal.
-        """
-        while self._claim_next(steal=False):
-            pass
-
     def _ckpt_participate(self) -> None:
-        """One worker's side of a pause/dump round.
+        """One worker's side of a checkpoint round (DESIGN.md §17).
 
         Entered only at safe points (between slices or in the idle
-        loop), so every local context is between ops.  From the ack on
-        this worker moves nothing — no context runs, no lane is pushed
-        or popped — until the parent ends the round; ``CKPT_DUMP``
-        arrives once every live worker has acked, so what the inbound
-        lanes hold then is final and is taken exactly once before the
-        dump.  Each step rings the parent, and each command the parent
-        writes rings this worker, so the round costs the dumps plus a
-        few wake-ups.
+        loop), so every local context is between ops.  The worker claims
+        its own cold clusters (a cold context has no record, and a
+        channel side nobody activated is in no dump; through the board,
+        so each is still claimed exactly once), publishes its progress —
+        the cut the parent's next round compares against — and sends
+        its dump over its result pipe: the dump's arrival is its
+        acknowledgement.  From then on it moves
+        nothing — no context runs, no lane is pushed or popped — until
+        the parent ends the round, so what the parent reads off the
+        lanes once every dump has landed is what the cut holds.
         """
         run = self._run
         board = run.ckpt_board
-        epoch = board.epoch()
-        if epoch <= self._ckpt_seen:
-            return
-        self._ckpt_seen = epoch
-        self._claim_own_cold()
-        worker = self._worker
-        dumped = False
-        # Published before the ack: the parent records every live
-        # worker's progress at the cut and opens the next round only
-        # once it has moved.
+        epoch = self._ckpt_seen = board.epoch()
+        while self._claim_next(steal=False):
+            pass
         self._ckpt_cut = self._publish(WORKER_RUNNING)
-        board.ack(worker, epoch)
-        run.bell.ring()
+        self._conn.send(self._dump(epoch))
+        self._ckpt_rounds_done += 1
+        kill = self._kill
+        if (
+            kill is not None
+            and kill.after_checkpoints is not None
+            and self._ckpt_rounds_done >= kill.after_checkpoints
+        ):
+            # Chaos hook: die right after sending the dump — the worst
+            # moment for the parent's stitch.
+            os.kill(os.getpid(), kill.signal)
         while True:
             self._bell.drain()
             if run.abort.is_set():
                 raise _WorkerAborted()
-            command = board.command()
-            if board.epoch() != epoch or command == CKPT_RUN:
+            if board.epoch() != epoch or board.command() == CKPT_RUN:
                 return  # the round ended, or the parent abandoned it
-            if command != CKPT_DUMP or dumped:
-                self._bell.wait()
-                continue
-            for pump in self._pumps:
-                pump.pump(flush=False)
-            self._dump_partition(epoch)
-            board.mark_dumped(worker, epoch)
-            run.bell.ring()
-            dumped = True
-            self._ckpt_rounds_done += 1
-            kill = self._kill
-            if (
-                kill is not None
-                and getattr(kill, "after_checkpoints", None) is not None
-                and self._ckpt_rounds_done >= kill.after_checkpoints
-            ):
-                # Chaos hook: die right after publishing the dump —
-                # the worst moment for the parent's stitch.
-                os.kill(os.getpid(), kill.signal)
+            self._bell.wait()
 
-    def _dump_partition(self, epoch: int) -> None:
-        """Write this worker's slice of the cut (tmp + rename).
-
-        Context records cover exactly what this worker activated;
-        channel entries carry internal channels whole and cut channels
-        by side, each as its clone's ``checkpoint_state()`` (the parent
-        stitches the ``send``/``recv`` halves into one
-        partition-independent state: a side's outbox is what it produced
-        that had not reached the other side).
-        """
-        slot_of = {
-            id(ctx): slot
-            for slot, ctx in enumerate(self._run.program.contexts)
+    def _dump(self, epoch: Optional[int] = None) -> dict:
+        """This worker's slice of a cut: a record for each context it
+        activated, and each channel side it holds as its
+        ``checkpoint_state()`` — internal channels whole (``chan``), cut
+        channels by side (``send`` / ``recv``), outbox included.
+        ``epoch`` names the round; a retiring worker's final dump, which
+        stands in for it at every later round, has none."""
+        contexts = self._run.program.contexts
+        channels = {
+            channel.id: {"chan": channel.checkpoint_state()}
+            for channel in self._active_channels
         }
-        records = {
-            slot_of[id(ctx)]: self._context_record(self._states[id(ctx)])
-            for ctx in self._activated
-        }
-        channels: dict[int, dict] = {}
-        for channel in self._active_channels:
-            channels[channel.id] = {"chan": channel.checkpoint_state()}
         for pump in self._pumps:
             entry = channels.setdefault(pump.channel.id, {})
             entry["send" if pump.sender else "recv"] = pump.channel.checkpoint_state()
-        _ckpt.save_part(
-            self._parent.checkpoint_path, epoch, self._worker,
-            {"records": records, "channels": channels},
-        )
+        return {
+            "epoch": epoch,
+            "records": {
+                slot: self._context_record(self._states[id(contexts[slot])])
+                for slot in self._activated
+            },
+            "channels": channels,
+        }
 
     def _idle(self) -> bool:
         run = self._run
@@ -696,12 +665,8 @@ class _WorkerExecutor(SequentialExecutor):
             ) and not any(pump.outstanding() for pump in self._pumps):
                 # All activated contexts finished, nothing is claimable,
                 # and every outbound record (done sentinels included) is
-                # flushed: retire.
-                if self._ckpt_pending():
-                    # A pause round began while we were deciding to
-                    # retire: participate first (the parent counts this
-                    # worker as live until its payload lands).
-                    continue
+                # flushed: retire.  A round opened meanwhile reads this
+                # worker's final dump instead.
                 self._publish(WORKER_DONE)
                 return False
             if moved:
@@ -751,18 +716,13 @@ def _harvest(executor: _WorkerExecutor) -> dict:
     *activated* — own and stolen clusters alike — so stolen work reports
     from its adopter, never its planned owner.
     """
-    local = executor._activated
-    local_channels = executor._active_channels
-    slot_of = {
-        id(ctx): slot
-        for slot, ctx in enumerate(executor._run.program.contexts)
-    }
+    contexts = executor._run.program.contexts
     finish_times: dict[int, Any] = {}
     context_attrs: dict[int, dict] = {}
     context_stats: dict[int, dict] = {}
     trace_buffers: dict[int, Any] = {}
-    for ctx in local:
-        slot = slot_of[id(ctx)]
+    for slot in executor._activated:
+        ctx = contexts[slot]
         finish_times[slot] = ctx.finish_time
         attrs = {}
         for key, value in vars(ctx).items():
@@ -798,7 +758,7 @@ def _harvest(executor: _WorkerExecutor) -> dict:
         if occupancy > entry["max_real_occupancy"]:
             entry["max_real_occupancy"] = occupancy
 
-    for channel in local_channels:
+    for channel in executor._active_channels:
         ship(channel.id, channel.stats, channel.stats.max_real_occupancy)
     for pump in executor._pumps:
         clone = pump.channel
@@ -847,13 +807,17 @@ def _worker_main(
         for slot, ctx in enumerate(run.program.contexts):
             ctx.time = SharedTimeView(run.clocks, slot)
 
-        executor = _WorkerExecutor(parent, run, worker_index)
+        executor = _WorkerExecutor(parent, run, worker_index, conn)
         try:
             # The worker starts empty; its first _idle() claims work.  It
             # returns only once every context it activated has finished:
             # a deadlock is the parent's verdict, and reaches it as an
             # abort.
             executor.execute(Program([], []))
+            if run.ckpt_board is not None:
+                # Retired, having claimed all of its own clusters: every
+                # later round stitches this dump in its stead.
+                payload["dump"] = executor._dump()
         except _WorkerAborted:
             payload["status"] = "aborted"
             unfinished = [
@@ -890,67 +854,51 @@ def _worker_main(
 
 
 class _CkptCoordinator:
-    """The parent's side of a checkpoint round (DESIGN.md §17).
+    """The parent's side of a checkpoint round (DESIGN.md §17), stepped
+    by ``_collect`` on every wake-up.
 
-    A tiny state machine stepped by ``_collect`` on every wake-up; each
-    command it writes to the board rings every worker, and each worker
-    step rings the parent back:
-
-    ``idle``
-        Nothing in flight.  Once some live worker's status-board
-        progress has moved since the last cut (a round over a program
-        nothing moved would cut the same state again, and would keep a
-        deadlock from ever settling), and the timer says a capture is
-        due, write the next epoch + ``CKPT_PAUSE`` to the board.
-    ``pausing``
-        Wait until every live worker has acknowledged the epoch.  Each
-        does so at a slice boundary — its contexts all between
-        operations — and from then on pushes and pops nothing, so once
-        the last one has, the program is frozen: every record is in a
-        clone's queue, a clone's outbox, or a lane, and stays there.  Each worker published its progress just before
-        its ack; those values are the cut the next round compares
-        against.
-    ``dumping``
-        Workers take what their inbound lanes hold and write their
-        partition dumps (tmp + rename, then publish ``dumped_epoch``).
-        When every live worker has published, stitch the parts with the
-        retired workers' payloads into one
-        :class:`~repro.core.checkpoint.Checkpoint`, save it, delete the
-        parts, and return to ``idle``.
+    Idle, it opens a round once some live worker's status-board progress
+    has moved since the last cut (a round over a program nothing moved
+    would cut the same state again, and would keep a deadlock from ever
+    settling) and the timer says a capture is due: the next epoch with
+    ``CKPT_PAUSE``, which rings every worker.  Each worker stops at its
+    next safe point and sends its dump over its result pipe
+    (``_collect`` files it in :attr:`dumps`), then moves nothing.  Once
+    every live worker's dump for the epoch has landed, nothing moves:
+    :meth:`_stitch` reads the lanes, folds the dumps into one
+    :class:`~repro.core.checkpoint.Checkpoint` and saves it, and
+    ``CKPT_RUN`` releases the workers.
 
     Any abort (peer crash, deadline, user) cancels the round: the
-    command word flips back to ``CKPT_RUN`` and paused workers resume.
-    A stitch/save failure raises ``SimulationError`` — the caller aborts
-    the run (a checkpointing run that cannot checkpoint should fail
-    loudly, not silently stop protecting the user).
+    command word flips back to ``CKPT_RUN``.  A stitch/save failure
+    raises ``SimulationError`` — the caller aborts the run (a
+    checkpointing run that cannot checkpoint should fail loudly, not
+    silently stop protecting the user).
     """
 
     def __init__(self, run: _RunShared, timer, path: str, executor_name: str):
         self._run = run
-        self._board = run.ckpt_board
         self._timer = timer
         self._path = path
         self._executor = executor_name
-        self._phase = "idle"
+        self.active = False
         self._epoch = timer.epoch
         #: Each worker's progress at the last cut; the status board
         #: starts every counter at 0.
         self._cut: dict[int, int] = {}
-
-    @property
-    def active(self) -> bool:
-        return self._phase != "idle"
+        #: Each live worker's latest round dump, by worker.
+        self.dumps: dict[int, dict] = {}
 
     def _command(self, command: int) -> None:
         """Publish ``command`` for round ``_epoch``; ring every worker."""
-        self._board.request(self._epoch, command)
+        self._run.ckpt_board.request(self._epoch, command)
         for bell in self._run.bells:
             bell.ring()
+        self.active = command == CKPT_PAUSE
 
     def cancel(self) -> None:
-        if self._phase != "idle":
+        if self.active:
             self._command(CKPT_RUN)
-            self._phase = "idle"
 
     def step(self, live: set, payloads: dict) -> Optional[float]:
         """One step on a wake-up.  ``live`` is the set of workers whose
@@ -962,168 +910,98 @@ class _CkptCoordinator:
             # to cut — the run is completing normally.
             self.cancel()
             return None
-        board = self._board
         status = self._run.status
-        if self._phase == "idle":
+        if not self.active:
             if all(status.progress(w) == self._cut.get(w, 0) for w in live):
                 return None
             if not self._timer.due():
                 return self._timer.due_at()
             self._epoch = self._timer.epoch + 1
             self._command(CKPT_PAUSE)
-            self._phase = "pausing"
             return None
-        rows = [board.row(worker) for worker in live]
-        if self._phase == "pausing":
-            if all(ack == self._epoch for ack, _ in rows):
-                self._cut = {w: status.progress(w) for w in live}
-                self._command(CKPT_DUMP)
-                self._phase = "dumping"
-        elif all(dumped == self._epoch for _, dumped in rows):
-            self._finish(live, payloads)
+        if any(
+            self.dumps.get(w, {}).get("epoch") != self._epoch for w in live
+        ):
+            return None
+        self._cut = {w: status.progress(w) for w in live}
+        dumps = [self.dumps[w] for w in sorted(live)]
+        dumps += [payloads[w]["dump"] for w in sorted(payloads)]
+        try:
+            self._stitch(dumps).save(self._path)
+        except Exception as exc:
+            raise SimulationError("<checkpoint>", exc) from exc
+        finally:
+            self._command(CKPT_RUN)
+        self._timer.mark()
         return None
 
-    def _finish(self, live: set, payloads: dict) -> None:
-        try:
-            checkpoint = self._stitch(live, payloads)
-            checkpoint.save(self._path)
-        except Exception as exc:
-            self._command(CKPT_RUN)
-            self._phase = "idle"
-            raise SimulationError("<checkpoint>", exc) from exc
-        self._command(CKPT_RUN)
-        self._phase = "idle"
-        _ckpt.remove_parts(self._path, self._epoch)
-        self._timer.mark()
+    def _stitch(self, dumps: list) -> "_ckpt.Checkpoint":
+        """Fold the dumps into one partition-independent checkpoint.
 
-    def _stitch(self, live: set, payloads: dict) -> "_ckpt.Checkpoint":
-        """Merge live workers' partition dumps and retired workers'
-        harvested payloads into one partition-independent checkpoint."""
-        program = self._run.program
-        parts = {
-            worker: _ckpt.load_part(self._path, self._epoch, worker)
-            for worker in sorted(live)
-        }
-        retired = [
-            payloads[worker] for worker in sorted(payloads)
-            if payloads[worker].get("status") == "ok"
-        ]
-
+        Every context and every channel side is in exactly one dump:
+        each cluster is claimed once, and a worker dumps or retires only
+        once it has claimed all of its own.  A cut channel's queues are
+        its two sides and its two lanes in FIFO order — data ``recv +
+        lane + send``, responses ``send + lane + recv`` — with each side
+        authoritative for its own endpoint's finished flag, and a queue
+        addressed to a finished endpoint dropped as dead letters.  Every
+        side's stats count since its activation and add onto the
+        parent's fork-time base (``max_real_occupancy``: the maximum,
+        without the sender side's, which is its outbox depth).
+        """
+        run = self._run
+        program = run.program
         records: dict[int, dict] = {}
-        for part in parts.values():
-            records.update(part["records"])
-        for payload in retired:
-            attrs_by_slot = payload.get("context_attrs") or {}
-            for slot, finish in (payload.get("finish_times") or {}).items():
-                if slot in records:
-                    continue
-                ctx = program.contexts[slot]
-                shipped = attrs_by_slot.get(slot) or {}
-                records[slot] = {
-                    "kind": "done",
-                    "attrs": {
-                        name: shipped[name]
-                        for name in ctx.checkpoint_attrs
-                        if name in shipped
-                    },
-                    "clock": finish,
-                    "finish_time": finish,
-                    "ops": payload["context_stats"][slot]["ops"],
-                }
-        missing = [
-            slot for slot in range(len(program.contexts))
-            if slot not in records
-        ]
-        if missing:
-            names = ", ".join(
-                program.contexts[slot].name for slot in missing[:5]
-            )
+        sides: dict[int, dict] = {}
+        for dump in dumps:
+            records.update(dump["records"])
+            for channel_id, entry in dump["channels"].items():
+                sides.setdefault(channel_id, {}).update(entry)
+        if len(records) != len(program.contexts):
             raise CheckpointError(
-                f"epoch {self._epoch}: no state for context(s) {names} "
-                f"(neither a live partition dump nor a retired worker's "
-                f"payload covers them)"
+                f"epoch {self._epoch}: {len(program.contexts) - len(records)} "
+                f"context(s) are in no worker's dump"
             )
-
         channels: dict[int, dict] = {}
         for slot, channel in enumerate(program.channels):
-            entries = [
-                part["channels"][channel.id]
-                for part in parts.values()
-                if channel.id in part["channels"]
-            ]
-            # Every side reports its stats since activation — a live
-            # internal channel (``chan``), a cut channel's ``send`` and
-            # ``recv`` clones, a retired worker's shipped harvest — and
-            # all of them add onto the parent's fork-time base.
-            whole, send, recv = (
-                next((e[side] for e in entries if side in e), None)
-                for side in ("chan", "send", "recv")
-            )
+            entry = sides[channel.id]
             state = channel.checkpoint_state()
             stats = state["stats"]
-            sides = [
-                payload["channel_stats"][channel.id]
-                for payload in retired
-                if channel.id in (payload.get("channel_stats") or {})
-            ]
-            sides += [side["stats"] for side in (whole, recv) if side is not None]
-            if send is not None:
-                # The sender side's occupancy is its outbox depth.
-                sides.append(dict(send["stats"], max_real_occupancy=0))
-            for side in sides:
+            for name, side in entry.items():
                 for field in ("enqueues", "dequeues", "peeks"):
-                    stats[field] += side[field]
-                if side["max_real_occupancy"] > stats["max_real_occupancy"]:
-                    stats["max_real_occupancy"] = side["max_real_occupancy"]
-            if whole is not None:
-                # Internal to a live worker: its queues are all there.
-                channels[slot] = dict(whole, stats=stats)
+                    stats[field] += side["stats"][field]
+                occupancy = side["stats"]["max_real_occupancy"]
+                if name != "send" and occupancy > stats["max_real_occupancy"]:
+                    stats["max_real_occupancy"] = occupancy
+            if "chan" in entry:
+                channels[slot] = dict(entry["chan"], stats=stats)
                 continue
-            if send is not None:
-                state["delta"] = send["delta"]
-                state["resps"] = send["resps"]
-            if recv is not None:
-                state["data"] = recv["data"]
-            # Finished flags: each side is authoritative for its own
-            # endpoint (the other may not have seen the done sentinel
-            # yet), and a missing side means that endpoint's cluster
-            # retired — i.e. the endpoint finished.
-            if send is not None:
-                state["sender_finished"] = send["sender_finished"]
-            elif recv is not None:
-                state["sender_finished"] = recv["sender_finished"]
-            elif entries or retired:
-                state["sender_finished"] = True
-            if recv is not None:
-                state["receiver_finished"] = recv["receiver_finished"]
-            elif send is not None:
-                state["receiver_finished"] = send["receiver_finished"]
-            elif entries or retired:
-                state["receiver_finished"] = True
-            # In flight at the cut: a side's outbox goes behind what the
-            # other side holds, which is where the FIFO lane would have
-            # put it — unless its addressee finished (dead letters).
-            if send is not None and not state["receiver_finished"]:
-                state["data"] = state["data"] + send["data"]
-            if recv is not None and not state["sender_finished"]:
-                state["resps"] = state["resps"] + recv["resps"]
-            if send is None and recv is None and retired:
-                # Both endpoints retired: the queue is semantically
-                # empty (whatever physically remains is dead letters of
-                # a closed channel).
-                state["data"] = []
-                state["resps"] = []
-                state["delta"] = 0
-            channels[slot] = state
+            send, recv = entry["send"], entry["recv"]
+            data_lane, resp_lane = run.lanes[channel.id]
+            # A lane's ``None`` is its done sentinel, which the sending
+            # side's finished flag already says.
+            channels[slot] = dict(
+                state,
+                delta=send["delta"],
+                sender_finished=send["sender_finished"],
+                receiver_finished=recv["receiver_finished"],
+                data=[] if recv["receiver_finished"] else (
+                    recv["data"]
+                    + [r for r in data_lane.unread() if r is not None]
+                    + send["data"]
+                ),
+                resps=[] if send["sender_finished"] else (
+                    send["resps"]
+                    + [r for r in resp_lane.unread() if r is not None]
+                    + recv["resps"]
+                ),
+            )
 
-        placement: dict[str, int] = {}
-        for spec in self._run.clusters:
-            owner = self._run.claim.claimant(spec.index)
-            if owner < 0:
-                owner = spec.owner
-            for slot in spec.contexts:
-                placement[program.contexts[slot].name] = owner
-
+        placement = {
+            program.contexts[slot].name: run.claim.claimant(spec.index)
+            for spec in run.clusters
+            for slot in spec.contexts
+        }
         return _ckpt.Checkpoint.capture(
             program,
             self._epoch,
@@ -1216,13 +1094,13 @@ class ProcessExecutor(Executor):
         self.metrics_sink = metrics_sink
         #: Checkpointing (DESIGN.md §17): when ``checkpoint_path`` is
         #: set, the parent coordinates the rounds — workers pause at a
-        #: slice boundary, dump partitions, and the parent stitches
-        #: them into one on-disk checkpoint.
+        #: slice boundary and send their dumps, and the parent stitches
+        #: them and the lanes into one on-disk checkpoint.
         self.checkpoint_interval_s = checkpoint_interval_s
         self.checkpoint_path = checkpoint_path
         #: Set by _collect when the run was aborted for its deadline, so
-        #: _resolve_failures raises RunTimeoutError instead of reading the
-        #: aborted workers' stalls as a deadlock.
+        #: execute raises RunTimeoutError instead of reading the aborted
+        #: workers' stalls as a deadlock.
         self._deadline_hit = False
         #: Cluster migrations performed by the last run (diagnostics):
         #: ``{"cluster", "from", "to", "contexts"}`` dicts.
@@ -1291,10 +1169,8 @@ class ProcessExecutor(Executor):
         status_off = layout.reserve(status_len)
         claim_len = ClaimBoard.size_for(len(clusters))
         claim_off = layout.reserve(claim_len)
-        ckpt_len = ckpt_off = 0
         if ckpt_timer is not None:
-            ckpt_len = CheckpointBoard.size_for(len(groups))
-            ckpt_off = layout.reserve(ckpt_len)
+            ckpt_off = layout.reserve(CheckpointBoard.SIZE)
         ring_offsets = [
             (
                 layout.reserve(ShmRing.size_for(self.ring_capacity)),
@@ -1346,9 +1222,7 @@ class ProcessExecutor(Executor):
             ckpt_board = None
             if ckpt_timer is not None:
                 ckpt_board = arena.adopt(
-                    CheckpointBoard(
-                        arena.view(ckpt_off, ckpt_len), len(groups)
-                    )
+                    CheckpointBoard(arena.view(ckpt_off, CheckpointBoard.SIZE))
                 )
             faults = (
                 self.faults.resolve(len(groups))
@@ -1422,14 +1296,35 @@ class ProcessExecutor(Executor):
                 conns[parent_conn] = worker
 
             payloads = self._collect(run, conns, procs, start, coordinator)
-            deadlock = self._resolve_failures(run, payloads, start)
+            report = self._resolve_failures(payloads)
             summary = RunSummary.merge(
                 program,
                 [payloads[worker] for worker in sorted(payloads)],
                 trace=trace,
             )
-            if deadlock is not None:
-                raise deadlock
+            summary.executor = self.name
+            summary.policy = self.policy.name
+            ops = [0] * len(contexts)
+            wall: list = [None] * len(contexts)
+            for payload in payloads.values():
+                for slot, tallies in payload.get("context_stats", {}).items():
+                    ops[slot], wall[slot] = tallies["ops"], tallies["wall"]
+            if self._deadline_hit:
+                # What the workers harvested is folded, as for a
+                # deadlock; an unfinished context reads its last
+                # published clock.
+                summary.context_times = {
+                    ctx.name: (
+                        ctx.finish_time if ctx.finish_time is not None
+                        else clocks.read(slot)
+                    )
+                    for slot, ctx in enumerate(contexts)
+                }
+                summary.context_ops, summary.ops_executed = ops, sum(ops)
+                summary.real_seconds = _wallclock.perf_counter() - start
+                raise self._timed_out(summary, report)
+            if report is not None:
+                raise DeadlockError(report.lines())
         finally:
             # The sampler reads arena memory; stop it before the unmap.
             self._stop_sampler(sampler, self.obs)
@@ -1438,14 +1333,6 @@ class ProcessExecutor(Executor):
                 bell.close()
             arena.close()
             arena.unlink()
-            if self.checkpoint_path is not None:
-                # A cancelled round (crash, deadline, abort) leaves its
-                # partition dumps behind; with every worker wound down
-                # it is now safe to sweep them.
-                try:
-                    _ckpt.clean_stale_temps(self.checkpoint_path)
-                except OSError:  # pragma: no cover - directory vanished
-                    pass
 
         self.migrations = [
             migration
@@ -1474,8 +1361,6 @@ class ProcessExecutor(Executor):
             for name in migration["contexts"]:
                 placement[name] = migration["to"]
         summary.placement = placement
-        summary.executor = self.name
-        summary.policy = self.policy.name
         summary.real_seconds = _wallclock.perf_counter() - start
         registry = self.obs.metrics if self.obs is not None else None
         if registry is not None:
@@ -1485,11 +1370,6 @@ class ProcessExecutor(Executor):
             registry.counter("process_migrated_contexts").inc(
                 sum(len(m["contexts"]) for m in self.migrations)
             )
-        ops = [0] * len(program.contexts)
-        wall: list = [None] * len(program.contexts)
-        for payload in payloads.values():
-            for slot, tallies in payload.get("context_stats", {}).items():
-                ops[slot], wall[slot] = tallies["ops"], tallies["wall"]
         summary.metrics = self._fold_metrics(program, summary, ops, wall)
         self._attach_profile(summary, program, self.obs)
         # The next fork inherits what this run's workers had to compile.
@@ -1509,9 +1389,10 @@ class ProcessExecutor(Executor):
         deadline enforcer, the checkpoint coordinator's clock, and the
         global deadlock verdict.
 
-        The parent sleeps on the result pipes, the process sentinels and
-        its doorbell, which a worker rings when it goes to sleep and at
-        each checkpoint step; its only timeouts are the deadline, the
+        The parent sleeps on the result pipes (which also carry each
+        worker's checkpoint dumps), the process sentinels and its
+        doorbell, which a worker rings when it goes to sleep or moves
+        past a cut; its only timeouts are the deadline, the
         next round's due time, and ``_JOIN_TIMEOUT`` after an abort.
         Crash supervision is two-layered: a dead worker's result pipe hits
         EOF (its write end closes with the process), and its process
@@ -1547,21 +1428,24 @@ class ProcessExecutor(Executor):
                     conn, worker = item, pending[item]
                 elif item in sentinels:
                     conn, worker = sentinels[item]
-                    # The process died.  A final payload may still sit in
-                    # the pipe (normal exit races its own sentinel); only
-                    # an empty pipe means a crash, and recv below turns
-                    # that into EOFError.
+                    # The process died.  A final payload or a dump may
+                    # still sit in the pipe (normal exit races its own
+                    # sentinel); only an empty pipe means a crash, and
+                    # recv below turns that into EOFError.
                 else:
                     continue  # the doorbell
                 if worker in payloads:
                     continue  # both wait objects fired for one worker
-                pending.pop(conn, None)
                 try:
-                    payloads[worker] = conn.recv()
+                    message = conn.recv()
                 except (EOFError, OSError):
-                    payloads[worker] = self._crash_payload(
-                        run, worker, procs[worker]
-                    )
+                    message = self._crash_payload(run, worker, procs[worker])
+                if "status" not in message:
+                    # A checkpoint dump: the worker joined the round.
+                    coordinator.dumps[worker] = message
+                    continue
+                pending.pop(conn)
+                payloads[worker] = message
                 conn.close()
                 if payloads[worker]["status"] not in ("ok", "aborted"):
                     self._abort(run)  # wind the surviving workers down
@@ -1684,12 +1568,11 @@ class ProcessExecutor(Executor):
             except Exception:  # noqa: BLE001
                 pass
 
-    def _resolve_failures(
-        self, run: _RunShared, payloads: dict, start: float
-    ) -> Optional[DeadlockError]:
-        """Raise the run's failure, if any: error > crash > timeout; a
-        deadlock is returned, to be raised once the aborted workers'
-        harvests (trace, channel stats, finish times) are folded."""
+    def _resolve_failures(self, payloads: dict) -> Optional[StallReport]:
+        """Raise the run's failure, if any: error > crash.  A timeout or
+        a deadlock returns the workers' stall report instead, to be
+        raised once their harvests (trace, channel stats, finish times)
+        are folded."""
         for payload in payloads.values():
             if payload["status"] == "error":
                 info = payload.get("error") or {}
@@ -1716,78 +1599,12 @@ class ProcessExecutor(Executor):
             )
             self._report_supervisor_event("crash", error)
             raise error
-        if any(p["status"] == "aborted" for p in payloads.values()):
-            stalls = []
-            for payload in payloads.values():
-                if payload.get("stalls"):
-                    stalls.extend(payload["stalls"])
-            report = self._publish_stalls(stalls)
-            if self._deadline_hit:
-                error = self._timeout_failure(run, payloads, report, start)
-                self._report_supervisor_event("timeout", error)
-                raise error
-            return DeadlockError(report.lines())
-        if self._deadline_hit:
-            # Reached when every worker either raced to completion as the
-            # deadline fired or was force-recorded by the escape hatch.
-            error = self._timeout_failure(
-                run, payloads, StallReport([]), start
-            )
-            self._report_supervisor_event("timeout", error)
-            raise error
-
-    def _timeout_failure(
-        self, run: _RunShared, payloads: dict, report: StallReport,
-        start: float,
-    ) -> RunTimeoutError:
-        """Build the deadline abort without mutating ``program``: finish
-        times come from the aborted workers' harvests, everything else
-        from the shared clock board (a lower bound on each context)."""
-        finish: dict[int, Any] = {}
-        ops = 0
-        for payload in payloads.values():
-            for slot, t in payload.get("finish_times", {}).items():
-                if t is not None:
-                    finish[slot] = t
-            ops += sum(s["ops"] for s in payload.get("context_stats", {}).values())
-        context_times = {
-            ctx.name: finish.get(slot, run.clocks.read(slot))
-            for slot, ctx in enumerate(run.program.contexts)
-        }
-        summary = RunSummary(
-            elapsed_cycles=max(finish.values(), default=0),
-            real_seconds=_wallclock.perf_counter() - start,
-            context_times=context_times,
-            executor=self.name,
-            policy=self.policy.name,
-            ops_executed=ops,
-        )
-        return RunTimeoutError(
-            self.deadline_s,
-            executor=self.name,
-            summary=summary,
-            stall_report=report,
-        )
-
-    def _report_supervisor_event(self, kind: str, error) -> None:
-        """Feed the failure into the run's observability: a supervisor
-        pseudo-buffer event in the trace merge, a crash report on the
-        obs handle, and a counter in the metrics registry."""
-        if self.obs is None:
-            return
-        if kind == "crash":
-            self.obs.crash_report = error
-        if self.obs.metrics is not None:
-            name = "worker_crashes" if kind == "crash" else "run_timeouts"
-            self.obs.metrics.counter(name).inc()
-        if self.obs.trace is not None:
-            payload: dict[str, Any] = {"error": str(error)}
-            if kind == "crash":
-                payload.update(
-                    worker=error.worker,
-                    exitcode=error.exitcode,
-                    contexts=list(error.contexts),
-                )
-            self.obs.trace.buffer("<supervisor>").append(
-                kind, None, 0, payload
-            )
+        if self._deadline_hit or any(
+            p["status"] == "aborted" for p in payloads.values()
+        ):
+            return self._publish_stalls([
+                stall
+                for payload in payloads.values()
+                for stall in payload.get("stalls") or ()
+            ])
+        return None

@@ -52,7 +52,6 @@ from ..context import Context
 from ..errors import (
     ChannelClosed,
     DeadlockError,
-    RunTimeoutError,
     SimulationError,
     unpack_exception,
 )
@@ -300,12 +299,8 @@ class SequentialExecutor(Executor):
                 raise DeadlockError(self._stall_report(unfinished).lines())
         except _DeadlineExpired:
             blocked = [st for st in states.values() if st.status == _BLOCKED]
-            report = self._stall_report(blocked)
-            raise RunTimeoutError(
-                self.deadline_s,
-                executor=self.name,
-                summary=self._run_summary(program, start),
-                stall_report=report,
+            raise self._timed_out(
+                self._run_summary(program, start), self._stall_report(blocked)
             ) from None
         finally:
             # On any abort (SimulationError, DeadlockError, deadline), close

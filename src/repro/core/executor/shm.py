@@ -264,68 +264,35 @@ class StatusBoard:
 
 #: Commands the parent publishes on the checkpoint board.
 CKPT_RUN = 0    # no round active: execute normally
-CKPT_PAUSE = 1  # stop at the next slice boundary: run, push and pop nothing
-CKPT_DUMP = 2   # every live worker has stopped: dump your partition slice
+CKPT_PAUSE = 1  # at the next slice boundary send a dump, then move nothing
 
 
 class CheckpointBoard:
-    """Parent/worker rendezvous for checkpoint rounds.
+    """The parent's half of a checkpoint round: a monotone request epoch
+    and a command word, single aligned 8-byte items (see the
+    module-level memory-ordering note).  A worker answers on its result
+    pipe: the dump it sends there is its acknowledgement."""
 
-    The parent owns the header — a monotone request epoch plus a command
-    word — and each worker owns one row:
+    SIZE = 16
 
-    * ``ack`` — the epoch this worker last acknowledged: it has stopped
-      at a slice boundary and neither runs a context nor pushes or pops
-      a lane until the round ends;
-    * ``dumped`` — the epoch whose partition dump this worker has
-      written (tmp + rename) to the checkpoint directory.
-
-    Word layout: ``[0]`` request epoch, ``[1]`` command, then two words
-    per worker.  All fields are single aligned 8-byte items (see the
-    module-level memory-ordering note).
-    """
-
-    _ROW = 2
-
-    def __init__(self, view: memoryview, workers: int):
+    def __init__(self, view: memoryview):
         self._words = view.cast("Q")
-        self.workers = workers
-        for index in range(2 + self._ROW * workers):
-            self._words[index] = 0
+        self._words[0] = self._words[1] = 0
 
     def release(self) -> None:
         self._words.release()
 
-    @staticmethod
-    def size_for(workers: int) -> int:
-        return 8 * (2 + CheckpointBoard._ROW * max(workers, 1))
-
-    # -- parent side ---------------------------------------------------
-
     def request(self, epoch: int, command: int) -> None:
         # Command first: a worker that reads the new epoch must never
-        # see a stale DUMP from the previous round.
+        # see the previous round's RUN.
         self._words[1] = command
         self._words[0] = epoch
-
-    def row(self, worker: int) -> tuple[int, int]:
-        """``(ack, dumped)`` epochs of one worker."""
-        base = 2 + self._ROW * worker
-        return self._words[base], self._words[base + 1]
-
-    # -- worker side ---------------------------------------------------
 
     def epoch(self) -> int:
         return self._words[0]
 
     def command(self) -> int:
         return self._words[1]
-
-    def ack(self, worker: int, epoch: int) -> None:
-        self._words[2 + self._ROW * worker] = epoch
-
-    def mark_dumped(self, worker: int, epoch: int) -> None:
-        self._words[2 + self._ROW * worker + 1] = epoch
 
 
 # ----------------------------------------------------------------------
@@ -466,15 +433,31 @@ class ShmRing:
 
     def try_pop(self) -> tuple[bool, Any]:
         head = self._head
-        tail = self._counters[0]
-        if tail == head:
+        if self._counters[0] == head:
             return False, None
-        length = _U32.unpack(self._read_bytes(head % self.capacity, _RECORD_HEADER))[0]
-        blob = self._read_bytes((head + _RECORD_HEADER) % self.capacity, length)
-        obj = pickle.loads(blob)
-        self._head = head + _RECORD_HEADER + length
+        obj, self._head = self._record_at(head)
         self._counters[1] = self._head
         return True, obj
+
+    # -- observer side -------------------------------------------------
+
+    def unread(self) -> list:
+        """Every record pushed and not yet popped, oldest first, read off
+        the shared counters without popping any.  For a third process,
+        and only while neither endpoint moves (the parent during a
+        checkpoint round)."""
+        records = []
+        head, tail = self._counters[1], self._counters[0]
+        while head != tail:
+            record, head = self._record_at(head)
+            records.append(record)
+        return records
+
+    def _record_at(self, head: int) -> tuple[Any, int]:
+        """The record at ``head`` and the head past it."""
+        length = _U32.unpack(self._read_bytes(head % self.capacity, _RECORD_HEADER))[0]
+        blob = self._read_bytes((head + _RECORD_HEADER) % self.capacity, length)
+        return pickle.loads(blob), head + _RECORD_HEADER + length
 
     # -- byte helpers (wraparound copies) ------------------------------
 

@@ -67,7 +67,6 @@ from ..errors import (
     DamError,
     DeadlockError,
     NotCheckpointable,
-    RunTimeoutError,
     SimulationError,
 )
 from ..ops import (
@@ -565,19 +564,6 @@ class ThreadedExecutor(Executor):
                 channel.close_receiver()
                 channel.cond.notify_all()
 
-    def _timeout_error(self, program: Program) -> RunTimeoutError:
-        """Build the deadline abort: stall report + partial summary, with
-        clocks snapshotted *now*, before thread wind-down freezes them at
-        infinity."""
-        return RunTimeoutError(
-            self.deadline_s,
-            executor=self.name,
-            stall_report=self._stall_report(),
-            summary=self._summary(
-                program, self._start, "os", ops_executed=self._progress
-            ),
-        )
-
     def _supervise(self) -> None:
         """The main thread's watch over the run: asleep on ``_cv`` until
         every context thread has exited, it turns a passed deadline — or
@@ -610,7 +596,15 @@ class ThreadedExecutor(Executor):
             if deadline_at is not None and (
                 _wallclock.perf_counter() >= deadline_at
             ):
-                error = self._timeout_error(self._program)
+                # Clocks snapshotted now, before the wind-down
+                # freezes them at infinity.
+                error = self._timed_out(
+                    self._summary(
+                        self._program, self._start, "os",
+                        ops_executed=self._progress,
+                    ),
+                    self._stall_report(),
+                )
             elif self._quiescent(seen, parked):
                 # Reported while every thread is still parked on its
                 # recorded site: per-context state, the parked-on

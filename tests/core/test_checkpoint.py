@@ -108,6 +108,42 @@ class _MergeTree:
         return np.array(self.sink.values)
 
 
+class _ShortAndLong:
+    """Two disconnected pipelines pinned to two workers: the short one
+    streams 3 values, the long one 60 through a doubling stage, so the
+    short one's worker retires while the long one still runs."""
+
+    def __init__(self):
+        from repro.contexts import Collector, IterableSource, UnaryFunction
+
+        builder = ProgramBuilder()
+        snd, rcv = builder.bounded(2, name="short")
+        short = [
+            builder.add(IterableSource(snd, range(3), name="short-src")),
+            builder.add(Collector(rcv, name="short-sink")),
+        ]
+        s1, r1 = builder.bounded(2, name="raw")
+        s2, r2 = builder.bounded(2, name="doubled")
+        long = [
+            builder.add(IterableSource(s1, range(60), name="long-src")),
+            builder.add(UnaryFunction(r1, s2, lambda x: 2 * x, name="double")),
+            builder.add(Collector(r2, name="long-sink")),
+        ]
+        for worker, contexts in enumerate((short, long)):
+            for ctx in contexts:
+                builder.pin(ctx, worker)
+        self.sinks = short[-1], long[-1]
+        self.program = builder.build()
+
+    def run(self, executor="sequential", config=None):
+        return self.program.run(executor, config=config)
+
+    def result_dense(self):
+        import numpy as np
+
+        return np.array(self.sinks[0].values + self.sinks[1].values)
+
+
 KERNELS = {"spmspm": _spmspm, "mmadd": _mmadd}
 
 
@@ -200,20 +236,59 @@ class TestElasticResume:
     """Checkpoints are executor- and worker-count-portable."""
 
     @staticmethod
-    def _capture_resumes_everywhere(build, tmp_path):
+    def _capture_resumes_everywhere(build, tmp_path, retires=False, **config):
+        """Capture on two workers; resume the middle epoch on as many
+        workers, more (elastic) and none, and every epoch in which all
+        of one of two workers' contexts had finished (once a worker
+        retires, each later round stitches its final dump) on
+        sequential and process.  Rounds are paced by the wall clock, so
+        a capture without epochs, or without such an epoch when
+        ``retires`` asks for one, is taken again."""
         kernel = build()
         expected = reference.run(kernel.program), kernel.result_dense().tobytes()
-        got, epochs = _capture(build, tmp_path, executor="process", workers=2)
-        assert got == expected
-        path = tmp_path / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
-        # Same worker count, more workers (elastic), and no workers at all.
-        assert _resume(build, path, "process", workers=2) == expected
-        assert _resume(build, path, "process", workers=3) == expected
-        assert _resume(build, path, "sequential") == expected
+        names = [ctx.name for ctx in kernel.program.contexts]
+        for attempt in range(4):
+            directory = tmp_path / str(attempt)
+            directory.mkdir()
+            got, epochs = _capture(build, directory, executor="process", workers=2, **config)
+            assert got == expected
+            retired = []
+            for epoch in epochs:
+                path = directory / ckpt.checkpoint_filename(epoch)
+                checkpoint = ckpt.load(str(path))
+                running = {
+                    checkpoint.placement[names[slot]]
+                    for slot, record in checkpoint.contexts.items()
+                    if record["kind"] != "done"
+                }
+                if len(running) == 1 < len(set(checkpoint.placement.values())):
+                    retired.append(path)
+            if epochs and (retired or not retires):
+                break
+        else:
+            pytest.fail("4 captures without the epochs to resume")
+        middle = directory / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
+        legs = [
+            (middle, "process", {"workers": 2}),
+            (middle, "process", {"workers": 3}),
+            (middle, "sequential", {}),
+        ]
+        legs += [
+            (path, executor, options)
+            for path in retired
+            for executor, options in (("sequential", {}), ("process", {"workers": 2}))
+        ]
+        for path, executor, options in legs:
+            assert _resume(build, path, executor, **options) == expected, (path, executor)
         return expected
 
-    def test_process_capture_resumes_everywhere(self, tmp_path):
-        self._capture_resumes_everywhere(_spmspm, tmp_path)
+    @pytest.mark.parametrize(
+        "build,config",
+        [(_spmspm, {}), (_ShortAndLong, {"steal": False, "retires": True})],
+        ids=["spmspm", "a-worker-retires"],
+    )
+    def test_process_capture_resumes_everywhere(self, build, config, tmp_path):
+        self._capture_resumes_everywhere(build, tmp_path, **config)
 
     def test_peeks_resume_everywhere(self, tmp_path):
         """``peeks`` go through the stitch like the other counters."""
@@ -233,30 +308,38 @@ class TestElasticResume:
 
     def test_cut_with_a_backlog_resumes_everywhere(self, tmp_path, monkeypatch):
         """96-byte rings hold two or three records, so workers stop for
-        a round with records that had not fit in a lane.  Nothing
-        delivers them before the dump: the stitch puts them behind what
-        the other side holds, and every epoch still resumes to the
-        uninterrupted result on every executor."""
-        from repro.core.executor.partitioned import ProcessExecutor
+        a round with records on a lane or still in an outbox.  Nothing
+        delivers them: the stitch reads the lanes without popping and
+        puts lane and outbox behind what the other side holds, and every
+        epoch still resumes to the uninterrupted result on every
+        executor."""
+        from repro.core.executor.partitioned import ProcessExecutor, _CkptCoordinator
 
         build = functools.partial(_spmspm, 14)
-        # The parent reads every worker's part to stitch an epoch:
-        # count the unflushed records each one carried (the sender
-        # side's outbox is its data, the receiver side's its responses).
-        backlog = {}
-        load_part = ckpt.load_part
+        # Count what each stitch finds undelivered: the records on the
+        # lanes, and the outboxes of the sides (the sender side's data,
+        # the receiver side's responses).
+        backlog, on_lanes = {}, {}
+        stitch = _CkptCoordinator._stitch
 
-        def counting(directory, epoch, worker):
-            part = load_part(directory, epoch, worker)
-            backlog[epoch] = backlog.get(epoch, 0) + sum(
+        def counting(self, dumps):
+            checkpoint = stitch(self, dumps)
+            on_lanes[checkpoint.epoch] = sum(
+                record is not None
+                for lanes in self._run.lanes.values()
+                for lane in lanes
+                for record in lane.unread()
+            )
+            backlog[checkpoint.epoch] = on_lanes[checkpoint.epoch] + sum(
                 len(entry[side][outbox])
-                for entry in part["channels"].values()
+                for dump in dumps
+                for entry in dump["channels"].values()
                 for side, outbox in (("send", "data"), ("recv", "resps"))
                 if side in entry
             )
-            return part
+            return checkpoint
 
-        monkeypatch.setattr(ckpt, "load_part", counting)
+        monkeypatch.setattr(_CkptCoordinator, "_stitch", counting)
 
         kernel = build()
         expected = reference.run(kernel.program), kernel.result_dense().tobytes()
@@ -276,13 +359,13 @@ class TestElasticResume:
         assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
         epochs = _epochs(tmp_path)
         assert len(epochs) >= 8 and sorted(backlog) == epochs
-        assert any(backlog.values()), "no cut held an undelivered record"
+        assert any(on_lanes.values()), "no cut held a record on a lane"
         # Every epoch on the sequential executor (an in-process channel
         # holds exactly the stitched state); the eight cuts with the
         # largest backlog also on the process hosts that re-split or
         # re-cut it.
-        # A round costs the dumps plus a few wake-ups, so the 14x14
-        # kernel already cuts ~30 epochs.
+        # A round costs one barrier, the dumps and the save, so the
+        # 14x14 kernel cuts one to a few hundred epochs.
         legs = {epoch: [("sequential", {})] for epoch in epochs}
         for epoch in sorted(epochs, key=backlog.get)[-8:]:
             legs[epoch] += [

@@ -469,10 +469,17 @@ class TestDeadline:
 
     @needs_fork
     def test_process_runaway_is_aborted(self):
+        """The aborted workers' harvests are folded, as for a deadlock:
+        the trace holds their rows, and the op counts add up."""
+        obs = Observability(metrics=False)
         program = _runaway_program(pin=(0, 1))
         with pytest.raises(RunTimeoutError) as info:
-            program.run("process", config=_process_config(deadline_s=0.5))
-        assert info.value.summary is not None
+            program.run("process", config=_process_config(deadline_s=0.5, obs=obs))
+        summary = info.value.summary
+        assert summary.ops_executed == sum(summary.context_ops) > 0
+        buffers = obs.trace.buffers()
+        assert len(buffers["a"]) and len(buffers["b"])
+        assert all(summary.context_times.values())
 
     def test_generous_deadline_changes_nothing(self):
         program = _stream_program()
@@ -481,14 +488,29 @@ class TestDeadline:
         summary = program.run(config=RunConfig(deadline_s=60.0))
         assert (simulated(program, summary), _total(program)) == expected
 
-    def test_sequential_timeout_files_stall_report(self):
+    @pytest.mark.parametrize(
+        "executor,config",
+        [
+            ("sequential", {}),
+            ("threaded", {}),
+            ("threaded", {"superblocks": "off"}),
+            pytest.param("process", {"workers": 2}, marks=needs_fork),
+        ],
+        ids=["sequential", "threaded", "threaded-off", "process"],
+    )
+    def test_timeout_files_stall_report(self, executor, config):
+        """Every host files a timeout alike: a stall report, the
+        ``run_timeouts`` counter and a ``<supervisor>`` trace event."""
         obs = Observability()
         program = _runaway_program()
         with pytest.raises(RunTimeoutError):
-            program.run(config=RunConfig(deadline_s=0.2, obs=obs))
+            program.run(executor, config=RunConfig(deadline_s=0.2, obs=obs, **config))
         # The runaway contexts are running, not blocked, so the report can
         # be empty — what matters is the run filed one coherent outcome.
-        assert obs.metrics is not None
+        assert obs.stall_report is not None
+        assert obs.metrics.counter("run_timeouts").value == 1
+        events = obs.trace.for_context("<supervisor>")
+        assert [event.kind for event in events] == ["timeout"]
 
 
 # ----------------------------------------------------------------------
@@ -643,7 +665,7 @@ def _spmspm_kernel():
 
 def _checkpoint_leftovers(ckdir):
     """Anything in the checkpoint dir that is not a finished checkpoint
-    (stale ``part-*`` dumps, ``*.tmp.*`` rename droppings)."""
+    (``.tmp-*`` rename droppings)."""
     return [
         name
         for name in os.listdir(ckdir)
@@ -653,7 +675,7 @@ def _checkpoint_leftovers(ckdir):
 
 @needs_fork
 class TestCheckpointChaos:
-    """A worker SIGKILLed right after dumping its checkpoint partition.
+    """A worker SIGKILLed right after sending its checkpoint dump.
 
     ``after_checkpoints=2`` kills at the *second* round: a round-2
     request proves round 1 stitched successfully, so a valid checkpoint

@@ -20,7 +20,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.contexts import Collector
@@ -404,17 +404,46 @@ class TestShapeCache:
 # ----------------------------------------------------------------------
 
 def differential(examples):
-    """The settings of a spec differential: ``examples`` fixed draws, or
-    the ``nightly`` profile's (``tests/conftest.py``) when it is loaded."""
+    """The settings of a spec differential: ``examples`` draws from one
+    fixed seed, or the ``nightly`` profile's (``tests/conftest.py``)
+    when it is loaded.  The seed is a constant, not ``derandomize``,
+    which hashes the test's source: editing a differential's body would
+    draw other programs.  The nightly profile gets no ``@seed``, which
+    would override ``--hypothesis-seed``."""
     nightly = settings.get_profile("nightly")
     if settings.default is nightly:
         return nightly
-    return settings(
+    fixed = settings(
         max_examples=examples,
-        derandomize=True,
+        database=None,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
+    return lambda test: seed(20240601)(fixed(test))
+
+
+@pytest.mark.skipif(
+    settings.default is settings.get_profile("nightly"),
+    reason="the nightly profile draws from --hypothesis-seed",
+)
+def test_differential_draws_do_not_depend_on_the_body():
+    """Two differentials with different bodies draw the same values."""
+    draws = ([], [])
+
+    @differential(5)
+    @given(st.integers(0, 10**9))
+    def first(value):
+        draws[0].append(value)
+
+    @differential(5)
+    @given(st.integers(0, 10**9))
+    def second(value):
+        draws[1].append(value)
+        assert value >= 0
+
+    first()
+    second()
+    assert len(draws[0]) == 5 and draws[0] == draws[1]
 
 
 #: Constituents a context may draw, by weight: on one of its send lanes,

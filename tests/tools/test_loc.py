@@ -51,7 +51,7 @@ class TestLocComparison:
 #: ``src/repro/core/executor/`` after the last PR that touched it.  A
 #: ratchet: lower it whenever a PR deletes code there, never raise it to
 #: make room — ROADMAP wants this directory materially smaller.
-EXECUTOR_LOC_LIMIT = 3446
+EXECUTOR_LOC_LIMIT = 3316
 
 
 class TestExecutorSizeRatchet:
@@ -75,7 +75,7 @@ class TestExecutorSizeRatchet:
 #: framework outside ``executor/``, after the last PR that touched it.
 #: The same ratchet: lower it whenever a PR deletes code there, never
 #: raise it to make room.
-CORE_LOC_LIMIT = 1342
+CORE_LOC_LIMIT = 1304
 
 
 class TestCoreSizeRatchet:
