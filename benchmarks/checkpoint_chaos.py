@@ -2,15 +2,18 @@
 
 Seeded end-to-end kill/resume rounds on top of the unit suites:
 
-1. For each seed: a process run with checkpointing at a randomized
-   interval and a worker SIGKILLed after a randomized number of
+1. For each seed: a process run on two or three workers with the
+   contexts pinned at random, checkpointing at a randomized interval
+   and a random worker SIGKILLed after a randomized number of
    checkpoint dumps, retried through the ladder — the final result must
    be bit-identical to a clean reference run, and the last attempt must
    record ``resumed_from``.
-2. A crash-only run, then a manual resume from ``latest_checkpoint``
-   onto a *different* worker count (elastic repartitioning) — again
-   bit-identical.  Once per run the same with 96-byte rings, so the
-   cuts hold records that had not fit in a lane (DESIGN.md §17).
+2. A crash-only run (random pins and worker count again), then a manual
+   resume from ``latest_checkpoint`` onto a *different* worker count
+   (elastic repartitioning), freshly planned or with the checkpoint's
+   placement folded onto it — again bit-identical.  Once per run the
+   same with 96-byte rings, so the cuts hold records that had not fit
+   in a lane (DESIGN.md §17).
 3. Post-conditions after every round: no stale temp files in the
    checkpoint directory, no orphaned child processes (multiprocessing's
    ``resource_tracker`` legitimately lives until interpreter exit), and
@@ -29,7 +32,7 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import spec  # noqa: E402
-from repro.core import RunConfig, checkpoint as ckpt  # noqa: E402
+from repro.core import RunConfig, checkpoint as ckpt, pins_from_placement  # noqa: E402
 from repro.core.errors import WorkerCrashError  # noqa: E402
 from repro.core.executor.partitioned import ProcessExecutor  # noqa: E402
 from repro.core.faults import FaultPlan  # noqa: E402
@@ -99,17 +102,39 @@ def check_hygiene(ckdir, shm_before, label, failures):
 #: any single try may legitimately finish clean; a scenario gets this
 #: many tries to land its crash before we call the injection broken.
 #: The crashing attempts run with ``steal=False``: worker 0 is forked
-#: first and, left to steal, often adopts worker 1's one cluster before
-#: worker 1 claims it — the victim then retires without ever dumping.
+#: first and, left to steal, often adopts another worker's clusters
+#: before that worker claims them — the victim then retires without
+#: ever dumping.
 MAX_TRIES = 6
+
+
+def random_layout(rng, workers):
+    """A worker per program slot: the slots shuffled and dealt round
+    robin, so every worker gets a group of the same size and most
+    channels are cut."""
+    slots = list(range(len(build_kernel().program.contexts)))
+    rng.shuffle(slots)
+    layout = [0] * len(slots)
+    for index, slot in enumerate(slots):
+        layout[slot] = index % workers
+    return layout
+
+
+def pins_for(program, layout):
+    return {id(ctx): worker for ctx, worker in zip(program.contexts, layout)}
 
 
 def ladder_round(rng, reference, shm_before, failures):
     """Kill a random worker after a random dump count; ladder-resume."""
-    victim = rng.choice([0, 1])
+    workers = rng.choice([2, 3])
+    layout = random_layout(rng, workers)
+    victim = rng.randrange(workers)
     after = rng.randint(2, 3)  # >= 2: round N-1 has stitched by then
     interval = rng.choice([0.0, 0.001, 0.01])
-    label = f"ladder(victim={victim}, after={after}, interval={interval})"
+    label = (
+        f"ladder(workers={workers}, victim={victim}, after={after}, "
+        f"interval={interval})"
+    )
     crashed = False
     for attempt in range(MAX_TRIES):
         with tempfile.TemporaryDirectory() as ckdir:
@@ -120,7 +145,8 @@ def ladder_round(rng, reference, shm_before, failures):
             summary = kernel.run(
                 executor="process",
                 config=RunConfig(
-                    workers=2,
+                    workers=workers,
+                    pins=pins_for(kernel.program, layout),
                     timeslice=7,
                     steal=False,
                     faults=plan,
@@ -153,8 +179,14 @@ def ladder_round(rng, reference, shm_before, failures):
 
 def elastic_round(rng, reference, shm_before, failures, ring_capacity=1 << 20):
     """Crash, then manually resume onto a different worker count."""
-    resume_workers = rng.choice([1, 3, 4])
-    label = f"elastic(resume_workers={resume_workers}, ring={ring_capacity})"
+    workers = rng.choice([2, 3])
+    layout = random_layout(rng, workers)
+    resume_workers = rng.choice([n for n in (1, 2, 3, 4) if n != workers])
+    replay = rng.random() < 0.5
+    label = (
+        f"elastic(workers={workers}, resume_workers={resume_workers}, "
+        f"replay={replay}, ring={ring_capacity})"
+    )
     for attempt in range(MAX_TRIES):
         with tempfile.TemporaryDirectory() as ckdir:
             kernel = build_kernel()
@@ -165,7 +197,8 @@ def elastic_round(rng, reference, shm_before, failures, ring_capacity=1 << 20):
                 # ``ring_capacity`` is constructor-only: an instance.
                 kernel.run(
                     ProcessExecutor(
-                        workers=2,
+                        workers=workers,
+                        pins=pins_for(kernel.program, layout),
                         timeslice=7,
                         steal=False,
                         faults=plan,
@@ -183,9 +216,16 @@ def elastic_round(rng, reference, shm_before, failures, ring_capacity=1 << 20):
                 failures.append(f"{label}: no valid checkpoint survived")
                 return
             found.restore_into(fresh.program)
+            pins = None
+            if replay:
+                # As a ladder resume does: the recorded placement,
+                # folded onto the new worker count.
+                pins = pins_from_placement(
+                    fresh.program, found.placement, resume_workers
+                )
             summary = fresh.run(
                 executor="process",
-                config=RunConfig(workers=resume_workers, timeslice=7),
+                config=RunConfig(workers=resume_workers, timeslice=7, pins=pins),
             )
             if (spec.simulated(fresh.program, summary), fresh.result_dense().tobytes()) != reference:
                 failures.append(

@@ -68,6 +68,7 @@ _LAZY_EXECUTOR = {
     "ClusterSpec",
     "channel_weights",
     "pins_from_placement",
+    "pins_from_summary",
     "plan_partition",
     "plan_clusters",
 }
@@ -137,6 +138,7 @@ __all__ = [
     "ClusterSpec",
     "channel_weights",
     "pins_from_placement",
+    "pins_from_summary",
     "plan_partition",
     "plan_clusters",
     "FifoPolicy",

@@ -5,7 +5,7 @@ every context its declared state attributes (:attr:`Context.checkpoint_attrs`),
 its clock, and — when it is suspended mid-yield — an executor-agnostic
 *resume record* describing the op it was parked on; for every channel the
 full queue/flag/stats state; plus the metrics registry and (for the
-process executor) the observed post-steal placement.
+process executor) the worker each program slot ran on.
 
 The consistency argument is the communication-closed-rounds one: every
 executor captures only at a **quiescent cut** — a barrier of its hosts,
@@ -68,7 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover
 MAGIC = b"DAMCKPT1\n"
 
 #: Payload schema version (bump on any incompatible record change).
-VERSION = 1
+#: Version 2: ``placement`` is a per-slot list, no longer keyed by
+#: context name.
+VERSION = 2
 
 #: Filename pattern for epoch files inside the checkpoint directory.
 _FILE_PREFIX = "ckpt-"
@@ -191,7 +193,7 @@ class Checkpoint:
         contexts: dict[int, dict[str, Any]],
         channels: dict[int, dict[str, Any]],
         metrics: Optional[dict[str, Any]] = None,
-        placement: Optional[dict[str, int]] = None,
+        placement: Optional[list[int]] = None,
         executor: str = "",
     ):
         self.epoch = epoch
@@ -199,10 +201,9 @@ class Checkpoint:
         self.contexts = contexts
         self.channels = channels
         self.metrics = metrics
-        #: Observed post-steal placement (context name → worker index)
-        #: at capture time; None for non-process executors.  Elastic
-        #: restore replans partitions from this (see
-        #: :func:`~repro.core.executor.partition.pins_from_placement`).
+        #: The worker each program slot ran on (None for non-process
+        #: executors).  A ladder resume replays it onto its worker count
+        #: (see :func:`~repro.core.executor.partition.pins_from_placement`).
         self.placement = placement
         self.executor = executor
         #: Set by :func:`load` / :func:`latest_checkpoint`: where this
@@ -219,7 +220,7 @@ class Checkpoint:
         context_records: dict[int, dict[str, Any]],
         *,
         metrics: Optional[dict[str, Any]] = None,
-        placement: Optional[dict[str, int]] = None,
+        placement: Optional[list[int]] = None,
         executor: str = "",
         channel_states: Optional[dict[int, dict[str, Any]]] = None,
     ) -> "Checkpoint":

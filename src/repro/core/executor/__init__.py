@@ -38,6 +38,7 @@ _LAZY = {
     "ClusterSpec": ".partition",
     "channel_weights": ".partition",
     "pins_from_placement": ".partition",
+    "pins_from_summary": ".partition",
     "plan_partition": ".partition",
     "plan_clusters": ".partition",
 }

@@ -54,14 +54,16 @@ class RunSummary:
     #: Cold clusters claimed away from their planned worker (process
     #: executor work stealing); 0 for single-runtime executors.
     steals: int = 0
-    #: Observed post-steal placement (process executor): context name →
-    #: worker index where the context *actually* ran — planned owners
-    #: overridden by recorded migrations.  Feed it back through
-    #: :func:`~repro.core.executor.partition.pins_from_placement` so the
-    #: next plan sees real locality instead of crediting a stolen
-    #: cluster to its original owner.  ``None`` for single-runtime
-    #: executors.
-    placement: Optional[dict[str, int]] = None
+    #: Observed post-steal placement (process executor): the worker
+    #: each program slot *actually* ran on — planned owners overridden
+    #: by recorded migrations; ``None`` for single-runtime executors.
+    #: Slot-keyed, so replicated pipelines whose contexts share names
+    #: keep their own entries.
+    #: :func:`~repro.core.executor.partition.pins_from_placement`
+    #: replays it, and
+    #: :func:`~repro.core.executor.partition.pins_from_summary`
+    #: re-balances it by ``context_ops``.
+    placement: Optional[list[int]] = None
     metrics: Optional[dict[str, Any]] = None
     #: The run's performance-attribution report
     #: (:meth:`repro.obs.profile.ProfileReport.to_dict`): critical path,
@@ -107,7 +109,7 @@ class RunSummary:
             "ops_executed": self.ops_executed,
             "context_ops": list(self.context_ops),
             "steals": self.steals,
-            "placement": dict(self.placement) if self.placement else None,
+            "placement": list(self.placement) if self.placement else None,
             "metrics": self.metrics,
             "profile": self.profile,
             "attempts": list(self.attempts),

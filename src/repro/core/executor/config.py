@@ -37,7 +37,7 @@ _RUN_ONLY_FIELDS = frozenset({"fallback", "tag"})
 #: never travel on the wire: live objects (``obs``, ``policy`` instances,
 #: ``faults`` plans, ``metrics_sink`` callables) and ``pins``, which is
 #: keyed by ``id(context)`` — rebuild it on the receiving side from a
-#: name-keyed placement via
+#: slot-keyed placement via
 #: :func:`~repro.core.executor.partition.pins_from_placement`.
 _LOCAL_ONLY_FIELDS = frozenset({"obs", "pins", "faults", "metrics_sink"})
 
@@ -90,6 +90,10 @@ class RunConfig:
         Forced timeslice for worker-side cooperative scheduling.
     weights / pins:
         Partitioner inputs (see :func:`~repro.core.executor.partition.plan_partition`).
+        To replay a run's placement, or re-balance it by measured ops,
+        pass
+        :func:`~repro.core.executor.partition.pins_from_placement` or
+        :func:`~repro.core.executor.partition.pins_from_summary`.
     deadline_s:
         Wall-clock budget for the run.  Every executor aborts cleanly into
         :class:`~repro.core.errors.RunTimeoutError` (carrying a partial

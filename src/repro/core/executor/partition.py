@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..channel import Channel
     from ..context import Context
     from ..program import Program
+    from .base import RunSummary
 
 
 def channel_weights(program: "Program") -> dict[str, float]:
@@ -57,41 +58,55 @@ def channel_weights(program: "Program") -> dict[str, float]:
 
 def pins_from_placement(
     program: "Program",
-    placement: Optional[dict[str, int]],
+    placement: Optional[list[int]],
     workers: Optional[int] = None,
 ) -> dict[int, int]:
-    """Convert an observed run placement back into planner pins.
+    """Convert a recorded run placement back into planner pins.
 
-    ``placement`` is :attr:`RunSummary.placement` — context name →
-    worker index where the context *actually* ran, with stolen clusters
-    credited to their adopter rather than their planned owner.  The
-    returned ``{id(context): worker}`` mapping plugs straight into
-    ``RunConfig(pins=...)`` / :func:`plan_partition`, so a re-run (of an
-    identically-built program) starts from the locality the previous run
-    converged to instead of re-planning the same skew and re-stealing.
+    ``placement`` is :attr:`RunSummary.placement` (or a checkpoint's):
+    the worker each program slot *actually* ran on, with stolen
+    clusters credited to their adopter rather than their planned owner.
+    The returned ``{id(context): worker}`` mapping plugs straight into
+    ``RunConfig(pins=...)`` / :func:`plan_partition`, so a re-run of an
+    identically-built program starts every context — replicated
+    pipelines whose contexts share names included — where it ran
+    before, instead of re-planning the same skew and re-stealing.
 
     With ``workers`` the placement is replayed onto that (possibly
     different) worker count — a checkpoint restored elastically
     (DESIGN.md §17) — by folding each index modulo ``workers``:
     same-worker groups stay together when shrinking, and a grown pool
-    receives the old groups unchanged (the partitioner's balance cap
-    still applies).
+    receives the old groups unchanged.
 
-    Contexts absent from ``placement`` (e.g. a scaled-up build with new
-    pipelines) are simply left unpinned; contexts sharing a name share
-    its entry.
+    Slots past the end of ``placement`` (a larger build) are left
+    unpinned.
     """
     if not placement:
         return {}
     return {
-        id(ctx): (
-            placement[ctx.name]
-            if workers is None
-            else placement[ctx.name] % workers
-        )
-        for ctx in program.contexts
-        if ctx.name in placement
+        id(ctx): worker if workers is None else worker % workers
+        for ctx, worker in zip(program.contexts, placement)
     }
+
+
+def pins_from_summary(
+    program: "Program", summary: "RunSummary", workers: int
+) -> dict[int, int]:
+    """Pins that balance a finished run's measured work over ``workers``.
+
+    Each slot's ``summary.context_ops`` is its cost in
+    :func:`plan_partition`'s largest-first packing, so a re-run of an
+    identically-built program (or a resume) starts from a plan balanced
+    by the ops the contexts really ran, not by how many contexts there
+    are, whatever pins skewed the measured run.  Work stealing still
+    moves cold clusters off a worker that falls behind at run time (a
+    slower CPU, say), which no plan made in advance can foresee.  The
+    program's own builder pins still bind.
+    """
+    return plan_partition(
+        program, workers, pins=program.partition_pins or None,
+        costs=summary.context_ops or None,
+    ).assignment
 
 
 @dataclass
@@ -135,10 +150,6 @@ class ClusterSpec:
     owner: int                 # planned (compacted) worker index
     contexts: tuple[int, ...]  # slots into program.contexts
     channels: tuple[int, ...]  # cluster-internal channel indices
-
-    @property
-    def size(self) -> int:
-        return len(self.contexts)
 
 
 def plan_clusters(
@@ -255,6 +266,7 @@ def plan_partition(
     weights: Optional[dict[str, float]] = None,
     pins: Optional[dict[int, int]] = None,
     balance: float = 1.2,
+    costs: Optional[list[float]] = None,
 ) -> PartitionPlan:
     """Partition ``program.contexts`` into ``workers`` groups.
 
@@ -262,7 +274,9 @@ def plan_partition(
     :meth:`ProgramBuilder.pin`); unspecified contexts are placed by the
     greedy agglomeration.  ``balance`` bounds group size at
     ``ceil(balance * n / workers)`` so one worker cannot absorb the whole
-    graph just because it is densely connected.
+    graph just because it is densely connected.  ``costs`` (one per
+    program slot, e.g. a run's ``context_ops``) weighs each group in the
+    packing by its members' summed cost instead of their count.
     """
     if workers < 1:
         raise GraphConstructionError(f"workers must be >= 1, got {workers}")
@@ -320,6 +334,11 @@ def plan_partition(
             order.append(root)
         members[root].append(i)
 
+    cost = {
+        root: len(group) if costs is None else sum(costs[i] for i in group)
+        for root, group in members.items()
+    }
+
     # Pack groups onto workers: pinned groups first, then largest-first
     # onto the least-loaded worker (lowest index on ties).
     groups: list[list["Context"]] = [[] for _ in range(workers)]
@@ -329,14 +348,14 @@ def plan_partition(
         pin = uf.pin[root]
         if pin is not None:
             groups[pin].extend(contexts[i] for i in members[root])
-            load[pin] += len(members[root])
+            load[pin] += cost[root]
         else:
             unpinned.append(root)
-    unpinned.sort(key=lambda r: (-len(members[r]), members[r][0]))
+    unpinned.sort(key=lambda r: (-cost[r], members[r][0]))
     for root in unpinned:
         target = min(range(workers), key=lambda w: (load[w], w))
         groups[target].extend(contexts[i] for i in members[root])
-        load[target] += len(members[root])
+        load[target] += cost[root]
 
     assignment: dict[int, int] = {}
     for worker, group in enumerate(groups):

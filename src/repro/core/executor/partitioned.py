@@ -142,6 +142,9 @@ class _WorkerAborted(BaseException):
     user-level handlers inside context generators cannot swallow it."""
 
 
+#: Inbound records one lane pump takes per call (``_LanePump.pump``).
+PUMP_BATCH = 4096
+
 #: How long the parent waits for aborted workers to hand in a payload,
 #: and for each process to exit, before force-recording / killing it.
 _JOIN_TIMEOUT = 5.0
@@ -182,6 +185,17 @@ _FRAMEWORK_ATTRS = frozenset(
     {"id", "name", "time", "senders", "receivers", "finish_time",
      "_body", "_pass_context"}
 )
+
+
+def _placement(run: _RunShared) -> list[int]:
+    """The worker that claimed each program slot's cluster (-1 while it is
+    cold): where every slot ran, stolen clusters credited to their
+    adopter.  By slot, not name: replicated pipelines share names."""
+    placement = [-1] * len(run.program.contexts)
+    for spec in run.clusters:
+        for slot in spec.contexts:
+            placement[slot] = run.claim.claimant(spec.index)
+    return placement
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +272,10 @@ class _LanePump:
 
     def pump(self) -> int:
         """Flush the outbox and the sentinel it owes, then take what the
-        inbound lane holds; returns the number of records moved (truthy
-        iff progress)."""
+        inbound lane holds, at most :data:`PUMP_BATCH` records; returns
+        the number of records moved (truthy iff progress).  The bound
+        matters: a peer that pushes as fast as this loop pops would keep
+        it here, and the receiver it would wake would never run."""
         moved = 0
         outbox = self._outbox
         out = self._out
@@ -272,10 +288,10 @@ class _LanePump:
         channel = self.channel
         inbox = self._inbox
         mine = self._finished()[0]
-        while True:
+        for _ in range(PUMP_BATCH):
             ok, record = self._in.try_pop()
             if not ok:
-                return moved
+                break
             moved += 1
             if record is None:
                 # The peer finished: this side's outbox is dead letters.
@@ -287,6 +303,7 @@ class _LanePump:
                 inbox.append(record)
                 if not self.sender and len(inbox) > channel.stats.max_real_occupancy:
                     channel.stats.max_real_occupancy = len(inbox)
+        return moved
 
 
 # ----------------------------------------------------------------------
@@ -471,7 +488,7 @@ class _WorkerExecutor(SequentialExecutor):
                         # Largest first: the most remaining work amortizes
                         # the activation; index breaks ties.
                         pick = max(
-                            foreign, key=lambda s: (s.size, -s.index)
+                            foreign, key=lambda s: (len(s.contexts), -s.index)
                         )
                         stolen_from = pick.owner
             if pick is not None:
@@ -997,17 +1014,12 @@ class _CkptCoordinator:
                 ),
             )
 
-        placement = {
-            program.contexts[slot].name: run.claim.claimant(spec.index)
-            for spec in run.clusters
-            for slot in spec.contexts
-        }
         return _ckpt.Checkpoint.capture(
             program,
             self._epoch,
             records,
             metrics=None,
-            placement=placement,
+            placement=_placement(run),
             executor=self._executor,
             channel_states=channels,
         )
@@ -1043,6 +1055,10 @@ class ProcessExecutor(Executor):
         not absolute worker numbering (empty groups are compacted).
         With ``steal=True`` pins bind the *initial* placement; a pinned
         cluster left cold may still be migrated to an idle worker.
+        :func:`~repro.core.executor.partition.pins_from_placement`
+        replays a recorded run's placement,
+        :func:`~repro.core.executor.partition.pins_from_summary`
+        re-balances it by the run's measured ops.
     steal:
         Allow idle workers to claim (steal) cold clusters planned for
         other workers (default on).  Migration happens before a cluster
@@ -1217,8 +1233,6 @@ class ProcessExecutor(Executor):
             claim = arena.adopt(
                 ClaimBoard(arena.view(claim_off, claim_len), len(clusters))
             )
-            for spec in clusters:
-                claim.set_owner(spec.index, spec.owner)
             ckpt_board = None
             if ckpt_timer is not None:
                 ckpt_board = arena.adopt(
@@ -1304,6 +1318,11 @@ class ProcessExecutor(Executor):
             )
             summary.executor = self.name
             summary.policy = self.policy.name
+            # Observed placement: the feedback loop the planner consumes
+            # via pins_from_placement() — without it, channel_weights-style
+            # replanning keeps crediting stolen clusters to their original
+            # owner and re-plans the same skew forever.
+            summary.placement = _placement(run)
             ops = [0] * len(contexts)
             wall: list = [None] * len(contexts)
             for payload in payloads.values():
@@ -1347,20 +1366,6 @@ class ProcessExecutor(Executor):
                 trace.buffer(f"<worker-{migration['to']}>").append(
                     "migrate", None, 0, dict(migration)
                 )
-        # Observed placement: planned owners, overridden by every recorded
-        # steal.  This is the feedback loop the planner consumes via
-        # pins_from_placement() — without it, channel_weights-style
-        # replanning keeps crediting stolen clusters to their original
-        # owner and re-plans the same skew forever.
-        placement = {
-            program.contexts[slot].name: spec.owner
-            for spec in clusters
-            for slot in spec.contexts
-        }
-        for migration in self.migrations:
-            for name in migration["contexts"]:
-                placement[name] = migration["to"]
-        summary.placement = placement
         summary.real_seconds = _wallclock.perf_counter() - start
         registry = self.obs.metrics if self.obs is not None else None
         if registry is not None:
@@ -1531,10 +1536,8 @@ class ProcessExecutor(Executor):
         proc.join(timeout=0.2)  # give the exit code a beat to land
         contexts: list[str] = []
         clock_map: dict[str, float] = {}
-        for spec in run.clusters:
-            if run.claim.claimant(spec.index) != worker:
-                continue
-            for slot in spec.contexts:
+        for slot, claimant in enumerate(_placement(run)):
+            if claimant == worker:
                 name = run.program.contexts[slot].name
                 contexts.append(name)
                 clock_map[name] = run.clocks.read(slot)

@@ -299,9 +299,10 @@ class SequentialExecutor(Executor):
                 raise DeadlockError(self._stall_report(unfinished).lines())
         except _DeadlineExpired:
             blocked = [st for st in states.values() if st.status == _BLOCKED]
-            raise self._timed_out(
-                self._run_summary(program, start), self._stall_report(blocked)
-            ) from None
+            summary = self._run_summary(program, start)
+            ops = [states[id(ctx)].ops for ctx in program.contexts]
+            summary.context_ops, summary.ops_executed = ops, sum(ops)
+            raise self._timed_out(summary, self._stall_report(blocked)) from None
         finally:
             # On any abort (SimulationError, DeadlockError, deadline), close
             # the generators of every context that did not run to completion

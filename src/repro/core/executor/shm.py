@@ -315,8 +315,8 @@ class ClaimBoard:
     irrelevant); reads of ``cold_count`` outside the lock are monotone
     snapshots, safe for the fast "anything left?" check.
 
-    Word layout: ``[0]`` cold count, then per cluster ``[1+2i]`` planned
-    owner, ``[2+2i]`` claim state (0 cold / 1+claimant claimed).
+    Word layout: ``[0]`` cold count, then per cluster ``[1+i]`` its claim
+    state (0 cold / 1+claimant claimed).
     """
 
     def __init__(self, view: memoryview, clusters: int):
@@ -324,37 +324,29 @@ class ClaimBoard:
         self.clusters = clusters
         self._words[0] = clusters
         for index in range(clusters):
-            self._words[1 + 2 * index] = 0
-            self._words[2 + 2 * index] = 0
+            self._words[1 + index] = 0
 
     def release(self) -> None:
         self._words.release()
 
     @staticmethod
     def size_for(clusters: int) -> int:
-        return 8 * (1 + 2 * max(clusters, 1))
-
-    def set_owner(self, cluster: int, worker: int) -> None:
-        """Record the planned owner (parent, before forking)."""
-        self._words[1 + 2 * cluster] = worker
-
-    def owner(self, cluster: int) -> int:
-        return self._words[1 + 2 * cluster]
+        return 8 * (1 + max(clusters, 1))
 
     def cold_count(self) -> int:
         return self._words[0]
 
     def is_cold(self, cluster: int) -> bool:
-        return self._words[2 + 2 * cluster] == 0
+        return self._words[1 + cluster] == 0
 
     def claimant(self, cluster: int) -> int:
         """Who claimed the cluster (-1 while cold)."""
-        word = self._words[2 + 2 * cluster]
+        word = self._words[1 + cluster]
         return int(word) - 1 if word else -1
 
     def claim(self, cluster: int, worker: int) -> None:
         """Mark ``cluster`` claimed by ``worker`` (call under the lock)."""
-        self._words[2 + 2 * cluster] = 1 + worker
+        self._words[1 + cluster] = 1 + worker
         self._words[0] -= 1
 
 

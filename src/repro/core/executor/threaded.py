@@ -67,6 +67,7 @@ from ..errors import (
     DamError,
     DeadlockError,
     NotCheckpointable,
+    RunTimeoutError,
     SimulationError,
 )
 from ..ops import (
@@ -145,10 +146,9 @@ class ThreadedExecutor(Executor):
         self._fault_map: dict = {}
         self._deadline_at: Optional[float] = None
         self._abort = threading.Event()
-        #: Live op count for the sampler and a timed-out run's summary.
-        #: Every thread bumps it unlocked, so without the GIL it may lose
-        #: updates: approximate by design.  The exact count is the sum
-        #: of ``_ctx_ops``.
+        #: Live op count for the sampler.  Every thread bumps it
+        #: unlocked, so without the GIL it may lose updates: approximate
+        #: by design.  The exact count is the sum of ``_ctx_ops``.
         self._progress = 0
         self._errors: list[BaseException] = []
         #: The run's one condition: the main thread sleeps on it.  It
@@ -263,6 +263,9 @@ class ThreadedExecutor(Executor):
 
         if self._errors:
             error = self._errors[0]
+            if isinstance(error, RunTimeoutError):
+                ops = self._ctx_ops
+                error.summary.context_ops, error.summary.ops_executed = ops, sum(ops)
             if isinstance(error, DamError):
                 raise error
             raise SimulationError("<threaded>", error) from error
@@ -598,11 +601,10 @@ class ThreadedExecutor(Executor):
             ):
                 # Clocks snapshotted now, before the wind-down
                 # freezes them at infinity.
+                # The op counts are filled in once every thread has
+                # left and written its own.
                 error = self._timed_out(
-                    self._summary(
-                        self._program, self._start, "os",
-                        ops_executed=self._progress,
-                    ),
+                    self._summary(self._program, self._start, "os"),
                     self._stall_report(),
                 )
             elif self._quiescent(seen, parked):

@@ -147,8 +147,9 @@ class Program:
         next attempt resumes mid-run.  Each attempt record carries
         ``resumed_from`` (``{"path", "epoch"}``, or ``None`` for a
         from-scratch attempt), and when the next executor is the process
-        executor the checkpoint's observed post-steal placement seeds
-        the partitioner via pins folded onto the new worker count (see
+        executor the checkpoint's placement — the worker each program
+        slot ran on — seeds the partitioner via pins folded onto the new
+        worker count (see
         :func:`~repro.core.executor.partition.pins_from_placement`).
         """
         from time import perf_counter
@@ -244,8 +245,8 @@ class Program:
         existed) and the possibly-updated config.  The checkpoint's
         saved metrics registry is loaded into ``obs`` so counters
         continue from the cut, and when the caller configured an
-        explicit worker count the observed placement is folded into
-        ``config.pins`` for elastic repartitioning.
+        explicit worker count the checkpoint's per-slot placement is
+        folded into ``config.pins`` for elastic repartitioning.
         """
         from .checkpoint import latest_checkpoint
         from .executor.partition import pins_from_placement
@@ -261,11 +262,9 @@ class Program:
         ):
             obs.metrics.load_state(checkpoint.metrics)
         if checkpoint.placement and config.workers:
-            pins = pins_from_placement(
+            config = config.replace(pins=pins_from_placement(
                 self, checkpoint.placement, config.workers
-            )
-            if pins:
-                config = config.replace(pins=pins)
+            ))
         return {"path": checkpoint.path, "epoch": checkpoint.epoch}, config
 
     def reset(self) -> None:

@@ -1,19 +1,20 @@
 """Compiled-plan cache: repeat requests skip graph planning.
 
 Planning work in this runtime is *shape*-determined: the greedy
-edge-weighted partitioner and the cold-cluster plan depend on the
-graph's topology and observed channel traffic, never on tensor values.  A request's
+edge-weighted partitioner depends on the graph's topology and observed
+channel traffic, never on tensor values.  A request's
 :meth:`~repro.sam.spec.ProgramSpec.shape_key` captures exactly that
 topology, so the serve layer can learn a plan from the first run of a
 shape and replay it for every later request of the same shape:
 
-* the observed post-steal **placement** (``RunSummary.placement``)
-  becomes full ``pins`` for the next run via
+* the recorded **placement** (``RunSummary.placement``, the worker
+  each program slot ran on) becomes full ``pins`` for the next run via
   :func:`~repro.core.executor.partition.pins_from_placement` — with
   every context pinned, ``plan_partition`` does no greedy agglomeration
-  at all;
-* the observed **channel weights** feed the partitioner and the
-  cold-cluster planner for worker counts the placement doesn't cover.
+  at all, and replicated pipelines whose contexts share names keep
+  their own workers;
+* the observed **channel weights** feed the partitioner for worker
+  counts the placement doesn't cover.
 
 Cache keys include the executor name and worker count on top of the
 shape key — a placement learned at ``workers=4`` is meaningless at
@@ -43,9 +44,9 @@ class CachedPlan:
     """What one completed run taught us about a graph shape."""
 
     key: str
-    #: Context name → worker index where the context actually ran
-    #: (process executor; ``None`` for single-runtime executors).
-    placement: Optional[dict[str, int]] = None
+    #: The worker each program slot ran on (process executor; ``None``
+    #: for single-runtime executors).
+    placement: Optional[list[int]] = None
     #: Channel name → observed traffic (enqueues + dequeues).
     weights: Optional[dict[str, float]] = None
     context_count: int = 0
@@ -57,7 +58,7 @@ class CachedPlan:
 
         Explicit request-side ``pins``/``weights`` always win; the plan
         only fills gaps.  ``pins`` are rebuilt per-program from the
-        name-keyed placement (ids never travel).
+        slot-keyed placement (ids never travel).
         """
         changes: dict[str, Any] = {}
         if self.placement and config.pins is None:
@@ -120,7 +121,7 @@ class PlanCache:
         self.store(
             CachedPlan(
                 key=key,
-                placement=dict(summary.placement) if summary.placement else None,
+                placement=list(summary.placement) if summary.placement else None,
                 weights=weights or None,
                 context_count=len(program.contexts),
                 channel_count=len(program.channels),
@@ -143,7 +144,7 @@ class PlanCache:
     def save_json(self, path: str) -> int:
         """Write every cached plan to ``path`` (atomic tmp + rename).
 
-        The payload is plain JSON — placements are name-keyed and
+        The payload is plain JSON — placements are lists of ints and
         weights name-keyed floats, so they round-trip exactly.  Returns
         the number of entries written.
         """
@@ -171,7 +172,9 @@ class PlanCache:
 
         Unknown versions and malformed files are rejected with
         ``ValueError`` (a corrupt cache should fail loudly at startup,
-        not silently serve nothing).  Returns the number of entries
+        not silently serve nothing).  An entry whose placement is keyed
+        by context name (what older builds saved) is dropped: it cannot
+        tell replicated contexts apart.  Returns the number of entries
         loaded; existing same-key entries are overwritten, LRU order
         follows file order.
         """
@@ -187,11 +190,13 @@ class PlanCache:
         count = 0
         for raw in entries:
             placement = raw.get("placement")
+            if isinstance(placement, dict):
+                continue
             self.store(
                 CachedPlan(
                     key=str(raw["key"]),
                     placement=(
-                        {str(k): int(v) for k, v in placement.items()}
+                        [int(worker) for worker in placement]
                         if placement
                         else None
                     ),

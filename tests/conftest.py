@@ -2,7 +2,9 @@
 
 ``nightly`` is the scheduled CI job's: the spec differentials
 (``test_runners.TestRandomBatches``, ``test_cut_channels``) draw 2,000
-programs each from the run's seed instead of their fixed tier-1 draws.
+programs each from the run's seed instead of their fixed tier-1 draws,
+and the process-capture resume legs restore every epoch they cut
+instead of a fixed sample (:func:`nightly`).
 Select it with ``pytest --hypothesis-profile=nightly
 --hypothesis-seed=<seed>``; the same seed replays a failure.
 """
@@ -16,3 +18,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
+
+def nightly() -> bool:
+    """Is the ``nightly`` profile the one loaded?"""
+    return settings.default is settings.get_profile("nightly")

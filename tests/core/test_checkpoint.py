@@ -32,10 +32,15 @@ from repro import (
 )
 from repro import spec as reference
 from repro.core import checkpoint as ckpt
+from repro.core import pins_from_placement
 from repro.core.errors import CheckpointError
 from repro.spec import simulated
+from tests.conftest import nightly
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
+#: The nightly profile (tests/conftest.py) resumes every epoch a capture
+#: cut; tier-1 resumes a fixed sample of them.
+EVERY_EPOCH = nightly()
 needs_fork = pytest.mark.skipif(
     not fork_available, reason="fork start method unavailable"
 )
@@ -144,6 +149,20 @@ class _ShortAndLong:
         return np.array(self.sinks[0].values + self.sinks[1].values)
 
 
+def _parallel_mha():
+    import numpy as np
+
+    from repro.sam.graphs import build_parallel_mha
+
+    rng = np.random.default_rng(5)
+    heads, seq_len, d = 2, 6, 4
+    mask = (rng.random((heads, seq_len, seq_len)) < 0.5).astype(float)
+    for h in range(heads):
+        np.fill_diagonal(mask[h], 1.0)
+    q, k, v = (rng.standard_normal((heads, seq_len, d)) for _ in range(3))
+    return build_parallel_mha(mask, q, k, v, parallelism=2)
+
+
 KERNELS = {"spmspm": _spmspm, "mmadd": _mmadd}
 
 
@@ -172,13 +191,35 @@ def _capture(build, ckdir, **config):
     return (simulated(kernel.program, summary), kernel.result_dense().tobytes()), _epochs(ckdir)
 
 
-def _resume(build, path, executor="sequential", **config):
+def _resume(build, path, executor="sequential", replay=False, **config):
+    """Restore ``path`` into a fresh build and finish the run.  With
+    ``replay``, the process run is pinned to the checkpoint's placement
+    folded onto its worker count, as a ladder resume does, without
+    stealing, and must keep together exactly the slots that placement
+    keeps together."""
     kernel = build()
     restored = ckpt.load(str(path), kernel.program)
     restored.restore_into(kernel.program)
+    if replay:
+        config["pins"] = pins_from_placement(
+            kernel.program, restored.placement, config["workers"]
+        )
+        config["steal"] = False
     summary = kernel.run(
         executor=executor, config=RunConfig(timeslice=7, **config)
     )
+    if replay:
+        # Pins promise co-location and separation, not worker numbers
+        # (an empty group is compacted away).
+        def groups(placement):
+            return sorted(
+                [slot for slot, owner in enumerate(placement) if owner == worker]
+                for worker in set(placement)
+            )
+
+        assert groups(summary.placement) == groups(
+            [worker % config["workers"] for worker in restored.placement]
+        )
     return simulated(kernel.program, summary), kernel.result_dense().tobytes()
 
 
@@ -238,15 +279,14 @@ class TestElasticResume:
     @staticmethod
     def _capture_resumes_everywhere(build, tmp_path, retires=False, **config):
         """Capture on two workers; resume the middle epoch on as many
-        workers, more (elastic) and none, and every epoch in which all
-        of one of two workers' contexts had finished (once a worker
-        retires, each later round stitches its final dump) on
-        sequential and process.  Rounds are paced by the wall clock, so
-        a capture without epochs, or without such an epoch when
-        ``retires`` asks for one, is taken again."""
+        workers with the recorded placement replayed, on more (elastic)
+        and on none, and every epoch in which all of one of two workers'
+        contexts had finished (once a worker retires, each later round
+        stitches its final dump) on sequential and process.  Rounds are
+        paced by the wall clock, so a capture without epochs, or without
+        such an epoch when ``retires`` asks for one, is taken again."""
         kernel = build()
         expected = reference.run(kernel.program), kernel.result_dense().tobytes()
-        names = [ctx.name for ctx in kernel.program.contexts]
         for attempt in range(4):
             directory = tmp_path / str(attempt)
             directory.mkdir()
@@ -257,19 +297,23 @@ class TestElasticResume:
                 path = directory / ckpt.checkpoint_filename(epoch)
                 checkpoint = ckpt.load(str(path))
                 running = {
-                    checkpoint.placement[names[slot]]
+                    checkpoint.placement[slot]
                     for slot, record in checkpoint.contexts.items()
                     if record["kind"] != "done"
                 }
-                if len(running) == 1 < len(set(checkpoint.placement.values())):
+                if len(running) == 1 < len(set(checkpoint.placement)):
                     retired.append(path)
             if epochs and (retired or not retires):
                 break
         else:
             pytest.fail("4 captures without the epochs to resume")
         middle = directory / ckpt.checkpoint_filename(epochs[len(epochs) // 2])
+        if config.get("steal") is False:
+            # Planned placement splits every kernel here over both
+            # workers, so the replayed leg must use both again.
+            assert sorted(set(ckpt.load(str(middle)).placement)) == [0, 1]
         legs = [
-            (middle, "process", {"workers": 2}),
+            (middle, "process", {"workers": 2, "replay": True}),
             (middle, "process", {"workers": 3}),
             (middle, "sequential", {}),
         ]
@@ -284,10 +328,16 @@ class TestElasticResume:
 
     @pytest.mark.parametrize(
         "build,config",
-        [(_spmspm, {}), (_ShortAndLong, {"steal": False, "retires": True})],
-        ids=["spmspm", "a-worker-retires"],
+        [
+            (_spmspm, {}),
+            (_ShortAndLong, {"steal": False, "retires": True}),
+            (_parallel_mha, {"steal": False}),
+        ],
+        ids=["spmspm", "a-worker-retires", "replicated"],
     )
     def test_process_capture_resumes_everywhere(self, build, config, tmp_path):
+        """``replicated`` is two pipelines whose contexts share names:
+        its replayed resume must use both workers again."""
         self._capture_resumes_everywhere(build, tmp_path, **config)
 
     def test_peeks_resume_everywhere(self, tmp_path):
@@ -310,9 +360,10 @@ class TestElasticResume:
         """96-byte rings hold two or three records, so workers stop for
         a round with records on a lane or still in an outbox.  Nothing
         delivers them: the stitch reads the lanes without popping and
-        puts lane and outbox behind what the other side holds, and every
-        epoch still resumes to the uninterrupted result on every
-        executor."""
+        puts lane and outbox behind what the other side holds, and the
+        cuts still resume to the uninterrupted result on every executor:
+        the first, middle and last epochs and the eight with the largest
+        backlog in tier-1, every epoch under the nightly profile."""
         from repro.core.executor.partitioned import ProcessExecutor, _CkptCoordinator
 
         build = functools.partial(_spmspm, 14)
@@ -360,19 +411,22 @@ class TestElasticResume:
         epochs = _epochs(tmp_path)
         assert len(epochs) >= 8 and sorted(backlog) == epochs
         assert any(on_lanes.values()), "no cut held a record on a lane"
-        # Every epoch on the sequential executor (an in-process channel
-        # holds exactly the stitched state); the eight cuts with the
-        # largest backlog also on the process hosts that re-split or
-        # re-cut it.
-        # A round costs one barrier, the dumps and the save, so the
-        # 14x14 kernel cuts one to a few hundred epochs.
-        legs = {epoch: [("sequential", {})] for epoch in epochs}
-        for epoch in sorted(epochs, key=backlog.get)[-8:]:
+        # The sampled epochs on the sequential executor (an in-process
+        # channel holds exactly the stitched state); the eight cuts with
+        # the largest backlog also on the process hosts that re-split or
+        # re-cut it.  A round costs one barrier, the dumps and the save,
+        # so the 14x14 kernel cuts one to a few hundred epochs.
+        largest = sorted(epochs, key=backlog.get)[-8:]
+        sample = epochs if EVERY_EPOCH else sorted(
+            {epochs[0], epochs[len(epochs) // 2], epochs[-1], *largest}
+        )
+        legs = {epoch: [("sequential", {})] for epoch in sample}
+        for epoch in largest:
             legs[epoch] += [
                 ("process", {"workers": 3}),
                 ("process", {"workers": 3, "steal": False}),
             ]
-        for epoch in epochs:
+        for epoch in sample:
             path = tmp_path / ckpt.checkpoint_filename(epoch)
             for executor, config in legs[epoch]:
                 assert _resume(build, path, executor, **config) == expected, (
@@ -384,20 +438,6 @@ class TestElasticResume:
 # Capture *on* the threaded executor: its default hosting is the
 # cooperative engine, which cuts between slices (DESIGN.md §17).
 # ----------------------------------------------------------------------
-
-
-def _parallel_mha():
-    import numpy as np
-
-    from repro.sam.graphs import build_parallel_mha
-
-    rng = np.random.default_rng(5)
-    heads, seq_len, d = 2, 6, 4
-    mask = (rng.random((heads, seq_len, seq_len)) < 0.5).astype(float)
-    for h in range(heads):
-        np.fill_diagonal(mask[h], 1.0)
-    q, k, v = (rng.standard_normal((heads, seq_len, d)) for _ in range(3))
-    return build_parallel_mha(mask, q, k, v, parallelism=2)
 
 
 class TestThreadedCapture:
@@ -542,6 +582,10 @@ class TestCorruption:
 
         _, epochs = _capture(_spmspm, tmp_path / "real")
         path = tmp_path / "real" / ckpt.checkpoint_filename(epochs[0])
+        # Version 1 keyed the placement by context name: refused, typed.
+        old = dict(ckpt.load(str(path)).to_payload(), version=1, placement={"x": 0})
+        with pytest.raises(CheckpointError, match="version 1"):
+            ckpt.Checkpoint.from_payload(old)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])  # truncate mid-payload
         with pytest.raises(CheckpointError):

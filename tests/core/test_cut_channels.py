@@ -8,7 +8,9 @@ process executor at two and three workers, ``steal=False``, pinned so
 that every channel is cut (at two workers, every channel a two-way split
 can cut), and on some draws through 96-byte rings, so outboxes back up.
 Some draws also checkpoint the three-worker run at every round and resume
-from a cut on two workers.  Every run's :func:`repro.spec.simulated`
+on two workers from a sample of its cuts (the first, middle and last, and
+the three that queue the most records; every cut under the nightly
+profile).  Every run's :func:`repro.spec.simulated`
 record — the failure, or the finish times, traffic, port histories and
 profile, or a deadlock's blocked clocks and queued elements — and its
 contexts' logs must be the spec's.  A ``ViewTime`` of another context is
@@ -29,6 +31,7 @@ from repro.core import checkpoint as ckpt
 from repro.core.errors import ChannelClosed
 from repro.obs import Observability
 from repro.spec import observed, simulated
+from tests.conftest import nightly
 
 from test_runners import _Scripted, _build, _programs, differential
 
@@ -133,6 +136,22 @@ def _logged(program, record):
     return dict(record, logs=[ctx.log for ctx in program.contexts])
 
 
+def _sample(paths):
+    """The cuts a resume leg restores: every one under the nightly
+    profile; in tier-1 the first, middle and last, and the three whose
+    channels queue the most records — where the outboxes and the lanes
+    went into the stitch."""
+    if nightly():
+        return paths
+
+    def queued(path):
+        channels = ckpt.load(path).channels.values()
+        return sum(len(state["data"]) + len(state["resps"]) for state in channels)
+
+    fullest = sorted(paths, key=queued)[-3:]
+    return sorted({paths[0], paths[len(paths) // 2], paths[-1], *fullest})
+
+
 def _spec(spec, traced=True):
     program, _ = _build(spec, context=_Resumable)
     return _logged(program, reference.run(program, traced, payloads=True))
@@ -208,7 +227,7 @@ class TestCutChannels:
                 checkpoint_interval_s=0.0, checkpoint_path=directory,
             ) == expected
             untraced = _spec(spec, traced=False)
-            for path in ckpt.list_checkpoints(directory):
+            for path in _sample(ckpt.list_checkpoints(directory)):
                 program, _ = _build(spec, context=_Resumable)
                 ckpt.load(path, program).restore_into(program)
                 pins = {id(ctx): worker for ctx, worker in zip(program.contexts, _pins(spec[0], 2))}

@@ -454,28 +454,28 @@ class TestRaiseInIsExact:
 class TestDeadline:
     @pytest.mark.parametrize(
         "executor,config",
-        [("sequential", {}), ("threaded", {"superblocks": "off"})],
-        ids=["sequential", "threaded-off"],
+        [
+            ("sequential", {}),
+            ("threaded", {}),
+            ("threaded", {"superblocks": "off"}),
+            pytest.param(
+                "process", {"workers": 2, "steal": False}, marks=needs_fork
+            ),
+        ],
+        ids=["sequential", "threaded", "threaded-off", "process"],
     )
     def test_runaway_run_is_aborted(self, executor, config):
-        program = _runaway_program()
-        with pytest.raises(RunTimeoutError) as info:
-            program.run(executor, config=RunConfig(deadline_s=0.3, **config))
-        err = info.value
-        assert err.deadline_s == 0.3
-        assert err.summary is not None
-        # Partial clocks: the spinners made progress before the abort.
-        assert any(v for v in err.summary.context_times.values())
-
-    @needs_fork
-    def test_process_runaway_is_aborted(self):
-        """The aborted workers' harvests are folded, as for a deadlock:
-        the trace holds their rows, and the op counts add up."""
+        """Every host folds what the run did before the abort: partial
+        clocks, both contexts' trace rows, and one op count per context
+        that adds up to ``ops_executed``."""
         obs = Observability(metrics=False)
         program = _runaway_program(pin=(0, 1))
         with pytest.raises(RunTimeoutError) as info:
-            program.run("process", config=_process_config(deadline_s=0.5, obs=obs))
-        summary = info.value.summary
+            program.run(executor, config=RunConfig(deadline_s=0.3, obs=obs, **config))
+        err = info.value
+        assert err.deadline_s == 0.3
+        summary = err.summary
+        assert len(summary.context_ops) == len(program.contexts)
         assert summary.ops_executed == sum(summary.context_ops) > 0
         buffers = obs.trace.buffers()
         assert len(buffers["a"]) and len(buffers["b"])

@@ -46,6 +46,7 @@ from repro.core.executor import runners, sequential
 from repro import spec as reference
 from repro.obs import Observability
 from repro.spec import observed, simulated
+from tests.conftest import nightly
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -410,9 +411,8 @@ def differential(examples):
     which hashes the test's source: editing a differential's body would
     draw other programs.  The nightly profile gets no ``@seed``, which
     would override ``--hypothesis-seed``."""
-    nightly = settings.get_profile("nightly")
-    if settings.default is nightly:
-        return nightly
+    if nightly():
+        return settings.get_profile("nightly")
     fixed = settings(
         max_examples=examples,
         database=None,
@@ -423,7 +423,7 @@ def differential(examples):
 
 
 @pytest.mark.skipif(
-    settings.default is settings.get_profile("nightly"),
+    nightly(),
     reason="the nightly profile draws from --hypothesis-seed",
 )
 def test_differential_draws_do_not_depend_on_the_body():

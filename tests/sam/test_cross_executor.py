@@ -187,7 +187,8 @@ class TestWorkStealing:
     def test_forced_steal_matches_the_spec(self):
         """Worker 0 owns one of six pipelines; the other five sit cold on
         worker 1.  Worker 0 must steal, and the simulated results must
-        stay bit-identical to the spec's anyway."""
+        stay bit-identical to the spec's anyway.  The placement credits
+        every stolen slot to worker 0, its adopter."""
         from repro.core import RunConfig
 
         spec_kernel = _build_parallel_mha_kernel()
@@ -199,36 +200,67 @@ class TestWorkStealing:
             executor="process", config=RunConfig(workers=2, pins=pins)
         )
         assert summary.steals >= 1, "skewed partition did not force a steal"
+        assert summary.placement.count(0) > list(pins.values()).count(0)
         assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
 
-    def test_placement_feedback_eliminates_resteals(self):
-        """RunSummary.placement credits stolen clusters to their adopter;
-        replanning with pins_from_placement reproduces the observed
-        locality, so the second run steals nothing — with identical
-        simulated results both times."""
-        from repro.core import RunConfig, pins_from_placement
+    def test_placement_feedback_replays_replicated_pipelines(self):
+        """Four pipelines whose contexts share names.  RunSummary.placement
+        is kept per program slot, so replanning with pins_from_placement
+        puts every pipeline back on the worker it ran on: the replay
+        plans both workers, with the recorded placement and identical
+        simulated results."""
+        from repro.core import ProcessExecutor, RunConfig, pins_from_placement
+
+        kernel = _build_parallel_mha_kernel(parallelism=4)
+        summary = kernel.run(
+            executor="process", config=RunConfig(workers=2, steal=False)
+        )
+        assert len(summary.placement) == len(kernel.program.contexts)
+        assert sorted(set(summary.placement)) == [0, 1]
+
+        replay = _build_parallel_mha_kernel(parallelism=4)
+        executor = ProcessExecutor(
+            workers=2,
+            steal=False,
+            pins=pins_from_placement(replay.program, summary.placement),
+        )
+        summary2 = replay.run(executor)
+        assert executor.plan.workers_used == 2
+        assert summary2.placement == summary.placement
+        assert (simulated(replay.program, summary2), replay.result_dense().tobytes()) == (
+            simulated(kernel.program, summary), kernel.result_dense().tobytes()
+        )
+
+    def test_skew_is_replanned_from_the_measured_ops(self):
+        """``pins_from_summary`` re-plans a skewed run from its recorded
+        ``context_ops``, so the busier worker carries less, before any
+        stealing.  Both runs leave the spec's record."""
+        from repro.core import ProcessExecutor, pins_from_summary
 
         spec_kernel = _build_parallel_mha_kernel()
         expected = reference.run(spec_kernel.program), spec_kernel.result_dense().tobytes()
 
         kernel = _build_parallel_mha_kernel()
         pins = _skewed_pins(kernel.program)
-        summary = kernel.run(
-            executor="process", config=RunConfig(workers=2, pins=pins)
-        )
-        assert summary.steals >= 1
-        assert summary.placement is not None
-        assert set(summary.placement) == {
-            ctx.name for ctx in kernel.program.contexts
-        }
+        summary = kernel.run(ProcessExecutor(workers=2, steal=False, pins=pins))
+        assert summary.placement == [pins[id(ctx)] for ctx in kernel.program.contexts]
+        assert (simulated(kernel.program, summary), kernel.result_dense().tobytes()) == expected
 
         replay = _build_parallel_mha_kernel()
-        replay_pins = pins_from_placement(replay.program, summary.placement)
-        summary2 = replay.run(
-            executor="process",
-            config=RunConfig(workers=2, pins=replay_pins),
+        executor = ProcessExecutor(
+            workers=2,
+            steal=False,
+            pins=pins_from_summary(replay.program, summary, 2),
         )
-        assert summary2.steals == 0, "observed placement was not honored"
+        summary2 = replay.run(executor)
+
+        def loads(run):
+            ops = [0, 0]
+            for worker, count in zip(run.placement, run.context_ops):
+                ops[worker] += count
+            return ops
+
+        assert max(loads(summary2)) < max(loads(summary))
         assert (simulated(replay.program, summary2), replay.result_dense().tobytes()) == expected
 
     def test_steal_disabled_keeps_planned_placement(self):

@@ -140,6 +140,43 @@ class TestPlanCache:
             second.summary.elapsed_cycles == first.summary.elapsed_cycles
         )
 
+    def test_hit_replays_replicated_pipelines_onto_both_workers(self, client):
+        """Two pipelines whose contexts share names: the cached placement
+        is kept per program slot, so the hit pins each pipeline to the
+        worker it ran on instead of folding both onto one."""
+        import numpy as np
+
+        from repro.sam.graphs import build_parallel_mha
+        from repro.sam.spec import _GRAPH_REGISTRY, register_graph
+
+        name = "test_only_replicated_mha"
+        @register_graph(name, tensors=("mask", "q", "k", "v"))
+        def build(mask, q, k, v, parallelism):
+            return build_parallel_mha(mask, q, k, v, parallelism=parallelism)
+
+        try:
+            rng = np.random.default_rng(5)
+            mask = (rng.random((2, 5, 5)) < 0.5).astype(float)
+            for head in range(2):
+                np.fill_diagonal(mask[head], 1.0)
+            q, k, v = (rng.standard_normal((2, 5, 3)) for _ in range(3))
+            spec = ProgramSpec.from_graph_inputs(
+                name,
+                {"mask": mask, "q": q, "k": k, "v": v},
+                params={"parallelism": 2},
+                # Without stealing each run keeps its plan exactly.
+                config=RunConfig(workers=2, steal=False),
+                executor="process",
+            )
+            first = client.submit(spec)
+            second = client.submit(spec)
+        finally:
+            _GRAPH_REGISTRY.pop(name, None)
+        assert (first.plan, second.plan) == ("miss", "hit")
+        assert sorted(set(first.summary.placement)) == [0, 1]
+        assert second.summary.placement == first.summary.placement
+        assert second.result_dense().tobytes() == first.result_dense().tobytes()
+
 
 class TestAdmission:
     def test_overloaded_pool_sheds_with_typed_error(self):
@@ -444,7 +481,7 @@ class TestPlanCachePersistence:
         cache.store(
             CachedPlan(
                 key="shape:process:2",
-                placement={"ctx_a": 0, "ctx_b": 1},
+                placement=[0, 1],
                 weights={"chan_x": 12.0},
                 context_count=2,
                 channel_count=1,
@@ -459,9 +496,24 @@ class TestPlanCachePersistence:
         assert fresh.load_json(str(path)) == 2
         plan = fresh.lookup("shape:process:2")
         assert plan is not None
-        assert plan.placement == {"ctx_a": 0, "ctx_b": 1}
+        assert plan.placement == [0, 1]
         assert plan.weights == {"chan_x": 12.0}
         assert plan.uses == 4  # 3 persisted + the lookup above
+
+    def test_load_drops_a_name_keyed_placement(self, tmp_path):
+        """A placement keyed by context name cannot tell replicated
+        contexts apart: such an entry is dropped, the rest load."""
+        from repro.serve.plancache import CACHE_VERSION, PlanCache
+
+        path = tmp_path / "plans.json"
+        path.write_text(json.dumps({"version": CACHE_VERSION, "entries": [
+            {"key": "old:process:2", "placement": {"ctx_a": 0, "ctx_b": 1}},
+            {"key": "new:process:2", "placement": [0, 1]},
+        ]}))
+        cache = PlanCache()
+        assert cache.load_json(str(path)) == 1
+        assert cache.lookup("old:process:2") is None
+        assert cache.lookup("new:process:2").placement == [0, 1]
 
     def test_load_rejects_corrupt_and_wrong_version(self, tmp_path):
         from repro.serve.plancache import PlanCache
